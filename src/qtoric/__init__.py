@@ -62,6 +62,7 @@ from .recursion import (
     verify_residue_recursion,
 )
 from .scalars import (
+    BinomialProduct,
     DegenerateSampleError,
     DoublePoleError,
     PoleError,

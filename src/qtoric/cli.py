@@ -3,11 +3,16 @@
 Every command echoes the model hash, seed and sample count, and identical
 model + seed produce byte-identical reports.  Exit codes: 0 all checks pass,
 1 some identity failed, 2 input error.
+
+Exact coefficients can run to tens of thousands of digits, so the report is
+computed and rendered with the interpreter's limit on integer string
+conversion lifted; every input is parsed before that, under the limit.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -111,7 +116,7 @@ def cmd_kirwan(model: ModelFile, seed: int, samples: int, args) -> dict:
 
 def cmd_trace(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
-    phi = parse_expression(args.phi)
+    phi = args.phi_class
     values = []
     for i in range(samples):
         value, ctx = with_resampling(
@@ -176,9 +181,7 @@ def cmd_verify_recursion(model: ModelFile, seed: int, samples: int, args) -> dic
     m = args.m
     edges = all_orbits(data)
     if args.edge:
-        alpha_part, j0_part = args.edge.split(":")
-        want_alpha = tuple(sorted(int(x) - 1 for x in alpha_part.split(",")))
-        want_j0 = int(j0_part) - 1
+        want_alpha, want_j0 = args.edge_key
         edges = [o for o in edges if o.alpha.J == want_alpha and o.j0 == want_j0]
         if not edges:
             raise InvalidModelError(f"no orbit matches --edge {args.edge!r}")
@@ -208,8 +211,8 @@ def cmd_verify_coh(model: ModelFile, seed: int, samples: int, args) -> dict:
 
 def cmd_integrate_xd(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
-    d = _parse_degree(args.degree, data.K)
-    phi = parse_expression(args.phi)
+    d = args.degree_vec
+    phi = args.phi_class
     value, ctx = with_resampling(
         lambda t: sample_context(data.N, seed, t),
         lambda c: map_space_integral(data, d, phi, c),
@@ -270,10 +273,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_inputs(model: ModelFile, flags: argparse.Namespace) -> None:
+    """Parse the curve degree, class expression and edge flags in place."""
+    if getattr(flags, "degree", None) is not None:
+        flags.degree_vec = _parse_degree(flags.degree, model.data.K)
+    if getattr(flags, "phi", None) is not None:
+        flags.phi_class = parse_expression(flags.phi)
+    if getattr(flags, "edge", None):
+        alpha_part, j0_part = flags.edge.split(":")
+        flags.edge_key = (tuple(sorted(int(x) - 1 for x in alpha_part.split(","))),
+                          int(j0_part) - 1)
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the limit on integer string conversion, restoring it on exit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def run_command(command: str, model: ModelFile, flags: argparse.Namespace) -> dict:
     seed = _default_seed(model, flags.seed)
     samples = flags.samples if flags.samples is not None else (model.samples or 5)
-    return COMMANDS[command](model, seed, samples, flags)
+    _parse_inputs(model, flags)
+    with _unlimited_int_digits():
+        return COMMANDS[command](model, seed, samples, flags)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import QRational, SampleContext, TruncationError, finite_ratio
+from .scalars import SampleContext, TruncationError, finite_ratio
 from .series import (
     NovikovSeries,
     TruncationBox,
@@ -207,15 +207,14 @@ def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], Novik
 
 
 def apply_gamma_ratio(series: NovikovSeries, data: ToricData, j: int, lam_value,
-                      ctx: SampleContext, symbolic_q: bool = False) -> NovikovSeries:
+                      ctx: SampleContext) -> NovikovSeries:
     """The ratio of Gamma-operator symbols attached to column j, in finite form.
 
     Acting on Q^d it multiplies by finite_ratio(lam, D_j(d), q); no infinite
     products are ever materialized.
     """
-    q = QRational.q() if symbolic_q else ctx.q
     return series.map_with_degree(
-        lambda d, c: c * finite_ratio(lam_value, degree_pairing(data, d)[j], q)
+        lambda d, c: c * finite_ratio(lam_value, degree_pairing(data, d)[j], ctx.q)
     )
 
 

@@ -7,6 +7,11 @@ character of that sphere, and their residues are proportional to the beta
 component; the proportionality constant is the equivariant Euler class of the
 virtual cotangent space at the multiple cover, computed here along two
 independent routes that must agree.
+
+The alpha component is built with q symbolic as products of binomials
+1 - q^r u, so the pole order at the root point is a count of vanishing
+factors and the residue is read off the factors; the beta side is evaluated
+at the numeric root point, an independent route.
 """
 
 from __future__ import annotations
@@ -16,14 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .monomials import Monomial
 from .scalars import (
+    BinomialProduct,
     DegenerateSampleError,
     DoublePoleError,
     PoleError,
-    QRational,
     SampleContext,
     finite_ratio,
     random_fraction,
-    residue_at,
     sample_context,
 )
 from .linalg import solve_square
@@ -250,9 +254,11 @@ def verify_residue_recursion(data: ToricData, alpha: FixedPoint, j0: int, m: int
     """Check, degree by degree, that the residue of the alpha component at the
     rational root point equals the shifted, rescaled beta component.
 
-    Both residue routes are computed (polynomial-division residue and the
-    vanishing-factor limit) and must agree; the right-hand side uses the
-    recursion coefficient, whose two computations must also agree.
+    The residue is read off the factored alpha coefficient; ``paths_agree``
+    restates it as the value at the root point of (1 - lambda q^m) times the
+    coefficient, from the same factors.  The right-hand side evaluates the
+    beta component at the numeric root point and uses the recursion
+    coefficient, whose two computations must also agree.
     """
     orbit = orbit_data(data, alpha, j0)
     if orbit is None:
@@ -279,14 +285,14 @@ def _check_recursion(data: ToricData, orbit: OrbitData, m: int,
     phi = cotangent_euler(data, orbit.alpha, ctx)
     prefactor = -Fraction(1, m) * phi / c_residue
     shift = tuple(m * x for x in orbit.d_ab)
+    root_factor = BinomialProduct(1, [(m, lam_val, 1)])
     rows = []
     ok = True
     for d in box.degrees:
         coeff = alpha_series.coefficient(d)
-        if isinstance(coeff, QRational):
-            lhs = residue_at(coeff, q0)
-            limit = ((1 - lam_val * QRational.q() ** m) * coeff).evaluate(q0)
-            lhs_limit = -Fraction(1, m) * limit
+        if isinstance(coeff, BinomialProduct):
+            lhs = coeff.residue(q0)
+            lhs_limit = -Fraction(1, m) * (coeff * root_factor).evaluate(q0)
         else:
             lhs = Fraction(0)
             lhs_limit = Fraction(0)

@@ -7,8 +7,13 @@ probability), so the scalar layer provides
 
 * reproducible sample contexts for (q, equivariant parameters, bundle weight, z),
 * the universal finite product ratio behind all the q-hypergeometric factors,
-* univariate rational functions in q over big rationals, for residue work where
-  q has to stay symbolic.
+  evaluated at a numeric q,
+* the same ratio with q kept symbolic, as a factored product of binomials
+  ``c * prod (1 - q^r u)^e`` (``BinomialProduct``): its pole order at a point
+  is a count of vanishing factors, so residues need no polynomial algebra,
+* dense univariate rational functions in q over big rationals (``QRational``),
+  for the symbolic sums that do not factor and as the reference the factored
+  products are tested against.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 
 class PoleError(ArithmeticError):
@@ -105,10 +110,7 @@ def with_resampling(make_ctx: Callable[[int], SampleContext],
     raise last
 
 
-Scalar = Union[Fraction, "QRational"]
-
-
-def finite_ratio(u_value, depth: int, q) -> Scalar:
+def finite_ratio(u_value, depth: int, q) -> Fraction:
     """The universal factor prod_{r<=0}(1-q^r u) / prod_{r<=depth}(1-q^r u).
 
     Reduced to finite form: 1/prod_{r=1}^{depth}(1-q^r u) for depth >= 0 and
@@ -117,42 +119,150 @@ def finite_ratio(u_value, depth: int, q) -> Scalar:
     denominator it is a sampling pole and raises.
     """
     if depth == 0:
-        return _one_like(q)
+        return Fraction(1)
     if depth > 0:
-        denom = _one_like(q)
+        denom = Fraction(1)
         for r in range(1, depth + 1):
             factor = 1 - (q ** r) * u_value
-            if _is_zero(factor):
+            if factor == 0:
                 raise PoleError(r, u_value)
             denom = denom * factor
-        return _one_like(q) / denom
-    num = _one_like(q)
+        return 1 / denom
+    num = Fraction(1)
     for r in range(depth + 1, 1):
         num = num * (1 - (q ** r) * u_value)
     return num
 
 
-def q_pochhammer(q, n: int) -> Scalar:
+def q_pochhammer(q, n: int) -> Fraction:
     """(q; q)_n = prod_{r=1}^{n}(1 - q^r)."""
-    out = _one_like(q)
+    out = Fraction(1)
     for r in range(1, n + 1):
         factor = 1 - q ** r
-        if _is_zero(factor):
+        if factor == 0:
             raise PoleError(r, 1)
         out = out * factor
     return out
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, QRational):
-        return x.is_zero
-    return x == 0
+# ---------------------------------------------------------------------------
+# Products of binomials 1 - q^r u with q symbolic.
+# ---------------------------------------------------------------------------
 
 
-def _one_like(q) -> Scalar:
-    if isinstance(q, QRational):
-        return QRational.constant(1)
-    return Fraction(1)
+class BinomialProduct:
+    """The exact function c * prod (1 - q^r u)^e of a symbolic q.
+
+    The factors are a multiset of (r, u, e) with e = +1 (numerator) or -1
+    (denominator), kept as net multiplicities per (r, u).  A factor with
+    r = 0 is the constant 1 - u and is folded into c, so an r = 0 numerator
+    factor with u = 1 makes the product identically zero (the kill rule).
+
+    Every other factor has only simple zeros, at q^r = 1/u.  Near such a
+    zero q0 it is -r * eps + O(eps^2) with eps = (q - q0)/q0, so the pole
+    order at q0 and the leading coefficient in eps are read off the factors
+    without expanding anything.  There is deliberately no addition: sums of
+    these products are not products, and need ``QRational``.
+    """
+
+    __slots__ = ("constant", "_factors")
+
+    def __init__(self, constant=1, factors: Iterable[tuple[int, object, int]] = ()):
+        constant = Fraction(constant)
+        items = []
+        for r, u, e in factors:
+            if r == 0:
+                constant *= (1 - Fraction(u)) ** e
+            else:
+                items.append(((int(r), Fraction(u)), e))
+        self.constant = constant
+        self._factors = _merged({}, items) if constant else {}
+
+    @classmethod
+    def _make(cls, constant: Fraction, net: dict) -> "BinomialProduct":
+        out = cls.__new__(cls)
+        out.constant = constant
+        out._factors = net if constant else {}
+        return out
+
+    @classmethod
+    def finite_ratio(cls, u_value, depth: int) -> "BinomialProduct":
+        """``finite_ratio`` with q kept symbolic."""
+        if depth >= 0:
+            return cls(1, ((r, u_value, -1) for r in range(1, depth + 1)))
+        return cls(1, ((r, u_value, 1) for r in range(depth + 1, 1)))
+
+    @property
+    def is_zero(self) -> bool:
+        return self.constant == 0
+
+    def __mul__(self, other) -> "BinomialProduct":
+        if not isinstance(other, BinomialProduct):
+            return NotImplemented
+        return BinomialProduct._make(self.constant * other.constant,
+                                     _merged(self._factors, other._factors.items()))
+
+    def __truediv__(self, other) -> "BinomialProduct":
+        if not isinstance(other, BinomialProduct):
+            return NotImplemented
+        inverse = ((key, -e) for key, e in other._factors.items())
+        return BinomialProduct._make(self.constant / other.constant,
+                                     _merged(self._factors, inverse))
+
+    def adams(self, k: int) -> "BinomialProduct":
+        """q -> q^k for k >= 1: every factor 1 - q^r u becomes 1 - q^{kr} u."""
+        if k < 1:
+            raise ValueError("power substitution needs k >= 1")
+        return BinomialProduct._make(
+            self.constant, {(k * r, u): e for (r, u), e in self._factors.items()})
+
+    def _expansion(self, q0: Fraction) -> tuple[int, Fraction]:
+        """Pole order at q0 and the leading coefficient of the product in eps."""
+        order = 0
+        lead = self.constant
+        for (r, u), e in self._factors.items():
+            value = 1 - q0 ** r * u
+            if value == 0:
+                order -= e
+                value = Fraction(-r)
+            lead *= value ** e
+        return order, lead
+
+    def evaluate(self, q) -> Fraction:
+        """The value at q, as the limit where vanishing factors cancel."""
+        q = Fraction(q)
+        order, lead = self._expansion(q)
+        if order > 0:
+            r, u = next((r, u) for (r, u), e in self._factors.items()
+                        if e < 0 and q ** r * u == 1)
+            raise PoleError(r, u)
+        return lead if order == 0 else Fraction(0)
+
+    def residue(self, q0) -> Fraction:
+        """Residue of f(q) dq/q at q = q0 (q0 != 0), for an at-most-simple pole."""
+        q0 = Fraction(q0)
+        if q0 == 0:
+            raise ValueError("residue expects q0 != 0; the dq/q pole at 0 is not handled")
+        order, lead = self._expansion(q0)
+        if order > 1:
+            raise DoublePoleError(f"pole of order {order} at q={q0}")
+        return lead if order == 1 else Fraction(0)
+
+    def __repr__(self) -> str:
+        parts = [f"(1 - q^{r}*{u})^{e}" for (r, u), e in sorted(self._factors.items())]
+        return " * ".join([str(self.constant)] + parts)
+
+
+def _merged(net: dict, items) -> dict:
+    """A copy of ``net`` with the (key, multiplicity) ``items`` added in."""
+    out = dict(net)
+    for key, e in items:
+        n = out.get(key, 0) + e
+        if n:
+            out[key] = n
+        else:
+            del out[key]
+    return out
 
 
 # ---------------------------------------------------------------------------

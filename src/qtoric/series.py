@@ -1,9 +1,11 @@
 """Truncated Novikov series and the q-hypergeometric series built on them.
 
 Coefficients are exact: either rationals (all parameters evaluated at a sample
-context) or univariate rational functions of q (parameters evaluated, q kept
-symbolic for residue work).  Everything is localized: a global series is the
-family of its fixed-point components, never a mixed object.
+context) or, with the parameters evaluated and q kept symbolic for residue
+work, factored products of binomials 1 - q^r u (components and bundle factors)
+or dense rational functions of q (the point-series sums).  Everything is
+localized: a global series is the family of its fixed-point components, never
+a mixed object.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .monomials import Monomial
 from .scalars import (
+    BinomialProduct,
     PoleError,
     QRational,
     SampleContext,
@@ -68,7 +71,7 @@ def truncation_box(data: ToricData, bound, ample: Sequence | None = None) -> Tru
 
 
 def _is_zero(c) -> bool:
-    if isinstance(c, QRational):
+    if isinstance(c, (QRational, BinomialProduct)):
         return c.is_zero
     return c == 0
 
@@ -188,6 +191,8 @@ def adams(series: NovikovSeries, k: int) -> NovikovSeries:
             continue
         if isinstance(c, QRational):
             c = c.subst_power(k)
+        elif isinstance(c, BinomialProduct):
+            c = c.adams(k)
         out[kd] = c
     return NovikovSeries(series.box, out, series.mode)
 
@@ -296,14 +301,19 @@ def point_series(monomials: Iterable[Monomial | Sequence[int]], box: TruncationB
 
 def bundle_factor(data: ToricData, fp: FixedPoint, bundle: BundleData,
                   d: Sequence[int], ctx: SampleContext, symbolic_q: bool = False):
-    """The fiber contribution at one degree: prod_a finite_ratio(lam V_a, Delta_a)^{+-1}."""
-    q = QRational.q() if symbolic_q else ctx.q
+    """The fiber contribution at one degree: prod_a finite_ratio(lam V_a, Delta_a)^{+-1}.
+
+    With ``symbolic_q`` it is a ``BinomialProduct``.
+    """
     pvals = fp.p_values(ctx.Lambda)
     fibers = bundle.fiber_values(pvals)
     deltas = bundle.delta(d)
-    out = QRational.constant(1) if symbolic_q else Fraction(1)
+    out = BinomialProduct() if symbolic_q else Fraction(1)
     for a in range(bundle.L):
-        fr = finite_ratio(ctx.lam * fibers[a], deltas[a], q)
+        if symbolic_q:
+            fr = BinomialProduct.finite_ratio(ctx.lam * fibers[a], deltas[a])
+        else:
+            fr = finite_ratio(ctx.lam * fibers[a], deltas[a], ctx.q)
         if bundle.parity == "E":
             out = out * fr
         else:
@@ -322,16 +332,19 @@ def component_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
     The factors for j in J(alpha) have U_j(alpha) = 1, which reproduces the
     split between 1/prod(1-q^r) and the general ratio, and forces an exact
     zero outside the dual cone of alpha (a vanishing numerator factor).
+    With ``symbolic_q`` every coefficient is a ``BinomialProduct``.
     """
-    q = QRational.q() if symbolic_q else ctx.q
     uvals = fp.u_values(ctx.Lambda)
     coeffs: dict[Degree, object] = {}
     for d in box.degrees:
         pairing = degree_pairing(data, d)
-        c = QRational.constant(1) if symbolic_q else Fraction(1)
+        c = BinomialProduct() if symbolic_q else Fraction(1)
         dead = False
         for j in range(data.N):
-            fr = finite_ratio(uvals[j], pairing[j], q)
+            if symbolic_q:
+                fr = BinomialProduct.finite_ratio(uvals[j], pairing[j])
+            else:
+                fr = finite_ratio(uvals[j], pairing[j], ctx.q)
             if _is_zero(fr):
                 dead = True
                 break

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,29 @@ def test_cli_ifunction_with_bundle(capsys):
     comps = report["result"]["components"]
     assert len(comps) == 3
     assert comps[0]["coefficients"]["[0]"] == "1"
+
+
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="no integer string conversion limit")
+
+
+@needs_digit_limit
+def test_cli_renders_coefficients_beyond_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, report = run(["ifunction", "p2_o1_o2", "--bundle", "--deg", "30", "--seed", "11",
+                        "--samples", "1"], capsys)
+    assert code == 0
+    longest = max(len(c) for comp in report["result"]["components"]
+                  for c in comp["coefficients"].values())
+    assert longest > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+
+@needs_digit_limit
+def test_cli_parses_inputs_under_the_digit_limit(capsys):
+    code, report = run(["integrate-xd", "p1", "--degree", "1" * 5000, "--phi", "1"], capsys)
+    assert code == 2
+    assert "limit" in report["error"]
 
 
 def test_cli_determinism(capsys):
