@@ -1,8 +1,12 @@
 """Command line surface: model input, dispatch, JSON reports.
 
-Every command echoes the model hash, seed and sample count, and identical
-model + seed produce byte-identical reports.  Exit codes: 0 all checks pass,
-1 some identity failed, 2 input error.
+Every command echoes the model hash and seed, and identical model + seed
+produce byte-identical reports.  Checks run through ``with_resampling``:
+``samples`` counts the contexts whose results the report holds (0 for inspect,
+1 for ifunction and integrate-xd, ``--samples`` for the rest, whose entries
+carry their ``sample``), and ``resamples`` lists each skipped context index
+with its reason and, in verify-recursion, its edge.  Exit codes: 0 all pass,
+1 an identity failed, 2 input error (also ``--samples`` < 1, a negative bound).
 
 Exact coefficients can run to tens of thousands of digits, so the report is
 computed and rendered with the interpreter's limit on integer string
@@ -16,7 +20,6 @@ import contextlib
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .exprs import ExprError, parse_expression
@@ -26,7 +29,7 @@ from .models import ModelFile, ModelFormatError, resolve_model
 from .qdiff import verify_coh_relation, verify_dq_system
 from .recursion import all_orbits, verify_residue_recursion
 from .scalars import sample_context, with_resampling
-from .series import assemble_series, truncation_box
+from .series import TruncationBox, assemble_series, truncation_box
 from .toric import (
     InvalidModelError,
     degree_pairing,
@@ -49,16 +52,43 @@ def _default_seed(model: ModelFile, flag_seed: int | None) -> int:
 
 
 def _report(command: str, model: ModelFile, seed: int, samples: int,
-            parameters: dict, ok: bool, result) -> dict:
+            parameters: dict, ok: bool, result, resamples=()) -> dict:
     return {
         "command": command,
         "model": {"name": model.data.name, "sha256": model.sha256},
         "seed": seed,
         "samples": samples,
+        "resamples": list(resamples),
         "parameters": parameters,
         "ok": ok,
         "result": result,
     }
+
+
+def _skipped(resamples: list, **tags) -> list[dict]:
+    """Each skipped context index with its reason, and ``tags``."""
+    return [dict(tags, index=index, reason=f"{type(exc).__name__}: {exc}")
+            for index, exc in resamples]
+
+
+def _run(data, seed: int, check, samples: int = 1) -> tuple[list, list]:
+    """``check`` at ``samples`` sample contexts of ``data``: its runs and resamples."""
+    resamples: list = []
+    runs = [with_resampling(lambda index: sample_context(data.N, seed, index), check,
+                            resamples=resamples, sample=i) for i in range(samples)]
+    return runs, _skipped(resamples)
+
+
+def _tagged(runs) -> list[dict]:
+    """Every sample's entries, each tagged with its sample number and q."""
+    return [dict(entry, sample=i, q=str(ctx.q))
+            for i, (entries, ctx) in enumerate(runs) for entry in entries]
+
+
+def _box(model: ModelFile, args, default: int) -> TruncationBox:
+    """The box to ``--deg``, else to the model's truncation bound, else to ``default``."""
+    bound = next(b for b in (args.deg, model.bound, default) if b is not None)
+    return truncation_box(model.data, bound, model.ample)
 
 
 def _parse_degree(text: str, k: int) -> tuple[int, ...]:
@@ -93,58 +123,45 @@ def cmd_inspect(model: ModelFile, seed: int, samples: int, args) -> dict:
             "exponents": [list(r) for r in model.bundle.exponents],
         },
     }
-    return _report("inspect", model, seed, samples, {}, True, result)
+    return _report("inspect", model, seed, 0, {}, True, result)
 
 
 def cmd_kirwan(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
-    ctx = sample_context(data.N, seed)
-    verification = verify_relations_at_fixed_points(data, ctx)
-    count, _ = with_resampling(
-        lambda t: sample_context(data.N, seed, t),
-        lambda c: spectrum_point_count(data, c),
-    )
+    runs, resamples = _run(data, seed, lambda c: (
+        verify_relations_at_fixed_points(data, c)["checks"], spectrum_point_count(data, c)),
+        samples)
+    checks = _tagged((entries, ctx) for (entries, _), ctx in runs)
+    counts = [count for (_, count), _ in runs]
+    fixed = len(enumerate_fixed_points(data))
     result = {
         "relations": [[j + 1 for j in rel.J] for rel in kirwan_relations(data)],
-        "verification": verification,
-        "spectrum_points": count,
-        "fixed_points": len(enumerate_fixed_points(data)),
+        "verification": {"ok": all(c["ok"] for c in checks), "checks": checks},
+        "spectrum_points": counts[0],
+        "fixed_points": fixed,
     }
-    ok = verification["ok"] and count == len(enumerate_fixed_points(data))
-    return _report("kirwan", model, seed, samples, {}, ok, result)
+    ok = result["verification"]["ok"] and all(count == fixed for count in counts)
+    return _report("kirwan", model, seed, samples, {}, ok, result, resamples)
 
 
 def cmd_trace(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
-    phi = args.phi_class
-    values = []
-    for i in range(samples):
-        value, ctx = with_resampling(
-            lambda t, i=i: sample_context(data.N, seed, i * 100 + t),
-            lambda c: ktheory_trace(data, phi, c),
-        )
-        values.append({
-            "sample": i,
-            "q": str(ctx.q),
-            "Lambda": [str(x) for x in ctx.Lambda],
-            "value": str(value),
-        })
+    runs, resamples = _run(data, seed, lambda c: ktheory_trace(data, args.phi_class, c),
+                           samples)
+    values = [{"sample": i, "q": str(ctx.q), "Lambda": [str(x) for x in ctx.Lambda],
+               "value": str(value)} for i, (value, ctx) in enumerate(runs)]
     return _report("trace", model, seed, samples, {"phi": args.phi}, True,
-                   {"values": values})
+                   {"values": values}, resamples)
 
 
 def cmd_ifunction(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
-    if args.deg is not None:
-        bound = args.deg
-    else:
-        bound = model.bound if model.bound is not None else 4
-    box = truncation_box(data, bound, model.ample)
-    ctx = sample_context(data.N, seed)
+    box = _box(model, args, 4)
     bundle = model.bundle if args.bundle else None
-    family = assemble_series(data, box, ctx, bundle=bundle)
+    [(family, ctx)], resamples = _run(data, seed,
+                                      lambda c: assemble_series(data, box, c, bundle=bundle))
     result = {
-        "bound": str(Fraction(bound)),
+        "bound": str(box.bound),
         "q": str(ctx.q),
         "Lambda": [str(x) for x in ctx.Lambda],
         "fiber_weight": str(ctx.lam),
@@ -159,64 +176,61 @@ def cmd_ifunction(model: ModelFile, seed: int, samples: int, args) -> dict:
             for J, series in sorted(family.items())
         ],
     }
-    parameters = {"deg": str(Fraction(bound)), "bundle": bool(bundle)}
-    return _report("ifunction", model, seed, samples, parameters, True, result)
+    parameters = {"deg": str(box.bound), "bundle": bool(bundle)}
+    return _report("ifunction", model, seed, 1, parameters, True, result, resamples)
 
 
 def cmd_verify_dq(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
-    bound = args.deg if args.deg is not None else 4
-    box = truncation_box(data, bound, model.ample)
-    ctx = sample_context(data.N, seed)
-    family = assemble_series(data, box, ctx)
-    outcome = verify_dq_system(data, family, ctx)
-    return _report("verify-dq", model, seed, samples, {"deg": str(Fraction(bound))},
-                   outcome["ok"], outcome)
+    box = _box(model, args, 4)
+    runs, resamples = _run(
+        data, seed, lambda c: verify_dq_system(data, assemble_series(data, box, c), c)["checks"],
+        samples)
+    checks = _tagged(runs)
+    ok = all(c["ok"] for c in checks)
+    return _report("verify-dq", model, seed, samples, {"deg": str(box.bound)},
+                   ok, {"ok": ok, "checks": checks}, resamples)
 
 
 def cmd_verify_recursion(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
-    bound = args.deg if args.deg is not None else 3
-    box = truncation_box(data, bound, model.ample)
-    m = args.m
+    box = _box(model, args, 3)
     edges = all_orbits(data)
     if args.edge:
         want_alpha, want_j0 = args.edge_key
         edges = [o for o in edges if o.alpha.J == want_alpha and o.j0 == want_j0]
         if not edges:
             raise InvalidModelError(f"no orbit matches --edge {args.edge!r}")
-    reports = [
-        verify_residue_recursion(data, orbit.alpha, orbit.j0, m, box, seed)
-        for orbit in edges
-    ]
+    reports, resamples = [], []
+    for orbit in edges:
+        skipped: list = []
+        reports += [dict(verify_residue_recursion(data, orbit.alpha, orbit.j0, args.m, box,
+                                                  seed, i, skipped), sample=i)
+                    for i in range(samples)]
+        resamples += _skipped(skipped, alpha=[j + 1 for j in orbit.alpha.J], j0=orbit.j0 + 1)
     ok = all(r["ok"] for r in reports)
-    parameters = {"m": m, "deg": str(Fraction(bound)), "edge": args.edge or "all"}
+    parameters = {"m": args.m, "deg": str(box.bound), "edge": args.edge or "all"}
     return _report("verify-recursion", model, seed, samples, parameters, ok,
-                   {"edges": reports})
+                   {"edges": reports}, resamples)
 
 
 def cmd_verify_coh(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
-    bound = args.deg if args.deg is not None else 4
-    box = truncation_box(data, bound, model.ample)
-    ctx = sample_context(data.N, seed)
-    checks = []
-    for i in range(data.K):
-        d0 = tuple(1 if k == i else 0 for k in range(data.K))
-        checks.append(verify_coh_relation(data, d0, box, ctx))
-    ok = all(c["ok"] for c in checks)
-    return _report("verify-coh", model, seed, samples, {"deg": str(Fraction(bound))},
-                   ok, {"relations": checks})
+    box = _box(model, args, 4)
+    basis = [tuple(1 if k == i else 0 for k in range(data.K)) for i in range(data.K)]
+    runs, resamples = _run(
+        data, seed, lambda c: [verify_coh_relation(data, d0, box, c) for d0 in basis], samples)
+    relations = _tagged(runs)
+    ok = all(r["ok"] for r in relations)
+    return _report("verify-coh", model, seed, samples, {"deg": str(box.bound)},
+                   ok, {"relations": relations}, resamples)
 
 
 def cmd_integrate_xd(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
     d = args.degree_vec
     phi = args.phi_class
-    value, ctx = with_resampling(
-        lambda t: sample_context(data.N, seed, t),
-        lambda c: map_space_integral(data, d, phi, c),
-    )
+    [(value, ctx)], resamples = _run(data, seed, lambda c: map_space_integral(data, d, phi, c))
     baseline = None
     if all(x == 0 for x in d):
         baseline = str(cohomology_integral(data, phi, ctx))
@@ -230,7 +244,7 @@ def cmd_integrate_xd(model: ModelFile, seed: int, samples: int, args) -> dict:
     }
     ok = baseline is None or baseline == str(value)
     parameters = {"degree": args.degree, "phi": args.phi}
-    return _report("integrate-xd", model, seed, samples, parameters, ok, result)
+    return _report("integrate-xd", model, seed, 1, parameters, ok, result, resamples)
 
 
 COMMANDS = {
@@ -301,7 +315,11 @@ def _unlimited_int_digits():
 
 def run_command(command: str, model: ModelFile, flags: argparse.Namespace) -> dict:
     seed = _default_seed(model, flags.seed)
-    samples = flags.samples if flags.samples is not None else (model.samples or 5)
+    samples = next(n for n in (flags.samples, model.samples, 5) if n is not None)
+    if samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
+    if getattr(flags, "deg", None) is not None and flags.deg < 0:
+        raise ValueError(f"--deg must be nonnegative, got {flags.deg}")
     _parse_inputs(model, flags)
     with _unlimited_int_digits():
         return COMMANDS[command](model, seed, samples, flags)

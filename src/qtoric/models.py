@@ -178,8 +178,10 @@ def parse_model_text(text: str) -> ModelFile:
             if len(tokens) >= 3 and tokens[1] == "bound":
                 try:
                     bound = Fraction(tokens[2])
+                    if bound < 0:
+                        raise ValueError(bound)
                 except (ValueError, ZeroDivisionError):
-                    err("bad-number", line_no, "truncation bound must be rational")
+                    err("bad-number", line_no, "truncation bound must be a nonnegative rational")
             elif len(tokens) >= 2 and tokens[1] == "ample":
                 try:
                     ample = tuple(_parse_rational(tok) for tok in tokens[2:])
@@ -192,6 +194,8 @@ def parse_model_text(text: str) -> ModelFile:
                 seed = int(tokens[2])
             elif len(tokens) >= 3 and tokens[1] == "samples" and _is_int(tokens[2]):
                 samples = int(tokens[2])
+                if samples < 1:
+                    err("bad-number", line_no, "sampling samples must be at least 1")
             else:
                 err("unknown-directive", line_no, f"unknown sampling field {raw!r}")
         else:

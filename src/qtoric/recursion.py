@@ -23,12 +23,12 @@ from .monomials import Monomial
 from .scalars import (
     BinomialProduct,
     DegenerateSampleError,
-    DoublePoleError,
     PoleError,
     SampleContext,
     finite_ratio,
     random_fraction,
     sample_context,
+    with_resampling,
 )
 from .linalg import solve_square
 from .series import TruncationBox, component_series
@@ -250,7 +250,8 @@ def edge_euler_class_from_forms(data: ToricData, orbit: OrbitData, m: int,
 
 
 def verify_residue_recursion(data: ToricData, alpha: FixedPoint, j0: int, m: int,
-                             box: TruncationBox, seed: int, tries: int = 10) -> dict:
+                             box: TruncationBox, seed: int, sample: int = 0,
+                             resamples: list | None = None) -> dict:
     """Check, degree by degree, that the residue of the alpha component at the
     rational root point equals the shifted, rescaled beta component.
 
@@ -258,20 +259,15 @@ def verify_residue_recursion(data: ToricData, alpha: FixedPoint, j0: int, m: int
     restates it as the value at the root point of (1 - lambda q^m) times the
     coefficient, from the same factors.  The right-hand side evaluates the
     beta component at the numeric root point and uses the recursion
-    coefficient, whose two computations must also agree.
+    coefficient, whose two computations must also agree.  Root points come
+    from ``root_context``, sampled as in ``with_resampling``.
     """
     orbit = orbit_data(data, alpha, j0)
     if orbit is None:
         raise ValueError(f"no orbit leaves {alpha.J} in direction {j0 + 1}")
-    last: Exception | None = None
-    for index in range(tries):
-        try:
-            ctx, mu = root_context(data, orbit, m, seed, index)
-            return _check_recursion(data, orbit, m, box, ctx, mu)
-        except (PoleError, DegenerateSampleError, DoublePoleError) as exc:
-            last = exc
-    assert last is not None
-    raise last
+    return with_resampling(lambda index: root_context(data, orbit, m, seed, index),
+                           lambda root: _check_recursion(data, orbit, m, box, *root),
+                           resamples=resamples, sample=sample)[0]
 
 
 def _check_recursion(data: ToricData, orbit: OrbitData, m: int,

@@ -91,23 +91,26 @@ def sample_context(n_lambda: int, seed: int, index: int = 0) -> SampleContext:
     return SampleContext(q=q, Lambda=tuple(lambdas), lam=lam, z=z, seed=seed)
 
 
-def with_resampling(make_ctx: Callable[[int], SampleContext],
-                    fn: Callable[[SampleContext], object],
-                    tries: int = 10):
+def with_resampling(make_ctx: Callable[[int], object], fn: Callable[[object], object],
+                    tries: int = 10, resamples: list | None = None, sample: int = 0):
     """Run ``fn`` on fresh contexts until it avoids sample degeneracies.
 
-    Returns (result, context). Persistent failure re-raises the last error so
-    model-level problems are reported rather than masked.
+    Sample ``sample`` tries ``make_ctx(100 sample + t)`` for ``t < tries`` and
+    returns (result, context) for the first that ``fn`` accepts.  Each skipped
+    index goes to ``resamples`` with its exception; persistent failure
+    re-raises the last error so model-level problems are reported rather than
+    masked.
     """
-    last: Exception | None = None
     for t in range(tries):
-        ctx = make_ctx(t)
+        index = 100 * sample + t
         try:
+            ctx = make_ctx(index)
             return fn(ctx), ctx
         except (PoleError, DegenerateSampleError, DoublePoleError) as exc:
-            last = exc
-    assert last is not None
-    raise last
+            if resamples is not None:
+                resamples.append((index, exc))
+            if t == tries - 1:
+                raise
 
 
 def finite_ratio(u_value, depth: int, q) -> Fraction:

@@ -100,7 +100,8 @@ class NovikovSeries:
         d = tuple(int(x) for x in d)
         if d in self.box.degree_set:
             return self.coeffs.get(d, Fraction(0))
-        if mori_cone_membership(self.box.data, d)[0]:
+        # The box holds every effective degree up to its bound.
+        if self.box.pairing(d) > self.box.bound and mori_cone_membership(self.box.data, d)[0]:
             raise TruncationError(
                 f"coefficient at {d} is beyond the truncation bound {self.box.bound}"
             )

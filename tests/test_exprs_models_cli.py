@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtoric import cli
+from qtoric import cli, recursion
 from qtoric.exprs import ExprError, parse_expression
 from qtoric.models import (
     ModelFormatError,
@@ -16,6 +16,7 @@ from qtoric.models import (
     projective_space,
     resolve_model,
 )
+from qtoric.scalars import PoleError, sample_context
 from qtoric.toric import enumerate_fixed_points
 
 
@@ -108,6 +109,8 @@ def test_model_diagnostics_cover_shapes():
         "name x\nbundle E 1\nmatrix 1 2\n1 1\nomega 1\n": "bundle-order",
         "name x\nmatrix 1 2\n1 1\nomega 1\nfrobnicate 3\n": "unknown-directive",
         "name x\nmatrix 1 2\n1 1\nomega 1 2\n": "omega-shape",
+        "name x\nmatrix 1 2\n1 1\nomega 1\ntruncation bound -3\n": "bad-number",
+        "name x\nmatrix 1 2\n1 1\nomega 1\nsampling samples 0\n": "bad-number",
     }
     for text, code in bad_cases.items():
         with pytest.raises(ModelFormatError) as info:
@@ -163,7 +166,8 @@ def test_cli_verify_dq(capsys):
 
 def test_cli_verify_recursion_single_edge(capsys):
     code, report = run(
-        ["verify-recursion", "p1", "--m", "1", "--edge", "1:2", "--deg", "3"], capsys)
+        ["verify-recursion", "p1", "--m", "1", "--edge", "1:2", "--deg", "3",
+         "--samples", "1"], capsys)
     assert code == 0 and report["ok"]
     assert len(report["result"]["edges"]) == 1
 
@@ -225,6 +229,111 @@ def test_cli_input_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["trace", "p1", "--phi", "(((", "--samples", "1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_rejects_vacuous_counts(tmp_path, capsys):
+    for argv in (["trace", "p1", "--phi", "1", "--samples", "0"],
+                 ["kirwan", "p1", "--samples", "-2"],
+                 ["verify-dq", "p1", "--deg", "-1"],
+                 ["verify-coh", "p1", "--deg", "-1"],
+                 ["verify-recursion", "p1", "--deg", "-1"]):
+        assert cli.main(argv) == 2, argv
+        capsys.readouterr()
+    path = tmp_path / "bad.model"
+    path.write_text("name x\nmatrix 1 2\n1 1\nomega 1\n"
+                    "sampling samples 0\ntruncation bound -3\n")
+    code, report = run(["verify-dq", str(path)], capsys)
+    assert code == 2
+    assert "line 5: [bad-number]" in report["error"]
+    assert "line 6: [bad-number]" in report["error"]
+
+
+def test_cli_bound_defaults_to_the_model_file(capsys):
+    # p2_o1_o2.model sets "truncation bound 5"; --deg still wins.
+    for command in ("ifunction", "verify-dq", "verify-coh", "verify-recursion"):
+        _, report = run([command, "p2_o1_o2", "--samples", "1"], capsys)
+        assert report["parameters"]["deg"] == "5", command
+    _, report = run(["verify-dq", "p2_o1_o2", "--deg", "2", "--samples", "1"], capsys)
+    assert report["parameters"]["deg"] == "2"
+
+
+RUNNER_CASES = [
+    (["trace", "f1", "--phi", "1"], ("values",), "q"),
+    (["kirwan", "f1"], ("verification", "checks"), "q"),
+    (["verify-dq", "f1", "--deg", "2"], ("checks",), "q"),
+    (["verify-coh", "f1", "--deg", "2"], ("relations",), "q"),
+    (["verify-recursion", "p1", "--edge", "1:2", "--deg", "2"], ("edges",), "mu"),
+]
+
+
+@pytest.mark.parametrize("argv, path, key", RUNNER_CASES,
+                         ids=[argv[0] for argv, _, _ in RUNNER_CASES])
+def test_cli_samples_counts_the_contexts_checked(argv, path, key, capsys):
+    reports = {}
+    for n in (1, 3):
+        code, report = run(argv + ["--samples", str(n), "--seed", "7"], capsys)
+        assert code == 0 and report["ok"] and report["samples"] == n
+        entries = report["result"]
+        for step in path:
+            entries = entries[step]
+        reports[n] = entries
+    contexts = {(e["sample"], e[key]) for e in reports[3]}
+    assert sorted(i for i, _ in contexts) == [0, 1, 2]      # one context per sample
+    assert len({c for _, c in contexts}) == 3                # three distinct contexts
+    assert len(reports[3]) == 3 * len(reports[1])
+    assert [e for e in reports[3] if e["sample"] == 0] == reports[1]
+
+
+def test_cli_resamples_are_reported_and_reproducible(monkeypatch, capsys):
+    first = sample_context(3, 5, 0)
+    real = cli.ktheory_trace
+
+    def trace(data, phi, ctx):
+        if ctx == first:
+            raise PoleError(2, Fraction(1, 2))
+        return real(data, phi, ctx)
+
+    monkeypatch.setattr(cli, "ktheory_trace", trace)
+    argv = ["trace", "p2", "--phi", "1", "--samples", "2", "--seed", "5"]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0])
+    assert report["resamples"] == [
+        {"index": 0, "reason": "PoleError: vanishing factor 1 - q^2 u at u=1/2"}]
+    assert [v["q"] for v in report["result"]["values"]] == [
+        str(sample_context(3, 5, 1).q), str(sample_context(3, 5, 100).q)]
+
+
+def test_cli_recursion_resamples_name_their_edge(monkeypatch, capsys):
+    # Every edge samples the same context indices, so each skipped index is
+    # tagged with the edge (alpha, j0) whose sampling skipped it.
+    real = recursion._check_recursion
+    p1 = projective_space(1)
+    one, two = sorted(recursion.all_orbits(p1), key=lambda o: o.alpha.J)
+    skipped, kept = (recursion.root_context(p1, two, 1, 5, index) for index in (100, 101))
+
+    def check(data, orbit, m, box, ctx, mu):
+        if orbit.alpha.J == (1,) and ctx == skipped[0]:
+            raise PoleError(1, mu)
+        return real(data, orbit, m, box, ctx, mu)
+
+    monkeypatch.setattr(recursion, "_check_recursion", check)
+    code, report = run(["verify-recursion", "p1", "--deg", "2", "--samples", "2",
+                        "--seed", "5"], capsys)
+    assert code == 0 and report["ok"]
+    assert [(r["alpha"], r["j0"], r["index"]) for r in report["resamples"]] == [([2], 1, 100)]
+    assert report["resamples"][0]["reason"].startswith("PoleError: ")
+    edges = {(e["alpha"][0], e["sample"]): e["mu"] for e in report["result"]["edges"]}
+    assert edges[(1, 1)] == str(recursion.root_context(p1, one, 1, 5, 100)[1])
+    assert edges[(2, 1)] == str(kept[1])
+
+
+def test_cli_inspect_checks_no_context(capsys):
+    _, report = run(["inspect", "f1", "--samples", "4"], capsys)
+    assert report["samples"] == 0 and report["resamples"] == []
 
 
 def test_cli_identity_failure_exits_one(monkeypatch, capsys):

@@ -147,6 +147,24 @@ def test_f1_displayed_equations(f1):
     assert second["ok"], second
 
 
+def test_factor_commutes_through_the_shift(f1):
+    # (1 - q^{-r} U_j) Q_i = Q_i (1 - q^{-(r - m_ij)} U_j): verify_dq_system
+    # applies its right-hand word before the shift instead of after it.
+    box = truncation_box(f1, 4)
+    ctx = sample_context(f1.N, 61)
+    family = assemble_series(f1, box, ctx)
+    for fp in enumerate_fixed_points(f1):
+        s = family[fp.J]
+        for i in range(f1.K):
+            e_i = tuple(1 if k == i else 0 for k in range(f1.K))
+            for j in range(f1.N):
+                for r in (-1, 0, 1):
+                    after = apply_factor(shift_by_degree(s, e_i), f1, fp, j, r, ctx)
+                    before = shift_by_degree(
+                        apply_factor(s, f1, fp, j, r - f1.m[i][j], ctx), e_i)
+                    assert after == before, (fp.J, i, j, r)
+
+
 def test_gamma_ratio_single_degree(p1):
     box = truncation_box(p1, 3)
     ctx = sample_context(p1.N, 37)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtoric import series as series_module
 from qtoric.scalars import QRational, TruncationError, sample_context
 from qtoric.series import (
     BundleData,
@@ -37,6 +38,21 @@ def test_series_lookup_semantics(p1):
         s.coefficient((3,))              # effective but beyond the bound
     with pytest.raises(TruncationError):
         NovikovSeries(box, {(3,): Fraction(1)})  # stored degrees must fit the box
+
+
+def test_in_bound_lookups_skip_the_cone_test(f1, monkeypatch):
+    # The box holds every effective degree up to its bound, so an in-bound
+    # degree outside it reads 0 without a cone-membership test.
+    s = constant_series(truncation_box(f1, 3))
+
+    def fail(data, d):
+        raise AssertionError(f"cone membership consulted for {d}")
+
+    monkeypatch.setattr(series_module, "mori_cone_membership", fail)
+    assert s.coefficient((-1, 2)) == 0   # pairing 1 <= 3, not effective
+    monkeypatch.undo()
+    with pytest.raises(TruncationError):
+        s.coefficient((4, 0))            # effective, pairing 4 > 3
 
 
 def test_point_series_chain_p1(p1):
