@@ -1,15 +1,13 @@
-"""Exact linear algebra over the rationals for small dense systems.
+"""Exact determinants, square solves and unimodular inverses over the rationals.
 
 Everything here works on plain sequences of ``fractions.Fraction`` (or ints)
 and is sized for the K <= 4 systems that toric quotient data produces, so
-clarity wins over asymptotics throughout.
+clarity wins over asymptotics throughout.  The Mori cone lives in ``toric``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
 from typing import Sequence
 
 
@@ -89,93 +87,3 @@ def inverse_unimodular(a: Sequence[Sequence[int]]) -> list[list[int]]:
             int_row.append(int(x))
         out.append(int_row)
     return out
-
-
-def _rank_and_solution(
-    gens: Sequence[Sequence[int]], target: Sequence
-) -> list[Fraction] | None:
-    """Solve sum_i x_i gens[i] = target when the gens are independent.
-
-    Returns the unique solution, or None if the system is inconsistent or the
-    generators are dependent.
-    """
-    dim = len(target)
-    r = len(gens)
-    # Augmented columns: generators, then target.
-    m = [[Fraction(gens[i][row]) for i in range(r)] + [Fraction(target[row])]
-         for row in range(dim)]
-    pivots = []
-    row = 0
-    for col in range(r):
-        pivot = next((k for k in range(row, dim) if m[k][col] != 0), None)
-        if pivot is None:
-            return None  # dependent generators; a smaller subset covers this
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        for k in range(dim):
-            if k == row or m[k][col] == 0:
-                continue
-            factor = m[k][col] * inv
-            for c in range(col, r + 1):
-                m[k][c] -= factor * m[row][c]
-        pivots.append((row, col))
-        row += 1
-        if row == dim:
-            break
-    if len(pivots) < r:
-        return None
-    # Consistency: rows without pivots must have zero rhs.
-    for k in range(row, dim):
-        if m[k][r] != 0:
-            return None
-    x = [Fraction(0)] * r
-    for prow, pcol in pivots:
-        x[pcol] = m[prow][r] / m[prow][pcol]
-    return x
-
-
-def in_cone(generators: Sequence[Sequence[int]], target: Sequence) -> bool:
-    """Exact membership of ``target`` in cone(generators).
-
-    By Caratheodory any member is a nonnegative combination of at most
-    dim-many linearly independent generators, so subsets are enumerated and
-    each square-ish system solved exactly.
-    """
-    target = [Fraction(x) for x in target]
-    if all(x == 0 for x in target):
-        return True
-    gens = [g for g in generators if any(c != 0 for c in g)]
-    if not gens:
-        return False
-    dim = len(target)
-    for r in range(1, dim + 1):
-        for subset in combinations(gens, r):
-            x = _rank_and_solution(subset, target)
-            if x is not None and all(xi >= 0 for xi in x):
-                return True
-    return False
-
-
-def primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    if g <= 1:
-        return tuple(int(x) for x in vec)
-    return tuple(int(x) // g for x in vec)
-
-
-def extreme_rays(generators: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Inclusion-minimal generating set of cone(generators), as primitive vectors."""
-    prims = []
-    for g in generators:
-        p = primitive(g)
-        if any(c != 0 for c in p) and p not in prims:
-            prims.append(p)
-    rays = []
-    for i, g in enumerate(prims):
-        others = prims[:i] + prims[i + 1:]
-        if not in_cone(others, g):
-            rays.append(g)
-    return rays

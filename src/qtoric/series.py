@@ -33,7 +33,6 @@ from .toric import (
     degree_pairing,
     divisor_values,
     enumerate_fixed_points,
-    kahler_pairing_positive,
     mori_cone_membership,
 )
 
@@ -63,8 +62,6 @@ class TruncationBox:
 def truncation_box(data: ToricData, bound, ample: Sequence | None = None) -> TruncationBox:
     """Build the finite degree box; ample defaults to the chamber point omega."""
     ample_t = tuple(Fraction(a) for a in (ample if ample is not None else data.omega))
-    if not kahler_pairing_positive(data, ample_t):
-        raise InvalidModelError("ample class must pair positively with every Mori generator")
     bound = Fraction(bound)
     degrees = tuple(box_degrees(data, ample_t, bound))
     return TruncationBox(data=data, ample=ample_t, bound=bound, degrees=degrees)

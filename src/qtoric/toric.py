@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import ceil, floor, gcd, lcm
 from typing import Sequence
 
-from .linalg import determinant, extreme_rays, in_cone, inverse_unimodular, solve_square
+from .linalg import determinant, inverse_unimodular, solve_square
 from .monomials import Monomial
 
 
@@ -207,34 +208,74 @@ def _mori_generators_raw(data: ToricData) -> tuple[tuple[int, ...], ...]:
     return tuple(gens)
 
 
+@lru_cache(maxsize=None)
+def _mori_facets(data: ToricData) -> tuple[tuple[int, ...], ...]:
+    """Primitive inner facet normals of the effective-curve cone.
+
+    The cone is spanned by the dual cones of the fixed points; each facet
+    holds K - 1 independent generators, so every (K - 1)-subset is tried: its
+    cofactor normal n_i = det(e_i, g_1, ..., g_{K-1}) is kept when every
+    generator lies on one side, oriented so that they pair >= 0.
+    """
+    gens = _mori_generators_raw(data)
+    k = data.K
+    facets: list[tuple[int, ...]] = []
+    spans = False
+    for tight in combinations(gens, k - 1):
+        normal = [int(determinant([[int(c == i) for c in range(k)], *tight]))
+                  for i in range(k)]
+        pairings = [_dot(normal, g) for g in gens]
+        if not any(pairings):
+            continue
+        spans = True
+        if min(pairings) < 0 < max(pairings):
+            continue
+        sign, g = (1 if max(pairings) > 0 else -1), gcd(*normal)
+        normal = tuple(sign * x // g for x in normal)
+        if normal not in facets:
+            facets.append(normal)
+    if not spans:
+        raise InvalidModelError("the Mori cone generators do not span the degree lattice")
+    return tuple(facets)
+
+
+def _dot(a: Sequence, b: Sequence):
+    return sum(x * y for x, y in zip(a, b))
+
+
 def mori_cone_membership(
     data: ToricData, d: Sequence[int]
 ) -> tuple[bool, tuple[bool, ...]]:
     """Overall membership in the effective-curve cone, plus per-fixed-point flags.
 
-    The flag at alpha is D_j(d) >= 0 for all j in J(alpha); the overall flag is
-    membership in the convex hull of those dual cones, decided exactly.
+    The flag at alpha is D_j(d) >= 0 for all j in J(alpha).  The overall flag
+    is <n, d> >= 0 for every facet normal n of the cone: exact, and true also
+    on sums of generators of different fixed points that no flag accepts.
     """
     pairing = degree_pairing(data, d)
     flags = tuple(
         all(pairing[j] >= 0 for j in fp.J) for fp in enumerate_fixed_points(data)
     )
-    if any(flags):
-        return True, flags
-    return in_cone(_mori_generators_raw(data), [int(x) for x in d]), flags
+    return all(_dot(n, d) >= 0 for n in _mori_facets(data)), flags
 
 
 def mori_generators(data: ToricData) -> list[tuple[int, ...]]:
-    """Extreme rays of the effective-curve cone."""
-    return extreme_rays(_mori_generators_raw(data))
+    """Extreme rays of the effective-curve cone, as primitive vectors.
 
-
-def kahler_pairing_positive(data: ToricData, ample: Sequence[Fraction]) -> bool:
-    """Whether ``ample`` pairs strictly positively with every Mori generator."""
-    return all(
-        sum(Fraction(a) * g for a, g in zip(ample, gen)) > 0
-        for gen in _mori_generators_raw(data)
-    )
+    A generator is extreme when the facet normals it lies on have rank K - 1.
+    """
+    facets = _mori_facets(data)
+    rays: list[tuple[int, ...]] = []
+    for gen in _mori_generators_raw(data):
+        g = gcd(*gen)
+        ray = tuple(x // g for x in gen)
+        if ray in rays:
+            continue
+        tight = [n for n in facets if _dot(n, ray) == 0]
+        if any(determinant([*rows, ray]) != 0
+               for rows in combinations(tight, data.K - 1)):
+            rays.append(ray)
+    return rays
 
 
 @dataclass(frozen=True)
@@ -314,26 +355,30 @@ def divisor_values(
 def box_degrees(
     data: ToricData, ample: Sequence[Fraction], bound
 ) -> list[tuple[int, ...]]:
-    """All effective degrees with <ample, d> <= bound, enumerated exactly."""
-    bound = Fraction(bound)
-    if bound < 0:
-        return []
+    """All effective degrees with <ample, d> <= bound, enumerated exactly.
+
+    An effective d is sum_g c_g g with c_g >= 0 over the Mori generators, so
+    d_i lies between bound * min(0, g_i / <ample, g>) and bound * max(0, ...).
+    Pairings are scaled to integers by the common denominator of ``ample``.
+    """
     gens = _mori_generators_raw(data)
     ample = [Fraction(a) for a in ample]
-    limits = []
+    scale = lcm(*(a.denominator for a in ample))
+    weights = [int(a * scale) for a in ample]
+    pairs = [_dot(weights, g) for g in gens]
+    if any(pair <= 0 for pair in pairs):
+        raise InvalidModelError("ample class must pair positively with every Mori generator")
+    top = floor(Fraction(bound) * scale)
+    if top < 0:
+        return []
+    ranges = []
     for i in range(data.K):
-        worst = Fraction(0)
-        for g in gens:
-            pair = sum(a * c for a, c in zip(ample, g))
-            if pair <= 0:
-                raise InvalidModelError("ample class must pair positively with the Mori cone")
-            worst = max(worst, Fraction(abs(g[i])) / pair)
-        limits.append(int(bound * worst))
-    out = []
-    for d in product(*[range(-lim, lim + 1) for lim in limits]):
-        if sum(a * x for a, x in zip(ample, d)) > bound:
-            continue
-        if mori_cone_membership(data, d)[0]:
-            out.append(d)
-    out.sort(key=lambda d: (sum(a * x for a, x in zip(ample, d)), d))
+        ends = [Fraction(top * g[i], pair) for g, pair in zip(gens, pairs)]
+        ranges.append(range(ceil(min(0, *ends)), floor(max(0, *ends)) + 1))
+    facets = _mori_facets(data)
+    out = [
+        d for d in product(*ranges)
+        if _dot(weights, d) <= top and all(_dot(n, d) >= 0 for n in facets)
+    ]
+    out.sort(key=lambda d: (_dot(weights, d), d))
     return out

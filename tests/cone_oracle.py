@@ -1,0 +1,81 @@
+"""Brute-force cone membership for the tests: Caratheodory's subset search.
+
+A vector lies in cone(G) iff it is a nonnegative combination of linearly
+independent members of G (Caratheodory), and such a set extends, inside G, to
+a basis of span(G).  So every basis of span(G) drawn from G is tried: solve
+for the coordinates exactly and accept when they are all >= 0.  This costs
+C(|G|, rank) solves per rejected vector and shares nothing with the facet
+normals that ``qtoric.toric`` decides membership by.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations
+from math import gcd
+
+
+def _det(m) -> int:
+    if not m:
+        return 1
+    return sum((-1) ** c * m[0][c] * _det([row[:c] + row[c + 1:] for row in m[1:]])
+               for c in range(len(m)) if m[0][c])
+
+
+@lru_cache(maxsize=None)
+def _bases(gens: tuple[tuple[int, ...], ...]):
+    """(basis, coordinates, adjugate, det) for every basis of span(gens) in gens.
+
+    With M[a][b] = basis[b][coords[a]] invertible, the coordinates of t in the
+    basis are adjugate . t[coords] / det, provided t lies in span(gens).
+    """
+    dim = len(gens[0]) if gens else 0
+    for rank in range(min(len(gens), dim), 0, -1):
+        found = []
+        for basis in combinations(gens, rank):
+            for coords in combinations(range(dim), rank):
+                m = [[g[a] for g in basis] for a in coords]
+                det = _det(m)
+                if det:
+                    adj = [[(-1) ** (a + b) * _det([row[:a] + row[a + 1:]
+                                                    for k, row in enumerate(m) if k != b])
+                            for b in range(rank)] for a in range(rank)]
+                    found.append((basis, coords, adj, det))
+                    break
+        if found:
+            return found
+    return []
+
+
+def in_cone(generators, target) -> bool:
+    """Exact membership of ``target`` in cone(generators)."""
+    target = tuple(int(x) for x in target)
+    if not any(target):
+        return True
+    gens = tuple(tuple(int(x) for x in g) for g in generators if any(g))
+    for basis, coords, adj, det in _bases(gens):
+        scaled = [sum(row[a] * target[c] for a, c in enumerate(coords)) for row in adj]
+        if any(det * y < 0 for y in scaled):
+            continue
+        combo = [sum(y * g[k] for y, g in zip(scaled, basis)) for k in range(len(target))]
+        if combo == [det * t for t in target]:
+            return True
+    return False
+
+
+def primitive(vec) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
+    g = 0
+    for x in vec:
+        g = gcd(g, abs(int(x)))
+    return tuple(int(x) // g for x in vec) if g > 1 else tuple(int(x) for x in vec)
+
+
+def extreme_rays(generators) -> list[tuple[int, ...]]:
+    """The primitive generators that no other generator combination reaches."""
+    prims = []
+    for g in generators:
+        p = primitive(g)
+        if any(p) and p not in prims:
+            prims.append(p)
+    return [g for i, g in enumerate(prims) if not in_cone(prims[:i] + prims[i + 1:], g)]

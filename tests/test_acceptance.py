@@ -9,6 +9,8 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 from qtoric.kirwan import kirwan_relations
 from qtoric.localization import cohomology_integral, ktheory_trace, map_space_integral
@@ -37,7 +39,7 @@ from qtoric.series import (
     point_series,
     truncation_box,
 )
-from qtoric.toric import degree_pairing, enumerate_fixed_points, fixed_point
+from qtoric.toric import ToricData, degree_pairing, enumerate_fixed_points, fixed_point
 
 ALL_MODELS = [projective_space(1), projective_space(2), hirzebruch(), product_of_lines()]
 
@@ -218,3 +220,17 @@ def test_criterion_10_bundle_series():
                 factor_even = bundle_factor(p2, fp, even, d, ctx)
                 factor_odd = bundle_factor(p2, fp, odd, d, ctx)
                 assert factor_even * factor_odd == 1
+
+
+def test_criterion_11_rank_four_box():
+    with criterion(11, "(P^1)^4 box at bound 8 holds C(12, 4) = 495 degrees", 2.0):
+        lines = ToricData(
+            m=tuple(tuple(int(j // 2 == i) for j in range(8)) for i in range(4)),
+            omega=(1, 1, 1, 1),
+        )
+        box = truncation_box(lines, 8)
+        assert len(box.degrees) == comb(12, 4) == 495
+        assert box.degrees == tuple(sorted(
+            (d for d in product(range(9), repeat=4) if sum(d) <= 8),
+            key=lambda d: (sum(d), d),
+        ))

@@ -2,14 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtoric.linalg import (
-    determinant,
-    extreme_rays,
-    in_cone,
-    inverse_unimodular,
-    primitive,
-    solve_square,
-)
+from qtoric.linalg import determinant, inverse_unimodular, solve_square
 
 
 def test_determinant_small():
@@ -37,29 +30,3 @@ def test_inverse_unimodular():
     with pytest.raises(ValueError):
         inverse_unimodular([[2, 0], [0, 1]])
 
-
-def test_in_cone_basics():
-    gens = [(1, 0), (0, 1)]
-    assert in_cone(gens, (3, 5))
-    assert in_cone(gens, (0, 0))
-    assert not in_cone(gens, (-1, 2))
-    # boundary rays count as inside
-    assert in_cone(gens, (4, 0))
-
-
-def test_in_cone_needs_combination():
-    # (1, 1) needs both generators of a non-orthant cone
-    gens = [(2, 1), (1, 2)]
-    assert in_cone(gens, (1, 1))
-    assert not in_cone(gens, (1, 0))
-
-
-def test_primitive():
-    assert primitive((2, 4, -6)) == (1, 2, -3)
-    assert primitive((0, 0)) == (0, 0)
-    assert primitive((3,)) == (1,)
-
-
-def test_extreme_rays_drops_interior():
-    rays = extreme_rays([(1, 0), (0, 1), (1, 1), (2, 0)])
-    assert sorted(rays) == [(0, 1), (1, 0)]
