@@ -15,7 +15,6 @@ from qtoric import (
     truncation_box,
 )
 from qtoric.models import hirzebruch
-from qtoric.scalars import QRational
 from qtoric.series import NovikovSeries
 from qtoric.toric import enumerate_fixed_points
 
@@ -41,17 +40,19 @@ for fp in enumerate_fixed_points(data):
           f"{pair.sum_form == pair.exp_form}")
 print()
 
-print("the same identity rebuilt through Adams operations (symbolic q):")
+print("the same identity rebuilt through Adams operations (sampled q):")
+# tau has q-free coefficients, so Psi^k only moves degrees (Q^g -> Q^{kg});
+# the q -> q^k coupling is the weight 1/k(1-q^k).
 fp = enumerate_fixed_points(data)[0]
-pair = point_series(fp.q_monomials, box, ctx, symbolic_q=True)
-tau = NovikovSeries(box, {g: QRational.constant(1) for g in fp.degree_generators})
+pair = point_series(fp.q_monomials, box, ctx)
+tau = NovikovSeries(box, {g: 1 for g in fp.degree_generators})
 arg = None
 k = 1
 while True:
     term = adams(tau, k)
     if not term.coeffs:
         break
-    term = term.map_coefficients(lambda c, k=k: c / (k * (1 - QRational.q() ** k)))
+    term = term.scale(1 / (k * (1 - ctx.q ** k)))
     arg = term if arg is None else arg + term
     k += 1
 print(f"  exp(sum_k Psi^k(tau)/k(1-q^k)) == both forms: "

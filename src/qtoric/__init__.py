@@ -72,7 +72,7 @@ from .scalars import (
     TruncationError,
     finite_ratio,
     finite_ratio_sym,
-    q_pochhammer,
+    ratio_table,
     residue_at,
     sample_context,
     with_resampling,
@@ -84,7 +84,6 @@ from .series import (
     adams,
     assemble_series,
     bundle_factor,
-    cohomological_coefficient,
     cohomological_series,
     component_series,
     constant_series,

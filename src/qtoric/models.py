@@ -61,10 +61,6 @@ class ModelFile:
     sha256: str = ""
 
 
-def _parse_rational(token: str) -> Fraction:
-    return Fraction(token)
-
-
 def parse_model_text(text: str) -> ModelFile:
     errors: list[Diagnostic] = []
     lines = text.splitlines()
@@ -139,7 +135,7 @@ def parse_model_text(text: str) -> ModelFile:
                 err("duplicate-directive", line_no, "omega given twice")
                 continue
             try:
-                omega = tuple(_parse_rational(tok) for tok in tokens[1:])
+                omega = tuple(Fraction(tok) for tok in tokens[1:])
             except (ValueError, ZeroDivisionError):
                 err("bad-number", line_no, "omega entries must be rationals")
                 continue
@@ -184,7 +180,7 @@ def parse_model_text(text: str) -> ModelFile:
                     err("bad-number", line_no, "truncation bound must be a nonnegative rational")
             elif len(tokens) >= 2 and tokens[1] == "ample":
                 try:
-                    ample = tuple(_parse_rational(tok) for tok in tokens[2:])
+                    ample = tuple(Fraction(tok) for tok in tokens[2:])
                 except (ValueError, ZeroDivisionError):
                     err("bad-number", line_no, "ample entries must be rationals")
             else:

@@ -18,14 +18,6 @@ class Monomial:
     def __init__(self, exps: Sequence[int]):
         self.exps = tuple(int(e) for e in exps)
 
-    @classmethod
-    def one(cls, n: int) -> "Monomial":
-        return cls((0,) * n)
-
-    @classmethod
-    def generator(cls, n: int, i: int, power: int = 1) -> "Monomial":
-        return cls(tuple(power if k == i else 0 for k in range(n)))
-
     @property
     def is_one(self) -> bool:
         return all(e == 0 for e in self.exps)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import SampleContext, TruncationError, finite_ratio
+from .scalars import SampleContext, TruncationError, ratio_table
 from .series import (
     NovikovSeries,
     TruncationBox,
@@ -188,12 +188,13 @@ def apply_gamma_ratio(series: NovikovSeries, data: ToricData, j: int, lam_value,
                       ctx: SampleContext) -> NovikovSeries:
     """The ratio of Gamma-operator symbols attached to column j, in finite form.
 
-    Acting on Q^d it multiplies by finite_ratio(lam, D_j(d), q); no infinite
-    products are ever materialized.
+    Acting on Q^d it multiplies by finite_ratio(lam, D_j(d), q), read from one
+    table over the depths of the support; no infinite products are ever
+    materialized.
     """
-    return series.map_with_degree(
-        lambda d, c: c * finite_ratio(lam_value, degree_pairing(data, d)[j], ctx.q)
-    )
+    depth = {d: degree_pairing(data, d)[j] for d in series.coeffs}
+    table = ratio_table(lam_value, depth.values(), ctx.q)
+    return series.map_with_degree(lambda d, c: c * table[depth[d]])
 
 
 def gamma_reconstruction(data: ToricData, fp: FixedPoint, box: TruncationBox,

@@ -255,12 +255,10 @@ def verify_residue_recursion(data: ToricData, alpha: FixedPoint, j0: int, m: int
     """Check, degree by degree, that the residue of the alpha component at the
     rational root point equals the shifted, rescaled beta component.
 
-    The residue is read off the factored alpha coefficient; ``paths_agree``
-    restates it as the value at the root point of (1 - lambda q^m) times the
-    coefficient, from the same factors.  The right-hand side evaluates the
-    beta component at the numeric root point and uses the recursion
-    coefficient, whose two computations must also agree.  Root points come
-    from ``root_context``, sampled as in ``with_resampling``.
+    The residue is read off the factored alpha coefficient.  The right-hand
+    side evaluates the beta component at the numeric root point and uses the
+    recursion coefficient, whose two computations must also agree.  Root
+    points come from ``root_context``, sampled as in ``with_resampling``.
     """
     orbit = orbit_data(data, alpha, j0)
     if orbit is None:
@@ -273,7 +271,6 @@ def verify_residue_recursion(data: ToricData, alpha: FixedPoint, j0: int, m: int
 def _check_recursion(data: ToricData, orbit: OrbitData, m: int,
                      box: TruncationBox, ctx: SampleContext, mu: Fraction) -> dict:
     q0 = 1 / mu
-    lam_val = orbit.lambda_char.evaluate(ctx.Lambda)
     alpha_series = component_series(data, orbit.alpha, box, ctx, symbolic_q=True)
     beta_series = component_series(data, orbit.beta, box, ctx.with_q(q0))
     c_residue = edge_euler_class(data, orbit, m, ctx, mu)
@@ -281,27 +278,18 @@ def _check_recursion(data: ToricData, orbit: OrbitData, m: int,
     phi = cotangent_euler(data, orbit.alpha, ctx)
     prefactor = -Fraction(1, m) * phi / c_residue
     shift = tuple(m * x for x in orbit.d_ab)
-    root_factor = BinomialProduct(1, [(m, lam_val, 1)])
     rows = []
     ok = True
     for d in box.degrees:
         coeff = alpha_series.coefficient(d)
-        if isinstance(coeff, BinomialProduct):
-            lhs = coeff.residue(q0)
-            lhs_limit = -Fraction(1, m) * (coeff * root_factor).evaluate(q0)
-        else:
-            lhs = Fraction(0)
-            lhs_limit = Fraction(0)
-        paths_agree = lhs == lhs_limit
+        lhs = coeff.residue(q0) if isinstance(coeff, BinomialProduct) else Fraction(0)
         prev = tuple(x - y for x, y in zip(d, shift))
         rhs = prefactor * beta_series.coefficient(prev)
-        good = paths_agree and lhs == rhs
-        ok = ok and good
+        ok = ok and lhs == rhs
         rows.append({
             "degree": list(d),
             "lhs": str(lhs),
             "rhs": str(rhs),
-            "paths_agree": paths_agree,
             "ok": lhs == rhs,
         })
     return {

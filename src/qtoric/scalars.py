@@ -6,14 +6,15 @@ points (a nonzero rational function vanishes at a random point with negligible
 probability), so the scalar layer provides
 
 * reproducible sample contexts for (q, equivariant parameters, bundle weight, z),
-* the universal finite product ratio behind all the q-hypergeometric factors,
-  evaluated at a numeric q,
+* the universal finite product ratio behind all the q-hypergeometric factors
+  and its cohomological limit, tabulated over depths by one running product
+  (``ratio_table``) at a numeric q or z,
 * the same ratio with q kept symbolic, as a factored product of binomials
   ``c * prod (1 - q^r u)^e`` (``BinomialProduct``): its pole order at a point
   is a count of vanishing factors, so residues need no polynomial algebra,
 * dense univariate rational functions in q over big rationals (``QRational``),
-  for the symbolic sums that do not factor and as the reference the factored
-  products are tested against.
+  which no library path uses: they are the reference the factored products
+  are tested against.
 """
 
 from __future__ import annotations
@@ -113,39 +114,42 @@ def with_resampling(make_ctx: Callable[[int], object], fn: Callable[[object], ob
                 raise
 
 
-def finite_ratio(u_value, depth: int, q) -> Fraction:
-    """The universal factor prod_{r<=0}(1-q^r u) / prod_{r<=depth}(1-q^r u).
+def ratio_table(u_value, depths: Iterable[int], q=None, z=None) -> dict[int, Fraction]:
+    """The universal ratio prod_{r<=0} f(r) / prod_{r<=D} f(r) at every depth D.
 
-    Reduced to finite form: 1/prod_{r=1}^{depth}(1-q^r u) for depth >= 0 and
-    prod_{r=depth+1}^{0}(1-q^r u) for depth < 0.  A vanishing factor in the
-    numerator is an exact zero of the coefficient (the kill rule); in the
-    denominator it is a sampling pole and raises.
+    f(r) = 1 - q^r u, or its cohomological limit u - r z when ``z`` is given
+    instead of ``q``.  In finite form the ratio is 1/prod_{r=1}^{D} f(r) for
+    D >= 0 and prod_{r=D+1}^{0} f(r) for D < 0, so one running product in
+    each direction from r = 0 reads off every depth between the extremes of
+    ``depths``; all of them are in the returned table.  A vanishing numerator
+    factor is an exact zero of the ratio (the kill rule); a vanishing
+    denominator factor is a sampling pole and raises, when a depth reaches it.
     """
-    if depth == 0:
-        return Fraction(1)
-    if depth > 0:
-        denom = Fraction(1)
-        for r in range(1, depth + 1):
-            factor = 1 - (q ** r) * u_value
-            if factor == 0:
-                raise PoleError(r, u_value)
-            denom = denom * factor
-        return 1 / denom
-    num = Fraction(1)
-    for r in range(depth + 1, 1):
-        num = num * (1 - (q ** r) * u_value)
-    return num
+    depths = set(depths)
+    if z is None:
+        def factor(r):
+            return 1 - q ** r * u_value
+    else:
+        def factor(r):
+            return u_value - r * z
+    table = {0: Fraction(1)}
+    value = Fraction(1)
+    for r in range(1, max(depths, default=0) + 1):
+        f = factor(r)
+        if f == 0:
+            raise PoleError(r, u_value)
+        value /= f
+        table[r] = value
+    value = Fraction(1)
+    for r in range(0, min(depths, default=0), -1):
+        value *= factor(r)
+        table[r - 1] = value
+    return table
 
 
-def q_pochhammer(q, n: int) -> Fraction:
-    """(q; q)_n = prod_{r=1}^{n}(1 - q^r)."""
-    out = Fraction(1)
-    for r in range(1, n + 1):
-        factor = 1 - q ** r
-        if factor == 0:
-            raise PoleError(r, 1)
-        out = out * factor
-    return out
+def finite_ratio(u_value, depth: int, q) -> Fraction:
+    """``ratio_table`` read at the single depth ``depth``."""
+    return ratio_table(u_value, (depth,), q)[depth]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +169,7 @@ class BinomialProduct:
     zero q0 it is -r * eps + O(eps^2) with eps = (q - q0)/q0, so the pole
     order at q0 and the leading coefficient in eps are read off the factors
     without expanding anything.  There is deliberately no addition: sums of
-    these products are not products, and need ``QRational``.
+    these products are not products.
     """
 
     __slots__ = ("constant", "_factors")
@@ -405,7 +409,7 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
 
 
 class QRational:
-    """Reduced ratio of two QPoly's; the carrier for residue-in-q work."""
+    """Reduced ratio of two QPoly's: the dense reference for ``BinomialProduct``."""
 
     __slots__ = ("num", "den")
 

@@ -2,28 +2,31 @@
 
 Coefficients are exact: either rationals (all parameters evaluated at a sample
 context) or, with the parameters evaluated and q kept symbolic for residue
-work, factored products of binomials 1 - q^r u (components and bundle factors)
-or dense rational functions of q (the point-series sums).  Everything is
-localized: a global series is the family of its fixed-point components, never
-a mixed object.
+work, factored products of binomials 1 - q^r u (components and bundle factors).
+A component coefficient is a product over the columns of one universal finite
+ratio, read from one table per column (``scalars.ratio_table``); degrees off
+the fixed point's dual cone are exact zeros and are never tabulated.
+Everything is localized: a global series is the family of its fixed-point
+components, never a mixed object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import factorial
+from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .monomials import Monomial
 from .scalars import (
     BinomialProduct,
     PoleError,
-    QRational,
     SampleContext,
     TruncationError,
     finite_ratio,
+    ratio_table,
 )
 from .toric import (
     FixedPoint,
@@ -68,9 +71,7 @@ def truncation_box(data: ToricData, bound, ample: Sequence | None = None) -> Tru
 
 
 def _is_zero(c) -> bool:
-    if isinstance(c, (QRational, BinomialProduct)):
-        return c.is_zero
-    return c == 0
+    return c.is_zero if isinstance(c, BinomialProduct) else c == 0
 
 
 class NovikovSeries:
@@ -178,7 +179,8 @@ def adams(series: NovikovSeries, k: int) -> NovikovSeries:
 
     Degrees whose image leaves the box are truncated away.  Coefficients that
     are plain rationals carry no q-dependence left to transform; callers that
-    need the q-coupling build the series with symbolic q.
+    need the q-coupling build the series with symbolic q (``BinomialProduct``)
+    or apply it to q-free coefficients themselves.
     """
     if k < 1:
         raise ValueError("Adams operations are indexed by k >= 1")
@@ -187,9 +189,7 @@ def adams(series: NovikovSeries, k: int) -> NovikovSeries:
         kd = tuple(k * x for x in d)
         if not series.box.contains(kd):
             continue
-        if isinstance(c, QRational):
-            c = c.subst_power(k)
-        elif isinstance(c, BinomialProduct):
+        if isinstance(c, BinomialProduct):
             c = c.adams(k)
         out[kd] = c
     return NovikovSeries(series.box, out, series.mode)
@@ -242,7 +242,7 @@ class PointSeriesPair(NamedTuple):
 
 
 def point_series(monomials: Iterable[Monomial | Sequence[int]], box: TruncationBox,
-                 ctx: SampleContext, symbolic_q: bool = False) -> PointSeriesPair:
+                 ctx: SampleContext) -> PointSeriesPair:
     """The point-target series in two forms that must agree exactly.
 
     sum form:  sum over k >= 0 of Q^{sum k_j g_j} / prod_j (q; q)_{k_j},
@@ -254,10 +254,11 @@ def point_series(monomials: Iterable[Monomial | Sequence[int]], box: TruncationB
     weights = [box.pairing(g) for g in gens]
     if any(w <= 0 for w in weights):
         raise InvalidModelError("every point-series monomial must pair positively with ample")
-    q = QRational.q() if symbolic_q else ctx.q
+    q = ctx.q
 
     # Sum form: enumerate exponent tuples k with bounded ample pairing; the
-    # value carried along is prod_j 1/(q; q)_{k_j}, updated one factor at a time.
+    # value carried along is prod_j 1/(q; q)_{k_j}, the finite ratio at u = 1.
+    inverse_pochhammer = ratio_table(1, (box.bound // w for w in weights), q)
     coeffs: dict[Degree, object] = {}
     zero = tuple(0 for _ in range(box.data.K))
 
@@ -266,20 +267,15 @@ def point_series(monomials: Iterable[Monomial | Sequence[int]], box: TruncationB
         for p in range(pos, len(gens)):
             if weights[p] <= budget:
                 d2 = degree
-                v2 = value
                 b2 = budget
                 count = 0
                 while weights[p] <= b2:
                     count += 1
                     d2 = tuple(x + y for x, y in zip(d2, gens[p]))
                     b2 -= weights[p]
-                    factor = 1 - q ** count
-                    if _is_zero(factor):
-                        raise PoleError(count, 1)
-                    v2 = v2 / factor
-                    enumerate_tuples(p + 1, d2, b2, v2)
+                    enumerate_tuples(p + 1, d2, b2, value * inverse_pochhammer[count])
 
-    enumerate_tuples(0, zero, box.bound, QRational.constant(1) if symbolic_q else Fraction(1))
+    enumerate_tuples(0, zero, box.bound, Fraction(1))
     sum_form = NovikovSeries(box, coeffs)
 
     # Exp form: exponential of the truncated divided-power sum.
@@ -288,7 +284,7 @@ def point_series(monomials: Iterable[Monomial | Sequence[int]], box: TruncationB
         k = 1
         while k * w <= box.bound:
             factor = 1 - q ** k
-            if _is_zero(factor):
+            if factor == 0:
                 raise PoleError(k, 1)
             kd = tuple(k * x for x in g)
             arg[kd] = arg.get(kd, Fraction(0)) + 1 / (Fraction(k) * factor)
@@ -329,38 +325,46 @@ def component_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
 
     The factors for j in J(alpha) have U_j(alpha) = 1, which reproduces the
     split between 1/prod(1-q^r) and the general ratio, and forces an exact
-    zero outside the dual cone of alpha (a vanishing numerator factor).
-    With ``symbolic_q`` every coefficient is a ``BinomialProduct``.
+    zero outside the dual cone of alpha (a vanishing numerator factor), so
+    only the degrees inside it are tabulated.  With ``symbolic_q`` every
+    coefficient is a ``BinomialProduct``.
     """
     uvals = fp.u_values(ctx.Lambda)
-    coeffs: dict[Degree, object] = {}
-    for d in box.degrees:
-        pairing = degree_pairing(data, d)
-        c = BinomialProduct() if symbolic_q else Fraction(1)
-        dead = False
-        for j in range(data.N):
-            if symbolic_q:
-                fr = BinomialProduct.finite_ratio(uvals[j], pairing[j])
-            else:
-                fr = finite_ratio(uvals[j], pairing[j], ctx.q)
-            if _is_zero(fr):
-                dead = True
-                break
-            c = c * fr
-        if dead:
-            continue
-        if bundle is not None:
-            c = c * bundle_factor(data, fp, bundle, d, ctx, symbolic_q)
-        coeffs[d] = c
+    if symbolic_q:
+        def table(j, depths):
+            return {D: BinomialProduct.finite_ratio(uvals[j], D) for D in depths}
+    else:
+        def table(j, depths):
+            return ratio_table(uvals[j], depths, ctx.q)
+    coeffs = _ratio_products(data, fp, box, table)
+    if bundle is not None:
+        coeffs = {d: c * bundle_factor(data, fp, bundle, d, ctx, symbolic_q)
+                  for d, c in coeffs.items()}
     return NovikovSeries(box, coeffs)
 
 
+def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
+                    table: Callable) -> dict[Degree, object]:
+    """prod_j table(j)[D_j(d)] at every box degree d in alpha's dual cone.
+
+    ``table(j, depths)`` maps each needed depth of column j to its ratio; it
+    is called once per column, with the depths of the kept degrees only.
+    """
+    kept = {}
+    for d in box.degrees:
+        pairing = degree_pairing(data, d)
+        if all(pairing[j] >= 0 for j in fp.J):
+            kept[d] = pairing
+    tables = [table(j, {pairing[j] for pairing in kept.values()}) for j in range(data.N)]
+    return {d: reduce(mul, (t[D] for t, D in zip(tables, pairing)))
+            for d, pairing in kept.items()}
+
+
 def assemble_series(data: ToricData, box: TruncationBox, ctx: SampleContext,
-                    bundle: BundleData | None = None,
-                    symbolic_q: bool = False) -> dict[tuple[int, ...], NovikovSeries]:
+                    bundle: BundleData | None = None) -> dict[tuple[int, ...], NovikovSeries]:
     """The indexed family of all fixed-point components (the working basis)."""
     return {
-        fp.J: component_series(data, fp, box, ctx, bundle, symbolic_q)
+        fp.J: component_series(data, fp, box, ctx, bundle)
         for fp in enumerate_fixed_points(data)
     }
 
@@ -370,44 +374,14 @@ def assemble_series(data: ToricData, box: TruncationBox, ctx: SampleContext,
 # ---------------------------------------------------------------------------
 
 
-def cohomological_factor(u_value: Fraction, depth: int, z: Fraction) -> Fraction:
-    """prod_{r<=0}(u - rz) / prod_{r<=depth}(u - rz) in finite form.
-
-    1/prod_{r=1}^{depth}(u - rz) for depth >= 0; prod_{r=depth+1}^{0}(u - rz)
-    for depth < 0 (the r = 0 factor implements the kill rule at fixed points).
-    """
-    if depth == 0:
-        return Fraction(1)
-    if depth > 0:
-        denom = Fraction(1)
-        for r in range(1, depth + 1):
-            factor = u_value - r * z
-            if factor == 0:
-                raise PoleError(r, u_value)
-            denom *= factor
-        return 1 / denom
-    num = Fraction(1)
-    for r in range(depth + 1, 1):
-        num *= u_value - r * z
-    return num
-
-
-def cohomological_coefficient(data: ToricData, fp: FixedPoint, d: Sequence[int],
-                              ctx: SampleContext) -> Fraction:
-    """Coefficient of Q^d in the cohomological series restricted to alpha."""
-    uvals = divisor_values(data, fp, ctx.Lambda)
-    pairing = degree_pairing(data, d)
-    out = Fraction(1)
-    for j in range(data.N):
-        out *= cohomological_factor(uvals[j], pairing[j], ctx.z)
-        if out == 0:
-            return Fraction(0)
-    return out
-
-
 def cohomological_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
                          ctx: SampleContext) -> NovikovSeries:
-    coeffs = {
-        d: cohomological_coefficient(data, fp, d, ctx) for d in box.degrees
-    }
+    """The cohomological series restricted to alpha: coefficient of Q^d is
+    prod_j prod_{r<=0}(u_j - r z) / prod_{r<=D_j(d)}(u_j - r z), u_j = u_j(p(alpha)).
+
+    u_j(p(alpha)) = 0 on J(alpha), so the r = 0 factor is the same kill rule.
+    """
+    uvals = divisor_values(data, fp, ctx.Lambda)
+    coeffs = _ratio_products(data, fp, box,
+                             lambda j, depths: ratio_table(uvals[j], depths, z=ctx.z))
     return NovikovSeries(box, coeffs, mode="coh")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from qtoric.scalars import (
     QRational,
     finite_ratio,
     finite_ratio_sym,
-    q_pochhammer,
+    ratio_table,
     residue_at,
     sample_context,
     with_resampling,
@@ -65,10 +66,63 @@ def test_finite_ratio_symbolic_matches_evaluated():
             assert sym.evaluate(q) == finite_ratio(u, depth, q)
 
 
-def test_q_pochhammer():
-    q = Fraction(1, 3)
-    assert q_pochhammer(q, 0) == 1
-    assert q_pochhammer(q, 2) == (1 - q) * (1 - q ** 2)
+def direct_ratio(factor, depth):
+    """prod_{r=depth+1}^{0} f(r) / prod_{r=1}^{depth} f(r), term by term."""
+    return (Fraction(prod(factor(r) for r in range(depth + 1, 1)))
+            / prod(factor(r) for r in range(1, depth + 1)))
+
+
+@given(u=fractions, x=fractions, depths=st.sets(st.integers(-5, 6), min_size=1, max_size=4),
+       additive=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_ratio_table_matches_direct_product(u, x, depths, additive):
+    # x is q (factors 1 - q^r u) or z (factors u - r z); small fractions put
+    # u on a z-pole often, so both outcomes are exercised.
+    if additive:
+        def factor(r):
+            return u - r * x
+        mode = {"z": x}
+    else:
+        def factor(r):
+            return 1 - x ** r * u
+        mode = {"q": x}
+    poles = [r for r in range(1, max(depths) + 1) if factor(r) == 0]
+    if poles:
+        with pytest.raises(PoleError) as info:
+            ratio_table(u, depths, **mode)
+        assert (info.value.r, info.value.value) == (poles[0], u)
+        return
+    table = ratio_table(u, depths, **mode)
+    assert depths <= set(table)
+    for depth, value in table.items():
+        assert value == direct_ratio(factor, depth)
+
+
+def test_ratio_table_kill_rule():
+    # The r = 0 numerator factor vanishes at u = 1 (q) and u = 0 (z): every
+    # negative depth is an exact zero, every other depth is regular.
+    q, z = Fraction(2, 7), Fraction(-3, 5)
+    table = ratio_table(1, {-3, 4}, q)
+    assert [table[d] for d in (-3, -2, -1)] == [0, 0, 0]
+    assert table[0] == 1
+    assert table[4] == 1 / prod(1 - q ** r for r in range(1, 5))   # 1/(q; q)_4
+    table = ratio_table(0, {-2, 3}, z=z)
+    assert [table[d] for d in (-2, -1, 0)] == [0, 0, 1]
+    assert table[3] == 1 / (factorial(3) * (-z) ** 3)
+
+
+def test_ratio_table_pole_is_raised_when_reached():
+    # u = q^{-3} puts the pole on the r = 3 denominator factor: depths below 3
+    # are returned, any request that reaches 3 raises PoleError(3, u).
+    q, z = Fraction(2, 3), Fraction(1, 4)
+    for u, mode, factor in ((q ** -3, {"q": q}, lambda r: 1 - q ** r * q ** -3),
+                            (3 * z, {"z": z}, lambda r: 3 * z - r * z)):
+        table = ratio_table(u, {-4, 2}, **mode)
+        assert all(table[d] == direct_ratio(factor, d) for d in range(-4, 3))
+        for depths in ({3}, {0, 5}, {-1, 2, 3}):
+            with pytest.raises(PoleError) as info:
+                ratio_table(u, depths, **mode)
+            assert (info.value.r, info.value.value) == (3, u)
 
 
 def test_qpoly_arithmetic():

@@ -1,16 +1,17 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from qtoric import series as series_module
-from qtoric.scalars import QRational, TruncationError, sample_context
+from qtoric.scalars import PoleError, TruncationError, sample_context
 from qtoric.series import (
     BundleData,
     NovikovSeries,
     adams,
     assemble_series,
     bundle_factor,
-    cohomological_coefficient,
+    cohomological_series,
     component_series,
     constant_series,
     multiply,
@@ -18,7 +19,13 @@ from qtoric.series import (
     series_exp,
     truncation_box,
 )
-from qtoric.toric import degree_pairing, enumerate_fixed_points, fixed_point
+from qtoric.toric import (
+    ToricData,
+    degree_pairing,
+    divisor_values,
+    enumerate_fixed_points,
+    fixed_point,
+)
 
 
 def test_box_membership_and_bounds(f1):
@@ -141,6 +148,23 @@ def test_component_kill_rule_f1(f1):
     assert series.coefficient((1, 0)) == 0  # D_4 = -1 with 4 on the fixed point
 
 
+def test_component_pole_beside_a_coincidental_zero_raises():
+    # F_1 with its columns reordered so that the negative column comes first.
+    # At d = (2, 0) on alpha = (2, 4) the depths are (-2, 2, 2, 0): with
+    # U_1 = q the numerator factor 1 - q^{-1} U_1 vanishes, and with
+    # U_3 = q^{-2} so does the denominator factor 1 - q^2 U_3.  The degree is
+    # in alpha's dual cone, so the pole is raised rather than multiplied by 0.
+    data = ToricData(m=((-1, 1, 1, 0), (1, 0, 0, 1)), omega=(1, 1), name="f1-permuted")
+    box = truncation_box(data, 2)
+    assert box.contains((2, 0))
+    ctx = sample_context(data.N, 43)
+    q = ctx.q
+    fp = SimpleNamespace(J=(1, 3), u_values=lambda _: (q, Fraction(1), q ** -2, Fraction(1)))
+    with pytest.raises(PoleError) as info:
+        component_series(data, fp, box, ctx)
+    assert (info.value.r, info.value.value) == (2, q ** -2)
+
+
 def test_component_support_is_dual_cone(all_models):
     for data in all_models:
         box = truncation_box(data, 4)
@@ -242,22 +266,24 @@ def test_adams_degree_map(p1):
 
 
 def test_adams_rebuilds_exp_form(p1):
-    # exp(sum_k adams(tau, k) / k(1-q^k)) with symbolic q equals the exp form.
+    # exp(sum_k adams(tau, k) / k(1-q^k)) at a sampled q equals both forms:
+    # tau's coefficients are q-free, so Adams moves degrees and the q -> q^k
+    # coupling is the weight 1/k(1-q^k).
     box = truncation_box(p1, 5)
     ctx = sample_context(p1.N, 73)
     fp = fixed_point(p1, (0,))
-    pair = point_series(fp.q_monomials, box, ctx, symbolic_q=True)
-    tau = NovikovSeries(box, {g: QRational.constant(1) for g in fp.degree_generators})
+    pair = point_series(fp.q_monomials, box, ctx)
+    tau = NovikovSeries(box, {g: Fraction(1) for g in fp.degree_generators})
     arg = None
     k = 1
     while True:
         term = adams(tau, k)
         if not term.coeffs:
             break
-        term = term.map_coefficients(
-            lambda c, k=k: c / (Fraction(k) * (1 - QRational.q() ** k)))
+        term = term.scale(1 / (k * (1 - ctx.q ** k)))
         arg = term if arg is None else arg + term
         k += 1
+    assert k == 6
     assert series_exp(arg) == pair.exp_form == pair.sum_form
 
 
@@ -286,14 +312,33 @@ def test_symbolic_bundle_component_evaluates_to_sampled(p2):
         assert value == plain.coefficient(d)
 
 
-def test_cohomological_coefficients_p1(p1):
+def test_cohomological_series_matches_explicit_product_f1(f1, p1):
+    # Every box degree against prod_j prod_{r<=0}(u_j - rz) / prod_{r<=D_j}(u_j - rz),
+    # multiplied out factor by factor; off alpha's dual cone the r = 0
+    # factor u_j = 0 (j in J(alpha)) kills the coefficient.
+    box = truncation_box(f1, 4)
+    ctx = sample_context(f1.N, 83)
+    z = ctx.z
+    for fp in enumerate_fixed_points(f1):
+        series = cohomological_series(f1, fp, box, ctx)
+        u = divisor_values(f1, fp, ctx.Lambda)
+        assert series.mode == "coh"
+        for d in box.degrees:
+            expected = Fraction(1)
+            for j, depth in enumerate(degree_pairing(f1, d)):
+                for r in range(depth + 1, 1):
+                    expected *= u[j] - r * z
+                for r in range(1, depth + 1):
+                    expected /= u[j] - r * z
+            assert series.coefficient(d) == expected
+            dead = any(degree_pairing(f1, d)[j] < 0 for j in fp.J)
+            assert dead == (expected == 0)
+    # The hand value on P^1 at alpha = (1): Q^1 has coefficient 1/(z (l2 - l1 + z)).
     ctx = sample_context(p1.N, 83)
-    fp = fixed_point(p1, (0,))
     l1, l2, z = ctx.Lambda[0], ctx.Lambda[1], ctx.z
-    assert cohomological_coefficient(p1, fp, (0,), ctx) == 1
-    assert cohomological_coefficient(p1, fp, (1,), ctx) == 1 / (z * (l2 - l1 + z))
-    # negative degrees vanish by the kill rule (r = 0 factor u_1 = 0)
-    assert cohomological_coefficient(p1, fp, (-1,), ctx) == 0
+    series = cohomological_series(p1, fixed_point(p1, (0,)), truncation_box(p1, 2), ctx)
+    assert series.coefficient((0,)) == 1
+    assert series.coefficient((1,)) == 1 / (z * (l2 - l1 + z))
 
 
 def test_series_multiply_and_exp(p1):
