@@ -6,7 +6,8 @@ produce byte-identical reports.  Checks run through ``with_resampling``:
 1 for ifunction and integrate-xd, ``--samples`` for the rest, whose entries
 carry their ``sample``), and ``resamples`` lists each skipped context index
 with its reason and, in verify-recursion, its edge.  Exit codes: 0 all pass,
-1 an identity failed, 2 input error (also ``--samples`` < 1, a negative bound).
+1 an identity failed, 2 input error (also ``--samples`` or ``--m`` < 1, a negative
+bound, an ``--edge`` not of the form ``a1,a2:j0``).
 
 Exact coefficients can run to tens of thousands of digits, so the report is
 computed and rendered with the interpreter's limit on integer string
@@ -294,9 +295,13 @@ def _parse_inputs(model: ModelFile, flags: argparse.Namespace) -> None:
     if getattr(flags, "phi", None) is not None:
         flags.phi_class = parse_expression(flags.phi)
     if getattr(flags, "edge", None):
-        alpha_part, j0_part = flags.edge.split(":")
-        flags.edge_key = (tuple(sorted(int(x) - 1 for x in alpha_part.split(","))),
-                          int(j0_part) - 1)
+        try:
+            alpha_part, j0_part = flags.edge.split(":")
+            flags.edge_key = (tuple(sorted(int(x) - 1 for x in alpha_part.split(","))),
+                              int(j0_part) - 1)
+        except ValueError:
+            raise ValueError(f"--edge must have the form 'a1,a2:j0' (1-based indices), "
+                             f"got {flags.edge!r}") from None
 
 
 @contextlib.contextmanager
@@ -320,6 +325,8 @@ def run_command(command: str, model: ModelFile, flags: argparse.Namespace) -> di
         raise ValueError(f"--samples must be at least 1, got {samples}")
     if getattr(flags, "deg", None) is not None and flags.deg < 0:
         raise ValueError(f"--deg must be nonnegative, got {flags.deg}")
+    if getattr(flags, "m", 1) < 1:
+        raise ValueError(f"--m must be at least 1, got {flags.m}")
     _parse_inputs(model, flags)
     with _unlimited_int_digits():
         return COMMANDS[command](model, seed, samples, flags)

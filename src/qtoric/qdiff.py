@@ -3,14 +3,17 @@
 In the coordinate representation each Novikov variable acts by multiplication
 and each P_i by the shift Q_i -> q Q_i followed by multiplication with the
 fixed-point value P_i(alpha); the commutation P_i Q_i = q Q_i P_i holds on the
-nose.  Operators built from the U_j words act diagonally in the degree basis,
-which keeps every verification exact and truncation-safe.
+nose.  So the U_j words act diagonally: a relation factor 1 - q^{-r} U_j
+scales the coefficient at Q^d by 1 - q^{sum_i m_ij d_i - r} prod_i
+P_i(alpha)^{m_ij} / Lambda_j, read from the P-monomials and the matrix rather
+than from U_j(alpha) and D_j(d), which build the components it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .scalars import SampleContext, TruncationError, ratio_table
@@ -53,45 +56,34 @@ def apply_p(series: NovikovSeries, i: int, fp: FixedPoint, ctx: SampleContext,
     return out
 
 
-def apply_u_word(series: NovikovSeries, data: ToricData, fp: FixedPoint, j: int,
-                 ctx: SampleContext) -> NovikovSeries:
-    """U_j as an operator word: the P_i shifts per the matrix column, then Lambda_j^{-1}."""
-    out = series
-    for i in range(data.K):
-        mij = data.m[i][j]
-        if mij:
-            out = apply_p(out, i, fp, ctx, power=mij)
-    return out.scale(1 / ctx.Lambda[j])
-
-
 def apply_factor(series: NovikovSeries, data: ToricData, fp: FixedPoint, j: int,
                  r: int, ctx: SampleContext) -> NovikovSeries:
-    """One relation factor: series - q^{-r} * (U_j word)(series)."""
-    shifted = apply_u_word(series, data, fp, j, ctx).scale(Fraction(ctx.q) ** (-r))
-    return series - shifted
+    """One relation factor 1 - q^{-r} U_j, applied in one diagonal pass.
+
+    U_j = prod_i P_i^{m_ij} / Lambda_j, and each P_i translates Q_i -> q Q_i
+    and scales by P_i(alpha), so the coefficient at d is multiplied by
+    1 - q^{sum_i m_ij d_i - r} prod_i P_i(alpha)^{m_ij} / Lambda_j.  Taking
+    it from the P-monomials (the operator side), not from U_j(alpha) or the
+    pairings D_j(d), keeps the check independent of the components.
+    """
+    column = [row[j] for row in data.m]
+    weight = prod((p ** mij for mij, p in zip(column, fp.p_values(ctx.Lambda))),
+                  start=1 / ctx.Lambda[j])
+    return series.map_with_degree(
+        lambda d, c: c * (1 - ctx.q ** (sum(m * x for m, x in zip(column, d)) - r) * weight))
 
 
 def shift_by_degree(series: NovikovSeries, d0: Sequence[int]) -> NovikovSeries:
     """Multiplication by Q^{d0}, represented on the same box.
 
-    The result's coefficient at d is the input's at d - d0; degrees pushed
-    beyond the box raise only when they would actually be consulted, via the
-    usual coefficient lookup, so this builds the representable part.
+    Each stored degree d is re-keyed to d + d0 and kept when the box holds
+    it.  Stored coefficients all lie in the box, and a degree outside the box
+    or the effective cone reads 0, so the result's coefficient at every box
+    degree d is the input's at d - d0.
     """
-    out = {}
-    for d in series.box.degrees:
-        prev = tuple(x - y for x, y in zip(d, d0))
-        c = _lookup(series, prev)
-        if c is not None:
-            out[d] = c
-    return NovikovSeries(series.box, out, series.mode)
-
-
-def _lookup(series: NovikovSeries, d):
-    try:
-        return series.coefficient(d)
-    except TruncationError:
-        return None
+    moved = ((tuple(x + y for x, y in zip(d, d0)), c) for d, c in series.coeffs.items())
+    return NovikovSeries(series.box, {d: c for d, c in moved if series.box.contains(d)},
+                         series.mode)
 
 
 @dataclass
@@ -243,9 +235,9 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int], box: TruncationBox,
         for d in box.degrees:
             pairing = degree_pairing(data, d)
             rhs = series.coefficient(d)
-            prev = tuple(x - y for x, y in zip(d, d0))
-            lhs = _lookup(series, prev)
-            if lhs is None:
+            try:
+                lhs = series.coefficient(tuple(x - y for x, y in zip(d, d0)))
+            except TruncationError:
                 continue
             for j in range(data.N):
                 base = uvals[j] - pairing[j] * ctx.z

@@ -239,6 +239,11 @@ def test_cli_rejects_vacuous_counts(tmp_path, capsys):
                  ["verify-recursion", "p1", "--deg", "-1"]):
         assert cli.main(argv) == 2, argv
         capsys.readouterr()
+    # m = 0 would read as a degenerate sample (exit 1) without the input check.
+    for m in ("0", "-1"):
+        code, report = run(["verify-recursion", "p1", "--m", m], capsys)
+        assert code == 2
+        assert report["error"] == f"--m must be at least 1, got {m}"
     path = tmp_path / "bad.model"
     path.write_text("name x\nmatrix 1 2\n1 1\nomega 1\n"
                     "sampling samples 0\ntruncation bound -3\n")
@@ -246,6 +251,14 @@ def test_cli_rejects_vacuous_counts(tmp_path, capsys):
     assert code == 2
     assert "line 5: [bad-number]" in report["error"]
     assert "line 6: [bad-number]" in report["error"]
+
+
+def test_cli_malformed_edge_names_the_expected_form(capsys):
+    for edge in ("1,2", "1:2:3", "1,x:2"):
+        code, report = run(["verify-recursion", "p1", "--edge", edge], capsys)
+        assert code == 2
+        assert report["error"] == ("--edge must have the form 'a1,a2:j0' "
+                                   f"(1-based indices), got {edge!r}")
 
 
 def test_cli_bound_defaults_to_the_model_file(capsys):

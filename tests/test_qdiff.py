@@ -1,8 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import qtoric.series
+from qtoric.models import bundled_model_names, load_bundled_model
 from qtoric.qdiff import (
     apply_factor,
     apply_gamma_ratio,
@@ -15,7 +18,13 @@ from qtoric.qdiff import (
     verify_shifted_identity,
 )
 from qtoric.scalars import TruncationError, finite_ratio, sample_context
-from qtoric.series import NovikovSeries, assemble_series, constant_series, truncation_box
+from qtoric.series import (
+    NovikovSeries,
+    assemble_series,
+    cohomological_series,
+    constant_series,
+    truncation_box,
+)
 from qtoric.toric import enumerate_fixed_points, fixed_point
 
 
@@ -25,6 +34,27 @@ def random_series(box, seed):
         d: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for d in box.degrees
     }
     return NovikovSeries(box, coeffs)
+
+
+def u_word_factor(series, data, fp, j, r, ctx):
+    """1 - q^{-r} U_j as an operator word: one apply_p per nonzero m_ij."""
+    out = series
+    for i in range(data.K):
+        if data.m[i][j]:
+            out = apply_p(out, i, fp, ctx, power=data.m[i][j])
+    return series - out.scale(1 / ctx.Lambda[j]).scale(Fraction(ctx.q) ** (-r))
+
+
+def shift_by_lookup(series, d0):
+    """Q^{d0} read per box degree: the coefficient at d - d0, where it is defined."""
+    out = {}
+    for d in series.box.degrees:
+        prev = tuple(x - y for x, y in zip(d, d0))
+        try:
+            out[d] = series.coefficient(prev)
+        except TruncationError:
+            pass
+    return NovikovSeries(series.box, out, series.mode)
 
 
 def test_translation_basics(f1):
@@ -103,6 +133,94 @@ def test_operators_never_enlarge_support(f1):
         assert set(out.support()) <= set(s.support())
     shifted = shift_by_degree(s, (1, 0))
     assert set(shifted.support()) == {(2, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_diagonal_factor_matches_the_operator_word(name):
+    # Every fixed point, column and r in {-1, 0, 1}; F_1's -1 entry composes
+    # the inverse shift.
+    data = load_bundled_model(name).data
+    box = truncation_box(data, 3)
+    ctx = sample_context(data.N, 83)
+    for fp in enumerate_fixed_points(data):
+        for trial in range(3):
+            s = random_series(box, trial)
+            for j in range(data.N):
+                for r in (-1, 0, 1):
+                    assert (apply_factor(s, data, fp, j, r, ctx)
+                            == u_word_factor(s, data, fp, j, r, ctx)), (fp.J, j, r)
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_shift_by_degree_matches_the_box_lookup(name):
+    # Every d0 in {-1, 0, 1}^K, non-effective shifts included, on a dense and
+    # on a sparse series.
+    data = load_bundled_model(name).data
+    box = truncation_box(data, 3)
+    dense = random_series(box, 89)
+    sparse = NovikovSeries(box, dict(list(dense.coeffs.items())[::3]))
+    for d0 in itertools.product((-1, 0, 1), repeat=data.K):
+        for s in (dense, sparse):
+            assert shift_by_degree(s, d0) == shift_by_lookup(s, d0), d0
+
+
+def _off_by_one_pairing(monkeypatch):
+    """Make the series' D_1(d) one too large for d != 0; the checks keep theirs."""
+    honest = qtoric.series.degree_pairing
+
+    def skewed(data, d):
+        pairing = honest(data, d)
+        if any(d):
+            pairing = (pairing[0] + 1,) + tuple(pairing[1:])
+        return pairing
+
+    monkeypatch.setattr(qtoric.series, "degree_pairing", skewed)
+
+
+def _doubled(series):
+    """The series with its first nonconstant stored coefficient doubled, and that degree."""
+    d = next(d for d in series.support() if any(d))
+    return NovikovSeries(series.box, {**series.coeffs, d: 2 * series.coeffs[d]},
+                         series.mode), d
+
+
+def _failed_degrees(report):
+    return {tuple(f["degree"]) for c in report["checks"] for f in c["failures"]}
+
+
+@pytest.mark.parametrize("name", ["p2", "f1"])
+def test_checks_fail_when_the_series_pairing_is_wrong(name, monkeypatch):
+    data = load_bundled_model(name).data
+    box = truncation_box(data, 4)
+    ctx = sample_context(data.N, 97)
+    _off_by_one_pairing(monkeypatch)
+    assert not verify_dq_system(data, assemble_series(data, box, ctx), ctx)["ok"]
+    e_1 = tuple(1 if k == 0 else 0 for k in range(data.K))
+    assert not verify_coh_relation(data, e_1, box, ctx)["ok"]
+
+
+@pytest.mark.parametrize("name", ["p2", "f1"])
+def test_checks_report_a_doubled_coefficient(name, monkeypatch):
+    data = load_bundled_model(name).data
+    box = truncation_box(data, 4)
+    ctx = sample_context(data.N, 101)
+    family = assemble_series(data, box, ctx)
+    fp = enumerate_fixed_points(data)[0]
+    family[fp.J], d = _doubled(family[fp.J])
+    report = verify_dq_system(data, family, ctx)
+    assert not report["ok"]
+    assert d in _failed_degrees(report)
+
+    def doubled_at_fp(data, point, *args):
+        series = cohomological_series(data, point, *args)
+        return _doubled(series)[0] if point.J == fp.J else series
+
+    monkeypatch.setattr("qtoric.qdiff.cohomological_series", doubled_at_fp)
+    d_coh = _doubled(cohomological_series(data, fp, box, ctx))[1]
+    reports = [verify_coh_relation(data, tuple(int(k == i) for k in range(data.K)), box, ctx)
+               for i in range(data.K)]
+    assert not any(r["ok"] for r in reports)
+    assert d_coh in set().union(*map(_failed_degrees, reports))
 
 
 def test_dq_system_all_models(p1, p2, f1):
