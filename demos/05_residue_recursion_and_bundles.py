@@ -26,7 +26,7 @@ box = truncation_box(f1, 3)
 print("all eight edges of the Hirzebruch fixed-point graph, m = 1 and 2:")
 for orbit in all_orbits(f1):
     for m in (1, 2):
-        report = verify_residue_recursion(f1, orbit.alpha, orbit.j0, m, box, seed=41)
+        report = verify_residue_recursion(f1, orbit, m, box, seed=41)
         print(f"  alpha {report['alpha']} --j0={report['j0']}--> beta {report['beta']}"
               f"  m={m}: recursion ok = {report['ok']},"
               f" euler oracle agrees = {report['euler_oracle_agrees']}")

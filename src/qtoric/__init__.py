@@ -28,7 +28,7 @@ from .kirwan import (
     spectrum_point_count,
     verify_relations_at_fixed_points,
 )
-from .localization import cohomology_integral, ktheory_trace, map_space_integral
+from .localization import cohomology_integral, cotangent_euler, ktheory_trace, map_space_integral
 from .models import (
     ModelFile,
     ModelFormatError,
@@ -54,7 +54,6 @@ from .qdiff import (
 from .recursion import (
     OrbitData,
     all_orbits,
-    cotangent_euler,
     edge_euler_class,
     edge_euler_class_from_forms,
     orbit_data,
@@ -62,9 +61,9 @@ from .recursion import (
     verify_residue_recursion,
 )
 from .scalars import (
-    BinomialProduct,
     DegenerateSampleError,
     DoublePoleError,
+    LeadingTerm,
     PoleError,
     QPoly,
     QRational,
@@ -74,6 +73,7 @@ from .scalars import (
     finite_ratio_sym,
     ratio_table,
     residue_at,
+    root_table,
     sample_context,
     with_resampling,
 )
@@ -85,6 +85,7 @@ from .series import (
     assemble_series,
     bundle_factor,
     cohomological_series,
+    component_residues,
     component_series,
     constant_series,
     multiply,

@@ -28,7 +28,7 @@ from .kirwan import kirwan_relations, spectrum_point_count, verify_relations_at_
 from .localization import cohomology_integral, ktheory_trace, map_space_integral
 from .models import ModelFile, ModelFormatError, resolve_model
 from .qdiff import verify_coh_relation, verify_dq_system
-from .recursion import all_orbits, verify_residue_recursion
+from .recursion import all_orbits, orbit_data, verify_residue_recursion
 from .scalars import sample_context, with_resampling
 from .series import TruncationBox, assemble_series, truncation_box
 from .toric import (
@@ -196,23 +196,30 @@ def cmd_verify_dq(model: ModelFile, seed: int, samples: int, args) -> dict:
 def cmd_verify_recursion(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
     box = _box(model, args, 3)
-    edges = all_orbits(data)
-    if args.edge:
-        want_alpha, want_j0 = args.edge_key
-        edges = [o for o in edges if o.alpha.J == want_alpha and o.j0 == want_j0]
-        if not edges:
-            raise InvalidModelError(f"no orbit matches --edge {args.edge!r}")
+    edges = [_edge_orbit(data, args)] if args.edge else all_orbits(data)
     reports, resamples = [], []
     for orbit in edges:
         skipped: list = []
-        reports += [dict(verify_residue_recursion(data, orbit.alpha, orbit.j0, args.m, box,
-                                                  seed, i, skipped), sample=i)
+        reports += [dict(verify_residue_recursion(data, orbit, args.m, box, seed, i, skipped),
+                         sample=i)
                     for i in range(samples)]
         resamples += _skipped(skipped, alpha=[j + 1 for j in orbit.alpha.J], j0=orbit.j0 + 1)
     ok = all(r["ok"] for r in reports)
     parameters = {"m": args.m, "deg": str(box.bound), "edge": args.edge or "all"}
     return _report("verify-recursion", model, seed, samples, parameters, ok,
                    {"edges": reports}, resamples)
+
+
+def _edge_orbit(data, args):
+    """The one orbit ``--edge`` names, solved alone."""
+    alpha_J, j0 = args.edge_key
+    alpha = next((fp for fp in enumerate_fixed_points(data) if fp.J == alpha_J), None)
+    orbit = None
+    if alpha is not None and 0 <= j0 < data.N and j0 not in alpha.J:
+        orbit = orbit_data(data, alpha, j0)
+    if orbit is None:
+        raise InvalidModelError(f"no orbit matches --edge {args.edge!r}")
+    return orbit
 
 
 def cmd_verify_coh(model: ModelFile, seed: int, samples: int, args) -> dict:

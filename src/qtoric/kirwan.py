@@ -20,14 +20,11 @@ from .toric import ToricData, divisor_values, enumerate_fixed_points
 
 @dataclass(frozen=True)
 class KirwanRelation:
-    """A minimal empty-intersection subset J, read multiplicatively.
-
-    kind "k" stands for prod_{j in J}(1 - U_j) = 0, kind "coh" for
-    prod_{j in J} u_j = 0.
+    """A minimal empty-intersection subset J, read multiplicatively: both
+    prod_{j in J}(1 - U_j) = 0 in K-theory and prod_{j in J} u_j = 0 in cohomology.
     """
 
     J: tuple[int, ...]
-    kind: str = "k"
 
 
 def has_empty_intersection(data: ToricData, subset: Sequence[int]) -> bool:
@@ -42,10 +39,8 @@ def has_empty_intersection(data: ToricData, subset: Sequence[int]) -> bool:
     return all(want & set(fp.J) for fp in enumerate_fixed_points(data))
 
 
-def kirwan_relations(data: ToricData, kind: str = "k") -> tuple[KirwanRelation, ...]:
+def kirwan_relations(data: ToricData) -> tuple[KirwanRelation, ...]:
     """All minimal empty-intersection subsets, by increasing cardinality."""
-    if kind not in ("k", "coh"):
-        raise ValueError("kind must be 'k' or 'coh'")
     found: list[tuple[int, ...]] = []
     for size in range(1, data.N + 1):
         for subset in combinations(range(data.N), size):
@@ -53,7 +48,7 @@ def kirwan_relations(data: ToricData, kind: str = "k") -> tuple[KirwanRelation, 
                 continue
             if has_empty_intersection(data, subset):
                 found.append(subset)
-    return tuple(KirwanRelation(J=j, kind=kind) for j in found)
+    return tuple(KirwanRelation(J=j) for j in found)
 
 
 def verify_relations_at_fixed_points(data: ToricData, ctx: SampleContext) -> dict:

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 from .linalg import solve_square
 from .scalars import PoleError, SampleContext
 from .toric import (
+    FixedPoint,
     ToricData,
     degree_pairing,
     divisor_values,
@@ -48,6 +49,20 @@ def _integral_env(data: ToricData, ctx: SampleContext,
     return env
 
 
+def cotangent_euler(data: ToricData, fp: FixedPoint, ctx: SampleContext) -> Fraction:
+    """prod_{j not in J(alpha)} (1 - U_j(alpha)): the cotangent Euler class at alpha."""
+    out = Fraction(1)
+    uvals = fp.u_values(ctx.Lambda)
+    for j in range(data.N):
+        if j in fp.J:
+            continue
+        factor = 1 - uvals[j]
+        if factor == 0:
+            raise PoleError(0, uvals[j])
+        out *= factor
+    return out
+
+
 def ktheory_trace(data: ToricData, phi, ctx: SampleContext) -> Fraction:
     """sum_alpha Phi(P(alpha)) / prod_{j not in J(alpha)} (1 - U_j(alpha)).
 
@@ -57,17 +72,8 @@ def ktheory_trace(data: ToricData, phi, ctx: SampleContext) -> Fraction:
     """
     total = Fraction(0)
     for fp in enumerate_fixed_points(data):
-        pvals = fp.p_values(ctx.Lambda)
-        uvals = fp.u_values(ctx.Lambda)
-        denom = Fraction(1)
-        for j in range(data.N):
-            if j in fp.J:
-                continue
-            factor = 1 - uvals[j]
-            if factor == 0:
-                raise PoleError(0, uvals[j])
-            denom *= factor
-        total += _evaluate(phi, _trace_env(data, ctx, pvals)) / denom
+        denom = cotangent_euler(data, fp, ctx)
+        total += _evaluate(phi, _trace_env(data, ctx, fp.p_values(ctx.Lambda))) / denom
     return total
 
 

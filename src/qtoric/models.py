@@ -16,8 +16,10 @@ The format is line oriented; ``#`` starts a comment.  A model needs ``name``,
     sampling samples 5
 
 The matrix directive is followed by K rows of N integers; a bundle directive
-by K rows of L integers (the fiber exponents).  Every diagnostic carries a
-stable code and the offending line number.
+by K rows of L integers (the fiber exponents).  ``truncation ample`` takes K
+rationals; ``truncation bound``, ``sampling seed`` and ``sampling samples`` take
+one value each.  Every diagnostic carries a stable code and the offending line
+number.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ def parse_model_text(text: str) -> ModelFile:
     bundle_rows: list[list[int]] | None = None
     bundle_parity: str | None = None
     bound = ample = seed = samples = None
+    ample_line = 0
 
     def err(code: str, line_no: int, message: str) -> None:
         errors.append(Diagnostic(code=code, line=line_no, message=message))
@@ -171,7 +174,9 @@ def parse_model_text(text: str) -> ModelFile:
             if rows is not None and len(rows) == k_rows:
                 bundle_rows = rows
         elif head == "truncation":
-            if len(tokens) >= 3 and tokens[1] == "bound":
+            if len(tokens) > 3 and tokens[1] == "bound":
+                err("directive-shape", line_no, "truncation bound takes one value")
+            elif len(tokens) >= 3 and tokens[1] == "bound":
                 try:
                     bound = Fraction(tokens[2])
                     if bound < 0:
@@ -179,6 +184,7 @@ def parse_model_text(text: str) -> ModelFile:
                 except (ValueError, ZeroDivisionError):
                     err("bad-number", line_no, "truncation bound must be a nonnegative rational")
             elif len(tokens) >= 2 and tokens[1] == "ample":
+                ample_line = line_no
                 try:
                     ample = tuple(Fraction(tok) for tok in tokens[2:])
                 except (ValueError, ZeroDivisionError):
@@ -186,7 +192,9 @@ def parse_model_text(text: str) -> ModelFile:
             else:
                 err("unknown-directive", line_no, f"unknown truncation field {raw!r}")
         elif head == "sampling":
-            if len(tokens) >= 3 and tokens[1] == "seed" and _is_int(tokens[2]):
+            if len(tokens) > 3 and tokens[1] in ("seed", "samples"):
+                err("directive-shape", line_no, f"sampling {tokens[1]} takes one integer")
+            elif len(tokens) >= 3 and tokens[1] == "seed" and _is_int(tokens[2]):
                 seed = int(tokens[2])
             elif len(tokens) >= 3 and tokens[1] == "samples" and _is_int(tokens[2]):
                 samples = int(tokens[2])
@@ -210,8 +218,12 @@ def parse_model_text(text: str) -> ModelFile:
 
     assert matrix is not None and omega is not None and name is not None
     if len(omega) != len(matrix):
-        raise ModelFormatError([Diagnostic(
-            "omega-shape", 1, f"omega has {len(omega)} coordinates, matrix has {len(matrix)} rows")])
+        err("omega-shape", 1, f"omega has {len(omega)} coordinates, matrix has {len(matrix)} rows")
+    if ample is not None and len(ample) != len(matrix):
+        err("ample-shape", ample_line,
+            f"truncation ample has {len(ample)} coordinates, matrix has {len(matrix)} rows")
+    if errors:
+        raise ModelFormatError(errors)
     data = ToricData(m=tuple(tuple(r) for r in matrix), omega=omega, name=name)
     bundle = None
     if bundle_rows is not None:

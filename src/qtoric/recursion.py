@@ -8,10 +8,11 @@ component; the proportionality constant is the equivariant Euler class of the
 virtual cotangent space at the multiple cover, computed here along two
 independent routes that must agree.
 
-The alpha component is built with q symbolic as products of binomials
-1 - q^r u, so the pole order at the root point is a count of vanishing
-factors and the residue is read off the factors; the beta side is evaluated
-at the numeric root point, an independent route.
+The residues of the alpha component are read from the leading terms of its
+coefficients at the root point (``series.component_residues``): a factor
+1 - q^r u that vanishes there contributes one order, so the pole order is a
+count and the residue is the product of the leads.  The beta side is
+evaluated at the numeric root point, an independent route.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from .monomials import Monomial
+from .localization import cotangent_euler
 from .scalars import (
-    BinomialProduct,
     DegenerateSampleError,
     PoleError,
     SampleContext,
@@ -31,7 +32,7 @@ from .scalars import (
     with_resampling,
 )
 from .linalg import solve_square
-from .series import TruncationBox, component_series
+from .series import TruncationBox, component_residues, component_series
 from .toric import (
     FixedPoint,
     InvalidModelError,
@@ -124,20 +125,6 @@ def all_orbits(data: ToricData) -> list[OrbitData]:
             orbit = orbit_data(data, fp, j0)
             if orbit is not None:
                 out.append(orbit)
-    return out
-
-
-def cotangent_euler(data: ToricData, fp: FixedPoint, ctx: SampleContext) -> Fraction:
-    """prod_{j not in J(alpha)} (1 - U_j(alpha)): the cotangent Euler class at alpha."""
-    out = Fraction(1)
-    uvals = fp.u_values(ctx.Lambda)
-    for j in range(data.N):
-        if j in fp.J:
-            continue
-        factor = 1 - uvals[j]
-        if factor == 0:
-            raise PoleError(0, uvals[j])
-        out *= factor
     return out
 
 
@@ -249,20 +236,18 @@ def edge_euler_class_from_forms(data: ToricData, orbit: OrbitData, m: int,
     return out
 
 
-def verify_residue_recursion(data: ToricData, alpha: FixedPoint, j0: int, m: int,
+def verify_residue_recursion(data: ToricData, orbit: OrbitData, m: int,
                              box: TruncationBox, seed: int, sample: int = 0,
                              resamples: list | None = None) -> dict:
-    """Check, degree by degree, that the residue of the alpha component at the
-    rational root point equals the shifted, rescaled beta component.
+    """Check, degree by degree along ``orbit``, that the residue of the alpha
+    component at the rational root point equals the shifted, rescaled beta
+    component.
 
-    The residue is read off the factored alpha coefficient.  The right-hand
-    side evaluates the beta component at the numeric root point and uses the
-    recursion coefficient, whose two computations must also agree.  Root
-    points come from ``root_context``, sampled as in ``with_resampling``.
+    The residue is read from the alpha coefficient's leading term there.  The
+    right-hand side evaluates the beta component at the numeric root point and
+    uses the recursion coefficient, whose two computations must also agree.
+    Root points come from ``root_context``, sampled as in ``with_resampling``.
     """
-    orbit = orbit_data(data, alpha, j0)
-    if orbit is None:
-        raise ValueError(f"no orbit leaves {alpha.J} in direction {j0 + 1}")
     return with_resampling(lambda index: root_context(data, orbit, m, seed, index),
                            lambda root: _check_recursion(data, orbit, m, box, *root),
                            resamples=resamples, sample=sample)[0]
@@ -271,18 +256,17 @@ def verify_residue_recursion(data: ToricData, alpha: FixedPoint, j0: int, m: int
 def _check_recursion(data: ToricData, orbit: OrbitData, m: int,
                      box: TruncationBox, ctx: SampleContext, mu: Fraction) -> dict:
     q0 = 1 / mu
-    alpha_series = component_series(data, orbit.alpha, box, ctx, symbolic_q=True)
     beta_series = component_series(data, orbit.beta, box, ctx.with_q(q0))
     c_residue = edge_euler_class(data, orbit, m, ctx, mu)
     c_forms = edge_euler_class_from_forms(data, orbit, m, ctx, mu)
     phi = cotangent_euler(data, orbit.alpha, ctx)
+    residues = component_residues(data, orbit.alpha, box, ctx, q0)
     prefactor = -Fraction(1, m) * phi / c_residue
     shift = tuple(m * x for x in orbit.d_ab)
     rows = []
     ok = True
     for d in box.degrees:
-        coeff = alpha_series.coefficient(d)
-        lhs = coeff.residue(q0) if isinstance(coeff, BinomialProduct) else Fraction(0)
+        lhs = residues.get(d, Fraction(0))
         prev = tuple(x - y for x, y in zip(d, shift))
         rhs = prefactor * beta_series.coefficient(prev)
         ok = ok and lhs == rhs

@@ -9,12 +9,12 @@ probability), so the scalar layer provides
 * the universal finite product ratio behind all the q-hypergeometric factors
   and its cohomological limit, tabulated over depths by one running product
   (``ratio_table``) at a numeric q or z,
-* the same ratio with q kept symbolic, as a factored product of binomials
-  ``c * prod (1 - q^r u)^e`` (``BinomialProduct``): its pole order at a point
-  is a count of vanishing factors, so residues need no polynomial algebra,
+* the same ratio's leading terms at a root point q0 (``root_table``, built by
+  the same running product): each is an order in eps = q/q0 - 1 and a lead
+  (``LeadingTerm``), so a residue at q0 needs no polynomial algebra,
 * dense univariate rational functions in q over big rationals (``QRational``),
-  which no library path uses: they are the reference the factored products
-  are tested against.
+  which no library path uses: they are the reference the leading terms are
+  tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class PoleError(ArithmeticError):
@@ -125,26 +125,12 @@ def ratio_table(u_value, depths: Iterable[int], q=None, z=None) -> dict[int, Fra
     factor is an exact zero of the ratio (the kill rule); a vanishing
     denominator factor is a sampling pole and raises, when a depth reaches it.
     """
-    depths = set(depths)
-    if z is None:
-        def factor(r):
-            return 1 - q ** r * u_value
-    else:
-        def factor(r):
-            return u_value - r * z
-    table = {0: Fraction(1)}
-    value = Fraction(1)
-    for r in range(1, max(depths, default=0) + 1):
-        f = factor(r)
-        if f == 0:
+    def factor(r):
+        f = 1 - q ** r * u_value if z is None else u_value - r * z
+        if r > 0 and f == 0:
             raise PoleError(r, u_value)
-        value /= f
-        table[r] = value
-    value = Fraction(1)
-    for r in range(0, min(depths, default=0), -1):
-        value *= factor(r)
-        table[r - 1] = value
-    return table
+        return f
+    return _running_products(factor, set(depths), Fraction(1))
 
 
 def finite_ratio(u_value, depth: int, q) -> Fraction:
@@ -152,124 +138,59 @@ def finite_ratio(u_value, depth: int, q) -> Fraction:
     return ratio_table(u_value, (depth,), q)[depth]
 
 
-# ---------------------------------------------------------------------------
-# Products of binomials 1 - q^r u with q symbolic.
-# ---------------------------------------------------------------------------
+class LeadingTerm(NamedTuple):
+    """lead * eps^order + O(eps^(order + 1)), with q = q0 (1 + eps) near a root point q0.
 
-
-class BinomialProduct:
-    """The exact function c * prod (1 - q^r u)^e of a symbolic q.
-
-    The factors are a multiset of (r, u, e) with e = +1 (numerator) or -1
-    (denominator), kept as net multiplicities per (r, u).  A factor with
-    r = 0 is the constant 1 - u and is folded into c, so an r = 0 numerator
-    factor with u = 1 makes the product identically zero (the kill rule).
-
-    Every other factor has only simple zeros, at q^r = 1/u.  Near such a
-    zero q0 it is -r * eps + O(eps^2) with eps = (q - q0)/q0, so the pole
-    order at q0 and the leading coefficient in eps are read off the factors
-    without expanding anything.  There is deliberately no addition: sums of
-    these products are not products.
+    A factor 1 - q^r u is its nonzero value at q0, or -r eps + O(eps^2)
+    where it vanishes there, so under * and / orders add and leads multiply.
+    The r = 0 factor with u = 1 has lead 0: the exact zero of the kill rule.
     """
 
-    __slots__ = ("constant", "_factors")
+    order: int
+    lead: Fraction
 
-    def __init__(self, constant=1, factors: Iterable[tuple[int, object, int]] = ()):
-        constant = Fraction(constant)
-        items = []
-        for r, u, e in factors:
-            if r == 0:
-                constant *= (1 - Fraction(u)) ** e
-            else:
-                items.append(((int(r), Fraction(u)), e))
-        self.constant = constant
-        self._factors = _merged({}, items) if constant else {}
+    def __mul__(self, other: "LeadingTerm") -> "LeadingTerm":
+        return LeadingTerm(self.order + other.order, self.lead * other.lead)
 
-    @classmethod
-    def _make(cls, constant: Fraction, net: dict) -> "BinomialProduct":
-        out = cls.__new__(cls)
-        out.constant = constant
-        out._factors = net if constant else {}
-        return out
+    def __truediv__(self, other: "LeadingTerm") -> "LeadingTerm":
+        return LeadingTerm(self.order - other.order, self.lead / other.lead)
 
-    @classmethod
-    def finite_ratio(cls, u_value, depth: int) -> "BinomialProduct":
-        """``finite_ratio`` with q kept symbolic."""
-        if depth >= 0:
-            return cls(1, ((r, u_value, -1) for r in range(1, depth + 1)))
-        return cls(1, ((r, u_value, 1) for r in range(depth + 1, 1)))
+    def residue(self) -> Fraction:
+        """Residue of f(q) dq/q at q0, for an at-most-simple pole.
 
-    @property
-    def is_zero(self) -> bool:
-        return self.constant == 0
-
-    def __mul__(self, other) -> "BinomialProduct":
-        if not isinstance(other, BinomialProduct):
-            return NotImplemented
-        return BinomialProduct._make(self.constant * other.constant,
-                                     _merged(self._factors, other._factors.items()))
-
-    def __truediv__(self, other) -> "BinomialProduct":
-        if not isinstance(other, BinomialProduct):
-            return NotImplemented
-        inverse = ((key, -e) for key, e in other._factors.items())
-        return BinomialProduct._make(self.constant / other.constant,
-                                     _merged(self._factors, inverse))
-
-    def adams(self, k: int) -> "BinomialProduct":
-        """q -> q^k for k >= 1: every factor 1 - q^r u becomes 1 - q^{kr} u."""
-        if k < 1:
-            raise ValueError("power substitution needs k >= 1")
-        return BinomialProduct._make(
-            self.constant, {(k * r, u): e for (r, u), e in self._factors.items()})
-
-    def _expansion(self, q0: Fraction) -> tuple[int, Fraction]:
-        """Pole order at q0 and the leading coefficient of the product in eps."""
-        order = 0
-        lead = self.constant
-        for (r, u), e in self._factors.items():
-            value = 1 - q0 ** r * u
-            if value == 0:
-                order -= e
-                value = Fraction(-r)
-            lead *= value ** e
-        return order, lead
-
-    def evaluate(self, q) -> Fraction:
-        """The value at q, as the limit where vanishing factors cancel."""
-        q = Fraction(q)
-        order, lead = self._expansion(q)
-        if order > 0:
-            r, u = next((r, u) for (r, u), e in self._factors.items()
-                        if e < 0 and q ** r * u == 1)
-            raise PoleError(r, u)
-        return lead if order == 0 else Fraction(0)
-
-    def residue(self, q0) -> Fraction:
-        """Residue of f(q) dq/q at q = q0 (q0 != 0), for an at-most-simple pole."""
-        q0 = Fraction(q0)
-        if q0 == 0:
-            raise ValueError("residue expects q0 != 0; the dq/q pole at 0 is not handled")
-        order, lead = self._expansion(q0)
-        if order > 1:
-            raise DoublePoleError(f"pole of order {order} at q={q0}")
-        return lead if order == 1 else Fraction(0)
-
-    def __repr__(self) -> str:
-        parts = [f"(1 - q^{r}*{u})^{e}" for (r, u), e in sorted(self._factors.items())]
-        return " * ".join([str(self.constant)] + parts)
+        dq/q = d eps / (1 + eps), so a simple pole's residue is its lead.
+        """
+        if self.lead == 0 or self.order >= 0:
+            return Fraction(0)
+        if self.order < -1:
+            raise DoublePoleError(f"pole of order {-self.order} at the root point")
+        return self.lead
 
 
-def _merged(net: dict, items) -> dict:
-    """A copy of ``net`` with the (key, multiplicity) ``items`` added in."""
-    out = dict(net)
-    for key, e in items:
-        n = out.get(key, 0) + e
-        if n:
-            out[key] = n
-        else:
-            del out[key]
-    return out
+def root_table(u_value, depths: Iterable[int], q0) -> dict[int, LeadingTerm]:
+    """``ratio_table``'s leading terms at q = q0 (1 + eps), from the same running product.
+
+    A denominator factor that vanishes at q0 is a pole of the ratio, not a
+    sampling failure: it lowers the order.
+    """
+    def factor(r):
+        f = 1 - q0 ** r * u_value
+        return LeadingTerm(0, f) if f else LeadingTerm(1, Fraction(-r))
+    return _running_products(factor, set(depths), LeadingTerm(0, Fraction(1)))
+
+
+def _running_products(factor: Callable, depths: set[int], one) -> dict:
+    """prod_{r<=0} factor(r) / prod_{r<=D} factor(r) for every D between 0 and ``depths``."""
+    table = {0: one}
+    value = one
+    for r in range(1, max(depths, default=0) + 1):
+        value /= factor(r)
+        table[r] = value
+    value = one
+    for r in range(0, min(depths, default=0), -1):
+        value *= factor(r)
+        table[r - 1] = value
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +330,7 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
 
 
 class QRational:
-    """Reduced ratio of two QPoly's: the dense reference for ``BinomialProduct``."""
+    """Reduced ratio of two QPoly's: the dense reference for ``root_table``."""
 
     __slots__ = ("num", "den")
 

@@ -1,11 +1,11 @@
 """Truncated Novikov series and the q-hypergeometric series built on them.
 
-Coefficients are exact: either rationals (all parameters evaluated at a sample
-context) or, with the parameters evaluated and q kept symbolic for residue
-work, factored products of binomials 1 - q^r u (components and bundle factors).
-A component coefficient is a product over the columns of one universal finite
-ratio, read from one table per column (``scalars.ratio_table``); degrees off
-the fixed point's dual cone are exact zeros and are never tabulated.
+Coefficients are exact rationals: every parameter is evaluated at a sample
+context.  A component coefficient is a product over the columns of one
+universal finite ratio, read from one table per column (``scalars.ratio_table``);
+degrees off the fixed point's dual cone are exact zeros and are never
+tabulated.  The residues of a component at a root point q0 come from the same
+products of the ratios' leading terms there (``scalars.root_table``).
 Everything is localized: a global series is the family of its fixed-point
 components, never a mixed object.
 """
@@ -21,12 +21,12 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .monomials import Monomial
 from .scalars import (
-    BinomialProduct,
     PoleError,
     SampleContext,
     TruncationError,
     finite_ratio,
     ratio_table,
+    root_table,
 )
 from .toric import (
     FixedPoint,
@@ -70,10 +70,6 @@ def truncation_box(data: ToricData, bound, ample: Sequence | None = None) -> Tru
     return TruncationBox(data=data, ample=ample_t, bound=bound, degrees=degrees)
 
 
-def _is_zero(c) -> bool:
-    return c.is_zero if isinstance(c, BinomialProduct) else c == 0
-
-
 class NovikovSeries:
     """A truncated formal sum over effective degrees with exact coefficients."""
 
@@ -87,7 +83,7 @@ class NovikovSeries:
                 d = tuple(int(x) for x in d)
                 if not box.contains(d):
                     raise TruncationError(f"degree {d} lies outside the truncation box")
-                if not _is_zero(c):
+                if c != 0:
                     clean[d] = c
         self.box = box
         self.coeffs = clean
@@ -175,23 +171,19 @@ def series_exp(s: NovikovSeries) -> NovikovSeries:
 
 
 def adams(series: NovikovSeries, k: int) -> NovikovSeries:
-    """Adams operation: Q^d -> Q^{kd}, and q -> q^k on symbolic coefficients.
+    """Adams operation on degrees: Q^d -> Q^{kd}, coefficients unchanged.
 
-    Degrees whose image leaves the box are truncated away.  Coefficients that
-    are plain rationals carry no q-dependence left to transform; callers that
-    need the q-coupling build the series with symbolic q (``BinomialProduct``)
-    or apply it to q-free coefficients themselves.
+    Degrees whose image leaves the box are truncated away.  Coefficients are
+    rationals with q already evaluated, so the q -> q^k half of the operation
+    is the caller's: apply it to q-free coefficients, or sample at q^k.
     """
     if k < 1:
         raise ValueError("Adams operations are indexed by k >= 1")
     out: dict[Degree, object] = {}
     for d, c in series.coeffs.items():
         kd = tuple(k * x for x in d)
-        if not series.box.contains(kd):
-            continue
-        if isinstance(c, BinomialProduct):
-            c = c.adams(k)
-        out[kd] = c
+        if series.box.contains(kd):
+            out[kd] = c
     return NovikovSeries(series.box, out, series.mode)
 
 
@@ -294,53 +286,52 @@ def point_series(monomials: Iterable[Monomial | Sequence[int]], box: TruncationB
 
 
 def bundle_factor(data: ToricData, fp: FixedPoint, bundle: BundleData,
-                  d: Sequence[int], ctx: SampleContext, symbolic_q: bool = False):
-    """The fiber contribution at one degree: prod_a finite_ratio(lam V_a, Delta_a)^{+-1}.
-
-    With ``symbolic_q`` it is a ``BinomialProduct``.
-    """
+                  d: Sequence[int], ctx: SampleContext) -> Fraction:
+    """The fiber contribution at one degree: prod_a finite_ratio(lam V_a, Delta_a)^{+-1}."""
     pvals = fp.p_values(ctx.Lambda)
     fibers = bundle.fiber_values(pvals)
     deltas = bundle.delta(d)
-    out = BinomialProduct() if symbolic_q else Fraction(1)
+    out = Fraction(1)
     for a in range(bundle.L):
-        if symbolic_q:
-            fr = BinomialProduct.finite_ratio(ctx.lam * fibers[a], deltas[a])
-        else:
-            fr = finite_ratio(ctx.lam * fibers[a], deltas[a], ctx.q)
+        fr = finite_ratio(ctx.lam * fibers[a], deltas[a], ctx.q)
         if bundle.parity == "E":
             out = out * fr
         else:
-            if _is_zero(fr):
+            if fr == 0:
                 raise PoleError(0, ctx.lam * fibers[a])
             out = out / fr
     return out
 
 
 def component_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
-                     ctx: SampleContext, bundle: BundleData | None = None,
-                     symbolic_q: bool = False) -> NovikovSeries:
+                     ctx: SampleContext, bundle: BundleData | None = None) -> NovikovSeries:
     """The fixed-point component: coefficient of Q^d is
     prod_j finite_ratio(U_j(alpha), D_j(d), q), times the bundle factors.
 
     The factors for j in J(alpha) have U_j(alpha) = 1, which reproduces the
     split between 1/prod(1-q^r) and the general ratio, and forces an exact
     zero outside the dual cone of alpha (a vanishing numerator factor), so
-    only the degrees inside it are tabulated.  With ``symbolic_q`` every
-    coefficient is a ``BinomialProduct``.
+    only the degrees inside it are tabulated.
     """
     uvals = fp.u_values(ctx.Lambda)
-    if symbolic_q:
-        def table(j, depths):
-            return {D: BinomialProduct.finite_ratio(uvals[j], D) for D in depths}
-    else:
-        def table(j, depths):
-            return ratio_table(uvals[j], depths, ctx.q)
-    coeffs = _ratio_products(data, fp, box, table)
+    coeffs = _ratio_products(data, fp, box,
+                             lambda j, depths: ratio_table(uvals[j], depths, ctx.q))
     if bundle is not None:
-        coeffs = {d: c * bundle_factor(data, fp, bundle, d, ctx, symbolic_q)
-                  for d, c in coeffs.items()}
+        coeffs = {d: c * bundle_factor(data, fp, bundle, d, ctx) for d, c in coeffs.items()}
     return NovikovSeries(box, coeffs)
+
+
+def component_residues(data: ToricData, fp: FixedPoint, box: TruncationBox,
+                       ctx: SampleContext, q0) -> dict[Degree, Fraction]:
+    """Residue of each component coefficient's f(q) dq/q at q = q0, over alpha's dual cone.
+
+    Every other parameter is evaluated at ``ctx``; degrees off the dual cone
+    have the exact zero coefficient and are left out.  A pole of order 2 or
+    more raises ``DoublePoleError``.
+    """
+    uvals = fp.u_values(ctx.Lambda)
+    terms = _ratio_products(data, fp, box, lambda j, depths: root_table(uvals[j], depths, q0))
+    return {d: term.residue() for d, term in terms.items()}
 
 
 def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,

@@ -160,8 +160,7 @@ def test_criterion_7_residue_recursion():
             box = truncation_box(data, 3 if data.K == 2 else 3)
             for orbit in all_orbits(data):
                 for m in (1, 2):
-                    report = verify_residue_recursion(
-                        data, orbit.alpha, orbit.j0, m, box, seed=600)
+                    report = verify_residue_recursion(data, orbit, m, box, seed=600)
                     assert report["ok"], report
                     assert report["euler_oracle_agrees"]
                     # and the coefficient routes agree on an independent sample

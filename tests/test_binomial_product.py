@@ -1,156 +1,159 @@
-"""The factored symbolic-q coefficients against the dense rational-function route.
+"""Products of binomials 1 - q^r u at a root point against the dense route.
 
-``BinomialProduct`` reads pole orders and residues off its binomial factors.
-The dense ``QRational`` route expands the same coefficient into a reduced
-ratio of polynomials and finds the pole by polynomial division, so it is an
-independent oracle for every residue the recursion takes.
+The library reads a residue at q0 from leading terms: ``root_table`` runs the
+same product as ``ratio_table``, with each factor an order in eps = q/q0 - 1
+and a lead.  The dense ``QRational`` route expands the same coefficient into
+a reduced ratio of polynomials and finds the pole by polynomial division, so
+it is an independent oracle for every residue the recursion takes.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from qtoric.models import hirzebruch, load_bundled_model, projective_space
+from qtoric.models import hirzebruch
 from qtoric.recursion import all_orbits, root_context
 from qtoric.scalars import (
-    BinomialProduct,
     DoublePoleError,
+    LeadingTerm,
     PoleError,
     QRational,
     finite_ratio_sym,
-    q_factor,
+    ratio_table,
     residue_at,
+    root_table,
     sample_context,
 )
-from qtoric.series import NovikovSeries, adams, component_series, truncation_box
-from qtoric.toric import ToricData, degree_pairing, enumerate_fixed_points
+from qtoric.series import component_residues, truncation_box
+from qtoric.toric import ToricData, degree_pairing
 
 F3 = ToricData(m=((1, 1, 0, -3), (0, 0, 1, 1)), omega=(Fraction(1), Fraction(1)), name="f3")
 
 
-def dense_coefficient(data, fp, d, ctx, bundle=None) -> QRational:
+def dense_coefficient(data, fp, d, ctx) -> QRational:
     """The component coefficient at d as one reduced rational function of q."""
-    uvals = fp.u_values(ctx.Lambda)
     out = QRational.constant(1)
-    for u, depth in zip(uvals, degree_pairing(data, d)):
+    for u, depth in zip(fp.u_values(ctx.Lambda), degree_pairing(data, d)):
         out = out * finite_ratio_sym(u, depth)
-    if bundle is not None:
-        fibers = bundle.fiber_values(fp.p_values(ctx.Lambda))
-        for fiber, delta in zip(fibers, bundle.delta(d)):
-            fr = finite_ratio_sym(ctx.lam * fiber, delta)
-            out = out * fr if bundle.parity == "E" else out / fr
     return out
 
 
 def outcome(fn):
-    """The value of fn(), or the class of the pole error it raised."""
+    """The value of fn(), or the class of the error it raised."""
     try:
         return fn()
-    except (DoublePoleError, PoleError) as exc:
+    except (DoublePoleError, PoleError, ZeroDivisionError) as exc:
         return type(exc)
 
 
-def oracle_model(name):
-    if name == "p2_o1_o2_pi":
-        model = load_bundled_model(name)
-        return model.data, model.bundle
-    return {"f1": hirzebruch(), "f3": F3}[name], None
-
-
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("name", ["f1", "f3", "p2_o1_o2_pi"])
+@pytest.mark.parametrize("name", ["f1", "f3"])
 def test_residue_matches_dense_oracle(name, m):
-    data, bundle = oracle_model(name)
+    data = {"f1": hirzebruch(), "f3": F3}[name]
     box = truncation_box(data, 3)
-    residues = 0
+    simple = 0
     # One edge per fixed point: the edges out of one alpha share its
     # coefficients and differ only in the root point.
     for orbit in {o.alpha.J: o for o in all_orbits(data)}.values():
         ctx, mu = root_context(data, orbit, m, seed=11)
         q0 = 1 / mu
-        factored = component_series(data, orbit.alpha, box, ctx, bundle, symbolic_q=True)
-        numeric = component_series(data, orbit.alpha, box, ctx, bundle)
+        expected = {}
         for d in box.degrees:
-            dense = dense_coefficient(data, orbit.alpha, d, ctx, bundle)
-            coeff = factored.coefficient(d)
-            if dense.is_zero:
-                assert coeff == 0, d
-                continue
-            assert coeff.evaluate(ctx.q) == dense.evaluate(ctx.q) == numeric.coefficient(d)
-            res = outcome(lambda: coeff.residue(q0))
-            assert res == outcome(lambda: residue_at(dense, q0)), (name, d)
-            residues += res not in (0, DoublePoleError)
-    assert residues > 0
+            dense = dense_coefficient(data, orbit.alpha, d, ctx)
+            expected[d] = outcome(lambda: residue_at(dense, q0))
+            # The library route on a box of this one degree.
+            alone = replace(box, degrees=(d,))
+            got = outcome(lambda: component_residues(data, orbit.alpha, alone, ctx, q0))
+            got = got if isinstance(got, type) else got.get(d, 0)
+            assert got == expected[d], (name, m, orbit.alpha.J, d)
+            simple += expected[d] not in (0, DoublePoleError)
+        whole = outcome(lambda: component_residues(data, orbit.alpha, box, ctx, q0))
+        if DoublePoleError in expected.values():
+            assert whole is DoublePoleError
+        else:
+            assert {d: whole.get(d, 0) for d in box.degrees} == expected
+    assert simple > 0
 
 
 def test_double_pole_raises_on_both_routes():
     q0 = Fraction(1, 2)
-    # 1 - 2q and 1 - 4q^2 both vanish at q = 1/2.
-    factored = BinomialProduct(3, [(1, 2, -1), (2, 4, -1)])
-    dense = QRational.constant(3) / (q_factor(1, 2) * q_factor(2, 4))
+    # 1/(1 - 2q) and 1/((1 - 4q)(1 - 4q^2)): 1 - 2q and 1 - 4q^2 vanish at q = 1/2.
+    leading = LeadingTerm(0, Fraction(3)) * root_table(2, (1,), q0)[1] * root_table(4, (2,), q0)[2]
+    dense = QRational.constant(3) * finite_ratio_sym(2, 1) * finite_ratio_sym(4, 2)
+    assert leading.order == -2
     with pytest.raises(DoublePoleError):
-        factored.residue(q0)
+        leading.residue()
     with pytest.raises(DoublePoleError):
         residue_at(dense, q0)
     with pytest.raises(PoleError):
-        factored.evaluate(q0)
+        ratio_table(2, (1,), q0)
 
 
 def test_random_products_match_dense_oracle():
-    # Exponents on r in -3..3, with u often chosen to vanish at q0, so that
-    # poles, removable singularities and zeros of every order turn up.
+    # Finite ratios at depths -3..3, each a run of factors 1 - q^r u, with u
+    # often an inverse power of q0 inside the run, so that poles, removable
+    # singularities and zeros of every order turn up; u = 1 at a negative
+    # depth is the kill rule's exact zero.
     rng = random.Random(3)
     q0 = Fraction(-2, 3)
     seen = set()
     for _ in range(200):
         triples = []
         for _ in range(rng.randint(1, 4)):
-            r = rng.choice([-3, -2, -1, 1, 2, 3])
-            u = 1 / q0 ** r if rng.random() < 0.5 else Fraction(rng.randint(2, 9), 7)
-            triples.append((r, u, rng.choice([1, -1])))
-        factored = BinomialProduct(Fraction(5, 3), triples)
-        dense = QRational.constant(Fraction(5, 3))
-        for r, u, e in triples:
-            dense = dense * q_factor(r, u) if e > 0 else dense / q_factor(r, u)
-        res = outcome(lambda: factored.residue(q0))
-        assert res == outcome(lambda: residue_at(dense, q0)), triples
-        assert outcome(lambda: factored.evaluate(q0)) == outcome(lambda: dense.evaluate(q0))
-        seen.add(res if res in (0, DoublePoleError) else "simple")
-    assert seen == {0, DoublePoleError, "simple"}
+            depth = rng.choice([-3, -2, -1, 1, 2, 3])
+            run = range(1, depth + 1) if depth > 0 else range(depth + 1, 1)
+            u = 1 / q0 ** rng.choice(run) if rng.random() < 0.5 else Fraction(rng.randint(2, 9), 7)
+            triples.append((depth, u, rng.choice([1, -1])))
+
+        def leading():
+            out = LeadingTerm(0, Fraction(5, 3))
+            for depth, u, e in triples:
+                term = root_table(u, (depth,), q0)[depth]
+                out = out * term if e > 0 else out / term
+            return out.residue()
+
+        def dense():
+            out = QRational.constant(Fraction(5, 3))
+            for depth, u, e in triples:
+                ratio = finite_ratio_sym(u, depth)
+                out = out * ratio if e > 0 else out / ratio
+            return residue_at(out, q0)
+
+        res = outcome(leading)
+        assert res == outcome(dense), triples
+        seen.add(res if res in (0, DoublePoleError, ZeroDivisionError) else "simple")
+    assert {0, DoublePoleError, "simple"} <= seen
+
+
+def test_root_table_at_generic_q_matches_ratio_table():
+    # Where no factor vanishes every entry is order 0 with the numeric value.
+    for seed in range(5):
+        ctx = sample_context(4, seed)
+        for u in ctx.Lambda:
+            depths = range(-4, 5)
+            leading = root_table(u, depths, ctx.q)
+            numeric = ratio_table(u, depths, ctx.q)
+            assert leading.keys() == numeric.keys()
+            for depth, term in leading.items():
+                assert term == LeadingTerm(0, numeric[depth]), (u, depth)
 
 
 def test_kill_rule_and_arithmetic():
-    assert BinomialProduct.finite_ratio(1, -2).is_zero
-    assert not BinomialProduct.finite_ratio(Fraction(1, 3), -2).is_zero
-    a = BinomialProduct.finite_ratio(Fraction(2, 5), 3)
-    b = BinomialProduct.finite_ratio(Fraction(7, 4), -2)
-    q = Fraction(-3, 11)
-    assert (a * b).evaluate(q) == a.evaluate(q) * b.evaluate(q)
-    assert (a / b).evaluate(q) == a.evaluate(q) / b.evaluate(q)
-    assert (a / a).evaluate(q) == 1
-    assert BinomialProduct.finite_ratio(1, 0).evaluate(q) == 1
-    assert not hasattr(a, "__add__")
-    with pytest.raises(TypeError):
-        a * Fraction(2)
-    assert not hasattr(a, "numerator") and not hasattr(a, "denominator")
-
-
-@pytest.mark.parametrize("data", [projective_space(1), hirzebruch()], ids=["p1", "f1"])
-def test_adams_matches_dense_power_substitution(data):
-    box = truncation_box(data, 4)
-    ctx = sample_context(data.N, 97)
-    for fp in enumerate_fixed_points(data):
-        factored = component_series(data, fp, box, ctx, symbolic_q=True)
-        dense = NovikovSeries(box, {d: dense_coefficient(data, fp, d, ctx)
-                                    for d in box.degrees})
-        left = adams(factored, 2)
-        # The dense side maps q -> q^2 by power substitution, Q^d -> Q^{2d}.
-        right = {kd: c.subst_power(2) for d, c in dense.coeffs.items()
-                 if box.contains(kd := tuple(2 * x for x in d))}
-        assert set(left.coeffs) == set(right)
-        assert left.coeffs
-        for d, c in left.coeffs.items():
-            assert c.evaluate(ctx.q) == right[d].evaluate(ctx.q)
-            half = tuple(x // 2 for x in d)
-            assert c.evaluate(ctx.q) == factored.coeffs[half].evaluate(ctx.q ** 2)
+    q0 = Fraction(3, 5)
+    # r = 0, u = 1: the ratio at every negative depth is exactly zero, even
+    # beside a pole, and so is its residue.
+    zero = root_table(1, (-2,), q0)[-2]
+    assert zero.lead == 0 and zero.residue() == 0
+    pole = root_table(1 / q0, (1,), q0)[1]
+    assert pole == LeadingTerm(-1, Fraction(-1))
+    assert (zero * pole).residue() == 0
+    assert pole.residue() == -1
+    # Orders add and leads multiply.
+    a, b = LeadingTerm(-1, Fraction(2, 7)), LeadingTerm(2, Fraction(-3, 4))
+    assert a * b == LeadingTerm(1, Fraction(-3, 14))
+    assert a / b == LeadingTerm(-3, Fraction(-8, 21))
+    assert (a * b).residue() == 0 and a.residue() == Fraction(2, 7)
+    with pytest.raises(DoublePoleError):
+        (a / b).residue()

@@ -111,6 +111,12 @@ def test_model_diagnostics_cover_shapes():
         "name x\nmatrix 1 2\n1 1\nomega 1 2\n": "omega-shape",
         "name x\nmatrix 1 2\n1 1\nomega 1\ntruncation bound -3\n": "bad-number",
         "name x\nmatrix 1 2\n1 1\nomega 1\nsampling samples 0\n": "bad-number",
+        "name x\nmatrix 2 4\n1 1 0 -1\n0 0 1 1\nomega 1 1\ntruncation ample 1 1 5\n":
+            "ample-shape",
+        "name x\nmatrix 2 4\n1 1 0 -1\n0 0 1 1\nomega 1 1\ntruncation ample 2\n":
+            "ample-shape",
+        "name x\nmatrix 1 2\n1 1\nomega 1\ntruncation bound 3 9\n": "directive-shape",
+        "name x\nmatrix 1 2\n1 1\nomega 1\nsampling seed 4 junk\n": "directive-shape",
     }
     for text, code in bad_cases.items():
         with pytest.raises(ModelFormatError) as info:
@@ -170,6 +176,34 @@ def test_cli_verify_recursion_single_edge(capsys):
          "--samples", "1"], capsys)
     assert code == 0 and report["ok"]
     assert len(report["result"]["edges"]) == 1
+
+
+@pytest.mark.parametrize("model, edge", [
+    ("f1", "1,2:3"),    # {1, 2} is not a fixed point of F_1
+    ("f1", "1,3:3"),    # j0 = 3 lies on alpha
+    ("f1", "1,3:5"),    # F_1 has 4 columns
+    ("p1", "1:0"),      # column 0 is out of range too
+], ids=["alpha-not-fixed", "j0-on-alpha", "j0-past-n", "j0-zero"])
+def test_cli_edge_without_an_orbit_exits_two(model, edge, capsys):
+    code, report = run(["verify-recursion", model, "--edge", edge, "--samples", "1"], capsys)
+    assert code == 2
+    assert report["error"] == f"no orbit matches --edge {edge!r}"
+
+
+def test_cli_edge_solves_one_orbit_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(data, alpha, j0):
+        calls.append((alpha.J, j0))
+        return real(data, alpha, j0)
+
+    real = recursion.orbit_data
+    monkeypatch.setattr(cli, "orbit_data", counted)
+    monkeypatch.setattr(recursion, "orbit_data", counted)
+    code, report = run(["verify-recursion", "f1", "--edge", "1,3:2", "--deg", "2",
+                        "--samples", "3"], capsys)
+    assert code == 0 and report["ok"] and len(report["result"]["edges"]) == 3
+    assert calls == [((0, 2), 1)]
 
 
 def test_cli_integrate_xd(capsys):

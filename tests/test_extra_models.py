@@ -114,7 +114,7 @@ def test_residue_recursion(data):
     bound = 2 if data.K == 3 else 3
     box = truncation_box(data, bound)
     for orbit in all_orbits(data):
-        report = verify_residue_recursion(data, orbit.alpha, orbit.j0, 1, box, seed=19)
+        report = verify_residue_recursion(data, orbit, 1, box, seed=19)
         assert report["ok"], (data.name, report)
         assert report["euler_oracle_agrees"]
 
@@ -122,8 +122,7 @@ def test_residue_recursion(data):
 def test_recursion_double_cover_f2():
     box = truncation_box(HIRZEBRUCH2, 3)
     for orbit in all_orbits(HIRZEBRUCH2):
-        report = verify_residue_recursion(
-            HIRZEBRUCH2, orbit.alpha, orbit.j0, 2, box, seed=23)
+        report = verify_residue_recursion(HIRZEBRUCH2, orbit, 2, box, seed=23)
         assert report["ok"], report
 
 

@@ -132,7 +132,7 @@ def test_recursion_p1(p1):
     box = truncation_box(p1, 4)
     alpha = fixed_point(p1, (0,))
     for m in (1, 2):
-        report = verify_residue_recursion(p1, alpha, 1, m, box, seed=19)
+        report = verify_residue_recursion(p1, orbit_data(p1, alpha, 1), m, box, seed=19)
         assert report["ok"], report
         assert report["euler_oracle_agrees"]
         assert any(row["lhs"] != "0" for row in report["degrees"])
@@ -141,7 +141,7 @@ def test_recursion_p1(p1):
 def test_recursion_f1_one_edge(f1):
     box = truncation_box(f1, 3)
     alpha = fixed_point(f1, (0, 2))
-    report = verify_residue_recursion(f1, alpha, 1, 1, box, seed=23)
+    report = verify_residue_recursion(f1, orbit_data(f1, alpha, 1), 1, box, seed=23)
     assert report["ok"], report
     assert report["beta"] == [2, 3]
 
@@ -151,7 +151,7 @@ def test_recursion_support_consistency(p1):
     # for d < m carry lhs == rhs == 0.
     box = truncation_box(p1, 4)
     alpha = fixed_point(p1, (0,))
-    report = verify_residue_recursion(p1, alpha, 1, 2, box, seed=29)
+    report = verify_residue_recursion(p1, orbit_data(p1, alpha, 1), 2, box, seed=29)
     for row in report["degrees"]:
         if row["degree"][0] < 2:
             assert row["lhs"] == "0" and row["rhs"] == "0"

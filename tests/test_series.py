@@ -287,31 +287,6 @@ def test_adams_rebuilds_exp_form(p1):
     assert series_exp(arg) == pair.exp_form == pair.sum_form
 
 
-def test_symbolic_component_evaluates_to_sampled(p1):
-    box = truncation_box(p1, 3)
-    ctx = sample_context(p1.N, 79)
-    fp = fixed_point(p1, (0,))
-    sym = component_series(p1, fp, box, ctx, symbolic_q=True)
-    plain = component_series(p1, fp, box, ctx)
-    for d in box.degrees:
-        c = sym.coefficient(d)
-        value = c.evaluate(ctx.q) if hasattr(c, "evaluate") else c
-        assert value == plain.coefficient(d)
-
-
-def test_symbolic_bundle_component_evaluates_to_sampled(p2):
-    box = truncation_box(p2, 3)
-    ctx = sample_context(p2.N, 89)
-    bundle = BundleData(exponents=((1, 2),), parity="PiE")
-    fp = enumerate_fixed_points(p2)[0]
-    sym = component_series(p2, fp, box, ctx, bundle=bundle, symbolic_q=True)
-    plain = component_series(p2, fp, box, ctx, bundle=bundle)
-    for d in box.degrees:
-        c = sym.coefficient(d)
-        value = c.evaluate(ctx.q) if hasattr(c, "evaluate") else c
-        assert value == plain.coefficient(d)
-
-
 def test_cohomological_series_matches_explicit_product_f1(f1, p1):
     # Every box degree against prod_j prod_{r<=0}(u_j - rz) / prod_{r<=D_j}(u_j - rz),
     # multiplied out factor by factor; off alpha's dual cone the r = 0
