@@ -19,10 +19,10 @@ from qtoric.models import hirzebruch, projective_space
 from qtoric.toric import enumerate_fixed_points
 
 p1 = projective_space(1)
-box = truncation_box(p1, 5)
+box = truncation_box(p1, 4)
 ctx = sample_context(p1.N, seed=33)
 family = assemble_series(p1, box, ctx)
-report = verify_dq_system(p1, family, ctx, verify_bound=4)
+report = verify_dq_system(p1, family, ctx)
 print("projective line: (1 - U_1(op))(1 - U_2(op)) I = Q I")
 for check in report["checks"]:
     print(f"  {check['label']}: ok = {check['ok']}")
@@ -34,9 +34,9 @@ ctx = sample_context(f1.N, seed=35)
 family = assemble_series(f1, box, ctx)
 print("Hirzebruch surface, the two rearranged equations in coordinate form:")
 first = verify_shifted_identity(f1, family, ctx, lhs_factors=[(0, 0), (1, 0)],
-                                shift_i=0, rhs_factors=[(3, 0)], verify_bound=4)
+                                shift_i=0, rhs_factors=[(3, 0)])
 second = verify_shifted_identity(f1, family, ctx, lhs_factors=[(2, 0), (3, 0)],
-                                 shift_i=1, rhs_factors=[], verify_bound=4)
+                                 shift_i=1, rhs_factors=[])
 print(f"  (1-U_1)(1-U_2) I = Q_1 (1-U_4) I : ok = {first['ok']}")
 print(f"  (1-U_3)(1-U_4) I = Q_2 I         : ok = {second['ok']}")
 print()

@@ -1,22 +1,27 @@
 """A small expression language for the classes fed to the localization sums.
 
-Grammar (integers, rational constants like 3/2, named symbols, parentheses):
-
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := '-' factor | atom ('^' signed-integer)?
-    atom   := number | symbol | '(' expr ')'
+    atom   := integer | symbol | '(' expr ')'
 
-Symbols are resolved against the evaluation environment (P1..PK / p1..pK,
-L1..LN / l1..lN, q, z).  Everything evaluates to an exact rational.
+Integers are decimal digits (007 is 7) and symbols ASCII words that start
+with a letter; whitespace, newlines too, may separate tokens; the exponent is
+a signed integer right after '^'.  Nothing else is accepted: not '**', unary
+'+', 1.5, 1e3, 0x10, 1_000, calls, comparisons or keywords.  Python's parser
+reads the text with '^' as '**'; the tree is checked against the grammar and
+evaluated, never executed.  Symbols come from the environment (P1..PK /
+p1..pK, L1..LN / l1..lN, q, z); values are exact rationals.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
-from dataclasses import dataclass
+import warnings
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping
 
 
 class ExprError(ValueError):
@@ -25,172 +30,86 @@ class ExprError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-    def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
-        return self.value
+_FOREIGN = re.compile(r"[^0-9A-Za-z_()+\-*/^\s]|\*\*")
+_LEADING_ZEROS = re.compile(r"\b0+(?=\d)")
+_SYMBOL = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_EXPONENT = re.compile(r"-? *[0-9]+")
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+def _divide(a: Fraction, b: Fraction) -> Fraction:
+    if b == 0:
+        raise ZeroDivisionError("division by zero in class expression")
+    return a / b
+
+
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: _divide, ast.Pow: operator.pow}
+
+
+def _check(node: ast.expr, source: str, where: Callable[[int], int]) -> None:
+    """Raise ExprError unless the grammar derives the tree; where() maps offsets to the text."""
+    start, end = node.col_offset, node.end_col_offset
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        _check(node.operand, source, where)
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        _check(node.left, source, where)
+        if not isinstance(node.op, ast.Pow):
+            _check(node.right, source, where)
+        elif not (source[:node.right.col_offset].rstrip().endswith("*")  # not '^('
+                  and _EXPONENT.fullmatch(source, node.right.col_offset,
+                                          node.right.end_col_offset)):
+            raise ExprError("exponent must be an integer", where(node.right.col_offset))
+    elif not (isinstance(node, ast.Constant) and source[start:end].isdigit()
+              or isinstance(node, ast.Name) and _SYMBOL.fullmatch(node.id)):
+        raise ExprError(f"not in the grammar: {source[start:end]!r}", where(start))
+
+
+def _value(node: ast.expr, env: Mapping[str, Fraction]) -> Fraction:
+    if isinstance(node, ast.BinOp):
+        return _BINARY[type(node.op)](_value(node.left, env), _value(node.right, env))
+    if isinstance(node, ast.UnaryOp):
+        return -_value(node.operand, env)
+    if isinstance(node, ast.Constant):
+        return Fraction(node.value)
+    try:
+        return Fraction(env[node.id])
+    except KeyError:
+        raise ExprError(f"unknown symbol '{node.id}'", 0) from None
+
+
+class Expression:
+    """A class expression the grammar derives; ``evaluate`` gives its exact value."""
+
+    def __init__(self, tree: ast.expr):
+        self.tree = tree
 
     def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
         try:
-            return Fraction(env[self.name])
-        except KeyError:
-            raise ExprError(f"unknown symbol '{self.name}'", 0) from None
+            return _value(self.tree, env)
+        except RecursionError:
+            raise ExprError("expression nested too deeply", 0) from None
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
-
-    def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
-        return -self.arg.evaluate(env)
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-    def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
-        a = self.left.evaluate(env)
-        b = self.right.evaluate(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if b == 0:
-                raise ZeroDivisionError("division by zero in class expression")
-            return a / b
-        raise AssertionError(self.op)
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
-
-    def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
-        return self.base.evaluate(env) ** self.exponent
-
-
-Expr = Union[Num, Sym, Neg, BinOp, Pow]
-
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([()+\-*/^]))")
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._tokenize()
-        self.index = 0
-
-    def _tokenize(self) -> None:
-        pos = 0
-        while pos < len(self.text):
-            match = _TOKEN.match(self.text, pos)
-            if not match or match.end() == pos:
-                if self.text[pos:].strip():
-                    raise ExprError(f"unexpected character {self.text[pos]!r}", pos)
-                break
-            number, name, op = match.groups()
-            if number is not None:
-                self.tokens.append(("num", number, match.start()))
-            elif name is not None:
-                self.tokens.append(("sym", name, match.start()))
-            else:
-                self.tokens.append(("op", op, match.start()))
-            pos = match.end()
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ExprError("unexpected end of expression", len(self.text))
-        self.index += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.next()
-        if tok[0] != "op" or tok[1] != op:
-            raise ExprError(f"expected '{op}'", tok[2])
-
-    def parse(self) -> Expr:
-        expr = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ExprError(f"trailing input {tok[1]!r}", tok[2])
-        return expr
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.next()
-                node = BinOp(tok[1], node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "*/":
-                self.next()
-                node = BinOp(tok[1], node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Expr:
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            self.next()
-            return Neg(self.factor())
-        node = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.next()
-            node = Pow(node, self._signed_integer())
-        return node
-
-    def _signed_integer(self) -> int:
-        tok = self.next()
-        sign = 1
-        if tok[0] == "op" and tok[1] == "-":
-            sign = -1
-            tok = self.next()
-        if tok[0] != "num":
-            raise ExprError("exponent must be an integer", tok[2])
-        return sign * int(tok[1])
-
-    def atom(self) -> Expr:
-        tok = self.next()
-        if tok[0] == "num":
-            return Num(Fraction(int(tok[1])))
-        if tok[0] == "sym":
-            return Sym(tok[1])
-        if tok[0] == "op" and tok[1] == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprError(f"unexpected token {tok[1]!r}", tok[2])
-
-
-def parse_expression(text: str) -> Expr:
+def parse_expression(text: str) -> Expression:
     if not text.strip():
         raise ExprError("empty expression", 0)
-    return _Parser(text).parse()
+    if foreign := _FOREIGN.search(text):
+        raise ExprError(f"unexpected {foreign.group()!r}", foreign.start())
+    # One unindented line, leading zeros blanked (Python rejects 007), '^' as '**'.
+    source = _LEADING_ZEROS.sub(lambda m: " " * len(m.group()), re.sub(r"\s", " ", text))
+    lead = len(source) - len(source.lstrip())
+    source = source.strip().replace("^", "**")
+
+    def where(offset: int) -> int:
+        return lead + offset - source.count("**", 0, offset)
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "invalid decimal literal" for 1if, say
+            tree = ast.parse(source, mode="eval").body
+        _check(tree, source, where)
+    except SyntaxError as exc:
+        raise ExprError(exc.msg, where((exc.offset or 1) - 1)) from None
+    except RecursionError:
+        raise ExprError("expression nested too deeply", 0) from None
+    return Expression(tree)

@@ -31,19 +31,11 @@ def _evaluate(phi, env: Mapping[str, Fraction]) -> Fraction:
     return Fraction(phi(env))
 
 
-def _trace_env(data: ToricData, ctx: SampleContext,
-               pvals: Sequence[Fraction]) -> dict[str, Fraction]:
-    env = {f"P{i+1}": pvals[i] for i in range(data.K)}
-    env.update({f"L{j+1}": ctx.Lambda[j] for j in range(data.N)})
-    env["q"] = ctx.q
-    env["z"] = ctx.z
-    return env
-
-
-def _integral_env(data: ToricData, ctx: SampleContext,
-                  pvals: Sequence[Fraction]) -> dict[str, Fraction]:
-    env = {f"p{i+1}": pvals[i] for i in range(data.K)}
-    env.update({f"l{j+1}": ctx.Lambda[j] for j in range(data.N)})
+def _class_env(data: ToricData, ctx: SampleContext, pvals: Sequence[Fraction],
+               p: str, lam: str) -> dict[str, Fraction]:
+    """Symbols of a class expression: {p}1..{p}K, {lam}1..{lam}N, q and z."""
+    env = {f"{p}{i+1}": pvals[i] for i in range(data.K)}
+    env.update({f"{lam}{j+1}": ctx.Lambda[j] for j in range(data.N)})
     env["q"] = ctx.q
     env["z"] = ctx.z
     return env
@@ -73,7 +65,7 @@ def ktheory_trace(data: ToricData, phi, ctx: SampleContext) -> Fraction:
     total = Fraction(0)
     for fp in enumerate_fixed_points(data):
         denom = cotangent_euler(data, fp, ctx)
-        total += _evaluate(phi, _trace_env(data, ctx, fp.p_values(ctx.Lambda))) / denom
+        total += _evaluate(phi, _class_env(data, ctx, fp.p_values(ctx.Lambda), "P", "L")) / denom
     return total
 
 
@@ -94,7 +86,7 @@ def cohomology_integral(data: ToricData, phi, ctx: SampleContext) -> Fraction:
             if dvals[j] == 0:
                 raise PoleError(0, dvals[j])
             denom *= dvals[j]
-        total += _evaluate(phi, _integral_env(data, ctx, pvals)) / denom
+        total += _evaluate(phi, _class_env(data, ctx, pvals, "p", "l")) / denom
     return total
 
 
@@ -129,7 +121,7 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
                 return (sum(pstar[i] * data.m[i][j] for i in range(data.K))
                         - ctx.Lambda[j])
 
-            numerator = _evaluate(phi, _integral_env(data, ctx, pstar))
+            numerator = _evaluate(phi, _class_env(data, ctx, pstar, "p", "l"))
             for j, r in extended.obstructions:
                 numerator *= u_at(j) + r * ctx.z
             denom = Fraction(fp.det)

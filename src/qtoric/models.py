@@ -17,14 +17,17 @@ The format is line oriented; ``#`` starts a comment.  A model needs ``name``,
 
 The matrix directive is followed by K rows of N integers; a bundle directive
 by K rows of L integers (the fiber exponents).  ``truncation ample`` takes K
-rationals; ``truncation bound``, ``sampling seed`` and ``sampling samples`` take
-one value each.  Every diagnostic carries a stable code and the offending line
-number.
+rationals; ``truncation bound`` takes one nonnegative rational, ``sampling
+seed`` one integer and ``sampling samples`` one integer at least 1.  Every
+directive and field may be given once.  Every diagnostic carries a stable code
+and the line of the offending directive (``duplicate-directive`` for a repeat,
+``directive-shape`` for a wrong count of values, ``bad-number``, ...).
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -63,6 +66,22 @@ class ModelFile:
     sha256: str = ""
 
 
+def _integer(token: str) -> int:
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(token)
+    return int(token)
+
+
+# The run defaults: field -> (reader of its one value, or None for a list of
+# rationals; the values it accepts; what a refused value should have been).
+_FIELDS = {
+    "truncation bound": (Fraction, lambda v: v >= 0, "a nonnegative rational"),
+    "truncation ample": (None, lambda v: True, "rationals"),
+    "sampling seed": (_integer, lambda v: True, "an integer"),
+    "sampling samples": (_integer, lambda v: v >= 1, "an integer at least 1"),
+}
+
+
 def parse_model_text(text: str) -> ModelFile:
     errors: list[Diagnostic] = []
     lines = text.splitlines()
@@ -71,8 +90,9 @@ def parse_model_text(text: str) -> ModelFile:
     omega: tuple[Fraction, ...] | None = None
     bundle_rows: list[list[int]] | None = None
     bundle_parity: str | None = None
-    bound = ample = seed = samples = None
-    ample_line = 0
+    omega_line = 0
+    fields: dict = {}  # the run defaults by field name, as "sampling seed"
+    field_lines: dict[str, int] = {}  # the line each field was given on
 
     def err(code: str, line_no: int, message: str) -> None:
         errors.append(Diagnostic(code=code, line=line_no, message=message))
@@ -137,6 +157,7 @@ def parse_model_text(text: str) -> ModelFile:
             if omega is not None:
                 err("duplicate-directive", line_no, "omega given twice")
                 continue
+            omega_line = line_no
             try:
                 omega = tuple(Fraction(tok) for tok in tokens[1:])
             except (ValueError, ZeroDivisionError):
@@ -173,35 +194,24 @@ def parse_model_text(text: str) -> ModelFile:
                 rows.append(row)
             if rows is not None and len(rows) == k_rows:
                 bundle_rows = rows
-        elif head == "truncation":
-            if len(tokens) > 3 and tokens[1] == "bound":
-                err("directive-shape", line_no, "truncation bound takes one value")
-            elif len(tokens) >= 3 and tokens[1] == "bound":
-                try:
-                    bound = Fraction(tokens[2])
-                    if bound < 0:
-                        raise ValueError(bound)
-                except (ValueError, ZeroDivisionError):
-                    err("bad-number", line_no, "truncation bound must be a nonnegative rational")
-            elif len(tokens) >= 2 and tokens[1] == "ample":
-                ample_line = line_no
-                try:
-                    ample = tuple(Fraction(tok) for tok in tokens[2:])
-                except (ValueError, ZeroDivisionError):
-                    err("bad-number", line_no, "ample entries must be rationals")
+        elif head in ("truncation", "sampling"):
+            field = " ".join(tokens[:2])
+            if field not in _FIELDS:
+                err("unknown-directive", line_no, f"unknown {head} field {raw!r}")
+            elif field in field_lines:
+                err("duplicate-directive", line_no, f"{field} given twice")
+            elif _FIELDS[field][0] and len(tokens) != 3:
+                err("directive-shape", line_no, f"{field} takes one value")
             else:
-                err("unknown-directive", line_no, f"unknown truncation field {raw!r}")
-        elif head == "sampling":
-            if len(tokens) > 3 and tokens[1] in ("seed", "samples"):
-                err("directive-shape", line_no, f"sampling {tokens[1]} takes one integer")
-            elif len(tokens) >= 3 and tokens[1] == "seed" and _is_int(tokens[2]):
-                seed = int(tokens[2])
-            elif len(tokens) >= 3 and tokens[1] == "samples" and _is_int(tokens[2]):
-                samples = int(tokens[2])
-                if samples < 1:
-                    err("bad-number", line_no, "sampling samples must be at least 1")
-            else:
-                err("unknown-directive", line_no, f"unknown sampling field {raw!r}")
+                read, valid, what = _FIELDS[field]
+                field_lines[field] = line_no
+                try:
+                    value = read(tokens[2]) if read else tuple(map(Fraction, tokens[2:]))
+                    if not valid(value):
+                        raise ValueError(value)
+                    fields[field] = value
+                except (ValueError, ZeroDivisionError):
+                    err("bad-number", line_no, f"{field} must be {what}")
         else:
             err("unknown-directive", line_no, f"unknown directive {head!r}")
 
@@ -217,10 +227,12 @@ def parse_model_text(text: str) -> ModelFile:
         raise ModelFormatError(errors)
 
     assert matrix is not None and omega is not None and name is not None
+    ample = fields.get("truncation ample")
     if len(omega) != len(matrix):
-        err("omega-shape", 1, f"omega has {len(omega)} coordinates, matrix has {len(matrix)} rows")
+        err("omega-shape", omega_line,
+            f"omega has {len(omega)} coordinates, matrix has {len(matrix)} rows")
     if ample is not None and len(ample) != len(matrix):
-        err("ample-shape", ample_line,
+        err("ample-shape", field_lines["truncation ample"],
             f"truncation ample has {len(ample)} coordinates, matrix has {len(matrix)} rows")
     if errors:
         raise ModelFormatError(errors)
@@ -230,12 +242,9 @@ def parse_model_text(text: str) -> ModelFile:
         assert bundle_parity is not None
         bundle = BundleData(exponents=tuple(tuple(r) for r in bundle_rows), parity=bundle_parity)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    return ModelFile(data=data, bundle=bundle, bound=bound, ample=ample,
-                     seed=seed, samples=samples, sha256=digest)
-
-
-def _is_int(token: str) -> bool:
-    return token.lstrip("+-").isdigit()
+    return ModelFile(data=data, bundle=bundle, bound=fields.get("truncation bound"),
+                     ample=ample, seed=fields.get("sampling seed"),
+                     samples=fields.get("sampling samples"), sha256=digest)
 
 
 def parse_model(path: str | Path) -> ModelFile:

@@ -12,7 +12,6 @@ than from U_j(alpha) and D_j(d), which build the components it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from typing import Sequence
 
@@ -115,7 +114,7 @@ def _compare(label: str, lhs: NovikovSeries, rhs: NovikovSeries,
 
 
 def verify_dq_system(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
-                     ctx: SampleContext, verify_bound=None) -> dict:
+                     ctx: SampleContext) -> dict:
     """Check the finite-difference system on every fixed-point component.
 
     For each basis direction i the displayed relation is rearranged (the
@@ -131,37 +130,28 @@ def verify_dq_system(data: ToricData, family: dict[tuple[int, ...], NovikovSerie
     for i, row in enumerate(data.m):
         lhs = [(j, r) for j, mij in enumerate(row) for r in range(mij)]
         rhs = [(j, r) for j, mij in enumerate(row) for r in range(-mij)]
-        checks += verify_shifted_identity(data, family, ctx, lhs, i, rhs,
-                                          verify_bound)["checks"]
+        checks += verify_shifted_identity(data, family, ctx, lhs, i, rhs)["checks"]
     return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
 def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
                             ctx: SampleContext, lhs_factors: Sequence[tuple[int, int]],
-                            shift_i: int, rhs_factors: Sequence[tuple[int, int]],
-                            verify_bound=None) -> dict:
+                            shift_i: int, rhs_factors: Sequence[tuple[int, int]]) -> dict:
     """Check an identity of the form (prod lhs factors) I = Q_i (prod rhs factors) I.
 
     Factors are (column j, exponent r) pairs standing for 1 - q^{-r} U_j(...);
     the right-hand word is applied before the Novikov shift, exactly as written.
-    With e_i effective the shift reads only lower degrees, so the components
-    need to reach the verification bound and no further.
+    With e_i effective the shift reads only lower degrees, so every degree of
+    the components' own box is checked.
     """
     checks = []
-    some_box = next(iter(family.values())).box
-    bound = some_box.bound if verify_bound is None else Fraction(verify_bound)
-    if bound > some_box.bound:
-        raise TruncationError(
-            f"insufficient truncation: verification to {bound} needs components "
-            f"built to at least {bound}, have {some_box.bound}"
-        )
+    box = next(iter(family.values())).box
     e_i = tuple(1 if k == shift_i else 0 for k in range(data.K))
     if not mori_cone_membership(data, e_i)[0]:
         raise TruncationError(
             f"basis degree e_{shift_i+1} leaves the effective cone; "
             "the shifted side is not representable on a truncated box"
         )
-    degrees = [d for d in some_box.degrees if some_box.pairing(d) <= bound]
     for fp in enumerate_fixed_points(data):
         series = family[fp.J]
         lhs = series
@@ -172,7 +162,7 @@ def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], Novik
             pre = apply_factor(pre, data, fp, j, r, ctx)
         rhs = shift_by_degree(pre, e_i)
         name = f"relation Q_{shift_i+1} at alpha={tuple(j + 1 for j in fp.J)}"
-        checks.append(_compare(name, lhs, rhs, degrees))
+        checks.append(_compare(name, lhs, rhs, box.degrees))
     return {"ok": all(c.ok for c in checks), "checks": [c.as_dict() for c in checks]}
 
 

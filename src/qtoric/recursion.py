@@ -155,8 +155,7 @@ def root_context(data: ToricData, orbit: OrbitData, m: int, seed: int,
     lambdas[solve_j] = value
     if value == 0 or value == 1:
         raise DegenerateSampleError("solved parameter landed on a degenerate value")
-    ctx = SampleContext(q=base.q, Lambda=tuple(lambdas), lam=base.lam, z=base.z,
-                        seed=seed)
+    ctx = SampleContext(q=base.q, Lambda=tuple(lambdas), lam=base.lam, z=base.z)
     assert orbit.lambda_char.evaluate(ctx.Lambda) == mu ** m
     return ctx, mu
 

@@ -59,7 +59,6 @@ class SampleContext:
     Lambda: tuple[Fraction, ...]
     lam: Fraction
     z: Fraction
-    seed: int | None = None
 
     def with_q(self, q) -> "SampleContext":
         return replace(self, q=Fraction(q))
@@ -89,20 +88,23 @@ def sample_context(n_lambda: int, seed: int, index: int = 0) -> SampleContext:
     q = random_fraction(rng, signed=True)
     lam = random_fraction(rng)
     z = random_fraction(rng, signed=True)
-    return SampleContext(q=q, Lambda=tuple(lambdas), lam=lam, z=z, seed=seed)
+    return SampleContext(q=q, Lambda=tuple(lambdas), lam=lam, z=z)
+
+
+RESAMPLE_TRIES = 10  # contexts one sample may skip before its error is reported
 
 
 def with_resampling(make_ctx: Callable[[int], object], fn: Callable[[object], object],
-                    tries: int = 10, resamples: list | None = None, sample: int = 0):
+                    resamples: list | None = None, sample: int = 0):
     """Run ``fn`` on fresh contexts until it avoids sample degeneracies.
 
-    Sample ``sample`` tries ``make_ctx(100 sample + t)`` for ``t < tries`` and
-    returns (result, context) for the first that ``fn`` accepts.  Each skipped
-    index goes to ``resamples`` with its exception; persistent failure
-    re-raises the last error so model-level problems are reported rather than
-    masked.
+    Sample ``sample`` tries ``make_ctx(100 sample + t)`` for ``t <
+    RESAMPLE_TRIES`` and returns (result, context) for the first that ``fn``
+    accepts.  Each skipped index goes to ``resamples`` with its exception;
+    persistent failure re-raises the last error so model-level problems are
+    reported rather than masked.
     """
-    for t in range(tries):
+    for t in range(RESAMPLE_TRIES):
         index = 100 * sample + t
         try:
             ctx = make_ctx(index)
@@ -110,7 +112,7 @@ def with_resampling(make_ctx: Callable[[int], object], fn: Callable[[object], ob
         except (PoleError, DegenerateSampleError, DoublePoleError) as exc:
             if resamples is not None:
                 resamples.append((index, exc))
-            if t == tries - 1:
+            if t == RESAMPLE_TRIES - 1:
                 raise
 
 

@@ -136,21 +136,21 @@ def test_criterion_5_gamma_reconstruction():
 def test_criterion_6_dq_system():
     with criterion(6, "q-difference system to degree 5; F_1 displayed pair to 4", 120.0):
         for data in ALL_MODELS[:3]:  # the line, the plane, the Hirzebruch surface
-            box = truncation_box(data, 6)
+            box = truncation_box(data, 5)
             ctx = sample_context(data.N, 500)
             family = assemble_series(data, box, ctx)
-            report = verify_dq_system(data, family, ctx, verify_bound=5)
+            report = verify_dq_system(data, family, ctx)
             assert report["ok"], report
         f1 = ALL_MODELS[2]
-        box = truncation_box(f1, 5)
+        box = truncation_box(f1, 4)
         ctx = sample_context(f1.N, 501)
         family = assemble_series(f1, box, ctx)
         first = verify_shifted_identity(
             f1, family, ctx, lhs_factors=[(0, 0), (1, 0)], shift_i=0,
-            rhs_factors=[(3, 0)], verify_bound=4)
+            rhs_factors=[(3, 0)])
         second = verify_shifted_identity(
             f1, family, ctx, lhs_factors=[(2, 0), (3, 0)], shift_i=1,
-            rhs_factors=[], verify_bound=4)
+            rhs_factors=[])
         assert first["ok"] and second["ok"]
 
 

@@ -1,8 +1,12 @@
 import json
+import operator
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtoric import cli, recursion
 from qtoric.exprs import ExprError, parse_expression
@@ -55,6 +59,90 @@ def test_expression_errors():
         parse_expression("Px + 1").evaluate({})
 
 
+SYMBOLS = {"P1": Fraction(2, 3), "L2": Fraction(-5, 7), "q": Fraction(3), "z_1": Fraction(-1, 2)}
+GAPS = st.sampled_from(["", "", " ", "  ", "\n", "\t", "\r\n"])
+SUM, PRODUCT, NEGATION, POWER, ATOM = range(5)  # precedence, loosest first
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@st.composite
+def grammar_trees(draw, depth=4):
+    """(text, precedence, value) of a random tree of the grammar, rendered
+    with random spacing, leading zeros and redundant parentheses; the value
+    is computed here, and is None where the tree divides by zero."""
+
+    def operand(tree, level):
+        text, precedence, value = tree
+        if precedence < level or draw(st.integers(0, 7)) == 0:
+            text = "(" + draw(GAPS) + text + draw(GAPS) + ")"
+        return text + draw(GAPS), value
+
+    kinds = ["number", "symbol"] + (["negation", "power", "sum", "product"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "number":
+        n = draw(st.integers(0, 999))
+        return "0" * draw(st.integers(0, 2)) + str(n), ATOM, Fraction(n)
+    if kind == "symbol":
+        name = draw(st.sampled_from(sorted(SYMBOLS)))
+        return name, ATOM, SYMBOLS[name]
+    if kind == "negation":
+        text, value = operand(draw(grammar_trees(depth - 1)), NEGATION)
+        return "-" + draw(GAPS) + text, NEGATION, None if value is None else -value
+    if kind == "power":
+        base, value = operand(draw(grammar_trees(depth - 1)), ATOM)
+        k = draw(st.integers(-3, 3))
+        exponent = ("-" + draw(GAPS) if k < 0 else "") + "0" * draw(st.integers(0, 1)) + str(abs(k))
+        defined = value is not None and (value != 0 or k >= 0)
+        return base + "^" + draw(GAPS) + exponent, POWER, value ** k if defined else None
+    # Left-associative: the right operand binds tighter than the operator.
+    level, right_level = (SUM, PRODUCT) if kind == "sum" else (PRODUCT, NEGATION)
+    op = draw(st.sampled_from("+-" if kind == "sum" else "*/"))
+    left, a = operand(draw(grammar_trees(depth - 1)), level)
+    right, b = operand(draw(grammar_trees(depth - 1)), right_level)
+    defined = a is not None and b is not None and (op != "/" or b != 0)
+    value = OPERATORS[op](a, b) if defined else None
+    return left + op + draw(GAPS) + right, level, value
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=grammar_trees(), before=GAPS, after=GAPS)
+def test_parser_reads_every_tree_of_the_grammar(tree, before, after):
+    text, _, value = tree
+    expr = parse_expression(before + text + after)
+    if value is None:
+        with pytest.raises(ZeroDivisionError):
+            expr.evaluate(SYMBOLS)
+    else:
+        assert expr.evaluate(SYMBOLS) == value
+
+
+REJECTED = [
+    "", " \n ", "2**3", "2 ** 3", "2^(3)", "2^x", "2^3^2", "2^-(3)", "2^--3", "0x10", "0b1",
+    "0o7", "1_000", "1.5", "1e3", "10j", "+1", "1 + +2", "_x", "P1é", "f(1)", "P1(2)",
+    "P1.numerator", "P1[0]", "1 < 2", "1 == 1", "P1 and q", "P1 or q", "not q", "7 // 2",
+    "7 % 2", "P1 @ q", "1 & 2", "1 | 2", "1 ^^ 2", "1 << 2", "~1", "1 if q else 2",
+    "1if q else 2", "lambda: 1", "(x := 1)", "'1'", "1 # comment", "1 +\\\n2", "()",
+    "(1, 2)", "[1]", "if", "True", "None", "lambda", "q is q", "(yield)",
+]
+ODD_BUT_ACCEPTED = {
+    "P1^ - 2": Fraction(9, 4), "007": 7, "2^-007": Fraction(1, 128), "00": 0,
+    "1\n+\n2": 3, "\t(1 +\r\n 2 )\n": 3, "--1": 1, "2 - -3": 5, "(2^3)^2": 64,
+    "-2^2": -4, "2*-3": -6, "2^\n3": 8, "3/2*P1": 1, "z_1^2": Fraction(1, 4),
+}
+
+
+def test_language_table(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for text in REJECTED:
+            with pytest.raises(ExprError):
+                parse_expression(text)
+        for text, value in ODD_BUT_ACCEPTED.items():
+            assert parse_expression(text).evaluate(SYMBOLS) == value, text
+    assert not caught  # Python warns "invalid decimal literal" on 1if
+    assert capsys.readouterr().err == ""
+
+
 # --- model files -------------------------------------------------------------
 
 
@@ -101,27 +189,37 @@ def test_non_integer_matrix_entry_diagnostic():
 
 
 def test_model_diagnostics_cover_shapes():
-    bad_cases = {
-        "name x\nmatrix 1 2\n1\nomega 1\n": "row-shape",
-        "name x\nmatrix 1 2\n1 1\n": "missing-directive",
-        "name x\nname y\nmatrix 1 2\n1 1\nomega 1\n": "duplicate-directive",
-        "name x\nmatrix 1 2\n1 1\nomega 1\nbundle Q 1\n1\n": "bundle-parity",
-        "name x\nbundle E 1\nmatrix 1 2\n1 1\nomega 1\n": "bundle-order",
-        "name x\nmatrix 1 2\n1 1\nomega 1\nfrobnicate 3\n": "unknown-directive",
-        "name x\nmatrix 1 2\n1 1\nomega 1 2\n": "omega-shape",
-        "name x\nmatrix 1 2\n1 1\nomega 1\ntruncation bound -3\n": "bad-number",
-        "name x\nmatrix 1 2\n1 1\nomega 1\nsampling samples 0\n": "bad-number",
-        "name x\nmatrix 2 4\n1 1 0 -1\n0 0 1 1\nomega 1 1\ntruncation ample 1 1 5\n":
-            "ample-shape",
-        "name x\nmatrix 2 4\n1 1 0 -1\n0 0 1 1\nomega 1 1\ntruncation ample 2\n":
-            "ample-shape",
-        "name x\nmatrix 1 2\n1 1\nomega 1\ntruncation bound 3 9\n": "directive-shape",
-        "name x\nmatrix 1 2\n1 1\nomega 1\nsampling seed 4 junk\n": "directive-shape",
+    head = "name x\nmatrix 1 2\n1 1\nomega 1\n"  # a rank-1 model on lines 1-4
+    surface = "name x\nmatrix 2 4\n1 1 0 -1\n0 0 1 1\nomega 1 1\n"
+    bad_cases = {  # text -> (code, line of the diagnostic)
+        "name x\nmatrix 1 2\n1\nomega 1\n": ("row-shape", 3),
+        "name x\nmatrix 1 2\n1 1\n": ("missing-directive", 3),
+        "name x\nname y\nmatrix 1 2\n1 1\nomega 1\n": ("duplicate-directive", 2),
+        head + "bundle Q 1\n1\n": ("bundle-parity", 5),
+        "name x\nbundle E 1\nmatrix 1 2\n1 1\nomega 1\n": ("bundle-order", 2),
+        head + "frobnicate 3\n": ("unknown-directive", 5),
+        "name x\nmatrix 1 2\n1 1\nomega 1 2\n": ("omega-shape", 4),
+        "name x\nmatrix 1 2\n1 1\n\n# weights\nomega 1 2\n": ("omega-shape", 6),
+        head + "truncation bound -3\n": ("bad-number", 5),
+        head + "sampling samples 0\n": ("bad-number", 5),
+        head + "sampling seed x\n": ("bad-number", 5),
+        head + "sampling samples 1.5\n": ("bad-number", 5),
+        surface + "truncation ample 1 1 5\n": ("ample-shape", 6),
+        surface + "truncation ample 2\n": ("ample-shape", 6),
+        head + "truncation bound 3 9\n": ("directive-shape", 5),
+        head + "sampling seed 4 junk\n": ("directive-shape", 5),
+        head + "truncation bound\n": ("directive-shape", 5),
+        head + "sampling seed\n": ("directive-shape", 5),
+        head + "truncation bound 3\ntruncation bound 4\n": ("duplicate-directive", 6),
+        surface + "truncation ample 1 1\n#\ntruncation ample 1 2\n": ("duplicate-directive", 8),
+        head + "sampling seed 1\nsampling seed 2\n": ("duplicate-directive", 6),
+        head + "sampling samples 2\nsampling samples 3\n": ("duplicate-directive", 6),
     }
-    for text, code in bad_cases.items():
+    for text, (code, line) in bad_cases.items():
         with pytest.raises(ModelFormatError) as info:
             parse_model_text(text)
-        assert any(d.code == code for d in info.value.diagnostics), (text, info.value)
+        found = [(d.code, d.line) for d in info.value.diagnostics]
+        assert (code, line) in found, (text, info.value)
 
 
 def test_model_sampling_defaults():
@@ -263,6 +361,13 @@ def test_cli_input_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["trace", "p1", "--phi", "(((", "--samples", "1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_deep_expressions_are_input_errors(capsys):
+    for phi in ("(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "+".join(["1"] * 30000)):
+        code, report = run(["trace", "p1", "--phi=" + phi, "--samples", "1"], capsys)
+        assert code == 2
+        assert "(at position" in report["error"]  # an ExprError, not a crash
 
 
 def test_cli_rejects_vacuous_counts(tmp_path, capsys):

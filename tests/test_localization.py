@@ -140,8 +140,7 @@ def test_map_space_f1_with_obstruction(f1):
 
 def test_map_space_coincident_poles_raise(p1):
     ctx = sample_context(p1.N, 67)
-    degenerate = SampleContext(q=ctx.q, Lambda=ctx.Lambda, lam=ctx.lam,
-                               z=Fraction(0), seed=None)
+    degenerate = SampleContext(q=ctx.q, Lambda=ctx.Lambda, lam=ctx.lam, z=Fraction(0))
     with pytest.raises(PoleError):
         map_space_integral(p1, (1,), lambda e: Fraction(1), degenerate)
 

@@ -223,4 +223,4 @@ def test_with_resampling_reports_persistent_failure():
         raise PoleError(0, 1)
 
     with pytest.raises(PoleError):
-        with_resampling(lambda t: sample_context(2, 1, t), fn, tries=4)
+        with_resampling(lambda t: sample_context(2, 1, t), fn)
