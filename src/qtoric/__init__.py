@@ -73,7 +73,7 @@ from .scalars import (
     finite_ratio_sym,
     ratio_table,
     residue_at,
-    root_table,
+    root_factor,
     sample_context,
     with_resampling,
 )

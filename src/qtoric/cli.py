@@ -7,7 +7,7 @@ produce byte-identical reports.  Checks run through ``with_resampling``:
 carry their ``sample``), and ``resamples`` lists each skipped context index
 with its reason and, in verify-recursion, its edge.  Exit codes: 0 all pass,
 1 an identity failed, 2 input error (also ``--samples`` or ``--m`` < 1, a negative
-bound, an ``--edge`` not of the form ``a1,a2:j0``).
+bound, an ``--edge`` not ``a1,a2:j0``, a class dividing by 0 at every context).
 
 Exact coefficients can run to tens of thousands of digits, so the report is
 computed and rendered with the interpreter's limit on integer string
@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import __version__
-from .exprs import ExprError, parse_expression
+from .exprs import ExprError, ZeroDivisorError, parse_expression
 from .kirwan import kirwan_relations, spectrum_point_count, verify_relations_at_fixed_points
 from .localization import cohomology_integral, ktheory_trace, map_space_integral
 from .models import ModelFile, ModelFormatError, resolve_model
@@ -345,14 +345,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         model = resolve_model(args.model)
         report = run_command(args.command, model, args)
+    except (ModelFormatError, FileNotFoundError, InvalidModelError, ExprError,
+            ZeroDivisorError, ValueError) as exc:
+        print(json.dumps({"error": str(exc)}, indent=2, sort_keys=True))
+        return 2
     except ArithmeticError as exc:
         # Persistent sampling degeneracy: a model-level finding, not an input error.
         print(json.dumps({"error": str(exc), "ok": False}, indent=2, sort_keys=True))
         return 1
-    except (ModelFormatError, FileNotFoundError, InvalidModelError, ExprError,
-            ValueError) as exc:
-        print(json.dumps({"error": str(exc)}, indent=2, sort_keys=True))
-        return 2
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["ok"] else 1
 

@@ -11,7 +11,8 @@ a signed integer right after '^'.  Nothing else is accepted: not '**', unary
 '+', 1.5, 1e3, 0x10, 1_000, calls, comparisons or keywords.  Python's parser
 reads the text with '^' as '**'; the tree is checked against the grammar and
 evaluated, never executed.  Symbols come from the environment (P1..PK /
-p1..pK, L1..LN / l1..lN, q, z); values are exact rationals.
+p1..pK, L1..LN / l1..lN, q, z); values are exact rationals.  A zero divisor
+(or base of a negative power) raises ``ZeroDivisorError``, a degenerate sample.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import re
 import warnings
 from fractions import Fraction
 from typing import Callable, Mapping
+
+from .scalars import DegenerateSampleError
 
 
 class ExprError(ValueError):
@@ -36,14 +39,12 @@ _SYMBOL = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _EXPONENT = re.compile(r"-? *[0-9]+")
 
 
-def _divide(a: Fraction, b: Fraction) -> Fraction:
-    if b == 0:
-        raise ZeroDivisionError("division by zero in class expression")
-    return a / b
+class ZeroDivisorError(ZeroDivisionError, DegenerateSampleError):
+    """A divisor of the class expression vanished at the sample point."""
 
 
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-           ast.Div: _divide, ast.Pow: operator.pow}
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
 def _check(node: ast.expr, source: str, where: Callable[[int], int]) -> None:
@@ -88,6 +89,8 @@ class Expression:
             return _value(self.tree, env)
         except RecursionError:
             raise ExprError("expression nested too deeply", 0) from None
+        except ZeroDivisionError:  # a / 0 or 0^-k
+            raise ZeroDivisorError("division by zero in class expression") from None
 
 
 def parse_expression(text: str) -> Expression:

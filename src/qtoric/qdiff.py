@@ -21,7 +21,7 @@ from .series import (
     TruncationBox,
     cohomological_series,
     component_series,
-    point_series,
+    point_sum_form,
 )
 from .toric import (
     FixedPoint,
@@ -185,9 +185,10 @@ def gamma_reconstruction(data: ToricData, fp: FixedPoint, box: TruncationBox,
 
     Applying, for every column off the fixed point, the Gamma-ratio operator
     with weight U_j(alpha) to the point-series sum form must reproduce the
-    component series exactly.
+    component series exactly.  Only the sum form is built: its agreement with
+    the q-exponential is ``point_series``'s own check.
     """
-    sum_form, _ = point_series(fp.q_monomials, box, ctx)
+    sum_form = point_sum_form(fp.q_monomials, box, ctx)
     uvals = fp.u_values(ctx.Lambda)
     rebuilt = sum_form
     for j in range(data.N):

@@ -7,11 +7,12 @@ probability), so the scalar layer provides
 
 * reproducible sample contexts for (q, equivariant parameters, bundle weight, z),
 * the universal finite product ratio behind all the q-hypergeometric factors
-  and its cohomological limit, tabulated over depths by one running product
-  (``ratio_table``) at a numeric q or z,
-* the same ratio's leading terms at a root point q0 (``root_table``, built by
-  the same running product): each is an order in eps = q/q0 - 1 and a lead
-  (``LeadingTerm``), so a residue at q0 needs no polynomial algebra,
+  and its cohomological limit: its factors at a numeric q or z
+  (``ratio_factor``), and its values over depths by one running product
+  (``ratio_table``),
+* the factors' leading terms at a root point q0 (``root_factor``): each is an
+  order in eps = q/q0 - 1 and a lead (``LeadingTerm``), so a residue at q0
+  needs no polynomial algebra,
 * dense univariate rational functions in q over big rationals (``QRational``),
   which no library path uses: they are the reference the leading terms are
   tested against.
@@ -116,23 +117,36 @@ def with_resampling(make_ctx: Callable[[int], object], fn: Callable[[object], ob
                 raise
 
 
-def ratio_table(u_value, depths: Iterable[int], q=None, z=None) -> dict[int, Fraction]:
-    """The universal ratio prod_{r<=0} f(r) / prod_{r<=D} f(r) at every depth D.
+def ratio_factor(u_value, q=None, z=None) -> Callable[[int], Fraction]:
+    """f(r) = 1 - q^r u, or u - r z when ``z`` is given, of the universal ratio.
 
-    f(r) = 1 - q^r u, or its cohomological limit u - r z when ``z`` is given
-    instead of ``q``.  In finite form the ratio is 1/prod_{r=1}^{D} f(r) for
-    D >= 0 and prod_{r=D+1}^{0} f(r) for D < 0, so one running product in
-    each direction from r = 0 reads off every depth between the extremes of
-    ``depths``; all of them are in the returned table.  A vanishing numerator
-    factor is an exact zero of the ratio (the kill rule); a vanishing
-    denominator factor is a sampling pole and raises, when a depth reaches it.
+    The ratio prod_{r<=0} f(r) / prod_{r<=D} f(r) is 1/prod_{r=1}^{D} f(r)
+    for D >= 0 and prod_{r=D+1}^{0} f(r) for D < 0.  A vanishing numerator
+    factor is its exact zero (the kill rule); a vanishing denominator factor
+    is a sampling pole and raises.
     """
     def factor(r):
         f = 1 - q ** r * u_value if z is None else u_value - r * z
         if r > 0 and f == 0:
             raise PoleError(r, u_value)
         return f
-    return _running_products(factor, set(depths), Fraction(1))
+    return factor
+
+
+def ratio_table(u_value, depths: Iterable[int], q=None, z=None) -> dict[int, Fraction]:
+    """The ratio of ``ratio_factor`` at every depth between the extremes of ``depths``.
+
+    One running product in each direction from r = 0 reads them all off; a
+    pole raises when a depth reaches it.
+    """
+    factor = ratio_factor(u_value, q, z)
+    depths = [0, *depths]
+    table = {0: Fraction(1)}
+    for r in range(1, max(depths) + 1):
+        table[r] = table[r - 1] / factor(r)
+    for r in range(0, min(depths), -1):
+        table[r - 1] = table[r] * factor(r)
+    return table
 
 
 def finite_ratio(u_value, depth: int, q) -> Fraction:
@@ -150,6 +164,9 @@ class LeadingTerm(NamedTuple):
 
     order: int
     lead: Fraction
+
+    def __bool__(self) -> bool:  # false for the exact zero
+        return self.lead != 0
 
     def __mul__(self, other: "LeadingTerm") -> "LeadingTerm":
         return LeadingTerm(self.order + other.order, self.lead * other.lead)
@@ -169,8 +186,8 @@ class LeadingTerm(NamedTuple):
         return self.lead
 
 
-def root_table(u_value, depths: Iterable[int], q0) -> dict[int, LeadingTerm]:
-    """``ratio_table``'s leading terms at q = q0 (1 + eps), from the same running product.
+def root_factor(u_value, q0) -> Callable[[int], LeadingTerm]:
+    """``ratio_factor``'s leading term at q = q0 (1 + eps).
 
     A denominator factor that vanishes at q0 is a pole of the ratio, not a
     sampling failure: it lowers the order.
@@ -178,21 +195,7 @@ def root_table(u_value, depths: Iterable[int], q0) -> dict[int, LeadingTerm]:
     def factor(r):
         f = 1 - q0 ** r * u_value
         return LeadingTerm(0, f) if f else LeadingTerm(1, Fraction(-r))
-    return _running_products(factor, set(depths), LeadingTerm(0, Fraction(1)))
-
-
-def _running_products(factor: Callable, depths: set[int], one) -> dict:
-    """prod_{r<=0} factor(r) / prod_{r<=D} factor(r) for every D between 0 and ``depths``."""
-    table = {0: one}
-    value = one
-    for r in range(1, max(depths, default=0) + 1):
-        value /= factor(r)
-        table[r] = value
-    value = one
-    for r in range(0, min(depths, default=0), -1):
-        value *= factor(r)
-        table[r - 1] = value
-    return table
+    return factor
 
 
 # ---------------------------------------------------------------------------

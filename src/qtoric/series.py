@@ -2,31 +2,32 @@
 
 Coefficients are exact rationals: every parameter is evaluated at a sample
 context.  A component coefficient is a product over the columns of one
-universal finite ratio, read from one table per column (``scalars.ratio_table``);
-degrees off the fixed point's dual cone are exact zeros and are never
-tabulated.  The residues of a component at a root point q0 come from the same
-products of the ratios' leading terms there (``scalars.root_table``).
-Everything is localized: a global series is the family of its fixed-point
-components, never a mixed object.
+universal finite ratio, built by a walk over the box: a degree takes a
+neighbour's coefficient times the few factors 1 - q^r u its depths cross
+(``scalars.ratio_factor``); degrees off the fixed point's dual cone are exact
+zeros and are never visited.  The residues of a component at a root point q0
+come from the same walk over the factors' leading terms (``scalars.root_factor``);
+the q-exponential is one pass of its Euler recurrence.  Everything is
+localized: a global series is the family of its components, never a mixed object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from math import factorial
-from operator import mul
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .monomials import Monomial
 from .scalars import (
+    LeadingTerm,
     PoleError,
     SampleContext,
     TruncationError,
     finite_ratio,
+    ratio_factor,
     ratio_table,
-    root_table,
+    root_factor,
 )
 from .toric import (
     FixedPoint,
@@ -155,19 +156,24 @@ def multiply(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
 
 
 def series_exp(s: NovikovSeries) -> NovikovSeries:
-    """exp of a series with vanishing constant term, expanded to the box."""
-    zero = tuple(0 for _ in range(s.box.data.K))
+    """exp of a series with vanishing constant term, expanded to the box.
+
+    One pass in box order by the Euler recurrence f' = s' f for the derivation
+    Q^d -> w(d) Q^d, w(d) = <ample, d> (positive on every nonzero box degree):
+    f_0 = 1 and f_d = (1/w(d)) sum_{e in supp s} w(e) s_e f_{d-e}.
+    """
+    box = s.box
+    zero = tuple(0 for _ in range(box.data.K))
     if zero in s.coeffs:
         raise ValueError("series_exp needs a vanishing constant term")
-    out = constant_series(s.box, 1, s.mode)
-    power = constant_series(s.box, 1, s.mode)
-    n = 0
-    while True:
-        n += 1
-        power = multiply(power, s)
-        if not power.coeffs:
-            return out
-        out = out + power.scale(Fraction(1, factorial(n)))
+    weighted = [(e, box.pairing(e) * c) for e, c in s.coeffs.items()]
+    out = {zero: Fraction(1)}
+    for d in box.degrees:
+        if d != zero:
+            total = sum(wc * out.get(tuple(x - y for x, y in zip(d, e)), 0)
+                        for e, wc in weighted)
+            out[d] = total / box.pairing(d)
+    return NovikovSeries(box, out, s.mode)
 
 
 def adams(series: NovikovSeries, k: int) -> NovikovSeries:
@@ -233,24 +239,19 @@ class PointSeriesPair(NamedTuple):
     exp_form: NovikovSeries
 
 
-def point_series(monomials: Iterable[Monomial | Sequence[int]], box: TruncationBox,
-                 ctx: SampleContext) -> PointSeriesPair:
-    """The point-target series in two forms that must agree exactly.
-
-    sum form:  sum over k >= 0 of Q^{sum k_j g_j} / prod_j (q; q)_{k_j},
-    exp form:  exp( sum_{k>0} sum_j Q_j^k / k(1 - q^k) ),
-    where the Q_j are the supplied Novikov monomials (exponent vectors g_j).
+def point_sum_form(monomials: Iterable[Monomial | Sequence[int]], box: TruncationBox,
+                   ctx: SampleContext) -> NovikovSeries:
+    """The point-target series as a plain sum over k >= 0 of
+    Q^{sum k_j g_j} / prod_j (q; q)_{k_j}, the g_j the monomials' exponent vectors.
     """
     gens = [m.exps if isinstance(m, Monomial) else tuple(int(x) for x in m)
             for m in monomials]
     weights = [box.pairing(g) for g in gens]
     if any(w <= 0 for w in weights):
         raise InvalidModelError("every point-series monomial must pair positively with ample")
-    q = ctx.q
-
-    # Sum form: enumerate exponent tuples k with bounded ample pairing; the
-    # value carried along is prod_j 1/(q; q)_{k_j}, the finite ratio at u = 1.
-    inverse_pochhammer = ratio_table(1, (box.bound // w for w in weights), q)
+    # Enumerate exponent tuples k with bounded ample pairing; the value
+    # carried along is prod_j 1/(q; q)_{k_j}, the finite ratio at u = 1.
+    inverse_pochhammer = ratio_table(1, (box.bound // w for w in weights), ctx.q)
     coeffs: dict[Degree, object] = {}
     zero = tuple(0 for _ in range(box.data.K))
 
@@ -268,11 +269,23 @@ def point_series(monomials: Iterable[Monomial | Sequence[int]], box: TruncationB
                     enumerate_tuples(p + 1, d2, b2, value * inverse_pochhammer[count])
 
     enumerate_tuples(0, zero, box.bound, Fraction(1))
-    sum_form = NovikovSeries(box, coeffs)
+    return NovikovSeries(box, coeffs)
 
-    # Exp form: exponential of the truncated divided-power sum.
+
+def point_series(monomials: Iterable[Monomial | Sequence[int]], box: TruncationBox,
+                 ctx: SampleContext) -> PointSeriesPair:
+    """The point-target series in two forms that must agree exactly.
+
+    sum form:  ``point_sum_form``,
+    exp form:  exp( sum_{k>0} sum_j Q_j^k / k(1 - q^k) ), by ``series_exp``.
+    """
+    gens = [m.exps if isinstance(m, Monomial) else tuple(int(x) for x in m)
+            for m in monomials]
+    sum_form = point_sum_form(gens, box, ctx)
+    q = ctx.q
     arg: dict[Degree, object] = {}
-    for g, w in zip(gens, weights):
+    for g in gens:
+        w = box.pairing(g)
         k = 1
         while k * w <= box.bound:
             factor = 1 - q ** k
@@ -311,11 +324,10 @@ def component_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
     The factors for j in J(alpha) have U_j(alpha) = 1, which reproduces the
     split between 1/prod(1-q^r) and the general ratio, and forces an exact
     zero outside the dual cone of alpha (a vanishing numerator factor), so
-    only the degrees inside it are tabulated.
+    only the degrees inside it are visited.
     """
-    uvals = fp.u_values(ctx.Lambda)
-    coeffs = _ratio_products(data, fp, box,
-                             lambda j, depths: ratio_table(uvals[j], depths, ctx.q))
+    factors = [ratio_factor(u, ctx.q) for u in fp.u_values(ctx.Lambda)]
+    coeffs = _ratio_products(data, fp, box, factors, Fraction(1))
     if bundle is not None:
         coeffs = {d: c * bundle_factor(data, fp, bundle, d, ctx) for d, c in coeffs.items()}
     return NovikovSeries(box, coeffs)
@@ -329,26 +341,48 @@ def component_residues(data: ToricData, fp: FixedPoint, box: TruncationBox,
     have the exact zero coefficient and are left out.  A pole of order 2 or
     more raises ``DoublePoleError``.
     """
-    uvals = fp.u_values(ctx.Lambda)
-    terms = _ratio_products(data, fp, box, lambda j, depths: root_table(uvals[j], depths, q0))
+    factors = [root_factor(u, q0) for u in fp.u_values(ctx.Lambda)]
+    terms = _ratio_products(data, fp, box, factors, LeadingTerm(0, Fraction(1)))
     return {d: term.residue() for d, term in terms.items()}
 
 
 def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
-                    table: Callable) -> dict[Degree, object]:
-    """prod_j table(j)[D_j(d)] at every box degree d in alpha's dual cone.
+                    factors: Sequence[Callable], one) -> dict[Degree, object]:
+    """prod_j prod_{r<=0} f_j(r) / prod_{r<=D_j(d)} f_j(r), f_j = ``factors[j]``, at
+    every box degree d in alpha's dual cone, by a walk in box order.
 
-    ``table(j, depths)`` maps each needed depth of column j to its ratio; it
-    is called once per column, with the depths of the kept degrees only.
+    A degree with a visited nonzero neighbour d - e_i takes its value divided
+    by f_j(r) for each r a depth D_j rises past and multiplied by f_j(r) for
+    each r it falls past: one product of small factors per big coefficient.
+    Without one it starts at depth 0 (``one``).  All factors are computed
+    first, column by column, so the first sampling pole raises before any
+    product.
     """
     kept = {}
     for d in box.degrees:
         pairing = degree_pairing(data, d)
         if all(pairing[j] >= 0 for j in fp.J):
             kept[d] = pairing
-    tables = [table(j, {pairing[j] for pairing in kept.values()}) for j in range(data.N)]
-    return {d: reduce(mul, (t[D] for t, D in zip(tables, pairing)))
-            for d, pairing in kept.items()}
+    crossed = []
+    for j, factor in enumerate(factors):
+        depths = [0] + [pairing[j] for pairing in kept.values()]
+        crossed.append({r: factor(r) for r in range(min(depths) + 1, max(depths) + 1)})
+    out: dict[Degree, object] = {}
+    for d, pairing in kept.items():
+        value, start = one, (0,) * len(crossed)
+        for i in range(data.K):
+            prev = d[:i] + (d[i] - 1,) + d[i + 1:]
+            if out.get(prev):
+                value, start = out[prev], kept[prev]
+                break
+        step = one
+        for f, a, b in zip(crossed, start, pairing):
+            for r in range(a + 1, b + 1):
+                step /= f[r]
+            for r in range(b + 1, a + 1):
+                step *= f[r]
+        out[d] = value * step
+    return out
 
 
 def assemble_series(data: ToricData, box: TruncationBox, ctx: SampleContext,
@@ -372,7 +406,6 @@ def cohomological_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
 
     u_j(p(alpha)) = 0 on J(alpha), so the r = 0 factor is the same kill rule.
     """
-    uvals = divisor_values(data, fp, ctx.Lambda)
-    coeffs = _ratio_products(data, fp, box,
-                             lambda j, depths: ratio_table(uvals[j], depths, z=ctx.z))
+    factors = [ratio_factor(u, z=ctx.z) for u in divisor_values(data, fp, ctx.Lambda)]
+    coeffs = _ratio_products(data, fp, box, factors, Fraction(1))
     return NovikovSeries(box, coeffs, mode="coh")

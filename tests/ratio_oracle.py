@@ -1,0 +1,66 @@
+"""Component coefficients as per-degree products of whole tables, for the tests.
+
+``ratio_products`` tabulates every column's universal ratio over the depths
+the box needs (``ratio_table`` at a numeric q or z, ``root_table`` for the
+leading terms at a root point q0) and multiplies the N table entries of each
+degree.  It shares the factors with ``qtoric.series``'s walk over the box,
+but none of the walk: no neighbours, no crossed depths, no zero test.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import reduce
+from operator import mul
+
+from qtoric.scalars import LeadingTerm, ratio_table, root_factor
+from qtoric.toric import degree_pairing, divisor_values
+
+
+def root_table(u_value, depths, q0) -> dict[int, LeadingTerm]:
+    """``ratio_table``'s leading terms at q = q0 (1 + eps), by the same running product."""
+    factor = root_factor(u_value, q0)
+    depths = set(depths)
+    table = {0: LeadingTerm(0, Fraction(1))}
+    value = table[0]
+    for r in range(1, max(depths, default=0) + 1):
+        value /= factor(r)
+        table[r] = value
+    value = table[0]
+    for r in range(0, min(depths, default=0), -1):
+        value *= factor(r)
+        table[r - 1] = value
+    return table
+
+
+def ratio_products(data, fp, box, table) -> dict:
+    """prod_j table(j, depths)[D_j(d)] at every box degree d in alpha's dual cone.
+
+    ``table(j, depths)`` is called once per column, in column order, with the
+    depths of the kept degrees only.
+    """
+    kept = {}
+    for d in box.degrees:
+        pairing = degree_pairing(data, d)
+        if all(pairing[j] >= 0 for j in fp.J):
+            kept[d] = pairing
+    tables = [table(j, {pairing[j] for pairing in kept.values()}) for j in range(data.N)]
+    return {d: reduce(mul, (t[D] for t, D in zip(tables, pairing)))
+            for d, pairing in kept.items()}
+
+
+def component_coefficients(data, fp, box, ctx) -> dict:
+    uvals = fp.u_values(ctx.Lambda)
+    return ratio_products(data, fp, box, lambda j, depths: ratio_table(uvals[j], depths, ctx.q))
+
+
+def cohomological_coefficients(data, fp, box, ctx) -> dict:
+    uvals = divisor_values(data, fp, ctx.Lambda)
+    return ratio_products(data, fp, box,
+                          lambda j, depths: ratio_table(uvals[j], depths, z=ctx.z))
+
+
+def residues(data, fp, box, ctx, q0) -> dict:
+    uvals = fp.u_values(ctx.Lambda)
+    terms = ratio_products(data, fp, box, lambda j, depths: root_table(uvals[j], depths, q0))
+    return {d: term.residue() for d, term in terms.items()}

@@ -1,8 +1,9 @@
 """Products of binomials 1 - q^r u at a root point against the dense route.
 
-The library reads a residue at q0 from leading terms: ``root_table`` runs the
-same product as ``ratio_table``, with each factor an order in eps = q/q0 - 1
-and a lead.  The dense ``QRational`` route expands the same coefficient into
+The library reads a residue at q0 from leading terms: each factor 1 - q^r u
+is an order in eps = q/q0 - 1 and a lead (``root_factor``), and
+``root_table`` (the tests' oracle) runs the same product as ``ratio_table``
+over them.  The dense ``QRational`` route expands the same coefficient into
 a reduced ratio of polynomials and finds the pole by polynomial division, so
 it is an independent oracle for every residue the recursion takes.
 """
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from ratio_oracle import root_table
 from qtoric.models import hirzebruch
 from qtoric.recursion import all_orbits, root_context
 from qtoric.scalars import (
@@ -23,7 +25,6 @@ from qtoric.scalars import (
     finite_ratio_sym,
     ratio_table,
     residue_at,
-    root_table,
     sample_context,
 )
 from qtoric.series import component_residues, truncation_box

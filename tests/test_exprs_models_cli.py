@@ -370,6 +370,26 @@ def test_cli_deep_expressions_are_input_errors(capsys):
         assert "(at position" in report["error"]  # an ExprError, not a crash
 
 
+@pytest.mark.parametrize("argv, phis", [
+    (["trace", "p1"], ("0^-1", "1/0", "1/(P1-P1)")),
+    (["integrate-xd", "f1", "--degree", "1,1"], ("0^-1", "1/0", "1/(p1-p1)")),
+], ids=["trace", "integrate-xd"])
+def test_cli_class_dividing_by_zero_is_an_input_error(argv, phis, capsys):
+    for phi in phis:
+        code, report = run(argv + ["--phi", phi, "--samples", "1"], capsys)
+        assert (code, report) == (2, {"error": "division by zero in class expression"}), phi
+
+
+def test_cli_class_dividing_by_zero_at_one_context_is_resampled(capsys):
+    lambda1 = sample_context(2, 5, 0).Lambda[0]
+    code, report = run(["trace", "p1", "--phi", f"1/(L1 - {lambda1})", "--samples", "1",
+                        "--seed", "5"], capsys)
+    assert code == 0 and report["ok"]
+    assert report["resamples"] == [
+        {"index": 0, "reason": "ZeroDivisorError: division by zero in class expression"}]
+    assert report["result"]["values"][0]["q"] == str(sample_context(2, 5, 1).q)
+
+
 def test_cli_rejects_vacuous_counts(tmp_path, capsys):
     for argv in (["trace", "p1", "--phi", "1", "--samples", "0"],
                  ["kirwan", "p1", "--samples", "-2"],

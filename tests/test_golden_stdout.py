@@ -1,0 +1,37 @@
+"""Byte-identical reports: the sha256 of stdout and the exit code of fixed commands.
+
+A change that moves any exact coefficient, its rendering or the report
+layout changes a digest.  Re-capture a digest only for a deliberate change
+of output, and say which and why.
+"""
+
+import hashlib
+
+import pytest
+
+from qtoric import cli
+
+GOLDEN = [
+    (["ifunction", "p2", "--deg", "12"], 0,
+     "4862f3ce1735b98ca499dfc0a735d979a2529c002bcfd5511bc22a29c7d3a3af"),
+    (["ifunction", "p2_o1_o2", "--bundle", "--deg", "8"], 0,
+     "71f2c34e79849bee426b5561c2044f08abad802c48b94d999e60b746782b50f1"),
+    (["ifunction", "p2_o1_o2_pi", "--bundle", "--deg", "8"], 0,
+     "60bc3f124a7811115ea9a0a7f81341eb268be089ceb8f713d2f844e5727d0fc7"),
+    (["ifunction", "f1", "--deg", "5"], 0,
+     "6cde0d4b1fbc3320f100079ff8d3a7840d9315e271ffde545604f8c4ef122e57"),
+    (["verify-dq", "f1", "--deg", "5"], 0,
+     "a534d3cea71c226efaece2cbbb807b01dc477a04ee16dfb2fc60e1c65b20b5d8"),
+    (["verify-coh", "p1xp1", "--deg", "4"], 0,
+     "914fea1c9f1e7e442bc16ad111a6c419268ee5061f59ced07b8cf565fd52f695"),
+    (["verify-recursion", "f1", "--m", "2", "--deg", "4"], 0,
+     "6f01eebe3041d3a80d3ca3eb599f29338ff61ff44801447d40dcb81d2de17782"),
+    (["integrate-xd", "f1", "--degree", "1,1", "--phi", "p1^2+3/2"], 0,
+     "25bc2edc0096f9c7c905b4f4c51623a832af4879d3cf551c61c729125566c27d"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(a[:2]) for a, _, _ in GOLDEN])
+def test_stdout_is_byte_identical(argv, code, digest, capsys):
+    assert cli.main(argv + ["--seed", "5", "--samples", "2"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -1,10 +1,24 @@
+import random
 from fractions import Fraction
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ratio_oracle
+from qtoric import qdiff
 from qtoric import series as series_module
-from qtoric.scalars import PoleError, TruncationError, sample_context
+from qtoric.models import (
+    bundled_model_names,
+    hirzebruch,
+    load_bundled_model,
+    product_of_lines,
+    projective_space,
+)
+from qtoric.recursion import all_orbits, root_context
+from qtoric.scalars import DoublePoleError, PoleError, TruncationError, sample_context
 from qtoric.series import (
     BundleData,
     NovikovSeries,
@@ -12,6 +26,7 @@ from qtoric.series import (
     assemble_series,
     bundle_factor,
     cohomological_series,
+    component_residues,
     component_series,
     constant_series,
     multiply,
@@ -163,6 +178,118 @@ def test_component_pole_beside_a_coincidental_zero_raises():
     with pytest.raises(PoleError) as info:
         component_series(data, fp, box, ctx)
     assert (info.value.r, info.value.value) == (2, q ** -2)
+
+
+def test_component_raises_the_first_pole_in_column_order():
+    # The same permuted F_1 with two poles: U_1 = q^{-3} has one at r = 3,
+    # reached first at d = (0, 3), and U_3 = q^{-1} one at r = 1, reached at
+    # d = (1, 0), earlier in the box.  Both routes tabulate every column's
+    # factors before any product, so both raise the column-1 pole.
+    data = ToricData(m=((-1, 1, 1, 0), (1, 0, 0, 1)), omega=(1, 1), name="f1-permuted")
+    box = truncation_box(data, 3)
+    ctx = sample_context(data.N, 43)
+    q = ctx.q
+    fp = SimpleNamespace(J=(1, 3), u_values=lambda _: (q ** -3, Fraction(1), q ** -1, Fraction(1)))
+    assert box.degrees.index((1, 0)) < box.degrees.index((0, 3))
+    raised = []
+    for route in (component_series, ratio_oracle.component_coefficients):
+        with pytest.raises(PoleError) as info:
+            route(data, fp, box, ctx)
+        raised.append((info.value.r, info.value.value))
+    assert raised == [(3, q ** -3)] * 2
+
+
+def _model(name, *blocks):
+    """The product of the toric models given by their charge matrices."""
+    width = sum(len(rows[0]) for rows in blocks)
+    m, start = [], 0
+    for rows in blocks:
+        m += [(0,) * start + row + (0,) * (width - start - len(row)) for row in rows]
+        start += len(rows[0])
+    return ToricData(m=tuple(m), omega=(1,) * len(m), name=name)
+
+
+LINE, PLANE = ((1, 1),), ((1, 1, 1),)
+
+
+def _f(a):
+    return ((1, 1, 0, -a), (0, 0, 1, 1))
+
+
+# The bundled models and the generated families of the benchmark's workloads.
+WALK_MODELS = (
+    [load_bundled_model(name).data for name in bundled_model_names()]
+    + [_model(f"f{a}", _f(a)) for a in range(6)]
+    + [_model(f"p{n}", ((1,) * (n + 1),)) for n in range(1, 6)]
+    + [_model(f"pp2_{a}{b}", ((1, 1, 1, 0, -a, -b), (0, 0, 0, 1, 1, 1)))
+       for a, b in ((0, 1), (1, 1), (0, 2), (1, 2))]
+    + [_model("p1x3", LINE, LINE, LINE), _model("p1x4", LINE, LINE, LINE, LINE),
+       _model("p1xp1xp2", LINE, LINE, PLANE), _model("p1xp2xp2", LINE, PLANE, PLANE),
+       _model("f1xp1", _f(1), LINE), _model("f2xp1", _f(2), LINE)]
+)
+WALK_BOUNDS = {1: 6, 2: 5, 3: 4, 4: 3}
+
+
+def _outcome(fn):
+    """The value of fn(), or the class and message of the error it raised."""
+    try:
+        return fn()
+    except (DoublePoleError, PoleError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("data", WALK_MODELS, ids=lambda data: data.name)
+def test_walk_matches_per_degree_products(data):
+    # The walk over the box against the per-degree products of whole tables,
+    # at every box degree: numeric q, z, and the leading terms at root points.
+    box = truncation_box(data, WALK_BOUNDS[data.K])
+    ctx = sample_context(data.N, 29)
+    for fp in enumerate_fixed_points(data):
+        for route, oracle in ((component_series, ratio_oracle.component_coefficients),
+                              (cohomological_series, ratio_oracle.cohomological_coefficients)):
+            series = route(data, fp, box, ctx)
+            expected = oracle(data, fp, box, ctx)
+            assert {d: series.coefficient(d) for d in box.degrees} == \
+                {d: expected.get(d, 0) for d in box.degrees}, (route.__name__, fp.J)
+    for orbit in all_orbits(data):
+        for m in (1, 2):
+            rctx, mu = root_context(data, orbit, m, seed=29)
+            got, expected = (_outcome(lambda: route(data, orbit.alpha, box, rctx, 1 / mu))
+                             for route in (component_residues, ratio_oracle.residues))
+            assert got == expected, (orbit.alpha.J, orbit.j0, m)
+
+
+@pytest.mark.parametrize("rows", [((-1, 1, 1, 0), (1, 0, 0, 1)), ((1, 0, 0, 1), (-1, 1, 1, 0))],
+                         ids=["f1-permuted", "f1-permuted-swapped"])
+def test_walk_matches_per_degree_products_beside_crafted_zeros_and_poles(rows):
+    # Off-point columns with U = x^k, where x = 1/q (numeric q) or x = mu (the
+    # root point q0 = 1/mu), have the factor 1 - q^r U vanish at r = k: poles
+    # (k > 0), zeros (k < 0) and, at k = 0, a zero like the kill rule's,
+    # inside alpha's dual cone.  With the rows swapped the walk reaches some
+    # degrees through a neighbour whose depth rises past that r = 0 zero.
+    data = ToricData(m=rows, omega=(1, 1), name="f1-permuted")
+    box = truncation_box(data, 4)
+    ctx = sample_context(data.N, 47)
+    mu = Fraction(5, 3)
+    routes = {
+        1 / ctx.q: (lambda fp: component_series(data, fp, box, ctx).coeffs,
+                    lambda fp: {d: c for d, c in
+                                ratio_oracle.component_coefficients(data, fp, box, ctx).items()
+                                if c != 0}),
+        mu: (lambda fp: component_residues(data, fp, box, ctx, 1 / mu),
+             lambda fp: ratio_oracle.residues(data, fp, box, ctx, 1 / mu)),
+    }
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(60):
+        ks = [rng.randint(-2, 3) if rng.random() < 0.7 else None for _ in range(2)]
+        for x, (walk, oracle) in routes.items():
+            u0, u2 = (Fraction(rng.randint(2, 9), 7) if k is None else x ** k for k in ks)
+            fp = SimpleNamespace(J=(1, 3), u_values=lambda _: (u0, Fraction(1), u2, Fraction(1)))
+            got, expected = _outcome(lambda: walk(fp)), _outcome(lambda: oracle(fp))
+            assert got == expected, (x, ks)
+            seen.add(type(got) if isinstance(got, dict) else got[0])
+    assert seen == {dict, PoleError, DoublePoleError}
 
 
 def test_component_support_is_dual_cone(all_models):
@@ -325,3 +452,50 @@ def test_series_multiply_and_exp(p1):
     assert e.coefficient((3,)) == Fraction(1, 6)
     with pytest.raises(ValueError):
         series_exp(constant_series(box))
+
+
+def exp_by_powers(s):
+    """exp(s) as sum_n s^n / n!, each power one more ``multiply``, until a power is 0."""
+    out = power = constant_series(s.box, 1, s.mode)
+    n = 0
+    while True:
+        n += 1
+        power = multiply(power, s)
+        if not power.coeffs:
+            return out
+        out = out + power.scale(Fraction(1, factorial(n)))
+
+
+@st.composite
+def sparse_arguments(draw):
+    """Two series with vanishing constant term on one rank-2 box (P^1 x P^1 or F_1)."""
+    data = draw(st.sampled_from([product_of_lines(), hirzebruch()]))
+    box = truncation_box(data, draw(st.integers(1, 5)))
+    nonzero = box.degrees[1:]
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+    def argument():
+        support = draw(st.lists(st.sampled_from(nonzero), max_size=4, unique=True))
+        return NovikovSeries(box, {d: draw(coefficients) for d in support})
+    return argument(), argument()
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=sparse_arguments())
+def test_series_exp_matches_the_power_sum(args):
+    a, b = args
+    assert series_exp(a) == exp_by_powers(a)
+    assert series_exp(a + b) == multiply(series_exp(a), series_exp(b))
+
+
+def test_gamma_reconstruction_builds_no_exponential(monkeypatch):
+    def fail(s):
+        raise AssertionError("the exp form was built")
+
+    monkeypatch.setattr(series_module, "series_exp", fail)
+    for data in (projective_space(2), hirzebruch()):
+        box = truncation_box(data, 4)
+        ctx = sample_context(data.N, 37)
+        for fp in enumerate_fixed_points(data):
+            rebuilt, direct = qdiff.gamma_reconstruction(data, fp, box, ctx)
+            assert rebuilt == direct
