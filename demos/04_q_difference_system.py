@@ -7,6 +7,7 @@ exact operator identity whose factors are 1 - q^{-r} U_j(shift word).
 """
 
 from qtoric import (
+    assemble_cohomological_series,
     assemble_series,
     gamma_reconstruction,
     sample_context,
@@ -48,6 +49,7 @@ for fp in enumerate_fixed_points(f1):
 print()
 
 print("cohomological degree-shift relations (division-free arrangement):")
+coh_family = assemble_cohomological_series(f1, box, ctx)
 for d0 in [(1, 0), (0, 1), (1, 1)]:
-    ok = verify_coh_relation(f1, d0, box, ctx)["ok"]
+    ok = verify_coh_relation(f1, d0, coh_family, ctx)["ok"]
     print(f"  Q^{d0} relation: ok = {ok}")

@@ -18,7 +18,7 @@ from qtoric import (
     verify_residue_recursion,
 )
 from qtoric.models import hirzebruch, projective_space
-from qtoric.series import BundleData, bundle_factor, component_series
+from qtoric.series import BundleData, component_series
 from qtoric.toric import enumerate_fixed_points
 
 f1 = hirzebruch()
@@ -49,9 +49,11 @@ even = BundleData(exponents=((1, 2),), parity="E")
 odd = BundleData(exponents=((1, 2),), parity="PiE")
 print("split bundle O(1) + O(2) over the plane: twisted series factors")
 fp = enumerate_fixed_points(p2)[0]
-for d in [(0,), (1,), (2,)]:
-    fe = bundle_factor(p2, fp, even, d, ctx2)
-    fo = bundle_factor(p2, fp, odd, d, ctx2)
-    print(f"  degree {d}: even factor * odd factor = {fe * fo}")
+plain = component_series(p2, fp, box2, ctx2)
 series = component_series(p2, fp, box2, ctx2, bundle=even)
+odd_series = component_series(p2, fp, box2, ctx2, bundle=odd)
+for d in [(0,), (1,), (2,)]:
+    fe = series.coefficient(d) / plain.coefficient(d)
+    fo = odd_series.coefficient(d) / plain.coefficient(d)
+    print(f"  degree {d}: even factor * odd factor = {fe * fo}")
 print(f"  twisted component constant term: {series.coefficient((0,))}")

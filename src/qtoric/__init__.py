@@ -42,10 +42,10 @@ from .models import (
 )
 from .monomials import Monomial
 from .qdiff import (
-    apply_factor,
     apply_gamma_ratio,
     apply_p,
     apply_translation,
+    apply_word,
     gamma_reconstruction,
     verify_coh_relation,
     verify_dq_system,
@@ -82,8 +82,8 @@ from .series import (
     NovikovSeries,
     TruncationBox,
     adams,
+    assemble_cohomological_series,
     assemble_series,
-    bundle_factor,
     cohomological_series,
     component_residues,
     component_series,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .models import ModelFile, ModelFormatError, resolve_model
 from .qdiff import verify_coh_relation, verify_dq_system
 from .recursion import all_orbits, orbit_data, verify_residue_recursion
 from .scalars import sample_context, with_resampling
-from .series import TruncationBox, assemble_series, truncation_box
+from .series import TruncationBox, assemble_cohomological_series, assemble_series, truncation_box
 from .toric import (
     InvalidModelError,
     degree_pairing,
@@ -226,8 +227,11 @@ def cmd_verify_coh(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
     box = _box(model, args, 4)
     basis = [tuple(1 if k == i else 0 for k in range(data.K)) for i in range(data.K)]
-    runs, resamples = _run(
-        data, seed, lambda c: [verify_coh_relation(data, d0, box, c) for d0 in basis], samples)
+
+    def check(c):
+        family = assemble_cohomological_series(data, box, c)
+        return [verify_coh_relation(data, d0, family, c) for d0 in basis]
+    runs, resamples = _run(data, seed, check, samples)
     relations = _tagged(runs)
     ok = all(r["ok"] for r in relations)
     return _report("verify-coh", model, seed, samples, {"deg": str(box.bound)},
@@ -267,7 +271,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: callers only parse with it."""
     parser = argparse.ArgumentParser(
         prog="qtoric",
         description="Exact localization data and q-series for toric quotients.",

@@ -3,10 +3,11 @@
 In the coordinate representation each Novikov variable acts by multiplication
 and each P_i by the shift Q_i -> q Q_i followed by multiplication with the
 fixed-point value P_i(alpha); the commutation P_i Q_i = q Q_i P_i holds on the
-nose.  So the U_j words act diagonally: a relation factor 1 - q^{-r} U_j
-scales the coefficient at Q^d by 1 - q^{sum_i m_ij d_i - r} prod_i
-P_i(alpha)^{m_ij} / Lambda_j, read from the P-monomials and the matrix rather
-than from U_j(alpha) and D_j(d), which build the components it checks.
+nose.  So the U_j words act diagonally: a relation word scales the
+coefficient at Q^d once, by the product over its factors 1 - q^{-r} U_j of
+1 - q^{sum_i m_ij d_i - r} prod_i P_i(alpha)^{m_ij} / Lambda_j, read from the
+P-monomials and the matrix rather than from U_j(alpha) and D_j(d), which
+build the components it checks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .scalars import SampleContext, TruncationError, ratio_table
 from .series import (
     NovikovSeries,
     TruncationBox,
-    cohomological_series,
     component_series,
     point_sum_form,
 )
@@ -55,21 +55,26 @@ def apply_p(series: NovikovSeries, i: int, fp: FixedPoint, ctx: SampleContext,
     return out
 
 
-def apply_factor(series: NovikovSeries, data: ToricData, fp: FixedPoint, j: int,
-                 r: int, ctx: SampleContext) -> NovikovSeries:
-    """One relation factor 1 - q^{-r} U_j, applied in one diagonal pass.
+def apply_word(series: NovikovSeries, data: ToricData, fp: FixedPoint,
+               factors: Sequence[tuple[int, int]], ctx: SampleContext) -> NovikovSeries:
+    """The relation word prod (1 - q^{-r} U_j) over ``factors``' (j, r) pairs, in one pass.
 
     U_j = prod_i P_i^{m_ij} / Lambda_j, and each P_i translates Q_i -> q Q_i
-    and scales by P_i(alpha), so the coefficient at d is multiplied by
+    and scales by P_i(alpha), so at each degree d the coefficient is
+    multiplied once by the product of the small multipliers
     1 - q^{sum_i m_ij d_i - r} prod_i P_i(alpha)^{m_ij} / Lambda_j.  Taking
-    it from the P-monomials (the operator side), not from U_j(alpha) or the
+    them from the P-monomials (the operator side), not from U_j(alpha) or the
     pairings D_j(d), keeps the check independent of the components.
     """
-    column = [row[j] for row in data.m]
-    weight = prod((p ** mij for mij, p in zip(column, fp.p_values(ctx.Lambda))),
-                  start=1 / ctx.Lambda[j])
-    return series.map_with_degree(
-        lambda d, c: c * (1 - ctx.q ** (sum(m * x for m, x in zip(column, d)) - r) * weight))
+    pvals = fp.p_values(ctx.Lambda)
+    columns = [[row[j] for row in data.m] for j, _ in factors]
+    terms = [(column, r, prod(map(pow, pvals, column), start=1 / ctx.Lambda[j]))
+             for column, (j, r) in zip(columns, factors)]
+
+    def multiplier(d):
+        return prod(1 - ctx.q ** (sum(m * x for m, x in zip(column, d)) - r) * weight
+                    for column, r, weight in terms)
+    return series.map_with_degree(lambda d, c: c * multiplier(d))
 
 
 def shift_by_degree(series: NovikovSeries, d0: Sequence[int]) -> NovikovSeries:
@@ -92,14 +97,8 @@ class CheckResult:
     failures: list
 
     def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "ok": self.ok,
-            "failures": [
-                {"degree": list(d), "lhs": str(a), "rhs": str(b)}
-                for d, a, b in self.failures
-            ],
-        }
+        failures = [{"degree": list(d), "lhs": str(a), "rhs": str(b)} for d, a, b in self.failures]
+        return {"label": self.label, "ok": self.ok, "failures": failures}
 
 
 def _compare(label: str, lhs: NovikovSeries, rhs: NovikovSeries,
@@ -154,13 +153,8 @@ def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], Novik
         )
     for fp in enumerate_fixed_points(data):
         series = family[fp.J]
-        lhs = series
-        for j, r in lhs_factors:
-            lhs = apply_factor(lhs, data, fp, j, r, ctx)
-        pre = series
-        for j, r in rhs_factors:
-            pre = apply_factor(pre, data, fp, j, r, ctx)
-        rhs = shift_by_degree(pre, e_i)
+        lhs = apply_word(series, data, fp, lhs_factors, ctx)
+        rhs = shift_by_degree(apply_word(series, data, fp, rhs_factors, ctx), e_i)
         name = f"relation Q_{shift_i+1} at alpha={tuple(j + 1 for j in fp.J)}"
         checks.append(_compare(name, lhs, rhs, box.degrees))
     return {"ok": all(c.ok for c in checks), "checks": [c.as_dict() for c in checks]}
@@ -188,15 +182,12 @@ def gamma_reconstruction(data: ToricData, fp: FixedPoint, box: TruncationBox,
     component series exactly.  Only the sum form is built: its agreement with
     the q-exponential is ``point_series``'s own check.
     """
-    sum_form = point_sum_form(fp.q_monomials, box, ctx)
+    rebuilt = point_sum_form(fp.q_monomials, box, ctx)
     uvals = fp.u_values(ctx.Lambda)
-    rebuilt = sum_form
     for j in range(data.N):
-        if j in fp.J:
-            continue
-        rebuilt = apply_gamma_ratio(rebuilt, data, j, uvals[j], ctx)
-    direct = component_series(data, fp, box, ctx)
-    return rebuilt, direct
+        if j not in fp.J:
+            rebuilt = apply_gamma_ratio(rebuilt, data, j, uvals[j], ctx)
+    return rebuilt, component_series(data, fp, box, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -204,40 +195,36 @@ def gamma_reconstruction(data: ToricData, fp: FixedPoint, box: TruncationBox,
 # ---------------------------------------------------------------------------
 
 
-def verify_coh_relation(data: ToricData, d0: Sequence[int], box: TruncationBox,
+def verify_coh_relation(data: ToricData, d0: Sequence[int],
+                        family: dict[tuple[int, ...], NovikovSeries],
                         ctx: SampleContext) -> dict:
-    """Check Q^{d0} I = (relation word) I on every cohomological component.
+    """Check Q^{d0} I = (relation word) I on every cohomological component in ``family``.
 
     The relation word for column j with D_j(d0) = step contributes
     prod_{s=0}^{step-1}(u-op + s z), and for step < 0 the inverse finite
     product prod_{s=1}^{-step}(u-op - s z)^{-1}; the degree reading acts as
-    u_j(alpha) - z D_j(d).  The inverse factors are moved across the equation
-    so the comparison stays division-free:
+    u_j(alpha) - z D_j(d).  The inverse factors move across the equation, so the
+    comparison stays division-free; each side meets the coefficient as one product:
 
         prod_{step_j < 0} [...] (Q^{d0} I)  =  prod_{step_j > 0} [...] I.
     """
     d0 = tuple(int(x) for x in d0)
     steps = degree_pairing(data, d0)
     checks = []
+    box = next(iter(family.values())).box
     for fp in enumerate_fixed_points(data):
-        series = cohomological_series(data, fp, box, ctx)
+        series = family[fp.J]
         uvals = divisor_values(data, fp, ctx.Lambda)
         failures = []
         for d in box.degrees:
-            pairing = degree_pairing(data, d)
-            rhs = series.coefficient(d)
             try:
                 lhs = series.coefficient(tuple(x - y for x, y in zip(d, d0)))
             except TruncationError:
                 continue
-            for j in range(data.N):
-                base = uvals[j] - pairing[j] * ctx.z
-                if steps[j] > 0:
-                    for s in range(steps[j]):
-                        rhs *= base + s * ctx.z
-                elif steps[j] < 0:
-                    for s in range(1, -steps[j] + 1):
-                        lhs *= base - s * ctx.z
+            bases = [u - D * ctx.z for u, D in zip(uvals, degree_pairing(data, d))]
+            lhs *= prod(b - s * ctx.z for b, step in zip(bases, steps) for s in range(1, 1 - step))
+            rhs = series.coefficient(d) * prod(b + s * ctx.z
+                                               for b, step in zip(bases, steps) for s in range(step))
             if lhs != rhs:
                 failures.append((d, lhs, rhs))
         checks.append(CheckResult(

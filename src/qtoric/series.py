@@ -5,10 +5,11 @@ context.  A component coefficient is a product over the columns of one
 universal finite ratio, built by a walk over the box: a degree takes a
 neighbour's coefficient times the few factors 1 - q^r u its depths cross
 (``scalars.ratio_factor``); degrees off the fixed point's dual cone are exact
-zeros and are never visited.  The residues of a component at a root point q0
-come from the same walk over the factors' leading terms (``scalars.root_factor``);
-the q-exponential is one pass of its Euler recurrence.  Everything is
-localized: a global series is the family of its components, never a mixed object.
+zeros and are never visited; a bundle summand is one more column (inverted
+for PiE).  The residues of a component at a root point q0 come from the same
+walk over the factors' leading terms (``scalars.root_factor``); the q-exponential
+is one pass of its Euler recurrence.  Everything is localized: a global series
+is the family of its components, never a mixed object.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .monomials import Monomial
@@ -24,7 +26,6 @@ from .scalars import (
     PoleError,
     SampleContext,
     TruncationError,
-    finite_ratio,
     ratio_factor,
     ratio_table,
     root_factor,
@@ -217,21 +218,13 @@ class BundleData:
 
     def delta(self, d: Sequence[int]) -> tuple[int, ...]:
         """Delta_a(d) = sum_i d_i l_ia."""
-        return tuple(
-            sum(int(d[i]) * self.exponents[i][a] for i in range(len(self.exponents)))
-            for a in range(self.L)
-        )
+        return tuple(sum(int(x) * row[a] for x, row in zip(d, self.exponents))
+                     for a in range(self.L))
 
     def fiber_values(self, p_values: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = []
-        for a in range(self.L):
-            v = Fraction(1)
-            for i, p in enumerate(p_values):
-                e = self.exponents[i][a]
-                if e:
-                    v *= Fraction(p) ** e
-            out.append(v)
-        return tuple(out)
+        """V_a(alpha) = prod_i P_i(alpha)^{l_ia}."""
+        return tuple(prod((Fraction(p) ** row[a] for p, row in zip(p_values, self.exponents)),
+                          start=Fraction(1)) for a in range(self.L))
 
 
 class PointSeriesPair(NamedTuple):
@@ -298,39 +291,40 @@ def point_series(monomials: Iterable[Monomial | Sequence[int]], box: TruncationB
     return PointSeriesPair(sum_form=sum_form, exp_form=exp_form)
 
 
-def bundle_factor(data: ToricData, fp: FixedPoint, bundle: BundleData,
-                  d: Sequence[int], ctx: SampleContext) -> Fraction:
-    """The fiber contribution at one degree: prod_a finite_ratio(lam V_a, Delta_a)^{+-1}."""
-    pvals = fp.p_values(ctx.Lambda)
-    fibers = bundle.fiber_values(pvals)
-    deltas = bundle.delta(d)
-    out = Fraction(1)
-    for a in range(bundle.L):
-        fr = finite_ratio(ctx.lam * fibers[a], deltas[a], ctx.q)
-        if bundle.parity == "E":
-            out = out * fr
-        else:
-            if fr == 0:
-                raise PoleError(0, ctx.lam * fibers[a])
-            out = out / fr
-    return out
-
-
 def component_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
                      ctx: SampleContext, bundle: BundleData | None = None) -> NovikovSeries:
     """The fixed-point component: coefficient of Q^d is
-    prod_j finite_ratio(U_j(alpha), D_j(d), q), times the bundle factors.
+    prod_j finite_ratio(U_j(alpha), D_j(d), q), times the bundle factors
+    finite_ratio(lam V_a(alpha), Delta_a(d), q)^{+-1} (+ for E, - for PiE).
 
     The factors for j in J(alpha) have U_j(alpha) = 1, which reproduces the
     split between 1/prod(1-q^r) and the general ratio, and forces an exact
     zero outside the dual cone of alpha (a vanishing numerator factor), so
-    only the degrees inside it are visited.
+    only the degrees inside it are visited.  Each bundle summand is one more
+    column of the walk (``_FibreColumn``).
     """
     factors = [ratio_factor(u, ctx.q) for u in fp.u_values(ctx.Lambda)]
-    coeffs = _ratio_products(data, fp, box, factors, Fraction(1))
+    fibres = None
     if bundle is not None:
-        coeffs = {d: c * bundle_factor(data, fp, bundle, d, ctx) for d, c in coeffs.items()}
-    return NovikovSeries(box, coeffs)
+        fibres = bundle.delta, [_FibreColumn(ctx.lam * v, ctx.q, bundle.parity == "PiE")
+                                for v in bundle.fiber_values(fp.p_values(ctx.Lambda))]
+    return NovikovSeries(box, _ratio_products(data, fp, box, factors, Fraction(1), fibres))
+
+
+class _FibreColumn(dict):
+    """A bundle summand's factors 1 - q^r u, each computed as the walk first crosses
+    it; for PiE their reciprocals, and one vanishing (r <= 0) is ``PoleError(0, u)``."""
+
+    def __init__(self, u_value, q, invert: bool):
+        super().__init__()
+        self.u_value, self.factor, self.invert = u_value, ratio_factor(u_value, q), invert
+
+    def __missing__(self, r):
+        f = self.factor(r)
+        if self.invert and f == 0:
+            raise PoleError(0, self.u_value)
+        self[r] = 1 / f if self.invert else f
+        return self[r]
 
 
 def component_residues(data: ToricData, fp: FixedPoint, box: TruncationBox,
@@ -347,7 +341,7 @@ def component_residues(data: ToricData, fp: FixedPoint, box: TruncationBox,
 
 
 def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
-                    factors: Sequence[Callable], one) -> dict[Degree, object]:
+                    factors: Sequence[Callable], one, fibres=None) -> dict[Degree, object]:
     """prod_j prod_{r<=0} f_j(r) / prod_{r<=D_j(d)} f_j(r), f_j = ``factors[j]``, at
     every box degree d in alpha's dual cone, by a walk in box order.
 
@@ -356,7 +350,10 @@ def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
     each r it falls past: one product of small factors per big coefficient.
     Without one it starts at depth 0 (``one``).  All factors are computed
     first, column by column, so the first sampling pole raises before any
-    product.
+    product.  ``fibres``, a pair (Delta, columns), adds column a at depth
+    Delta(d)[a], its factors computed as first crossed: a degree crosses
+    every r between its start depth and its own, so a fibre pole raises at
+    the first degree in box order, then fibre order, that reaches it.
     """
     kept = {}
     for d in box.degrees:
@@ -367,6 +364,10 @@ def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
     for j, factor in enumerate(factors):
         depths = [0] + [pairing[j] for pairing in kept.values()]
         crossed.append({r: factor(r) for r in range(min(depths) + 1, max(depths) + 1)})
+    if fibres is not None:
+        delta, columns = fibres
+        kept = {d: pairing + delta(d) for d, pairing in kept.items()}
+        crossed += columns
     out: dict[Degree, object] = {}
     for d, pairing in kept.items():
         value, start = one, (0,) * len(crossed)
@@ -409,3 +410,9 @@ def cohomological_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
     factors = [ratio_factor(u, z=ctx.z) for u in divisor_values(data, fp, ctx.Lambda)]
     coeffs = _ratio_products(data, fp, box, factors, Fraction(1))
     return NovikovSeries(box, coeffs, mode="coh")
+
+
+def assemble_cohomological_series(data: ToricData, box: TruncationBox,
+                                  ctx: SampleContext) -> dict[tuple[int, ...], NovikovSeries]:
+    """The indexed family of all cohomological components."""
+    return {fp.J: cohomological_series(data, fp, box, ctx) for fp in enumerate_fixed_points(data)}

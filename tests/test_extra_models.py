@@ -16,7 +16,12 @@ from qtoric.localization import cohomology_integral, ktheory_trace
 from qtoric.qdiff import gamma_reconstruction, verify_coh_relation, verify_dq_system
 from qtoric.recursion import all_orbits, verify_residue_recursion
 from qtoric.scalars import sample_context, with_resampling
-from qtoric.series import assemble_series, point_series, truncation_box
+from qtoric.series import (
+    assemble_cohomological_series,
+    assemble_series,
+    point_series,
+    truncation_box,
+)
 from qtoric.toric import ToricData, degree_pairing, enumerate_fixed_points
 
 SWAPPED_QUADRIC = ToricData(m=((0, 0, 1, 1), (1, 1, 0, 0)),
@@ -85,9 +90,10 @@ def test_coh_relations():
         bound = 2 if data.K == 3 else 3
         box = truncation_box(data, bound)
         ctx = sample_context(data.N, 17)
+        family = assemble_cohomological_series(data, box, ctx)
         for i in range(data.K):
             d0 = tuple(1 if k == i else 0 for k in range(data.K))
-            assert verify_coh_relation(data, d0, box, ctx)["ok"], (data.name, d0)
+            assert verify_coh_relation(data, d0, family, ctx)["ok"], (data.name, d0)
 
 
 def test_orbit_invariants_and_counts():

@@ -29,9 +29,33 @@ GOLDEN = [
     (["integrate-xd", "f1", "--degree", "1,1", "--phi", "p1^2+3/2"], 0,
      "25bc2edc0096f9c7c905b4f4c51623a832af4879d3cf551c61c729125566c27d"),
 ]
+# Larger bounds: the bundle walk over 21 degrees, and a word of every F_1 row.
+LARGER = [
+    (["ifunction", "p2_o1_o2", "--bundle", "--deg", "20"], 0,
+     "e76b31bffbcf503c56ac62ef619d16250d4f2ed5a81be547e59f5e9f69b17f35"),
+    (["ifunction", "p2_o1_o2_pi", "--bundle", "--deg", "20"], 0,
+     "a83d7f59c36bd2a6b1133335216d60aec49705bc81c64ad221d1f86d3025007c"),
+    (["verify-dq", "f1", "--deg", "8"], 0,
+     "9554c6fdb7f848f99ab34d630b04d161f5d773a2805cf3a96b5a843a9a72e78a"),
+    (["verify-coh", "p1xp1", "--deg", "6"], 0,
+     "8faf2aa4f68a4e72f217a97bba3b5973c1a8684ad6804ecaeaf2ca54c2287baa"),
+]
 
 
-@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(a[:2]) for a, _, _ in GOLDEN])
+@pytest.mark.parametrize("argv, code, digest", GOLDEN + LARGER,
+                         ids=[" ".join(a[:2]) for a, _, _ in GOLDEN]
+                         + [" ".join(a) for a, _, _ in LARGER])
 def test_stdout_is_byte_identical(argv, code, digest, capsys):
     assert cli.main(argv + ["--seed", "5", "--samples", "2"]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_a_rejected_command_leaves_the_next_report_unchanged(capsys):
+    # The parser is built once per process: an argparse failure in one call
+    # (trace needs --phi) must not leak into the next call's report.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["trace", "p1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv, code, digest = GOLDEN[4]
+    test_stdout_is_byte_identical(argv, code, digest, capsys)

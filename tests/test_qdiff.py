@@ -7,10 +7,10 @@ import pytest
 import qtoric.series
 from qtoric.models import bundled_model_names, load_bundled_model
 from qtoric.qdiff import (
-    apply_factor,
     apply_gamma_ratio,
     apply_p,
     apply_translation,
+    apply_word,
     gamma_reconstruction,
     shift_by_degree,
     verify_coh_relation,
@@ -20,8 +20,8 @@ from qtoric.qdiff import (
 from qtoric.scalars import TruncationError, finite_ratio, sample_context
 from qtoric.series import (
     NovikovSeries,
+    assemble_cohomological_series,
     assemble_series,
-    cohomological_series,
     constant_series,
     truncation_box,
 )
@@ -128,7 +128,7 @@ def test_operators_never_enlarge_support(f1):
     s = NovikovSeries(box, {(1, 0): Fraction(2), (0, 1): Fraction(3)})
     for out in (apply_translation(s, 0, ctx.q),
                 apply_p(s, 0, fp, ctx),
-                apply_factor(s, f1, fp, 1, 0, ctx),
+                apply_word(s, f1, fp, [(1, 0)], ctx),
                 apply_gamma_ratio(s, f1, 1, Fraction(2, 5), ctx)):
         assert set(out.support()) <= set(s.support())
     shifted = shift_by_degree(s, (1, 0))
@@ -147,8 +147,30 @@ def test_diagonal_factor_matches_the_operator_word(name):
             s = random_series(box, trial)
             for j in range(data.N):
                 for r in (-1, 0, 1):
-                    assert (apply_factor(s, data, fp, j, r, ctx)
+                    assert (apply_word(s, data, fp, [(j, r)], ctx)
                             == u_word_factor(s, data, fp, j, r, ctx)), (fp.J, j, r)
+
+
+@pytest.mark.parametrize("name", [*bundled_model_names(), "dp6"])
+def test_a_word_equals_its_factors(name, request):
+    # Each row's full word (every (j, r) with 0 <= r < |m_ij|), and the same
+    # word with every r raised by one, in one pass against the composition of
+    # its one-factor words and against its apply_p words.
+    data = request.getfixturevalue(name) if name == "dp6" else load_bundled_model(name).data
+    box = truncation_box(data, 3)
+    ctx = sample_context(data.N, 79)
+    s = random_series(box, 5)
+    for fp in enumerate_fixed_points(data):
+        for row in data.m:
+            full = [(j, r) for j, mij in enumerate(row) for r in range(abs(mij))]
+            for word in (full, [(j, r + 1) for j, r in full]):
+                one_pass = apply_word(s, data, fp, word, ctx)
+                composed = operator_word = s
+                for j, r in word:
+                    composed = apply_word(composed, data, fp, [(j, r)], ctx)
+                    operator_word = u_word_factor(operator_word, data, fp, j, r, ctx)
+                assert one_pass == composed == operator_word, (fp.J, word)
+                assert one_pass != apply_word(s, data, fp, word[1:], ctx), (fp.J, word)
 
 
 @pytest.mark.parametrize("name", bundled_model_names())
@@ -196,11 +218,12 @@ def test_checks_fail_when_the_series_pairing_is_wrong(name, monkeypatch):
     _off_by_one_pairing(monkeypatch)
     assert not verify_dq_system(data, assemble_series(data, box, ctx), ctx)["ok"]
     e_1 = tuple(1 if k == 0 else 0 for k in range(data.K))
-    assert not verify_coh_relation(data, e_1, box, ctx)["ok"]
+    family = assemble_cohomological_series(data, box, ctx)
+    assert not verify_coh_relation(data, e_1, family, ctx)["ok"]
 
 
 @pytest.mark.parametrize("name", ["p2", "f1"])
-def test_checks_report_a_doubled_coefficient(name, monkeypatch):
+def test_checks_report_a_doubled_coefficient(name):
     data = load_bundled_model(name).data
     box = truncation_box(data, 4)
     ctx = sample_context(data.N, 101)
@@ -210,14 +233,9 @@ def test_checks_report_a_doubled_coefficient(name, monkeypatch):
     report = verify_dq_system(data, family, ctx)
     assert not report["ok"]
     assert d in _failed_degrees(report)
-
-    def doubled_at_fp(data, point, *args):
-        series = cohomological_series(data, point, *args)
-        return _doubled(series)[0] if point.J == fp.J else series
-
-    monkeypatch.setattr("qtoric.qdiff.cohomological_series", doubled_at_fp)
-    d_coh = _doubled(cohomological_series(data, fp, box, ctx))[1]
-    reports = [verify_coh_relation(data, tuple(int(k == i) for k in range(data.K)), box, ctx)
+    coh = assemble_cohomological_series(data, box, ctx)
+    coh[fp.J], d_coh = _doubled(coh[fp.J])
+    reports = [verify_coh_relation(data, tuple(int(k == i) for k in range(data.K)), coh, ctx)
                for i in range(data.K)]
     assert not any(r["ok"] for r in reports)
     assert d_coh in set().union(*map(_failed_degrees, reports))
@@ -239,7 +257,7 @@ def test_dq_degree_zero_shell(p1):
     ctx = sample_context(p1.N, 23)
     fp = fixed_point(p1, (0,))
     series = assemble_series(p1, box, ctx)[fp.J]
-    lhs = apply_factor(apply_factor(series, p1, fp, 0, 0, ctx), p1, fp, 1, 0, ctx)
+    lhs = apply_word(series, p1, fp, [(0, 0), (1, 0)], ctx)
     assert lhs.coefficient((0,)) == 0
 
 
@@ -269,9 +287,9 @@ def test_factor_commutes_through_the_shift(f1):
             e_i = tuple(1 if k == i else 0 for k in range(f1.K))
             for j in range(f1.N):
                 for r in (-1, 0, 1):
-                    after = apply_factor(shift_by_degree(s, e_i), f1, fp, j, r, ctx)
+                    after = apply_word(shift_by_degree(s, e_i), f1, fp, [(j, r)], ctx)
                     before = shift_by_degree(
-                        apply_factor(s, f1, fp, j, r - f1.m[i][j], ctx), e_i)
+                        apply_word(s, f1, fp, [(j, r - f1.m[i][j])], ctx), e_i)
                     assert after == before, (fp.J, i, j, r)
 
 
@@ -307,13 +325,14 @@ def test_coh_relations(p1, f1):
     for data in (p1, f1):
         box = truncation_box(data, 4)
         ctx = sample_context(data.N, 47)
+        family = assemble_cohomological_series(data, box, ctx)
         for i in range(data.K):
             d0 = tuple(1 if k == i else 0 for k in range(data.K))
-            assert verify_coh_relation(data, d0, box, ctx)["ok"]
+            assert verify_coh_relation(data, d0, family, ctx)["ok"]
     # a non-basis direction and a negative direction
-    box = truncation_box(f1, 4)
     ctx = sample_context(f1.N, 53)
-    assert verify_coh_relation(f1, (1, 1), box, ctx)["ok"]
-    boxn = truncation_box(p1, 4)
+    family = assemble_cohomological_series(f1, truncation_box(f1, 4), ctx)
+    assert verify_coh_relation(f1, (1, 1), family, ctx)["ok"]
     ctxn = sample_context(p1.N, 59)
-    assert verify_coh_relation(p1, (-1,), boxn, ctxn)["ok"]
+    family = assemble_cohomological_series(p1, truncation_box(p1, 4), ctxn)
+    assert verify_coh_relation(p1, (-1,), family, ctxn)["ok"]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratio_oracle
-from qtoric import qdiff
+from qtoric import qdiff, scalars
 from qtoric import series as series_module
 from qtoric.models import (
     bundled_model_names,
@@ -24,7 +25,6 @@ from qtoric.series import (
     NovikovSeries,
     adams,
     assemble_series,
-    bundle_factor,
     cohomological_series,
     component_residues,
     component_series,
@@ -366,9 +366,138 @@ def test_bundle_reciprocity_and_normalization(p2):
         sP = component_series(p2, fp, box, ctx, bundle=odd)
         assert sE.coefficient(zero) == 1 and sP.coefficient(zero) == 1
         for d in box.degrees:
-            fE = bundle_factor(p2, fp, even, d, ctx)
-            fP = bundle_factor(p2, fp, odd, d, ctx)
+            fE = ratio_oracle.bundle_factor(p2, fp, even, d, ctx)
+            fP = ratio_oracle.bundle_factor(p2, fp, odd, d, ctx)
             assert fE * fP == 1
+
+
+# Split bundles for the walk: (base, fibre exponents, K rows by L summands).
+BUNDLES = [
+    ("p2", ((1, 2),)),                 # O(1) + O(2) over P^2
+    ("p2", ((-1, 2),)),                # O(-1) + O(2): a negative fibre degree
+    ("p1", ((-2, 1),)),                # O(-2) + O(1) over P^1
+    ("f1", ((1, -1), (2, 1))),         # F_1, a 2-row block with a negative entry
+    ("p1xp1", ((1, 0), (1, 1))),       # P^1 x P^1
+]
+BUNDLE_BASES = {"p1": projective_space(1), "p2": projective_space(2), "f1": hirzebruch(),
+                "p1xp1": product_of_lines()}
+
+
+@pytest.mark.parametrize("parity", ["E", "PiE"])
+@pytest.mark.parametrize("base, exponents", BUNDLES, ids=lambda x: str(x))
+def test_bundle_walk_matches_the_oracle(base, exponents, parity):
+    # The fibres as walk columns against the per-degree oracle (the component
+    # times bundle_factor), at every box degree.
+    data = BUNDLE_BASES[base]
+    bundle = BundleData(exponents=exponents, parity=parity)
+    box = truncation_box(data, 8 if data.K == 1 else 5)
+    ctx = sample_context(data.N, 31)
+    for fp in enumerate_fixed_points(data):
+        series = component_series(data, fp, box, ctx, bundle=bundle)
+        expected = ratio_oracle.bundle_coefficients(data, fp, box, ctx, bundle)
+        assert {d: series.coefficient(d) for d in box.degrees} == \
+            {d: expected.get(d, 0) for d in box.degrees}, fp.J
+
+
+@pytest.mark.parametrize("base, exponents", BUNDLES, ids=lambda x: str(x))
+def test_bundle_reciprocity_through_the_walk(base, exponents):
+    # E * PiE = (untwisted)^2 at every box degree.
+    data = BUNDLE_BASES[base]
+    box = truncation_box(data, 8 if data.K == 1 else 5)
+    ctx = sample_context(data.N, 37)
+    for fp in enumerate_fixed_points(data):
+        plain, even, odd = (component_series(data, fp, box, ctx, bundle=bundle) for bundle in
+                            (None, BundleData(exponents, "E"), BundleData(exponents, "PiE")))
+        for d in box.degrees:
+            assert even.coefficient(d) * odd.coefficient(d) == plain.coefficient(d) ** 2, d
+
+
+def _crafted_fibres(p2, toric, s, t):
+    """A fixed point of P^2 (J = (0,)) with the given off-point U values, P(alpha) = q^t,
+    and a context with lam = q^s: summand a of exponent l_a has lam V_a = q^(s + t l_a),
+    so its factor 1 - q^r lam V_a vanishes at r = -(s + t l_a)."""
+    ctx = sample_context(p2.N, 43)
+    fp = SimpleNamespace(J=(0,), u_values=lambda _: (Fraction(1), *toric),
+                         p_values=lambda _: (ctx.q ** t,))
+    return fp, replace(ctx, lam=ctx.q ** s)
+
+
+def test_bundle_walk_raises_the_oracles_first_error_at_crafted_poles(p2):
+    # Fibre factors vanishing at r > 0 (an E or PiE pole), at r <= 0 (a PiE
+    # pole, an E zero) and beside toric poles: the walk raises what the
+    # per-degree oracle raises first (toric columns, then box order, then
+    # fibre order), or gives its coefficients.
+    box = truncation_box(p2, 7)
+    q = sample_context(p2.N, 43).q
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(150):
+        toric = [q ** -rng.randint(1, 9) if rng.random() < 0.15
+                 else Fraction(rng.randint(2, 9), 7) for _ in range(2)]
+        fp, ctx = _crafted_fibres(p2, toric, rng.randint(-6, 3), rng.randint(-3, 3))
+        bundle = BundleData(exponents=(rng.choice([(1, 2), (2, 1), (-1, 2), (1, -1)]),),
+                            parity=rng.choice(["E", "PiE"]))
+        got = _outcome(lambda: component_series(p2, fp, box, ctx, bundle=bundle).coeffs)
+        expected = _outcome(lambda: {
+            d: c for d, c in ratio_oracle.bundle_coefficients(p2, fp, box, ctx, bundle).items()
+            if c != 0})
+        assert got == expected, (toric, bundle)
+        seen.add(dict if isinstance(got, dict) else "r = 0" if " q^0 " in got[1] else "r > 0")
+    assert seen == {dict, "r > 0", "r = 0"}, seen
+
+
+def test_bundle_poles_reached_in_the_opposite_order_of_the_fibres(p2):
+    # Summand 0 (Delta = d) vanishes at r = 4, summand 1 (Delta = 2d) at r = 5:
+    # degree 3 reaches summand 1's pole first, so it is the one raised.
+    box = truncation_box(p2, 6)
+    fp, ctx = _crafted_fibres(p2, (Fraction(2, 7), Fraction(3, 7)), -3, -1)
+    for parity in ("E", "PiE"):
+        bundle = BundleData(exponents=((1, 2),), parity=parity)
+        with pytest.raises(PoleError) as exc:
+            component_series(p2, fp, box, ctx, bundle=bundle)
+        assert (exc.value.r, exc.value.value) == (5, ctx.q ** -5)
+        assert _outcome(lambda: ratio_oracle.bundle_coefficients(p2, fp, box, ctx, bundle)) \
+            == (PoleError, str(exc.value))
+
+
+def test_bundle_pie_zero_at_nonpositive_r_is_a_pole(p2):
+    # O(-1): Delta = -d crosses r = 0 at d = 1, where lam V = 1; E keeps the
+    # zero (every coefficient past degree 0 vanishes), PiE raises PoleError(0, 1).
+    box = truncation_box(p2, 4)
+    fp, ctx = _crafted_fibres(p2, (Fraction(2, 7), Fraction(3, 7)), 1, 1)
+    even = component_series(p2, fp, box, ctx, bundle=BundleData(((-1, 0),), "E"))
+    assert even.support() == ((0,),)
+    with pytest.raises(PoleError) as exc:
+        component_series(p2, fp, box, ctx, bundle=BundleData(((-1, 0),), "PiE"))
+    assert (exc.value.r, exc.value.value) == (0, 1)
+
+
+def test_bundle_factor_count_is_linear_in_the_bound(p2, monkeypatch):
+    # Every factor 1 - q^r u the component evaluates, toric and fibre: a walk
+    # computes each crossed factor once, so doubling the bound doubles the count.
+    calls = []
+    honest = scalars.ratio_factor
+
+    def counting(*args, **kwargs):
+        factor = honest(*args, **kwargs)
+
+        def counted(r):
+            calls.append(r)
+            return factor(r)
+        return counted
+
+    monkeypatch.setattr(scalars, "ratio_factor", counting)
+    monkeypatch.setattr(series_module, "ratio_factor", counting)
+    ctx = sample_context(p2.N, 53)
+    fp = enumerate_fixed_points(p2)[0]
+    counts = {}
+    for bound in (20, 40):
+        calls.clear()
+        for parity in ("E", "PiE"):
+            component_series(p2, fp, truncation_box(p2, bound), ctx,
+                             bundle=BundleData(((1, 2),), parity))
+        counts[bound] = len(calls)
+    assert 0 < counts[40] <= 2 * counts[20], counts
 
 
 def test_bundle_delta():
