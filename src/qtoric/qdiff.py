@@ -7,12 +7,16 @@ nose.  So the U_j words act diagonally: a relation word scales the
 coefficient at Q^d once, by the product over its factors 1 - q^{-r} U_j of
 1 - q^{sum_i m_ij d_i - r} prod_i P_i(alpha)^{m_ij} / Lambda_j, read from the
 P-monomials and the matrix rather than from U_j(alpha) and D_j(d), which
-build the components it checks.
+build the components it checks.  The checks compute their own exponents and
+depths (never the box's cached pairings), and build each distinct multiplier
+or product of small factors once per call, so a degree costs one lookup and
+one big-by-small product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 from typing import Sequence
 
@@ -61,20 +65,24 @@ def apply_word(series: NovikovSeries, data: ToricData, fp: FixedPoint,
 
     U_j = prod_i P_i^{m_ij} / Lambda_j, and each P_i translates Q_i -> q Q_i
     and scales by P_i(alpha), so at each degree d the coefficient is
-    multiplied once by the product of the small multipliers
-    1 - q^{sum_i m_ij d_i - r} prod_i P_i(alpha)^{m_ij} / Lambda_j.  Taking
-    them from the P-monomials (the operator side), not from U_j(alpha) or the
-    pairings D_j(d), keeps the check independent of the components.
+    multiplied once by the product over the factors t = (j, r) of
+    1 - q^{k_t - r} w_t, with k_t = sum_i m_ij d_i read from column j of the
+    matrix and w_t = prod_i P_i(alpha)^{m_ij} / Lambda_j from the P-monomials
+    (the operator side), not from U_j(alpha) or the pairings D_j(d), which
+    keeps the check independent of the components.  The multiplier depends
+    on d only through the exponent tuple (k_t), so each distinct tuple's
+    product is built once per call and looked up at every later degree.
     """
     pvals = fp.p_values(ctx.Lambda)
-    columns = [[row[j] for row in data.m] for j, _ in factors]
-    terms = [(column, r, prod(map(pow, pvals, column), start=1 / ctx.Lambda[j]))
+    columns = [[(i, row[j]) for i, row in enumerate(data.m) if row[j]] for j, _ in factors]
+    terms = [(r, prod((pvals[i] ** m for i, m in column), start=1 / ctx.Lambda[j]))
              for column, (j, r) in zip(columns, factors)]
 
-    def multiplier(d):
-        return prod(1 - ctx.q ** (sum(m * x for m, x in zip(column, d)) - r) * weight
-                    for column, r, weight in terms)
-    return series.map_with_degree(lambda d, c: c * multiplier(d))
+    @cache
+    def multiplier(ks):
+        return prod(1 - ctx.q ** (k - r) * weight for k, (r, weight) in zip(ks, terms))
+    return series.map_with_degree(lambda d, c: c * multiplier(
+        tuple(sum(m * d[i] for i, m in column) for column in columns)))
 
 
 def shift_by_degree(series: NovikovSeries, d0: Sequence[int]) -> NovikovSeries:
@@ -103,10 +111,11 @@ class CheckResult:
 
 def _compare(label: str, lhs: NovikovSeries, rhs: NovikovSeries,
              degrees: Sequence[tuple[int, ...]]) -> CheckResult:
+    """Compare two series of one box at ``degrees``, all of them box degrees."""
     failures = []
     for d in degrees:
-        a = lhs.coefficient(d)
-        b = rhs.coefficient(d)
+        a = lhs.coeffs.get(d, 0)
+        b = rhs.coeffs.get(d, 0)
         if a != b:
             failures.append((d, a, b))
     return CheckResult(label=label, ok=not failures, failures=failures)
@@ -207,24 +216,39 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int],
     comparison stays division-free; each side meets the coefficient as one product:
 
         prod_{step_j < 0} [...] (Q^{d0} I)  =  prod_{step_j > 0} [...] I.
+
+    The depths D_j(d) come from this module's own ``degree_pairing``, once per
+    call and only at the columns each side steps; per fixed point each side's
+    product is built once per distinct depth tuple.
     """
     d0 = tuple(int(x) for x in d0)
     steps = degree_pairing(data, d0)
-    checks = []
+    # Column j contributes u_j - z (D_j(d) - s) for s in shifts[j], on the
+    # left when its step is negative and on the right when it is positive.
+    shifts = [range(step, 0) if step < 0 else range(step) for step in steps]
+    sides = ([j for j, step in enumerate(steps) if step < 0],
+             [j for j, step in enumerate(steps) if step > 0])
     box = next(iter(family.values())).box
+    depths = [tuple(tuple(pairing[j] for j in cols) for cols in sides)
+              for pairing in (degree_pairing(data, d) for d in box.degrees)]
+    checks = []
     for fp in enumerate_fixed_points(data):
         series = family[fp.J]
         uvals = divisor_values(data, fp, ctx.Lambda)
+
+        @cache
+        def product(side, depth):
+            return prod(uvals[j] - (D - s) * ctx.z
+                        for j, D in zip(sides[side], depth) for s in shifts[j])
+
         failures = []
-        for d in box.degrees:
+        for d, (left, right) in zip(box.degrees, depths):
             try:
                 lhs = series.coefficient(tuple(x - y for x, y in zip(d, d0)))
             except TruncationError:
                 continue
-            bases = [u - D * ctx.z for u, D in zip(uvals, degree_pairing(data, d))]
-            lhs *= prod(b - s * ctx.z for b, step in zip(bases, steps) for s in range(1, 1 - step))
-            rhs = series.coefficient(d) * prod(b + s * ctx.z
-                                               for b, step in zip(bases, steps) for s in range(step))
+            lhs *= product(0, left)
+            rhs = series.coeffs.get(d, 0) * product(1, right)
             if lhs != rhs:
                 failures.append((d, lhs, rhs))
         checks.append(CheckResult(

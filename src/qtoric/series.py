@@ -46,7 +46,13 @@ Degree = tuple[int, ...]
 
 @dataclass(frozen=True)
 class TruncationBox:
-    """Keep a degree iff it is effective and pairs with ``ample`` below ``bound``."""
+    """Keep a degree iff it is effective and pairs with ``ample`` below ``bound``.
+
+    What depends only on the box is computed on first use and kept: ``keys``
+    maps each box degree, in any tuple spelling that hashes alike, to its
+    canonical int tuple; ``pairings`` holds the pairing rows D(d), from this
+    module's ``degree_pairing``, that every component walk reads.
+    """
 
     data: ToricData
     ample: tuple[Fraction, ...]
@@ -54,14 +60,18 @@ class TruncationBox:
     degrees: tuple[Degree, ...]
 
     @cached_property
-    def degree_set(self) -> frozenset[Degree]:
-        return frozenset(self.degrees)
+    def keys(self) -> dict[Degree, Degree]:
+        return {d: d for d in self.degrees}
+
+    @cached_property
+    def pairings(self) -> dict[Degree, tuple[int, ...]]:
+        return {d: degree_pairing(self.data, d) for d in self.degrees}
 
     def pairing(self, d: Sequence[int]) -> Fraction:
         return sum(a * x for a, x in zip(self.ample, d))
 
     def contains(self, d: Sequence[int]) -> bool:
-        return tuple(d) in self.degree_set
+        return tuple(d) in self.keys
 
 
 def truncation_box(data: ToricData, bound, ample: Sequence | None = None) -> TruncationBox:
@@ -73,7 +83,12 @@ def truncation_box(data: ToricData, bound, ample: Sequence | None = None) -> Tru
 
 
 class NovikovSeries:
-    """A truncated formal sum over effective degrees with exact coefficients."""
+    """A truncated formal sum over effective degrees with exact coefficients.
+
+    ``coeffs`` maps canonical box degrees (int tuples) to nonzero
+    coefficients; a key outside the box is a ``TruncationError``.  ``mode``
+    ("k" or "coh") tells K-theoretic and cohomological series apart.
+    """
 
     __slots__ = ("box", "coeffs", "mode")
 
@@ -81,12 +96,13 @@ class NovikovSeries:
                  mode: str = "k"):
         clean = {}
         if coeffs:
+            keys = box.keys
             for d, c in coeffs.items():
-                d = tuple(int(x) for x in d)
-                if not box.contains(d):
-                    raise TruncationError(f"degree {d} lies outside the truncation box")
+                key = keys.get(tuple(d))
+                if key is None:
+                    raise TruncationError(f"degree {tuple(d)} lies outside the truncation box")
                 if c != 0:
-                    clean[d] = c
+                    clean[key] = c
         self.box = box
         self.coeffs = clean
         self.mode = mode
@@ -94,7 +110,7 @@ class NovikovSeries:
     def coefficient(self, d: Sequence[int]):
         """Exact coefficient at d; 0 outside the effective cone, error beyond the box."""
         d = tuple(int(x) for x in d)
-        if d in self.box.degree_set:
+        if d in self.box.keys:
             return self.coeffs.get(d, Fraction(0))
         # The box holds every effective degree up to its bound.
         if self.box.pairing(d) > self.box.bound and mori_cone_membership(self.box.data, d)[0]:
@@ -128,6 +144,7 @@ class NovikovSeries:
     def __eq__(self, other) -> bool:
         return (isinstance(other, NovikovSeries)
                 and self.box == other.box
+                and self.mode == other.mode
                 and self.coeffs == other.coeffs)
 
     def _check_compatible(self, other: "NovikovSeries") -> None:
@@ -343,7 +360,7 @@ def component_residues(data: ToricData, fp: FixedPoint, box: TruncationBox,
 def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
                     factors: Sequence[Callable], one, fibres=None) -> dict[Degree, object]:
     """prod_j prod_{r<=0} f_j(r) / prod_{r<=D_j(d)} f_j(r), f_j = ``factors[j]``, at
-    every box degree d in alpha's dual cone, by a walk in box order.
+    every box degree d in alpha's dual cone (read from ``box.pairings``), by a walk in box order.
 
     A degree with a visited nonzero neighbour d - e_i takes its value divided
     by f_j(r) for each r a depth D_j rises past and multiplied by f_j(r) for
@@ -355,11 +372,8 @@ def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
     every r between its start depth and its own, so a fibre pole raises at
     the first degree in box order, then fibre order, that reaches it.
     """
-    kept = {}
-    for d in box.degrees:
-        pairing = degree_pairing(data, d)
-        if all(pairing[j] >= 0 for j in fp.J):
-            kept[d] = pairing
+    kept = {d: pairing for d, pairing in box.pairings.items()
+            if all(pairing[j] >= 0 for j in fp.J)}
     crossed = []
     for j, factor in enumerate(factors):
         depths = [0] + [pairing[j] for pairing in kept.values()]

@@ -42,6 +42,31 @@ LARGER = [
 ]
 
 
+# Rank 3 and 4: the products (P^1)^3 and (P^1)^4, as the cone-box benchmark
+# writes them, where the box walk and the relation words meet many degrees.
+RANK_3_4 = [
+    (["ifunction", "p1x3", "--deg", "3"], 0,
+     "6acdd525703d17198c23b18a234b32bb18d4d26ffffb0e7a32d8945ca97a9bd8"),
+    (["verify-dq", "p1x3", "--deg", "3"], 0,
+     "6f3a6381a3a4d9be80226060666a12bf5e7c650aa302d61f379688441e44e62a"),
+    (["verify-coh", "p1x3", "--deg", "3"], 0,
+     "fa6b0d7fe6eccec714e2fa64aad366e144159ebbb8c1624a5e076311803bf4a2"),
+    (["ifunction", "p1x4", "--deg", "2"], 0,
+     "978f4da6bdb9c9aa092391dc5b56c7ca650eb7d92bdf2b089656637057139790"),
+    (["verify-dq", "p1x4", "--deg", "2"], 0,
+     "2580d1e23ec44c239b0cc5631c98b712711dcfb1e88ef36f5f7b7e595a864946"),
+    (["verify-coh", "p1x4", "--deg", "2"], 0,
+     "f7de2d967a3c95e9f09f150852e9051e5309a347cf98bb79dd077008b8842980"),
+]
+
+
+def lines_product_text(k):
+    """The model file of (P^1)^k: one row [.. 1 1 ..] per factor, omega all ones."""
+    rows = [" ".join("1" if c // 2 == i else "0" for c in range(2 * k)) for i in range(k)]
+    return "\n".join([f"name p1x{k}", f"matrix {k} {2 * k}", *rows,
+                      "omega " + " ".join(["1"] * k)]) + "\n"
+
+
 @pytest.mark.parametrize("argv, code, digest", GOLDEN + LARGER,
                          ids=[" ".join(a[:2]) for a, _, _ in GOLDEN]
                          + [" ".join(a) for a, _, _ in LARGER])
@@ -58,4 +83,13 @@ def test_a_rejected_command_leaves_the_next_report_unchanged(capsys):
     assert exc.value.code == 2
     capsys.readouterr()
     argv, code, digest = GOLDEN[4]
+    test_stdout_is_byte_identical(argv, code, digest, capsys)
+
+
+@pytest.mark.parametrize("argv, code, digest", RANK_3_4, ids=[" ".join(a) for a, _, _ in RANK_3_4])
+def test_rank_3_and_4_stdout_is_byte_identical(argv, code, digest, tmp_path, capsys):
+    name = argv[1]
+    path = tmp_path / f"{name}.model"
+    path.write_text(lines_product_text(int(name[-1])))
+    argv = [argv[0], str(path), *argv[2:]]
     test_stdout_is_byte_identical(argv, code, digest, capsys)

@@ -216,10 +216,15 @@ def test_checks_fail_when_the_series_pairing_is_wrong(name, monkeypatch):
     box = truncation_box(data, 4)
     ctx = sample_context(data.N, 97)
     _off_by_one_pairing(monkeypatch)
-    assert not verify_dq_system(data, assemble_series(data, box, ctx), ctx)["ok"]
+    # The box reads the series' pairing on first use, after the patch.
+    dq = verify_dq_system(data, assemble_series(data, box, ctx), ctx)
+    assert not dq["ok"]
     e_1 = tuple(1 if k == 0 else 0 for k in range(data.K))
     family = assemble_cohomological_series(data, box, ctx)
-    assert not verify_coh_relation(data, e_1, family, ctx)["ok"]
+    coh = verify_coh_relation(data, e_1, family, ctx)
+    assert not coh["ok"]
+    for report in (dq, coh):
+        assert any(any(d) for d in _failed_degrees(report))
 
 
 @pytest.mark.parametrize("name", ["p2", "f1"])
