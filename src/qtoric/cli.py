@@ -171,7 +171,7 @@ def cmd_ifunction(model: ModelFile, seed: int, samples: int, args) -> dict:
             {
                 "alpha": [j + 1 for j in J],
                 "coefficients": {
-                    str(list(d)): str(series.coefficient(d))
+                    str(list(d)): str(series.coeffs[d])
                     for d in series.support()
                 },
             }

@@ -59,14 +59,13 @@ def verify_relations_at_fixed_points(data: ToricData, ctx: SampleContext) -> dic
     a data inconsistency and is reported, not raised.
     """
     report = {"ok": True, "checks": []}
-    relations = kirwan_relations(data)
-    for relation in relations:
-        for fp in enumerate_fixed_points(data):
-            uvals = fp.u_values(ctx.Lambda)
+    values = [(fp, fp.u_values(ctx.Lambda), divisor_values(data, fp, ctx.Lambda))
+              for fp in enumerate_fixed_points(data)]
+    for relation in kirwan_relations(data):
+        for fp, uvals, dvals in values:
             k_product = Fraction(1)
             for j in relation.J:
                 k_product *= 1 - uvals[j]
-            dvals = divisor_values(data, fp, ctx.Lambda)
             coh_product = Fraction(1)
             for j in relation.J:
                 coh_product *= dvals[j]

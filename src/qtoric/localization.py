@@ -12,7 +12,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-from .linalg import solve_square
 from .scalars import PoleError, SampleContext
 from .toric import (
     FixedPoint,
@@ -109,26 +108,25 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
     for fp in enumerate_fixed_points(data):
         if any(pairing[j] < 0 for j in fp.J):
             continue
+        # lambda_j + r_j z on J moves p(alpha) by z times the integer shift
+        # s_i = sum_j e_ij r_j, with the weights e_ij that read p off the lambdas.
+        pvals = equivariant_p_values(data, fp, ctx.Lambda)
+        dvals = divisor_values(data, fp, ctx.Lambda)
         ranges = [range(pairing[j] + 1) for j in fp.J]
         for shifts in product(*ranges):
             chosen = set(zip(fp.J, shifts))
-            rows = [[data.m[i][j] for i in range(data.K)] for j in fp.J]
-            rhs = [ctx.Lambda[j] + r * ctx.z for j, r in zip(fp.J, shifts)]
-            pstar = solve_square(rows, rhs)
-            assert pstar is not None
-
-            def u_at(j: int) -> Fraction:
-                return (sum(pstar[i] * data.m[i][j] for i in range(data.K))
-                        - ctx.Lambda[j])
-
+            s = [sum(mon.exps[j] * r for j, r in chosen) for mon in fp.p_monomials]
+            pstar = [p + si * ctx.z for p, si in zip(pvals, s)]
+            ustar = [u + sum(si * row[j] for si, row in zip(s, data.m)) * ctx.z
+                     for j, u in enumerate(dvals)]
             numerator = _evaluate(phi, _class_env(data, ctx, pstar, "p", "l"))
             for j, r in extended.obstructions:
-                numerator *= u_at(j) + r * ctx.z
+                numerator *= ustar[j] + r * ctx.z
             denom = Fraction(fp.det)
             for j, r in denominator_copies:
                 if (j, r) in chosen:
                     continue
-                factor = u_at(j) - r * ctx.z
+                factor = ustar[j] - r * ctx.z
                 if factor == 0:
                     raise PoleError(r, factor)
                 denom *= factor

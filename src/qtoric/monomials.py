@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .scalars import power_product
+
 
 class Monomial:
     """An exact Laurent monomial ``prod_i x_i^{e_i}``.
@@ -39,11 +41,7 @@ class Monomial:
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         if len(values) < len(self.exps):
             raise ValueError("not enough values for this monomial")
-        out = Fraction(1)
-        for e, v in zip(self.exps, values):
-            if e:
-                out *= Fraction(v) ** e
-        return out
+        return power_product(values, self.exps)
 
     def format(self, names: Sequence[str]) -> str:
         parts = []

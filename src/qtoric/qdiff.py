@@ -8,9 +8,10 @@ coefficient at Q^d once, by the product over its factors 1 - q^{-r} U_j of
 1 - q^{sum_i m_ij d_i - r} prod_i P_i(alpha)^{m_ij} / Lambda_j, read from the
 P-monomials and the matrix rather than from U_j(alpha) and D_j(d), which
 build the components it checks.  The checks compute their own exponents and
-depths (never the box's cached pairings), and build each distinct multiplier
-or product of small factors once per call, so a degree costs one lookup and
-one big-by-small product.
+depths (never the box's cached pairings) once per call, build each distinct
+multiplier or product of small factors once per fixed point, and make one
+pass over the box per fixed point: a degree costs one lookup and one
+big-by-small product per side, and no intermediate series is built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cache
 from math import prod
 from typing import Sequence
 
-from .scalars import SampleContext, TruncationError, ratio_table
+from .scalars import SampleContext, TruncationError, binomial, power_product, ratio_table
 from .series import (
     NovikovSeries,
     TruncationBox,
@@ -65,37 +66,35 @@ def apply_word(series: NovikovSeries, data: ToricData, fp: FixedPoint,
 
     U_j = prod_i P_i^{m_ij} / Lambda_j, and each P_i translates Q_i -> q Q_i
     and scales by P_i(alpha), so at each degree d the coefficient is
-    multiplied once by the product over the factors t = (j, r) of
-    1 - q^{k_t - r} w_t, with k_t = sum_i m_ij d_i read from column j of the
-    matrix and w_t = prod_i P_i(alpha)^{m_ij} / Lambda_j from the P-monomials
-    (the operator side), not from U_j(alpha) or the pairings D_j(d), which
-    keeps the check independent of the components.  The multiplier depends
-    on d only through the exponent tuple (k_t), so each distinct tuple's
-    product is built once per call and looked up at every later degree.
+    multiplied once by ``_word_multiplier`` at the exponents ``_word_exponents``.
     """
-    pvals = fp.p_values(ctx.Lambda)
+    multiplier = _word_multiplier(data, fp.p_values(ctx.Lambda), factors, ctx)
+    exponents = _word_exponents(data, factors, series.coeffs)
+    return NovikovSeries(series.box, {d: c * multiplier(ks) for (d, c), ks
+                                      in zip(series.coeffs.items(), exponents)}, series.mode)
+
+
+def _word_exponents(data: ToricData, factors: Sequence[tuple[int, int]],
+                    degrees) -> list[tuple[int, ...]]:
+    """Per degree d, the exponents k_t = sum_i m_ij d_i of the factors t = (j, r),
+    read from column j of the matrix."""
     columns = [[(i, row[j]) for i, row in enumerate(data.m) if row[j]] for j, _ in factors]
-    terms = [(r, prod((pvals[i] ** m for i, m in column), start=1 / ctx.Lambda[j]))
-             for column, (j, r) in zip(columns, factors)]
+    return [tuple(sum(m * d[i] for i, m in column) for column in columns) for d in degrees]
+
+
+def _word_multiplier(data: ToricData, p_values: Sequence, factors: Sequence[tuple[int, int]],
+                     ctx: SampleContext):
+    """ks -> prod_t 1 - q^{k_t - r} w_t over the factors t = (j, r), each distinct
+    ks built once, with w_t = prod_i P_i(alpha)^{m_ij} / Lambda_j from the P-values
+    (the operator side), not U_j(alpha): the check stays independent of the components."""
+    terms = [(r, binomial(power_product((*p_values, ctx.Lambda[j]),
+                                        (*(row[j] for row in data.m), -1)), ctx.q))
+             for j, r in factors]
 
     @cache
     def multiplier(ks):
-        return prod(1 - ctx.q ** (k - r) * weight for k, (r, weight) in zip(ks, terms))
-    return series.map_with_degree(lambda d, c: c * multiplier(
-        tuple(sum(m * d[i] for i, m in column) for column in columns)))
-
-
-def shift_by_degree(series: NovikovSeries, d0: Sequence[int]) -> NovikovSeries:
-    """Multiplication by Q^{d0}, represented on the same box.
-
-    Each stored degree d is re-keyed to d + d0 and kept when the box holds
-    it.  Stored coefficients all lie in the box, and a degree outside the box
-    or the effective cone reads 0, so the result's coefficient at every box
-    degree d is the input's at d - d0.
-    """
-    moved = ((tuple(x + y for x, y in zip(d, d0)), c) for d, c in series.coeffs.items())
-    return NovikovSeries(series.box, {d: c for d, c in moved if series.box.contains(d)},
-                         series.mode)
+        return prod(f(k - r) for k, (r, f) in zip(ks, terms))
+    return multiplier
 
 
 @dataclass
@@ -107,18 +106,6 @@ class CheckResult:
     def as_dict(self) -> dict:
         failures = [{"degree": list(d), "lhs": str(a), "rhs": str(b)} for d, a, b in self.failures]
         return {"label": self.label, "ok": self.ok, "failures": failures}
-
-
-def _compare(label: str, lhs: NovikovSeries, rhs: NovikovSeries,
-             degrees: Sequence[tuple[int, ...]]) -> CheckResult:
-    """Compare two series of one box at ``degrees``, all of them box degrees."""
-    failures = []
-    for d in degrees:
-        a = lhs.coeffs.get(d, 0)
-        b = rhs.coeffs.get(d, 0)
-        if a != b:
-            failures.append((d, a, b))
-    return CheckResult(label=label, ok=not failures, failures=failures)
 
 
 def verify_dq_system(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
@@ -150,9 +137,9 @@ def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], Novik
     Factors are (column j, exponent r) pairs standing for 1 - q^{-r} U_j(...);
     the right-hand word is applied before the Novikov shift, exactly as written.
     With e_i effective the shift reads only lower degrees, so every degree of
-    the components' own box is checked.
+    the components' own box is checked: the right side at d is the word at
+    d - e_i (``box.predecessors``) times the coefficient there, or 0 off the box.
     """
-    checks = []
     box = next(iter(family.values())).box
     e_i = tuple(1 if k == shift_i else 0 for k in range(data.K))
     if not mori_cone_membership(data, e_i)[0]:
@@ -160,12 +147,25 @@ def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], Novik
             f"basis degree e_{shift_i+1} leaves the effective cone; "
             "the shifted side is not representable on a truncated box"
         )
+    lhs_exponents = _word_exponents(data, lhs_factors, box.degrees)
+    rhs_exponents = _word_exponents(data, rhs_factors, box.degrees)
+    shifted = [next(((box.degrees[prev], rhs_exponents[prev]) for prev, i in predecessors
+                     if i == shift_i), (None, None)) for predecessors in box.predecessors]
+    checks = []
     for fp in enumerate_fixed_points(data):
-        series = family[fp.J]
-        lhs = apply_word(series, data, fp, lhs_factors, ctx)
-        rhs = shift_by_degree(apply_word(series, data, fp, rhs_factors, ctx), e_i)
-        name = f"relation Q_{shift_i+1} at alpha={tuple(j + 1 for j in fp.J)}"
-        checks.append(_compare(name, lhs, rhs, box.degrees))
+        coeffs = family[fp.J].coeffs
+        p_values = fp.p_values(ctx.Lambda)
+        lhs_word = _word_multiplier(data, p_values, lhs_factors, ctx)
+        rhs_word = _word_multiplier(data, p_values, rhs_factors, ctx)
+        failures = []
+        for d, ks, (source, source_ks) in zip(box.degrees, lhs_exponents, shifted):
+            lhs = coeffs[d] * lhs_word(ks) if d in coeffs else 0
+            rhs = coeffs[source] * rhs_word(source_ks) if source in coeffs else 0
+            if lhs != rhs:
+                failures.append((d, lhs, rhs))
+        checks.append(CheckResult(
+            label=f"relation Q_{shift_i+1} at alpha={tuple(j + 1 for j in fp.J)}",
+            ok=not failures, failures=failures))
     return {"ok": all(c.ok for c in checks), "checks": [c.as_dict() for c in checks]}
 
 
@@ -217,9 +217,10 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int],
 
         prod_{step_j < 0} [...] (Q^{d0} I)  =  prod_{step_j > 0} [...] I.
 
-    The depths D_j(d) come from this module's own ``degree_pairing``, once per
-    call and only at the columns each side steps; per fixed point each side's
-    product is built once per distinct depth tuple.
+    The depths D_j(d) come from this module's own ``degree_pairing``, and each
+    degree's source d - d0 is classified (a box degree, an exact zero, or
+    beyond the bound, where nothing is checked), once per call; per fixed
+    point each side's product is built once per distinct depth tuple.
     """
     d0 = tuple(int(x) for x in d0)
     steps = degree_pairing(data, d0)
@@ -229,11 +230,17 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int],
     sides = ([j for j, step in enumerate(steps) if step < 0],
              [j for j, step in enumerate(steps) if step > 0])
     box = next(iter(family.values())).box
-    depths = [tuple(tuple(pairing[j] for j in cols) for cols in sides)
-              for pairing in (degree_pairing(data, d) for d in box.degrees)]
+    rows = []
+    for d in box.degrees:
+        source = tuple(x - y for x, y in zip(d, d0))
+        if source in box.keys or not box.beyond(source):
+            pairing = degree_pairing(data, d)
+            # An exact zero's source is None, which no series stores.
+            rows.append((d, box.keys.get(source),
+                         *(tuple(pairing[j] for j in cols) for cols in sides)))
     checks = []
     for fp in enumerate_fixed_points(data):
-        series = family[fp.J]
+        coeffs = family[fp.J].coeffs
         uvals = divisor_values(data, fp, ctx.Lambda)
 
         @cache
@@ -242,13 +249,9 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int],
                         for j, D in zip(sides[side], depth) for s in shifts[j])
 
         failures = []
-        for d, (left, right) in zip(box.degrees, depths):
-            try:
-                lhs = series.coefficient(tuple(x - y for x, y in zip(d, d0)))
-            except TruncationError:
-                continue
-            lhs *= product(0, left)
-            rhs = series.coeffs.get(d, 0) * product(1, right)
+        for d, source, left, right in rows:
+            lhs = coeffs[source] * product(0, left) if source in coeffs else 0
+            rhs = coeffs[d] * product(1, right) if d in coeffs else 0
             if lhs != rhs:
                 failures.append((d, lhs, rhs))
         checks.append(CheckResult(

@@ -6,6 +6,9 @@ points (a nonzero rational function vanishes at a random point with negligible
 probability), so the scalar layer provides
 
 * reproducible sample contexts for (q, equivariant parameters, bundle weight, z),
+* two rational kernels, a Laurent monomial's value (``power_product``) and a
+  factor 1 - q^r u (``binomial``), each built from integer powers of
+  numerators and denominators with one normalisation,
 * the universal finite product ratio behind all the q-hypergeometric factors
   and its cohomological limit: its factors at a numeric q or z
   (``ratio_factor``), and its values over depths by one running product
@@ -117,16 +120,41 @@ def with_resampling(make_ctx: Callable[[int], object], fn: Callable[[object], ob
                 raise
 
 
+def power_product(values: Sequence, exponents: Sequence[int]) -> Fraction:
+    """prod_i values[i]^exponents[i] over rationals, from integer powers of their
+    numerators and denominators, normalised once."""
+    num = den = 1
+    for v, e in zip(values, exponents):
+        if e > 0:
+            num, den = num * v.numerator ** e, den * v.denominator ** e
+        elif e < 0:
+            num, den = num * v.denominator ** -e, den * v.numerator ** -e
+    return Fraction(num, den)
+
+
+def binomial(u_value, q) -> Callable[[int], Fraction]:
+    """r -> 1 - q^r u at rational q and u, from integer powers of the numerators
+    and denominators, normalised once."""
+    a, b, c, e = q.numerator, q.denominator, u_value.numerator, u_value.denominator
+
+    def factor(r):
+        num, den = (a ** r * c, b ** r * e) if r >= 0 else (b ** -r * c, a ** -r * e)
+        return Fraction(den - num, den)
+    return factor
+
+
 def ratio_factor(u_value, q=None, z=None) -> Callable[[int], Fraction]:
-    """f(r) = 1 - q^r u, or u - r z when ``z`` is given, of the universal ratio.
+    """f(r) = 1 - q^r u (``binomial``), or u - r z when ``z`` is given, of the universal ratio.
 
     The ratio prod_{r<=0} f(r) / prod_{r<=D} f(r) is 1/prod_{r=1}^{D} f(r)
     for D >= 0 and prod_{r=D+1}^{0} f(r) for D < 0.  A vanishing numerator
     factor is its exact zero (the kill rule); a vanishing denominator factor
     is a sampling pole and raises.
     """
+    kernel = binomial(u_value, q) if z is None else (lambda r: u_value - r * z)
+
     def factor(r):
-        f = 1 - q ** r * u_value if z is None else u_value - r * z
+        f = kernel(r)
         if r > 0 and f == 0:
             raise PoleError(r, u_value)
         return f
@@ -192,8 +220,10 @@ def root_factor(u_value, q0) -> Callable[[int], LeadingTerm]:
     A denominator factor that vanishes at q0 is a pole of the ratio, not a
     sampling failure: it lowers the order.
     """
+    kernel = binomial(u_value, q0)
+
     def factor(r):
-        f = 1 - q0 ** r * u_value
+        f = kernel(r)
         return LeadingTerm(0, f) if f else LeadingTerm(1, Fraction(-r))
     return factor
 

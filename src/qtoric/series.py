@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .monomials import Monomial
@@ -26,6 +25,7 @@ from .scalars import (
     PoleError,
     SampleContext,
     TruncationError,
+    power_product,
     ratio_factor,
     ratio_table,
     root_factor,
@@ -51,7 +51,9 @@ class TruncationBox:
     What depends only on the box is computed on first use and kept: ``keys``
     maps each box degree, in any tuple spelling that hashes alike, to its
     canonical int tuple; ``pairings`` holds the pairing rows D(d), from this
-    module's ``degree_pairing``, that every component walk reads.
+    module's ``degree_pairing``, that every component walk reads; and
+    ``predecessors``, aligned with ``degrees``, lists (position of d - e_i, i)
+    for each i with d - e_i in the box.
     """
 
     data: ToricData
@@ -67,11 +69,21 @@ class TruncationBox:
     def pairings(self) -> dict[Degree, tuple[int, ...]]:
         return {d: degree_pairing(self.data, d) for d in self.degrees}
 
+    @cached_property
+    def predecessors(self) -> list[tuple[tuple[int, int], ...]]:
+        position = {d: pos for pos, d in enumerate(self.degrees)}
+        below = [[d[:i] + (d[i] - 1,) + d[i + 1:] for i in range(len(d))] for d in self.degrees]
+        return [tuple((position[e], i) for i, e in enumerate(es) if e in position) for es in below]
+
     def pairing(self, d: Sequence[int]) -> Fraction:
         return sum(a * x for a, x in zip(self.ample, d))
 
     def contains(self, d: Sequence[int]) -> bool:
         return tuple(d) in self.keys
+
+    def beyond(self, d: Sequence[int]) -> bool:
+        """Whether the integral degree d is effective and pairs above the bound."""
+        return self.pairing(d) > self.bound and mori_cone_membership(self.data, d)[0]
 
 
 def truncation_box(data: ToricData, bound, ample: Sequence | None = None) -> TruncationBox:
@@ -108,12 +120,15 @@ class NovikovSeries:
         self.mode = mode
 
     def coefficient(self, d: Sequence[int]):
-        """Exact coefficient at d; 0 outside the effective cone, error beyond the box."""
+        """Exact coefficient at d; 0 outside the effective cone, error beyond the box or lattice."""
+        key = self.box.keys.get(tuple(d))
+        if key is not None:
+            return self.coeffs.get(key, Fraction(0))
+        if any(x != int(x) for x in d):
+            raise ValueError(f"degree ({', '.join(map(str, d))}) is not integral")
         d = tuple(int(x) for x in d)
-        if d in self.box.keys:
-            return self.coeffs.get(d, Fraction(0))
         # The box holds every effective degree up to its bound.
-        if self.box.pairing(d) > self.box.bound and mori_cone_membership(self.box.data, d)[0]:
+        if self.box.beyond(d):
             raise TruncationError(
                 f"coefficient at {d} is beyond the truncation bound {self.box.bound}"
             )
@@ -240,8 +255,7 @@ class BundleData:
 
     def fiber_values(self, p_values: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """V_a(alpha) = prod_i P_i(alpha)^{l_ia}."""
-        return tuple(prod((Fraction(p) ** row[a] for p, row in zip(p_values, self.exponents)),
-                          start=Fraction(1)) for a in range(self.L))
+        return tuple(power_product(p_values, column) for column in zip(*self.exponents))
 
 
 class PointSeriesPair(NamedTuple):
@@ -323,8 +337,8 @@ def component_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
     factors = [ratio_factor(u, ctx.q) for u in fp.u_values(ctx.Lambda)]
     fibres = None
     if bundle is not None:
-        fibres = bundle.delta, [_FibreColumn(ctx.lam * v, ctx.q, bundle.parity == "PiE")
-                                for v in bundle.fiber_values(fp.p_values(ctx.Lambda))]
+        fibres = bundle, [_FibreColumn(ctx.lam * v, ctx.q, bundle.parity == "PiE")
+                          for v in bundle.fiber_values(fp.p_values(ctx.Lambda))]
     return NovikovSeries(box, _ratio_products(data, fp, box, factors, Fraction(1), fibres))
 
 
@@ -362,42 +376,62 @@ def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
     """prod_j prod_{r<=0} f_j(r) / prod_{r<=D_j(d)} f_j(r), f_j = ``factors[j]``, at
     every box degree d in alpha's dual cone (read from ``box.pairings``), by a walk in box order.
 
-    A degree with a visited nonzero neighbour d - e_i takes its value divided
-    by f_j(r) for each r a depth D_j rises past and multiplied by f_j(r) for
-    each r it falls past: one product of small factors per big coefficient.
-    Without one it starts at depth 0 (``one``).  All factors are computed
-    first, column by column, so the first sampling pole raises before any
-    product.  ``fibres``, a pair (Delta, columns), adds column a at depth
-    Delta(d)[a], its factors computed as first crossed: a degree crosses
-    every r between its start depth and its own, so a fibre pole raises at
-    the first degree in box order, then fibre order, that reaches it.
+    A degree with a visited nonzero neighbour d - e_i (``box.predecessors``)
+    takes its value times one step: divided by f_j(r) for each r a depth D_j
+    rises past and multiplied by f_j(r) for each r it falls past.  Only the
+    columns with m_ij != 0 move, and the step depends only on i and their
+    start depths, so each distinct step is built once per walk: one small
+    product per key and one big-by-small product per degree.  Without such a
+    neighbour a degree starts every column at depth 0 (``one``).  All factors
+    are computed first, column by column, so the first sampling pole raises
+    before any product.  ``fibres``, a pair (bundle, columns), adds column a
+    at depth Delta(d)[a], moved by direction i when l_ia != 0, its factors
+    computed as first crossed: a degree crosses every r between its start
+    depth and its own, so a fibre pole raises at the first degree in box
+    order, then fibre order, that reaches it.
     """
-    kept = {d: pairing for d, pairing in box.pairings.items()
-            if all(pairing[j] >= 0 for j in fp.J)}
+    depths = [pairing if all(pairing[j] >= 0 for j in fp.J) else None
+              for pairing in box.pairings.values()]
     crossed = []
     for j, factor in enumerate(factors):
-        depths = [0] + [pairing[j] for pairing in kept.values()]
-        crossed.append({r: factor(r) for r in range(min(depths) + 1, max(depths) + 1)})
+        column = [0] + [pairing[j] for pairing in depths if pairing is not None]
+        crossed.append({r: factor(r) for r in range(min(column) + 1, max(column) + 1)})
+    moved = [[j for j, mij in enumerate(row) if mij] for row in data.m]
     if fibres is not None:
-        delta, columns = fibres
-        kept = {d: pairing + delta(d) for d, pairing in kept.items()}
+        bundle, columns = fibres
+        depths = [None if pairing is None else pairing + bundle.delta(d)
+                  for d, pairing in zip(box.degrees, depths)]
         crossed += columns
-    out: dict[Degree, object] = {}
-    for d, pairing in kept.items():
-        value, start = one, (0,) * len(crossed)
-        for i in range(data.K):
-            prev = d[:i] + (d[i] - 1,) + d[i + 1:]
-            if out.get(prev):
-                value, start = out[prev], kept[prev]
+        moved = [cols + [data.N + a for a, l in enumerate(row) if l]
+                 for cols, row in zip(moved, bundle.exponents)]
+    out = [None] * len(depths)
+    steps = {}
+    for pos, (pairing, predecessors) in enumerate(zip(depths, box.predecessors)):
+        if pairing is None:
+            continue
+        for prev, i in predecessors:
+            if out[prev]:
+                start = depths[prev]
+                key = (i, *(start[c] for c in moved[i]))
+                if key not in steps:
+                    steps[key] = _step(crossed, moved[i], start, pairing, one)
+                out[pos] = out[prev] * steps[key]
                 break
-        step = one
-        for f, a, b in zip(crossed, start, pairing):
-            for r in range(a + 1, b + 1):
-                step /= f[r]
-            for r in range(b + 1, a + 1):
-                step *= f[r]
-        out[d] = value * step
-    return out
+        else:
+            out[pos] = _step(crossed, range(len(crossed)), (0,) * len(crossed), pairing, one)
+    return {d: value for d, value in zip(box.degrees, out) if value is not None}
+
+
+def _step(crossed, columns, start, end, one):
+    """The small factors of ``crossed`` that the depths of ``columns`` cross from start to end."""
+    step = one
+    for c in columns:
+        f, a, b = crossed[c], start[c], end[c]
+        for r in range(a + 1, b + 1):
+            step /= f[r]
+        for r in range(b + 1, a + 1):
+            step *= f[r]
+    return step
 
 
 def assemble_series(data: ToricData, box: TruncationBox, ctx: SampleContext,

@@ -334,22 +334,22 @@ def map_space_model(data: ToricData, d: Sequence[int]) -> ExtendedModel:
 def equivariant_p_values(
     data: ToricData, fp: FixedPoint, lambdas: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
-    """The additive fixed-point solution: sum_i p_i m_ij = lambda_j for j in J."""
-    minor = [[data.m[i][j] for i in range(data.K)] for j in fp.J]
-    sol = solve_square(minor, [Fraction(lambdas[j]) for j in fp.J])
-    assert sol is not None
-    return tuple(sol)
+    """The solution of sum_i p_i m_ij = lambda_j, j in J: p_i = sum_j e_ij lambda_j
+    for P_i = prod_j Lambda_j^{e_ij}, the weights the unimodular inverse gave P_i."""
+    return _weighted_sums(fp.p_monomials, lambdas)
 
 
 def divisor_values(
     data: ToricData, fp: FixedPoint, lambdas: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
-    """u_j(p(alpha)) = sum_i p_i m_ij - lambda_j; zero exactly on J(alpha)."""
-    p = equivariant_p_values(data, fp, lambdas)
-    return tuple(
-        sum(p[i] * data.m[i][j] for i in range(data.K)) - Fraction(lambdas[j])
-        for j in range(data.N)
-    )
+    """u_j(p(alpha)) = sum_i p_i m_ij - lambda_j, read off U_j's exponents; zero on J(alpha)."""
+    return _weighted_sums(fp.u_monomials, lambdas)
+
+
+def _weighted_sums(monomials: Sequence[Monomial], values: Sequence) -> tuple[Fraction, ...]:
+    """Each monomial's exponent vector as integer weights on ``values``."""
+    return tuple(sum((e * v for e, v in zip(mon.exps, values) if e), Fraction(0))
+                 for mon in monomials)
 
 
 def box_degrees(

@@ -1,13 +1,23 @@
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from test_word_tables import MODELS, model
 from qtoric.exprs import parse_expression
 from qtoric.kirwan import kirwan_relations
+from qtoric.linalg import solve_square
 from qtoric.localization import cohomology_integral, ktheory_trace, map_space_integral
 from qtoric.scalars import PoleError, SampleContext, sample_context, with_resampling
-from qtoric.toric import ToricData
+from qtoric.toric import (
+    ToricData,
+    degree_pairing,
+    divisor_values,
+    enumerate_fixed_points,
+    equivariant_p_values,
+)
 
 
 def test_trace_of_one_is_one(all_models):
@@ -151,3 +161,63 @@ def test_trace_pole_resampling(p1):
                         lam=Fraction(2), z=Fraction(1))
     with pytest.raises(PoleError):
         ktheory_trace(p1, lambda env: Fraction(1), bad)
+
+
+def solved_p_values(data, fp, rhs):
+    """sum_i p_i m_ij = rhs[j] for j in J, by elimination."""
+    return tuple(solve_square([[data.m[i][j] for i in range(data.K)] for j in fp.J],
+                              [rhs[j] for j in fp.J]))
+
+
+def solved_divisor_values(data, p, lambdas):
+    return tuple(sum(p[i] * data.m[i][j] for i in range(data.K)) - lambdas[j]
+                 for j in range(data.N))
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_additive_values_match_the_solved_system(name):
+    data, _ = model(name)
+    for seed in (3, 17, 29):
+        ctx = sample_context(data.N, seed)
+        for fp in enumerate_fixed_points(data):
+            p = solved_p_values(data, fp, ctx.Lambda)
+            assert equivariant_p_values(data, fp, ctx.Lambda) == p
+            assert divisor_values(data, fp, ctx.Lambda) == solved_divisor_values(data, p, ctx.Lambda)
+
+
+def solved_map_space_integral(data, d, phi, ctx):
+    """The residue sum over shift assignments, each pole point p* solved afresh."""
+    pairing = degree_pairing(data, d)
+    total = Fraction(0)
+    for fp in enumerate_fixed_points(data):
+        if any(pairing[j] < 0 for j in fp.J):
+            continue
+        for shifts in itertools.product(*(range(pairing[j] + 1) for j in fp.J)):
+            rhs = list(ctx.Lambda)
+            for j, r in zip(fp.J, shifts):
+                rhs[j] += r * ctx.z
+            pstar = solved_p_values(data, fp, rhs)
+            u = solved_divisor_values(data, pstar, ctx.Lambda)
+            env = {f"p{i + 1}": x for i, x in enumerate(pstar)}
+            env.update({f"l{j + 1}": x for j, x in enumerate(ctx.Lambda)}, z=ctx.z)
+            numerator = phi(env)
+            denom = Fraction(fp.det)
+            for j in range(data.N):
+                numerator *= prod(u[j] + r * ctx.z for r in range(1, 1 - pairing[j]))
+                denom *= prod(u[j] - r * ctx.z for r in range(pairing[j] + 1)
+                              if (j, r) not in zip(fp.J, shifts))
+            total += numerator / denom
+    return total
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_map_space_integral_matches_the_solved_pole_points(name):
+    # The degrees with coordinates in {0, 1, 2} (in {0, 1} from rank 3 on),
+    # negative pairings included, and a class that reads every p_i and z.
+    data, _ = model(name)
+    ctx = sample_context(data.N, 31)
+
+    def phi(env):
+        return prod(env[f"p{i + 1}"] + i + 1 for i in range(data.K)) + env["z"] * env["l1"]
+    for d in itertools.product(range(3 if data.K < 3 else 2), repeat=data.K):
+        assert map_space_integral(data, d, phi, ctx) == solved_map_space_integral(data, d, phi, ctx), d

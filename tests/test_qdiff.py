@@ -12,7 +12,6 @@ from qtoric.qdiff import (
     apply_translation,
     apply_word,
     gamma_reconstruction,
-    shift_by_degree,
     verify_coh_relation,
     verify_dq_system,
     verify_shifted_identity,
@@ -26,6 +25,7 @@ from qtoric.series import (
     truncation_box,
 )
 from qtoric.toric import enumerate_fixed_points, fixed_point
+from word_oracle import shift_by_degree
 
 
 def random_series(box, seed):

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtoric.monomials import Monomial
 from qtoric.scalars import (
     DoublePoleError,
     PoleError,
     QPoly,
     QRational,
+    binomial,
     finite_ratio,
     finite_ratio_sym,
+    power_product,
     ratio_table,
     residue_at,
     sample_context,
@@ -20,6 +23,35 @@ from qtoric.scalars import (
 
 fractions = st.fractions(min_value=-5, max_value=5).filter(lambda f: f not in (0, 1, -1))
 small_ints = st.integers(min_value=-4, max_value=4)
+
+
+signed_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=50).filter(bool)
+
+
+@given(u=st.one_of(signed_fractions, st.integers(-5, 5)), q=signed_fractions,
+       r=st.integers(min_value=-30, max_value=30))
+@settings(max_examples=200, deadline=None)
+def test_binomial_matches_the_plain_factor(u, q, r):
+    value = binomial(u, q)(r)
+    assert type(value) is Fraction
+    assert value == 1 - q ** r * u
+
+
+@given(q=signed_fractions)
+@settings(max_examples=30, deadline=None)
+def test_binomial_kill_rule_is_an_exact_zero(q):
+    for u in (1, Fraction(1)):
+        assert binomial(u, q)(0) == 0 and type(binomial(u, q)(0)) is Fraction
+
+
+@given(values=st.lists(signed_fractions, min_size=1, max_size=5),
+       exps=st.lists(st.integers(-4, 4), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_monomial_value_matches_the_plain_product(values, exps):
+    values = (values * len(exps))[:len(exps)]
+    expected = prod((v ** e for v, e in zip(values, exps)), start=Fraction(1))
+    assert Monomial(exps).evaluate(values) == power_product(values, exps) == expected
+    assert type(Monomial(exps).evaluate(values)) is Fraction
 
 
 def test_finite_ratio_cases():

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -60,6 +61,16 @@ def test_series_lookup_semantics(p1):
         s.coefficient((3,))              # effective but beyond the bound
     with pytest.raises(TruncationError):
         NovikovSeries(box, {(3,): Fraction(1)})  # stored degrees must fit the box
+
+
+def test_lookup_rejects_a_non_integral_degree(p1):
+    # A coordinate is never truncated to a neighbouring degree's.
+    s = NovikovSeries(truncation_box(p1, 2), {(0,): Fraction(7), (1,): Fraction(3)})
+    for d, text in (((Fraction(1, 2),), "(1/2)"), ((1.9,), "(1.9)")):
+        with pytest.raises(ValueError, match=re.escape(f"degree {text} is not integral")) as info:
+            s.coefficient(d)
+        assert not isinstance(info.value, TruncationError)
+    assert s.coefficient((Fraction(1),)) == 3 and s.coefficient((0.0,)) == 7
 
 
 def test_in_bound_lookups_skip_the_cone_test(f1, monkeypatch):
@@ -498,6 +509,48 @@ def test_bundle_factor_count_is_linear_in_the_bound(p2, monkeypatch):
                              bundle=BundleData(((1, 2),), parity))
         counts[bound] = len(calls)
     assert 0 < counts[40] <= 2 * counts[20], counts
+
+
+class _Counted:
+    """A factor value that counts the products and quotients it enters."""
+
+    def __init__(self, value, count):
+        self.value, self.count = value, count
+
+    def __rtruediv__(self, other):
+        self.count.append(1)
+        return other / self.value
+
+    def __rmul__(self, other):
+        self.count.append(1)
+        return other * self.value
+
+
+def test_walk_builds_each_step_once(monkeypatch):
+    # On (P^1)^3 a step in direction i moves the two columns of the i-th line
+    # from depth d_i - 1 to d_i, so a walk to bound b builds 3 b distinct steps
+    # of two small factors each: 60 at b = 10, 120 at b = 20, where rebuilding
+    # every degree's step takes 2 (#box - 1) = 570 and 3540.
+    data = _model("p1x3", LINE, LINE, LINE)
+    ctx = sample_context(data.N, 7)
+    fp = enumerate_fixed_points(data)[0]
+    count = []
+    honest = series_module.ratio_factor
+
+    def counting(*args, **kwargs):
+        factor = honest(*args, **kwargs)
+        return lambda r: _Counted(factor(r), count)
+
+    monkeypatch.setattr(series_module, "ratio_factor", counting)
+    counts, walked = {}, []
+    for bound in (10, 20):
+        count.clear()
+        walked.append(component_series(data, fp, truncation_box(data, bound), ctx))
+        counts[bound] = len(count)
+    monkeypatch.undo()
+    assert counts == {10: 60, 20: 120}
+    for series in walked:
+        assert series == component_series(data, fp, series.box, ctx)
 
 
 def test_bundle_delta():

@@ -2,10 +2,10 @@
 
 ``qdiff.apply_word`` builds one multiplier per distinct exponent tuple and
 ``qdiff.verify_coh_relation`` one product per side and depth tuple; the box
-keeps its degrees' pairing rows and canonical keys.  Each is compared with
-the formula it replaces (``word_oracle``, ``degree_pairing``) at every box
-degree, on the bundled models and on the rank 2-4 families of the cone-box
-benchmark.
+keeps its degrees' pairing rows, canonical keys and predecessor positions.
+Each is compared with the formula it replaces (``word_oracle``,
+``degree_pairing``) at every box degree, on the bundled models and on the
+rank 2-4 families of the cone-box benchmark.
 """
 
 import itertools
@@ -17,7 +17,7 @@ import pytest
 
 import word_oracle
 from qtoric.models import bundled_model_names, load_bundled_model
-from qtoric.qdiff import apply_word, verify_coh_relation
+from qtoric.qdiff import apply_word, verify_coh_relation, verify_shifted_identity
 from qtoric.scalars import TruncationError, sample_context
 from qtoric.series import NovikovSeries, truncation_box
 from qtoric.toric import ToricData, degree_pairing, enumerate_fixed_points
@@ -103,6 +103,25 @@ def test_the_words_reach_negative_exponents_and_repeated_columns():
                    for word in words(data) for col in range(data.N))
 
 
+@pytest.mark.parametrize("name", MODELS)
+def test_shifted_identity_reports_match_the_whole_series_route(name):
+    # Dense random components fail at nearly every degree, so the reports
+    # agree only if both sides agree there, the shifted side off the box too.
+    data, bound = model(name)
+    box = truncation_box(data, bound)
+    ctx = sample_context(data.N, 71)
+    family = {fp.J: dense_series(box, 7 + k)
+              for k, fp in enumerate(enumerate_fixed_points(data))}
+    for i, row in enumerate(data.m):
+        lhs = [(j, r) for j, mij in enumerate(row) for r in range(mij)]
+        rhs = [(j, r) for j, mij in enumerate(row) for r in range(-mij)]
+        for lhs_word, rhs_word in ((lhs, rhs), (rhs, [(j, r + 1) for j, r in lhs])):
+            report = verify_shifted_identity(data, family, ctx, lhs_word, i, rhs_word)
+            assert report == word_oracle.verify_shifted_identity(
+                data, family, ctx, lhs_word, i, rhs_word), (i, lhs_word, rhs_word)
+            assert not report["ok"]
+
+
 def shifts(K):
     """Every +-e_i, and e_i + e_k and e_i - e_k for i < k."""
     basis = [tuple(int(x == i) for x in range(K)) for i in range(K)]
@@ -140,9 +159,12 @@ def test_box_pairing_rows_and_keys(name):
     data, bound = model(name)
     box = truncation_box(data, bound)
     assert list(box.pairings) == list(box.degrees)
-    for d in box.degrees:
+    for d, predecessors in zip(box.degrees, box.predecessors):
         assert box.pairings[d] == degree_pairing(data, d)
         assert box.keys[d] == d
+        below = [tuple(x - (k == i) for k, x in enumerate(d)) for i in range(data.K)]
+        assert predecessors == tuple((box.degrees.index(e), i) for i, e in enumerate(below)
+                                     if e in box.degrees)
 
 
 def pairs(key, value):

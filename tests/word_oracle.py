@@ -3,11 +3,13 @@
 ``word_multiplier`` is the multiplier of a relation word at one degree d,
 prod over its factors (j, r) of 1 - q^{sum_i m_ij d_i - r} prod_i
 P_i(alpha)^{m_ij} / Lambda_j, with every power and product rebuilt at each
-degree; ``apply_word`` scales a series by it.  ``verify_coh_relation``
+degree; ``apply_word`` scales a series by it, and ``verify_shifted_identity``
+compares two whole series built from it.  ``verify_coh_relation``
 rebuilds both sides' products of small factors at every degree of every
 fixed point from ``degree_pairing``.  ``qtoric.qdiff`` builds each distinct
 multiplier or product once per call and looks it up; these are the formulas
-it must agree with at every box degree.
+it must agree with at every box degree.  ``shift_by_degree`` is Q^{d0} as a
+re-keyed series, the composable form the operator tests build words from.
 """
 
 from __future__ import annotations
@@ -47,6 +49,24 @@ def apply_word(series: NovikovSeries, data: ToricData, fp: FixedPoint,
     return series.map_with_degree(lambda d, c: c * multiplier(d))
 
 
+def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
+                            ctx: SampleContext, lhs_factors: Sequence[tuple[int, int]],
+                            shift_i: int, rhs_factors: Sequence[tuple[int, int]]) -> dict:
+    """(lhs word) I = Q_i (rhs word) I, each side built as a whole series first."""
+    e_i = tuple(int(k == shift_i) for k in range(data.K))
+    checks = []
+    for fp in enumerate_fixed_points(data):
+        series = family[fp.J]
+        lhs = apply_word(series, data, fp, lhs_factors, ctx)
+        rhs = shift_by_degree(apply_word(series, data, fp, rhs_factors, ctx), e_i)
+        failures = [(d, lhs.coefficient(d), rhs.coefficient(d)) for d in series.box.degrees
+                    if lhs.coefficient(d) != rhs.coefficient(d)]
+        checks.append(CheckResult(
+            label=f"relation Q_{shift_i+1} at alpha={tuple(j + 1 for j in fp.J)}",
+            ok=not failures, failures=failures))
+    return {"ok": all(c.ok for c in checks), "checks": [c.as_dict() for c in checks]}
+
+
 def verify_coh_relation(data: ToricData, d0: Sequence[int],
                         family: dict[tuple[int, ...], NovikovSeries],
                         ctx: SampleContext) -> dict:
@@ -74,3 +94,16 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int],
             label=f"Q^{d0} relation at alpha={tuple(j + 1 for j in fp.J)}",
             ok=not failures, failures=failures))
     return {"ok": all(c.ok for c in checks), "checks": [c.as_dict() for c in checks]}
+
+
+def shift_by_degree(series: NovikovSeries, d0: Sequence[int]) -> NovikovSeries:
+    """Multiplication by Q^{d0}, represented on the same box.
+
+    Each stored degree d is re-keyed to d + d0 and kept when the box holds
+    it.  Stored coefficients all lie in the box, and a degree outside the box
+    or the effective cone reads 0, so the result's coefficient at every box
+    degree d is the input's at d - d0.
+    """
+    moved = ((tuple(x + y for x, y in zip(d, d0)), c) for d, c in series.coeffs.items())
+    return NovikovSeries(series.box, {d: c for d, c in moved if series.box.contains(d)},
+                         series.mode)
