@@ -81,10 +81,12 @@ def verify_relations_at_fixed_points(data: ToricData, ctx: SampleContext) -> dic
 
 
 def spectrum_point_count(data: ToricData, ctx: SampleContext) -> int:
-    """Count the isolated solutions cut out by the relation equations at a
-    generic sample: one for each fixed point, realized by its parameter values.
+    """Count the distinct fixed-point branches at a generic sample: the
+    points p(alpha) that each fixed point's parameter values give.
 
-    Two branches producing identical solutions means the sample is degenerate.
+    The relation equations are not solved here; one branch per fixed point is
+    what their isolated solutions should number.  Two branches meeting at one
+    point means the sample is degenerate.
     """
     points = []
     for fp in enumerate_fixed_points(data):

@@ -16,7 +16,8 @@ The format is line oriented; ``#`` starts a comment.  A model needs ``name``,
     sampling samples 5
 
 The matrix directive is followed by K rows of N integers; a bundle directive
-by K rows of L integers (the fiber exponents).  ``truncation ample`` takes K
+by K rows of L integers (the fiber exponents).  Blank and comment lines may
+sit between the rows.  ``truncation ample`` takes K
 rationals; ``truncation bound`` takes one nonnegative rational, ``sampling
 seed`` one integer and ``sampling samples`` one integer at least 1.  Every
 directive and field may be given once.  Every diagnostic carries a stable code
@@ -114,6 +115,26 @@ def parse_model_text(text: str) -> ModelFile:
             row.append(int(value))
         return row
 
+    def read_rows(count: int, width: int, what: str, line_no: int) -> list[list[int]] | None:
+        """The ``count`` rows of ``width`` integers after the block directive
+        on ``line_no``, past blank and comment lines; None after a diagnostic."""
+        nonlocal idx
+        rows = []
+        while len(rows) < count:
+            if idx >= len(lines):
+                err("matrix-shape", line_no, f"expected {count} {what} rows")
+                return None
+            row_no = idx + 1
+            tokens = lines[idx].split("#", 1)[0].split()
+            idx += 1
+            if not tokens:
+                continue
+            row = int_row(tokens, row_no, width, what)
+            if row is None:
+                return None
+            rows.append(row)
+        return rows
+
     idx = 0
     while idx < len(lines):
         line_no = idx + 1
@@ -137,22 +158,7 @@ def parse_model_text(text: str) -> ModelFile:
             if len(tokens) != 3 or not tokens[1].isdigit() or not tokens[2].isdigit():
                 err("directive-shape", line_no, "matrix takes row and column counts")
                 continue
-            k, n = int(tokens[1]), int(tokens[2])
-            rows = []
-            for r in range(k):
-                if idx >= len(lines):
-                    err("matrix-shape", line_no, f"expected {k} matrix rows")
-                    break
-                row_no = idx + 1
-                row_raw = lines[idx].split("#", 1)[0].split()
-                idx += 1
-                row = int_row(row_raw, row_no, n, "matrix")
-                if row is None:
-                    rows = None
-                    break
-                rows.append(row)
-            if rows is not None and len(rows) == k:
-                matrix = rows
+            matrix = read_rows(int(tokens[1]), int(tokens[2]), "matrix", line_no)
         elif head == "omega":
             if omega is not None:
                 err("duplicate-directive", line_no, "omega given twice")
@@ -177,23 +183,7 @@ def parse_model_text(text: str) -> ModelFile:
                 err("bundle-parity", line_no, "bundle takes parity E|PiE and a summand count")
                 continue
             bundle_parity = tokens[1]
-            l_count = int(tokens[2])
-            k_rows = len(matrix)
-            rows = []
-            for r in range(k_rows):
-                if idx >= len(lines):
-                    err("matrix-shape", line_no, f"expected {k_rows} bundle rows")
-                    break
-                row_no = idx + 1
-                row_raw = lines[idx].split("#", 1)[0].split()
-                idx += 1
-                row = int_row(row_raw, row_no, l_count, "bundle")
-                if row is None:
-                    rows = None
-                    break
-                rows.append(row)
-            if rows is not None and len(rows) == k_rows:
-                bundle_rows = rows
+            bundle_rows = read_rows(len(matrix), int(tokens[2]), "bundle", line_no)
         elif head in ("truncation", "sampling"):
             field = " ".join(tokens[:2])
             if field not in _FIELDS:

@@ -31,7 +31,6 @@ from .scalars import (
     sample_context,
     with_resampling,
 )
-from .linalg import solve_square
 from .series import TruncationBox, component_residues, component_series
 from .toric import (
     FixedPoint,
@@ -43,7 +42,7 @@ from .toric import (
 
 
 class OrbitInvariantError(InvalidModelError):
-    """The solved orbit data violates a structural identity; bad input data."""
+    """The orbit data violates a structural identity; bad input data."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class OrbitData:
 
 
 def orbit_data(data: ToricData, alpha: FixedPoint, j0: int) -> OrbitData | None:
-    """Solve for the orbit leaving alpha in direction j0, or None if there is none."""
+    """The orbit leaving alpha in direction j0, or None if there is none."""
     if j0 in alpha.J:
         raise ValueError(f"column {j0 + 1} lies on the fixed point already")
     fixed = {fp.J: fp for fp in enumerate_fixed_points(data)}
@@ -74,16 +73,9 @@ def orbit_data(data: ToricData, alpha: FixedPoint, j0: int) -> OrbitData | None:
         beta = fixed.get(new_subset)
         if beta is None:
             continue
-        # Solve D_j(d) = 0 for j in J(alpha)\{j0p} and D_{j0}(d) = 1; the
-        # equation index set is exactly J(beta), whose minor is unimodular.
-        rows = [[data.m[i][j] for i in range(data.K)] for j in beta.J]
-        rhs = [Fraction(1) if j == j0 else Fraction(0) for j in beta.J]
-        sol = solve_square(rows, rhs)
-        if sol is None:
-            continue
-        if any(x.denominator != 1 for x in sol):
-            raise OrbitInvariantError("orbit degree came out non-integer")
-        d_ab = tuple(int(x) for x in sol)
+        # D_j(d) = 0 for j in J(alpha)\{j0p} and D_{j0}(d) = 1: the index set is
+        # J(beta), so d is the dual-cone generator of beta at j0.
+        d_ab = beta.degree_generators[beta.J.index(j0)]
         lam = alpha.u_monomials[j0]
         _validate_orbit(data, alpha, beta, j0, j0p, d_ab, lam)
         found.append(OrbitData(alpha=alpha, beta=beta, j0=j0, j0_prime=j0p,

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from math import ceil, floor, gcd, lcm
 from typing import Sequence
 
-from .linalg import determinant, inverse_unimodular, solve_square
+from .linalg import adjugate, determinant
 from .monomials import Monomial
 
 
@@ -112,45 +112,41 @@ class FixedPoint:
         return tuple(mon.evaluate(lambdas) for mon in self.u_monomials)
 
 
-def _chamber_coefficients(data: ToricData, subset: tuple[int, ...]):
-    minor = data.minor(subset)
-    det = determinant(minor)
-    if det == 0:
-        return None, 0
-    coeffs = solve_square(minor, data.omega)
-    return coeffs, det
-
-
 @lru_cache(maxsize=None)
 def enumerate_fixed_points(data: ToricData) -> tuple[FixedPoint, ...]:
     """All K-subsets whose column cone strictly contains omega.
 
     Raises on boundary omega (non-regular) and on any non-unimodular fixed
     minor (non-smooth quotient); both are hard errors since every formula in
-    the library assumes the smooth manifold case.
+    the library assumes the smooth manifold case.  Each minor is eliminated
+    once: its chamber coefficients minor^-1 omega = adj omega / det have the
+    signs of ``scaled`` = det * (adj omega), and det * adj is the inverse
+    when |det| = 1.
     """
     out = []
     for subset in combinations(range(data.N), data.K):
-        coeffs, det = _chamber_coefficients(data, subset)
-        if coeffs is None:
+        det, adj = adjugate(data.minor(subset))
+        if adj is None:
             continue
-        if any(c == 0 for c in coeffs):
+        scaled = [det * _dot(row, data.omega) for row in adj]
+        if any(c == 0 for c in scaled):
             raise NonRegularChamberError(
                 f"omega lies on the wall of cone {tuple(j + 1 for j in subset)}"
             )
-        if all(c > 0 for c in coeffs):
+        if all(c > 0 for c in scaled):
             if det not in (1, -1):
-                raise NonSmoothModelError(subset, int(det))
-            out.append(_build_fixed_point(data, subset, int(det)))
+                raise NonSmoothModelError(subset, det)
+            inv = [[det * x for x in row] for row in adj]
+            out.append(_build_fixed_point(data, subset, det, inv))
     if not out:
         raise NonRegularChamberError("omega lies outside the image of the open orthant")
     return tuple(out)
 
 
-def _build_fixed_point(data: ToricData, subset: tuple[int, ...], det: int) -> FixedPoint:
+def _build_fixed_point(data: ToricData, subset: tuple[int, ...], det: int,
+                       inv: list[list[int]]) -> FixedPoint:
+    """The monomial data at a fixed point from ``inv``, its minor's integer inverse."""
     k, n = data.K, data.N
-    minor = data.minor(subset)
-    inv = inverse_unimodular(minor)  # integer because |det| = 1
     # P_i = prod_{j' in J} Lambda_{j'}^{inv[j'][i]}: solves prod_i P_i^{m_ij} = Lambda_j, j in J.
     p_monomials = []
     for i in range(k):
@@ -222,8 +218,7 @@ def _mori_facets(data: ToricData) -> tuple[tuple[int, ...], ...]:
     facets: list[tuple[int, ...]] = []
     spans = False
     for tight in combinations(gens, k - 1):
-        normal = [int(determinant([[int(c == i) for c in range(k)], *tight]))
-                  for i in range(k)]
+        normal = [determinant([[int(c == i) for c in range(k)], *tight]) for i in range(k)]
         pairings = [_dot(normal, g) for g in gens]
         if not any(pairings):
             continue

@@ -214,12 +214,23 @@ def test_model_diagnostics_cover_shapes():
         surface + "truncation ample 1 1\n#\ntruncation ample 1 2\n": ("duplicate-directive", 8),
         head + "sampling seed 1\nsampling seed 2\n": ("duplicate-directive", 6),
         head + "sampling samples 2\nsampling samples 3\n": ("duplicate-directive", 6),
+        head + "bundle E 1\n": ("matrix-shape", 5),
+        head + "bundle E 2\n1\n": ("row-shape", 6),
     }
     for text, (code, line) in bad_cases.items():
         with pytest.raises(ModelFormatError) as info:
             parse_model_text(text)
         found = [(d.code, d.line) for d in info.value.diagnostics]
         assert (code, line) in found, (text, info.value)
+
+
+@pytest.mark.parametrize("gap", ["# second row\n", "\n", "  \t\n", "  # indented\n\n"])
+def test_block_rows_skip_blank_and_comment_lines(gap):
+    text = ("name x\nmatrix 2 4\n1 1 0 -1\n" + gap + "0 0 1 1\nomega 1 1\n"
+            "bundle E 1\n" + gap + "1\n" + gap + "2 # last row\n")
+    model = parse_model_text(text)
+    assert model.data.m == ((1, 1, 0, -1), (0, 0, 1, 1))
+    assert model.bundle.exponents == ((1,), (2,))
 
 
 def test_model_sampling_defaults():

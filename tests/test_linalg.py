@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qtoric.linalg import determinant, inverse_unimodular, solve_square
+from linalg_oracle import determinant as oracle_determinant
+from linalg_oracle import solve_square
+from qtoric.linalg import adjugate, determinant
 
 
 def test_determinant_small():
@@ -13,20 +17,52 @@ def test_determinant_small():
     assert determinant([[2]]) == 2
 
 
-def test_solve_square_exact():
-    sol = solve_square([[1, 1], [0, 1]], [Fraction(3), Fraction(1)])
-    assert sol == [Fraction(2), Fraction(1)]
-    assert solve_square([[1, 2], [2, 4]], [1, 2]) is None
+def test_adjugate_small():
+    assert adjugate([[1, -1], [0, 1]]) == (1, [[1, 1], [0, 1]])
+    assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+    assert adjugate([[2, 0], [0, 1]]) == (2, [[1, 0], [0, 2]])
+    assert adjugate([[1, 2], [2, 4]]) == (0, None)
 
 
-def test_solve_square_shape_errors():
+def test_adjugate_shape_errors():
     with pytest.raises(ValueError):
-        solve_square([[1, 2]], [1])
-
-
-def test_inverse_unimodular():
-    assert inverse_unimodular([[1, -1], [0, 1]]) == [[1, 1], [0, 1]]
-    assert inverse_unimodular([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+        adjugate([[1, 2]])
     with pytest.raises(ValueError):
-        inverse_unimodular([[2, 0], [0, 1]])
+        determinant([[1, 2], [3]])
 
+
+@st.composite
+def integer_matrices(draw):
+    """Square matrices of size 1-6 with entries in [-3, 3]; a third are made
+    singular (a row repeats another's multiple) and a third need a row swap
+    (a zero in the top-left corner)."""
+    n = draw(st.integers(1, 6))
+    entries = st.integers(-3, 3)
+    a = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["random", "singular", "swap"]))
+    if kind == "singular":
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        scale = draw(entries) if src != dst else 0
+        a[dst] = [scale * x for x in a[src]]
+    elif kind == "swap":
+        a[0][0] = 0
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=integer_matrices())
+@example(a=[[0, 1], [1, 0]])
+@example(a=[[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+@example(a=[[1, 2], [2, 4]])
+def test_adjugate_matches_the_rational_oracle(a):
+    n = len(a)
+    det, adj = adjugate(a)
+    assert det == oracle_determinant(a)
+    columns = [solve_square(a, [int(i == j) for i in range(n)]) for j in range(n)]
+    if det == 0:
+        assert adj is None and all(col is None for col in columns)
+        return
+    assert all(type(x) is int for row in adj for x in row)
+    product = [[sum(adj[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert product == [[det * int(i == j) for j in range(n)] for i in range(n)]
+    assert [[Fraction(adj[i][j], det) for i in range(n)] for j in range(n)] == columns

@@ -5,10 +5,10 @@ from math import prod
 
 import pytest
 
+from linalg_oracle import solve_square
 from test_word_tables import MODELS, model
 from qtoric.exprs import parse_expression
 from qtoric.kirwan import kirwan_relations
-from qtoric.linalg import solve_square
 from qtoric.localization import cohomology_integral, ktheory_trace, map_space_integral
 from qtoric.scalars import PoleError, SampleContext, sample_context, with_resampling
 from qtoric.toric import (

@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from linalg_oracle import solve_square
+from test_extra_models import EXTRA
+from qtoric.models import bundled_model_names, load_bundled_model
 from qtoric.monomials import Monomial
 from qtoric.recursion import (
     all_orbits,
@@ -45,6 +48,18 @@ def test_orbit_absent_direction():
     alpha = fixed_point(data, (0,))
     assert orbit_data(data, alpha, 1) is None
     assert orbit_data(data, alpha, 2) is not None
+
+
+def test_orbit_degrees_match_the_solved_system():
+    # d_ab solves D_j(d) = 0 for the shared columns and D_{j0}(d) = 1, whose
+    # equations are the columns of beta's minor.
+    models = [load_bundled_model(name).data for name in bundled_model_names()] + EXTRA
+    for data in models:
+        for orbit in all_orbits(data):
+            rows = [[data.m[i][j] for i in range(data.K)] for j in orbit.beta.J]
+            rhs = [int(j == orbit.j0) for j in orbit.beta.J]
+            solved = tuple(solve_square(rows, rhs))
+            assert orbit.d_ab == solved, (data.name, orbit.alpha.J, orbit.j0)
 
 
 def test_orbit_edge_counts(all_models):
