@@ -9,19 +9,29 @@ coefficient at Q^d once, by the product over its factors 1 - q^{-r} U_j of
 P-monomials and the matrix rather than from U_j(alpha) and D_j(d), which
 build the components it checks.  The checks compute their own exponents and
 depths (never the box's cached pairings) once per call, build each distinct
-multiplier or product of small factors once per fixed point, and make one
-pass over the box per fixed point: a degree costs one lookup and one
-big-by-small product per side, and no intermediate series is built.
+multiplier or product of small factors once per fixed point, as a product of
+the integer kernels' pairs (``scalars.binomial``, ``scalars.linear``), and
+make one pass over the box per fixed point with no intermediate series.  A
+degree's check c L = c' R, of two coefficients and two such small products,
+is one reduction (``_agree``): c' times the pair R/L, normalised once,
+against c; two big coefficients are never multiplied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
-from math import prod
 from typing import Sequence
 
-from .scalars import SampleContext, TruncationError, binomial, power_product, ratio_table
+from .scalars import (
+    SampleContext,
+    TruncationError,
+    binomial,
+    linear,
+    power_product,
+    ratio_table,
+)
 from .series import (
     NovikovSeries,
     TruncationBox,
@@ -70,7 +80,7 @@ def apply_word(series: NovikovSeries, data: ToricData, fp: FixedPoint,
     """
     multiplier = _word_multiplier(data, fp.p_values(ctx.Lambda), factors, ctx)
     exponents = _word_exponents(data, factors, series.coeffs)
-    return NovikovSeries(series.box, {d: c * multiplier(ks) for (d, c), ks
+    return NovikovSeries(series.box, {d: c * Fraction(*multiplier(ks)) for (d, c), ks
                                       in zip(series.coeffs.items(), exponents)}, series.mode)
 
 
@@ -85,16 +95,33 @@ def _word_exponents(data: ToricData, factors: Sequence[tuple[int, int]],
 def _word_multiplier(data: ToricData, p_values: Sequence, factors: Sequence[tuple[int, int]],
                      ctx: SampleContext):
     """ks -> prod_t 1 - q^{k_t - r} w_t over the factors t = (j, r), each distinct
-    ks built once, with w_t = prod_i P_i(alpha)^{m_ij} / Lambda_j from the P-values
-    (the operator side), not U_j(alpha): the check stays independent of the components."""
+    ks built once as one unnormalised pair of ints, with w_t = prod_i
+    P_i(alpha)^{m_ij} / Lambda_j from the P-values (the operator side), not
+    U_j(alpha): the check stays independent of the components."""
     terms = [(r, binomial(power_product((*p_values, ctx.Lambda[j]),
                                         (*(row[j] for row in data.m), -1)), ctx.q))
              for j, r in factors]
 
     @cache
     def multiplier(ks):
-        return prod(f(k - r) for k, (r, f) in zip(ks, terms))
+        num = den = 1
+        for k, (r, f) in zip(ks, terms):
+            n, d = f(k - r)
+            num, den = num * n, den * d
+        return num, den
     return multiplier
+
+
+def _agree(c, left, c_other, right) -> bool:
+    """c L == c_other R, for rationals c and c_other and the unnormalised int
+    pairs ``left`` = L and ``right`` = R, by one big-by-small reduction:
+    c_other times the pair R/L, normalised once, against c.  Where L = 0 it
+    is c_other R == 0."""
+    left_num, left_den = left
+    right_num, right_den = right
+    if not left_num:
+        return not (c_other and right_num)
+    return c_other * Fraction(right_num * left_den, right_den * left_num) == c
 
 
 @dataclass
@@ -139,6 +166,7 @@ def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], Novik
     With e_i effective the shift reads only lower degrees, so every degree of
     the components' own box is checked: the right side at d is the word at
     d - e_i (``box.predecessors``) times the coefficient there, or 0 off the box.
+    Each degree is one ``_agree``; a failing one reports both sides in full.
     """
     box = next(iter(family.values())).box
     e_i = tuple(1 if k == shift_i else 0 for k in range(data.K))
@@ -159,10 +187,12 @@ def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], Novik
         rhs_word = _word_multiplier(data, p_values, rhs_factors, ctx)
         failures = []
         for d, ks, (source, source_ks) in zip(box.degrees, lhs_exponents, shifted):
-            lhs = coeffs[d] * lhs_word(ks) if d in coeffs else 0
-            rhs = coeffs[source] * rhs_word(source_ks) if source in coeffs else 0
-            if lhs != rhs:
-                failures.append((d, lhs, rhs))
+            c, c_source = coeffs.get(d, 0), coeffs.get(source, 0)
+            if c or c_source:
+                left = lhs_word(ks)
+                right = rhs_word(source_ks) if c_source else (0, 1)
+                if not _agree(c, left, c_source, right):
+                    failures.append((d, c * Fraction(*left), c_source * Fraction(*right)))
         checks.append(CheckResult(
             label=f"relation Q_{shift_i+1} at alpha={tuple(j + 1 for j in fp.J)}",
             ok=not failures, failures=failures))
@@ -170,14 +200,17 @@ def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], Novik
 
 
 def apply_gamma_ratio(series: NovikovSeries, data: ToricData, j: int, lam_value,
-                      ctx: SampleContext) -> NovikovSeries:
+                      ctx: SampleContext, pairings: dict | None = None) -> NovikovSeries:
     """The ratio of Gamma-operator symbols attached to column j, in finite form.
 
     Acting on Q^d it multiplies by finite_ratio(lam, D_j(d), q), read from one
     table over the depths of the support; no infinite products are ever
-    materialized.
+    materialized.  ``pairings`` maps each support degree d to this module's
+    ``degree_pairing(data, d)``; it is computed here when not given.
     """
-    depth = {d: degree_pairing(data, d)[j] for d in series.coeffs}
+    if pairings is None:
+        pairings = {d: degree_pairing(data, d) for d in series.coeffs}
+    depth = {d: pairings[d][j] for d in series.coeffs}
     table = ratio_table(lam_value, depth.values(), ctx.q)
     return series.map_with_degree(lambda d, c: c * table[depth[d]])
 
@@ -189,13 +222,15 @@ def gamma_reconstruction(data: ToricData, fp: FixedPoint, box: TruncationBox,
     Applying, for every column off the fixed point, the Gamma-ratio operator
     with weight U_j(alpha) to the point-series sum form must reproduce the
     component series exactly.  Only the sum form is built: its agreement with
-    the q-exponential is ``point_series``'s own check.
+    the q-exponential is ``point_series``'s own check.  Each support degree's
+    ``degree_pairing`` is computed once, for every column.
     """
     rebuilt = point_sum_form(fp.q_monomials, box, ctx)
+    pairings = {d: degree_pairing(data, d) for d in rebuilt.coeffs}
     uvals = fp.u_values(ctx.Lambda)
     for j in range(data.N):
         if j not in fp.J:
-            rebuilt = apply_gamma_ratio(rebuilt, data, j, uvals[j], ctx)
+            rebuilt = apply_gamma_ratio(rebuilt, data, j, uvals[j], ctx, pairings)
     return rebuilt, component_series(data, fp, box, ctx)
 
 
@@ -220,7 +255,9 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int],
     The depths D_j(d) come from this module's own ``degree_pairing``, and each
     degree's source d - d0 is classified (a box degree, an exact zero, or
     beyond the bound, where nothing is checked), once per call; per fixed
-    point each side's product is built once per distinct depth tuple.
+    point each side's product is built once per distinct depth tuple, as a
+    pair of ints from the kernels ``u_j - r z`` (``scalars.linear``), and each
+    degree is one ``_agree``.
     """
     d0 = tuple(int(x) for x in d0)
     steps = degree_pairing(data, d0)
@@ -241,19 +278,26 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int],
     checks = []
     for fp in enumerate_fixed_points(data):
         coeffs = family[fp.J].coeffs
-        uvals = divisor_values(data, fp, ctx.Lambda)
+        kernels = [linear(u, ctx.z) for u in divisor_values(data, fp, ctx.Lambda)]
 
         @cache
         def product(side, depth):
-            return prod(uvals[j] - (D - s) * ctx.z
-                        for j, D in zip(sides[side], depth) for s in shifts[j])
+            num = den = 1
+            for j, D in zip(sides[side], depth):
+                for s in shifts[j]:
+                    n, m = kernels[j](D - s)
+                    num, den = num * n, den * m
+            return num, den
 
         failures = []
         for d, source, left, right in rows:
-            lhs = coeffs[source] * product(0, left) if source in coeffs else 0
-            rhs = coeffs[d] * product(1, right) if d in coeffs else 0
-            if lhs != rhs:
-                failures.append((d, lhs, rhs))
+            c, c_source = coeffs.get(d, 0), coeffs.get(source, 0)
+            if c or c_source:
+                right_product = product(1, right)
+                left_product = product(0, left) if c_source else (0, 1)
+                if not _agree(c, right_product, c_source, left_product):
+                    failures.append((d, c_source * Fraction(*left_product),
+                                     c * Fraction(*right_product)))
         checks.append(CheckResult(
             label=f"Q^{d0} relation at alpha={tuple(j + 1 for j in fp.J)}",
             ok=not failures, failures=failures))

@@ -62,11 +62,16 @@ class OrbitData:
     lambda_char: Monomial
 
 
-def orbit_data(data: ToricData, alpha: FixedPoint, j0: int) -> OrbitData | None:
-    """The orbit leaving alpha in direction j0, or None if there is none."""
+def orbit_data(data: ToricData, alpha: FixedPoint, j0: int,
+               fixed: dict[tuple[int, ...], FixedPoint] | None = None) -> OrbitData | None:
+    """The orbit leaving alpha in direction j0, or None if there is none.
+
+    ``fixed`` maps each fixed point's J to it; it is built here when not given.
+    """
     if j0 in alpha.J:
         raise ValueError(f"column {j0 + 1} lies on the fixed point already")
-    fixed = {fp.J: fp for fp in enumerate_fixed_points(data)}
+    if fixed is None:
+        fixed = {fp.J: fp for fp in enumerate_fixed_points(data)}
     found: list[OrbitData] = []
     for j0p in alpha.J:
         new_subset = tuple(sorted(set(alpha.J) - {j0p} | {j0}))
@@ -99,22 +104,25 @@ def _validate_orbit(data: ToricData, alpha: FixedPoint, beta: FixedPoint,
     for j in set(alpha.J) & set(beta.J):
         if pairing[j] != 0:
             raise OrbitInvariantError(f"shared column {j + 1} pairs to {pairing[j]} != 0")
-    for j in range(data.N):
-        if alpha.u_monomials[j] / beta.u_monomials[j] != lam ** pairing[j]:
+    char = lam.exps
+    for j, (a, b) in enumerate(zip(alpha.u_monomials, beta.u_monomials)):
+        if any(x - y != e * pairing[j] for x, y, e in zip(a.exps, b.exps, char)):
             raise OrbitInvariantError(
                 f"U_{j + 1} monomials disagree with the character power rule"
             )
-    if beta.u_monomials[j0p] != lam.inverse():
+    if beta.u_monomials[j0p].exps != tuple(-e for e in char):
         raise OrbitInvariantError("the leaving character is not the inverse")
 
 
 def all_orbits(data: ToricData) -> list[OrbitData]:
     out = []
-    for fp in enumerate_fixed_points(data):
+    fixed_points = enumerate_fixed_points(data)
+    fixed = {fp.J: fp for fp in fixed_points}
+    for fp in fixed_points:
         for j0 in range(data.N):
             if j0 in fp.J:
                 continue
-            orbit = orbit_data(data, fp, j0)
+            orbit = orbit_data(data, fp, j0, fixed)
             if orbit is not None:
                 out.append(orbit)
     return out

@@ -6,9 +6,12 @@ points (a nonzero rational function vanishes at a random point with negligible
 probability), so the scalar layer provides
 
 * reproducible sample contexts for (q, equivariant parameters, bundle weight, z),
-* two rational kernels, a Laurent monomial's value (``power_product``) and a
-  factor 1 - q^r u (``binomial``), each built from integer powers of
-  numerators and denominators with one normalisation,
+* a Laurent monomial's value (``power_product``), built from integer powers
+  of numerators and denominators with one normalisation,
+* two integer kernels, the factors 1 - q^r u (``binomial``) and u - r z
+  (``linear``): each returns an unnormalised pair (numerator, denominator) of
+  ints, so a product of small factors is a product of int pairs that its
+  caller normalises once, into one ``Fraction``,
 * the universal finite product ratio behind all the q-hypergeometric factors
   and its cohomological limit: its factors at a numeric q or z
   (``ratio_factor``), and its values over depths by one running product
@@ -132,30 +135,42 @@ def power_product(values: Sequence, exponents: Sequence[int]) -> Fraction:
     return Fraction(num, den)
 
 
-def binomial(u_value, q) -> Callable[[int], Fraction]:
-    """r -> 1 - q^r u at rational q and u, from integer powers of the numerators
-    and denominators, normalised once."""
+def binomial(u_value, q) -> Callable[[int], tuple[int, int]]:
+    """r -> 1 - q^r u at rational q and u, as an unnormalised pair (numerator,
+    denominator) of ints built from integer powers of their numerators and
+    denominators; for q != 0 the denominator is never 0, and it may be negative."""
     a, b, c, e = q.numerator, q.denominator, u_value.numerator, u_value.denominator
 
     def factor(r):
         num, den = (a ** r * c, b ** r * e) if r >= 0 else (b ** -r * c, a ** -r * e)
-        return Fraction(den - num, den)
+        return den - num, den
     return factor
 
 
-def ratio_factor(u_value, q=None, z=None) -> Callable[[int], Fraction]:
-    """f(r) = 1 - q^r u (``binomial``), or u - r z when ``z`` is given, of the universal ratio.
+def linear(u_value, z) -> Callable[[int], tuple[int, int]]:
+    """r -> u - r z at rational u and z, as an unnormalised pair of ints."""
+    a, b = u_value.numerator * z.denominator, z.numerator * u_value.denominator
+    den = u_value.denominator * z.denominator
+
+    def factor(r):
+        return a - r * b, den
+    return factor
+
+
+def ratio_factor(u_value, q=None, z=None) -> Callable[[int], tuple[int, int]]:
+    """f(r) = 1 - q^r u (``binomial``), or u - r z (``linear``) when ``z`` is
+    given, of the universal ratio, as the kernel's pair of ints.
 
     The ratio prod_{r<=0} f(r) / prod_{r<=D} f(r) is 1/prod_{r=1}^{D} f(r)
     for D >= 0 and prod_{r=D+1}^{0} f(r) for D < 0.  A vanishing numerator
-    factor is its exact zero (the kill rule); a vanishing denominator factor
-    is a sampling pole and raises.
+    factor is its exact zero, numerator 0 (the kill rule); a vanishing
+    denominator factor is a sampling pole and raises.
     """
-    kernel = binomial(u_value, q) if z is None else (lambda r: u_value - r * z)
+    kernel = binomial(u_value, q) if z is None else linear(u_value, z)
 
     def factor(r):
         f = kernel(r)
-        if r > 0 and f == 0:
+        if r > 0 and not f[0]:
             raise PoleError(r, u_value)
         return f
     return factor
@@ -171,9 +186,10 @@ def ratio_table(u_value, depths: Iterable[int], q=None, z=None) -> dict[int, Fra
     depths = [0, *depths]
     table = {0: Fraction(1)}
     for r in range(1, max(depths) + 1):
-        table[r] = table[r - 1] / factor(r)
+        num, den = factor(r)
+        table[r] = table[r - 1] * Fraction(den, num)
     for r in range(0, min(depths), -1):
-        table[r - 1] = table[r] * factor(r)
+        table[r - 1] = table[r] * Fraction(*factor(r))
     return table
 
 
@@ -214,8 +230,9 @@ class LeadingTerm(NamedTuple):
         return self.lead
 
 
-def root_factor(u_value, q0) -> Callable[[int], LeadingTerm]:
-    """``ratio_factor``'s leading term at q = q0 (1 + eps).
+def root_factor(u_value, q0) -> Callable[[int], tuple[int, int, int]]:
+    """``ratio_factor``'s leading term at q = q0 (1 + eps), unnormalised: the
+    triple (numerator, denominator, order) of ints for (num/den) eps^order.
 
     A denominator factor that vanishes at q0 is a pole of the ratio, not a
     sampling failure: it lowers the order.
@@ -223,8 +240,8 @@ def root_factor(u_value, q0) -> Callable[[int], LeadingTerm]:
     kernel = binomial(u_value, q0)
 
     def factor(r):
-        f = kernel(r)
-        return LeadingTerm(0, f) if f else LeadingTerm(1, Fraction(-r))
+        num, den = kernel(r)
+        return (num, den, 0) if num else (-r, 1, 1)
     return factor
 
 

@@ -4,10 +4,13 @@ Coefficients are exact rationals: every parameter is evaluated at a sample
 context.  A component coefficient is a product over the columns of one
 universal finite ratio, built by a walk over the box: a degree takes a
 neighbour's coefficient times the few factors 1 - q^r u its depths cross
-(``scalars.ratio_factor``); degrees off the fixed point's dual cone are exact
-zeros and are never visited; a bundle summand is one more column (inverted
-for PiE).  The residues of a component at a root point q0 come from the same
-walk over the factors' leading terms (``scalars.root_factor``); the q-exponential
+(``scalars.ratio_factor``), each an unnormalised pair of ints from the
+integer kernel, so a step is a product of int pairs normalised once, into
+one ``Fraction``, and a degree costs one big-by-small product; degrees off
+the fixed point's dual cone are exact zeros and are never visited; a bundle
+summand is one more column (inverted for PiE).  The residues of a component
+at a root point q0 come from the same walk, the same steps, over the
+factors' leading terms (``scalars.root_factor``); the q-exponential
 is one pass of its Euler recurrence.  Everything is localized: a global series
 is the family of its components, never a mixed object.
 """
@@ -334,27 +337,38 @@ def component_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
     only the degrees inside it are visited.  Each bundle summand is one more
     column of the walk (``_FibreColumn``).
     """
-    factors = [ratio_factor(u, ctx.q) for u in fp.u_values(ctx.Lambda)]
+    factors = [_order_zero(ratio_factor(u, ctx.q)) for u in fp.u_values(ctx.Lambda)]
     fibres = None
     if bundle is not None:
         fibres = bundle, [_FibreColumn(ctx.lam * v, ctx.q, bundle.parity == "PiE")
                           for v in bundle.fiber_values(fp.p_values(ctx.Lambda))]
-    return NovikovSeries(box, _ratio_products(data, fp, box, factors, Fraction(1), fibres))
+    return NovikovSeries(box, _ratio_products(data, fp, box, factors, _fraction, fibres))
+
+
+def _order_zero(factor):
+    """A kernel's pairs (num, den) as the walk's factors (num, den, 0)."""
+    return lambda r: (*factor(r), 0)
+
+
+def _fraction(num, den, order):
+    """A numeric walk's step, normalised once; its order is always 0."""
+    return Fraction(num, den)
 
 
 class _FibreColumn(dict):
-    """A bundle summand's factors 1 - q^r u, each computed as the walk first crosses
-    it; for PiE their reciprocals, and one vanishing (r <= 0) is ``PoleError(0, u)``."""
+    """A bundle summand's factors 1 - q^r u as the walk's triples, each computed as
+    the walk first crosses it; for PiE their reciprocals, and one vanishing
+    (r <= 0) is ``PoleError(0, u)``."""
 
     def __init__(self, u_value, q, invert: bool):
         super().__init__()
         self.u_value, self.factor, self.invert = u_value, ratio_factor(u_value, q), invert
 
     def __missing__(self, r):
-        f = self.factor(r)
-        if self.invert and f == 0:
+        num, den = self.factor(r)
+        if self.invert and not num:
             raise PoleError(0, self.u_value)
-        self[r] = 1 / f if self.invert else f
+        self[r] = (den, num, 0) if self.invert else (num, den, 0)
         return self[r]
 
 
@@ -367,28 +381,36 @@ def component_residues(data: ToricData, fp: FixedPoint, box: TruncationBox,
     more raises ``DoublePoleError``.
     """
     factors = [root_factor(u, q0) for u in fp.u_values(ctx.Lambda)]
-    terms = _ratio_products(data, fp, box, factors, LeadingTerm(0, Fraction(1)))
+    terms = _ratio_products(data, fp, box, factors, _leading_term)
     return {d: term.residue() for d, term in terms.items()}
 
 
+def _leading_term(num, den, order):
+    """A leading-term walk's step, its lead normalised once."""
+    return LeadingTerm(order, Fraction(num, den))
+
+
 def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
-                    factors: Sequence[Callable], one, fibres=None) -> dict[Degree, object]:
+                    factors: Sequence[Callable], finish: Callable,
+                    fibres=None) -> dict[Degree, object]:
     """prod_j prod_{r<=0} f_j(r) / prod_{r<=D_j(d)} f_j(r), f_j = ``factors[j]``, at
     every box degree d in alpha's dual cone (read from ``box.pairings``), by a walk in box order.
 
-    A degree with a visited nonzero neighbour d - e_i (``box.predecessors``)
-    takes its value times one step: divided by f_j(r) for each r a depth D_j
-    rises past and multiplied by f_j(r) for each r it falls past.  Only the
-    columns with m_ij != 0 move, and the step depends only on i and their
-    start depths, so each distinct step is built once per walk: one small
-    product per key and one big-by-small product per degree.  Without such a
-    neighbour a degree starts every column at depth 0 (``one``).  All factors
-    are computed first, column by column, so the first sampling pole raises
-    before any product.  ``fibres``, a pair (bundle, columns), adds column a
-    at depth Delta(d)[a], moved by direction i when l_ia != 0, its factors
-    computed as first crossed: a degree crosses every r between its start
-    depth and its own, so a fibre pole raises at the first degree in box
-    order, then fibre order, that reaches it.
+    Each f_j(r) is a triple (num, den, order) of ints, num/den eps^order
+    (order 0 away from a root point).  A degree with a visited nonzero
+    neighbour d - e_i (``box.predecessors``) takes its value times one step:
+    divided by f_j(r) for each r a depth D_j rises past and multiplied by
+    f_j(r) for each r it falls past.  Only the columns with m_ij != 0 move,
+    and the step depends only on i and their start depths, so each distinct
+    step is built once per walk: one product of int triples, normalised once
+    by ``finish(num, den, order)``, per key and one big-by-small product per
+    degree.  Without such a neighbour a degree starts every column at depth
+    0.  All factors are computed first, column by column, so the first
+    sampling pole raises before any product.  ``fibres``, a pair (bundle,
+    columns), adds column a at depth Delta(d)[a], moved by direction i when
+    l_ia != 0, its factors computed as first crossed: a degree crosses every
+    r between its start depth and its own, so a fibre pole raises at the
+    first degree in box order, then fibre order, that reaches it.
     """
     depths = [pairing if all(pairing[j] >= 0 for j in fp.J) else None
               for pairing in box.pairings.values()]
@@ -414,24 +436,28 @@ def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
                 start = depths[prev]
                 key = (i, *(start[c] for c in moved[i]))
                 if key not in steps:
-                    steps[key] = _step(crossed, moved[i], start, pairing, one)
+                    steps[key] = finish(*_step(crossed, moved[i], start, pairing))
                 out[pos] = out[prev] * steps[key]
                 break
         else:
-            out[pos] = _step(crossed, range(len(crossed)), (0,) * len(crossed), pairing, one)
+            out[pos] = finish(*_step(crossed, range(len(crossed)), (0,) * len(crossed), pairing))
     return {d: value for d, value in zip(box.degrees, out) if value is not None}
 
 
-def _step(crossed, columns, start, end, one):
-    """The small factors of ``crossed`` that the depths of ``columns`` cross from start to end."""
-    step = one
+def _step(crossed, columns, start, end) -> tuple[int, int, int]:
+    """The product, as one unnormalised triple (num, den, order), of the factors of
+    ``crossed`` that the depths of ``columns`` cross from start to end."""
+    num = den = 1
+    order = 0
     for c in columns:
         f, a, b = crossed[c], start[c], end[c]
         for r in range(a + 1, b + 1):
-            step /= f[r]
+            n, d, k = f[r]
+            num, den, order = num * d, den * n, order - k
         for r in range(b + 1, a + 1):
-            step *= f[r]
-    return step
+            n, d, k = f[r]
+            num, den, order = num * n, den * d, order + k
+    return num, den, order
 
 
 def assemble_series(data: ToricData, box: TruncationBox, ctx: SampleContext,
@@ -455,8 +481,9 @@ def cohomological_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
 
     u_j(p(alpha)) = 0 on J(alpha), so the r = 0 factor is the same kill rule.
     """
-    factors = [ratio_factor(u, z=ctx.z) for u in divisor_values(data, fp, ctx.Lambda)]
-    coeffs = _ratio_products(data, fp, box, factors, Fraction(1))
+    factors = [_order_zero(ratio_factor(u, z=ctx.z))
+               for u in divisor_values(data, fp, ctx.Lambda)]
+    coeffs = _ratio_products(data, fp, box, factors, _fraction)
     return NovikovSeries(box, coeffs, mode="coh")
 
 

@@ -120,15 +120,18 @@ def enumerate_fixed_points(data: ToricData) -> tuple[FixedPoint, ...]:
     minor (non-smooth quotient); both are hard errors since every formula in
     the library assumes the smooth manifold case.  Each minor is eliminated
     once: its chamber coefficients minor^-1 omega = adj omega / det have the
-    signs of ``scaled`` = det * (adj omega), and det * adj is the inverse
-    when |det| = 1.
+    signs of ``scaled`` = det * (adj omega), read on omega times the lcm of
+    its denominators, an int vector; and det * adj is the inverse when
+    |det| = 1.
     """
+    scale = lcm(*(w.denominator for w in data.omega))
+    omega = [w.numerator * (scale // w.denominator) for w in data.omega]
     out = []
     for subset in combinations(range(data.N), data.K):
         det, adj = adjugate(data.minor(subset))
         if adj is None:
             continue
-        scaled = [det * _dot(row, data.omega) for row in adj]
+        scaled = [det * _dot(row, omega) for row in adj]
         if any(c == 0 for c in scaled):
             raise NonRegularChamberError(
                 f"omega lies on the wall of cone {tuple(j + 1 for j in subset)}"

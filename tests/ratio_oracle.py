@@ -30,7 +30,11 @@ from qtoric.toric import FixedPoint, ToricData, degree_pairing, divisor_values
 
 def root_table(u_value, depths, q0) -> dict[int, LeadingTerm]:
     """``ratio_table``'s leading terms at q = q0 (1 + eps), by the same running product."""
-    factor = root_factor(u_value, q0)
+    kernel = root_factor(u_value, q0)
+
+    def factor(r):
+        num, den, order = kernel(r)
+        return LeadingTerm(order, Fraction(num, den))
     depths = set(depths)
     table = {0: LeadingTerm(0, Fraction(1))}
     value = table[0]

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qtoric.series
 from qtoric.models import bundled_model_names, load_bundled_model
 from qtoric.qdiff import (
+    _agree,
     apply_gamma_ratio,
     apply_p,
     apply_translation,
@@ -24,8 +27,8 @@ from qtoric.series import (
     constant_series,
     truncation_box,
 )
-from qtoric.toric import enumerate_fixed_points, fixed_point
-from word_oracle import shift_by_degree
+from qtoric.toric import degree_pairing, divisor_values, enumerate_fixed_points, fixed_point
+from word_oracle import shift_by_degree, word_multiplier
 
 
 def random_series(box, seed):
@@ -244,6 +247,87 @@ def test_checks_report_a_doubled_coefficient(name):
                for i in range(data.K)]
     assert not any(r["ok"] for r in reports)
     assert d_coh in set().union(*map(_failed_degrees, reports))
+
+
+BIG = 2 ** 10_000 + 7
+coefficients = st.one_of(
+    st.just(0),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 20)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(-BIG, BIG).filter(bool)))
+small_pairs = st.tuples(st.integers(-30, 30), st.integers(-30, 30).filter(bool))
+
+
+@given(c=coefficients, left=small_pairs, c_other=coefficients, right=small_pairs,
+       balanced=st.booleans())
+@example(c=Fraction(BIG, 3), left=(2, -3), c_other=Fraction(-BIG, 2), right=(4, 1),
+         balanced=True)
+@example(c=Fraction(BIG, 3), left=(0, -3), c_other=Fraction(-BIG, 2), right=(0, 7),
+         balanced=False)
+@example(c=0, left=(5, 7), c_other=Fraction(BIG), right=(0, -1), balanced=False)
+@settings(max_examples=300, deadline=None)
+def test_one_reduction_is_the_two_product_compare(c, left, c_other, right, balanced):
+    # Zero coefficients (int or Fraction), zero multipliers, negative
+    # denominators and 10k-bit coefficients; ``balanced`` makes both sides equal.
+    if balanced and left[0]:
+        c = c_other * Fraction(*right) / Fraction(*left)
+    assert _agree(c, left, c_other, right) == (c * Fraction(*left)
+                                               == c_other * Fraction(*right))
+
+
+def _scaled_top(series, p=101):
+    """The series with its last support degree in box order scaled by 1 + 1/p.
+
+    Every box degree after it pairs higher with the ample class, so neither
+    d + e_i nor d + d0 holds a nonzero coefficient: only the check at d reads it.
+    """
+    d = max(series.coeffs, key=series.box.degrees.index)
+    scaled = {**series.coeffs, d: series.coeffs[d] * Fraction(p + 1, p)}
+    return NovikovSeries(series.box, scaled, series.mode), d
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_a_coefficient_scaled_by_one_plus_one_over_p_fails_at_that_degree(name):
+    # Each row's check fails at exactly the scaled degree, unless the word
+    # that multiplies it there vanishes; the other fixed points still pass.
+    data = load_bundled_model(name).data
+    box = truncation_box(data, 4)
+    ctx = sample_context(data.N, 103)
+    fixed = enumerate_fixed_points(data)
+    for fp in fixed:
+        family = assemble_series(data, box, ctx)
+        family[fp.J], d = _scaled_top(family[fp.J])
+        caught = False
+        for i, row in enumerate(data.m):
+            lhs = [(j, r) for j, mij in enumerate(row) for r in range(mij)]
+            rhs = [(j, r) for j, mij in enumerate(row) for r in range(-mij)]
+            report = verify_shifted_identity(data, family, ctx, lhs, i, rhs)
+            visible = word_multiplier(data, fp, lhs, ctx)(d) != 0
+            for other, check in zip(fixed, report["checks"]):
+                failed = [tuple(f["degree"]) for f in check["failures"]]
+                assert failed == ([d] if other is fp and visible else []), (fp.J, i)
+            caught |= visible
+            if data.K == 1:
+                assert visible
+        assert caught, fp.J
+
+        coh = assemble_cohomological_series(data, box, ctx)
+        coh[fp.J], d = _scaled_top(coh[fp.J])
+        uvals = divisor_values(data, fp, ctx.Lambda)
+        caught = False
+        for i in range(data.K):
+            d0 = tuple(int(k == i) for k in range(data.K))
+            report = verify_coh_relation(data, d0, coh, ctx)
+            # The right side multiplies the coefficient at d by prod_{step_j > 0}
+            # prod_{s < step_j} (u_j - D_j(d) z + s z).
+            visible = all(u - D * ctx.z + s * ctx.z != 0
+                          for u, D, step in zip(uvals, degree_pairing(data, d),
+                                                degree_pairing(data, d0))
+                          for s in range(step))
+            for other, check in zip(fixed, report["checks"]):
+                failed = [tuple(f["degree"]) for f in check["failures"]]
+                assert failed == ([d] if other is fp and visible else []), (fp.J, i)
+            caught |= visible
+        assert caught, fp.J
 
 
 def test_dq_system_all_models(p1, p2, f1):

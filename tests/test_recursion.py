@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from test_extra_models import EXTRA
 from qtoric.models import bundled_model_names, load_bundled_model
 from qtoric.monomials import Monomial
 from qtoric.recursion import (
+    OrbitInvariantError,
     all_orbits,
     cotangent_euler,
     edge_euler_class,
@@ -85,6 +87,47 @@ def test_orbit_monomial_power_rule(all_models):
             for j in range(data.N):
                 ratio = orbit.alpha.u_monomials[j] / orbit.beta.u_monomials[j]
                 assert ratio == orbit.lambda_char ** pairing[j]
+
+
+LINES6 = ToricData(m=tuple(tuple(int(j // 2 == i) for j in range(12)) for i in range(6)),
+                  omega=(1,) * 6, name="p1x6")
+
+
+@pytest.mark.parametrize("data", [*(load_bundled_model(name).data
+                                    for name in bundled_model_names()), LINES6],
+                         ids=lambda data: data.name)
+def test_all_orbits_is_the_per_direction_search(data):
+    # One fixed-point map for the whole sweep gives what a fresh map per
+    # direction gives, and every edge satisfies the character power rule as
+    # Monomial arithmetic states it.
+    expected = [orbit for fp in enumerate_fixed_points(data) for j0 in range(data.N)
+                if j0 not in fp.J
+                for orbit in [orbit_data(data, fp, j0)] if orbit is not None]
+    orbits = all_orbits(data)
+    assert orbits == expected
+    assert len(orbits) == {"p1x6": 384, "p1": 2, "f1": 8, "p1xp1": 8}.get(data.name, 6)
+    for orbit in orbits:
+        pairing = degree_pairing(data, orbit.d_ab)
+        for j in range(data.N):
+            assert (orbit.alpha.u_monomials[j] / orbit.beta.u_monomials[j]
+                    == orbit.lambda_char ** pairing[j])
+        assert orbit.beta.u_monomials[orbit.j0_prime] == orbit.lambda_char.inverse()
+
+
+@pytest.mark.parametrize("name", ["p2", "f1"])
+def test_swapped_u_monomials_are_an_orbit_invariant_error(name):
+    # Swap two distinct U-monomials of beta away from the leaving column: the
+    # character power rule no longer holds, and the orbit is refused.
+    data = load_bundled_model(name).data
+    fixed = {fp.J: fp for fp in enumerate_fixed_points(data)}
+    for orbit in all_orbits(data):
+        us = list(orbit.beta.u_monomials)
+        a, b = next((a, b) for a in range(data.N) for b in range(a)
+                    if orbit.j0_prime not in (a, b) and us[a] != us[b])
+        us[a], us[b] = us[b], us[a]
+        swapped = {**fixed, orbit.beta.J: replace(orbit.beta, u_monomials=tuple(us))}
+        with pytest.raises(OrbitInvariantError):
+            orbit_data(data, orbit.alpha, orbit.j0, swapped)
 
 
 def test_cotangent_euler_values(p1, f1):

@@ -14,9 +14,12 @@ from qtoric.scalars import (
     binomial,
     finite_ratio,
     finite_ratio_sym,
+    linear,
     power_product,
+    ratio_factor,
     ratio_table,
     residue_at,
+    root_factor,
     sample_context,
     with_resampling,
 )
@@ -32,16 +35,75 @@ signed_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=50).f
        r=st.integers(min_value=-30, max_value=30))
 @settings(max_examples=200, deadline=None)
 def test_binomial_matches_the_plain_factor(u, q, r):
-    value = binomial(u, q)(r)
-    assert type(value) is Fraction
-    assert value == 1 - q ** r * u
+    num, den = binomial(u, q)(r)
+    assert type(num) is int and type(den) is int and den != 0
+    assert Fraction(num, den) == 1 - q ** r * u
 
 
 @given(q=signed_fractions)
 @settings(max_examples=30, deadline=None)
 def test_binomial_kill_rule_is_an_exact_zero(q):
     for u in (1, Fraction(1)):
-        assert binomial(u, q)(0) == 0 and type(binomial(u, q)(0)) is Fraction
+        num, den = binomial(u, q)(0)
+        assert num == 0 and den != 0
+
+
+@given(u=st.one_of(signed_fractions, st.integers(-5, 5)), z=signed_fractions,
+       r=st.integers(min_value=-30, max_value=30))
+@settings(max_examples=200, deadline=None)
+def test_linear_matches_the_plain_factor(u, z, r):
+    num, den = linear(u, z)(r)
+    assert type(num) is int and type(den) is int and den != 0
+    assert Fraction(num, den) == u - r * z
+
+
+@given(u=st.one_of(signed_fractions, st.integers(-5, 5)), x=signed_fractions,
+       r=st.integers(min_value=-12, max_value=12), additive=st.booleans(),
+       vanish=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_ratio_factor_pairs_match_the_fraction_formula(u, x, r, additive, vanish):
+    # The pair is the Fraction factor; a vanishing factor is a pole (r > 0,
+    # the same PoleError(r, u)) or the kill rule's exact zero (r <= 0).
+    if vanish:
+        u = r * x if additive else x ** -r
+    if additive:
+        expected, mode = u - r * x, {"z": x}
+    else:
+        expected, mode = 1 - x ** r * u, {"q": x}
+    factor = ratio_factor(u, **mode)
+    if r > 0 and expected == 0:
+        with pytest.raises(PoleError) as info:
+            factor(r)
+        assert (info.value.r, info.value.value) == (r, u)
+        return
+    num, den = factor(r)
+    assert Fraction(num, den) == expected
+    assert (num == 0) == (expected == 0)
+
+
+def test_ratio_factor_kill_rule_and_poles():
+    q, z = Fraction(2, 3), Fraction(1, 4)
+    assert ratio_factor(1, q)(0)[0] == 0 and ratio_factor(0, z=z)(0)[0] == 0
+    for u, mode in ((q ** -3, {"q": q}), (3 * z, {"z": z})):
+        with pytest.raises(PoleError) as info:
+            ratio_factor(u, **mode)(3)
+        assert (info.value.r, info.value.value) == (3, u)
+    # A negative r that vanishes is a numerator factor: an exact zero, no pole.
+    num, _ = ratio_factor(q ** 2, q)(-2)
+    assert num == 0
+
+
+@given(u=st.one_of(signed_fractions, st.just(Fraction(1))), q0=signed_fractions,
+       r=st.integers(min_value=-12, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_root_factor_is_the_leading_term(u, q0, r):
+    # 1 - q^r u at q = q0 (1 + eps): its value where that is nonzero, else -r eps.
+    num, den, order = root_factor(u, q0)(r)
+    value = 1 - q0 ** r * u
+    if value:
+        assert (order, Fraction(num, den)) == (0, value)
+    else:
+        assert (num, den, order) == (-r, 1, 1)
 
 
 @given(values=st.lists(signed_fractions, min_size=1, max_size=5),

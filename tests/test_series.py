@@ -484,10 +484,11 @@ def test_bundle_pie_zero_at_nonpositive_r_is_a_pole(p2):
 
 
 def test_bundle_factor_count_is_linear_in_the_bound(p2, monkeypatch):
-    # Every factor 1 - q^r u the component evaluates, toric and fibre: a walk
-    # computes each crossed factor once, so doubling the bound doubles the count.
+    # Every factor 1 - q^r u the component evaluates, toric and fibre, is one
+    # call of the integer kernel: a walk computes each crossed factor once, so
+    # doubling the bound doubles the count.
     calls = []
-    honest = scalars.ratio_factor
+    honest = scalars.binomial
 
     def counting(*args, **kwargs):
         factor = honest(*args, **kwargs)
@@ -497,8 +498,7 @@ def test_bundle_factor_count_is_linear_in_the_bound(p2, monkeypatch):
             return factor(r)
         return counted
 
-    monkeypatch.setattr(scalars, "ratio_factor", counting)
-    monkeypatch.setattr(series_module, "ratio_factor", counting)
+    monkeypatch.setattr(scalars, "binomial", counting)
     ctx = sample_context(p2.N, 53)
     fp = enumerate_fixed_points(p2)[0]
     counts = {}
@@ -511,19 +511,19 @@ def test_bundle_factor_count_is_linear_in_the_bound(p2, monkeypatch):
     assert 0 < counts[40] <= 2 * counts[20], counts
 
 
-class _Counted:
-    """A factor value that counts the products and quotients it enters."""
+class _CountedInt(int):
+    """A kernel pair's denominator that counts the products it enters: a factor
+    enters a step's product (multiplied or divided in) by exactly one product
+    with its denominator, and int * _CountedInt calls this ``__rmul__`` first."""
 
-    def __init__(self, value, count):
-        self.value, self.count = value, count
-
-    def __rtruediv__(self, other):
-        self.count.append(1)
-        return other / self.value
+    def __new__(cls, value, count):
+        self = super().__new__(cls, value)
+        self.count = count
+        return self
 
     def __rmul__(self, other):
         self.count.append(1)
-        return other * self.value
+        return int(other) * int(self)
 
 
 def test_walk_builds_each_step_once(monkeypatch):
@@ -535,13 +535,17 @@ def test_walk_builds_each_step_once(monkeypatch):
     ctx = sample_context(data.N, 7)
     fp = enumerate_fixed_points(data)[0]
     count = []
-    honest = series_module.ratio_factor
+    honest = scalars.binomial
 
     def counting(*args, **kwargs):
         factor = honest(*args, **kwargs)
-        return lambda r: _Counted(factor(r), count)
 
-    monkeypatch.setattr(series_module, "ratio_factor", counting)
+        def counted(r):
+            num, den = factor(r)
+            return num, _CountedInt(den, count)
+        return counted
+
+    monkeypatch.setattr(scalars, "binomial", counting)
     counts, walked = {}, []
     for bound in (10, 20):
         count.clear()

@@ -1,7 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linalg_oracle import determinant, solve_square
 from qtoric.models import projective_space
 from qtoric.monomials import Monomial
 from qtoric.scalars import sample_context
@@ -86,6 +90,39 @@ def test_non_regular_omega_rejected(f1):
     boundary = ToricData(m=f1.m, omega=(Fraction(0), Fraction(1)))
     with pytest.raises(NonRegularChamberError):
         enumerate_fixed_points(boundary)
+
+
+def chamber_oracle(data):
+    """The fixed points' subsets, or the error, from Fraction chamber coefficients."""
+    out = []
+    for subset in combinations(range(data.N), data.K):
+        coefficients = solve_square(data.minor(subset), data.omega)
+        if coefficients is None:
+            continue
+        if any(c == 0 for c in coefficients):
+            return NonRegularChamberError
+        if all(c > 0 for c in coefficients):
+            if abs(determinant(data.minor(subset))) != 1:
+                return NonSmoothModelError
+            out.append(subset)
+    return out or NonRegularChamberError
+
+
+@given(rows=st.sampled_from([((1, 1, 0, -1), (0, 0, 1, 1)), ((1, 1, 0, -2), (0, 0, 1, 1)),
+                             ((1, 0, 1, 1), (0, 1, 1, 2)), ((2, 0, 1), (0, 1, 1))]),
+       omega=st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12),
+                      min_size=2, max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_chamber_signs_on_integer_omega_match_fraction_coefficients(rows, omega):
+    # omega with denominators, on walls, outside the chamber and on a
+    # non-smooth minor: the scaled integer omega gives the same verdict.
+    data = ToricData(m=rows, omega=omega)
+    expected = chamber_oracle(data)
+    if isinstance(expected, list):
+        assert [fp.J for fp in enumerate_fixed_points(data)] == expected
+    else:
+        with pytest.raises(expected):
+            enumerate_fixed_points(data)
 
 
 def test_degree_pairing_examples(f1, p1):
