@@ -7,7 +7,9 @@ produce byte-identical reports.  Checks run through ``with_resampling``:
 carry their ``sample``), and ``resamples`` lists each skipped context index
 with its reason and, in verify-recursion, its edge.  Exit codes: 0 all pass,
 1 an identity failed, 2 input error (also ``--samples`` or ``--m`` < 1, a negative
-bound, an ``--edge`` not ``a1,a2:j0``, a class dividing by 0 at every context).
+bound, an ``--edge`` not ``a1,a2:j0``, a class dividing by 0 at every context),
+141 stdout closed before the report was written (128 + SIGPIPE, as when
+the output is piped into ``head``), with nothing on stderr.
 
 Exact coefficients can run to tens of thousands of digits, so the report is
 computed and rendered with the interpreter's limit on integer string
@@ -345,6 +347,22 @@ def run_command(command: str, model: ModelFile, flags: argparse.Namespace) -> di
         return COMMANDS[command](model, seed, samples, flags)
 
 
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, the status of a shell pipeline's killed writer
+
+
+def _emit(payload: dict, code: int) -> int:
+    """Print ``payload`` as JSON and return ``code``, or EXIT_CLOSED_STDOUT when
+    the reader closed stdout first (``qtoric ... | head``)."""
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # Python's recipe for SIGPIPE: point stdout at devnull, so that the
+        # interpreter's last flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -353,14 +371,11 @@ def main(argv: list[str] | None = None) -> int:
         report = run_command(args.command, model, args)
     except (ModelFormatError, FileNotFoundError, InvalidModelError, ExprError,
             ZeroDivisorError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}, indent=2, sort_keys=True))
-        return 2
+        return _emit({"error": str(exc)}, 2)
     except ArithmeticError as exc:
         # Persistent sampling degeneracy: a model-level finding, not an input error.
-        print(json.dumps({"error": str(exc), "ok": False}, indent=2, sort_keys=True))
-        return 1
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if report["ok"] else 1
+        return _emit({"error": str(exc), "ok": False}, 1)
+    return _emit(report, 0 if report["ok"] else 1)
 
 
 if __name__ == "__main__":

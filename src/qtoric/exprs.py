@@ -10,9 +10,12 @@ with a letter; whitespace, newlines too, may separate tokens; the exponent is
 a signed integer right after '^'.  Nothing else is accepted: not '**', unary
 '+', 1.5, 1e3, 0x10, 1_000, calls, comparisons or keywords.  Python's parser
 reads the text with '^' as '**'; the tree is checked against the grammar and
-evaluated, never executed.  Symbols come from the environment (P1..PK /
-p1..pK, L1..LN / l1..lN, q, z); values are exact rationals.  A zero divisor
-(or base of a negative power) raises ``ZeroDivisorError``, a degenerate sample.
+compiled once, at parse, into nested closures, with each constant made a
+``Fraction`` and each exponent an int once; it is evaluated, never executed.
+Symbols come from the environment (P1..PK / p1..pK, L1..LN / l1..lN, q, z),
+read at evaluation, so an unknown symbol fails there; values are exact
+rationals.  A zero divisor (or base of a negative power) raises
+``ZeroDivisorError``, a degenerate sample.
 """
 
 from __future__ import annotations
@@ -65,28 +68,45 @@ def _check(node: ast.expr, source: str, where: Callable[[int], int]) -> None:
         raise ExprError(f"not in the grammar: {source[start:end]!r}", where(start))
 
 
-def _value(node: ast.expr, env: Mapping[str, Fraction]) -> Fraction:
+def _compile(node: ast.expr) -> Callable[[Mapping[str, Fraction]], Fraction]:
+    """The checked tree as nested closures: each constant is a ``Fraction`` and
+    each exponent an int, made once; a symbol is read from the environment."""
     if isinstance(node, ast.BinOp):
-        return _BINARY[type(node.op)](_value(node.left, env), _value(node.right, env))
+        left = _compile(node.left)
+        if isinstance(node.op, ast.Pow):
+            k = int(_compile(node.right)({}))
+            return lambda env: left(env) ** k
+        op, right = _BINARY[type(node.op)], _compile(node.right)
+        return lambda env: op(left(env), right(env))
     if isinstance(node, ast.UnaryOp):
-        return -_value(node.operand, env)
+        operand = _compile(node.operand)
+        return lambda env: -operand(env)
     if isinstance(node, ast.Constant):
-        return Fraction(node.value)
-    try:
-        return Fraction(env[node.id])
-    except KeyError:
-        raise ExprError(f"unknown symbol '{node.id}'", 0) from None
+        constant = Fraction(node.value)
+        return lambda env: constant
+    name = node.id
+
+    def symbol(env):
+        try:
+            value = env[name]
+        except KeyError:
+            raise ExprError(f"unknown symbol '{name}'", 0) from None
+        return value if type(value) is Fraction else Fraction(value)
+    return symbol
 
 
 class Expression:
-    """A class expression the grammar derives; ``evaluate`` gives its exact value."""
+    """A class expression the grammar derives; ``evaluate`` gives its exact value.
+
+    The tree is compiled once, at parse, into closures (``_compile``)."""
 
     def __init__(self, tree: ast.expr):
         self.tree = tree
+        self._value = _compile(tree)
 
     def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
         try:
-            return _value(self.tree, env)
+            return self._value(env)
         except RecursionError:
             raise ExprError("expression nested too deeply", 0) from None
         except ZeroDivisionError:  # a / 0 or 0^-k
@@ -111,8 +131,8 @@ def parse_expression(text: str) -> Expression:
             warnings.simplefilter("ignore")  # "invalid decimal literal" for 1if, say
             tree = ast.parse(source, mode="eval").body
         _check(tree, source, where)
+        return Expression(tree)
     except SyntaxError as exc:
         raise ExprError(exc.msg, where((exc.offset or 1) - 1)) from None
     except RecursionError:
         raise ExprError("expression nested too deeply", 0) from None
-    return Expression(tree)

@@ -10,7 +10,7 @@ form only (the minimal non-faces, one per primitive collection).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -39,8 +39,10 @@ def has_empty_intersection(data: ToricData, subset: Sequence[int]) -> bool:
     return all(want & set(fp.J) for fp in enumerate_fixed_points(data))
 
 
+@lru_cache(maxsize=None)
 def kirwan_relations(data: ToricData) -> tuple[KirwanRelation, ...]:
-    """All minimal empty-intersection subsets, by increasing cardinality."""
+    """All minimal empty-intersection subsets, by increasing cardinality,
+    computed once per model."""
     found: list[tuple[int, ...]] = []
     for size in range(1, data.N + 1):
         for subset in combinations(range(data.N), size):
@@ -55,22 +57,20 @@ def verify_relations_at_fixed_points(data: ToricData, ctx: SampleContext) -> dic
     """Every relation must vanish identically on every fixed-point branch.
 
     K-theoretically some factor 1 - U_j(alpha) with j in J cap J(alpha) is
-    exactly zero; cohomologically some u_j(p(alpha)) vanishes.  A violation is
-    a data inconsistency and is reported, not raised.
+    exactly zero; cohomologically some u_j(p(alpha)) vanishes.  A product of
+    rationals is 0 exactly when a factor is, so each side looks for a
+    vanishing factor.  A violation is a data inconsistency and is reported,
+    not raised.
     """
     report = {"ok": True, "checks": []}
     values = [(fp, fp.u_values(ctx.Lambda), divisor_values(data, fp, ctx.Lambda))
               for fp in enumerate_fixed_points(data)]
     for relation in kirwan_relations(data):
         for fp, uvals, dvals in values:
-            k_product = Fraction(1)
-            for j in relation.J:
-                k_product *= 1 - uvals[j]
-            coh_product = Fraction(1)
-            for j in relation.J:
-                coh_product *= dvals[j]
+            k_vanishes = any(uvals[j] == 1 for j in relation.J)
+            coh_vanishes = any(dvals[j] == 0 for j in relation.J)
             structural = bool(set(relation.J) & set(fp.J))
-            ok = structural and k_product == 0 and coh_product == 0
+            ok = structural and k_vanishes and coh_vanishes
             report["checks"].append({
                 "relation": [j + 1 for j in relation.J],
                 "alpha": [j + 1 for j in fp.J],

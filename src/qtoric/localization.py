@@ -3,7 +3,13 @@ integration, and integration over spaces of degree-d spheres.
 
 All three are finite residue sums over the fixed-point solutions; the class to
 integrate is supplied as an expression tree (or any callable on the evaluation
-environment) and evaluated exactly per fixed point.
+environment) and evaluated exactly per fixed point.  The environment is built
+once per sum, and each term updates only its p-symbols.
+
+Each residue term is a ratio of integers, normalised once: the additive sums
+read the sample's lambdas (and z) over their common denominator D, so every
+factor u_j and u_j -+ r z is an int over D and the term's power of D is fixed
+per sum; the trace's factors 1 - U_j are int pairs from integer powers.
 """
 
 from __future__ import annotations
@@ -12,46 +18,51 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-from .scalars import PoleError, SampleContext
+from .scalars import PoleError, SampleContext, common_denominator, power_pair
 from .toric import (
     FixedPoint,
     ToricData,
     degree_pairing,
-    divisor_values,
     enumerate_fixed_points,
-    equivariant_p_values,
     map_space_model,
+    weighted_numerators,
 )
 
 
 def _evaluate(phi, env: Mapping[str, Fraction]) -> Fraction:
-    if hasattr(phi, "evaluate"):
-        return Fraction(phi.evaluate(env))
-    return Fraction(phi(env))
+    value = phi.evaluate(env) if hasattr(phi, "evaluate") else phi(env)
+    return value if type(value) is Fraction else Fraction(value)
 
 
-def _class_env(data: ToricData, ctx: SampleContext, pvals: Sequence[Fraction],
-               p: str, lam: str) -> dict[str, Fraction]:
-    """Symbols of a class expression: {p}1..{p}K, {lam}1..{lam}N, q and z."""
-    env = {f"{p}{i+1}": pvals[i] for i in range(data.K)}
+def _class_env(data: ToricData, ctx: SampleContext, p: str,
+               lam: str) -> tuple[dict[str, Fraction], list[str]]:
+    """Symbols of a class expression: {p}1..{p}K, {lam}1..{lam}N, q and z, and
+    the names of the p-symbols, which each term sets."""
+    names = [f"{p}{i+1}" for i in range(data.K)]
+    env = dict.fromkeys(names)
     env.update({f"{lam}{j+1}": ctx.Lambda[j] for j in range(data.N)})
     env["q"] = ctx.q
     env["z"] = ctx.z
-    return env
+    return env, names
 
 
-def cotangent_euler(data: ToricData, fp: FixedPoint, ctx: SampleContext) -> Fraction:
-    """prod_{j not in J(alpha)} (1 - U_j(alpha)): the cotangent Euler class at alpha."""
-    out = Fraction(1)
-    uvals = fp.u_values(ctx.Lambda)
+def _cotangent_pair(data: ToricData, fp: FixedPoint, ctx: SampleContext) -> tuple[int, int]:
+    """``cotangent_euler`` as an unnormalised pair (numerator, denominator) of ints."""
+    num = den = 1
     for j in range(data.N):
         if j in fp.J:
             continue
-        factor = 1 - uvals[j]
-        if factor == 0:
-            raise PoleError(0, uvals[j])
-        out *= factor
-    return out
+        a, b = power_pair(ctx.Lambda, fp.u_monomials[j].exps)  # U_j(alpha) = a / b
+        if a == b:
+            raise PoleError(0, Fraction(1))
+        num, den = num * (b - a), den * b
+    return num, den
+
+
+def cotangent_euler(data: ToricData, fp: FixedPoint, ctx: SampleContext) -> Fraction:
+    """prod_{j not in J(alpha)} (1 - U_j(alpha)): the cotangent Euler class at
+    alpha, a product of int pairs normalised once."""
+    return Fraction(*_cotangent_pair(data, fp, ctx))
 
 
 def ktheory_trace(data: ToricData, phi, ctx: SampleContext) -> Fraction:
@@ -61,10 +72,13 @@ def ktheory_trace(data: ToricData, phi, ctx: SampleContext) -> Fraction:
     Phi = 1 this is the holomorphic Euler characteristic of the structure
     sheaf, which equals 1 on every model here.
     """
+    env, names = _class_env(data, ctx, "P", "L")
     total = Fraction(0)
     for fp in enumerate_fixed_points(data):
-        denom = cotangent_euler(data, fp, ctx)
-        total += _evaluate(phi, _class_env(data, ctx, fp.p_values(ctx.Lambda), "P", "L")) / denom
+        num, den = _cotangent_pair(data, fp, ctx)
+        env.update(zip(names, fp.p_values(ctx.Lambda)))
+        value = _evaluate(phi, env)
+        total += Fraction(value.numerator * den, value.denominator * num)
     return total
 
 
@@ -73,19 +87,26 @@ def cohomology_integral(data: ToricData, phi, ctx: SampleContext) -> Fraction:
 
     The per-branch sign is the determinant of the fixed-point minor, the
     orientation that gives the point class of the projective line integral +1.
+    Each u_j(p(alpha)) is an int over the lambdas' common denominator D, so a
+    term is phi * D^(N-K) / (det * prod u_j) with an integer denominator.
     """
+    den, lam = common_denominator(ctx.Lambda)
+    scale = den ** (data.N - data.K)
+    env, names = _class_env(data, ctx, "p", "l")
     total = Fraction(0)
     for fp in enumerate_fixed_points(data):
-        pvals = equivariant_p_values(data, fp, ctx.Lambda)
-        dvals = divisor_values(data, fp, ctx.Lambda)
-        denom = Fraction(fp.det)
+        uvals = weighted_numerators(fp.u_monomials, lam)
+        denom = fp.det
         for j in range(data.N):
             if j in fp.J:
                 continue
-            if dvals[j] == 0:
-                raise PoleError(0, dvals[j])
-            denom *= dvals[j]
-        total += _evaluate(phi, _class_env(data, ctx, pvals, "p", "l")) / denom
+            if uvals[j] == 0:
+                raise PoleError(0, Fraction(0))
+            denom *= uvals[j]
+        env.update(zip(names, (Fraction(p, den)
+                               for p in weighted_numerators(fp.p_monomials, lam))))
+        value = _evaluate(phi, env)
+        total += Fraction(value.numerator * scale, value.denominator * denom)
     return total
 
 
@@ -96,7 +117,10 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
     Poles correspond to fixed points of the base together with a shift
     assignment r_j in {0..D_j(d)} for each j on the fixed point (none when
     some D_j(d) < 0 there); negative-index columns contribute their
-    obstruction factors to the numerator.
+    obstruction factors to the numerator.  The lambdas and z are read over
+    their common denominator D: every factor u_j -+ r z is an int over D, and
+    each term has the same numbers of numerator and denominator factors, so
+    its power of D is fixed per call.
     """
     pairing = degree_pairing(data, d)
     extended = map_space_model(data, d)
@@ -104,31 +128,38 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
         (j, r) for j in range(data.N) if pairing[j] >= 0
         for r in range(pairing[j] + 1)
     ]
+    den, nums = common_denominator((*ctx.Lambda, ctx.z))
+    lam, z = nums[:-1], nums[-1]
+    # A term skips K of the copies (its poles) and keeps every obstruction.
+    excess = len(denominator_copies) - data.K - len(extended.obstructions)
+    num_scale, den_scale = (den ** excess, 1) if excess >= 0 else (1, den ** -excess)
+    env, names = _class_env(data, ctx, "p", "l")
     total = Fraction(0)
     for fp in enumerate_fixed_points(data):
         if any(pairing[j] < 0 for j in fp.J):
             continue
         # lambda_j + r_j z on J moves p(alpha) by z times the integer shift
         # s_i = sum_j e_ij r_j, with the weights e_ij that read p off the lambdas.
-        pvals = equivariant_p_values(data, fp, ctx.Lambda)
-        dvals = divisor_values(data, fp, ctx.Lambda)
+        pvals = weighted_numerators(fp.p_monomials, lam)
+        uvals = weighted_numerators(fp.u_monomials, lam)
         ranges = [range(pairing[j] + 1) for j in fp.J]
         for shifts in product(*ranges):
             chosen = set(zip(fp.J, shifts))
             s = [sum(mon.exps[j] * r for j, r in chosen) for mon in fp.p_monomials]
-            pstar = [p + si * ctx.z for p, si in zip(pvals, s)]
-            ustar = [u + sum(si * row[j] for si, row in zip(s, data.m)) * ctx.z
-                     for j, u in enumerate(dvals)]
-            numerator = _evaluate(phi, _class_env(data, ctx, pstar, "p", "l"))
+            env.update(zip(names, (Fraction(p + si * z, den) for p, si in zip(pvals, s))))
+            ustar = [u + sum(si * row[j] for si, row in zip(s, data.m)) * z
+                     for j, u in enumerate(uvals)]
+            value = _evaluate(phi, env)
+            numerator = value.numerator * num_scale
             for j, r in extended.obstructions:
-                numerator *= ustar[j] + r * ctx.z
-            denom = Fraction(fp.det)
+                numerator *= ustar[j] + r * z
+            denom = fp.det * value.denominator * den_scale
             for j, r in denominator_copies:
                 if (j, r) in chosen:
                     continue
-                factor = ustar[j] - r * ctx.z
+                factor = ustar[j] - r * z
                 if factor == 0:
-                    raise PoleError(r, factor)
+                    raise PoleError(r, Fraction(0))
                 denom *= factor
-            total += numerator / denom
+            total += Fraction(numerator, denom)
     return total

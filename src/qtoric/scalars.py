@@ -8,6 +8,9 @@ probability), so the scalar layer provides
 * reproducible sample contexts for (q, equivariant parameters, bundle weight, z),
 * a Laurent monomial's value (``power_product``), built from integer powers
   of numerators and denominators with one normalisation,
+* a list of rationals over their common denominator (``common_denominator``):
+  the lcm D and the integer numerators, so that an integer-weighted sum of
+  them is an int over D, and a product of such sums an int over a power of D,
 * two integer kernels, the factors 1 - q^r u (``binomial``) and u - r z
   (``linear``): each returns an unnormalised pair (numerator, denominator) of
   ints, so a product of small factors is a product of int pairs that its
@@ -29,6 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 
@@ -123,16 +127,29 @@ def with_resampling(make_ctx: Callable[[int], object], fn: Callable[[object], ob
                 raise
 
 
-def power_product(values: Sequence, exponents: Sequence[int]) -> Fraction:
-    """prod_i values[i]^exponents[i] over rationals, from integer powers of their
-    numerators and denominators, normalised once."""
+def power_pair(values: Sequence, exponents: Sequence[int]) -> tuple[int, int]:
+    """prod_i values[i]^exponents[i] over rationals as an unnormalised pair
+    (numerator, denominator) of integer powers of their numerators and
+    denominators; the denominator may be negative."""
     num = den = 1
     for v, e in zip(values, exponents):
         if e > 0:
             num, den = num * v.numerator ** e, den * v.denominator ** e
         elif e < 0:
             num, den = num * v.denominator ** -e, den * v.numerator ** -e
-    return Fraction(num, den)
+    return num, den
+
+
+def power_product(values: Sequence, exponents: Sequence[int]) -> Fraction:
+    """``power_pair`` normalised once."""
+    return Fraction(*power_pair(values, exponents))
+
+
+def common_denominator(values: Sequence) -> tuple[int, list[int]]:
+    """The lcm D of the rationals' denominators and their numerators over D:
+    values[i] = nums[i] / D, so a linear form in them is an int over D."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def binomial(u_value, q) -> Callable[[int], tuple[int, int]]:

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .linalg import adjugate, determinant
 from .monomials import Monomial
+from .scalars import common_denominator
 
 
 class InvalidModelError(ValueError):
@@ -344,10 +345,17 @@ def divisor_values(
     return _weighted_sums(fp.u_monomials, lambdas)
 
 
+def weighted_numerators(monomials: Sequence[Monomial], nums: Sequence[int]) -> list[int]:
+    """Each monomial's exponent vector as integer weights on the ints ``nums``."""
+    return [_dot(mon.exps, nums) for mon in monomials]
+
+
 def _weighted_sums(monomials: Sequence[Monomial], values: Sequence) -> tuple[Fraction, ...]:
-    """Each monomial's exponent vector as integer weights on ``values``."""
-    return tuple(sum((e * v for e, v in zip(mon.exps, values) if e), Fraction(0))
-                 for mon in monomials)
+    """Each monomial's exponent vector as integer weights on ``values``: the
+    weighted sum of their numerators over the common denominator D
+    (``common_denominator``), an int, is normalised once, into Fraction(total, D)."""
+    den, nums = common_denominator(values)
+    return tuple(Fraction(total, den) for total in weighted_numerators(monomials, nums))
 
 
 def box_degrees(

@@ -1,13 +1,17 @@
 import json
 import operator
+import os
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import localization_oracle
 from qtoric import cli, recursion
 from qtoric.exprs import ExprError, parse_expression
 from qtoric.models import (
@@ -114,6 +118,47 @@ def test_parser_reads_every_tree_of_the_grammar(tree, before, after):
             expr.evaluate(SYMBOLS)
     else:
         assert expr.evaluate(SYMBOLS) == value
+
+
+# Environments that lack symbols, hold ints, or hold zeros (zero divisors).
+environments = st.dictionaries(
+    st.sampled_from(sorted(SYMBOLS)),
+    st.one_of(st.sampled_from([0, 1, -2, Fraction(0), Fraction(2, 3), Fraction(-5, 7)]),
+              st.fractions(min_value=-9, max_value=9, max_denominator=20)))
+
+
+def outcome(evaluate, *args):
+    try:
+        value = evaluate(*args)
+    except (ExprError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=grammar_trees(), env=environments)
+def test_compiled_expression_matches_the_tree_walk(tree, env):
+    # The closures compiled at parse against the Fraction tree walk they
+    # replaced: the same value, or the same unknown-symbol or zero-divisor error.
+    expr = parse_expression(tree[0])
+    assert outcome(expr.evaluate, env) == outcome(localization_oracle.evaluate_tree, expr.tree, env)
+
+
+def test_deep_nesting_is_an_expression_error():
+    with pytest.raises(ExprError, match="nested too deeply"):
+        parse_expression("1" + "+P1" * 5000)
+    expr = parse_expression("-" * 300 + "P1")
+    env = {"P1": Fraction(2)}
+    assert expr.evaluate(env) == 2
+
+    def deep(n, evaluate, *args):
+        return deep(n - 1, evaluate, *args) if n else outcome(evaluate, *args)
+    # Evaluated with little stack left: the same error from both routes.
+    depth = sys.getrecursionlimit() - 200
+    compiled = deep(depth, expr.evaluate, env)
+    assert compiled == deep(depth, localization_oracle.evaluate_tree, expr.tree, env)
+    assert compiled == (ExprError, "expression nested too deeply (at position 0)")
 
 
 REJECTED = [
@@ -526,6 +571,21 @@ def test_cli_identity_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setitem(cli.COMMANDS, "inspect", fake)
     assert cli.main(["inspect", "p1"]) == 1
     capsys.readouterr()
+
+
+def test_cli_closed_stdout_exits_141_quietly():
+    # qtoric ifunction p2 --deg 30 | head -c 10: the report (about 200 kB)
+    # outgrows the pipe, so the writer meets the closed end.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "qtoric.cli", "ifunction", "p2", "--deg", "30"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_CLOSED_STDOUT == 141
+    assert head == b'{\n  "comma'
+    assert stderr == b""
 
 
 def test_cli_seed_env_override(monkeypatch, capsys):

@@ -29,6 +29,22 @@ GOLDEN = [
     (["integrate-xd", "f1", "--degree", "1,1", "--phi", "p1^2+3/2"], 0,
      "25bc2edc0096f9c7c905b4f4c51623a832af4879d3cf551c61c729125566c27d"),
 ]
+# The localization sums, the Kirwan check and the fixed-point data: the trace,
+# the direct integral (degree 0) and a sphere space with an obstruction
+# column (degree (1, 0) pairs to -1 with the fourth column of F_1).
+XD_CLASS = "p1^4*p2 - 3*p1*l2*z^2 + p2^3/(l1 - 2*z) + 5/2"
+LOCALIZATION = [
+    (["trace", "f1", "--phi", "3*P1^2*P2 - P1 + 5/2"], 0,
+     "13399635b0f240db4eb5987140be94462870518b00ecefeae8fbd4bff169dade"),
+    (["kirwan", "p1xp1"], 0,
+     "b52f424ab9286069cb9050f670dc3e27527b12d3cbaa64ab9434f59097f6986d"),
+    (["inspect", "f1"], 0,
+     "e93ccadbd253d226c5c684648ca904df79a4730c5855adb53a71b92288162770"),
+    (["integrate-xd", "f1", "--degree", "0,0", "--phi", XD_CLASS], 0,
+     "93d1463d78aaccbdc26fce39f91bae57c3b47585b1cbf666d720c1860a629964"),
+    (["integrate-xd", "f1", "--degree", "1,0", "--phi", XD_CLASS], 0,
+     "b055809c074f5be40f5d3d8e6d5dc6e4882288a07cfb25c6d87b097c63e852bf"),
+]
 # Larger bounds: the bundle walk over 21 degrees, and a word of every F_1 row.
 LARGER = [
     (["ifunction", "p2_o1_o2", "--bundle", "--deg", "20"], 0,
@@ -67,9 +83,10 @@ def lines_product_text(k):
                       "omega " + " ".join(["1"] * k)]) + "\n"
 
 
-@pytest.mark.parametrize("argv, code, digest", GOLDEN + LARGER,
+@pytest.mark.parametrize("argv, code, digest", GOLDEN + LARGER + LOCALIZATION,
                          ids=[" ".join(a[:2]) for a, _, _ in GOLDEN]
-                         + [" ".join(a) for a, _, _ in LARGER])
+                         + [" ".join(a) for a, _, _ in LARGER]
+                         + [" ".join(a[:4]) for a, _, _ in LOCALIZATION])
 def test_stdout_is_byte_identical(argv, code, digest, capsys):
     assert cli.main(argv + ["--seed", "5", "--samples", "2"]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

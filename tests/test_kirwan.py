@@ -1,14 +1,17 @@
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
+from qtoric import cli, kirwan
 from qtoric.kirwan import (
+    KirwanRelation,
     has_empty_intersection,
     kirwan_relations,
     spectrum_point_count,
     verify_relations_at_fixed_points,
 )
 from qtoric.scalars import DegenerateSampleError, sample_context, with_resampling
-from qtoric.toric import enumerate_fixed_points
+from qtoric.toric import ToricData, divisor_values, enumerate_fixed_points
 
 
 def relation_sets(data):
@@ -98,3 +101,44 @@ def test_spectrum_count_degenerate_sample(p1):
     except DegenerateSampleError:
         return
     raise AssertionError("expected a degenerate-sample error")
+
+
+def test_relations_are_computed_once_per_model(monkeypatch, capsys):
+    # A model no other test builds, so the cache starts cold for it.
+    data = ToricData(m=((1, 1, 0, -4), (0, 0, 1, 1)), omega=(1, 1), name="f4-kirwan")
+    calls = []
+    monkeypatch.setattr(kirwan, "has_empty_intersection",
+                        lambda d, subset: calls.append(subset) or has_empty_intersection(d, subset))
+    first = kirwan_relations(data)
+    assert calls and kirwan_relations(data) is first
+    once = len(calls)
+    model = cli.ModelFile(data=data, sha256="0" * 64)
+    flags = cli.build_parser().parse_args(["kirwan", "f4", "--samples", "3"])
+    report = cli.run_command("kirwan", model, flags)
+    assert report["ok"] and len(calls) == once
+
+
+def product_verdicts(data, ctx, relations):
+    """The verdicts from the two relation products themselves."""
+    out = []
+    for relation in relations:
+        for fp in enumerate_fixed_points(data):
+            uvals = fp.u_values(ctx.Lambda)
+            dvals = divisor_values(data, fp, ctx.Lambda)
+            out.append(bool(set(relation.J) & set(fp.J))
+                       and prod(1 - uvals[j] for j in relation.J) == 0
+                       and prod(dvals[j] for j in relation.J) == 0)
+    return out
+
+
+def test_vanishing_factor_verdicts_match_the_products(all_models, monkeypatch):
+    # Every subset of up to two columns stands in for a relation, so that
+    # most verdicts are false; they must equal the products' verdicts.
+    for data in all_models:
+        ctx = sample_context(data.N, 29)
+        subsets = [KirwanRelation(J=c) for size in (1, 2) for c in combinations(range(data.N), size)]
+        monkeypatch.setattr(kirwan, "kirwan_relations", lambda d, subsets=subsets: subsets)
+        report = verify_relations_at_fixed_points(data, ctx)
+        verdicts = [check["ok"] for check in report["checks"]]
+        assert verdicts == product_verdicts(data, ctx, subsets)
+        assert True in verdicts and False in verdicts and report["ok"] is False

@@ -4,12 +4,22 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import localization_oracle as oracle
 from linalg_oracle import solve_square
+from test_extra_models import EXTRA
+from test_mori_cone import models as family_rows
 from test_word_tables import MODELS, model
-from qtoric.exprs import parse_expression
+from qtoric.exprs import ZeroDivisorError, parse_expression
 from qtoric.kirwan import kirwan_relations
-from qtoric.localization import cohomology_integral, ktheory_trace, map_space_integral
+from qtoric.localization import (
+    cohomology_integral,
+    cotangent_euler,
+    ktheory_trace,
+    map_space_integral,
+)
 from qtoric.scalars import PoleError, SampleContext, sample_context, with_resampling
 from qtoric.toric import (
     ToricData,
@@ -221,3 +231,151 @@ def test_map_space_integral_matches_the_solved_pole_points(name):
         return prod(env[f"p{i + 1}"] + i + 1 for i in range(data.K)) + env["z"] * env["l1"]
     for d in itertools.product(range(3 if data.K < 3 else 2), repeat=data.K):
         assert map_space_integral(data, d, phi, ctx) == solved_map_space_integral(data, d, phi, ctx), d
+
+
+# --- integer routes against the Fraction oracle -------------------------------
+#
+# Each sum builds its terms from ints over the sample's common denominator;
+# ``localization_oracle`` is the Fraction route it replaced.  Values, and the
+# PoleError or ZeroDivisorError that ends a sum, must be the same.
+
+NAMED = {}
+for candidate in [model(name)[0] for name in MODELS] + EXTRA:  # F_1 is bundled too: once per matrix
+    if all(candidate.m != other.m for other in NAMED.values()):
+        NAMED[candidate.name] = candidate
+toric_models = st.one_of(
+    st.sampled_from(sorted(NAMED)).map(NAMED.get),
+    family_rows.map(lambda rows: ToricData(m=rows, omega=(1,) * len(rows))),
+)
+# A small pool makes values collide, so that poles and zero divisors occur;
+# generic values give nonzero sums.
+SMALL = [Fraction(n, d) for n in (1, 2, 3, -1, -2) for d in (1, 2, 3)]
+generic = st.fractions(min_value=-20, max_value=20, max_denominator=60).filter(bool)
+nonzero = st.one_of(st.sampled_from(SMALL), generic)
+
+
+@st.composite
+def contexts(draw, n):
+    """Nonzero lambdas and q (multiplicative parameters), and any z."""
+    return SampleContext(q=draw(nonzero), Lambda=tuple(draw(nonzero) for _ in range(n)),
+                         lam=Fraction(2), z=draw(st.one_of(nonzero, st.just(Fraction(0)))))
+
+
+@st.composite
+def classes(draw, symbols, depth=3):
+    """The text of a random class expression over ``symbols``."""
+    kinds = ["number", "symbol", "symbol"]
+    if depth:
+        kinds += ["negation", "power", "sum", "product", "quotient"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "number":
+        return str(draw(st.integers(0, 9)))
+    if kind == "symbol":
+        return draw(st.sampled_from(symbols))
+    a = draw(classes(symbols, depth - 1))
+    if kind == "negation":
+        return f"-({a})"
+    if kind == "power":
+        return f"({a})^{draw(st.integers(-2, 3))}"
+    b = draw(classes(symbols, depth - 1))
+    op = {"sum": draw(st.sampled_from("+-")), "product": "*", "quotient": "/"}[kind]
+    return f"({a}) {op} ({b})"
+
+
+def symbols(data, p, lam):
+    return ([f"{p}{i + 1}" for i in range(data.K)]
+            + [f"{lam}{j + 1}" for j in range(data.N)] + ["q", "z"])
+
+
+def outcome(fn, *args):
+    """The value, or the type, text and pole data of the error that ended it."""
+    try:
+        value = fn(*args)
+    except (PoleError, ZeroDivisionError) as exc:
+        return type(exc), str(exc), getattr(exc, "r", None), getattr(exc, "value", None)
+    assert type(value) in (Fraction, tuple)
+    return value
+
+
+def tree_walk(expr):
+    return lambda env: oracle.evaluate_tree(expr.tree, env)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(draw=st.data())
+def test_integer_routes_match_the_fraction_oracle(draw):
+    data = draw.draw(toric_models)
+    ctx = draw.draw(contexts(data.N))
+    reach = range(-1, 3) if data.K <= 2 else range(-1, 2)
+    d = draw.draw(st.tuples(*[st.sampled_from(reach)] * data.K))
+    # Over a linear form in the p's, so that a sum is not 0 for dimension reasons.
+    linear_form = "+".join(f"{draw.draw(st.integers(1, 3))}*p{i + 1}" for i in range(data.K))
+    additive = parse_expression(f"({draw.draw(classes(symbols(data, 'p', 'l')))}) / "
+                                f"({linear_form} - {draw.draw(st.integers(0, 5))}*z - 1)")
+    assert outcome(map_space_integral, data, d, additive, ctx) == \
+        outcome(oracle.map_space_integral, data, d, tree_walk(additive), ctx)
+    assert outcome(cohomology_integral, data, additive, ctx) == \
+        outcome(oracle.cohomology_integral, data, tree_walk(additive), ctx)
+    multiplicative = parse_expression(draw.draw(classes(symbols(data, "P", "L"))))
+    assert outcome(ktheory_trace, data, multiplicative, ctx) == \
+        outcome(oracle.ktheory_trace, data, tree_walk(multiplicative), ctx)
+    for fp in enumerate_fixed_points(data):
+        assert outcome(cotangent_euler, data, fp, ctx) == \
+            outcome(oracle.cotangent_euler, data, fp, ctx)
+        assert equivariant_p_values(data, fp, ctx.Lambda) == \
+            oracle.equivariant_p_values(data, fp, ctx.Lambda)
+        assert divisor_values(data, fp, ctx.Lambda) == oracle.divisor_values(data, fp, ctx.Lambda)
+
+
+@pytest.mark.parametrize("name", [name for name, data in sorted(NAMED.items())
+                                  if min(map(min, data.m)) < 0])
+def test_obstruction_degrees_match_the_fraction_oracle(name):
+    # Every degree of a small grid with some D_j(d) < 0 on which a fixed point
+    # survives (only a negative matrix entry allows one): each term carries
+    # obstruction factors u_j + r z.  The class is not a polynomial, so the
+    # sums are not 0 for dimension reasons.
+    data = NAMED[name]
+    ctx = sample_context(data.N, 7)
+    text = ("*".join(f"(p{i + 1} + {i + 1})" for i in range(data.K))
+            + " + z*l1 - 3/2 + 1/(" + "+".join(f"p{i + 1}" for i in range(data.K)) + " - 7*z)")
+    phi = parse_expression(text)
+    reach = range(-1, 3) if data.K <= 2 else range(-1, 2)
+    fps = enumerate_fixed_points(data)
+    obstructed = []
+    for d in itertools.product(reach, repeat=data.K):
+        pairing = degree_pairing(data, d)
+        if min(pairing) < 0 and any(all(pairing[j] >= 0 for j in fp.J) for fp in fps):
+            obstructed.append(d)
+    assert obstructed
+    values = [map_space_integral(data, d, phi, ctx) for d in obstructed]
+    assert values == [oracle.map_space_integral(data, d, tree_walk(phi), ctx)
+                      for d in obstructed]
+    assert any(values)
+
+
+def test_equal_poles_and_zero_divisors(p1, f1):
+    # z = 0 puts two copies of a column on one pole; L1 = L2 a pole of the
+    # trace and of the integral; 1/(p1 - l1) a zero divisor at a fixed point,
+    # met before the factor loop of the sphere-space sum and after the pole
+    # loop of the integral.
+    ctx = sample_context(f1.N, 3)
+    flat = SampleContext(q=ctx.q, Lambda=ctx.Lambda, lam=ctx.lam, z=Fraction(0))
+    equal = SampleContext(q=ctx.q, Lambda=(ctx.Lambda[0],) * 2 + ctx.Lambda[2:],
+                          lam=ctx.lam, z=ctx.z)
+    divisor = parse_expression("1/(p1 - l1)")
+    cases = [
+        (map_space_integral, oracle.map_space_integral, (f1, (1, 0), divisor, flat)),
+        (map_space_integral, oracle.map_space_integral, (f1, (1, 1), parse_expression("1"), flat)),
+        (map_space_integral, oracle.map_space_integral, (f1, (0, 0), divisor, equal)),
+        (cohomology_integral, oracle.cohomology_integral, (f1, divisor, equal)),
+        (cohomology_integral, oracle.cohomology_integral, (f1, divisor, ctx)),
+        (ktheory_trace, oracle.ktheory_trace, (f1, parse_expression("P1"), equal)),
+    ]
+    seen = set()
+    for route, reference, args in cases:
+        got = outcome(route, *args)
+        walked = args[:-2] + (tree_walk(args[-2]), args[-1])
+        assert got == outcome(reference, *walked)
+        assert isinstance(got, tuple)
+        seen.add(got[0])
+    assert seen == {PoleError, ZeroDivisorError}
