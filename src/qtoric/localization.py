@@ -24,7 +24,6 @@ from .toric import (
     ToricData,
     degree_pairing,
     enumerate_fixed_points,
-    map_space_model,
     weighted_numerators,
 )
 
@@ -123,7 +122,9 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
     its power of D is fixed per call.
     """
     pairing = degree_pairing(data, d)
-    extended = map_space_model(data, d)
+    # The missing factors of the columns with D_j(d) < 0, as ``map_space_model``
+    # records them.
+    obstructions = [(j, r) for j in range(data.N) for r in range(1, 1 - pairing[j])]
     denominator_copies = [
         (j, r) for j in range(data.N) if pairing[j] >= 0
         for r in range(pairing[j] + 1)
@@ -131,7 +132,7 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
     den, nums = common_denominator((*ctx.Lambda, ctx.z))
     lam, z = nums[:-1], nums[-1]
     # A term skips K of the copies (its poles) and keeps every obstruction.
-    excess = len(denominator_copies) - data.K - len(extended.obstructions)
+    excess = len(denominator_copies) - data.K - len(obstructions)
     num_scale, den_scale = (den ** excess, 1) if excess >= 0 else (1, den ** -excess)
     env, names = _class_env(data, ctx, "p", "l")
     total = Fraction(0)
@@ -151,7 +152,7 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
                      for j, u in enumerate(uvals)]
             value = _evaluate(phi, env)
             numerator = value.numerator * num_scale
-            for j, r in extended.obstructions:
+            for j, r in obstructions:
                 numerator *= ustar[j] + r * z
             denom = fp.det * value.denominator * den_scale
             for j, r in denominator_copies:

@@ -1,20 +1,25 @@
-"""Finite-difference operators on truncated series and the system checks.
+"""Finite-difference operators on truncated series and the relation check.
 
 In the coordinate representation each Novikov variable acts by multiplication
 and each P_i by the shift Q_i -> q Q_i followed by multiplication with the
 fixed-point value P_i(alpha); the commutation P_i Q_i = q Q_i P_i holds on the
-nose.  So the U_j words act diagonally: a relation word scales the
-coefficient at Q^d once, by the product over its factors 1 - q^{-r} U_j of
-1 - q^{sum_i m_ij d_i - r} prod_i P_i(alpha)^{m_ij} / Lambda_j, read from the
-P-monomials and the matrix rather than from U_j(alpha) and D_j(d), which
-build the components it checks.  The checks compute their own exponents and
-depths (never the box's cached pairings) once per call, build each distinct
-multiplier or product of small factors once per fixed point, as a product of
-the integer kernels' pairs (``scalars.binomial``, ``scalars.linear``), and
-make one pass over the box per fixed point with no intermediate series.  A
-degree's check c L = c' R, of two coefficients and two such small products,
-is one reduction (``_agree``): c' times the pair R/L, normalised once,
-against c; two big coefficients are never multiplied.
+nose.  So the U_j words act diagonally, and the q-difference system and the
+cohomological degree-shift relations are relations of one shape: for a shift
+l with pairing D(l), at every box degree d,
+
+    prod_{D_j(l) > 0} prod_{0 <= s < D_j(l)} f_j(D_j(d) - s)  c_d
+        = prod_{D_j(l) < 0} prod_{D_j(l) <= s < 0} f_j(D_j(d) - s)  c_{d - l}.
+
+K-theory reads f_j(k) = 1 - q^k w_j (``scalars.binomial``), with w_j = prod_i
+P_i(alpha)^{m_ij} / Lambda_j from the P-monomials rather than U_j(alpha),
+which builds the components it checks; cohomology reads f_j(k) = u_j(alpha)
+- k z (``scalars.linear``).  One loop (``_verify_shift``) checks either
+kernel: it reads the depths D_j(d) off the matrix (never the box's cached
+pairings) and classifies each source d - l (a box degree, an exact zero, or
+beyond the bound and skipped) once per call, builds each side's product once
+per fixed point and distinct exponent tuple, as a pair of ints, and makes
+one reduction per degree (``_agree``): c' times the pair R/L, normalised
+once, against c, so two big coefficients are never multiplied.
 """
 
 from __future__ import annotations
@@ -22,20 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .scalars import (
-    SampleContext,
-    TruncationError,
-    binomial,
-    linear,
-    power_product,
-    ratio_table,
-)
+from .scalars import SampleContext, binomial, linear, power_product, ratio_table
 from .series import (
     NovikovSeries,
     TruncationBox,
     component_series,
+    integral_degree,
     point_sum_form,
 )
 from .toric import (
@@ -44,8 +43,9 @@ from .toric import (
     degree_pairing,
     divisor_values,
     enumerate_fixed_points,
-    mori_cone_membership,
 )
+
+Factors = Sequence[tuple[int, int]]
 
 
 def apply_translation(series: NovikovSeries, i: int, q) -> NovikovSeries:
@@ -71,132 +71,17 @@ def apply_p(series: NovikovSeries, i: int, fp: FixedPoint, ctx: SampleContext,
 
 
 def apply_word(series: NovikovSeries, data: ToricData, fp: FixedPoint,
-               factors: Sequence[tuple[int, int]], ctx: SampleContext) -> NovikovSeries:
+               factors: Factors, ctx: SampleContext) -> NovikovSeries:
     """The relation word prod (1 - q^{-r} U_j) over ``factors``' (j, r) pairs, in one pass.
 
     U_j = prod_i P_i^{m_ij} / Lambda_j, and each P_i translates Q_i -> q Q_i
     and scales by P_i(alpha), so at each degree d the coefficient is
-    multiplied once by ``_word_multiplier`` at the exponents ``_word_exponents``.
+    multiplied once by prod 1 - q^{D_j(d) - r} w_j, the relation check's
+    K-theoretic product at the word's exponents.
     """
-    multiplier = _word_multiplier(data, fp.p_values(ctx.Lambda), factors, ctx)
-    exponents = _word_exponents(data, factors, series.coeffs)
-    return NovikovSeries(series.box, {d: c * Fraction(*multiplier(ks)) for (d, c), ks
-                                      in zip(series.coeffs.items(), exponents)}, series.mode)
-
-
-def _word_exponents(data: ToricData, factors: Sequence[tuple[int, int]],
-                    degrees) -> list[tuple[int, ...]]:
-    """Per degree d, the exponents k_t = sum_i m_ij d_i of the factors t = (j, r),
-    read from column j of the matrix."""
-    columns = [[(i, row[j]) for i, row in enumerate(data.m) if row[j]] for j, _ in factors]
-    return [tuple(sum(m * d[i] for i, m in column) for column in columns) for d in degrees]
-
-
-def _word_multiplier(data: ToricData, p_values: Sequence, factors: Sequence[tuple[int, int]],
-                     ctx: SampleContext):
-    """ks -> prod_t 1 - q^{k_t - r} w_t over the factors t = (j, r), each distinct
-    ks built once as one unnormalised pair of ints, with w_t = prod_i
-    P_i(alpha)^{m_ij} / Lambda_j from the P-values (the operator side), not
-    U_j(alpha): the check stays independent of the components."""
-    terms = [(r, binomial(power_product((*p_values, ctx.Lambda[j]),
-                                        (*(row[j] for row in data.m), -1)), ctx.q))
-             for j, r in factors]
-
-    @cache
-    def multiplier(ks):
-        num = den = 1
-        for k, (r, f) in zip(ks, terms):
-            n, d = f(k - r)
-            num, den = num * n, den * d
-        return num, den
-    return multiplier
-
-
-def _agree(c, left, c_other, right) -> bool:
-    """c L == c_other R, for rationals c and c_other and the unnormalised int
-    pairs ``left`` = L and ``right`` = R, by one big-by-small reduction:
-    c_other times the pair R/L, normalised once, against c.  Where L = 0 it
-    is c_other R == 0."""
-    left_num, left_den = left
-    right_num, right_den = right
-    if not left_num:
-        return not (c_other and right_num)
-    return c_other * Fraction(right_num * left_den, right_den * left_num) == c
-
-
-@dataclass
-class CheckResult:
-    label: str
-    ok: bool
-    failures: list
-
-    def as_dict(self) -> dict:
-        failures = [{"degree": list(d), "lhs": str(a), "rhs": str(b)} for d, a, b in self.failures]
-        return {"label": self.label, "ok": self.ok, "failures": failures}
-
-
-def verify_dq_system(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
-                     ctx: SampleContext) -> dict:
-    """Check the finite-difference system on every fixed-point component.
-
-    For each basis direction i the displayed relation is rearranged (the
-    negative-exponent ratio factors cross the equation) and the right-hand word
-    commuted through Q_i by U_j Q_i = q^{m_ij} Q_i U_j, into
-
-        prod_{j: m_ij > 0} prod_{r=0}^{m_ij - 1} (1 - q^{-r} U_j)  I
-            = Q_i prod_{j: m_ij < 0} prod_{r=0}^{-m_ij - 1} (1 - q^{-r} U_j)  I,
-
-    which ``verify_shifted_identity`` checks exactly, one row of the matrix at a time.
-    """
-    checks = []
-    for i, row in enumerate(data.m):
-        lhs = [(j, r) for j, mij in enumerate(row) for r in range(mij)]
-        rhs = [(j, r) for j, mij in enumerate(row) for r in range(-mij)]
-        checks += verify_shifted_identity(data, family, ctx, lhs, i, rhs)["checks"]
-    return {"ok": all(c["ok"] for c in checks), "checks": checks}
-
-
-def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
-                            ctx: SampleContext, lhs_factors: Sequence[tuple[int, int]],
-                            shift_i: int, rhs_factors: Sequence[tuple[int, int]]) -> dict:
-    """Check an identity of the form (prod lhs factors) I = Q_i (prod rhs factors) I.
-
-    Factors are (column j, exponent r) pairs standing for 1 - q^{-r} U_j(...);
-    the right-hand word is applied before the Novikov shift, exactly as written.
-    With e_i effective the shift reads only lower degrees, so every degree of
-    the components' own box is checked: the right side at d is the word at
-    d - e_i (``box.predecessors``) times the coefficient there, or 0 off the box.
-    Each degree is one ``_agree``; a failing one reports both sides in full.
-    """
-    box = next(iter(family.values())).box
-    e_i = tuple(1 if k == shift_i else 0 for k in range(data.K))
-    if not mori_cone_membership(data, e_i)[0]:
-        raise TruncationError(
-            f"basis degree e_{shift_i+1} leaves the effective cone; "
-            "the shifted side is not representable on a truncated box"
-        )
-    lhs_exponents = _word_exponents(data, lhs_factors, box.degrees)
-    rhs_exponents = _word_exponents(data, rhs_factors, box.degrees)
-    shifted = [next(((box.degrees[prev], rhs_exponents[prev]) for prev, i in predecessors
-                     if i == shift_i), (None, None)) for predecessors in box.predecessors]
-    checks = []
-    for fp in enumerate_fixed_points(data):
-        coeffs = family[fp.J].coeffs
-        p_values = fp.p_values(ctx.Lambda)
-        lhs_word = _word_multiplier(data, p_values, lhs_factors, ctx)
-        rhs_word = _word_multiplier(data, p_values, rhs_factors, ctx)
-        failures = []
-        for d, ks, (source, source_ks) in zip(box.degrees, lhs_exponents, shifted):
-            c, c_source = coeffs.get(d, 0), coeffs.get(source, 0)
-            if c or c_source:
-                left = lhs_word(ks)
-                right = rhs_word(source_ks) if c_source else (0, 1)
-                if not _agree(c, left, c_source, right):
-                    failures.append((d, c * Fraction(*left), c_source * Fraction(*right)))
-        checks.append(CheckResult(
-            label=f"relation Q_{shift_i+1} at alpha={tuple(j + 1 for j in fp.J)}",
-            ok=not failures, failures=failures))
-    return {"ok": all(c.ok for c in checks), "checks": [c.as_dict() for c in checks]}
+    word, exponents = _word(_binomials(data, fp, ctx), factors), _exponents(data, factors)
+    return NovikovSeries(series.box, {d: c * Fraction(*word(exponents(d)))
+                                      for d, c in series.coeffs.items()}, series.mode)
 
 
 def apply_gamma_ratio(series: NovikovSeries, data: ToricData, j: int, lam_value,
@@ -235,8 +120,56 @@ def gamma_reconstruction(data: ToricData, fp: FixedPoint, box: TruncationBox,
 
 
 # ---------------------------------------------------------------------------
-# Cohomological degree-shift relation.
+# The relation check.
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class CheckResult:
+    label: str
+    ok: bool
+    failures: list
+
+    def as_dict(self) -> dict:
+        failures = [{"degree": list(d), "lhs": str(a), "rhs": str(b)} for d, a, b in self.failures]
+        return {"label": self.label, "ok": self.ok, "failures": failures}
+
+
+def verify_dq_system(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
+                     ctx: SampleContext) -> dict:
+    """Check the finite-difference system on every fixed-point component.
+
+    For each basis direction i the displayed relation is rearranged (the
+    negative-exponent ratio factors cross the equation) and the right-hand word
+    commuted through Q_i by U_j Q_i = q^{m_ij} Q_i U_j, into the relation of
+    the shift e_i, whose pairing D(e_i) is row i of the matrix:
+
+        prod_{j: m_ij > 0} prod_{s=0}^{m_ij - 1} (1 - q^{D_j(d) - s} w_j)  c_d
+            = prod_{j: m_ij < 0} prod_{s=m_ij}^{-1} (1 - q^{D_j(d) - s} w_j)  c_{d - e_i}.
+    """
+    kernels = {fp.J: _binomials(data, fp, ctx) for fp in enumerate_fixed_points(data)}
+    checks = []
+    for i, row in enumerate(data.m):
+        e_i = tuple(int(k == i) for k in range(data.K))
+        checks += _verify_shift(data, family, e_i, *_relation_sides(row),
+                                lambda fp: kernels[fp.J], f"relation Q_{i+1}")
+    return _report(checks)
+
+
+def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
+                            ctx: SampleContext, lhs_factors: Factors,
+                            shift_i: int, rhs_factors: Factors) -> dict:
+    """Check an identity of the form (prod lhs factors) I = Q_i (prod rhs factors) I.
+
+    Factors are (column j, exponent r) pairs standing for 1 - q^{-r} U_j(...);
+    the right-hand word is applied before the Novikov shift, exactly as
+    written, so at d it reads the depths at d - e_i: its factor (j, r) is
+    the check's (j, r + m_ij).  A failing degree reports both sides in full.
+    """
+    e_i = tuple(int(k == shift_i) for k in range(data.K))
+    right = [(j, r + data.m[shift_i][j]) for j, r in rhs_factors]
+    return _report(_verify_shift(data, family, e_i, lhs_factors, right,
+                                 lambda fp: _binomials(data, fp, ctx), f"relation Q_{shift_i+1}"))
 
 
 def verify_coh_relation(data: ToricData, d0: Sequence[int],
@@ -248,57 +181,112 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int],
     prod_{s=0}^{step-1}(u-op + s z), and for step < 0 the inverse finite
     product prod_{s=1}^{-step}(u-op - s z)^{-1}; the degree reading acts as
     u_j(alpha) - z D_j(d).  The inverse factors move across the equation, so the
-    comparison stays division-free; each side meets the coefficient as one product:
+    comparison stays division-free:
 
-        prod_{step_j < 0} [...] (Q^{d0} I)  =  prod_{step_j > 0} [...] I.
+        prod_{step_j < 0} [...] (Q^{d0} I)  =  prod_{step_j > 0} [...] I,
 
-    The depths D_j(d) come from this module's own ``degree_pairing``, and each
-    degree's source d - d0 is classified (a box degree, an exact zero, or
-    beyond the bound, where nothing is checked), once per call; per fixed
-    point each side's product is built once per distinct depth tuple, as a
-    pair of ints from the kernels ``u_j - r z`` (``scalars.linear``), and each
-    degree is one ``_agree``.
+    the relation of the shift d0 with the kernels u_j - k z, reported with the
+    shifted side as the lhs.  A non-integral d0 is a ValueError.
     """
-    d0 = tuple(int(x) for x in d0)
-    steps = degree_pairing(data, d0)
-    # Column j contributes u_j - z (D_j(d) - s) for s in shifts[j], on the
-    # left when its step is negative and on the right when it is positive.
-    shifts = [range(step, 0) if step < 0 else range(step) for step in steps]
-    sides = ([j for j, step in enumerate(steps) if step < 0],
-             [j for j, step in enumerate(steps) if step > 0])
+    d0 = integral_degree(d0)
+    return _report(_verify_shift(
+        data, family, d0, *_relation_sides(degree_pairing(data, d0)),
+        lambda fp: [linear(u, ctx.z) for u in divisor_values(data, fp, ctx.Lambda)],
+        f"Q^{d0} relation", swap=True))
+
+
+def _report(checks: list[CheckResult]) -> dict:
+    return {"ok": all(c.ok for c in checks), "checks": [c.as_dict() for c in checks]}
+
+
+def _relation_sides(steps: Sequence[int]) -> tuple[list, list]:
+    """The two sides of the relation of a shift l with pairing D(l) = ``steps``:
+    the factors (j, s), 0 <= s < D_j(l), and (j, s), D_j(l) <= s < 0."""
+    return ([(j, s) for j, step in enumerate(steps) for s in range(step)],
+            [(j, s) for j, step in enumerate(steps) for s in range(step, 0)])
+
+
+def _verify_shift(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
+                  shift: Sequence[int], left: Factors, right: Factors,
+                  kernels_at: Callable[[FixedPoint], list], name: str,
+                  swap: bool = False) -> list[CheckResult]:
+    """Check c_d L(d) = c_{d - shift} R(d) at every box degree d, per fixed point.
+
+    A side is a list of factors (j, s), each f_j(D_j(d) - s) with f_j the
+    fixed point's kernel ``kernels_at(fp)[j]``.  The source d - shift is a
+    box degree, an exact zero (off the effective cone), or beyond the bound,
+    where d is not checked.  A failure is (d, c_d L, c_{d - shift} R), the
+    two sides swapped when ``swap`` is set.
+    """
     box = next(iter(family.values())).box
+    left_exponents, right_exponents = _exponents(data, left), _exponents(data, right)
+    # Every d pairs at most the bound, so d - shift can pair above it only
+    # when the shift pairs negatively.
+    reaches_beyond = box.pairing(shift) < 0
     rows = []
     for d in box.degrees:
-        source = tuple(x - y for x, y in zip(d, d0))
-        if source in box.keys or not box.beyond(source):
-            pairing = degree_pairing(data, d)
-            # An exact zero's source is None, which no series stores.
-            rows.append((d, box.keys.get(source),
-                         *(tuple(pairing[j] for j in cols) for cols in sides)))
+        source = tuple(x - y for x, y in zip(d, shift))
+        key = box.keys.get(source)
+        # An exact zero's key is None, which no series stores.
+        if key is not None or not (reaches_beyond and box.beyond(source)):
+            rows.append((d, key, left_exponents(d), right_exponents(d)))
     checks = []
     for fp in enumerate_fixed_points(data):
         coeffs = family[fp.J].coeffs
-        kernels = [linear(u, ctx.z) for u in divisor_values(data, fp, ctx.Lambda)]
-
-        @cache
-        def product(side, depth):
-            num = den = 1
-            for j, D in zip(sides[side], depth):
-                for s in shifts[j]:
-                    n, m = kernels[j](D - s)
-                    num, den = num * n, den * m
-            return num, den
-
+        kernels = kernels_at(fp)
+        left_word, right_word = _word(kernels, left), _word(kernels, right)
         failures = []
-        for d, source, left, right in rows:
+        for d, source, left_ks, right_ks in rows:
             c, c_source = coeffs.get(d, 0), coeffs.get(source, 0)
             if c or c_source:
-                right_product = product(1, right)
-                left_product = product(0, left) if c_source else (0, 1)
-                if not _agree(c, right_product, c_source, left_product):
-                    failures.append((d, c_source * Fraction(*left_product),
-                                     c * Fraction(*right_product)))
-        checks.append(CheckResult(
-            label=f"Q^{d0} relation at alpha={tuple(j + 1 for j in fp.J)}",
-            ok=not failures, failures=failures))
-    return {"ok": all(c.ok for c in checks), "checks": [c.as_dict() for c in checks]}
+                lhs = left_word(left_ks)
+                rhs = right_word(right_ks) if c_source else (0, 1)
+                if not _agree(c, lhs, c_source, rhs):
+                    sides = (c * Fraction(*lhs), c_source * Fraction(*rhs))
+                    failures.append((d, *(sides[::-1] if swap else sides)))
+        checks.append(CheckResult(label=f"{name} at alpha={tuple(j + 1 for j in fp.J)}",
+                                  ok=not failures, failures=failures))
+    return checks
+
+
+def _binomials(data: ToricData, fp: FixedPoint, ctx: SampleContext) -> list:
+    """Per column j, the kernel k -> 1 - q^k w_j with w_j = prod_i
+    P_i(alpha)^{m_ij} / Lambda_j from the P-values (the operator side), not
+    U_j(alpha): the check stays independent of the components."""
+    p_values = fp.p_values(ctx.Lambda)
+    return [binomial(power_product((*p_values, ctx.Lambda[j]), (*(row[j] for row in data.m), -1)),
+                     ctx.q) for j in range(data.N)]
+
+
+def _exponents(data: ToricData, factors: Factors) -> Callable[[Sequence[int]], tuple]:
+    """d -> the exponents D_j(d) - s of the factors (j, s), each depth
+    D_j(d) = sum_i m_ij d_i read from column j of the matrix."""
+    columns = [([(i, row[j]) for i, row in enumerate(data.m) if row[j]], s) for j, s in factors]
+    return lambda d: tuple(sum(m * d[i] for i, m in column) - s for column, s in columns)
+
+
+def _word(kernels: list, factors: Factors) -> Callable[[tuple], tuple[int, int]]:
+    """ks -> prod_t f_j(k_t) over the factors t = (j, s), f_j = ``kernels[j]``,
+    each distinct ks built once as one unnormalised pair of ints."""
+    terms = [kernels[j] for j, _ in factors]
+
+    @cache
+    def product(ks):
+        num = den = 1
+        for f, k in zip(terms, ks):
+            n, d = f(k)
+            num, den = num * n, den * d
+        return num, den
+    return product
+
+
+def _agree(c, left, c_other, right) -> bool:
+    """c L == c_other R, for rationals c and c_other and the unnormalised int
+    pairs ``left`` = L and ``right`` = R, by one big-by-small reduction:
+    c_other times the pair R/L, normalised once, against c.  Where L = 0 it
+    is c_other R == 0."""
+    left_num, left_den = left
+    right_num, right_den = right
+    if not left_num:
+        return not (c_other and right_num)
+    return c_other * Fraction(right_num * left_den, right_den * left_num) == c

@@ -47,6 +47,13 @@ from .toric import (
 Degree = tuple[int, ...]
 
 
+def integral_degree(d: Sequence) -> Degree:
+    """The degree d as a tuple of ints; a non-integral entry is a ValueError."""
+    if any(x != int(x) for x in d):
+        raise ValueError(f"degree ({', '.join(map(str, d))}) is not integral")
+    return tuple(int(x) for x in d)
+
+
 @dataclass(frozen=True)
 class TruncationBox:
     """Keep a degree iff it is effective and pairs with ``ample`` below ``bound``.
@@ -127,9 +134,7 @@ class NovikovSeries:
         key = self.box.keys.get(tuple(d))
         if key is not None:
             return self.coeffs.get(key, Fraction(0))
-        if any(x != int(x) for x in d):
-            raise ValueError(f"degree ({', '.join(map(str, d))}) is not integral")
-        d = tuple(int(x) for x in d)
+        d = integral_degree(d)
         # The box holds every effective degree up to its bound.
         if self.box.beyond(d):
             raise TruncationError(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtoric.series
-from qtoric.models import bundled_model_names, load_bundled_model
+from qtoric import cli
+from qtoric.models import bundled_model_names, load_bundled_model, parse_model_text
 from qtoric.qdiff import (
     _agree,
     apply_gamma_ratio,
@@ -27,7 +29,13 @@ from qtoric.series import (
     constant_series,
     truncation_box,
 )
-from qtoric.toric import degree_pairing, divisor_values, enumerate_fixed_points, fixed_point
+from qtoric.toric import (
+    degree_pairing,
+    divisor_values,
+    enumerate_fixed_points,
+    fixed_point,
+    mori_cone_membership,
+)
 from word_oracle import shift_by_degree, word_multiplier
 
 
@@ -425,3 +433,74 @@ def test_coh_relations(p1, f1):
     ctxn = sample_context(p1.N, 59)
     family = assemble_cohomological_series(p1, truncation_box(p1, 4), ctxn)
     assert verify_coh_relation(p1, (-1,), family, ctxn)["ok"]
+
+
+def test_coh_relation_rejects_a_non_integral_shift(p1):
+    # Q^{1/2} is not a Novikov monomial: it is not read as Q^0, nor Q^{3/2} as Q^1.
+    ctx = sample_context(p1.N, 59)
+    family = assemble_cohomological_series(p1, truncation_box(p1, 4), ctx)
+    for d0, text in (((Fraction(1, 2),), "1/2"), ((Fraction(3, 2),), "3/2")):
+        with pytest.raises(ValueError, match=rf"^degree \({text}\) is not integral$"):
+            verify_coh_relation(p1, d0, family, ctx)
+    assert verify_coh_relation(p1, (Fraction(1),), family, ctx) == verify_coh_relation(
+        p1, (1,), family, ctx)
+
+
+# F_1 in a basis whose second row e_2 = (-1, -1, 1, 2) is not effective.
+F1_SKEW = "name f1_skew\nmatrix 2 4\n1 1 0 -1\n-1 -1 1 2\nomega 2 1\n"
+
+
+def test_verify_dq_checks_a_basis_row_off_the_effective_cone(tmp_path, capsys):
+    # The source d - e_2 is a box degree or an exact zero, never beyond the
+    # bound, so every degree is checked, and the relation holds.
+    data = parse_model_text(F1_SKEW).data
+    assert not mori_cone_membership(data, (0, 1))[0]
+    path = tmp_path / "f1_skew.model"
+    path.write_text(F1_SKEW)
+    assert cli.main(["verify-dq", str(path), "--deg", "6", "--samples", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True
+    checks = report["result"]["checks"]
+    # 2 samples x 2 rows x 4 fixed points
+    assert len(checks) == 16 and all(c["ok"] for c in checks)
+    assert sum("relation Q_2" in c["label"] for c in checks) == 8
+
+
+@pytest.mark.parametrize("mode", ["k", "coh"])
+def test_a_scaled_coefficient_fails_the_row_off_the_effective_cone(mode):
+    # Each support coefficient of each component in turn, scaled by 1 + 1/101:
+    # the e_2 relation fails at that degree exactly when the word on its side
+    # is nonzero there, elsewhere at most at d + e_2, which reads it too, and
+    # the scaling is caught at one of the two for most coefficients.
+    data = parse_model_text(F1_SKEW).data
+    box = truncation_box(data, 9)
+    ctx = sample_context(data.N, 107)
+    row = data.m[1]
+    lhs = [(j, r) for j, mij in enumerate(row) for r in range(mij)]
+    rhs = [(j, r) for j, mij in enumerate(row) for r in range(-mij)]
+    assemble = assemble_series if mode == "k" else assemble_cohomological_series
+    family = assemble(data, box, ctx)
+    checked = caught = 0
+    for fp in enumerate_fixed_points(data):
+        uvals = divisor_values(data, fp, ctx.Lambda)
+        for d, c in family[fp.J].coeffs.items():
+            scaled = {**family, fp.J: NovikovSeries(
+                box, {**family[fp.J].coeffs, d: c * Fraction(102, 101)}, mode)}
+            if mode == "k":
+                report = verify_shifted_identity(data, scaled, ctx, lhs, 1, rhs)
+                visible = word_multiplier(data, fp, lhs, ctx)(d) != 0
+            else:
+                report = verify_coh_relation(data, (0, 1), scaled, ctx)
+                visible = all(u - (D - s) * ctx.z != 0
+                              for u, D, step in zip(uvals, degree_pairing(data, d), row)
+                              for s in range(step))
+            for other, check in zip(enumerate_fixed_points(data), report["checks"]):
+                failed = {tuple(f["degree"]) for f in check["failures"]}
+                if other is not fp:
+                    assert not failed, (fp.J, d)
+                else:
+                    assert (d in failed) == visible, (fp.J, d)
+                    assert failed <= {d, (d[0], d[1] + 1)}, (fp.J, d)
+                    caught += bool(failed)
+            checked += 1
+    assert caught >= checked * 3 // 4, (caught, checked)

@@ -1,11 +1,13 @@
 """Per-call tables against per-degree formulas.
 
-``qdiff.apply_word`` builds one multiplier per distinct exponent tuple and
-``qdiff.verify_coh_relation`` one product per side and depth tuple; the box
+``qdiff.apply_word`` builds one multiplier per distinct exponent tuple, and
+the relation check behind ``verify_shifted_identity`` and
+``verify_coh_relation`` one product per side and exponent tuple; the box
 keeps its degrees' pairing rows, canonical keys and predecessor positions.
 Each is compared with the formula it replaces (``word_oracle``,
-``degree_pairing``) at every box degree, on the bundled models and on the
-rank 2-4 families of the cone-box benchmark.
+``degree_pairing``) at every box degree, on the bundled models, on the rank
+2-4 families of the cone-box benchmark, and on F_1 in a basis whose second
+row is not effective.
 """
 
 import itertools
@@ -17,7 +19,14 @@ import pytest
 
 import word_oracle
 from qtoric.models import bundled_model_names, load_bundled_model
-from qtoric.qdiff import apply_word, verify_coh_relation, verify_shifted_identity
+from qtoric.qdiff import (
+    _binomials,
+    _relation_sides,
+    _verify_shift,
+    apply_word,
+    verify_coh_relation,
+    verify_shifted_identity,
+)
 from qtoric.scalars import TruncationError, sample_context
 from qtoric.series import NovikovSeries, truncation_box
 from qtoric.toric import ToricData, degree_pairing, enumerate_fixed_points
@@ -46,14 +55,19 @@ FAMILIES = [
     ("p1xp1xp2", product_rows(LINE, LINE, PLANE), 2),
     ("f1xp1", product_rows(hirzebruch_rows(1), LINE), 3),
     ("f2xp1", product_rows(hirzebruch_rows(2), LINE), 3),
+    # F_1 with its second row replaced by the second minus the first: the new
+    # e_2 = (-1, -1, 1, 2) is not effective, so d - e_2 is often off the cone.
+    ("F1skew", ((1, 1, 0, -1), (-1, -1, 1, 2)), 9),
 ]
+OMEGA = {"F1skew": (2, 1)}
 MODELS = [*bundled_model_names(), *(name for name, _, _ in FAMILIES)]
 
 
 def model(name):
     for family, rows, bound in FAMILIES:
         if family == name:
-            return ToricData(m=rows, omega=(1,) * len(rows), name=name), bound
+            omega = OMEGA.get(name, (1,) * len(rows))
+            return ToricData(m=rows, omega=omega, name=name), bound
     return load_bundled_model(name).data, 3
 
 
@@ -144,6 +158,37 @@ def test_coh_relation_products_match_the_per_degree_formula(name):
         report = verify_coh_relation(data, d0, family, ctx)
         assert report == word_oracle.verify_coh_relation(data, d0, family, ctx), d0
         assert sum(len(c["failures"]) for c in report["checks"]) >= len(box.degrees) // 2
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_k_relation_of_every_shift_matches_the_per_degree_formula(name):
+    # The shifts -e_i read sources beyond the bound, which are skipped, and
+    # e_i - e_k sources off the cone, which are exact zeros.
+    data, bound = model(name)
+    box = truncation_box(data, bound)
+    ctx = sample_context(data.N, 73)
+    family = {fp.J: dense_series(box, 9 + k)
+              for k, fp in enumerate(enumerate_fixed_points(data))}
+    for d0 in shifts(data.K):
+        checks = _verify_shift(data, family, d0, *_relation_sides(degree_pairing(data, d0)),
+                               lambda fp: _binomials(data, fp, ctx), "relation")
+        assert ([c.failures for c in checks]
+                == word_oracle.k_relation_failures(data, d0, family, ctx)), d0
+
+
+def test_the_shifts_reach_every_source_branch():
+    # Some shift's source is a box degree, some an exact zero, some beyond
+    # the bound, on the bundled f1 and on the skew basis.
+    for name in ("f1", "F1skew"):
+        data, bound = model(name)
+        box = truncation_box(data, bound)
+        kinds = set()
+        for d0 in shifts(data.K):
+            for d in box.degrees:
+                source = tuple(x - y for x, y in zip(d, d0))
+                kinds.add("key" if source in box.keys else
+                          "beyond" if box.beyond(source) else "zero")
+        assert kinds == {"key", "zero", "beyond"}, name
 
 
 def test_coh_relation_steps_both_ways():

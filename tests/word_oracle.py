@@ -6,9 +6,11 @@ P_i(alpha)^{m_ij} / Lambda_j, with every power and product rebuilt at each
 degree; ``apply_word`` scales a series by it, and ``verify_shifted_identity``
 compares two whole series built from it.  ``verify_coh_relation``
 rebuilds both sides' products of small factors at every degree of every
-fixed point from ``degree_pairing``.  ``qtoric.qdiff`` builds each distinct
-multiplier or product once per call and looks it up; these are the formulas
-it must agree with at every box degree.  ``shift_by_degree`` is Q^{d0} as a
+fixed point from ``degree_pairing``, and ``k_relation_failures`` does the
+same with the words for the K-theoretic relation of any shift.
+``qtoric.qdiff`` builds each distinct multiplier or product once per call
+and looks it up; these are the formulas it must agree with at every box
+degree.  ``shift_by_degree`` is Q^{d0} as a
 re-keyed series, the composable form the operator tests build words from.
 """
 
@@ -94,6 +96,35 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int],
             label=f"Q^{d0} relation at alpha={tuple(j + 1 for j in fp.J)}",
             ok=not failures, failures=failures))
     return {"ok": all(c.ok for c in checks), "checks": [c.as_dict() for c in checks]}
+
+
+def k_relation_failures(data: ToricData, d0: Sequence[int],
+                        family: dict[tuple[int, ...], NovikovSeries],
+                        ctx: SampleContext) -> list[list]:
+    """Per fixed point, the degrees d where the K-theoretic relation of the
+    shift d0 fails: the word of the factors (j, s), 0 <= s < D_j(d0), times
+    the coefficient at d against the word of the factors (j, s),
+    D_j(d0) <= s < 0, times the coefficient at d - d0, both words rebuilt at d
+    and a source beyond the bound skipped."""
+    steps = degree_pairing(data, d0)
+    left = [(j, s) for j, step in enumerate(steps) for s in range(step)]
+    right = [(j, s) for j, step in enumerate(steps) for s in range(step, 0)]
+    out = []
+    for fp in enumerate_fixed_points(data):
+        series = family[fp.J]
+        left_word = word_multiplier(data, fp, left, ctx)
+        right_word = word_multiplier(data, fp, right, ctx)
+        failures = []
+        for d in series.box.degrees:
+            try:
+                rhs = series.coefficient(tuple(x - y for x, y in zip(d, d0))) * right_word(d)
+            except TruncationError:
+                continue
+            lhs = series.coefficient(d) * left_word(d)
+            if lhs != rhs:
+                failures.append((d, lhs, rhs))
+        out.append(failures)
+    return out
 
 
 def shift_by_degree(series: NovikovSeries, d0: Sequence[int]) -> NovikovSeries:
