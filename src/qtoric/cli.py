@@ -12,8 +12,10 @@ bound, an ``--edge`` not ``a1,a2:j0``, a class dividing by 0 at every context),
 the output is piped into ``head``), with nothing on stderr.
 
 Exact coefficients can run to tens of thousands of digits, so the report is
-computed and rendered with the interpreter's limit on integer string
-conversion lifted; every input is parsed before that, under the limit.
+computed, its values converted to strings, with the interpreter's limit on
+integer string conversion lifted; every input is parsed before that, under
+the limit.  The report is written by ``_render``, which gives the bytes of
+``json.dumps(report, indent=2, sort_keys=True)`` in one pass.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import __version__
 from .exprs import ExprError, ZeroDivisorError, parse_expression
@@ -350,11 +352,67 @@ def run_command(command: str, model: ModelFile, flags: argparse.Namespace) -> di
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, the status of a shell pipeline's killed writer
 
 
+def _render(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, for a
+    tree of dicts with str keys, lists, tuples, strs, ints, bools and None;
+    any other type is a TypeError.
+
+    With an indent the json module runs its pure-Python encoder; this writer
+    makes the same layout in one pass, appending chunks to one list that is
+    joined once, and escapes strings with json's own (C) escaper.
+    """
+    chunks: list[str] = []
+    _write(payload, chunks, "\n")
+    return "".join(chunks)
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append ``value`` at the nesting whose line break and indent is ``newline``."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_escape(key))
+            out.append(": ")
+            _write(value[key], out, inner)
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = comma
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, code: int) -> int:
-    """Print ``payload`` as JSON and return ``code``, or EXIT_CLOSED_STDOUT when
-    the reader closed stdout first (``qtoric ... | head``)."""
+    """Print ``payload`` as JSON (``_render``) and return ``code``, or
+    EXIT_CLOSED_STDOUT when the reader closed stdout first (``qtoric ... | head``)."""
     try:
-        print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
+        print(_render(payload), flush=True)
     except BrokenPipeError:
         # Python's recipe for SIGPIPE: point stdout at devnull, so that the
         # interpreter's last flush at exit does not fail again.

@@ -67,8 +67,11 @@ class ModelFile:
     sha256: str = ""
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _integer(token: str) -> int:
-    if not re.fullmatch(r"[+-]?[0-9]+", token):
+    if not _INTEGER.fullmatch(token):
         raise ValueError(token)
     return int(token)
 
@@ -88,7 +91,7 @@ def parse_model_text(text: str) -> ModelFile:
     lines = text.splitlines()
     name: str | None = None
     matrix: list[list[int]] | None = None
-    omega: tuple[Fraction, ...] | None = None
+    omega: tuple[int | Fraction, ...] | None = None  # ToricData makes each a Fraction
     bundle_rows: list[list[int]] | None = None
     bundle_parity: str | None = None
     omega_line = 0
@@ -104,6 +107,10 @@ def parse_model_text(text: str) -> ModelFile:
             return None
         row = []
         for tok in tokens:
+            if _INTEGER.fullmatch(tok):
+                row.append(int(tok))
+                continue
+            # Any other spelling of an integer (2/1, 1.0) is read as a rational.
             try:
                 value = Fraction(tok)
             except (ValueError, ZeroDivisionError):
@@ -165,7 +172,8 @@ def parse_model_text(text: str) -> ModelFile:
                 continue
             omega_line = line_no
             try:
-                omega = tuple(Fraction(tok) for tok in tokens[1:])
+                omega = tuple(int(tok) if _INTEGER.fullmatch(tok) else Fraction(tok)
+                              for tok in tokens[1:])
             except (ValueError, ZeroDivisionError):
                 err("bad-number", line_no, "omega entries must be rationals")
                 continue

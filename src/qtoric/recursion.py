@@ -6,13 +6,17 @@ series at alpha has simple poles in q at the inverse roots of the cotangent
 character of that sphere, and their residues are proportional to the beta
 component; the proportionality constant is the equivariant Euler class of the
 virtual cotangent space at the multiple cover, computed here along two
-independent routes that must agree.
+independent routes that must agree: the residue arrangement and the weights
+of binary forms.  Each route is a product of int pairs normalised once, into
+one ``Fraction``.
 
 The residues of the alpha component are read from the leading terms of its
 coefficients at the root point (``series.component_residues``): a factor
 1 - q^r u that vanishes there contributes one order, so the pole order is a
 count and the residue is the product of the leads.  The beta side is
-evaluated at the numeric root point, an independent route.
+evaluated at the numeric root point, an independent route, and read by key
+at d - m d_ab: that degree pairs below the bound with the ample class, so
+off the box it is not effective and its coefficient is an exact zero.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from .monomials import Monomial
-from .localization import cotangent_euler
+from .localization import _cotangent_pair, cotangent_euler  # noqa: F401  (re-exported)
 from .scalars import (
     DegenerateSampleError,
     PoleError,
     SampleContext,
-    finite_ratio,
+    binomial,
+    power_pair,
     random_fraction,
     sample_context,
     with_resampling,
@@ -145,12 +150,10 @@ def root_context(data: ToricData, orbit: OrbitData, m: int, seed: int,
     base = sample_context(data.N, seed, index)
     rng = random.Random(f"{seed}:{index}:root")
     mu = random_fraction(rng)
-    rest = Fraction(1)
-    for j, e in enumerate(exps):
-        if j != solve_j and e:
-            rest *= base.Lambda[j] ** e
-    target = mu ** m
-    value = target / rest if exps[solve_j] == 1 else rest / target
+    # The other parameters' part of the character, x / y, and mu^m = a / b.
+    x, y = power_pair(base.Lambda, [0 if j == solve_j else e for j, e in enumerate(exps)])
+    a, b = mu.numerator ** m, mu.denominator ** m
+    value = Fraction(a * y, b * x) if exps[solve_j] == 1 else Fraction(b * x, a * y)
     lambdas = list(base.Lambda)
     lambdas[solve_j] = value
     if value == 0 or value == 1:
@@ -168,29 +171,52 @@ def edge_euler_class(data: ToricData, orbit: OrbitData, m: int, ctx: SampleConte
               * prod_{j != j0} [prod_{r<=m D_j(d_ab)} / prod_{r<=0}] (1 - mu^{-r} U_j(alpha)).
 
     The bracket is the reciprocal of the universal finite ratio evaluated at
-    the root point q0 = 1/mu.
+    the root point q0 = 1/mu.  Every factor is an int pair, normalised once.
     """
-    lam_val = orbit.lambda_char.evaluate(ctx.Lambda)
-    if lam_val != mu ** m:
+    phi, rest = _coefficient_pairs(data, orbit, m, ctx, mu)
+    return Fraction(phi[0] * rest[0], phi[1] * rest[1])
+
+
+def _coefficient_pairs(data: ToricData, orbit: OrbitData, m: int, ctx: SampleContext,
+                       mu: Fraction) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``edge_euler_class`` as two unnormalised int pairs: phi^alpha
+    (``_cotangent_pair``) and C / phi^alpha.  For mu = a/b, 1 - mu^r is
+    (b^r - a^r) / b^r, and the bracket of column j is a product of
+    ``binomial`` pairs at q0 = 1/mu over r = 1..m D_j, or the inverse product
+    over r = m D_j + 1..0; a vanishing factor raises ``PoleError(r, U_j)``
+    for r > 0, and ``PoleError(0, U_j)`` for r <= 0."""
+    a, b = mu.numerator, mu.denominator
+    x, y = power_pair(ctx.Lambda, orbit.lambda_char.exps)
+    if x * b ** m != y * a ** m:
         raise ValueError("context does not realize the orbit character as mu^m")
-    phi = cotangent_euler(data, orbit.alpha, ctx)
-    out = phi
+    phi = _cotangent_pair(data, orbit.alpha, ctx)
+    num = den = 1
     for r in range(1, m):
-        factor = 1 - mu ** r
-        if factor == 0:
+        ar, br = a ** r, b ** r
+        if ar == br:
             raise DegenerateSampleError("mu is a root of unity")
-        out *= factor
+        num, den = num * (br - ar), den * br
     q0 = 1 / mu
     uvals = orbit.alpha.u_values(ctx.Lambda)
     pairing = degree_pairing(data, orbit.d_ab)
-    for j in range(data.N):
-        if j == orbit.j0:
+    for j, u in enumerate(uvals):
+        depth = m * pairing[j]
+        if j == orbit.j0 or not depth:
             continue
-        fr = finite_ratio(uvals[j], m * pairing[j], q0)
-        if fr == 0:
-            raise PoleError(0, uvals[j])
-        out /= fr
-    return out
+        factor = binomial(u, q0)
+        if depth > 0:
+            for r in range(1, depth + 1):
+                f, g = factor(r)
+                if not f:
+                    raise PoleError(r, u)
+                num, den = num * f, den * g
+        else:
+            for r in range(depth + 1, 1):
+                f, g = factor(r)
+                if not f:
+                    raise PoleError(0, u)
+                num, den = num * g, den * f
+    return phi, (num, den)
 
 
 def edge_euler_class_from_forms(data: ToricData, orbit: OrbitData, m: int,
@@ -203,36 +229,35 @@ def edge_euler_class_from_forms(data: ToricData, orbit: OrbitData, m: int,
     inverse factors on the range m D_j + 1..-1.  The trivial summands of the
     cotangent representation and the reparameterization line account for
     exactly K + 1 trivial weights, which are removed rather than multiplied.
+    A weight is an int pair: a e^r / (b c^r) for U_j(alpha) = a/b and
+    mu = c/e (a c^-r / (b e^-r) for r < 0), trivial exactly when its two
+    entries are equal, and the product of the factors 1 - w is normalised once.
     """
-    uvals = orbit.alpha.u_values(ctx.Lambda)
+    c, e = mu.numerator, mu.denominator
     pairing = degree_pairing(data, orbit.d_ab)
-    numerator: list[Fraction] = []
-    denominator: list[Fraction] = []
-    for j in range(data.N):
-        b = m * pairing[j]
-        if b >= 0:
-            for r in range(0, b + 1):
-                numerator.append(uvals[j] * mu ** (-r))
+    numerator: list[tuple[int, int]] = []
+    denominator: list[tuple[int, int]] = []
+    for j, mon in enumerate(orbit.alpha.u_monomials):
+        a, b = power_pair(ctx.Lambda, mon.exps)
+        top = m * pairing[j]
+        if top >= 0:
+            numerator += [(a * e ** r, b * c ** r) for r in range(top + 1)]
         else:
-            for r in range(b + 1, 0):
-                denominator.append(uvals[j] * mu ** (-r))
-    trivial = [w for w in numerator if w == 1]
-    if len(trivial) != data.K + 1:
+            denominator += [(a * c ** -r, b * e ** -r) for r in range(top + 1, 0)]
+    trivial = sum(w == v for w, v in numerator)
+    if trivial != data.K + 1:
         raise DegenerateSampleError(
-            f"expected {data.K + 1} trivial weights, found {len(trivial)}"
+            f"expected {data.K + 1} trivial weights, found {trivial}"
         )
-    if any(w == 1 for w in denominator):
+    if any(w == v for w, v in denominator):
         raise DegenerateSampleError("trivial weight in the obstruction range")
-    out = Fraction(1)
-    removed = 0
-    for w in numerator:
-        if w == 1 and removed < len(trivial):
-            removed += 1
-            continue
-        out *= 1 - w
-    for w in denominator:
-        out /= 1 - w
-    return out
+    num = den = 1
+    for w, v in numerator:
+        if w != v:
+            num, den = num * (v - w), den * v
+    for w, v in denominator:
+        num, den = num * v, den * (v - w)
+    return Fraction(num, den)
 
 
 def verify_residue_recursion(data: ToricData, orbit: OrbitData, m: int,
@@ -255,26 +280,26 @@ def verify_residue_recursion(data: ToricData, orbit: OrbitData, m: int,
 def _check_recursion(data: ToricData, orbit: OrbitData, m: int,
                      box: TruncationBox, ctx: SampleContext, mu: Fraction) -> dict:
     q0 = 1 / mu
-    beta_series = component_series(data, orbit.beta, box, ctx.with_q(q0))
-    c_residue = edge_euler_class(data, orbit, m, ctx, mu)
+    beta = component_series(data, orbit.beta, box, ctx.with_q(q0)).coeffs
+    phi, rest = _coefficient_pairs(data, orbit, m, ctx, mu)
+    c_residue = Fraction(phi[0] * rest[0], phi[1] * rest[1])
     c_forms = edge_euler_class_from_forms(data, orbit, m, ctx, mu)
-    phi = cotangent_euler(data, orbit.alpha, ctx)
     residues = component_residues(data, orbit.alpha, box, ctx, q0)
-    prefactor = -Fraction(1, m) * phi / c_residue
+    # -(1/m) phi^alpha / C, with C = phi^alpha * rest.
+    prefactor = Fraction(-rest[1], m * rest[0])
     shift = tuple(m * x for x in orbit.d_ab)
+    zero = Fraction(0)
     rows = []
     ok = True
     for d in box.degrees:
-        lhs = residues.get(d, Fraction(0))
-        prev = tuple(x - y for x, y in zip(d, shift))
-        rhs = prefactor * beta_series.coefficient(prev)
-        ok = ok and lhs == rhs
-        rows.append({
-            "degree": list(d),
-            "lhs": str(lhs),
-            "rhs": str(rhs),
-            "ok": lhs == rhs,
-        })
+        lhs = residues.get(d, zero)
+        # d - shift pairs below the bound, so off the box it is not effective:
+        # an exact zero, as is every box degree the series leaves out.
+        source = beta.get(tuple(x - y for x, y in zip(d, shift)))
+        rhs = zero if source is None else prefactor * source
+        agree = lhs == rhs
+        ok = ok and agree
+        rows.append({"degree": list(d), "lhs": str(lhs), "rhs": str(rhs), "ok": agree})
     return {
         "alpha": [j + 1 for j in orbit.alpha.J],
         "beta": [j + 1 for j in orbit.beta.J],

@@ -80,12 +80,11 @@ def random_fraction(rng: random.Random, *, signed: bool = False) -> Fraction:
     while True:
         num = rng.randint(2, 199)
         den = rng.randint(2, 199)
-        f = Fraction(num, den)
-        if f == 1:
+        if num == den:
             continue
         if signed and rng.random() < 0.5:
-            f = -f
-        return f
+            num = -num
+        return Fraction(num, den)
 
 
 def sample_context(n_lambda: int, seed: int, index: int = 0) -> SampleContext:

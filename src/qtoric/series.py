@@ -41,17 +41,11 @@ from .toric import (
     degree_pairing,
     divisor_values,
     enumerate_fixed_points,
+    integral_degree,
     mori_cone_membership,
 )
 
 Degree = tuple[int, ...]
-
-
-def integral_degree(d: Sequence) -> Degree:
-    """The degree d as a tuple of ints; a non-integral entry is a ValueError."""
-    if any(x != int(x) for x in d):
-        raise ValueError(f"degree ({', '.join(map(str, d))}) is not integral")
-    return tuple(int(x) for x in d)
 
 
 @dataclass(frozen=True)

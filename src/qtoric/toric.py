@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .linalg import adjugate, determinant
@@ -78,8 +79,13 @@ class ToricData:
     def N(self) -> int:
         return len(self.m[0])
 
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix columns, the divisor classes u_j in the basis p_1..p_K."""
+        return tuple(zip(*self.m))
+
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.m[i][j] for i in range(self.K))
+        return self.columns[j]
 
     def minor(self, subset: Sequence[int]) -> list[list[int]]:
         return [[self.m[i][j] for j in subset] for i in range(self.K)]
@@ -189,13 +195,23 @@ def fixed_point(data: ToricData, subset: Sequence[int]) -> FixedPoint:
     raise KeyError(f"{want} is not a fixed point of this model")
 
 
+def integral_degree(d: Sequence) -> tuple[int, ...]:
+    """The degree d as a tuple of ints; a non-integral entry is a ValueError."""
+    ints = tuple(map(int, d))
+    if ints != tuple(d):
+        raise ValueError(f"degree ({', '.join(map(str, d))}) is not integral")
+    return ints
+
+
 def degree_pairing(data: ToricData, d: Sequence[int]) -> tuple[int, ...]:
-    """D_j(d) = sum_i d_i m_ij: intersection indices with the toric divisors."""
+    """D_j(d) = sum_i d_i m_ij: intersection indices with the toric divisors.
+
+    A non-integral degree is a ValueError (``integral_degree``), never truncated.
+    """
     if len(d) != data.K:
         raise InvalidModelError(f"degree must have {data.K} coordinates")
-    return tuple(
-        sum(int(d[i]) * data.m[i][j] for i in range(data.K)) for j in range(data.N)
-    )
+    d = integral_degree(d)
+    return tuple(_dot(column, d) for column in data.columns)
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +255,7 @@ def _mori_facets(data: ToricData) -> tuple[tuple[int, ...], ...]:
 
 
 def _dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def mori_cone_membership(
@@ -300,6 +316,7 @@ def map_space_model(data: ToricData, d: Sequence[int]) -> ExtendedModel:
     for D_j(d) < 0 the missing factors are recorded as obstruction metadata.
     """
     pairing = degree_pairing(data, d)
+    d = integral_degree(d)
     columns: list[tuple[int, ...]] = []
     labels: list[str] = []
     copies: list[tuple[int, int]] = []
@@ -320,11 +337,11 @@ def map_space_model(data: ToricData, d: Sequence[int]) -> ExtendedModel:
         m=tuple(tuple(col[i] for col in columns) for i in range(data.K)),
         omega=data.omega,
         lambda_names=tuple(labels),
-        name=f"{data.name}[d={tuple(int(x) for x in d)}]" if data.name else "",
+        name=f"{data.name}[d={d}]" if data.name else "",
     )
     return ExtendedModel(
         data=extended,
-        degree=tuple(int(x) for x in d),
+        degree=d,
         copies=tuple(copies),
         obstructions=tuple(obstructions),
     )
@@ -365,26 +382,31 @@ def box_degrees(
 
     An effective d is sum_g c_g g with c_g >= 0 over the Mori generators, so
     d_i lies between bound * min(0, g_i / <ample, g>) and bound * max(0, ...).
-    Pairings are scaled to integers by the common denominator of ``ample``.
+    Pairings are scaled to integers by the common denominator of ``ample``,
+    and the bound to the integer ``top`` below it, so each coordinate's range
+    runs between the integer ceil and floor of top * g_i / <ample, g>.
     """
     gens = _mori_generators_raw(data)
     ample = [Fraction(a) for a in ample]
     scale = lcm(*(a.denominator for a in ample))
-    weights = [int(a * scale) for a in ample]
+    weights = [a.numerator * (scale // a.denominator) for a in ample]
     pairs = [_dot(weights, g) for g in gens]
     if any(pair <= 0 for pair in pairs):
         raise InvalidModelError("ample class must pair positively with every Mori generator")
-    top = floor(Fraction(bound) * scale)
+    bound = Fraction(bound)
+    top = bound.numerator * scale // bound.denominator
     if top < 0:
         return []
     ranges = []
     for i in range(data.K):
-        ends = [Fraction(top * g[i], pair) for g, pair in zip(gens, pairs)]
-        ranges.append(range(ceil(min(0, *ends)), floor(max(0, *ends)) + 1))
-    facets = _mori_facets(data)
-    out = [
-        d for d in product(*ranges)
-        if _dot(weights, d) <= top and all(_dot(n, d) >= 0 for n in facets)
-    ]
-    out.sort(key=lambda d: (_dot(weights, d), d))
-    return out
+        ends = [top * g[i] for g in gens]
+        low = min(0, *(-(-end // pair) for end, pair in zip(ends, pairs)))
+        high = max(0, *(end // pair for end, pair in zip(ends, pairs)))
+        ranges.append(range(low, high + 1))
+    # A facet whose normal pairs >= 0 with every corner of the rectangle holds
+    # on all of it and is not tested.
+    facets = [n for n in _mori_facets(data)
+              if sum(min(x * r[0], x * r[-1]) for x, r in zip(n, ranges)) < 0]
+    kept = sorted((pair, d) for d in product(*ranges)
+                  if (pair := _dot(weights, d)) <= top and all(_dot(n, d) >= 0 for n in facets))
+    return [d for _, d in kept]

@@ -158,6 +158,21 @@ def test_map_space_f1_with_obstruction(f1):
     assert len(values) == 1
 
 
+def test_map_space_refuses_a_non_integral_degree(p1, f1):
+    # The degree-3/2 sphere space is not the degree-1 one.
+    ctx = sample_context(p1.N, 43)
+
+    def top(e):
+        return (e["p1"] - e["l1"]) * (e["p1"] - e["l2"]) * (e["p1"] - e["l2"] - e["z"])
+    for d, text in (((Fraction(3, 2),), "3/2"), ((Fraction(1, 2),), "1/2")):
+        with pytest.raises(ValueError, match=rf"^degree \({text}\) is not integral$"):
+            map_space_integral(p1, d, top, ctx)
+    assert map_space_integral(p1, (Fraction(1),), top, ctx) == 1
+    ctx = sample_context(f1.N, 53)
+    assert map_space_integral(f1, (Fraction(1), Fraction(0)), top, ctx) == \
+        map_space_integral(f1, (1, 0), top, ctx)
+
+
 def test_map_space_coincident_poles_raise(p1):
     ctx = sample_context(p1.N, 67)
     degenerate = SampleContext(q=ctx.q, Lambda=ctx.Lambda, lam=ctx.lam, z=Fraction(0))

@@ -9,6 +9,8 @@ projective bundles over P^1 and P^2 and their products.
 
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -189,3 +191,75 @@ def test_generated_models_match_oracle(rows, bound):
         bound = min(bound, 2)
     assert box_degrees(data, data.omega, bound) == oracle_box(data, data.omega, bound)
 
+
+
+def sheared(rows, s):
+    """The same model in the basis p_1, p_2 + s p_1: the charge matrix T M for
+    T the shear of the first two rows.  Degrees change by T^-T, so the Mori
+    generators gain negative coordinates; omega and ample classes change by T."""
+    if len(rows) < 2:
+        return rows
+    return (rows[0], tuple(s * x + y for x, y in zip(rows[0], rows[1])), *rows[2:])
+
+
+def candidate_rectangle(data, ample, bound):
+    """Each coordinate's range from the Fraction ends bound' * g_i / <ample, g>,
+    bound' the largest multiple of 1/scale at most ``bound`` (integral degrees
+    pair with ``ample`` in multiples of 1/scale, scale the lcm of its denominators)."""
+    scale = lcm(*(Fraction(a).denominator for a in ample))
+    reach = Fraction(floor(Fraction(bound) * scale), scale)
+    gens = raw_generators(data)
+    ranges = []
+    for i in range(data.K):
+        ends = [reach * g[i] / pairing(ample, g) for g in gens]
+        ranges.append(range(ceil(min(0, *ends)), floor(max(0, *ends)) + 1))
+    return ranges
+
+
+def recorded_box(data, ample, bound):
+    """``box_degrees`` and the candidate ranges it enumerated."""
+    seen = []
+
+    def recording(*ranges):
+        seen.append(ranges)
+        return product(*ranges)
+    with mock.patch.object(toric, "product", recording):
+        degrees = box_degrees(data, ample, bound)
+    return degrees, [list(r) for r in seen[0]] if seen else None
+
+
+weight = st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=models, shear=st.integers(-2, 2), weights=st.lists(weight, min_size=4, max_size=4),
+       bound=st.fractions(min_value=0, max_value=Fraction(7, 2), max_denominator=4))
+def test_fractional_ample_and_bound_match_oracle(rows, shear, weights, bound):
+    # A positive ample class of the unsheared model pairs positively with its
+    # generators, and so does its image under the shear with the new ones.
+    k = len(rows)
+    ample, omega = tuple(weights[:k]), (1,) * k
+    if k >= 2:
+        ample = (ample[0], shear * ample[0] + ample[1], *ample[2:])
+        omega = (1, shear + 1, *omega[2:])
+    data = ToricData(m=sheared(rows, shear), omega=omega)
+    if k == 4:
+        bound = min(bound, 1)
+    degrees, ranges = recorded_box(data, ample, bound)
+    assert degrees == oracle_box(data, ample, bound)
+    if ranges is not None:
+        assert ranges == [list(r) for r in candidate_rectangle(data, ample, bound)]
+
+
+def test_fractional_bound_on_a_sheared_surface():
+    # F_2 with p_2 + p_1 as second class: generators with negative
+    # coordinates, so the lower end of a range is a ceil below 0, here of
+    # -21/2 at the bound 7/2.
+    data = ToricData(m=sheared(hirzebruch_rows(2), 1), omega=(1, 2))
+    ample = (Fraction(3, 2), Fraction(11, 6))
+    assert any(min(g) < 0 for g in raw_generators(data))
+    for bound in (Fraction(7, 2), Fraction(5, 3), 3, 0):
+        degrees, ranges = recorded_box(data, ample, bound)
+        assert degrees == oracle_box(data, ample, bound)
+        assert ranges == [list(r) for r in candidate_rectangle(data, ample, bound)]
+    assert recorded_box(data, ample, Fraction(7, 2))[1][0][0] == -10

@@ -133,6 +133,20 @@ def test_degree_pairing_examples(f1, p1):
         degree_pairing(p1, (1, 2))
 
 
+def test_a_non_integral_degree_is_refused_not_truncated(f1, p1):
+    # Q^{3/2} is not a Novikov monomial: it is not read as Q^1.
+    for data, d, text in ((p1, (Fraction(3, 2),), "3/2"), (p1, (Fraction(1, 2),), "1/2"),
+                          (f1, (1, Fraction(-1, 3)), "1, -1/3"), (p1, (0.5,), "0.5")):
+        for fn in (degree_pairing, map_space_model):
+            with pytest.raises(ValueError, match=rf"^degree \({text}\) is not integral$"):
+                fn(data, d)
+    # An integral Fraction or float is the integer it equals.
+    assert degree_pairing(p1, (Fraction(2),)) == degree_pairing(p1, (2.0,)) == (2, 2)
+    assert degree_pairing(f1, (Fraction(1), 0)) == (1, 1, 0, -1)
+    assert map_space_model(f1, (Fraction(1), Fraction(-1))) == map_space_model(f1, (1, -1))
+    assert map_space_model(f1, (Fraction(1), 0)).data.name == "f1[d=(1, 0)]"
+
+
 def test_degree_reencoding_identity(all_models):
     # Q^d = prod_{j in J} Q_j(alpha)^{D_j(d)} as exponent vectors, on a box.
     for data in all_models:
