@@ -8,6 +8,7 @@ the open first quadrant.  Everything below is exact.
 from qtoric import (
     degree_pairing,
     enumerate_fixed_points,
+    format_monomial,
     kirwan_relations,
     mori_cone_membership,
     mori_generators,
@@ -24,10 +25,11 @@ print(f"model {data.name}: K={data.K}, N={data.N}, omega={data.omega}")
 print()
 
 print("fixed points (column subsets whose cone contains omega):")
+# P_i and U_j are Laurent monomials in the parameters, stored as exponent tuples.
 for fp in enumerate_fixed_points(data):
     one_based = tuple(j + 1 for j in fp.J)
-    p_str = ", ".join(m.format(names) for m in fp.p_monomials)
-    u_str = ", ".join(m.format(names) for m in fp.u_monomials)
+    p_str = ", ".join(format_monomial(m, names) for m in fp.p_monomials)
+    u_str = ", ".join(format_monomial(m, names) for m in fp.u_monomials)
     print(f"  J = {one_based}  det = {fp.det:+d}   P = ({p_str})   U = ({u_str})")
 print()
 
@@ -45,7 +47,7 @@ print()
 
 print("minimal multiplicative relations (empty-intersection subsets):")
 for rel in kirwan_relations(data):
-    factors = " * ".join(f"(1 - U_{j+1})" for j in rel.J)
+    factors = " * ".join(f"(1 - U_{j+1})" for j in rel)
     print(f"  {factors} = 0")
 
 ctx = sample_context(data.N, seed=7)

@@ -34,6 +34,7 @@ print(f"  note alpha = (2, 4) has no Q^(1,0) term: that degree pairs to -1 "
 print()
 
 print("q-exponential identity at each fixed point (exact, sampled q):")
+# q_monomials are the dual-cone generators Q_j, exponent tuples over Q_1..Q_K.
 for fp in enumerate_fixed_points(data):
     pair = point_series(fp.q_monomials, box, ctx)
     print(f"  alpha = {tuple(j+1 for j in fp.J)}: sum form == exp form: "

@@ -22,7 +22,6 @@ parameter values; nothing is ever compared approximately.
 __version__ = "0.1.0"
 
 from .kirwan import (
-    KirwanRelation,
     has_empty_intersection,
     kirwan_relations,
     spectrum_point_count,
@@ -40,7 +39,6 @@ from .models import (
     projective_space,
     resolve_model,
 )
-from .monomials import Monomial
 from .qdiff import (
     apply_gamma_ratio,
     apply_p,
@@ -105,6 +103,7 @@ from .toric import (
     enumerate_fixed_points,
     equivariant_p_values,
     fixed_point,
+    format_monomial,
     map_space_model,
     mori_cone_membership,
     mori_generators,

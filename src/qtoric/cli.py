@@ -40,6 +40,7 @@ from .toric import (
     InvalidModelError,
     degree_pairing,
     enumerate_fixed_points,
+    format_monomial,
     mori_generators,
 )
 
@@ -115,14 +116,14 @@ def cmd_inspect(model: ModelFile, seed: int, samples: int, args) -> dict:
             {
                 "J": [j + 1 for j in fp.J],
                 "det": fp.det,
-                "P": [mon.format(names) for mon in fp.p_monomials],
-                "U": [mon.format(names) for mon in fp.u_monomials],
+                "P": [format_monomial(mon, names) for mon in fp.p_monomials],
+                "U": [format_monomial(mon, names) for mon in fp.u_monomials],
                 "degree_cone": [list(g) for g in fp.degree_generators],
             }
             for fp in fps
         ],
         "smooth": True,
-        "kirwan_relations": [[j + 1 for j in rel.J] for rel in kirwan_relations(data)],
+        "kirwan_relations": [[j + 1 for j in rel] for rel in kirwan_relations(data)],
         "mori_generators": [list(g) for g in mori_generators(data)],
         "bundle": None if model.bundle is None else {
             "parity": model.bundle.parity,
@@ -141,7 +142,7 @@ def cmd_kirwan(model: ModelFile, seed: int, samples: int, args) -> dict:
     counts = [count for (_, count), _ in runs]
     fixed = len(enumerate_fixed_points(data))
     result = {
-        "relations": [[j + 1 for j in rel.J] for rel in kirwan_relations(data)],
+        "relations": [[j + 1 for j in rel] for rel in kirwan_relations(data)],
         "verification": {"ok": all(c["ok"] for c in checks), "checks": checks},
         "spectrum_points": counts[0],
         "fixed_points": fixed,

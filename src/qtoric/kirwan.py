@@ -4,27 +4,18 @@ K-theory rings of a toric quotient, and their verification at fixed points.
 A subset of divisor columns gives a relation exactly when the corresponding
 divisors have empty common intersection, which by the face criterion means the
 subset fits inside no fixed-point subset.  Relations are emitted in minimal
-form only (the minimal non-faces, one per primitive collection).
+form only (the minimal non-faces, one per primitive collection), each as its
+sorted tuple of column indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 from .scalars import DegenerateSampleError, SampleContext
 from .toric import ToricData, divisor_values, enumerate_fixed_points
-
-
-@dataclass(frozen=True)
-class KirwanRelation:
-    """A minimal empty-intersection subset J, read multiplicatively: both
-    prod_{j in J}(1 - U_j) = 0 in K-theory and prod_{j in J} u_j = 0 in cohomology.
-    """
-
-    J: tuple[int, ...]
 
 
 def has_empty_intersection(data: ToricData, subset: Sequence[int]) -> bool:
@@ -40,9 +31,13 @@ def has_empty_intersection(data: ToricData, subset: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def kirwan_relations(data: ToricData) -> tuple[KirwanRelation, ...]:
-    """All minimal empty-intersection subsets, by increasing cardinality,
-    computed once per model."""
+def kirwan_relations(data: ToricData) -> tuple[tuple[int, ...], ...]:
+    """All minimal empty-intersection subsets J, as sorted column-index
+    tuples by increasing cardinality, computed once per model.
+
+    Each J is read multiplicatively: both prod_{j in J}(1 - U_j) = 0 in
+    K-theory and prod_{j in J} u_j = 0 in cohomology.
+    """
     found: list[tuple[int, ...]] = []
     for size in range(1, data.N + 1):
         for subset in combinations(range(data.N), size):
@@ -50,7 +45,7 @@ def kirwan_relations(data: ToricData) -> tuple[KirwanRelation, ...]:
                 continue
             if has_empty_intersection(data, subset):
                 found.append(subset)
-    return tuple(KirwanRelation(J=j) for j in found)
+    return tuple(found)
 
 
 def verify_relations_at_fixed_points(data: ToricData, ctx: SampleContext) -> dict:
@@ -67,12 +62,12 @@ def verify_relations_at_fixed_points(data: ToricData, ctx: SampleContext) -> dic
               for fp in enumerate_fixed_points(data)]
     for relation in kirwan_relations(data):
         for fp, uvals, dvals in values:
-            k_vanishes = any(uvals[j] == 1 for j in relation.J)
-            coh_vanishes = any(dvals[j] == 0 for j in relation.J)
-            structural = bool(set(relation.J) & set(fp.J))
+            k_vanishes = any(uvals[j] == 1 for j in relation)
+            coh_vanishes = any(dvals[j] == 0 for j in relation)
+            structural = bool(set(relation) & set(fp.J))
             ok = structural and k_vanishes and coh_vanishes
             report["checks"].append({
-                "relation": [j + 1 for j in relation.J],
+                "relation": [j + 1 for j in relation],
                 "alpha": [j + 1 for j in fp.J],
                 "ok": ok,
             })

@@ -51,7 +51,7 @@ def _cotangent_pair(data: ToricData, fp: FixedPoint, ctx: SampleContext) -> tupl
     for j in range(data.N):
         if j in fp.J:
             continue
-        a, b = power_pair(ctx.Lambda, fp.u_monomials[j].exps)  # U_j(alpha) = a / b
+        a, b = power_pair(ctx.Lambda, fp.u_monomials[j])  # U_j(alpha) = a / b
         if a == b:
             raise PoleError(0, Fraction(1))
         num, den = num * (b - a), den * b
@@ -146,7 +146,7 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
         ranges = [range(pairing[j] + 1) for j in fp.J]
         for shifts in product(*ranges):
             chosen = set(zip(fp.J, shifts))
-            s = [sum(mon.exps[j] * r for j, r in chosen) for mon in fp.p_monomials]
+            s = [sum(mon[j] * r for j, r in chosen) for mon in fp.p_monomials]
             env.update(zip(names, (Fraction(p + si * z, den) for p, si in zip(pvals, s))))
             ustar = [u + sum(si * row[j] for si, row in zip(s, data.m)) * z
                      for j, u in enumerate(uvals)]

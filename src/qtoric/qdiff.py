@@ -60,7 +60,7 @@ def apply_p(series: NovikovSeries, i: int, fp: FixedPoint, ctx: SampleContext,
     One application is translate-then-scale by P_i(alpha); negative powers
     compose the exact inverse (scale by P_i(alpha)^{-1}, then untranslate).
     """
-    p_value = fp.p_monomials[i].evaluate(ctx.Lambda)
+    p_value = power_product(ctx.Lambda, fp.p_monomials[i])
     out = series
     for _ in range(abs(power)):
         if power > 0:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from .monomials import Monomial
 from .localization import _cotangent_pair, cotangent_euler  # noqa: F401  (re-exported)
 from .scalars import (
     DegenerateSampleError,
@@ -32,6 +31,7 @@ from .scalars import (
     SampleContext,
     binomial,
     power_pair,
+    power_product,
     random_fraction,
     sample_context,
     with_resampling,
@@ -56,7 +56,8 @@ class OrbitData:
 
     ``j0`` enters (j0 not in J(alpha)), ``j0_prime`` leaves, ``d_ab`` is the
     degree of the connecting sphere and ``lambda_char`` the cotangent character
-    U_{j0}(alpha) at the alpha end, as an exact parameter monomial.
+    U_{j0}(alpha) at the alpha end, as the exponent tuple of a Laurent monomial
+    in the equivariant parameters.
     """
 
     alpha: FixedPoint
@@ -64,7 +65,7 @@ class OrbitData:
     j0: int
     j0_prime: int
     d_ab: tuple[int, ...]
-    lambda_char: Monomial
+    lambda_char: tuple[int, ...]
 
 
 def orbit_data(data: ToricData, alpha: FixedPoint, j0: int,
@@ -100,7 +101,7 @@ def orbit_data(data: ToricData, alpha: FixedPoint, j0: int,
 
 
 def _validate_orbit(data: ToricData, alpha: FixedPoint, beta: FixedPoint,
-                    j0: int, j0p: int, d_ab, lam: Monomial) -> None:
+                    j0: int, j0p: int, d_ab, char: tuple[int, ...]) -> None:
     pairing = degree_pairing(data, d_ab)
     if pairing[j0] != 1 or pairing[j0p] != 1:
         raise OrbitInvariantError(
@@ -109,13 +110,12 @@ def _validate_orbit(data: ToricData, alpha: FixedPoint, beta: FixedPoint,
     for j in set(alpha.J) & set(beta.J):
         if pairing[j] != 0:
             raise OrbitInvariantError(f"shared column {j + 1} pairs to {pairing[j]} != 0")
-    char = lam.exps
     for j, (a, b) in enumerate(zip(alpha.u_monomials, beta.u_monomials)):
-        if any(x - y != e * pairing[j] for x, y, e in zip(a.exps, b.exps, char)):
+        if any(x - y != e * pairing[j] for x, y, e in zip(a, b, char)):
             raise OrbitInvariantError(
                 f"U_{j + 1} monomials disagree with the character power rule"
             )
-    if beta.u_monomials[j0p].exps != tuple(-e for e in char):
+    if beta.u_monomials[j0p] != tuple(-e for e in char):
         raise OrbitInvariantError("the leaving character is not the inverse")
 
 
@@ -141,7 +141,7 @@ def root_context(data: ToricData, orbit: OrbitData, m: int, seed: int,
     the remaining parameters and mu are random.  Only this rational branch of
     the m-th root is exercised.
     """
-    exps = orbit.lambda_char.exps
+    exps = orbit.lambda_char
     solve_j = next((j for j, e in enumerate(exps) if abs(e) == 1), None)
     if solve_j is None:
         raise InvalidModelError(
@@ -159,7 +159,7 @@ def root_context(data: ToricData, orbit: OrbitData, m: int, seed: int,
     if value == 0 or value == 1:
         raise DegenerateSampleError("solved parameter landed on a degenerate value")
     ctx = SampleContext(q=base.q, Lambda=tuple(lambdas), lam=base.lam, z=base.z)
-    assert orbit.lambda_char.evaluate(ctx.Lambda) == mu ** m
+    assert power_product(ctx.Lambda, exps) == mu ** m
     return ctx, mu
 
 
@@ -186,7 +186,7 @@ def _coefficient_pairs(data: ToricData, orbit: OrbitData, m: int, ctx: SampleCon
     over r = m D_j + 1..0; a vanishing factor raises ``PoleError(r, U_j)``
     for r > 0, and ``PoleError(0, U_j)`` for r <= 0."""
     a, b = mu.numerator, mu.denominator
-    x, y = power_pair(ctx.Lambda, orbit.lambda_char.exps)
+    x, y = power_pair(ctx.Lambda, orbit.lambda_char)
     if x * b ** m != y * a ** m:
         raise ValueError("context does not realize the orbit character as mu^m")
     phi = _cotangent_pair(data, orbit.alpha, ctx)
@@ -238,7 +238,7 @@ def edge_euler_class_from_forms(data: ToricData, orbit: OrbitData, m: int,
     numerator: list[tuple[int, int]] = []
     denominator: list[tuple[int, int]] = []
     for j, mon in enumerate(orbit.alpha.u_monomials):
-        a, b = power_pair(ctx.Lambda, mon.exps)
+        a, b = power_pair(ctx.Lambda, mon)
         top = m * pairing[j]
         if top >= 0:
             numerator += [(a * e ** r, b * c ** r) for r in range(top + 1)]

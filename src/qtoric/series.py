@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .monomials import Monomial
 from .scalars import (
     LeadingTerm,
     PoleError,
@@ -251,8 +250,10 @@ class BundleData:
         return len(self.exponents[0]) if self.exponents else 0
 
     def delta(self, d: Sequence[int]) -> tuple[int, ...]:
-        """Delta_a(d) = sum_i d_i l_ia."""
-        return tuple(sum(int(x) * row[a] for x, row in zip(d, self.exponents))
+        """Delta_a(d) = sum_i d_i l_ia; a non-integral d is a ValueError
+        (``integral_degree``), never truncated."""
+        d = integral_degree(d)
+        return tuple(sum(x * row[a] for x, row in zip(d, self.exponents))
                      for a in range(self.L))
 
     def fiber_values(self, p_values: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -265,13 +266,13 @@ class PointSeriesPair(NamedTuple):
     exp_form: NovikovSeries
 
 
-def point_sum_form(monomials: Iterable[Monomial | Sequence[int]], box: TruncationBox,
+def point_sum_form(monomials: Iterable[Sequence[int]], box: TruncationBox,
                    ctx: SampleContext) -> NovikovSeries:
     """The point-target series as a plain sum over k >= 0 of
-    Q^{sum k_j g_j} / prod_j (q; q)_{k_j}, the g_j the monomials' exponent vectors.
+    Q^{sum k_j g_j} / prod_j (q; q)_{k_j}, the g_j the monomials: exponent
+    tuples over Q_1..Q_K, each read by ``integral_degree``.
     """
-    gens = [m.exps if isinstance(m, Monomial) else tuple(int(x) for x in m)
-            for m in monomials]
+    gens = [integral_degree(m) for m in monomials]
     weights = [box.pairing(g) for g in gens]
     if any(w <= 0 for w in weights):
         raise InvalidModelError("every point-series monomial must pair positively with ample")
@@ -298,15 +299,17 @@ def point_sum_form(monomials: Iterable[Monomial | Sequence[int]], box: Truncatio
     return NovikovSeries(box, coeffs)
 
 
-def point_series(monomials: Iterable[Monomial | Sequence[int]], box: TruncationBox,
+def point_series(monomials: Iterable[Sequence[int]], box: TruncationBox,
                  ctx: SampleContext) -> PointSeriesPair:
     """The point-target series in two forms that must agree exactly.
+
+    The monomials Q_j are exponent tuples over Q_1..Q_K, for a fixed point its
+    ``q_monomials``; a non-integral entry is a ValueError (``integral_degree``).
 
     sum form:  ``point_sum_form``,
     exp form:  exp( sum_{k>0} sum_j Q_j^k / k(1 - q^k) ), by ``series_exp``.
     """
-    gens = [m.exps if isinstance(m, Monomial) else tuple(int(x) for x in m)
-            for m in monomials]
+    gens = [integral_degree(m) for m in monomials]
     sum_form = point_sum_form(gens, box, ctx)
     q = ctx.q
     arg: dict[Degree, object] = {}

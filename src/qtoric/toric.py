@@ -18,8 +18,7 @@ from operator import mul
 from typing import Sequence
 
 from .linalg import adjugate, determinant
-from .monomials import Monomial
-from .scalars import common_denominator
+from .scalars import common_denominator, power_product
 
 
 class InvalidModelError(ValueError):
@@ -95,28 +94,43 @@ class ToricData:
 class FixedPoint:
     """A fixed point: its index subset and the monomial data localized there.
 
-    ``p_monomials[i]`` is P_i as a Laurent monomial in the equivariant
-    parameters, ``u_monomials[j]`` the value of U_j, and ``q_monomials``
-    (aligned with J) re-encode the degree lattice so the exponent identity
+    A Laurent monomial in the equivariant parameters is its exponent tuple:
+    ``p_monomials[i]`` is P_i, ``u_monomials[j]`` the value of U_j, and
+    ``q_monomials`` (aligned with J) are exponent tuples over Q_1..Q_K that
+    re-encode the degree lattice so the exponent identity
     Q^d = prod_{j in J} Q_j^{D_j(d)} holds.
     """
 
     J: tuple[int, ...]
     det: int
-    p_monomials: tuple[Monomial, ...]
-    u_monomials: tuple[Monomial, ...]
-    q_monomials: tuple[Monomial, ...]
+    p_monomials: tuple[tuple[int, ...], ...]
+    u_monomials: tuple[tuple[int, ...], ...]
+    q_monomials: tuple[tuple[int, ...], ...]
 
     @property
     def degree_generators(self) -> tuple[tuple[int, ...], ...]:
         """Generators of the dual cone Z_+^K at this fixed point."""
-        return tuple(mon.exps for mon in self.q_monomials)
+        return self.q_monomials
 
     def p_values(self, lambdas: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(mon.evaluate(lambdas) for mon in self.p_monomials)
+        return _evaluate_all(self.p_monomials, lambdas)
 
     def u_values(self, lambdas: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(mon.evaluate(lambdas) for mon in self.u_monomials)
+        return _evaluate_all(self.u_monomials, lambdas)
+
+
+def _evaluate_all(monomials: Sequence[Sequence[int]],
+                  lambdas: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Each monomial's value at caller-supplied lambdas, one per parameter."""
+    if len(lambdas) < len(monomials[0]):
+        raise ValueError("not enough values for this monomial")
+    return tuple(power_product(lambdas, exps) for exps in monomials)
+
+
+def format_monomial(exps: Sequence[int], names: Sequence[str]) -> str:
+    """The Laurent monomial prod_i names[i]^exps[i] as text, ``1`` when trivial."""
+    parts = [name if e == 1 else f"{name}^{e}" for e, name in zip(exps, names) if e]
+    return "*".join(parts) if parts else "1"
 
 
 @lru_cache(maxsize=None)
@@ -163,21 +177,19 @@ def _build_fixed_point(data: ToricData, subset: tuple[int, ...], det: int,
         exps = [0] * n
         for pos, j in enumerate(subset):
             exps[j] = inv[pos][i]
-        p_monomials.append(Monomial(exps))
+        p_monomials.append(tuple(exps))
     u_monomials = []
     for j in range(n):
         exps = [0] * n
         for i in range(k):
             mij = data.m[i][j]
             if mij:
-                for jj, e in enumerate(p_monomials[i].exps):
+                for jj, e in enumerate(p_monomials[i]):
                     exps[jj] += mij * e
         exps[j] -= 1
-        u_monomials.append(Monomial(exps))
+        u_monomials.append(tuple(exps))
     # Q_j = prod_i Q_i^{inv[j][i]} re-encodes degrees: D_{j'}(col of inv) = delta.
-    q_monomials = [
-        Monomial([inv[pos][i] for i in range(k)]) for pos in range(len(subset))
-    ]
+    q_monomials = [tuple(row) for row in inv]
     return FixedPoint(
         J=tuple(subset),
         det=det,
@@ -362,12 +374,12 @@ def divisor_values(
     return _weighted_sums(fp.u_monomials, lambdas)
 
 
-def weighted_numerators(monomials: Sequence[Monomial], nums: Sequence[int]) -> list[int]:
+def weighted_numerators(monomials: Sequence[Sequence[int]], nums: Sequence[int]) -> list[int]:
     """Each monomial's exponent vector as integer weights on the ints ``nums``."""
-    return [_dot(mon.exps, nums) for mon in monomials]
+    return [_dot(exps, nums) for exps in monomials]
 
 
-def _weighted_sums(monomials: Sequence[Monomial], values: Sequence) -> tuple[Fraction, ...]:
+def _weighted_sums(monomials: Sequence[Sequence[int]], values: Sequence) -> tuple[Fraction, ...]:
     """Each monomial's exponent vector as integer weights on ``values``: the
     weighted sum of their numerators over the common denominator D
     (``common_denominator``), an int, is normalised once, into Fraction(total, D)."""

@@ -18,7 +18,6 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from qtoric.exprs import ExprError, ZeroDivisorError
-from qtoric.monomials import Monomial
 from qtoric.scalars import PoleError, SampleContext
 from qtoric.toric import (
     FixedPoint,
@@ -31,9 +30,9 @@ from qtoric.toric import (
 # -- toric: the additive fixed-point values ----------------------------------
 
 
-def _weighted_sums(monomials: Sequence[Monomial], values: Sequence) -> tuple[Fraction, ...]:
+def _weighted_sums(monomials: Sequence[Sequence[int]], values: Sequence) -> tuple[Fraction, ...]:
     """Each monomial's exponent vector as integer weights on ``values``."""
-    return tuple(sum((e * v for e, v in zip(mon.exps, values) if e), Fraction(0))
+    return tuple(sum((e * v for e, v in zip(mon, values) if e), Fraction(0))
                  for mon in monomials)
 
 
@@ -170,7 +169,7 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
         ranges = [range(pairing[j] + 1) for j in fp.J]
         for shifts in product(*ranges):
             chosen = set(zip(fp.J, shifts))
-            s = [sum(mon.exps[j] * r for j, r in chosen) for mon in fp.p_monomials]
+            s = [sum(mon[j] * r for j, r in chosen) for mon in fp.p_monomials]
             pstar = [p + si * ctx.z for p, si in zip(pvals, s)]
             ustar = [u + sum(si * row[j] for si, row in zip(s, data.m)) * ctx.z
                      for j, u in enumerate(dvals)]

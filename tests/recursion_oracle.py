@@ -10,6 +10,7 @@ the binary-form monomials, every step a ``Fraction`` operation.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from qtoric.localization import cotangent_euler
 from qtoric.recursion import OrbitData
@@ -27,7 +28,7 @@ def edge_euler_class(data: ToricData, orbit: OrbitData, m: int, ctx: SampleConte
     The bracket is the reciprocal of the universal finite ratio evaluated at
     the root point q0 = 1/mu.
     """
-    lam_val = orbit.lambda_char.evaluate(ctx.Lambda)
+    lam_val = prod((lam ** e for lam, e in zip(ctx.Lambda, orbit.lambda_char)), start=Fraction(1))
     if lam_val != mu ** m:
         raise ValueError("context does not realize the orbit character as mu^m")
     phi = cotangent_euler(data, orbit.alpha, ctx)

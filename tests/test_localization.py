@@ -74,7 +74,7 @@ def test_trace_kirwan_class_vanishes(all_models):
     for data in all_models:
         ctx = sample_context(data.N, 17)
         for relation in kirwan_relations(data):
-            def phi(env, J=relation.J):
+            def phi(env, J=relation):
                 out = Fraction(1)
                 for j in J:
                     u = Fraction(1)

@@ -118,7 +118,7 @@ def test_apply_p_twice_normal_form(p1):
     fp = fixed_point(p1, (0,))
     s = random_series(box, 5)
     twice = apply_p(apply_p(s, 0, fp, ctx), 0, fp, ctx)
-    p_val = fp.p_monomials[0].evaluate(ctx.Lambda)
+    p_val = fp.p_values(ctx.Lambda)[0]
     via_word = apply_translation(apply_translation(s, 0, ctx.q), 0, ctx.q)
     assert twice == via_word.scale(p_val ** 2)
 

@@ -86,7 +86,7 @@ def crafted_contexts(data, orbit, m, values=(Fraction(2), Fraction(1, 2), Fracti
     """Contexts whose parameters are drawn from ``values`` but one, solved for
     so that the orbit character is mu^m: coincidences such as U_j(alpha) = mu^r
     make the poles and degenerate branches likely."""
-    exps = orbit.lambda_char.exps
+    exps = orbit.lambda_char
     solve_j = next(j for j, e in enumerate(exps) if abs(e) == 1)
     for mu in (Fraction(2), Fraction(1, 2), Fraction(-1)):
         for rest in product(values, repeat=data.N - 1):

@@ -565,6 +565,19 @@ def test_bundle_delta():
         BundleData(exponents=((1,),), parity="X")
 
 
+def test_a_non_integral_degree_is_refused_by_bundles_and_point_series(p1):
+    # Q^{3/2} is not a Novikov monomial: it is not read as Q^1.
+    bundle = BundleData(exponents=((1, 2),))
+    with pytest.raises(ValueError, match=r"^degree \(3/2\) is not integral$"):
+        bundle.delta((Fraction(3, 2),))
+    assert bundle.delta((Fraction(3),)) == bundle.delta((3,)) == (3, 6)
+    box = truncation_box(p1, 3)
+    ctx = sample_context(p1.N, 5)
+    with pytest.raises(ValueError, match=r"^degree \(1/2\) is not integral$"):
+        point_series([(Fraction(1, 2),)], box, ctx)
+    assert point_series([(Fraction(1),)], box, ctx) == point_series([(1,)], box, ctx)
+
+
 def test_adams_degree_map(p1):
     box = truncation_box(p1, 6)
     ctx = sample_context(p1.N, 71)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from linalg_oracle import determinant, solve_square
 from qtoric.models import projective_space
-from qtoric.monomials import Monomial
 from qtoric.scalars import sample_context
 from qtoric.toric import (
     InvalidModelError,
@@ -18,6 +17,7 @@ from qtoric.toric import (
     degree_pairing,
     enumerate_fixed_points,
     fixed_point,
+    format_monomial,
     map_space_model,
     mori_cone_membership,
     mori_generators,
@@ -36,8 +36,8 @@ def test_p1_fixed_points_and_p_values(p1):
     fps = enumerate_fixed_points(p1)
     assert [fp.J for fp in fps] == [(0,), (1,)]
     # P_1({1}) = L1, P_1({2}) = L2
-    assert fps[0].p_monomials[0] == Monomial((1, 0))
-    assert fps[1].p_monomials[0] == Monomial((0, 1))
+    assert fps[0].p_monomials[0] == (1, 0)
+    assert fps[1].p_monomials[0] == (0, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -53,10 +53,10 @@ def test_f1_u_monomial_table(f1):
     assert f1.column(2) == (0, 1)
     assert f1.column(3) == (-1, 1)
     alpha = fixed_point(f1, (0, 2))
-    assert alpha.u_monomials[0].is_one
-    assert alpha.u_monomials[1] == Monomial((1, -1, 0, 0))   # L1/L2
-    assert alpha.u_monomials[2].is_one
-    assert alpha.u_monomials[3] == Monomial((-1, 0, 1, -1))  # L3/(L1 L4)
+    assert alpha.u_monomials[0] == (0, 0, 0, 0)
+    assert alpha.u_monomials[1] == (1, -1, 0, 0)    # L1/L2
+    assert alpha.u_monomials[2] == (0, 0, 0, 0)
+    assert alpha.u_monomials[3] == (-1, 0, 1, -1)   # L3/(L1 L4)
 
 
 def test_u_invariants_all_models(all_models):
@@ -66,11 +66,11 @@ def test_u_invariants_all_models(all_models):
                 # U_j = prod_i P_i^{m_ij} / L_j, evaluated on the stored P monomials
                 exps = [0] * data.N
                 for i in range(data.K):
-                    for jj, e in enumerate(fp.p_monomials[i].exps):
+                    for jj, e in enumerate(fp.p_monomials[i]):
                         exps[jj] += data.m[i][j] * e
                 exps[j] -= 1
-                assert Monomial(exps) == fp.u_monomials[j]
-                assert fp.u_monomials[j].is_one == (j in fp.J)
+                assert tuple(exps) == fp.u_monomials[j]
+                assert (fp.u_monomials[j] == (0,) * data.N) == (j in fp.J)
 
 
 def test_smoothness_determinants(all_models):
@@ -159,7 +159,7 @@ def test_degree_reencoding_identity(all_models):
                 pairing = degree_pairing(data, d)
                 combo = [0] * data.K
                 for pos, j in enumerate(pair_positions):
-                    for i, e in enumerate(fp.q_monomials[pos].exps):
+                    for i, e in enumerate(fp.q_monomials[pos]):
                         combo[i] += pairing[j] * e
                 assert tuple(combo) == d
 
@@ -241,3 +241,23 @@ def test_p_values_solve(p1):
     fps = enumerate_fixed_points(p1)
     assert fps[0].p_values(ctx.Lambda) == (ctx.Lambda[0],)
     assert fps[1].p_values(ctx.Lambda) == (ctx.Lambda[1],)
+
+
+def test_fixed_point_values_need_one_lambda_per_column(f1):
+    # A lambda list shorter than N is refused, not read as a shorter monomial.
+    ctx = sample_context(f1.N, 3)
+    for fp in enumerate_fixed_points(f1):
+        for values in (fp.p_values, fp.u_values):
+            with pytest.raises(ValueError, match="^not enough values for this monomial$"):
+                values(ctx.Lambda[:-1])
+            assert len(values(ctx.Lambda)) == len(values(ctx.Lambda + (Fraction(5),)))
+
+
+def test_format_monomial(f1):
+    names = f1.lambda_names
+    assert format_monomial((0, 0, 0, 0), names) == "1"
+    assert format_monomial((1, -1, 0, 0), names) == "L1*L2^-1"
+    assert format_monomial((-1, 0, 1, -2), names) == "L1^-1*L3*L4^-2"
+    alpha = fixed_point(f1, (0, 2))
+    assert [format_monomial(u, names) for u in alpha.u_monomials] == \
+        ["1", "L1*L2^-1", "1", "L1^-1*L3*L4^-1"]
