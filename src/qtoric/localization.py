@@ -82,12 +82,12 @@ def ktheory_trace(data: ToricData, phi, ctx: SampleContext) -> Fraction:
 
 
 def cohomology_integral(data: ToricData, phi, ctx: SampleContext) -> Fraction:
-    """sum_alpha phi(p(alpha), lambda) / (det_alpha * prod_{j not in J} u_j(p(alpha))).
+    """sum_alpha phi(p(alpha), lambda) / prod_{j not in J} u_j(p(alpha)).
 
-    The per-branch sign is the determinant of the fixed-point minor, the
-    orientation that gives the point class of the projective line integral +1.
-    Each u_j(p(alpha)) is an int over the lambdas' common denominator D, so a
-    term is phi * D^(N-K) / (det * prod u_j) with an integer denominator.
+    The denominator is the tangent Euler class at alpha alone (Atiyah-Bott),
+    so the sum does not depend on the order of the columns.  Each u_j(p(alpha))
+    is an int over the lambdas' common denominator D, so a term is
+    phi * D^(N-K) / prod u_j with an integer denominator.
     """
     den, lam = common_denominator(ctx.Lambda)
     scale = den ** (data.N - data.K)
@@ -95,7 +95,7 @@ def cohomology_integral(data: ToricData, phi, ctx: SampleContext) -> Fraction:
     total = Fraction(0)
     for fp in enumerate_fixed_points(data):
         uvals = weighted_numerators(fp.u_monomials, lam)
-        denom = fp.det
+        denom = 1
         for j in range(data.N):
             if j in fp.J:
                 continue
@@ -154,7 +154,7 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
             numerator = value.numerator * num_scale
             for j, r in obstructions:
                 numerator *= ustar[j] + r * z
-            denom = fp.det * value.denominator * den_scale
+            denom = value.denominator * den_scale
             for j, r in denominator_copies:
                 if (j, r) in chosen:
                     continue

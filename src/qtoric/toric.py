@@ -9,6 +9,7 @@ downstream formulas assume it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -227,25 +228,35 @@ def degree_pairing(data: ToricData, d: Sequence[int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _mori_generators_raw(data: ToricData) -> tuple[tuple[int, ...], ...]:
-    gens: list[tuple[int, ...]] = []
-    for fp in enumerate_fixed_points(data):
-        for g in fp.degree_generators:
-            if g not in gens:
-                gens.append(g)
-    return tuple(gens)
+def _curve_classes(data: ToricData) -> tuple[tuple[int, ...], ...]:
+    """The distinct classes of the torus-invariant curves, which span the
+    effective-curve cone (Reid 1983), each at its first occurrence.
+
+    The wall J(beta) - j that beta shares with another fixed point is the
+    curve between them, and beta's dual-cone generator at j is its class
+    (``recursion.orbit_data``'s d_ab), primitive as a row of a unimodular
+    inverse.
+    """
+    fixed = enumerate_fixed_points(data)
+    walls = Counter(fp.J[:i] + fp.J[i + 1:] for fp in fixed for i in range(data.K))
+    classes: dict[tuple[int, ...], None] = {}
+    for fp in fixed:
+        for i, g in enumerate(fp.degree_generators):
+            if walls[fp.J[:i] + fp.J[i + 1:]] > 1:
+                classes[g] = None
+    return tuple(classes)
 
 
 @lru_cache(maxsize=None)
 def _mori_facets(data: ToricData) -> tuple[tuple[int, ...], ...]:
     """Primitive inner facet normals of the effective-curve cone.
 
-    The cone is spanned by the dual cones of the fixed points; each facet
-    holds K - 1 independent generators, so every (K - 1)-subset is tried: its
+    The cone is spanned by the torus-invariant curve classes; each facet
+    holds K - 1 independent ones, so every (K - 1)-subset is tried: its
     cofactor normal n_i = det(e_i, g_1, ..., g_{K-1}) is kept when every
-    generator lies on one side, oriented so that they pair >= 0.
+    class lies on one side, oriented so that they pair >= 0.
     """
-    gens = _mori_generators_raw(data)
+    gens = _curve_classes(data)
     k = data.K
     facets: list[tuple[int, ...]] = []
     spans = False
@@ -289,15 +300,11 @@ def mori_cone_membership(
 def mori_generators(data: ToricData) -> list[tuple[int, ...]]:
     """Extreme rays of the effective-curve cone, as primitive vectors.
 
-    A generator is extreme when the facet normals it lies on have rank K - 1.
+    They are the curve classes whose tight facet normals have rank K - 1.
     """
     facets = _mori_facets(data)
     rays: list[tuple[int, ...]] = []
-    for gen in _mori_generators_raw(data):
-        g = gcd(*gen)
-        ray = tuple(x // g for x in gen)
-        if ray in rays:
-            continue
+    for ray in _curve_classes(data):
         tight = [n for n in facets if _dot(n, ray) == 0]
         if any(determinant([*rows, ray]) != 0
                for rows in combinations(tight, data.K - 1)):
@@ -392,13 +399,13 @@ def box_degrees(
 ) -> list[tuple[int, ...]]:
     """All effective degrees with <ample, d> <= bound, enumerated exactly.
 
-    An effective d is sum_g c_g g with c_g >= 0 over the Mori generators, so
+    An effective d is sum_g c_g g with c_g >= 0 over the curve classes, so
     d_i lies between bound * min(0, g_i / <ample, g>) and bound * max(0, ...).
     Pairings are scaled to integers by the common denominator of ``ample``,
     and the bound to the integer ``top`` below it, so each coordinate's range
     runs between the integer ceil and floor of top * g_i / <ample, g>.
     """
-    gens = _mori_generators_raw(data)
+    gens = _curve_classes(data)
     ample = [Fraction(a) for a in ample]
     scale = lcm(*(a.denominator for a in ample))
     weights = [a.numerator * (scale // a.denominator) for a in ample]

@@ -6,6 +6,11 @@ a basis of span(G).  So every basis of span(G) drawn from G is tried: solve
 for the coordinates exactly and accept when they are all >= 0.  This costs
 C(|G|, rank) solves per rejected vector and shares nothing with the facet
 normals that ``qtoric.toric`` decides membership by.
+
+``qtoric.toric`` builds the effective-curve cone from the torus-invariant
+curve classes.  The route it replaced, the union of every fixed point's
+dual-cone generators and the facets of their cone, is kept here as the
+reference: ``dual_cone_union``, ``union_facets`` and ``union_extreme_rays``.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+
+from qtoric.toric import enumerate_fixed_points
 
 
 def _det(m) -> int:
@@ -79,3 +86,45 @@ def extreme_rays(generators) -> list[tuple[int, ...]]:
         if any(p) and p not in prims:
             prims.append(p)
     return [g for i, g in enumerate(prims) if not in_cone(prims[:i] + prims[i + 1:], g)]
+
+
+def dual_cone_union(data) -> tuple[tuple[int, ...], ...]:
+    """Every fixed point's dual-cone generators, each at its first occurrence."""
+    gens: list[tuple[int, ...]] = []
+    for fp in enumerate_fixed_points(data):
+        for g in fp.degree_generators:
+            if g not in gens:
+                gens.append(g)
+    return tuple(gens)
+
+
+def union_facets(data) -> set[tuple[int, ...]]:
+    """Primitive inner facet normals of cone(dual_cone_union(data)).
+
+    Every (K - 1)-subset of the union is tried: its cofactor normal
+    n_i = det(e_i, g_1, ..., g_{K-1}) is a facet normal when it is nonzero and
+    every generator pairs with it on one side.
+    """
+    gens = dual_cone_union(data)
+    k = data.K
+    facets = set()
+    for tight in combinations(gens, k - 1):
+        normal = [_det([[int(c == i) for c in range(k)], *tight]) for i in range(k)]
+        pairings = [sum(x * y for x, y in zip(normal, g)) for g in gens]
+        if any(pairings) and not min(pairings) < 0 < max(pairings):
+            sign = 1 if max(pairings) > 0 else -1
+            facets.add(primitive([sign * x for x in normal]))
+    return facets
+
+
+def union_extreme_rays(data) -> list[tuple[int, ...]]:
+    """The primitive union generators, first occurrences in order, whose tight
+    facet normals (``union_facets``) have rank K - 1."""
+    facets = union_facets(data)
+    k = data.K
+    rays: list[tuple[int, ...]] = []
+    for g in map(primitive, dual_cone_union(data)):
+        tight = [n for n in facets if sum(x * y for x, y in zip(n, g)) == 0]
+        if g not in rays and any(_det([*rows, g]) for rows in combinations(tight, k - 1)):
+            rays.append(g)
+    return rays

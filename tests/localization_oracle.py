@@ -5,8 +5,9 @@ class expressions.
 common denominator and normalises it once, ``qtoric.toric._weighted_sums``
 sums integer numerators, and ``qtoric.exprs`` compiles a class expression
 into closures at parse.  These are the ``Fraction`` routines they replaced,
-kept unchanged as an independent route: every step is a ``Fraction``
-operation, and an expression is read by walking its tree.
+kept as an independent route: every step is a ``Fraction`` operation, and an
+expression is read by walking its tree.  The integrals divide each term by
+the tangent Euler class alone, as the library does.
 """
 
 from __future__ import annotations
@@ -123,16 +124,13 @@ def ktheory_trace(data: ToricData, phi, ctx: SampleContext) -> Fraction:
 
 
 def cohomology_integral(data: ToricData, phi, ctx: SampleContext) -> Fraction:
-    """sum_alpha phi(p(alpha), lambda) / (det_alpha * prod_{j not in J} u_j(p(alpha))).
-
-    The per-branch sign is the determinant of the fixed-point minor, the
-    orientation that gives the point class of the projective line integral +1.
-    """
+    """sum_alpha phi(p(alpha), lambda) / prod_{j not in J} u_j(p(alpha)): the
+    tangent Euler class at alpha alone in each denominator."""
     total = Fraction(0)
     for fp in enumerate_fixed_points(data):
         pvals = equivariant_p_values(data, fp, ctx.Lambda)
         dvals = divisor_values(data, fp, ctx.Lambda)
-        denom = Fraction(fp.det)
+        denom = Fraction(1)
         for j in range(data.N):
             if j in fp.J:
                 continue
@@ -176,7 +174,7 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
             numerator = _evaluate(phi, _class_env(data, ctx, pstar, "p", "l"))
             for j, r in extended.obstructions:
                 numerator *= ustar[j] + r * ctx.z
-            denom = Fraction(fp.det)
+            denom = Fraction(1)
             for j, r in denominator_copies:
                 if (j, r) in chosen:
                     continue

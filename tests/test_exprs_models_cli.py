@@ -367,6 +367,40 @@ def test_cli_integrate_xd(capsys):
     assert report["result"]["value"] == report["result"]["direct_integral"] == "1"
 
 
+def test_cli_integrate_xd_in_another_column_order(tmp_path, capsys):
+    # P^1 x P^1 with its columns interleaved has a fixed-point minor with
+    # det -1; the point class still integrates to 1.
+    path = tmp_path / "interleaved.model"
+    path.write_text("name interleaved\nmatrix 2 4\n1 0 1 0\n0 1 0 1\nomega 1 1\n")
+    code, report = run(["integrate-xd", str(path), "--degree", "0,0", "--phi", "p1*p2",
+                        "--seed", "11"], capsys)
+    assert code == 0 and report["ok"]
+    assert report["result"]["value"] == report["result"]["direct_integral"] == "1"
+
+
+SURFACE8_PATH = str(Path(__file__).parent / "data" / "surface8.model")
+
+
+def test_cli_on_the_eight_ray_surface(capsys):
+    # A blow-up of P^2 with 8 rays: its Mori cone comes from 8 curve classes.
+    data = resolve_model(SURFACE8_PATH).data
+    for argv in (["inspect"], ["verify-dq", "--deg", "3"],
+                 ["verify-recursion", "--deg", "2", "--m", "2"]):
+        code, report = run([argv[0], SURFACE8_PATH, "--seed", "11", *argv[1:]], capsys)
+        assert code == 0 and report["ok"], argv
+    # Both directions of each of the 8 curves, once per sample.
+    assert len(report["result"]["edges"]) == 16 * report["samples"]
+    divisors = ["(" + "+".join(f"{data.m[i][j]}*p{i + 1}" for i in range(data.K)) + f"-l{j + 1})"
+                for j in range(data.N)]
+    c1 = "(" + "+".join(divisors) + ")"
+    c2 = "+".join(f"{a}*{b}" for k, a in enumerate(divisors) for b in divisors[k + 1:])
+    for phi, value in (("1", "0"), (f"{c1}^2", "4"), (c2, "8")):
+        code, report = run(["integrate-xd", SURFACE8_PATH, "--degree", "0,0,0,0,0,0",
+                            "--phi", phi, "--seed", "11"], capsys)
+        assert code == 0 and report["ok"]
+        assert report["result"]["value"] == report["result"]["direct_integral"] == value
+
+
 def test_cli_ifunction_with_bundle(capsys):
     code, report = run(["ifunction", "p2_o1_o2", "--deg", "2", "--bundle"], capsys)
     assert code == 0

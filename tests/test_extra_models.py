@@ -134,9 +134,9 @@ def test_recursion_double_cover_f2():
 
 
 def test_euler_characteristic_from_codim_two_classes():
-    # For a surface in a standard-orientation basis, summing the products of
-    # the two off-point divisor values over fixed points computes the Euler
-    # characteristic: each term is 1/det(alpha).
+    # For a surface, summing the products of the two off-point divisor
+    # values over fixed points computes the Euler characteristic: each term
+    # is the tangent Euler class over itself, 1.
     from qtoric.models import hirzebruch, product_of_lines
 
     for data, chi in [(product_of_lines(), 4), (hirzebruch(), 4), (HIRZEBRUCH2, 4)]:

@@ -1,19 +1,22 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import localization_oracle as oracle
 from linalg_oracle import solve_square
-from test_extra_models import EXTRA
+from test_extra_models import EXTRA, SWAPPED_QUADRIC
+from test_mori_cone import SURFACE8, blown_up_fans, fan_surface
 from test_mori_cone import models as family_rows
 from test_word_tables import MODELS, model
 from qtoric.exprs import ZeroDivisorError, parse_expression
 from qtoric.kirwan import kirwan_relations
+from qtoric.models import bundled_model_names
 from qtoric.localization import (
     cohomology_integral,
     cotangent_euler,
@@ -27,6 +30,7 @@ from qtoric.toric import (
     divisor_values,
     enumerate_fixed_points,
     equivariant_p_values,
+    mori_generators,
 )
 
 
@@ -226,7 +230,7 @@ def solved_map_space_integral(data, d, phi, ctx):
             env = {f"p{i + 1}": x for i, x in enumerate(pstar)}
             env.update({f"l{j + 1}": x for j, x in enumerate(ctx.Lambda)}, z=ctx.z)
             numerator = phi(env)
-            denom = Fraction(fp.det)
+            denom = Fraction(1)
             for j in range(data.N):
                 numerator *= prod(u[j] + r * ctx.z for r in range(1, 1 - pairing[j]))
                 denom *= prod(u[j] - r * ctx.z for r in range(pairing[j] + 1)
@@ -394,3 +398,75 @@ def test_equal_poles_and_zero_divisors(p1, f1):
         assert isinstance(got, tuple)
         seen.add(got[0])
     assert seen == {PoleError, ZeroDivisorError}
+
+
+# --- the order of the columns -------------------------------------------------
+#
+# Each term is divided by the tangent Euler class at its fixed point alone, so
+# the columns written in another order, with the lambdas permuted alike, give
+# the same values, also where the order flips the sign of a fixed-point minor.
+
+
+def permuted(data, ctx, perm):
+    """The model with column perm[j] in place j, and the sample's lambdas alike."""
+    columns = tuple(tuple(row[j] for j in perm) for row in data.m)
+    return (ToricData(m=columns, omega=data.omega),
+            dataclasses.replace(ctx, Lambda=tuple(ctx.Lambda[j] for j in perm)))
+
+
+@pytest.mark.parametrize("name", [*bundled_model_names(), "dp6"])
+@settings(max_examples=8, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draw=st.data())
+def test_values_do_not_depend_on_the_column_order(name, draw, request):
+    data = request.getfixturevalue("dp6") if name == "dp6" else model(name)[0]
+    perm = draw.draw(st.permutations(range(data.N)))
+    seed = draw.draw(st.integers(0, 99))
+    unit = tuple(int(i == 0) for i in range(data.K))
+    degrees = [(0,) * data.K, unit, mori_generators(data)[-1]]
+
+    def trace_class(env):
+        return prod(env[f"P{i + 1}"] + i + 1 for i in range(data.K))
+
+    def phi(env):  # the lambdas enter symmetrically
+        return (prod(env[f"p{i + 1}"] + i + 1 for i in range(data.K))
+                + env["z"] * sum(env[f"l{j + 1}"] for j in range(data.N)))
+
+    def values(model_data, ctx):
+        return [ktheory_trace(model_data, trace_class, ctx),
+                cohomology_integral(model_data, phi, ctx),
+                *(map_space_integral(model_data, d, phi, ctx) for d in degrees)]
+    expected, ctx = with_resampling(lambda t: sample_context(data.N, seed, t),
+                                    lambda c: values(data, c))
+    assert values(*permuted(data, ctx, perm)) == expected
+
+
+def chern_numbers(data, seed):
+    """(int 1, int c_1^2, int c_2) with c_1 = sum_j u_j and c_2 = sum_{a<b} u_a u_b,
+    where u_j = sum_i m_ij p_i - l_j."""
+    def divisors(env):
+        return [sum(data.m[i][j] * env[f"p{i + 1}"] for i in range(data.K)) - env[f"l{j + 1}"]
+                for j in range(data.N)]
+    classes = [lambda env: Fraction(1),
+               lambda env: sum(divisors(env)) ** 2,
+               lambda env: sum(a * b for a, b in itertools.combinations(divisors(env), 2))]
+    return tuple(with_resampling(lambda t: sample_context(data.N, seed, t),
+                                 lambda c: cohomology_integral(data, phi, c))[0]
+                 for phi in classes)
+
+
+@pytest.mark.parametrize("seed", [11, 23])
+def test_surface_chern_numbers(dp6, seed):
+    # On a smooth toric surface with N rays, int c_2 = N (the fixed points)
+    # and int c_1^2 = 12 - N (Noether).  dP6 and the 8-ray surface have one
+    # minor with det -1, the swapped quadric only such minors.
+    assert chern_numbers(dp6, seed) == (0, 6, 6)
+    assert chern_numbers(SWAPPED_QUADRIC, seed) == (0, 8, 4)
+    assert chern_numbers(fan_surface(*SURFACE8), seed) == (0, 4, 8)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(fan=blown_up_fans(3, 8))
+def test_generated_surface_chern_numbers(fan):
+    data = fan_surface(*fan)
+    assert chern_numbers(data, 11) == (0, 12 - data.N, data.N)

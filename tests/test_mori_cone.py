@@ -4,20 +4,32 @@
 effective-curve cone; ``cone_oracle`` searches generator subsets.  The
 del Pezzo surface dP6 is the model whose cone is strictly larger than the
 union of its fixed points' cones, and Hypothesis draws Hirzebruch surfaces,
-projective bundles over P^1 and P^2 and their products.
+projective bundles over P^1 and P^2, their products, and smooth surfaces
+blown up from P^2 and F_a.  The cone is built from the torus-invariant curve
+classes; the oracle's reference is the union of the fixed points' dual-cone
+generators.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import ceil, floor, lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cone_oracle import extreme_rays, in_cone, primitive
+from cone_oracle import (
+    dual_cone_union,
+    extreme_rays,
+    in_cone,
+    primitive,
+    union_extreme_rays,
+    union_facets,
+)
 from qtoric import toric
+from qtoric.models import resolve_model
 from qtoric.series import truncation_box
 from qtoric.toric import (
     InvalidModelError,
@@ -31,7 +43,7 @@ from qtoric.toric import (
 
 
 def raw_generators(data):
-    return toric._mori_generators_raw(data)
+    return dual_cone_union(data)
 
 
 def pairing(ample, d):
@@ -132,13 +144,14 @@ def test_mori_generators_drop_interior(all_models, dp6):
     assert sorted(extreme_rays([(1, 0), (0, 1), (1, 1), (2, 0)])) == [(0, 1), (1, 0)]
     for data in all_models + [dp6]:
         assert mori_generators(data) == extreme_rays(raw_generators(data))
+        assert mori_generators(data) == union_extreme_rays(data)
     # dP6 has 9 generators, 3 of them inside the cone.
     assert len(raw_generators(dp6)) - len(mori_generators(dp6)) == 3
 
 
 def test_generators_must_span(monkeypatch):
     flat = ToricData(m=((1, 1, 0, 0), (0, 0, 1, 1)), omega=(1, 1), name="flat-generators")
-    monkeypatch.setattr(toric, "_mori_generators_raw", lambda data: ((1, 1), (2, 2)))
+    monkeypatch.setattr(toric, "_curve_classes", lambda data: ((1, 1), (2, 2)))
     with pytest.raises(InvalidModelError, match="span"):
         toric._mori_facets(flat)
 
@@ -263,3 +276,163 @@ def test_fractional_bound_on_a_sheared_surface():
         assert degrees == oracle_box(data, ample, bound)
         assert ranges == [list(r) for r in candidate_rectangle(data, ample, bound)]
     assert recorded_box(data, ample, Fraction(7, 2))[1][0][0] == -10
+
+
+# Smooth toric surfaces from their fans.
+
+
+def fan_surface(rays, h):
+    """The smooth surface of the complete fan with ``rays`` in counterclockwise order.
+
+    v_0, v_1 are a basis, so v_j = x_j v_0 + y_j v_1, and the row
+    e_j - x_j e_0 - y_j e_1 (j >= 2) is a relation among the rays: these
+    K = N - 2 rows are the charge matrix.  omega = sum_j h_j m_{.j} is the class
+    of sum_j h_j D_j, ample when h_{j-1} + h_{j+1} - b_j h_j > 0 for every j.
+    """
+    (a, b), (c, d) = rays[0], rays[1]
+    assert a * d - b * c == 1
+    n = len(rays)
+    rows = []
+    for j, (vx, vy) in enumerate(rays[2:], start=2):
+        x, y = vx * d - vy * c, a * vy - b * vx
+        rows.append(tuple(-x if k == 0 else -y if k == 1 else int(k == j) for k in range(n)))
+    b_all = self_intersections(rays)
+    assert all(h[j - 1] + h[(j + 1) % n] - b_all[j] * h[j] > 0 for j in range(n))
+    omega = tuple(sum(hj * row[j] for j, hj in enumerate(h)) for row in rows)
+    return ToricData(m=tuple(rows), omega=omega)
+
+
+def self_intersections(rays):
+    """b_j with v_{j-1} + v_{j+1} = b_j v_j: the curve of ray j meets itself in -b_j."""
+    n, out = len(rays), []
+    for j, v in enumerate(rays):
+        w = tuple(x + y for x, y in zip(rays[j - 1], rays[(j + 1) % n]))
+        b = w[0] // v[0] if v[0] else w[1] // v[1]
+        assert w == (b * v[0], b * v[1])
+        out.append(b)
+    return out
+
+
+def curve_pairings(rays):
+    """The pairings D_k(C_j) = e_{j-1} - b_j e_j + e_{j+1} of the N curves."""
+    n = len(rays)
+    out = []
+    for j, b in enumerate(self_intersections(rays)):
+        vec = [0] * n
+        vec[j - 1] += 1
+        vec[(j + 1) % n] += 1
+        vec[j] -= b
+        out.append(tuple(vec))
+    return out
+
+
+@st.composite
+def blown_up_fans(draw, min_rays, max_rays):
+    """(rays, h): P^2 or F_a, blown up at torus-fixed points until it has
+    between ``min_rays`` and ``max_rays`` rays.
+
+    A blow-up inserts v_i + v_{i+1} between v_i and v_{i+1}.  2h on the old
+    rays and 2(h_i + h_{i+1}) - 1 on the new one stay ample: the new curve gets
+    pairing 1, and an old pairing c >= 1 becomes 2c, or 2c - 1 next to it.
+    """
+    a = draw(st.integers(-1, 3))
+    if a < 0:
+        rays, h = [(1, 0), (0, 1), (-1, -1)], [1, 0, 0]
+    else:
+        rays, h = [(1, 0), (0, 1), (-1, a), (0, -1)], [1, 0, 0, 1]
+    for _ in range(draw(st.integers(max(0, min_rays - len(rays)), max_rays - len(rays)))):
+        i = draw(st.integers(0, len(rays) - 1))
+        nxt = (i + 1) % len(rays)
+        h = [2 * x for x in h]
+        h.insert(i + 1, h[i] + h[nxt] - 1)
+        rays.insert(i + 1, (rays[i][0] + rays[nxt][0], rays[i][1] + rays[nxt][1]))
+    return rays, h
+
+
+def rank(vectors):
+    """The rank of a list of integer vectors, by exact elimination."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] / rows[r][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def test_fan_surface_rebuilds_the_bundled_charge_matrices(p2, f1):
+    assert fan_surface([(1, 0), (0, 1), (-1, -1)], [1, 0, 0]).m == p2.m
+    # F_1's fan in the order (1, 0), (0, 1), (-1, 1), (0, -1).
+    assert fan_surface([(1, 0), (0, 1), (-1, 1), (0, -1)], [1, 0, 0, 1]).m == \
+        ((1, -1, 1, 0), (0, 1, 0, 1))
+
+
+SURFACE8 = ([(1, 0), (0, 1), (-1, -1), (-2, -3), (-1, -2), (0, -1), (1, -1), (2, -1)],
+            [0, 0, 12, 25, 14, 5, 3, 2])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(fan=blown_up_fans(3, 6), bound=st.integers(0, 3))
+def test_generated_surfaces_match_the_union_oracle(fan, bound):
+    # Up to 6 rays the oracle's facets, from every (K - 1)-subset of the
+    # union, are cheap: the facets, the extreme rays in order, and the box at
+    # the bound times the least pairing of omega with a curve class, filtered
+    # by the oracle's facets.
+    rays, h = fan
+    data = fan_surface(rays, h)
+    classes = toric._curve_classes(data)
+    assert sorted(degree_pairing(data, g) for g in classes) == sorted(set(curve_pairings(rays)))
+    facets = union_facets(data)
+    assert set(toric._mori_facets(data)) == facets
+    assert mori_generators(data) == union_extreme_rays(data)
+    bound *= min(pairing(data.omega, g) for g in classes)
+
+    def member(d):
+        return all(sum(x * y for x, y in zip(n, d)) >= 0 for n in facets)
+    assert box_degrees(data, data.omega, bound) == oracle_box(data, data.omega, bound, member)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(fan=blown_up_fans(7, 8))
+def test_generated_surfaces_with_seven_and_eight_rays(fan):
+    # The oracle's facets take seconds to minutes here: independent checks.
+    rays, h = fan
+    data = fan_surface(rays, h)
+    classes = toric._curve_classes(data)
+    assert len(classes) == data.N
+    assert sorted(degree_pairing(data, g) for g in classes) == sorted(curve_pairings(rays))
+    facets = toric._mori_facets(data)
+    assert all(sum(x * y for x, y in zip(n, g)) >= 0
+               for n in facets for g in raw_generators(data))
+    for n in facets:
+        tight = [g for g in classes if sum(x * y for x, y in zip(n, g)) == 0]
+        assert rank(tight) == data.K - 1
+
+
+def test_surface8_cone():
+    # The 8 curve classes against the 37 generators of the union.
+    data = fan_surface(*SURFACE8)
+    committed = resolve_model(str(Path(__file__).parent / "data" / "surface8.model")).data
+    assert (committed.m, committed.omega) == (data.m, data.omega)
+    assert len(enumerate_fixed_points(data)) == 8
+    assert len(raw_generators(data)) == 37
+    assert len(toric._curve_classes(data)) == 8
+    assert len(mori_generators(data)) == 7
+
+
+def test_dropping_one_curve_class_changes_the_dp6_cone(dp6, monkeypatch):
+    classes = toric._curve_classes(dp6)
+    assert len(classes) == 6
+    rays = extreme_rays(raw_generators(dp6))
+    for i, dropped in enumerate(classes):
+        monkeypatch.setattr(toric, "_curve_classes",
+                            lambda data, i=i: classes[:i] + classes[i + 1:])
+        toric._mori_facets.cache_clear()
+        assert mori_generators(dp6) != rays
+        assert not mori_cone_membership(dp6, dropped)[0]
+    toric._mori_facets.cache_clear()
