@@ -26,7 +26,7 @@ print(f"series on the box of effective degrees with pairing <= {box.bound}:")
 family = assemble_series(data, box, ctx)
 for J, series in sorted(family.items()):
     label = tuple(j + 1 for j in J)
-    support = series.support()
+    support = tuple(sorted(series.coeffs))
     print(f"  alpha = {label}: {len(support)} nonzero coefficients, "
           f"support {support}")
 print(f"  note alpha = (2, 4) has no Q^(1,0) term: that degree pairs to -1 "

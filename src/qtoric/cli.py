@@ -167,6 +167,7 @@ def cmd_ifunction(model: ModelFile, seed: int, samples: int, args) -> dict:
     bundle = model.bundle if args.bundle else None
     [(family, ctx)], resamples = _run(data, seed,
                                       lambda c: assemble_series(data, box, c, bundle=bundle))
+    labels = {d: str(list(d)) for d in box.degrees}
     result = {
         "bound": str(box.bound),
         "q": str(ctx.q),
@@ -175,10 +176,7 @@ def cmd_ifunction(model: ModelFile, seed: int, samples: int, args) -> dict:
         "components": [
             {
                 "alpha": [j + 1 for j in J],
-                "coefficients": {
-                    str(list(d)): str(series.coeffs[d])
-                    for d in series.support()
-                },
+                "coefficients": {labels[d]: str(c) for d, c in sorted(series.coeffs.items())},
             }
             for J, series in sorted(family.items())
         ],

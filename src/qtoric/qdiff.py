@@ -17,16 +17,17 @@ which builds the components it checks; cohomology reads f_j(k) = u_j(alpha)
 kernel: it reads the depths D_j(d) off the matrix (never the box's cached
 pairings) and classifies each source d - l (a box degree, an exact zero, or
 beyond the bound and skipped) once per call, builds each side's product once
-per fixed point and distinct exponent tuple, as a pair of ints, and makes
-one reduction per degree (``_agree``): c' times the pair R/L, normalised
-once, against c, so two big coefficients are never multiplied.
+per fixed point and distinct exponent tuple, as a pair of ints, and decides
+each degree by one exact division (``_agree``): with c = N/D reduced, c L =
+c' R iff D divides B and A = (B // D) N for the int products A and B of c'
+and the pairs, so no ``Fraction`` is built, no gcd is taken, and two big
+coefficients are never multiplied.  An absent coefficient is None.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Callable, Sequence
 
 from .scalars import SampleContext, binomial, linear, power_product, ratio_table
@@ -79,8 +80,8 @@ def apply_word(series: NovikovSeries, data: ToricData, fp: FixedPoint,
     multiplied once by prod 1 - q^{D_j(d) - r} w_j, the relation check's
     K-theoretic product at the word's exponents.
     """
-    word, exponents = _word(_binomials(data, fp, ctx), factors), _exponents(data, factors)
-    return NovikovSeries(series.box, {d: c * Fraction(*word(exponents(d)))
+    word, exponents = _Word(_binomials(data, fp, ctx), factors), _exponents(data, factors)
+    return NovikovSeries(series.box, {d: c * Fraction(*word[exponents(d)])
                                       for d, c in series.coeffs.items()}, series.mode)
 
 
@@ -232,18 +233,20 @@ def _verify_shift(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
             rows.append((d, key, left_exponents(d), right_exponents(d)))
     checks = []
     for fp in enumerate_fixed_points(data):
-        coeffs = family[fp.J].coeffs
+        get = family[fp.J].coeffs.get
         kernels = kernels_at(fp)
-        left_word, right_word = _word(kernels, left), _word(kernels, right)
+        left_word, right_word = _Word(kernels, left), _Word(kernels, right)
         failures = []
         for d, source, left_ks, right_ks in rows:
-            c, c_source = coeffs.get(d, 0), coeffs.get(source, 0)
-            if c or c_source:
-                lhs = left_word(left_ks)
-                rhs = right_word(right_ks) if c_source else (0, 1)
-                if not _agree(c, lhs, c_source, rhs):
-                    sides = (c * Fraction(*lhs), c_source * Fraction(*rhs))
-                    failures.append((d, *(sides[::-1] if swap else sides)))
+            c, c_source = get(d), get(source)
+            if c is None and c_source is None:
+                continue
+            lhs = left_word[left_ks]
+            rhs = (0, 1) if c_source is None else right_word[right_ks]
+            if not _agree(c, lhs, c_source, rhs):
+                sides = [Fraction(*side) * (0 if coeff is None else coeff)
+                         for coeff, side in ((c, lhs), (c_source, rhs))]
+                failures.append((d, *(sides[::-1] if swap else sides)))
         checks.append(CheckResult(label=f"{name} at alpha={tuple(j + 1 for j in fp.J)}",
                                   ok=not failures, failures=failures))
     return checks
@@ -265,28 +268,41 @@ def _exponents(data: ToricData, factors: Factors) -> Callable[[Sequence[int]], t
     return lambda d: tuple(sum(m * d[i] for i, m in column) - s for column, s in columns)
 
 
-def _word(kernels: list, factors: Factors) -> Callable[[tuple], tuple[int, int]]:
+class _Word(dict):
     """ks -> prod_t f_j(k_t) over the factors t = (j, s), f_j = ``kernels[j]``,
-    each distinct ks built once as one unnormalised pair of ints."""
-    terms = [kernels[j] for j, _ in factors]
+    read by key: each distinct ks is built once, on first read, as one
+    unnormalised pair of ints."""
 
-    @cache
-    def product(ks):
+    def __init__(self, kernels: list, factors: Factors):
+        super().__init__()
+        self.terms = [kernels[j] for j, _ in factors]
+
+    def __missing__(self, ks):
         num = den = 1
-        for f, k in zip(terms, ks):
+        for f, k in zip(self.terms, ks):
             n, d = f(k)
             num, den = num * n, den * d
+        self[ks] = num, den
         return num, den
-    return product
 
 
 def _agree(c, left, c_other, right) -> bool:
-    """c L == c_other R, for rationals c and c_other and the unnormalised int
-    pairs ``left`` = L and ``right`` = R, by one big-by-small reduction:
-    c_other times the pair R/L, normalised once, against c.  Where L = 0 it
-    is c_other R == 0."""
+    """c L == c_other R, for the int pairs ``left`` = L and ``right`` = R and
+    nonzero rationals c and c_other, None standing for an absent (zero)
+    coefficient, by one exact division and no ``Fraction``.
+
+    Where both sides are nonzero, write c = N/D in lowest terms and c_other R / L
+    = A/B with A = N_o R_num L_den and B = D_o R_den L_num (B != 0).  Then
+    N/D = A/B iff D divides B and A = (B // D) N: N B = A D makes D divide N B,
+    hence B, as N and D are coprime.  No gcd is taken: where the sides agree,
+    B // D = gcd(A, B) divides R_den L_num R_num L_den, so each product is a
+    big coefficient times ints the size of the pairs.
+    """
     left_num, left_den = left
     right_num, right_den = right
-    if not left_num:
-        return not (c_other and right_num)
-    return c_other * Fraction(right_num * left_den, right_den * left_num) == c
+    if c_other is None or not right_num:
+        return c is None or not left_num
+    if c is None or not left_num:
+        return False
+    k, rest = divmod(c_other.denominator * (right_den * left_num), c.denominator)
+    return not rest and c_other.numerator * (right_num * left_den) == k * c.numerator

@@ -6,9 +6,11 @@ universal finite ratio, built by a walk over the box: a degree takes a
 neighbour's coefficient times the few factors 1 - q^r u its depths cross
 (``scalars.ratio_factor``), each an unnormalised pair of ints from the
 integer kernel, so a step is a product of int pairs normalised once, into
-one ``Fraction``, and a degree costs one big-by-small product; degrees off
-the fixed point's dual cone are exact zeros and are never visited; a bundle
-summand is one more column (inverted for PiE).  The residues of a component
+one ``Fraction``, kept per direction under the depths it starts from, and a
+degree costs one step lookup and one big-by-small product; degrees off the
+fixed point's dual cone (tested once per fixed point) are exact zeros and
+are never visited, and the walk's series keeps its own keys unchecked; a
+bundle summand is one more column (inverted for PiE).  The residues of a component
 at a root point q0 come from the same walk, the same steps, over the
 factors' leading terms (``scalars.root_factor``); the q-exponential
 is one pass of its Euler recurrence.  Everything is localized: a global series
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .scalars import (
@@ -122,6 +125,15 @@ class NovikovSeries:
         self.coeffs = clean
         self.mode = mode
 
+    @classmethod
+    def _from_walk(cls, box: TruncationBox, coeffs: dict[Degree, object],
+                   mode: str = "k") -> "NovikovSeries":
+        """A series over ``coeffs`` as a walk returns them: keyed by canonical
+        box degrees and free of zeros, so nothing is re-checked."""
+        series = object.__new__(cls)
+        series.box, series.coeffs, series.mode = box, coeffs, mode
+        return series
+
     def coefficient(self, d: Sequence[int]):
         """Exact coefficient at d; 0 outside the effective cone, error beyond the box or lattice."""
         key = self.box.keys.get(tuple(d))
@@ -134,9 +146,6 @@ class NovikovSeries:
                 f"coefficient at {d} is beyond the truncation bound {self.box.bound}"
             )
         return Fraction(0)
-
-    def support(self) -> tuple[Degree, ...]:
-        return tuple(sorted(self.coeffs))
 
     def map_coefficients(self, fn: Callable) -> "NovikovSeries":
         return NovikovSeries(self.box, {d: fn(c) for d, c in self.coeffs.items()}, self.mode)
@@ -344,7 +353,8 @@ def component_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
     if bundle is not None:
         fibres = bundle, [_FibreColumn(ctx.lam * v, ctx.q, bundle.parity == "PiE")
                           for v in bundle.fiber_values(fp.p_values(ctx.Lambda))]
-    return NovikovSeries(box, _ratio_products(data, fp, box, factors, _fraction, fibres))
+    return NovikovSeries._from_walk(box, _nonzero(_ratio_products(data, fp, box, factors,
+                                                                  _fraction, fibres)))
 
 
 def _order_zero(factor):
@@ -384,7 +394,7 @@ def component_residues(data: ToricData, fp: FixedPoint, box: TruncationBox,
     """
     factors = [root_factor(u, q0) for u in fp.u_values(ctx.Lambda)]
     terms = _ratio_products(data, fp, box, factors, _leading_term)
-    return {d: term.residue() for d, term in terms.items()}
+    return {d: Fraction(0) if term is None else term.residue() for d, term in terms.items()}
 
 
 def _leading_term(num, den, order):
@@ -396,7 +406,8 @@ def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
                     factors: Sequence[Callable], finish: Callable,
                     fibres=None) -> dict[Degree, object]:
     """prod_j prod_{r<=0} f_j(r) / prod_{r<=D_j(d)} f_j(r), f_j = ``factors[j]``, at
-    every box degree d in alpha's dual cone (read from ``box.pairings``), by a walk in box order.
+    every box degree d in alpha's dual cone (read from ``box.pairings``), by a walk in
+    box order; an exact zero is None.
 
     Each f_j(r) is a triple (num, den, order) of ints, num/den eps^order
     (order 0 away from a root point).  A degree with a visited nonzero
@@ -405,21 +416,26 @@ def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
     f_j(r) for each r it falls past.  Only the columns with m_ij != 0 move,
     and the step depends only on i and their start depths, so each distinct
     step is built once per walk: one product of int triples, normalised once
-    by ``finish(num, den, order)``, per key and one big-by-small product per
-    degree.  Without such a neighbour a degree starts every column at depth
-    0.  All factors are computed first, column by column, so the first
-    sampling pole raises before any product.  ``fibres``, a pair (bundle,
-    columns), adds column a at depth Delta(d)[a], moved by direction i when
-    l_ia != 0, its factors computed as first crossed: a degree crosses every
-    r between its start depth and its own, so a fibre pole raises at the
-    first degree in box order, then fibre order, that reaches it.
+    by ``finish(num, den, order)``, kept per direction i under the start
+    depths of its columns, and one big-by-small product per degree.  A step
+    with numerator 0 (it crosses a vanishing f_j(r), r <= 0, which off
+    J(alpha) is a sampling coincidence) makes its degree an exact zero, which
+    no later degree starts from; such a step is kept as None, so it is
+    rebuilt where it recurs.  Without a nonzero neighbour a degree starts
+    every column at depth 0.  All factors are computed first,
+    column by column, over the range of depths of the dual cone's degrees, so
+    the first sampling pole raises before any product.  ``fibres``, a pair
+    (bundle, columns), adds column a at depth Delta(d)[a], moved by direction
+    i when l_ia != 0, its factors computed as first crossed: a degree crosses
+    every r between its start depth and its own, so a fibre pole raises at
+    the first degree in box order, then fibre order, that reaches it.
     """
-    depths = [pairing if all(pairing[j] >= 0 for j in fp.J) else None
+    J = fp.J
+    depths = [pairing if min(map(pairing.__getitem__, J)) >= 0 else None
               for pairing in box.pairings.values()]
-    crossed = []
-    for j, factor in enumerate(factors):
-        column = [0] + [pairing[j] for pairing in depths if pairing is not None]
-        crossed.append({r: factor(r) for r in range(min(column) + 1, max(column) + 1)})
+    inside = [pairing for pairing in depths if pairing is not None]
+    crossed = [{r: factor(r) for r in range(min(0, *column) + 1, max(0, *column) + 1)}
+               for factor, column in zip(factors, zip(*inside))]
     moved = [[j for j, mij in enumerate(row) if mij] for row in data.m]
     if fibres is not None:
         bundle, columns = fibres
@@ -428,22 +444,39 @@ def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
         crossed += columns
         moved = [cols + [data.N + a for a, l in enumerate(row) if l]
                  for cols, row in zip(moved, bundle.exponents)]
+    keyed = [itemgetter(*cols) for cols in moved]
+    steps = [{} for _ in moved]
+    everything = range(len(crossed))
     out = [None] * len(depths)
-    steps = {}
     for pos, (pairing, predecessors) in enumerate(zip(depths, box.predecessors)):
         if pairing is None:
             continue
         for prev, i in predecessors:
-            if out[prev]:
+            value = out[prev]
+            if value is not None:
                 start = depths[prev]
-                key = (i, *(start[c] for c in moved[i]))
-                if key not in steps:
-                    steps[key] = finish(*_step(crossed, moved[i], start, pairing))
-                out[pos] = out[prev] * steps[key]
+                key = keyed[i](start)
+                step = steps[i].get(key)
+                if step is None:
+                    step = steps[i][key] = _finish(finish, crossed, moved[i], start, pairing)
+                if step is not None:
+                    out[pos] = value * step
                 break
         else:
-            out[pos] = finish(*_step(crossed, range(len(crossed)), (0,) * len(crossed), pairing))
-    return {d: value for d, value in zip(box.degrees, out) if value is not None}
+            out[pos] = _finish(finish, crossed, everything, (0,) * len(crossed), pairing)
+    return {d: value for d, value, pairing in zip(box.degrees, out, depths)
+            if pairing is not None}
+
+
+def _nonzero(values: dict[Degree, object]) -> dict[Degree, object]:
+    """A walk's values without its exact zeros."""
+    return {d: value for d, value in values.items() if value is not None}
+
+
+def _finish(finish, crossed, columns, start, end):
+    """``finish`` of the ``_step`` triple, or None for its exact zero."""
+    num, den, order = _step(crossed, columns, start, end)
+    return finish(num, den, order) if num else None
 
 
 def _step(crossed, columns, start, end) -> tuple[int, int, int]:
@@ -485,8 +518,8 @@ def cohomological_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
     """
     factors = [_order_zero(ratio_factor(u, z=ctx.z))
                for u in divisor_values(data, fp, ctx.Lambda)]
-    coeffs = _ratio_products(data, fp, box, factors, _fraction)
-    return NovikovSeries(box, coeffs, mode="coh")
+    coeffs = _nonzero(_ratio_products(data, fp, box, factors, _fraction))
+    return NovikovSeries._from_walk(box, coeffs, mode="coh")
 
 
 def assemble_cohomological_series(data: ToricData, box: TruncationBox,

@@ -59,8 +59,13 @@ def in_cone(generators, target) -> bool:
     target = tuple(int(x) for x in target)
     if not any(target):
         return True
-    gens = tuple(tuple(int(x) for x in g) for g in generators if any(g))
-    for basis, coords, adj, det in _bases(gens):
+    return _in_cone(_bases(tuple(tuple(int(x) for x in g) for g in generators if any(g))),
+                    target)
+
+
+def _in_cone(bases, target) -> bool:
+    """Whether the nonzero ``target`` is a nonnegative combination of one of ``bases``."""
+    for basis, coords, adj, det in bases:
         scaled = [sum(row[a] * target[c] for a, c in enumerate(coords)) for row in adj]
         if any(det * y < 0 for y in scaled):
             continue
@@ -79,13 +84,25 @@ def primitive(vec) -> tuple[int, ...]:
 
 
 def extreme_rays(generators) -> list[tuple[int, ...]]:
-    """The primitive generators that no other generator combination reaches."""
+    """The primitive generators that no other generator combination reaches.
+
+    The bases of span(generators) are built once.  Without g the others span
+    the same space iff some basis avoids g, and their bases are exactly the
+    ones that do; when none does the rank drops, g lies outside the others'
+    span, and it is extreme.
+    """
     prims = []
     for g in generators:
         p = primitive(g)
         if any(p) and p not in prims:
             prims.append(p)
-    return [g for i, g in enumerate(prims) if not in_cone(prims[:i] + prims[i + 1:], g)]
+    bases = _bases(tuple(prims))
+    rays = []
+    for g in prims:
+        avoiding = [b for b in bases if g not in b[0]]
+        if not avoiding or not _in_cone(avoiding, g):
+            rays.append(g)
+    return rays
 
 
 def dual_cone_union(data) -> tuple[tuple[int, ...], ...]:

@@ -76,11 +76,47 @@ RANK_3_4 = [
 ]
 
 
+# Rank 3 with proper dual cones (F_2 x P^1, whose F_2 factor has a -2 entry)
+# and with blocks of unequal size (P^1 x P^2 x P^2), as the cone-box
+# benchmark writes them: the walk's steps move columns of two widths, and
+# the relation check meets sources off the effective cone.
+RANK_3_BLOCKS = [
+    (["ifunction", "f2xp1", "--deg", "4"], 0,
+     "e01a7f8f4784bfcffed0dae2c8a03f12755488a6b71285fba9adf70fce59e535"),
+    (["verify-dq", "f2xp1", "--deg", "4"], 0,
+     "baad55a661d42dbded083dec0b025abb406554a5902a9ea99b8a9d823866c974"),
+    (["verify-coh", "f2xp1", "--deg", "4"], 0,
+     "d725c60e4d6b05b54de4ee02940f8b2ab4265303ab548598efb82b5e55a854b5"),
+    (["ifunction", "p1xp2xp2", "--deg", "3"], 0,
+     "c0b3f466d3826ea23776c5ae45479e5b976cb3a45f81e2204c3b604a0252aeca"),
+    (["verify-dq", "p1xp2xp2", "--deg", "3"], 0,
+     "0dca59b5b7891ca9adb613ed2567267274de6de79409c6501fe231b953f7cf84"),
+    (["verify-coh", "p1xp2xp2", "--deg", "3"], 0,
+     "8a5ed031bb02019857687e54cea0fcee240b5c3e3496aea211d214e049e03b0b"),
+]
+LINE, PLANE, F2 = [[1, 1]], [[1, 1, 1]], [[1, 1, 0, -2], [0, 0, 1, 1]]
+
+
+def product_text(name, *factors):
+    """The model file of a product: the factors' charge matrices as diagonal
+    blocks, omega all ones."""
+    width = sum(len(rows[0]) for rows in factors)
+    matrix, start = [], 0
+    for rows in factors:
+        matrix += [[0] * start + row + [0] * (width - start - len(row)) for row in rows]
+        start += len(rows[0])
+    lines = [f"name {name}", f"matrix {len(matrix)} {width}",
+             *(" ".join(map(str, row)) for row in matrix), "omega " + " ".join(["1"] * len(matrix))]
+    return "\n".join(lines) + "\n"
+
+
 def lines_product_text(k):
     """The model file of (P^1)^k: one row [.. 1 1 ..] per factor, omega all ones."""
-    rows = [" ".join("1" if c // 2 == i else "0" for c in range(2 * k)) for i in range(k)]
-    return "\n".join([f"name p1x{k}", f"matrix {k} {2 * k}", *rows,
-                      "omega " + " ".join(["1"] * k)]) + "\n"
+    return product_text(f"p1x{k}", *[LINE] * k)
+
+
+MODEL_TEXTS = {"f2xp1": product_text("f2xp1", F2, LINE),
+               "p1xp2xp2": product_text("p1xp2xp2", LINE, PLANE, PLANE)}
 
 
 @pytest.mark.parametrize("argv, code, digest", GOLDEN + LARGER + LOCALIZATION,
@@ -108,5 +144,15 @@ def test_rank_3_and_4_stdout_is_byte_identical(argv, code, digest, tmp_path, cap
     name = argv[1]
     path = tmp_path / f"{name}.model"
     path.write_text(lines_product_text(int(name[-1])))
+    argv = [argv[0], str(path), *argv[2:]]
+    test_stdout_is_byte_identical(argv, code, digest, capsys)
+
+
+@pytest.mark.parametrize("argv, code, digest", RANK_3_BLOCKS,
+                         ids=[" ".join(a) for a, _, _ in RANK_3_BLOCKS])
+def test_rank_3_blocks_stdout_is_byte_identical(argv, code, digest, tmp_path, capsys):
+    name = argv[1]
+    path = tmp_path / f"{name}.model"
+    path.write_text(MODEL_TEXTS[name])
     argv = [argv[0], str(path), *argv[2:]]
     test_stdout_is_byte_identical(argv, code, digest, capsys)

@@ -380,16 +380,17 @@ SURFACE8 = ([(1, 0), (0, 1), (-1, -1), (-2, -3), (-1, -2), (0, -1), (1, -1), (2,
 @given(fan=blown_up_fans(3, 6), bound=st.integers(0, 3))
 def test_generated_surfaces_match_the_union_oracle(fan, bound):
     # Up to 6 rays the oracle's facets, from every (K - 1)-subset of the
-    # union, are cheap: the facets, the extreme rays in order, and the box at
-    # the bound times the least pairing of omega with a curve class, filtered
-    # by the oracle's facets.
+    # union, are cheap: the facets, the extreme rays in order (by the
+    # cofactor route and by Caratheodory's), and the box at the bound times
+    # the least pairing of omega with a curve class, filtered by the
+    # oracle's facets.
     rays, h = fan
     data = fan_surface(rays, h)
     classes = toric._curve_classes(data)
     assert sorted(degree_pairing(data, g) for g in classes) == sorted(set(curve_pairings(rays)))
     facets = union_facets(data)
     assert set(toric._mori_facets(data)) == facets
-    assert mori_generators(data) == union_extreme_rays(data)
+    assert mori_generators(data) == union_extreme_rays(data) == extreme_rays(raw_generators(data))
     bound *= min(pairing(data.omega, g) for g in classes)
 
     def member(d):

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -141,9 +142,9 @@ def test_operators_never_enlarge_support(f1):
                 apply_p(s, 0, fp, ctx),
                 apply_word(s, f1, fp, [(1, 0)], ctx),
                 apply_gamma_ratio(s, f1, 1, Fraction(2, 5), ctx)):
-        assert set(out.support()) <= set(s.support())
+        assert set(out.coeffs) <= set(s.coeffs)
     shifted = shift_by_degree(s, (1, 0))
-    assert set(shifted.support()) == {(2, 0), (1, 1)}
+    assert set(shifted.coeffs) == {(2, 0), (1, 1)}
 
 
 @pytest.mark.parametrize("name", bundled_model_names())
@@ -212,7 +213,7 @@ def _off_by_one_pairing(monkeypatch):
 
 def _doubled(series):
     """The series with its first nonconstant stored coefficient doubled, and that degree."""
-    d = next(d for d in series.support() if any(d))
+    d = next(d for d in sorted(series.coeffs) if any(d))
     return NovikovSeries(series.box, {**series.coeffs, d: 2 * series.coeffs[d]},
                          series.mode), d
 
@@ -272,30 +273,53 @@ small_pairs = st.tuples(st.integers(-30, 30), st.integers(-30, 30).filter(bool))
 @example(c=Fraction(BIG, 3), left=(0, -3), c_other=Fraction(-BIG, 2), right=(0, 7),
          balanced=False)
 @example(c=0, left=(5, 7), c_other=Fraction(BIG), right=(0, -1), balanced=False)
+# 1/2 * 3 against 1 * 1: A = 1 = (3 // 2) * 1, but 2 does not divide B = 3.
+@example(c=Fraction(1, 2), left=(3, 1), c_other=Fraction(1), right=(1, 1), balanced=False)
 @settings(max_examples=300, deadline=None)
-def test_one_reduction_is_the_two_product_compare(c, left, c_other, right, balanced):
-    # Zero coefficients (int or Fraction), zero multipliers, negative
-    # denominators and 10k-bit coefficients; ``balanced`` makes both sides equal.
+def test_one_exact_division_is_the_two_product_compare(c, left, c_other, right, balanced):
+    # Zero coefficients (int or Fraction, passed as None, the absent
+    # coefficient), zero multipliers, negative denominators and 10k-bit
+    # coefficients; ``balanced`` makes both sides equal.
     if balanced and left[0]:
         c = c_other * Fraction(*right) / Fraction(*left)
-    assert _agree(c, left, c_other, right) == (c * Fraction(*left)
-                                               == c_other * Fraction(*right))
+    assert _agree(c or None, left, c_other or None, right) == (
+        c * Fraction(*left) == c_other * Fraction(*right))
 
 
-def _scaled_top(series, p=101):
-    """The series with its last support degree in box order scaled by 1 + 1/p.
+def _mutated_top(series, mutate):
+    """The series with its last support degree in box order mutated, and that degree.
 
     Every box degree after it pairs higher with the ample class, so neither
     d + e_i nor d + d0 holds a nonzero coefficient: only the check at d reads it.
     """
     d = max(series.coeffs, key=series.box.degrees.index)
-    scaled = {**series.coeffs, d: series.coeffs[d] * Fraction(p + 1, p)}
-    return NovikovSeries(series.box, scaled, series.mode), d
+    mutated = {**series.coeffs, d: mutate(series.coeffs[d])}
+    return NovikovSeries(series.box, mutated, series.mode), d
 
 
-@pytest.mark.parametrize("name", bundled_model_names())
-def test_a_coefficient_scaled_by_one_plus_one_over_p_fails_at_that_degree(name):
-    # Each row's check fails at exactly the scaled degree, unless the word
+def _times_p_plus_one(c, p=101):
+    """c (p + 1), the least p >= 101 with p + 1 prime to c's denominator: the
+    denominator is unchanged, so only the numerator compare of the check
+    catches it."""
+    while gcd(p + 1, c.denominator) != 1:
+        p += 1
+    mutant = c * (p + 1)
+    assert mutant.denominator == c.denominator
+    return mutant
+
+
+def _over_p(c, p=101):
+    """c / p, the least p >= 101 prime to c's numerator: the numerator is
+    unchanged, so only the divisibility of the check catches it."""
+    while gcd(p, c.numerator) != 1:
+        p += 1
+    mutant = c / p
+    assert mutant.numerator == c.numerator
+    return mutant
+
+
+def _fails_exactly_at_the_mutated_degree(name, mutate):
+    # Each row's check fails at exactly the mutated degree, unless the word
     # that multiplies it there vanishes; the other fixed points still pass.
     data = load_bundled_model(name).data
     box = truncation_box(data, 4)
@@ -303,7 +327,7 @@ def test_a_coefficient_scaled_by_one_plus_one_over_p_fails_at_that_degree(name):
     fixed = enumerate_fixed_points(data)
     for fp in fixed:
         family = assemble_series(data, box, ctx)
-        family[fp.J], d = _scaled_top(family[fp.J])
+        family[fp.J], d = _mutated_top(family[fp.J], mutate)
         caught = False
         for i, row in enumerate(data.m):
             lhs = [(j, r) for j, mij in enumerate(row) for r in range(mij)]
@@ -319,7 +343,7 @@ def test_a_coefficient_scaled_by_one_plus_one_over_p_fails_at_that_degree(name):
         assert caught, fp.J
 
         coh = assemble_cohomological_series(data, box, ctx)
-        coh[fp.J], d = _scaled_top(coh[fp.J])
+        coh[fp.J], d = _mutated_top(coh[fp.J], mutate)
         uvals = divisor_values(data, fp, ctx.Lambda)
         caught = False
         for i in range(data.K):
@@ -336,6 +360,21 @@ def test_a_coefficient_scaled_by_one_plus_one_over_p_fails_at_that_degree(name):
                 assert failed == ([d] if other is fp and visible else []), (fp.J, i)
             caught |= visible
         assert caught, fp.J
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_a_coefficient_scaled_by_one_plus_one_over_p_fails_at_that_degree(name):
+    _fails_exactly_at_the_mutated_degree(name, lambda c: c * Fraction(102, 101))
+
+
+@pytest.mark.parametrize("mutate", [_times_p_plus_one, _over_p], ids=["times p+1", "over p"])
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_a_coefficient_with_one_side_of_its_fraction_changed_fails_at_that_degree(name, mutate):
+    # The relation check compares c = N/D with A/B by D | B and A = (B // D) N.
+    # Times p + 1 leaves D, so D | B still holds and only A != (B // D) N
+    # catches it; over p leaves N and makes D p, which divides B only when p
+    # divides the old quotient B // D.
+    _fails_exactly_at_the_mutated_degree(name, mutate)
 
 
 def test_dq_system_all_models(p1, p2, f1):
