@@ -46,7 +46,7 @@ print("the same identity rebuilt through Adams operations (sampled q):")
 # the q -> q^k coupling is the weight 1/k(1-q^k).
 fp = enumerate_fixed_points(data)[0]
 pair = point_series(fp.q_monomials, box, ctx)
-tau = NovikovSeries(box, {g: 1 for g in fp.degree_generators})
+tau = NovikovSeries(box, {g: 1 for g in fp.q_monomials})
 arg = None
 k = 1
 while True:

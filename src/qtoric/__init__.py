@@ -5,13 +5,14 @@ A model is a K x N integer matrix presenting the manifold as a torus quotient
 of C^N, plus a chamber point.  On top of that the library computes, entirely
 in exact rational arithmetic:
 
-* fixed points, degree pairings, Mori cone data, map-space extensions;
+* fixed points, degree pairings, Mori cone data, truncation boxes;
 * minimal multiplicative relation sets and their fixed-point verification;
-* localization sums: the K-theoretic trace and equivariant integrals;
+* localization sums: the K-theoretic trace, equivariant integrals, and
+  integrals over spaces of degree-d spheres;
 * q-hypergeometric series per fixed point (with bundle and super-bundle
   twists), the point-series q-exponential identity, and Adams operations;
-* finite-difference operators, the q-difference system satisfied by the
-  series, and the degree-shift relations of the cohomological series;
+* the q-difference system satisfied by the series, its Gamma-ratio
+  reconstruction, and the degree-shift relations of the cohomological series;
 * one-dimensional orbit data and the simple-pole residue recursion, with an
   independent Euler-class oracle.
 
@@ -27,7 +28,7 @@ from .kirwan import (
     spectrum_point_count,
     verify_relations_at_fixed_points,
 )
-from .localization import cohomology_integral, cotangent_euler, ktheory_trace, map_space_integral
+from .localization import cohomology_integral, ktheory_trace, map_space_integral
 from .models import (
     ModelFile,
     ModelFormatError,
@@ -41,9 +42,6 @@ from .models import (
 )
 from .qdiff import (
     apply_gamma_ratio,
-    apply_p,
-    apply_translation,
-    apply_word,
     gamma_reconstruction,
     verify_coh_relation,
     verify_dq_system,
@@ -67,10 +65,7 @@ from .scalars import (
     QRational,
     SampleContext,
     TruncationError,
-    finite_ratio,
-    finite_ratio_sym,
     ratio_table,
-    residue_at,
     root_factor,
     sample_context,
     with_resampling,
@@ -85,14 +80,11 @@ from .series import (
     cohomological_series,
     component_residues,
     component_series,
-    constant_series,
-    multiply,
     point_series,
     series_exp,
     truncation_box,
 )
 from .toric import (
-    ExtendedModel,
     FixedPoint,
     InvalidModelError,
     NonRegularChamberError,
@@ -101,10 +93,7 @@ from .toric import (
     degree_pairing,
     divisor_values,
     enumerate_fixed_points,
-    equivariant_p_values,
-    fixed_point,
     format_monomial,
-    map_space_model,
     mori_cone_membership,
     mori_generators,
 )

@@ -118,7 +118,7 @@ def cmd_inspect(model: ModelFile, seed: int, samples: int, args) -> dict:
                 "det": fp.det,
                 "P": [format_monomial(mon, names) for mon in fp.p_monomials],
                 "U": [format_monomial(mon, names) for mon in fp.u_monomials],
-                "degree_cone": [list(g) for g in fp.degree_generators],
+                "degree_cone": [list(g) for g in fp.q_monomials],
             }
             for fp in fps
         ],

@@ -46,7 +46,8 @@ def _class_env(data: ToricData, ctx: SampleContext, p: str,
 
 
 def _cotangent_pair(data: ToricData, fp: FixedPoint, ctx: SampleContext) -> tuple[int, int]:
-    """``cotangent_euler`` as an unnormalised pair (numerator, denominator) of ints."""
+    """prod_{j not in J(alpha)} (1 - U_j(alpha)), the cotangent Euler class at
+    alpha, as an unnormalised pair (numerator, denominator) of ints."""
     num = den = 1
     for j in range(data.N):
         if j in fp.J:
@@ -56,12 +57,6 @@ def _cotangent_pair(data: ToricData, fp: FixedPoint, ctx: SampleContext) -> tupl
             raise PoleError(0, Fraction(1))
         num, den = num * (b - a), den * b
     return num, den
-
-
-def cotangent_euler(data: ToricData, fp: FixedPoint, ctx: SampleContext) -> Fraction:
-    """prod_{j not in J(alpha)} (1 - U_j(alpha)): the cotangent Euler class at
-    alpha, a product of int pairs normalised once."""
-    return Fraction(*_cotangent_pair(data, fp, ctx))
 
 
 def ktheory_trace(data: ToricData, phi, ctx: SampleContext) -> Fraction:
@@ -122,8 +117,8 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
     its power of D is fixed per call.
     """
     pairing = degree_pairing(data, d)
-    # The missing factors of the columns with D_j(d) < 0, as ``map_space_model``
-    # records them.
+    # The obstruction factors: the missing copies (j, r), r = 1..-D_j(d), of
+    # each column with D_j(d) < 0.
     obstructions = [(j, r) for j in range(data.N) for r in range(1, 1 - pairing[j])]
     denominator_copies = [
         (j, r) for j in range(data.N) if pairing[j] >= 0

@@ -1,4 +1,5 @@
-"""Finite-difference operators on truncated series and the relation check.
+"""Checks of the q-difference system and the degree-shift relations, and the
+Gamma-ratio reconstruction of a component.
 
 In the coordinate representation each Novikov variable acts by multiplication
 and each P_i by the shift Q_i -> q Q_i followed by multiplication with the
@@ -49,50 +50,15 @@ from .toric import (
 Factors = Sequence[tuple[int, int]]
 
 
-def apply_translation(series: NovikovSeries, i: int, q) -> NovikovSeries:
-    """Q_i -> q Q_i: the coefficient at d picks up q^{d_i}."""
-    return series.map_with_degree(lambda d, c: c * q ** d[i])
-
-
-def apply_p(series: NovikovSeries, i: int, fp: FixedPoint, ctx: SampleContext,
-            power: int = 1) -> NovikovSeries:
-    """The shift operator P_i on an alpha-component, composed ``power`` times.
-
-    One application is translate-then-scale by P_i(alpha); negative powers
-    compose the exact inverse (scale by P_i(alpha)^{-1}, then untranslate).
-    """
-    p_value = power_product(ctx.Lambda, fp.p_monomials[i])
-    out = series
-    for _ in range(abs(power)):
-        if power > 0:
-            out = apply_translation(out, i, ctx.q).scale(p_value)
-        else:
-            out = apply_translation(out.scale(1 / p_value), i, 1 / ctx.q)
-    return out
-
-
-def apply_word(series: NovikovSeries, data: ToricData, fp: FixedPoint,
-               factors: Factors, ctx: SampleContext) -> NovikovSeries:
-    """The relation word prod (1 - q^{-r} U_j) over ``factors``' (j, r) pairs, in one pass.
-
-    U_j = prod_i P_i^{m_ij} / Lambda_j, and each P_i translates Q_i -> q Q_i
-    and scales by P_i(alpha), so at each degree d the coefficient is
-    multiplied once by prod 1 - q^{D_j(d) - r} w_j, the relation check's
-    K-theoretic product at the word's exponents.
-    """
-    word, exponents = _Word(_binomials(data, fp, ctx), factors), _exponents(data, factors)
-    return NovikovSeries(series.box, {d: c * Fraction(*word[exponents(d)])
-                                      for d, c in series.coeffs.items()}, series.mode)
-
-
 def apply_gamma_ratio(series: NovikovSeries, data: ToricData, j: int, lam_value,
                       ctx: SampleContext, pairings: dict | None = None) -> NovikovSeries:
     """The ratio of Gamma-operator symbols attached to column j, in finite form.
 
-    Acting on Q^d it multiplies by finite_ratio(lam, D_j(d), q), read from one
-    table over the depths of the support; no infinite products are ever
-    materialized.  ``pairings`` maps each support degree d to this module's
-    ``degree_pairing(data, d)``; it is computed here when not given.
+    Acting on Q^d it multiplies by the finite ratio of lam at depth D_j(d),
+    read from one ``ratio_table`` over the depths of the support; no infinite
+    products are ever materialized.  ``pairings`` maps each support degree d
+    to this module's ``degree_pairing(data, d)``; it is computed here when
+    not given.
     """
     if pairings is None:
         pairings = {d: degree_pairing(data, d) for d in series.coeffs}

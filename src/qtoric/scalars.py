@@ -23,8 +23,9 @@ probability), so the scalar layer provides
   order in eps = q/q0 - 1 and a lead (``LeadingTerm``), so a residue at q0
   needs no polynomial algebra,
 * dense univariate rational functions in q over big rationals (``QRational``),
-  which no library path uses: they are the reference the leading terms are
-  tested against.
+  which no library path uses: they are kept only as the hook the
+  benchmark's tracer counts, until the benchmark drops it; the dense
+  reference routes the tests build on them are ``tests/dense_oracle.py``.
 """
 
 from __future__ import annotations
@@ -209,30 +210,19 @@ def ratio_table(u_value, depths: Iterable[int], q=None, z=None) -> dict[int, Fra
     return table
 
 
-def finite_ratio(u_value, depth: int, q) -> Fraction:
-    """``ratio_table`` read at the single depth ``depth``."""
-    return ratio_table(u_value, (depth,), q)[depth]
-
-
 class LeadingTerm(NamedTuple):
     """lead * eps^order + O(eps^(order + 1)), with q = q0 (1 + eps) near a root point q0.
 
     A factor 1 - q^r u is its nonzero value at q0, or -r eps + O(eps^2)
-    where it vanishes there, so under * and / orders add and leads multiply.
+    where it vanishes there, so under * orders add and leads multiply.
     The r = 0 factor with u = 1 has lead 0: the exact zero of the kill rule.
     """
 
     order: int
     lead: Fraction
 
-    def __bool__(self) -> bool:  # false for the exact zero
-        return self.lead != 0
-
     def __mul__(self, other: "LeadingTerm") -> "LeadingTerm":
         return LeadingTerm(self.order + other.order, self.lead * other.lead)
-
-    def __truediv__(self, other: "LeadingTerm") -> "LeadingTerm":
-        return LeadingTerm(self.order - other.order, self.lead / other.lead)
 
     def residue(self) -> Fraction:
         """Residue of f(q) dq/q at q0, for an at-most-simple pole.
@@ -398,7 +388,7 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
 
 
 class QRational:
-    """Reduced ratio of two QPoly's: the dense reference for ``root_table``."""
+    """Reduced ratio of two QPoly's: the dense reference for the leading terms."""
 
     __slots__ = ("num", "den")
 
@@ -501,47 +491,3 @@ class QRational:
         if self.den == QPoly.constant(1):
             return f"({self.num})"
         return f"({self.num}) / ({self.den})"
-
-
-def q_factor(r: int, u_value) -> QRational:
-    """The factor 1 - q^r u with symbolic q; r may be negative."""
-    u = Fraction(u_value)
-    if r >= 0:
-        return QRational(QPoly.constant(1) - QPoly.q_power(r, u), QPoly.constant(1))
-    return QRational(QPoly.q_power(-r) - QPoly.constant(u), QPoly.q_power(-r))
-
-
-def finite_ratio_sym(u_value, depth: int) -> QRational:
-    """finite_ratio with q kept symbolic."""
-    out = QRational.constant(1)
-    if depth > 0:
-        for r in range(1, depth + 1):
-            out = out / q_factor(r, u_value)
-    else:
-        for r in range(depth + 1, 1):
-            out = out * q_factor(r, u_value)
-    return out
-
-
-def _root_multiplicity(p: QPoly, x0: Fraction) -> tuple[int, QPoly]:
-    """Multiplicity of x0 as a root of p, and p with those factors removed."""
-    mult = 0
-    divisor = QPoly((-Fraction(x0), Fraction(1)))
-    while not p.is_zero and p.evaluate(x0) == 0:
-        p, rem = p.divmod(divisor)
-        assert rem.is_zero
-        mult += 1
-    return mult, p
-
-
-def residue_at(f: QRational, q0) -> Fraction:
-    """Residue of f(q) dq/q at q = q0 (q0 != 0), for an at-most-simple pole."""
-    q0 = Fraction(q0)
-    if q0 == 0:
-        raise ValueError("residue_at expects q0 != 0; the dq/q pole at 0 is not handled")
-    mult, reduced = _root_multiplicity(f.den, q0)
-    if mult == 0:
-        return Fraction(0)
-    if mult > 1:
-        raise DoublePoleError(f"pole of order {mult} at q={q0}")
-    return f.num.evaluate(q0) / (q0 * reduced.evaluate(q0))

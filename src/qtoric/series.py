@@ -147,14 +147,11 @@ class NovikovSeries:
             )
         return Fraction(0)
 
-    def map_coefficients(self, fn: Callable) -> "NovikovSeries":
-        return NovikovSeries(self.box, {d: fn(c) for d, c in self.coeffs.items()}, self.mode)
-
     def map_with_degree(self, fn: Callable) -> "NovikovSeries":
         return NovikovSeries(self.box, {d: fn(d, c) for d, c in self.coeffs.items()}, self.mode)
 
     def scale(self, a) -> "NovikovSeries":
-        return self.map_coefficients(lambda c: c * a)
+        return self.map_with_degree(lambda d, c: c * a)
 
     def __add__(self, other: "NovikovSeries") -> "NovikovSeries":
         self._check_compatible(other)
@@ -162,9 +159,6 @@ class NovikovSeries:
         for d, c in other.coeffs.items():
             out[d] = out.get(d, Fraction(0)) + c
         return NovikovSeries(self.box, out, self.mode)
-
-    def __sub__(self, other: "NovikovSeries") -> "NovikovSeries":
-        return self + other.scale(-1)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, NovikovSeries)
@@ -179,23 +173,6 @@ class NovikovSeries:
     def __repr__(self) -> str:
         terms = ", ".join(f"Q^{d}: {c}" for d, c in sorted(self.coeffs.items()))
         return f"NovikovSeries({terms or '0'})"
-
-
-def constant_series(box: TruncationBox, value=1, mode: str = "k") -> NovikovSeries:
-    zero = tuple(0 for _ in range(box.data.K))
-    return NovikovSeries(box, {zero: Fraction(value)}, mode)
-
-
-def multiply(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
-    """Truncated product; sound when both supports pair positively with ample."""
-    a._check_compatible(b)
-    out: dict[Degree, object] = {}
-    for d1, c1 in a.coeffs.items():
-        for d2, c2 in b.coeffs.items():
-            d = tuple(x + y for x, y in zip(d1, d2))
-            if a.box.contains(d):
-                out[d] = out.get(d, Fraction(0)) + c1 * c2
-    return NovikovSeries(a.box, out, a.mode)
 
 
 def series_exp(s: NovikovSeries) -> NovikovSeries:
@@ -338,9 +315,10 @@ def point_series(monomials: Iterable[Sequence[int]], box: TruncationBox,
 
 def component_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
                      ctx: SampleContext, bundle: BundleData | None = None) -> NovikovSeries:
-    """The fixed-point component: coefficient of Q^d is
-    prod_j finite_ratio(U_j(alpha), D_j(d), q), times the bundle factors
-    finite_ratio(lam V_a(alpha), Delta_a(d), q)^{+-1} (+ for E, - for PiE).
+    """The fixed-point component: coefficient of Q^d is prod_j of the
+    universal finite ratio of U_j(alpha) at depth D_j(d) (``ratio_factor``),
+    times the bundle factors, the ratio of lam V_a(alpha) at depth
+    Delta_a(d), to the power +-1 (+ for E, - for PiE).
 
     The factors for j in J(alpha) have U_j(alpha) = 1, which reproduces the
     split between 1/prod(1-q^r) and the general ratio, and forces an exact

@@ -1,4 +1,4 @@
-"""Toric quotient data: fixed points, degree pairings, Mori cone, map spaces.
+"""Toric quotient data: fixed points, degree pairings, Mori cone, box degrees.
 
 A model is a K x N integer matrix whose columns express the divisor classes
 u_j in the basis p_1..p_K of the quotient torus, together with a chamber point
@@ -84,9 +84,6 @@ class ToricData:
         """The matrix columns, the divisor classes u_j in the basis p_1..p_K."""
         return tuple(zip(*self.m))
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return self.columns[j]
-
     def minor(self, subset: Sequence[int]) -> list[list[int]]:
         return [[self.m[i][j] for j in subset] for i in range(self.K)]
 
@@ -99,7 +96,8 @@ class FixedPoint:
     ``p_monomials[i]`` is P_i, ``u_monomials[j]`` the value of U_j, and
     ``q_monomials`` (aligned with J) are exponent tuples over Q_1..Q_K that
     re-encode the degree lattice so the exponent identity
-    Q^d = prod_{j in J} Q_j^{D_j(d)} holds.
+    Q^d = prod_{j in J} Q_j^{D_j(d)} holds; they generate the dual cone
+    Z_+^K at this fixed point.
     """
 
     J: tuple[int, ...]
@@ -107,11 +105,6 @@ class FixedPoint:
     p_monomials: tuple[tuple[int, ...], ...]
     u_monomials: tuple[tuple[int, ...], ...]
     q_monomials: tuple[tuple[int, ...], ...]
-
-    @property
-    def degree_generators(self) -> tuple[tuple[int, ...], ...]:
-        """Generators of the dual cone Z_+^K at this fixed point."""
-        return self.q_monomials
 
     def p_values(self, lambdas: Sequence[Fraction]) -> tuple[Fraction, ...]:
         return _evaluate_all(self.p_monomials, lambdas)
@@ -200,14 +193,6 @@ def _build_fixed_point(data: ToricData, subset: tuple[int, ...], det: int,
     )
 
 
-def fixed_point(data: ToricData, subset: Sequence[int]) -> FixedPoint:
-    want = tuple(sorted(subset))
-    for fp in enumerate_fixed_points(data):
-        if fp.J == want:
-            return fp
-    raise KeyError(f"{want} is not a fixed point of this model")
-
-
 def integral_degree(d: Sequence) -> tuple[int, ...]:
     """The degree d as a tuple of ints; a non-integral entry is a ValueError."""
     ints = tuple(map(int, d))
@@ -241,7 +226,7 @@ def _curve_classes(data: ToricData) -> tuple[tuple[int, ...], ...]:
     walls = Counter(fp.J[:i] + fp.J[i + 1:] for fp in fixed for i in range(data.K))
     classes: dict[tuple[int, ...], None] = {}
     for fp in fixed:
-        for i, g in enumerate(fp.degree_generators):
+        for i, g in enumerate(fp.q_monomials):
             if walls[fp.J[:i] + fp.J[i + 1:]] > 1:
                 classes[g] = None
     return tuple(classes)
@@ -310,68 +295,6 @@ def mori_generators(data: ToricData) -> list[tuple[int, ...]]:
                for rows in combinations(tight, data.K - 1)):
             rays.append(ray)
     return rays
-
-
-@dataclass(frozen=True)
-class ExtendedModel:
-    """Quotient data for a space of degree-d spheres.
-
-    Columns repeat each u_j once per copy in ``copies`` (pairs (j, r) with the
-    shifted parameter label); ``obstructions`` lists the (j, r) factors that a
-    negative intersection index moves into the numerator of the integration
-    formula, where they represent the obstruction-bundle Euler class.
-    """
-
-    data: ToricData
-    degree: tuple[int, ...]
-    copies: tuple[tuple[int, int], ...]
-    obstructions: tuple[tuple[int, int], ...]
-
-
-def map_space_model(data: ToricData, d: Sequence[int]) -> ExtendedModel:
-    """Extend the model by D_j(d) shifted copies of each column.
-
-    Copy count per column is max(D_j(d), 0) + 1 with labels shifted by r*z;
-    for D_j(d) < 0 the missing factors are recorded as obstruction metadata.
-    """
-    pairing = degree_pairing(data, d)
-    d = integral_degree(d)
-    columns: list[tuple[int, ...]] = []
-    labels: list[str] = []
-    copies: list[tuple[int, int]] = []
-    obstructions: list[tuple[int, int]] = []
-    for j in range(data.N):
-        base = data.lambda_names[j]
-        for r in range(max(pairing[j], 0) + 1):
-            columns.append(data.column(j))
-            if r == 0:
-                labels.append(base)
-            else:
-                labels.append(f"{base}+z" if r == 1 else f"{base}+{r}z")
-            copies.append((j, r))
-        if pairing[j] < 0:
-            for r in range(1, -pairing[j] + 1):
-                obstructions.append((j, r))
-    extended = ToricData(
-        m=tuple(tuple(col[i] for col in columns) for i in range(data.K)),
-        omega=data.omega,
-        lambda_names=tuple(labels),
-        name=f"{data.name}[d={d}]" if data.name else "",
-    )
-    return ExtendedModel(
-        data=extended,
-        degree=d,
-        copies=tuple(copies),
-        obstructions=tuple(obstructions),
-    )
-
-
-def equivariant_p_values(
-    data: ToricData, fp: FixedPoint, lambdas: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """The solution of sum_i p_i m_ij = lambda_j, j in J: p_i = sum_j e_ij lambda_j
-    for P_i = prod_j Lambda_j^{e_ij}, the weights the unimodular inverse gave P_i."""
-    return _weighted_sums(fp.p_monomials, lambdas)
 
 
 def divisor_values(

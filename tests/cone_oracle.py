@@ -109,7 +109,7 @@ def dual_cone_union(data) -> tuple[tuple[int, ...], ...]:
     """Every fixed point's dual-cone generators, each at its first occurrence."""
     gens: list[tuple[int, ...]] = []
     for fp in enumerate_fixed_points(data):
-        for g in fp.degree_generators:
+        for g in fp.q_monomials:
             if g not in gens:
                 gens.append(g)
     return tuple(gens)

@@ -1,5 +1,5 @@
 """Fraction routes for the tests: localization sums, fixed-point values and
-class expressions.
+class expressions, and the extended model of a space of degree-d spheres.
 
 ``qtoric.localization`` builds each residue term from ints over the sample's
 common denominator and normalises it once, ``qtoric.toric._weighted_sums``
@@ -7,13 +7,16 @@ sums integer numerators, and ``qtoric.exprs`` compiles a class expression
 into closures at parse.  These are the ``Fraction`` routines they replaced,
 kept as an independent route: every step is a ``Fraction`` operation, and an
 expression is read by walking its tree.  The integrals divide each term by
-the tangent Euler class alone, as the library does.
+the tangent Euler class alone, as the library does.  ``map_space_model``
+builds the extended model whose obstructions this ``map_space_integral``
+reads; the library reads them off the degree pairing.
 """
 
 from __future__ import annotations
 
 import ast
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
@@ -25,7 +28,7 @@ from qtoric.toric import (
     ToricData,
     degree_pairing,
     enumerate_fixed_points,
-    map_space_model,
+    integral_degree,
 )
 
 # -- toric: the additive fixed-point values ----------------------------------
@@ -74,6 +77,63 @@ def evaluate_tree(tree: ast.expr, env: Mapping[str, Fraction]) -> Fraction:
         raise ExprError("expression nested too deeply", 0) from None
     except ZeroDivisionError:  # a / 0 or 0^-k
         raise ZeroDivisorError("division by zero in class expression") from None
+
+
+# -- the extended model of a space of degree-d spheres ---------------------------
+
+
+@dataclass(frozen=True)
+class ExtendedModel:
+    """Quotient data for a space of degree-d spheres.
+
+    Columns repeat each u_j once per copy in ``copies`` (pairs (j, r) with the
+    shifted parameter label); ``obstructions`` lists the (j, r) factors that a
+    negative intersection index moves into the numerator of the integration
+    formula, where they represent the obstruction-bundle Euler class.
+    """
+
+    data: ToricData
+    degree: tuple[int, ...]
+    copies: tuple[tuple[int, int], ...]
+    obstructions: tuple[tuple[int, int], ...]
+
+
+def map_space_model(data: ToricData, d: Sequence[int]) -> ExtendedModel:
+    """Extend the model by D_j(d) shifted copies of each column.
+
+    Copy count per column is max(D_j(d), 0) + 1 with labels shifted by r*z;
+    for D_j(d) < 0 the missing factors are recorded as obstruction metadata.
+    """
+    pairing = degree_pairing(data, d)
+    d = integral_degree(d)
+    columns: list[tuple[int, ...]] = []
+    labels: list[str] = []
+    copies: list[tuple[int, int]] = []
+    obstructions: list[tuple[int, int]] = []
+    for j in range(data.N):
+        base = data.lambda_names[j]
+        for r in range(max(pairing[j], 0) + 1):
+            columns.append(data.columns[j])
+            if r == 0:
+                labels.append(base)
+            else:
+                labels.append(f"{base}+z" if r == 1 else f"{base}+{r}z")
+            copies.append((j, r))
+        if pairing[j] < 0:
+            for r in range(1, -pairing[j] + 1):
+                obstructions.append((j, r))
+    extended = ToricData(
+        m=tuple(tuple(col[i] for col in columns) for i in range(data.K)),
+        omega=data.omega,
+        lambda_names=tuple(labels),
+        name=f"{data.name}[d={d}]" if data.name else "",
+    )
+    return ExtendedModel(
+        data=extended,
+        degree=d,
+        copies=tuple(copies),
+        obstructions=tuple(obstructions),
+    )
 
 
 # -- localization: the sums ----------------------------------------------------

@@ -6,7 +6,7 @@ leading terms at a root point q0) and multiplies the N table entries of each
 degree.  It shares the factors with ``qtoric.series``'s walk over the box,
 but none of the walk: no neighbours, no crossed depths, no zero test.
 ``bundle_factor`` is a bundle's fibre contribution at one degree, each
-summand's ratio rebuilt from r = 1 by ``finite_ratio``.
+summand's ratio rebuilt from r = 1 by a ``ratio_table`` of its own.
 """
 
 from __future__ import annotations
@@ -20,12 +20,16 @@ from qtoric.scalars import (
     LeadingTerm,
     PoleError,
     SampleContext,
-    finite_ratio,
     ratio_table,
     root_factor,
 )
 from qtoric.series import BundleData
 from qtoric.toric import FixedPoint, ToricData, degree_pairing, divisor_values
+
+
+def divide(a: LeadingTerm, b: LeadingTerm) -> LeadingTerm:
+    """The leading term of a quotient: orders subtract and leads divide."""
+    return LeadingTerm(a.order - b.order, a.lead / b.lead)
 
 
 def root_table(u_value, depths, q0) -> dict[int, LeadingTerm]:
@@ -39,7 +43,7 @@ def root_table(u_value, depths, q0) -> dict[int, LeadingTerm]:
     table = {0: LeadingTerm(0, Fraction(1))}
     value = table[0]
     for r in range(1, max(depths, default=0) + 1):
-        value /= factor(r)
+        value = divide(value, factor(r))
         table[r] = value
     value = table[0]
     for r in range(0, min(depths, default=0), -1):
@@ -83,13 +87,14 @@ def residues(data, fp, box, ctx, q0) -> dict:
 
 def bundle_factor(data: ToricData, fp: FixedPoint, bundle: BundleData,
                   d: Sequence[int], ctx: SampleContext) -> Fraction:
-    """The fiber contribution at one degree: prod_a finite_ratio(lam V_a, Delta_a)^{+-1}."""
+    """The fiber contribution at one degree: prod_a of the ratio of lam V_a at
+    depth Delta_a, to the power +-1."""
     pvals = fp.p_values(ctx.Lambda)
     fibers = bundle.fiber_values(pvals)
     deltas = bundle.delta(d)
     out = Fraction(1)
     for a in range(bundle.L):
-        fr = finite_ratio(ctx.lam * fibers[a], deltas[a], ctx.q)
+        fr = ratio_table(ctx.lam * fibers[a], (deltas[a],), ctx.q)[deltas[a]]
         if bundle.parity == "E":
             out = out * fr
         else:

@@ -3,7 +3,7 @@
 ``qtoric.recursion`` builds the recursion coefficient along two routes, each
 a product of int pairs normalised once.  These are the ``Fraction`` routines
 they replaced, kept unchanged as an independent route: the residue-formula
-arrangement through ``finite_ratio`` at the root point, and the weights of
+arrangement through ``ratio_table`` at the root point, and the weights of
 the binary-form monomials, every step a ``Fraction`` operation.
 """
 
@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from qtoric.localization import cotangent_euler
+from localization_oracle import cotangent_euler
 from qtoric.recursion import OrbitData
-from qtoric.scalars import DegenerateSampleError, PoleError, SampleContext, finite_ratio
+from qtoric.scalars import DegenerateSampleError, PoleError, SampleContext, ratio_table
 from qtoric.toric import ToricData, degree_pairing
 
 
@@ -44,7 +44,8 @@ def edge_euler_class(data: ToricData, orbit: OrbitData, m: int, ctx: SampleConte
     for j in range(data.N):
         if j == orbit.j0:
             continue
-        fr = finite_ratio(uvals[j], m * pairing[j], q0)
+        depth = m * pairing[j]
+        fr = ratio_table(uvals[j], (depth,), q0)[depth]
         if fr == 0:
             raise PoleError(0, uvals[j])
         out /= fr

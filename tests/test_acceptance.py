@@ -13,6 +13,7 @@ from itertools import product
 from math import comb
 
 import ratio_oracle
+from helpers import fixed_point
 from qtoric.kirwan import kirwan_relations
 from qtoric.localization import cohomology_integral, ktheory_trace, map_space_integral
 from qtoric.models import hirzebruch, product_of_lines, projective_space
@@ -39,7 +40,7 @@ from qtoric.series import (
     point_series,
     truncation_box,
 )
-from qtoric.toric import ToricData, degree_pairing, enumerate_fixed_points, fixed_point
+from qtoric.toric import ToricData, degree_pairing, enumerate_fixed_points
 
 ALL_MODELS = [projective_space(1), projective_space(2), hirzebruch(), product_of_lines()]
 
@@ -65,7 +66,7 @@ def test_criterion_1_f1_structure():
         assert list(kirwan_relations(f1)) == [(0, 1), (2, 3)]
         # U_1 = P_1/L1, U_2 = P_1/L2, U_3 = P_2/L3, U_4 = P_2 P_1^{-1}/L4:
         # the exponent table is the matrix columns.
-        assert [f1.column(j) for j in range(4)] == [(1, 0), (1, 0), (0, 1), (-1, 1)]
+        assert list(f1.columns) == [(1, 0), (1, 0), (0, 1), (-1, 1)]
         # restrictions at alpha = {1,3}: U = (1, L1/L2, 1, L3/(L1 L4))
         a13 = fixed_point(f1, (0, 2))
         assert a13.u_monomials == (

@@ -127,7 +127,7 @@ def test_oracle_in_cone_needs_combination(dp6):
     overall, flags = mori_cone_membership(dp6, (-1, 1, 1, 1))
     assert overall and not any(flags)
     assert in_cone(raw_generators(dp6), (-1, 1, 1, 1))
-    assert not any(in_cone(fp.degree_generators, (-1, 1, 1, 1))
+    assert not any(in_cone(fp.q_monomials, (-1, 1, 1, 1))
                    for fp in enumerate_fixed_points(dp6))
 
 

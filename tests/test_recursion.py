@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import fixed_point
 from linalg_oracle import solve_square
 from test_extra_models import EXTRA
 from qtoric.models import bundled_model_names, load_bundled_model
 from qtoric.recursion import (
     OrbitInvariantError,
+    _coefficient_pairs,
     all_orbits,
-    cotangent_euler,
     edge_euler_class,
     edge_euler_class_from_forms,
     orbit_data,
@@ -18,7 +19,8 @@ from qtoric.recursion import (
 )
 from qtoric.scalars import power_product, sample_context
 from qtoric.series import truncation_box
-from qtoric.toric import ToricData, degree_pairing, enumerate_fixed_points, fixed_point
+from qtoric.localization import _cotangent_pair
+from qtoric.toric import ToricData, degree_pairing, enumerate_fixed_points
 
 
 def test_orbit_p1(p1):
@@ -135,13 +137,13 @@ def test_cotangent_euler_values(p1, f1):
     ctx = sample_context(p1.N, 3)
     alpha = fixed_point(p1, (0,))
     u = ctx.Lambda[0] / ctx.Lambda[1]
-    assert cotangent_euler(p1, alpha, ctx) == 1 - u
+    assert Fraction(*_cotangent_pair(p1, alpha, ctx)) == 1 - u
 
     ctx4 = sample_context(f1.N, 3)
     a13 = fixed_point(f1, (0, 2))
     L = ctx4.Lambda
     expected = (1 - L[0] / L[1]) * (1 - L[2] / (L[0] * L[3]))
-    assert cotangent_euler(f1, a13, ctx4) == expected
+    assert Fraction(*_cotangent_pair(f1, a13, ctx4)) == expected
 
 
 def test_cotangent_euler_point_is_one():
@@ -149,7 +151,7 @@ def test_cotangent_euler_point_is_one():
     data = ToricData(m=((1, 0), (0, 1)), omega=(Fraction(1), Fraction(1)))
     ctx = sample_context(2, 5)
     fp = enumerate_fixed_points(data)[0]
-    assert cotangent_euler(data, fp, ctx) == 1
+    assert Fraction(*_cotangent_pair(data, fp, ctx)) == 1
 
 
 def test_root_context_realizes_power(p1):
@@ -161,6 +163,19 @@ def test_root_context_realizes_power(p1):
     again, mu2 = root_context(p1, orbit, 2, seed=7)
     ctx2, mu3 = root_context(p1, orbit, 2, seed=7)
     assert again == ctx2 and mu2 == mu3
+
+
+def test_a_context_off_the_orbit_character_is_refused(f1):
+    # root_context realizes the orbit character as mu^m; with mu + 1 in place
+    # of mu it is not, and the recursion coefficient refuses the pair.
+    orbit = all_orbits(f1)[0]
+    ctx, mu = root_context(f1, orbit, 2, seed=5)
+    refusal = r"^context does not realize the orbit character as mu\^m$"
+    for route in (_coefficient_pairs, edge_euler_class):
+        with pytest.raises(ValueError, match=refusal):
+            route(f1, orbit, 2, ctx, mu + 1)
+    assert edge_euler_class(f1, orbit, 2, ctx, mu) == \
+        edge_euler_class_from_forms(f1, orbit, 2, ctx, mu)
 
 
 def test_euler_class_m1_p1_hand_value(p1):

@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import finite_ratio_sym, residue_at
 from qtoric.scalars import (
     DoublePoleError,
     PoleError,
     QPoly,
     QRational,
     binomial,
-    finite_ratio,
-    finite_ratio_sym,
     linear,
     power_product,
     ratio_factor,
     ratio_table,
-    residue_at,
     root_factor,
     sample_context,
     with_resampling,
@@ -118,22 +116,22 @@ def test_monomial_value_matches_the_plain_product(values, exps):
 def test_finite_ratio_cases():
     q = Fraction(2, 3)
     u = Fraction(5, 7)
-    assert finite_ratio(u, 0, q) == 1
-    assert finite_ratio(Fraction(1), 2, q) == 1 / ((1 - q) * (1 - q ** 2))
-    assert finite_ratio(u, -1, q) == 1 - u
+    assert ratio_table(u, (0,), q)[0] == 1
+    assert ratio_table(Fraction(1), (2,), q)[2] == 1 / ((1 - q) * (1 - q ** 2))
+    assert ratio_table(u, (-1,), q)[-1] == 1 - u
 
 
 def test_finite_ratio_kill_rule():
     # U = 1 with negative depth hits the r = 0 numerator factor: exact zero.
-    assert finite_ratio(Fraction(1), -1, Fraction(1, 2)) == 0
-    assert finite_ratio(Fraction(1), -3, Fraction(1, 2)) == 0
+    assert ratio_table(Fraction(1), (-1,), Fraction(1, 2))[-1] == 0
+    assert ratio_table(Fraction(1), (-3,), Fraction(1, 2))[-3] == 0
 
 
 def test_finite_ratio_pole_error_carries_data():
     # 1 - q^1 u = 0 at u = 1/q
     q = Fraction(1, 2)
     with pytest.raises(PoleError) as info:
-        finite_ratio(Fraction(2), 1, q)
+        ratio_table(Fraction(2), (1,), q)
     assert info.value.r == 1
     assert info.value.value == 2
 
@@ -141,11 +139,11 @@ def test_finite_ratio_pole_error_carries_data():
 @given(u=fractions, q=fractions, depth=small_ints, extra=small_ints)
 @settings(max_examples=60, deadline=None)
 def test_finite_ratio_telescoping(u, q, depth, extra):
-    # finite_ratio(u, D+E, q) = finite_ratio(u, D, q) * finite_ratio(u q^D, E, q)
+    # The ratio of u at depth D + E is its ratio at D times the ratio of u q^D at E.
     try:
-        whole = finite_ratio(u, depth + extra, q)
-        left = finite_ratio(u, depth, q)
-        right = finite_ratio(u * q ** depth, extra, q)
+        whole = ratio_table(u, (depth + extra,), q)[depth + extra]
+        left = ratio_table(u, (depth,), q)[depth]
+        right = ratio_table(u * q ** depth, (extra,), q)[extra]
     except PoleError:
         return
     assert whole == left * right
@@ -156,7 +154,7 @@ def test_finite_ratio_symbolic_matches_evaluated():
     for depth in range(-3, 4):
         sym = finite_ratio_sym(u, depth)
         for q in (Fraction(2, 7), Fraction(-3, 4)):
-            assert sym.evaluate(q) == finite_ratio(u, depth, q)
+            assert sym.evaluate(q) == ratio_table(u, (depth,), q)[depth]
 
 
 def direct_ratio(factor, depth):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fixed_point
 from linalg_oracle import determinant, solve_square
+from localization_oracle import map_space_model
 from qtoric.models import projective_space
 from qtoric.scalars import sample_context
 from qtoric.toric import (
@@ -16,9 +18,7 @@ from qtoric.toric import (
     box_degrees,
     degree_pairing,
     enumerate_fixed_points,
-    fixed_point,
     format_monomial,
-    map_space_model,
     mori_cone_membership,
     mori_generators,
 )
@@ -48,10 +48,7 @@ def test_projective_space_count(n):
 def test_f1_u_monomial_table(f1):
     # U_1 = P_1/L1, U_2 = P_1/L2, U_3 = P_2/L3, U_4 = P_2 P_1^{-1}/L4,
     # read off the matrix columns; restrictions below.
-    assert f1.column(0) == (1, 0)
-    assert f1.column(1) == (1, 0)
-    assert f1.column(2) == (0, 1)
-    assert f1.column(3) == (-1, 1)
+    assert f1.columns == ((1, 0), (1, 0), (0, 1), (-1, 1))
     alpha = fixed_point(f1, (0, 2))
     assert alpha.u_monomials[0] == (0, 0, 0, 0)
     assert alpha.u_monomials[1] == (1, -1, 0, 0)    # L1/L2

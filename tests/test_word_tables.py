@@ -1,8 +1,9 @@
 """Per-call tables against per-degree formulas.
 
-``qdiff.apply_word`` builds one multiplier per distinct exponent tuple, and
-the relation check behind ``verify_shifted_identity`` and
-``verify_coh_relation`` one product per side and exponent tuple; the box
+``qdiff._Word`` builds one multiplier per distinct exponent tuple (applied
+to a whole series by ``word_oracle.apply_word_table``), and the relation
+check behind ``verify_shifted_identity`` and ``verify_coh_relation`` one
+product per side and exponent tuple; the box
 keeps its degrees' pairing rows, canonical keys and predecessor positions.
 Each is compared with the formula it replaces (``word_oracle``,
 ``degree_pairing``) at every box degree, on the bundled models, on the rank
@@ -23,7 +24,6 @@ from qtoric.qdiff import (
     _binomials,
     _relation_sides,
     _verify_shift,
-    apply_word,
     verify_coh_relation,
     verify_shifted_identity,
 )
@@ -100,7 +100,7 @@ def test_word_multipliers_match_the_per_degree_formula(name):
     s = dense_series(box, 3)
     for fp in enumerate_fixed_points(data):
         for word in words(data):
-            assert (apply_word(s, data, fp, word, ctx)
+            assert (word_oracle.apply_word_table(s, data, fp, word, ctx)
                     == word_oracle.apply_word(s, data, fp, word, ctx)), (fp.J, word)
 
 

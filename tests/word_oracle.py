@@ -10,17 +10,23 @@ fixed point from ``degree_pairing``, and ``k_relation_failures`` does the
 same with the words for the K-theoretic relation of any shift.
 ``qtoric.qdiff`` builds each distinct multiplier or product once per call
 and looks it up; these are the formulas it must agree with at every box
-degree.  ``shift_by_degree`` is Q^{d0} as a
-re-keyed series, the composable form the operator tests build words from.
+degree.  ``apply_word_table`` scales a series by the check's own per-call
+table (``qdiff._Word``), one multiplier per distinct exponent tuple.
+
+The operators a word is made of: ``apply_translation`` (Q_i -> q Q_i),
+``apply_p`` (the shift operator P_i, composed ``power`` times), and
+``shift_by_degree``, Q^{d0} as a re-keyed series, the composable form the
+operator tests build words from.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from qtoric.qdiff import CheckResult
-from qtoric.scalars import SampleContext, TruncationError
+from qtoric.qdiff import CheckResult, _binomials, _exponents, _Word
+from qtoric.scalars import SampleContext, TruncationError, power_product
 from qtoric.series import NovikovSeries
 from qtoric.toric import (
     FixedPoint,
@@ -49,6 +55,42 @@ def apply_word(series: NovikovSeries, data: ToricData, fp: FixedPoint,
                factors: Sequence[tuple[int, int]], ctx: SampleContext) -> NovikovSeries:
     multiplier = word_multiplier(data, fp, factors, ctx)
     return series.map_with_degree(lambda d, c: c * multiplier(d))
+
+
+def apply_translation(series: NovikovSeries, i: int, q) -> NovikovSeries:
+    """Q_i -> q Q_i: the coefficient at d picks up q^{d_i}."""
+    return series.map_with_degree(lambda d, c: c * q ** d[i])
+
+
+def apply_p(series: NovikovSeries, i: int, fp: FixedPoint, ctx: SampleContext,
+            power: int = 1) -> NovikovSeries:
+    """The shift operator P_i on an alpha-component, composed ``power`` times.
+
+    One application is translate-then-scale by P_i(alpha); negative powers
+    compose the exact inverse (scale by P_i(alpha)^{-1}, then untranslate).
+    """
+    p_value = power_product(ctx.Lambda, fp.p_monomials[i])
+    out = series
+    for _ in range(abs(power)):
+        if power > 0:
+            out = apply_translation(out, i, ctx.q).scale(p_value)
+        else:
+            out = apply_translation(out.scale(1 / p_value), i, 1 / ctx.q)
+    return out
+
+
+def apply_word_table(series: NovikovSeries, data: ToricData, fp: FixedPoint,
+                     factors: Sequence[tuple[int, int]], ctx: SampleContext) -> NovikovSeries:
+    """The relation word prod (1 - q^{-r} U_j) over ``factors``' (j, r) pairs, in one pass.
+
+    U_j = prod_i P_i^{m_ij} / Lambda_j, and each P_i translates Q_i -> q Q_i
+    and scales by P_i(alpha), so at each degree d the coefficient is
+    multiplied once by prod 1 - q^{D_j(d) - r} w_j, the relation check's
+    K-theoretic product at the word's exponents.
+    """
+    word, exponents = _Word(_binomials(data, fp, ctx), factors), _exponents(data, factors)
+    return NovikovSeries(series.box, {d: c * Fraction(*word[exponents(d)])
+                                      for d, c in series.coeffs.items()}, series.mode)
 
 
 def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
