@@ -29,17 +29,15 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .series import BundleData
 from .toric import ToricData
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     line: int
     message: str
@@ -54,8 +52,7 @@ class ModelFormatError(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class ModelFile:
+class ModelFile(NamedTuple):
     """A parsed model: quotient data plus optional bundle and run defaults."""
 
     data: ToricData
@@ -250,15 +247,18 @@ def parse_model(path: str | Path) -> ModelFile:
     return parse_model_text(path.read_text())
 
 
+# The package's data directory, beside this file: ``importlib.resources``
+# would add its own imports (and ``inspect`` from Python 3.12) to every start.
+_BUNDLED = Path(__file__).parent / "data"
+
+
 def bundled_model_names() -> list[str]:
-    root = resources.files("qtoric").joinpath("data")
-    return sorted(p.name[:-len(".model")] for p in root.iterdir()
+    return sorted(p.name[:-len(".model")] for p in _BUNDLED.iterdir()
                   if p.name.endswith(".model"))
 
 
 def load_bundled_model(name: str) -> ModelFile:
-    root = resources.files("qtoric").joinpath("data")
-    candidate = root.joinpath(f"{name}.model")
+    candidate = _BUNDLED / f"{name}.model"
     if not candidate.is_file():
         raise FileNotFoundError(f"no bundled model named {name!r}")
     return parse_model_text(candidate.read_text())

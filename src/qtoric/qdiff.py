@@ -27,9 +27,8 @@ coefficients are never multiplied.  An absent coefficient is None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .scalars import SampleContext, binomial, linear, power_product, ratio_table
 from .series import (
@@ -91,8 +90,7 @@ def gamma_reconstruction(data: ToricData, fp: FixedPoint, box: TruncationBox,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     label: str
     ok: bool
     failures: list

@@ -22,8 +22,8 @@ off the box it is not effective and its coefficient is an exact zero.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .localization import _cotangent_pair
 from .scalars import (
@@ -50,8 +50,7 @@ class OrbitInvariantError(InvalidModelError):
     """The orbit data violates a structural identity; bad input data."""
 
 
-@dataclass(frozen=True)
-class OrbitData:
+class OrbitData(NamedTuple):
     """An alpha -> beta edge of the fixed-point graph.
 
     ``j0`` enters (j0 not in J(alpha)), ``j0_prime`` leaves, ``d_ab`` is the

@@ -31,7 +31,6 @@ probability), so the scalar layer provides
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -58,8 +57,7 @@ class TruncationError(ValueError):
     """A coefficient outside the reliable truncation range was requested."""
 
 
-@dataclass(frozen=True)
-class SampleContext:
+class SampleContext(NamedTuple):
     """One evaluation assignment for all scalar parameters.
 
     ``q`` and ``z`` belong to the two independent modes (no bookkeeping
@@ -73,7 +71,7 @@ class SampleContext:
     z: Fraction
 
     def with_q(self, q) -> "SampleContext":
-        return replace(self, q=Fraction(q))
+        return self._replace(q=Fraction(q))
 
 
 def random_fraction(rng: random.Random, *, signed: bool = False) -> Fraction:

@@ -19,7 +19,6 @@ is the family of its components, never a mixed object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -50,8 +49,14 @@ from .toric import (
 Degree = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TruncationBox:
+class _BoxFields(NamedTuple):
+    data: ToricData
+    ample: tuple[Fraction, ...]
+    bound: Fraction
+    degrees: tuple[Degree, ...]
+
+
+class TruncationBox(_BoxFields):
     """Keep a degree iff it is effective and pairs with ``ample`` below ``bound``.
 
     What depends only on the box is computed on first use and kept: ``keys``
@@ -59,13 +64,9 @@ class TruncationBox:
     canonical int tuple; ``pairings`` holds the pairing rows D(d), from this
     module's ``degree_pairing``, that every component walk reads; and
     ``predecessors``, aligned with ``degrees``, lists (position of d - e_i, i)
-    for each i with d - e_i in the box.
+    for each i with d - e_i in the box.  A subclass of the field tuple, it
+    keeps an instance dict for them.
     """
-
-    data: ToricData
-    ample: tuple[Fraction, ...]
-    bound: Fraction
-    degrees: tuple[Degree, ...]
 
     @cached_property
     def keys(self) -> dict[Degree, Degree]:
@@ -213,23 +214,25 @@ def adams(series: NovikovSeries, k: int) -> NovikovSeries:
     return NovikovSeries(series.box, out, series.mode)
 
 
-@dataclass(frozen=True)
-class BundleData:
-    """A split toric bundle sum_{a} V_a with V_a = prod_i P_i^{l_ia}.
-
-    ``parity`` selects the even bundle ("E": the series divides by the fiber
-    Euler factors) or the odd one ("PiE": it multiplies by them).
-    """
-
+class _BundleFields(NamedTuple):
     exponents: tuple[tuple[int, ...], ...]  # K rows, L columns
     parity: str = "E"
 
-    def __post_init__(self):
-        if self.parity not in ("E", "PiE"):
+
+class BundleData(_BundleFields):
+    """A split toric bundle sum_{a} V_a with V_a = prod_i P_i^{l_ia}.
+
+    ``parity`` selects the even bundle ("E": the series divides by the fiber
+    Euler factors) or the odd one ("PiE": it multiplies by them).  The
+    constructor makes the exponents int rows; ``_replace`` and ``_make`` skip
+    it, so they must start from normalised fields.
+    """
+
+    def __new__(cls, exponents, parity="E"):
+        if parity not in ("E", "PiE"):
             raise ValueError("parity must be 'E' or 'PiE'")
-        object.__setattr__(
-            self, "exponents", tuple(tuple(int(x) for x in row) for row in self.exponents)
-        )
+        return super().__new__(cls, tuple(tuple(int(x) for x in row) for row in exponents),
+                               parity)
 
     @property
     def L(self) -> int:

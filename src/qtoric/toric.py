@@ -10,13 +10,12 @@ downstream formulas assume it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import adjugate, determinant
 from .scalars import common_denominator, power_product
@@ -27,7 +26,8 @@ class InvalidModelError(ValueError):
 
 
 class NonRegularChamberError(InvalidModelError):
-    """omega sits on a cone wall (some coefficient vanishes): not a regular value."""
+    """omega sits on a cone wall (a coefficient vanishes, none is negative):
+    not a regular value."""
 
 
 class NonSmoothModelError(InvalidModelError):
@@ -41,19 +41,25 @@ class NonSmoothModelError(InvalidModelError):
         self.det = det
 
 
-@dataclass(frozen=True)
-class ToricData:
-    """The single source of truth for a model: the matrix, chamber point, labels."""
-
+class _ToricFields(NamedTuple):
     m: tuple[tuple[int, ...], ...]
     omega: tuple[Fraction, ...]
     lambda_names: tuple[str, ...] = ()
     name: str = ""
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.m)
-        object.__setattr__(self, "m", rows)
-        object.__setattr__(self, "omega", tuple(Fraction(x) for x in self.omega))
+
+class ToricData(_ToricFields):
+    """The single source of truth for a model: the matrix, chamber point, labels.
+
+    The constructor normalises the fields (int rows, ``Fraction`` omega,
+    labels ``L1..LN`` by default) and validates their shapes; ``_replace``
+    and ``_make`` skip it, so they must start from normalised fields.  A
+    subclass of the field tuple, it keeps an instance dict for ``columns``.
+    """
+
+    def __new__(cls, m, omega, lambda_names=(), name=""):
+        rows = tuple(tuple(int(x) for x in row) for row in m)
+        omega = tuple(Fraction(x) for x in omega)
         k = len(rows)
         if k < 1:
             raise InvalidModelError("need at least one matrix row")
@@ -62,14 +68,13 @@ class ToricData:
             raise InvalidModelError("matrix rows have unequal lengths")
         if n < k:
             raise InvalidModelError(f"need N >= K, got K={k}, N={n}")
-        if len(self.omega) != k:
+        if len(omega) != k:
             raise InvalidModelError(f"omega must have {k} coordinates")
-        if not self.lambda_names:
-            object.__setattr__(
-                self, "lambda_names", tuple(f"L{j+1}" for j in range(n))
-            )
-        elif len(self.lambda_names) != n:
+        if not lambda_names:
+            lambda_names = tuple(f"L{j+1}" for j in range(n))
+        elif len(lambda_names) != n:
             raise InvalidModelError("need one parameter label per column")
+        return super().__new__(cls, rows, omega, lambda_names, name)
 
     @property
     def K(self) -> int:
@@ -88,8 +93,7 @@ class ToricData:
         return [[self.m[i][j] for j in subset] for i in range(self.K)]
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     """A fixed point: its index subset and the monomial data localized there.
 
     A Laurent monomial in the equivariant parameters is its exponent tuple:
@@ -147,7 +151,7 @@ def enumerate_fixed_points(data: ToricData) -> tuple[FixedPoint, ...]:
         if adj is None:
             continue
         scaled = [det * _dot(row, omega) for row in adj]
-        if any(c == 0 for c in scaled):
+        if min(scaled) == 0:
             raise NonRegularChamberError(
                 f"omega lies on the wall of cone {tuple(j + 1 for j in subset)}"
             )

@@ -10,7 +10,6 @@ recursion takes.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -65,7 +64,7 @@ def test_residue_matches_dense_oracle(name, m):
             dense = dense_coefficient(data, orbit.alpha, d, ctx)
             expected[d] = outcome(lambda: residue_at(dense, q0))
             # The library route on a box of this one degree.
-            alone = replace(box, degrees=(d,))
+            alone = box._replace(degrees=(d,))
             got = outcome(lambda: component_residues(data, orbit.alpha, alone, ctx, q0))
             got = got if isinstance(got, type) else got.get(d, 0)
             assert got == expected[d], (name, m, orbit.alpha.J, d)

@@ -401,6 +401,24 @@ def test_cli_on_the_eight_ray_surface(capsys):
         assert report["result"]["value"] == report["result"]["direct_integral"] == value
 
 
+THREEFOLD7_PATH = str(Path(__file__).parent / "data" / "threefold7.model")
+
+
+def test_cli_on_the_seven_ray_threefold(capsys):
+    # Four of its minors give omega a zero chamber coefficient beside a
+    # negative one: omega lies outside those cones, not on a wall.
+    code, report = run(["inspect", THREEFOLD7_PATH], capsys)
+    assert code == 0 and report["ok"]
+    assert len(report["result"]["fixed_points"]) == 10
+    assert report["result"]["mori_generators"] == [
+        [0, -1, 0, 1], [1, 1, 0, -1], [0, -1, 1, 0], [1, 1, -1, 0], [-2, -1, 1, 1]]
+    code, report = run(["trace", THREEFOLD7_PATH, "--phi", "1", "--samples", "2"], capsys)
+    assert code == 0 and report["ok"]
+    assert [v["value"] for v in report["result"]["values"]] == ["1", "1"]
+    code, report = run(["verify-dq", THREEFOLD7_PATH, "--deg", "2"], capsys)
+    assert code == 0 and report["ok"]
+
+
 def test_cli_ifunction_with_bundle(capsys):
     code, report = run(["ifunction", "p2_o1_o2", "--deg", "2", "--bundle"], capsys)
     assert code == 0

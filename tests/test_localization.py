@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -411,7 +410,7 @@ def permuted(data, ctx, perm):
     """The model with column perm[j] in place j, and the sample's lambdas alike."""
     columns = tuple(tuple(row[j] for j in perm) for row in data.m)
     return (ToricData(m=columns, omega=data.omega),
-            dataclasses.replace(ctx, Lambda=tuple(ctx.Lambda[j] for j in perm)))
+            ctx._replace(Lambda=tuple(ctx.Lambda[j] for j in perm)))
 
 
 @pytest.mark.parametrize("name", [*bundled_model_names(), "dp6"])

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -128,7 +127,7 @@ def test_swapped_u_monomials_are_an_orbit_invariant_error(name):
         a, b = next((a, b) for a in range(data.N) for b in range(a)
                     if orbit.j0_prime not in (a, b) and us[a] != us[b])
         us[a], us[b] = us[b], us[a]
-        swapped = {**fixed, orbit.beta.J: replace(orbit.beta, u_monomials=tuple(us))}
+        swapped = {**fixed, orbit.beta.J: orbit.beta._replace(u_monomials=tuple(us))}
         with pytest.raises(OrbitInvariantError):
             orbit_data(data, orbit.alpha, orbit.j0, swapped)
 

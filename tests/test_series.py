@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from types import SimpleNamespace
@@ -428,7 +427,7 @@ def _crafted_fibres(p2, toric, s, t):
     ctx = sample_context(p2.N, 43)
     fp = SimpleNamespace(J=(0,), u_values=lambda _: (Fraction(1), *toric),
                          p_values=lambda _: (ctx.q ** t,))
-    return fp, replace(ctx, lam=ctx.q ** s)
+    return fp, ctx._replace(lam=ctx.q ** s)
 
 
 def test_bundle_walk_raises_the_oracles_first_error_at_crafted_poles(p2):

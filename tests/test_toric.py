@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import fixed_point
@@ -89,6 +89,23 @@ def test_non_regular_omega_rejected(f1):
         enumerate_fixed_points(boundary)
 
 
+def test_omega_on_a_cone_boundary_of_a_threefold_is_rejected():
+    # F_1 x P^1 with omega = (0, 1, 1): on the boundary of cone (1, 3, 5)
+    # (coefficients 0, 1, 1), and inside cone (1, 4, 5), so dropping the wall
+    # check would return fixed points rather than raise.
+    boundary = ToricData(m=((1, 1, 0, -1, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)),
+                         omega=(0, 1, 1))
+    with pytest.raises(NonRegularChamberError, match=r"wall of cone \(1, 3, 5\)"):
+        enumerate_fixed_points(boundary)
+
+
+# The matrix of tests/data/threefold7.model.  At omega = (3, 5, 7, 7) the
+# minor on columns (1, 2, 3, 5) has coefficients (7, -4, 0, 5): omega lies
+# outside that cone, not on its wall, and there are 10 fixed points.
+THREEFOLD7 = ((1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 1, 0, 0),
+              (1, 0, 0, 1, 0, 1, 0), (1, 0, 1, 0, 0, 0, 1))
+
+
 def chamber_oracle(data):
     """The fixed points' subsets, or the error, from Fraction chamber coefficients."""
     out = []
@@ -96,7 +113,7 @@ def chamber_oracle(data):
         coefficients = solve_square(data.minor(subset), data.omega)
         if coefficients is None:
             continue
-        if any(c == 0 for c in coefficients):
+        if min(coefficients) == 0:
             return NonRegularChamberError
         if all(c > 0 for c in coefficients):
             if abs(determinant(data.minor(subset))) != 1:
@@ -105,14 +122,23 @@ def chamber_oracle(data):
     return out or NonRegularChamberError
 
 
-@given(rows=st.sampled_from([((1, 1, 0, -1), (0, 0, 1, 1)), ((1, 1, 0, -2), (0, 0, 1, 1)),
-                             ((1, 0, 1, 1), (0, 1, 1, 2)), ((2, 0, 1), (0, 1, 1))]),
-       omega=st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12),
-                      min_size=2, max_size=2))
+def _with_omega(rows):
+    """The matrix and an omega with one coordinate per row."""
+    return st.tuples(st.just(rows), st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        min_size=len(rows), max_size=len(rows)))
+
+
+@given(rows_omega=st.sampled_from([((1, 1, 0, -1), (0, 0, 1, 1)), ((1, 1, 0, -2), (0, 0, 1, 1)),
+                                   ((1, 0, 1, 1), (0, 1, 1, 2)), ((2, 0, 1), (0, 1, 1)),
+                                   THREEFOLD7]).flatmap(_with_omega))
+@example(rows_omega=(THREEFOLD7, [3, 5, 7, 7]))
 @settings(max_examples=200, deadline=None)
-def test_chamber_signs_on_integer_omega_match_fraction_coefficients(rows, omega):
-    # omega with denominators, on walls, outside the chamber and on a
-    # non-smooth minor: the scaled integer omega gives the same verdict.
+def test_chamber_signs_on_integer_omega_match_fraction_coefficients(rows_omega):
+    # omega with denominators, on walls, outside the chamber, on a non-smooth
+    # minor and beside a cone it lies outside with a zero coefficient: the
+    # scaled integer omega gives the same verdict.
+    rows, omega = rows_omega
     data = ToricData(m=rows, omega=omega)
     expected = chamber_oracle(data)
     if isinstance(expected, list):
