@@ -61,8 +61,6 @@ from .scalars import (
     DoublePoleError,
     LeadingTerm,
     PoleError,
-    QPoly,
-    QRational,
     SampleContext,
     TruncationError,
     ratio_table,

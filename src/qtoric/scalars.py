@@ -21,11 +21,7 @@ probability), so the scalar layer provides
   (``ratio_table``),
 * the factors' leading terms at a root point q0 (``root_factor``): each is an
   order in eps = q/q0 - 1 and a lead (``LeadingTerm``), so a residue at q0
-  needs no polynomial algebra,
-* dense univariate rational functions in q over big rationals (``QRational``),
-  which no library path uses: they are kept only as the hook the
-  benchmark's tracer counts, until the benchmark drops it; the dense
-  reference routes the tests build on them are ``tests/dense_oracle.py``.
+  needs no polynomial algebra.
 """
 
 from __future__ import annotations
@@ -249,243 +245,13 @@ def root_factor(u_value, q0) -> Callable[[int], tuple[int, int, int]]:
     return factor
 
 
-# ---------------------------------------------------------------------------
-# Univariate polynomials and rational functions in q over Fraction.
-# ---------------------------------------------------------------------------
-
-
-class QPoly:
-    """Dense univariate polynomial in q with Fraction coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Sequence[Fraction] = ()):
-        c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.c = tuple(c)
-
-    @classmethod
-    def constant(cls, a) -> "QPoly":
-        return cls((Fraction(a),))
-
-    @classmethod
-    def q_power(cls, n: int, coeff=1) -> "QPoly":
-        if n < 0:
-            raise ValueError("QPoly has no negative powers; use QRational")
-        return cls((0,) * n + (Fraction(coeff),))
-
-    @property
-    def degree(self) -> int:
-        return len(self.c) - 1  # -1 for the zero polynomial
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return QPoly(out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-x for x in self.c))
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        if self.is_zero or other.is_zero:
-            return QPoly()
-        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
-        for i, x in enumerate(self.c):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.c):
-                if y:
-                    out[i + j] += x * y
-        return QPoly(out)
-
-    def scale(self, a) -> "QPoly":
-        a = Fraction(a)
-        return QPoly(tuple(x * a for x in self.c))
-
-    def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.c)
-        quot = [Fraction(0)] * max(0, len(rem) - len(other.c) + 1)
-        dlead = other.c[-1]
-        dn = len(other.c)
-        while len(rem) >= dn:
-            coef = rem[-1] / dlead
-            pos = len(rem) - dn
-            quot[pos] = coef
-            for i, x in enumerate(other.c):
-                rem[pos + i] -= coef * x
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < dn:
-                break
-        return QPoly(quot), QPoly(rem)
-
-    def evaluate(self, x) -> Fraction:
-        out = Fraction(0)
-        x = Fraction(x)
-        for coeff in reversed(self.c):
-            out = out * x + coeff
-        return out
-
-    def monic(self) -> "QPoly":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.c[-1])
-
-    def subst_power(self, k: int) -> "QPoly":
-        """q -> q^k for k >= 1."""
-        if k < 1:
-            raise ValueError("power substitution needs k >= 1")
-        if self.is_zero:
-            return self
-        out = [Fraction(0)] * ((len(self.c) - 1) * k + 1)
-        for i, x in enumerate(self.c):
-            out[i * k] = x
-        return QPoly(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.c == other.c
-
-    def __hash__(self) -> int:
-        return hash(self.c)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, x in enumerate(self.c):
-            if x == 0:
-                continue
-            if i == 0:
-                parts.append(str(x))
-            elif i == 1:
-                parts.append(f"{x}*q" if x != 1 else "q")
-            else:
-                parts.append(f"{x}*q^{i}" if x != 1 else f"q^{i}")
-        return " + ".join(parts)
-
-
-def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, r.monic() if not r.is_zero else r
-    return a.monic()
-
-
 class QRational:
-    """Reduced ratio of two QPoly's: the dense reference for the leading terms."""
+    """A placeholder with no arithmetic: no library path builds a rational
+    function of q, since residues come from ``root_factor``'s leading terms.
 
-    __slots__ = ("num", "den")
+    It stays only as the constructor the benchmark's tracer wraps and counts,
+    which therefore reads 0; it goes when the benchmark stops naming it.
+    """
 
-    def __init__(self, num: QPoly, den: QPoly):
-        if den.is_zero:
-            raise ZeroDivisionError("QRational with zero denominator")
-        if num.is_zero:
-            num, den = QPoly(), QPoly.constant(1)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-            lead = den.c[-1]
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def constant(cls, a) -> "QRational":
-        return cls(QPoly.constant(a), QPoly.constant(1))
-
-    @classmethod
-    def q(cls) -> "QRational":
-        return cls(QPoly.q_power(1), QPoly.constant(1))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @staticmethod
-    def _coerce(x) -> "QRational":
-        if isinstance(x, QRational):
-            return x
-        return QRational.constant(Fraction(x))
-
-    def __add__(self, other) -> "QRational":
-        o = self._coerce(other)
-        return QRational(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QRational":
-        return QRational(-self.num, self.den)
-
-    def __sub__(self, other) -> "QRational":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "QRational":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "QRational":
-        o = self._coerce(other)
-        return QRational(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "QRational":
-        o = self._coerce(other)
-        if o.is_zero:
-            raise ZeroDivisionError("division by zero QRational")
-        return QRational(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other) -> "QRational":
-        return self._coerce(other) / self
-
-    def __pow__(self, k: int) -> "QRational":
-        if k < 0:
-            return QRational.constant(1) / self ** (-k)
-        out = QRational.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def evaluate(self, x) -> Fraction:
-        d = self.den.evaluate(x)
-        if d == 0:
-            raise PoleError(0, x)
-        return self.num.evaluate(x) / d
-
-    def subst_power(self, k: int) -> "QRational":
-        return QRational(self.num.subst_power(k), self.den.subst_power(k))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QRational.constant(other)
-        return (isinstance(other, QRational)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        if self.den == QPoly.constant(1):
-            return f"({self.num})"
-        return f"({self.num}) / ({self.den})"
+    def __init__(self, *args):
+        raise TypeError("qtoric has no dense rational functions of q; use root_factor")

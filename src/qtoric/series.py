@@ -136,10 +136,12 @@ class NovikovSeries:
         return series
 
     def coefficient(self, d: Sequence[int]):
-        """Exact coefficient at d; 0 outside the effective cone, error beyond the box or lattice."""
+        """Exact coefficient at d; 0 outside the effective cone, error beyond the
+        box or the lattice, or for a d of the wrong length."""
         key = self.box.keys.get(tuple(d))
         if key is not None:
             return self.coeffs.get(key, Fraction(0))
+        degree_pairing(self.box.data, d)  # refuses a d of the wrong length
         d = integral_degree(d)
         # The box holds every effective degree up to its bound.
         if self.box.beyond(d):

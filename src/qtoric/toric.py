@@ -70,9 +70,8 @@ class ToricData(_ToricFields):
             raise InvalidModelError(f"need N >= K, got K={k}, N={n}")
         if len(omega) != k:
             raise InvalidModelError(f"omega must have {k} coordinates")
-        if not lambda_names:
-            lambda_names = tuple(f"L{j+1}" for j in range(n))
-        elif len(lambda_names) != n:
+        lambda_names = tuple(lambda_names) or tuple(f"L{j+1}" for j in range(n))
+        if len(lambda_names) != n:
             raise InvalidModelError("need one parameter label per column")
         return super().__new__(cls, rows, omega, lambda_names, name)
 

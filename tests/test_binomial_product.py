@@ -3,10 +3,10 @@
 The library reads a residue at q0 from leading terms: each factor 1 - q^r u
 is an order in eps = q/q0 - 1 and a lead (``root_factor``), and
 ``root_table`` (the tests' oracle) runs the same product as ``ratio_table``
-over them.  The dense route (``dense_oracle``, over ``QRational``) expands
-the same coefficient into a reduced ratio of polynomials and finds the pole
-by polynomial division, so it is an independent oracle for every residue the
-recursion takes.
+over them.  The dense route (``dense_oracle``) expands the same coefficient
+into one unreduced ratio of polynomials, divides q - q0 out of both sides
+while both vanish there and reads the pole's order from what is left, so it
+is an independent oracle for every residue the recursion takes.
 """
 
 import random
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from dense_oracle import finite_ratio_sym, residue_at
+from dense_oracle import Ratio, finite_ratio_sym, residue_at
 from ratio_oracle import divide, root_table
 from qtoric.models import hirzebruch
 from qtoric.recursion import all_orbits, root_context
@@ -22,7 +22,6 @@ from qtoric.scalars import (
     DoublePoleError,
     LeadingTerm,
     PoleError,
-    QRational,
     ratio_table,
     sample_context,
 )
@@ -32,9 +31,9 @@ from qtoric.toric import ToricData, degree_pairing
 F3 = ToricData(m=((1, 1, 0, -3), (0, 0, 1, 1)), omega=(Fraction(1), Fraction(1)), name="f3")
 
 
-def dense_coefficient(data, fp, d, ctx) -> QRational:
-    """The component coefficient at d as one reduced rational function of q."""
-    out = QRational.constant(1)
+def dense_coefficient(data, fp, d, ctx) -> Ratio:
+    """The component coefficient at d as one rational function of q."""
+    out = Ratio([1])
     for u, depth in zip(fp.u_values(ctx.Lambda), degree_pairing(data, d)):
         out = out * finite_ratio_sym(u, depth)
     return out
@@ -81,7 +80,7 @@ def test_double_pole_raises_on_both_routes():
     q0 = Fraction(1, 2)
     # 1/(1 - 2q) and 1/((1 - 4q)(1 - 4q^2)): 1 - 2q and 1 - 4q^2 vanish at q = 1/2.
     leading = LeadingTerm(0, Fraction(3)) * root_table(2, (1,), q0)[1] * root_table(4, (2,), q0)[2]
-    dense = QRational.constant(3) * finite_ratio_sym(2, 1) * finite_ratio_sym(4, 2)
+    dense = Ratio([3]) * finite_ratio_sym(2, 1) * finite_ratio_sym(4, 2)
     assert leading.order == -2
     with pytest.raises(DoublePoleError):
         leading.residue()
@@ -115,7 +114,7 @@ def test_random_products_match_dense_oracle():
             return out.residue()
 
         def dense():
-            out = QRational.constant(Fraction(5, 3))
+            out = Ratio([Fraction(5, 3)])
             for depth, u, e in triples:
                 ratio = finite_ratio_sym(u, depth)
                 out = out * ratio if e > 0 else out / ratio

@@ -13,9 +13,10 @@ cached function is reached here even when an earlier test filled its cache.
 
 A role is one of three: ``model constructor``, ``demo entry point:
 demos/<file>`` or ``bench hook: bench/<file>``.  A file role fails when the
-file is missing or no longer mentions the name; the dense q-rational field
-is keyed to ``QRational``, the class the benchmark's tracer patches, so when
-that hook goes the whole field is due to leave ``src``.
+file is missing or no longer mentions the name.  ``scalars.QRational`` is a
+stub with no arithmetic, kept only because the benchmark's tracer patches its
+constructor; its role is keyed to the class name, so when the tracer stops
+naming ``QRational`` the stub is due to leave ``src``.
 """
 
 import contextlib
@@ -33,9 +34,9 @@ from test_qdiff import F1_SKEW
 
 COMMON = ["--seed", "11", "--samples", "1"]
 
-# The dense q-rational field stays in src only because bench/tracer.py
-# patches QRational.__init__: every one of its names is keyed to that hook.
-DENSE_FIELD = ("scalars.QPoly.", "scalars.QRational.", "scalars.poly_gcd")
+# The QRational stub stays in src only because bench/tracer.py patches its
+# __init__: its role is keyed to the class name.
+TRACER_STUB = "scalars.QRational."
 
 BENCH_TRACER = "bench hook: bench/tracer.py"
 
@@ -46,12 +47,7 @@ KEPT = {
     "models.projective_space": "model constructor",
     "qdiff.verify_shifted_identity": "demo entry point: demos/04_q_difference_system.py",
     "recursion.edge_euler_class": "demo entry point: demos/05_residue_recursion_and_bundles.py",
-    **{f"scalars.QPoly.{name}": BENCH_TRACER
-       for name in ("__init__", "constant", "degree", "divmod", "evaluate", "is_zero",
-                    "monic", "q_power", "scale", "subst_power")},
-    **{f"scalars.QRational.{name}": BENCH_TRACER
-       for name in ("__init__", "constant", "evaluate", "is_zero", "q", "subst_power")},
-    "scalars.poly_gcd": BENCH_TRACER,
+    "scalars.QRational.__init__": BENCH_TRACER,
     "series.NovikovSeries.coefficient": BENCH_TRACER,
     "series.NovikovSeries.scale": "demo entry point: demos/03_series_and_q_exponential.py",
     "series.TruncationBox.contains": BENCH_TRACER,
@@ -158,7 +154,7 @@ def test_every_public_function_is_reached_or_kept(tmp_path):
 
 def mention(name):
     """The word a kept name's demo or bench file must contain."""
-    return "QRational" if name.startswith(DENSE_FIELD) else name.rsplit(".", 1)[-1]
+    return "QRational" if name.startswith(TRACER_STUB) else name.rsplit(".", 1)[-1]
 
 
 def test_every_kept_role_is_a_named_file_that_still_uses_the_name():

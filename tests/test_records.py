@@ -16,7 +16,7 @@ import pytest
 import qtoric
 from qtoric.models import parse_model_text
 from qtoric.series import BundleData
-from qtoric.toric import InvalidModelError, ToricData, enumerate_fixed_points
+from qtoric.toric import InvalidModelError, ToricData, enumerate_fixed_points, mori_generators
 
 FOOTPRINT = Path(__file__).resolve().parent / "import_footprint.py"
 
@@ -39,6 +39,16 @@ def test_toric_data_normalises_lists_and_ints():
     assert (data.K, data.N) == (2, 4)
     assert data.columns == ((1, 0), (1, 0), (0, 1), (-1, 1))
     assert ToricData(m=((1, 1),), omega=(1,), lambda_names=("a", "b")).lambda_names == ("a", "b")
+
+
+def test_list_labels_give_the_record_of_tuple_labels():
+    listed = ToricData(m=((1, 1),), omega=(1,), lambda_names=["a", "b"])
+    tupled = ToricData(m=((1, 1),), omega=(1,), lambda_names=("a", "b"))
+    assert listed.lambda_names == ("a", "b")
+    assert listed == tupled and hash(listed) == hash(tupled)
+    # The cached functions key on the record, so they run on it.
+    assert [fp.J for fp in enumerate_fixed_points(listed)] == [(0,), (1,)]
+    assert mori_generators(listed) == [(1,)]
 
 
 @pytest.mark.parametrize("m, omega, names, message", [

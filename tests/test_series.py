@@ -34,6 +34,7 @@ from qtoric.series import (
     truncation_box,
 )
 from qtoric.toric import (
+    InvalidModelError,
     ToricData,
     degree_pairing,
     divisor_values,
@@ -68,6 +69,16 @@ def test_lookup_rejects_a_non_integral_degree(p1):
             s.coefficient(d)
         assert not isinstance(info.value, TruncationError)
     assert s.coefficient((Fraction(1),)) == 3 and s.coefficient((0.0,)) == 7
+
+
+def test_lookup_rejects_a_degree_of_the_wrong_length(f1):
+    # The pairing with the ample class would zip (1,) and (1, 0, 0) down to
+    # the in-bound (1,) and read 0; the degree's length is checked first.
+    s = constant_series(truncation_box(f1, 3))
+    for d in ((1,), (1, 0, 0), (9, 0, 0)):
+        with pytest.raises(InvalidModelError, match="^degree must have 2 coordinates$"):
+            s.coefficient(d)
+    assert s.coefficient((1, 0)) == 0
 
 
 def test_in_bound_lookups_skip_the_cone_test(f1, monkeypatch):
