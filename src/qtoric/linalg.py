@@ -4,8 +4,7 @@ One fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968)
 brings ``[a | I]`` to ``[d I | M]`` with every division exact, so the adjugate
 of an integer matrix comes out over the integers with no rational arithmetic.
-Sized for the K <= 4 minors that toric quotient data produces, so clarity wins
-over asymptotics throughout.  The Mori cone lives in ``toric``.
+The matrices are K x K minors, with K up to 8 on the committed models.
 """
 
 from __future__ import annotations
@@ -40,8 +39,3 @@ def adjugate(a: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
     # The row operations multiplied [a | I] by M with M a = prev I, and prev is
     # the determinant of the row-swapped matrix: sign * prev = det a.
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
-
-
-def determinant(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix, read off its fraction-free elimination."""
-    return adjugate(a)[0]

@@ -242,7 +242,9 @@ class BundleData(_BundleFields):
 
     def delta(self, d: Sequence[int]) -> tuple[int, ...]:
         """Delta_a(d) = sum_i d_i l_ia; a non-integral d is a ValueError
-        (``integral_degree``), never truncated."""
+        (``integral_degree``), never truncated, as is a d of the wrong length."""
+        if len(d) != len(self.exponents):
+            raise InvalidModelError(f"degree must have {len(self.exponents)} coordinates")
         d = integral_degree(d)
         return tuple(sum(x * row[a] for x, row in zip(d, self.exponents))
                      for a in range(self.L))
@@ -334,6 +336,8 @@ def component_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
     factors = [_order_zero(ratio_factor(u, ctx.q)) for u in fp.u_values(ctx.Lambda)]
     fibres = None
     if bundle is not None:
+        if len(bundle.exponents) != data.K:
+            raise InvalidModelError(f"bundle has {len(bundle.exponents)} rows, K = {data.K}")
         fibres = bundle, [_FibreColumn(ctx.lam * v, ctx.q, bundle.parity == "PiE")
                           for v in bundle.fiber_values(fp.p_values(ctx.Lambda))]
     return NovikovSeries._from_walk(box, _nonzero(_ratio_products(data, fp, box, factors,

@@ -4,7 +4,7 @@ A model is a K x N integer matrix whose columns express the divisor classes
 u_j in the basis p_1..p_K of the quotient torus, together with a chamber point
 omega.  Torus-fixed points are the K-subsets J whose column cone contains
 omega strictly; smoothness means every such minor has determinant +-1, and all
-downstream formulas assume it.
+downstream formulas assume it.  The Mori cone is built by double description.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .linalg import adjugate, determinant
+from .linalg import adjugate
 from .scalars import common_denominator, power_product
 
 
@@ -239,30 +239,36 @@ def _curve_classes(data: ToricData) -> tuple[tuple[int, ...], ...]:
 def _mori_facets(data: ToricData) -> tuple[tuple[int, ...], ...]:
     """Primitive inner facet normals of the effective-curve cone.
 
-    The cone is spanned by the torus-invariant curve classes; each facet
-    holds K - 1 independent ones, so every (K - 1)-subset is tried: its
-    cofactor normal n_i = det(e_i, g_1, ..., g_{K-1}) is kept when every
-    class lies on one side, oriented so that they pair >= 0.
+    The extreme rays of the dual cone {y : <y, g> >= 0 on every class g}, by double
+    description, each with the mask of the classes it is tight on.  K independent
+    classes start it: ray i is det times row i of their adjugate.  Each class g keeps
+    the rays with <r, g> >= 0 and adds <p, g> n - <n, g> p for each pair with
+    <p, g> > 0 > <n, g> when no third ray is tight on every class both are tight on.
     """
     gens = _curve_classes(data)
-    k = data.K
-    facets: list[tuple[int, ...]] = []
-    spans = False
-    for tight in combinations(gens, k - 1):
-        normal = [determinant([[int(c == i) for c in range(k)], *tight]) for i in range(k)]
-        pairings = [_dot(normal, g) for g in gens]
-        if not any(pairings):
-            continue
-        spans = True
-        if min(pairings) < 0 < max(pairings):
-            continue
-        sign, g = (1 if max(pairings) > 0 else -1), gcd(*normal)
-        normal = tuple(sign * x // g for x in normal)
-        if normal not in facets:
-            facets.append(normal)
-    if not spans:
+    for basis in combinations(range(len(gens)), data.K):
+        det, adj = adjugate([[gens[b][i] for b in basis] for i in range(data.K)])
+        if adj is not None:
+            break
+    else:
         raise InvalidModelError("the Mori cone generators do not span the degree lattice")
-    return tuple(facets)
+    rays = [(_primitive([det * x for x in row]), sum(1 << c for c in basis if c != b))
+            for row, b in zip(adj, basis)]
+    for t, g in enumerate(gens):
+        pairings = [_dot(r, g) for r, _ in rays]
+        kept = [(r, m | 1 << t if s == 0 else m) for (r, m), s in zip(rays, pairings) if s >= 0]
+        for (p, p_tight), p_g in zip(rays, pairings):
+            for (n, n_tight), n_g in zip(rays, pairings):
+                common = p_tight & n_tight
+                if p_g > 0 > n_g and sum(m & common == common for _, m in rays) == 2:
+                    kept.append((_primitive([p_g * x - n_g * y for x, y in zip(n, p)]),
+                                 common | 1 << t))
+        rays = kept
+    return tuple(r for r, _ in rays)
+
+
+def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
+    return tuple(x // gcd(*vec) for x in vec)
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -288,16 +294,12 @@ def mori_cone_membership(
 def mori_generators(data: ToricData) -> list[tuple[int, ...]]:
     """Extreme rays of the effective-curve cone, as primitive vectors.
 
-    They are the curve classes whose tight facet normals have rank K - 1.
+    A class is extreme iff no other class is tight on every facet it is tight on.
     """
     facets = _mori_facets(data)
-    rays: list[tuple[int, ...]] = []
-    for ray in _curve_classes(data):
-        tight = [n for n in facets if _dot(n, ray) == 0]
-        if any(determinant([*rows, ray]) != 0
-               for rows in combinations(tight, data.K - 1)):
-            rays.append(ray)
-    return rays
+    classes = _curve_classes(data)
+    tight = [sum(1 << i for i, n in enumerate(facets) if _dot(n, g) == 0) for g in classes]
+    return [g for g, t in zip(classes, tight) if sum(s & t == t for s in tight) == 1]
 
 
 def divisor_values(

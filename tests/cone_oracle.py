@@ -8,9 +8,11 @@ C(|G|, rank) solves per rejected vector and shares nothing with the facet
 normals that ``qtoric.toric`` decides membership by.
 
 ``qtoric.toric`` builds the effective-curve cone from the torus-invariant
-curve classes.  The route it replaced, the union of every fixed point's
-dual-cone generators and the facets of their cone, is kept here as the
-reference: ``dual_cone_union``, ``union_facets`` and ``union_extreme_rays``.
+curve classes, and its facets by double description.  Two routes it replaced
+are kept here as references.  ``cofactor_facets`` tries every
+(K - 1)-subset of the generators for a facet.  ``dual_cone_union``,
+``union_facets`` and ``union_extreme_rays`` take the cone of the union of
+every fixed point's dual-cone generators.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from qtoric.toric import enumerate_fixed_points
+from qtoric.toric import InvalidModelError, enumerate_fixed_points
 
 
 def _det(m) -> int:
@@ -115,23 +117,35 @@ def dual_cone_union(data) -> tuple[tuple[int, ...], ...]:
     return tuple(gens)
 
 
-def union_facets(data) -> set[tuple[int, ...]]:
-    """Primitive inner facet normals of cone(dual_cone_union(data)).
+def cofactor_facets(gens, k) -> tuple[tuple[int, ...], ...]:
+    """Primitive inner facet normals of cone(gens) in Z^k.
 
-    Every (K - 1)-subset of the union is tried: its cofactor normal
-    n_i = det(e_i, g_1, ..., g_{K-1}) is a facet normal when it is nonzero and
-    every generator pairs with it on one side.
+    Each facet holds k - 1 independent generators, so every (k - 1)-subset is
+    tried: its cofactor normal n_i = det(e_i, g_1, ..., g_{k-1}) is kept when
+    every generator lies on one side, oriented so that they pair >= 0.
     """
-    gens = dual_cone_union(data)
-    k = data.K
-    facets = set()
+    facets: list[tuple[int, ...]] = []
+    spans = False
     for tight in combinations(gens, k - 1):
         normal = [_det([[int(c == i) for c in range(k)], *tight]) for i in range(k)]
         pairings = [sum(x * y for x, y in zip(normal, g)) for g in gens]
-        if any(pairings) and not min(pairings) < 0 < max(pairings):
-            sign = 1 if max(pairings) > 0 else -1
-            facets.add(primitive([sign * x for x in normal]))
-    return facets
+        if not any(pairings):
+            continue
+        spans = True
+        if min(pairings) < 0 < max(pairings):
+            continue
+        sign, g = (1 if max(pairings) > 0 else -1), gcd(*normal)
+        normal = tuple(sign * x // g for x in normal)
+        if normal not in facets:
+            facets.append(normal)
+    if not spans:
+        raise InvalidModelError("the Mori cone generators do not span the degree lattice")
+    return tuple(facets)
+
+
+def union_facets(data) -> set[tuple[int, ...]]:
+    """Primitive inner facet normals of cone(dual_cone_union(data))."""
+    return set(cofactor_facets(dual_cone_union(data), data.K))
 
 
 def union_extreme_rays(data) -> list[tuple[int, ...]]:

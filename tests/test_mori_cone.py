@@ -10,6 +10,7 @@ classes; the oracle's reference is the union of the fixed points' dual-cone
 generators.
 """
 
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, lcm
@@ -17,10 +18,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cone_oracle import (
+    cofactor_facets,
     dual_cone_union,
     extreme_rays,
     in_cone,
@@ -29,7 +31,7 @@ from cone_oracle import (
     union_facets,
 )
 from qtoric import toric
-from qtoric.models import resolve_model
+from qtoric.models import bundled_model_names, resolve_model
 from qtoric.series import truncation_box
 from qtoric.toric import (
     InvalidModelError,
@@ -69,6 +71,7 @@ def test_dp6_cone_shape(dp6):
     assert len(enumerate_fixed_points(dp6)) == 6
     assert len(raw_generators(dp6)) == 9
     assert len(toric._mori_facets(dp6)) == 5
+    assert set(toric._mori_facets(dp6)) == set(cofactor_facets(toric._curve_classes(dp6), 4))
 
 
 def test_dp6_membership_matches_oracle(dp6):
@@ -154,6 +157,54 @@ def test_generators_must_span(monkeypatch):
     monkeypatch.setattr(toric, "_curve_classes", lambda data: ((1, 1), (2, 2)))
     with pytest.raises(InvalidModelError, match="span"):
         toric._mori_facets(flat)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("spec", [*bundled_model_names(), str(DATA / "surface8.model"),
+                                  str(DATA / "threefold7.model")])
+def test_facets_match_the_cofactor_route(spec):
+    data = resolve_model(spec).data
+    classes = toric._curve_classes(data)
+    assert set(toric._mori_facets(data)) == set(cofactor_facets(classes, data.K))
+    assert mori_generators(data) == extreme_rays(classes)
+
+
+@st.composite
+def pointed_generators(draw):
+    """Distinct primitive vectors in Z^K, K = 3 or 4, that span it and pair
+    positively with a drawn positive functional: a pointed, full-dimensional
+    cone.  The entries are small, so many classes share a facet."""
+    k = draw(st.integers(3, 4))
+    w = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    gens = []
+    for v in draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                           min_size=k, max_size=k + 6)):
+        s = sum(a * x for a, x in zip(w, v))
+        g = primitive(v if s > 0 else [-x for x in v])
+        if s and g not in gens:
+            gens.append(g)
+    assume(rank(gens) == k)
+    return gens
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gens=pointed_generators())
+@example(gens=[(2, 0, 1), (1, 1, -1), (2, 1, -2), (1, 2, -1), (1, 0, 1)])
+def test_random_cones_match_the_cofactor_route(gens):
+    # The classes arrive as ``_curve_classes`` would give them.  The example
+    # needs the classes tight on a kept ray to join its tight set.
+    k = len(gens[0])
+    data = ToricData(m=tuple(tuple(int(i == j) for j in range(k)) for i in range(k)),
+                     omega=(1,) * k, name="random-cone")
+    with mock.patch.object(toric, "_curve_classes", lambda data: tuple(gens)):
+        toric._mori_facets.cache_clear()
+        try:
+            assert set(toric._mori_facets(data)) == set(cofactor_facets(gens, k))
+            assert mori_generators(data) == extreme_rays(gens)
+        finally:
+            toric._mori_facets.cache_clear()
 
 
 @pytest.mark.parametrize("bound", [2, -1])
@@ -424,6 +475,33 @@ def test_surface8_cone():
     assert len(raw_generators(data)) == 37
     assert len(toric._curve_classes(data)) == 8
     assert len(mori_generators(data)) == 7
+
+
+def test_threefold7_squared_cone_within_budget():
+    # K = 8 and 18 classes.  The cone of a product is the product of the
+    # cones: its facets and its generators are the factor's, padded with
+    # zeros on one side or the other.  The factor's come from the reference
+    # routes at K = 4.
+    factor = resolve_model(str(DATA / "threefold7.model")).data
+    data = resolve_model(str(DATA / "threefold7x2.model")).data
+    assert data.m == tuple(r + (0,) * 7 for r in factor.m) + tuple((0,) * 7 + r for r in factor.m)
+    assert data.omega == factor.omega * 2
+    assert len(enumerate_fixed_points(data)) == 100
+    assert len(toric._curve_classes(data)) == 18
+    toric._mori_facets.cache_clear()
+    start = time.perf_counter()
+    facets = toric._mori_facets(data)
+    rays = mori_generators(data)
+    elapsed = time.perf_counter() - start
+    classes = toric._curve_classes(factor)
+    zero = (0,) * 4
+    factor_facets = cofactor_facets(classes, 4)
+    assert sorted(facets) == sorted([f + zero for f in factor_facets]
+                                    + [zero + f for f in factor_facets])
+    gens = extreme_rays(classes)
+    assert len(gens) == 5
+    assert sorted(rays) == sorted([g + zero for g in gens] + [zero + g for g in gens])
+    assert elapsed < 0.5, f"the K = 8 cone took {elapsed:.2f} s"
 
 
 def test_dropping_one_curve_class_changes_the_dp6_cone(dp6, monkeypatch):

@@ -573,6 +573,27 @@ def test_bundle_delta():
         BundleData(exponents=((1,),), parity="X")
 
 
+def test_a_bundle_with_too_few_rows_is_refused(f1):
+    # One row on a K = 2 model: no IndexError inside the walk, and delta does
+    # not zip (1, 5) down to its first coordinate.
+    bundle = BundleData(exponents=((1,),))
+    ctx = sample_context(f1.N, 5)
+    with pytest.raises(InvalidModelError, match="bundle has 1 rows, K = 2"):
+        assemble_series(f1, truncation_box(f1, 2), ctx, bundle=bundle)
+    with pytest.raises(InvalidModelError, match="degree must have 1 coordinates"):
+        bundle.delta((1, 5))
+
+
+def test_a_bundle_with_too_many_rows_is_refused(f1):
+    # A third row would be ignored by the walk and by delta.
+    bundle = BundleData(exponents=((1,), (2,), (3,)))
+    ctx = sample_context(f1.N, 5)
+    with pytest.raises(InvalidModelError, match="bundle has 3 rows, K = 2"):
+        assemble_series(f1, truncation_box(f1, 2), ctx, bundle=bundle)
+    with pytest.raises(InvalidModelError, match="degree must have 3 coordinates"):
+        bundle.delta((1, 5))
+
+
 def test_a_non_integral_degree_is_refused_by_bundles_and_point_series(p1):
     # Q^{3/2} is not a Novikov monomial: it is not read as Q^1.
     bundle = BundleData(exponents=((1, 2),))
