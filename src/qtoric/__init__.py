@@ -23,7 +23,6 @@ parameter values; nothing is ever compared approximately.
 __version__ = "0.1.0"
 
 from .kirwan import (
-    has_empty_intersection,
     kirwan_relations,
     spectrum_point_count,
     verify_relations_at_fixed_points,

@@ -44,20 +44,6 @@ from .toric import (
     mori_generators,
 )
 
-SEED_ENV = "QTORIC_SEED"
-
-
-def _default_seed(model: ModelFile, flag_seed: int | None) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return int(env)
-    if model.seed is not None:
-        return model.seed
-    return 1
-
-
 def _report(command: str, model: ModelFile, seed: int, samples: int,
             parameters: dict, ok: bool, result, resamples=()) -> dict:
     return {
@@ -335,7 +321,7 @@ def _unlimited_int_digits():
 
 
 def run_command(command: str, model: ModelFile, flags: argparse.Namespace) -> dict:
-    seed = _default_seed(model, flags.seed)
+    seed = next(n for n in (flags.seed, model.seed, 1) if n is not None)
     samples = next(n for n in (flags.samples, model.samples, 5) if n is not None)
     if samples < 1:
         raise ValueError(f"--samples must be at least 1, got {samples}")

@@ -3,31 +3,17 @@ K-theory rings of a toric quotient, and their verification at fixed points.
 
 A subset of divisor columns gives a relation exactly when the corresponding
 divisors have empty common intersection, which by the face criterion means the
-subset fits inside no fixed-point subset.  Relations are emitted in minimal
-form only (the minimal non-faces, one per primitive collection), each as its
-sorted tuple of column indices.
+subset meets every fixed-point index set: it is a transversal of those sets.
+Relations are emitted in minimal form only, the minimal transversals (one per
+primitive collection), each as its sorted tuple of column indices.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Sequence
 
 from .scalars import DegenerateSampleError, SampleContext
 from .toric import ToricData, divisor_values, enumerate_fixed_points
-
-
-def has_empty_intersection(data: ToricData, subset: Sequence[int]) -> bool:
-    """True iff the divisors indexed by ``subset`` meet nowhere (face criterion).
-
-    A fixed point lies on the divisor of column j exactly when j is off its
-    index set, so the common intersection (a compact toric subvariety, hence
-    containing a fixed point when nonempty) is empty iff the subset meets
-    every fixed-point index set.
-    """
-    want = set(subset)
-    return all(want & set(fp.J) for fp in enumerate_fixed_points(data))
 
 
 @lru_cache(maxsize=None)
@@ -35,17 +21,24 @@ def kirwan_relations(data: ToricData) -> tuple[tuple[int, ...], ...]:
     """All minimal empty-intersection subsets J, as sorted column-index
     tuples by increasing cardinality, computed once per model.
 
+    A fixed point lies on the divisor of column j exactly when j is off its
+    index set, and a nonempty common intersection (a compact toric
+    subvariety) contains a fixed point, so J gives a relation iff it meets
+    every J(alpha).  The minimal such J are grown one fixed point at a time
+    (Berge): a set, as a column bitmask, that already meets J(alpha) is kept,
+    one that misses it grows by each column of J(alpha), and only the minimal
+    sets survive.
+
     Each J is read multiplicatively: both prod_{j in J}(1 - U_j) = 0 in
     K-theory and prod_{j in J} u_j = 0 in cohomology.
     """
-    found: list[tuple[int, ...]] = []
-    for size in range(1, data.N + 1):
-        for subset in combinations(range(data.N), size):
-            if any(set(prev) <= set(subset) for prev in found):
-                continue
-            if has_empty_intersection(data, subset):
-                found.append(subset)
-    return tuple(found)
+    minimal = {0}
+    for fp in enumerate_fixed_points(data):
+        alpha = sum(1 << j for j in fp.J)
+        grown = {t if t & alpha else t | 1 << j for t in minimal for j in fp.J}
+        minimal = {t for t in grown if not any(s != t and s & t == s for s in grown)}
+    relations = (tuple(j for j in range(data.N) if t >> j & 1) for t in minimal)
+    return tuple(sorted(relations, key=lambda r: (len(r), r)))
 
 
 def verify_relations_at_fixed_points(data: ToricData, ctx: SampleContext) -> dict:

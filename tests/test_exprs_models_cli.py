@@ -640,7 +640,14 @@ def test_cli_closed_stdout_exits_141_quietly():
     assert stderr == b""
 
 
-def test_cli_seed_env_override(monkeypatch, capsys):
-    monkeypatch.setenv(cli.SEED_ENV, "99")
-    _, report = run(["kirwan", "p1"], capsys)
-    assert report["seed"] == 99
+def test_cli_seed_is_flag_then_model_then_one(monkeypatch, tmp_path, capsys):
+    # A QTORIC_SEED in the environment changes nothing: the seed is the flag,
+    # else the model's sampling seed, else 1.
+    monkeypatch.setenv("QTORIC_SEED", "99")
+    path = tmp_path / "seeded.model"
+    path.write_text("name seeded\nmatrix 1 2\n1 1\nomega 1\nsampling seed 7\n")
+    for argv, seed in ((["kirwan", "p1"], 1), (["kirwan", str(path)], 7),
+                       (["kirwan", str(path), "--seed", "5"], 5),
+                       (["kirwan", "p1", "--seed", "5"], 5)):
+        code, report = run(argv + ["--samples", "1"], capsys)
+        assert code == 0 and report["seed"] == seed

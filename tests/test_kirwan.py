@@ -1,16 +1,30 @@
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from kirwan_oracle import has_empty_intersection, minimal_transversals, scan_relations
+from test_mori_cone import blown_up_fans, fan_surface
 
 from qtoric import cli, kirwan
 from qtoric.kirwan import (
-    has_empty_intersection,
     kirwan_relations,
     spectrum_point_count,
     verify_relations_at_fixed_points,
 )
+from qtoric.models import resolve_model
 from qtoric.scalars import DegenerateSampleError, sample_context, with_resampling
 from qtoric.toric import ToricData, divisor_values, enumerate_fixed_points
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture
+def oracle_models(all_models, dp6):
+    return [*all_models, dp6, *(resolve_model(str(DATA / f"{name}.model")).data
+                                for name in ("surface8", "threefold7", "threefold7x2"))]
 
 
 def relation_sets(data):
@@ -29,16 +43,7 @@ def test_relations_f1(f1):
 
 def test_relations_p1_p2(p1, p2):
     assert relation_sets(p1) == [(0, 1)]
-    # brute force oracle for the plane: subsets hitting every fixed point
-    fps = [set(fp.J) for fp in enumerate_fixed_points(p2)]
-    brute = []
-    for size in range(1, 4):
-        for subset in combinations(range(3), size):
-            if any(set(prev) <= set(subset) for prev in brute):
-                continue
-            if all(set(subset) & points for points in fps):
-                brute.append(subset)
-    assert relation_sets(p2) == brute == [(0, 1, 2)]
+    assert relation_sets(p2) == list(scan_relations(p2)) == [(0, 1, 2)]
 
 
 def test_relations_minimality(all_models):
@@ -48,6 +53,36 @@ def test_relations_minimality(all_models):
                 smaller = tuple(j for j in relation if j != drop)
                 if smaller:
                     assert not has_empty_intersection(data, smaller)
+
+
+def test_relations_are_the_subset_scan(oracle_models):
+    # The same tuples in the same order as the 2^N - 1 subset scan.
+    for data in oracle_models:
+        assert kirwan_relations(data) == scan_relations(data), data.name
+
+
+def test_relations_block_exactly_the_fixed_points(oracle_models):
+    # Blocker duality (Edmonds and Fulkerson): the minimal transversals of the
+    # relations are the fixed points' index sets again, so the relations are
+    # complete; without any one relation the duality fails.
+    for data in oracle_models:
+        relations = kirwan_relations(data)
+        points = {fp.J for fp in enumerate_fixed_points(data)}
+        assert minimal_transversals(data.N, relations) == points, data.name
+        for i in range(len(relations)):
+            fewer = relations[:i] + relations[i + 1:]
+            assert minimal_transversals(data.N, fewer) != points, (data.name, relations[i])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fan=blown_up_fans(3, 8))
+def test_surface_relations_are_the_non_adjacent_ray_pairs(fan):
+    # On a smooth complete surface of N >= 4 rays the primitive collections
+    # are the pairs of non-adjacent rays; on P^2 it is all three rays.
+    rays, h = fan
+    n = len(rays)
+    expected = [(i, j) for i, j in combinations(range(n), 2) if j - i not in (1, n - 1)]
+    assert list(kirwan_relations(fan_surface(rays, h))) == (expected if n >= 4 else [(0, 1, 2)])
 
 
 def test_verification_at_fixed_points(all_models):
@@ -102,19 +137,18 @@ def test_spectrum_count_degenerate_sample(p1):
     raise AssertionError("expected a degenerate-sample error")
 
 
-def test_relations_are_computed_once_per_model(monkeypatch, capsys):
+def test_relations_are_computed_once_per_model():
     # A model no other test builds, so the cache starts cold for it.
     data = ToricData(m=((1, 1, 0, -4), (0, 0, 1, 1)), omega=(1, 1), name="f4-kirwan")
-    calls = []
-    monkeypatch.setattr(kirwan, "has_empty_intersection",
-                        lambda d, subset: calls.append(subset) or has_empty_intersection(d, subset))
+    before = kirwan_relations.cache_info().misses
     first = kirwan_relations(data)
-    assert calls and kirwan_relations(data) is first
-    once = len(calls)
+    assert kirwan_relations(data) is first
+    once = kirwan_relations.cache_info().misses
+    assert once == before + 1
     model = cli.ModelFile(data=data, sha256="0" * 64)
     flags = cli.build_parser().parse_args(["kirwan", "f4", "--samples", "3"])
     report = cli.run_command("kirwan", model, flags)
-    assert report["ok"] and len(calls) == once
+    assert report["ok"] and kirwan_relations.cache_info().misses == once
 
 
 def product_verdicts(data, ctx, relations):
