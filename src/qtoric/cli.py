@@ -7,7 +7,8 @@ produce byte-identical reports.  Checks run through ``with_resampling``:
 carry their ``sample``), and ``resamples`` lists each skipped context index
 with its reason and, in verify-recursion, its edge.  Exit codes: 0 all pass,
 1 an identity failed, 2 input error (also ``--samples`` or ``--m`` < 1, a negative
-bound, an ``--edge`` not ``a1,a2:j0``, a class dividing by 0 at every context),
+bound, an ``--edge`` not ``a1,a2:j0``, an integer not spelled [+-]?[0-9]+,
+``--bundle`` without a bundle block, a class dividing by 0 at every context),
 141 stdout closed before the report was written (128 + SIGPIPE, as when
 the output is piped into ``head``), with nothing on stderr.
 
@@ -31,7 +32,7 @@ from . import __version__
 from .exprs import ExprError, ZeroDivisorError, parse_expression
 from .kirwan import kirwan_relations, spectrum_point_count, verify_relations_at_fixed_points
 from .localization import cohomology_integral, ktheory_trace, map_space_integral
-from .models import ModelFile, ModelFormatError, resolve_model
+from .models import ModelFile, ModelFormatError, integer, resolve_model
 from .qdiff import verify_coh_relation, verify_dq_system
 from .recursion import all_orbits, orbit_data, verify_residue_recursion
 from .scalars import sample_context, with_resampling
@@ -40,6 +41,7 @@ from .toric import (
     InvalidModelError,
     degree_pairing,
     enumerate_fixed_points,
+    fixed_point_graph,
     format_monomial,
     mori_generators,
 )
@@ -85,10 +87,10 @@ def _box(model: ModelFile, args, default: int) -> TruncationBox:
 
 
 def _parse_degree(text: str, k: int) -> tuple[int, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
+    parts = text.replace(",", " ").split()
     if len(parts) != k:
         raise InvalidModelError(f"degree needs {k} comma-separated integers")
-    return tuple(int(p) for p in parts)
+    return tuple(map(integer, parts))
 
 
 def cmd_inspect(model: ModelFile, seed: int, samples: int, args) -> dict:
@@ -149,6 +151,8 @@ def cmd_trace(model: ModelFile, seed: int, samples: int, args) -> dict:
 
 def cmd_ifunction(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
+    if args.bundle and model.bundle is None:
+        raise InvalidModelError(f"--bundle: model {data.name!r} has no bundle block")
     box = _box(model, args, 4)
     bundle = model.bundle if args.bundle else None
     [(family, ctx)], resamples = _run(data, seed,
@@ -201,15 +205,11 @@ def cmd_verify_recursion(model: ModelFile, seed: int, samples: int, args) -> dic
 
 
 def _edge_orbit(data, args):
-    """The one orbit ``--edge`` names, solved alone."""
-    alpha_J, j0 = args.edge_key
-    alpha = next((fp for fp in enumerate_fixed_points(data) if fp.J == alpha_J), None)
-    orbit = None
-    if alpha is not None and 0 <= j0 < data.N and j0 not in alpha.J:
-        orbit = orbit_data(data, alpha, j0)
-    if orbit is None:
+    """The one orbit ``--edge`` names, validated alone."""
+    edge = fixed_point_graph(data).get(args.edge_key)
+    if edge is None:
         raise InvalidModelError(f"no orbit matches --edge {args.edge!r}")
-    return orbit
+    return orbit_data(data, edge[0], args.edge_key[1])
 
 
 def cmd_verify_coh(model: ModelFile, seed: int, samples: int, args) -> dict:
@@ -272,17 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("model", help="model file path or bundled model name")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
+        p.add_argument("--seed", type=integer, default=None)
+        p.add_argument("--samples", type=integer, default=None)
         if name in ("trace", "integrate-xd"):
             p.add_argument("--phi", required=True, help="class expression")
         if name in ("ifunction", "verify-dq", "verify-recursion", "verify-coh"):
-            p.add_argument("--deg", type=int, default=None, help="truncation bound")
+            p.add_argument("--deg", type=integer, default=None, help="truncation bound")
         if name == "ifunction":
             p.add_argument("--bundle", action="store_true",
                            help="include the model's bundle block")
         if name == "verify-recursion":
-            p.add_argument("--m", type=int, default=1, help="cover multiplicity")
+            p.add_argument("--m", type=integer, default=1, help="cover multiplicity")
             p.add_argument("--edge", default=None,
                            help="single edge as 'a1,a2:j0' in 1-based indices")
         if name == "integrate-xd":
@@ -299,8 +299,8 @@ def _parse_inputs(model: ModelFile, flags: argparse.Namespace) -> None:
     if getattr(flags, "edge", None):
         try:
             alpha_part, j0_part = flags.edge.split(":")
-            flags.edge_key = (tuple(sorted(int(x) - 1 for x in alpha_part.split(","))),
-                              int(j0_part) - 1)
+            flags.edge_key = (tuple(sorted(integer(x) - 1 for x in alpha_part.split(","))),
+                              integer(j0_part) - 1)
         except ValueError:
             raise ValueError(f"--edge must have the form 'a1,a2:j0' (1-based indices), "
                              f"got {flags.edge!r}") from None

@@ -67,9 +67,10 @@ class ModelFile(NamedTuple):
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _integer(token: str) -> int:
+def integer(token: str) -> int:
+    """``int`` on the spelling [+-]?[0-9]+ only: ``int`` alone reads '1_0' and ' 1'."""
     if not _INTEGER.fullmatch(token):
-        raise ValueError(token)
+        raise ValueError(f"invalid integer value: {token!r}")
     return int(token)
 
 
@@ -78,8 +79,8 @@ def _integer(token: str) -> int:
 _FIELDS = {
     "truncation bound": (Fraction, lambda v: v >= 0, "a nonnegative rational"),
     "truncation ample": (None, lambda v: True, "rationals"),
-    "sampling seed": (_integer, lambda v: True, "an integer"),
-    "sampling samples": (_integer, lambda v: v >= 1, "an integer at least 1"),
+    "sampling seed": (integer, lambda v: True, "an integer"),
+    "sampling samples": (integer, lambda v: v >= 1, "an integer at least 1"),
 }
 
 

@@ -1,8 +1,9 @@
 """One-dimensional orbits and the simple-pole residue recursion.
 
 Choosing a direction j0 off a fixed point alpha singles out an invariant
-sphere to a second fixed point beta.  Away from roots of unity the component
-series at alpha has simple poles in q at the inverse roots of the cotangent
+sphere to a second fixed point beta: an edge of ``toric.fixed_point_graph``,
+checked as it is handed out.  Away from roots of unity the component series
+at alpha has simple poles in q at the inverse roots of the cotangent
 character of that sphere, and their residues are proportional to the beta
 component; the proportionality constant is the equivariant Euler class of the
 virtual cotangent space at the multiple cover, computed here along two
@@ -40,14 +41,12 @@ from .series import TruncationBox, component_residues, component_series
 from .toric import (
     FixedPoint,
     InvalidModelError,
+    OrbitInvariantError,
     ToricData,
     degree_pairing,
     enumerate_fixed_points,
+    fixed_point_graph,
 )
-
-
-class OrbitInvariantError(InvalidModelError):
-    """The orbit data violates a structural identity; bad input data."""
 
 
 class OrbitData(NamedTuple):
@@ -67,69 +66,41 @@ class OrbitData(NamedTuple):
     lambda_char: tuple[int, ...]
 
 
-def orbit_data(data: ToricData, alpha: FixedPoint, j0: int,
-               fixed: dict[tuple[int, ...], FixedPoint] | None = None) -> OrbitData | None:
-    """The orbit leaving alpha in direction j0, or None if there is none.
-
-    ``fixed`` maps each fixed point's J to it; it is built here when not given.
-    """
+def orbit_data(data: ToricData, alpha: FixedPoint, j0: int) -> OrbitData | None:
+    """The orbit leaving alpha in direction j0, or None if there is none."""
     if j0 in alpha.J:
         raise ValueError(f"column {j0 + 1} lies on the fixed point already")
-    if fixed is None:
-        fixed = {fp.J: fp for fp in enumerate_fixed_points(data)}
-    found: list[OrbitData] = []
-    for j0p in alpha.J:
-        new_subset = tuple(sorted(set(alpha.J) - {j0p} | {j0}))
-        beta = fixed.get(new_subset)
-        if beta is None:
-            continue
-        # D_j(d) = 0 for j in J(alpha)\{j0p} and D_{j0}(d) = 1: the index set is
-        # J(beta), so d is the dual-cone generator of beta at j0.
-        d_ab = beta.q_monomials[beta.J.index(j0)]
-        lam = alpha.u_monomials[j0]
-        _validate_orbit(data, alpha, beta, j0, j0p, d_ab, lam)
-        found.append(OrbitData(alpha=alpha, beta=beta, j0=j0, j0_prime=j0p,
-                               d_ab=d_ab, lambda_char=lam))
-    if not found:
+    edge = fixed_point_graph(data).get((alpha.J, j0))
+    if edge is None:
         return None
-    if len(found) > 1:
-        raise OrbitInvariantError(
-            f"direction {j0 + 1} off {alpha.J} matched several fixed points"
-        )
-    return found[0]
+    alpha, beta, j0p = edge
+    # d_ab is beta's dual-cone generator at j0: D_{j0} = 1, D = 0 on the wall.
+    orbit = OrbitData(alpha=alpha, beta=beta, j0=j0, j0_prime=j0p,
+                      d_ab=beta.q_monomials[beta.J.index(j0)],
+                      lambda_char=alpha.u_monomials[j0])
+    _validate_orbit(data, orbit)
+    return orbit
 
 
-def _validate_orbit(data: ToricData, alpha: FixedPoint, beta: FixedPoint,
-                    j0: int, j0p: int, d_ab, char: tuple[int, ...]) -> None:
-    pairing = degree_pairing(data, d_ab)
-    if pairing[j0] != 1 or pairing[j0p] != 1:
+def _validate_orbit(data: ToricData, orbit: OrbitData) -> None:
+    """D_{j0'}(d_ab) = 1 and U_j(alpha) / U_j(beta) = char^{D_j(d_ab)} for all j;
+    D_{j0} = 1 and D = 0 on the shared wall hold as d_ab is a row of beta's
+    inverse, and the rule at j0' gives U_{j0'}(beta) = char^-1."""
+    pairing = degree_pairing(data, orbit.d_ab)
+    if pairing[orbit.j0_prime] != 1:
         raise OrbitInvariantError(
-            f"degree pairings at the endpoints are {pairing[j0]}, {pairing[j0p]}, expected 1"
-        )
-    for j in set(alpha.J) & set(beta.J):
-        if pairing[j] != 0:
-            raise OrbitInvariantError(f"shared column {j + 1} pairs to {pairing[j]} != 0")
-    for j, (a, b) in enumerate(zip(alpha.u_monomials, beta.u_monomials)):
-        if any(x - y != e * pairing[j] for x, y, e in zip(a, b, char)):
+            f"degree pairing at the leaving column is {pairing[orbit.j0_prime]}, expected 1")
+    for j, (a, b) in enumerate(zip(orbit.alpha.u_monomials, orbit.beta.u_monomials)):
+        if any(x - y != e * pairing[j] for x, y, e in zip(a, b, orbit.lambda_char)):
             raise OrbitInvariantError(
-                f"U_{j + 1} monomials disagree with the character power rule"
-            )
-    if beta.u_monomials[j0p] != tuple(-e for e in char):
-        raise OrbitInvariantError("the leaving character is not the inverse")
+                f"U_{j + 1} monomials disagree with the character power rule")
 
 
 def all_orbits(data: ToricData) -> list[OrbitData]:
-    out = []
-    fixed_points = enumerate_fixed_points(data)
-    fixed = {fp.J: fp for fp in fixed_points}
-    for fp in fixed_points:
-        for j0 in range(data.N):
-            if j0 in fp.J:
-                continue
-            orbit = orbit_data(data, fp, j0, fixed)
-            if orbit is not None:
-                out.append(orbit)
-    return out
+    """Every edge of the fixed-point graph, by fixed point and then by j0."""
+    graph = fixed_point_graph(data)
+    return [orbit_data(data, fp, j0) for fp in enumerate_fixed_points(data)
+            for j0 in range(data.N) if (fp.J, j0) in graph]
 
 
 def root_context(data: ToricData, orbit: OrbitData, m: int, seed: int,

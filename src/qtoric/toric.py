@@ -1,15 +1,17 @@
-"""Toric quotient data: fixed points, degree pairings, Mori cone, box degrees.
+"""Toric quotient data: fixed points and their graph, pairings, Mori cone, box degrees.
 
 A model is a K x N integer matrix whose columns express the divisor classes
 u_j in the basis p_1..p_K of the quotient torus, together with a chamber point
 omega.  Torus-fixed points are the K-subsets J whose column cone contains
 omega strictly; smoothness means every such minor has determinant +-1, and all
-downstream formulas assume it.  The Mori cone is built by double description.
+downstream formulas assume it.  Fixed points that share a wall (K - 1 columns)
+are joined by an invariant sphere, an edge of ``fixed_point_graph``, which the
+curve classes and the orbits of ``recursion`` read.  The Mori cone is built by
+double description.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -28,6 +30,10 @@ class InvalidModelError(ValueError):
 class NonRegularChamberError(InvalidModelError):
     """omega sits on a cone wall (a coefficient vanishes, none is negative):
     not a regular value."""
+
+
+class OrbitInvariantError(InvalidModelError):
+    """The orbit data violates a structural identity; bad input data."""
 
 
 class NonSmoothModelError(InvalidModelError):
@@ -216,23 +222,42 @@ def degree_pairing(data: ToricData, d: Sequence[int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def fixed_point_graph(data: ToricData) -> dict:
+    """The fixed-point graph: (J(alpha), j0) -> (alpha, beta, j0') for each
+    invariant sphere, where alpha and beta share the wall J(alpha) - j0' = J(beta) - j0.
+
+    The fixed points are grouped by their walls once; the entries run by alpha,
+    then by the position of j0' in J(alpha).  A direction that leaves alpha
+    through two walls is an OrbitInvariantError.  Callers share the table.
+    """
+    fixed = enumerate_fixed_points(data)
+    walls: dict[tuple[int, ...], list[tuple[FixedPoint, int]]] = {}
+    for fp in fixed:
+        for i, j in enumerate(fp.J):
+            walls.setdefault(fp.J[:i] + fp.J[i + 1:], []).append((fp, j))
+    graph = {}
+    for alpha in fixed:
+        for i, j0p in enumerate(alpha.J):
+            for beta, j0 in walls[alpha.J[:i] + alpha.J[i + 1:]]:
+                if j0 == j0p:
+                    continue
+                if (alpha.J, j0) in graph:
+                    raise OrbitInvariantError(
+                        f"direction {j0 + 1} off {alpha.J} matched several fixed points")
+                graph[alpha.J, j0] = (alpha, beta, j0p)
+    return graph
+
+
+@lru_cache(maxsize=None)
 def _curve_classes(data: ToricData) -> tuple[tuple[int, ...], ...]:
     """The distinct classes of the torus-invariant curves, which span the
     effective-curve cone (Reid 1983), each at its first occurrence.
 
-    The wall J(beta) - j that beta shares with another fixed point is the
-    curve between them, and beta's dual-cone generator at j is its class
-    (``recursion.orbit_data``'s d_ab), primitive as a row of a unimodular
-    inverse.
+    An edge's class is alpha's dual-cone generator at j0', primitive as a row of
+    a unimodular inverse; ``recursion.orbit_data`` checks that it is its d_ab.
     """
-    fixed = enumerate_fixed_points(data)
-    walls = Counter(fp.J[:i] + fp.J[i + 1:] for fp in fixed for i in range(data.K))
-    classes: dict[tuple[int, ...], None] = {}
-    for fp in fixed:
-        for i, g in enumerate(fp.q_monomials):
-            if walls[fp.J[:i] + fp.J[i + 1:]] > 1:
-                classes[g] = None
-    return tuple(classes)
+    return tuple({alpha.q_monomials[alpha.J.index(j0p)]: None
+                  for alpha, _, j0p in fixed_point_graph(data).values()})
 
 
 @lru_cache(maxsize=None)

@@ -8,15 +8,17 @@ C(|G|, rank) solves per rejected vector and shares nothing with the facet
 normals that ``qtoric.toric`` decides membership by.
 
 ``qtoric.toric`` builds the effective-curve cone from the torus-invariant
-curve classes, and its facets by double description.  Two routes it replaced
-are kept here as references.  ``cofactor_facets`` tries every
-(K - 1)-subset of the generators for a facet.  ``dual_cone_union``,
-``union_facets`` and ``union_extreme_rays`` take the cone of the union of
-every fixed point's dual-cone generators.
+curve classes, and its facets by double description.  Three routes it
+replaced are kept here as references.  ``wall_counter_classes`` counts the
+fixed points on each wall to find the curve classes.  ``cofactor_facets``
+tries every (K - 1)-subset of the generators for a facet.
+``dual_cone_union``, ``union_facets`` and ``union_extreme_rays`` take the
+cone of the union of every fixed point's dual-cone generators.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -105,6 +107,20 @@ def extreme_rays(generators) -> list[tuple[int, ...]]:
         if not avoiding or not _in_cone(avoiding, g):
             rays.append(g)
     return rays
+
+
+def wall_counter_classes(data) -> tuple[tuple[int, ...], ...]:
+    """The curve classes by counting walls: beta's dual-cone generator at j,
+    for each wall J(beta) - j that another fixed point shares, each class at
+    its first occurrence."""
+    fixed = enumerate_fixed_points(data)
+    walls = Counter(fp.J[:i] + fp.J[i + 1:] for fp in fixed for i in range(data.K))
+    classes: dict[tuple[int, ...], None] = {}
+    for fp in fixed:
+        for i, g in enumerate(fp.q_monomials):
+            if walls[fp.J[:i] + fp.J[i + 1:]] > 1:
+                classes[g] = None
+    return tuple(classes)
 
 
 def dual_cone_union(data) -> tuple[tuple[int, ...], ...]:

@@ -528,6 +528,50 @@ def test_cli_malformed_edge_names_the_expected_form(capsys):
                                    f"(1-based indices), got {edge!r}")
 
 
+# Spellings that ``int`` reads but model files refuse: a digit separator,
+# surrounding space, a digit of another script, and a decimal point.
+NOT_INTEGERS = ["1_0", " 1", "1 ", "١", "1.0", ""]
+
+
+@pytest.mark.parametrize("text", NOT_INTEGERS)
+def test_cli_degree_and_edge_read_integers_as_model_files_do(text, capsys):
+    # Commas and spaces separate a degree's coordinates; so " 1" is the degree 1.
+    if text.strip() == text:
+        code, report = run(["integrate-xd", "p1", "--degree", text, "--phi", "1"], capsys)
+        assert code == 2 and "error" in report, report
+    edge = f"1:{text}"
+    code, report = run(["verify-recursion", "p1", "--edge", edge], capsys)
+    assert code == 2
+    assert report["error"] == ("--edge must have the form 'a1,a2:j0' "
+                               f"(1-based indices), got {edge!r}")
+    code, report = run(["verify-recursion", "f1", "--edge", f"1,{text}:2"], capsys)
+    assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--samples", "--deg", "--m"])
+@pytest.mark.parametrize("text", NOT_INTEGERS)
+def test_cli_integer_flags_read_integers_as_model_files_do(flag, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-recursion", "p1", flag, text])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid integer value: {text!r}" in capsys.readouterr().err
+
+
+def test_cli_signed_and_padded_integers_are_read(capsys):
+    code, report = run(["integrate-xd", "f1", "--degree", "+01, -1", "--phi", "1",
+                        "--seed", "+007", "--samples", "01"], capsys)
+    assert code == 0 and report["result"]["degree"] == [1, -1] and report["seed"] == 7
+    code, report = run(["verify-recursion", "f1", "--edge", "+01,03:02", "--m", "+1",
+                        "--deg", "02", "--samples", "1"], capsys)
+    assert code == 0 and report["ok"]
+    assert [(e["alpha"], e["j0"]) for e in report["result"]["edges"]] == [([1, 3], 2)]
+
+
+def test_cli_bundle_flag_needs_a_bundle_block(capsys):
+    code, report = run(["ifunction", "p2", "--bundle", "--samples", "1"], capsys)
+    assert (code, report) == (2, {"error": "--bundle: model 'p2' has no bundle block"})
+
+
 def test_cli_bound_defaults_to_the_model_file(capsys):
     # p2_o1_o2.model sets "truncation bound 5"; --deg still wins.
     for command in ("ifunction", "verify-dq", "verify-coh", "verify-recursion"):

@@ -9,6 +9,7 @@ from qtoric.models import bundled_model_names, load_bundled_model
 from qtoric.recursion import (
     OrbitInvariantError,
     _coefficient_pairs,
+    _validate_orbit,
     all_orbits,
     edge_euler_class,
     edge_euler_class_from_forms,
@@ -98,8 +99,8 @@ LINES6 = ToricData(m=tuple(tuple(int(j // 2 == i) for j in range(12)) for i in r
                                     for name in bundled_model_names()), LINES6],
                          ids=lambda data: data.name)
 def test_all_orbits_is_the_per_direction_search(data):
-    # One fixed-point map for the whole sweep gives what a fresh map per
-    # direction gives, and every edge satisfies the character power rule as
+    # The sweep gives what orbit_data gives direction by direction, in that
+    # order, and every edge satisfies the character power rule as
     # exponent-vector arithmetic states it.
     expected = [orbit for fp in enumerate_fixed_points(data) for j0 in range(data.N)
                 if j0 not in fp.J
@@ -121,15 +122,14 @@ def test_swapped_u_monomials_are_an_orbit_invariant_error(name):
     # Swap two distinct U-monomials of beta away from the leaving column: the
     # character power rule no longer holds, and the orbit is refused.
     data = load_bundled_model(name).data
-    fixed = {fp.J: fp for fp in enumerate_fixed_points(data)}
     for orbit in all_orbits(data):
         us = list(orbit.beta.u_monomials)
         a, b = next((a, b) for a in range(data.N) for b in range(a)
                     if orbit.j0_prime not in (a, b) and us[a] != us[b])
         us[a], us[b] = us[b], us[a]
-        swapped = {**fixed, orbit.beta.J: orbit.beta._replace(u_monomials=tuple(us))}
+        swapped = orbit.beta._replace(u_monomials=tuple(us))
         with pytest.raises(OrbitInvariantError):
-            orbit_data(data, orbit.alpha, orbit.j0, swapped)
+            _validate_orbit(data, orbit._replace(beta=swapped))
 
 
 def test_cotangent_euler_values(p1, f1):
