@@ -39,9 +39,11 @@ for d in [(1, 0), (0, 1), (1, 1)]:
 print()
 
 print("effective-cone membership of d = (1, 0), per fixed point:")
-overall, flags = mori_cone_membership(data, (1, 0))
-for fp, flag in zip(enumerate_fixed_points(data), flags):
-    print(f"  alpha = {tuple(j+1 for j in fp.J)}: {flag}")
+# d lies in alpha's dual cone iff D_j(d) >= 0 for every j in J(alpha).
+pairing = degree_pairing(data, (1, 0))
+for fp in enumerate_fixed_points(data):
+    print(f"  alpha = {tuple(j+1 for j in fp.J)}: {all(pairing[j] >= 0 for j in fp.J)}")
+overall = mori_cone_membership(data, (1, 0))
 print(f"  overall: {overall};  cone generators: {mori_generators(data)}")
 print()
 

@@ -47,14 +47,14 @@ print("the same identity rebuilt through Adams operations (sampled q):")
 fp = enumerate_fixed_points(data)[0]
 pair = point_series(fp.q_monomials, box, ctx)
 tau = NovikovSeries(box, {g: 1 for g in fp.q_monomials})
-arg = None
+arg = {}
 k = 1
 while True:
     term = adams(tau, k)
     if not term.coeffs:
         break
-    term = term.scale(1 / (k * (1 - ctx.q ** k)))
-    arg = term if arg is None else arg + term
+    for d, c in term.scale(1 / (k * (1 - ctx.q ** k))).coeffs.items():
+        arg[d] = arg.get(d, 0) + c
     k += 1
 print(f"  exp(sum_k Psi^k(tau)/k(1-q^k)) == both forms: "
-      f"{series_exp(arg) == pair.exp_form == pair.sum_form}")
+      f"{series_exp(NovikovSeries(box, arg)) == pair.exp_form == pair.sum_form}")

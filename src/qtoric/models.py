@@ -19,7 +19,10 @@ The matrix directive is followed by K rows of N integers; a bundle directive
 by K rows of L integers (the fiber exponents).  Blank and comment lines may
 sit between the rows.  ``truncation ample`` takes K
 rationals; ``truncation bound`` takes one nonnegative rational, ``sampling
-seed`` one integer and ``sampling samples`` one integer at least 1.  Every
+seed`` one integer and ``sampling samples`` one integer at least 1.  Numbers
+are ASCII: a count is [0-9]+, an integer [+-]?[0-9]+, and a rational an
+integer, a fraction [+-]?[0-9]+/[0-9]+ or a decimal [+-]?[0-9]+.[0-9]+; a
+matrix or bundle entry may be any rational of integral value (2/1, 1.0).  Every
 directive and field may be given once.  Every diagnostic carries a stable code
 and the line of the offending directive (``duplicate-directive`` for a repeat,
 ``directive-shape`` for a wrong count of values, ``bad-number``, ...).
@@ -64,7 +67,9 @@ class ModelFile(NamedTuple):
     sha256: str = ""
 
 
+_COUNT = re.compile(r"[0-9]+")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
 def integer(token: str) -> int:
@@ -74,10 +79,18 @@ def integer(token: str) -> int:
     return int(token)
 
 
+def _rational(token: str) -> Fraction:
+    """``Fraction`` on an integer, fraction or decimal in ASCII digits only:
+    ``Fraction`` alone reads '1_0', '1e3' and the digits of other scripts."""
+    if not _RATIONAL.fullmatch(token):
+        raise ValueError(f"invalid rational value: {token!r}")
+    return Fraction(token)
+
+
 # The run defaults: field -> (reader of its one value, or None for a list of
 # rationals; the values it accepts; what a refused value should have been).
 _FIELDS = {
-    "truncation bound": (Fraction, lambda v: v >= 0, "a nonnegative rational"),
+    "truncation bound": (_rational, lambda v: v >= 0, "a nonnegative rational"),
     "truncation ample": (None, lambda v: True, "rationals"),
     "sampling seed": (integer, lambda v: True, "an integer"),
     "sampling samples": (integer, lambda v: v >= 1, "an integer at least 1"),
@@ -110,7 +123,7 @@ def parse_model_text(text: str) -> ModelFile:
                 continue
             # Any other spelling of an integer (2/1, 1.0) is read as a rational.
             try:
-                value = Fraction(tok)
+                value = _rational(tok)
             except (ValueError, ZeroDivisionError):
                 err("bad-number", line_no, f"cannot read {tok!r}")
                 return None
@@ -160,7 +173,7 @@ def parse_model_text(text: str) -> ModelFile:
             if matrix is not None:
                 err("duplicate-directive", line_no, "matrix given twice")
                 continue
-            if len(tokens) != 3 or not tokens[1].isdigit() or not tokens[2].isdigit():
+            if len(tokens) != 3 or not all(map(_COUNT.fullmatch, tokens[1:])):
                 err("directive-shape", line_no, "matrix takes row and column counts")
                 continue
             matrix = read_rows(int(tokens[1]), int(tokens[2]), "matrix", line_no)
@@ -170,7 +183,7 @@ def parse_model_text(text: str) -> ModelFile:
                 continue
             omega_line = line_no
             try:
-                omega = tuple(int(tok) if _INTEGER.fullmatch(tok) else Fraction(tok)
+                omega = tuple(int(tok) if _INTEGER.fullmatch(tok) else _rational(tok)
                               for tok in tokens[1:])
             except (ValueError, ZeroDivisionError):
                 err("bad-number", line_no, "omega entries must be rationals")
@@ -185,7 +198,8 @@ def parse_model_text(text: str) -> ModelFile:
             if matrix is None:
                 err("bundle-order", line_no, "bundle must come after matrix")
                 continue
-            if len(tokens) != 3 or tokens[1] not in ("E", "PiE") or not tokens[2].isdigit():
+            if (len(tokens) != 3 or tokens[1] not in ("E", "PiE")
+                    or not _COUNT.fullmatch(tokens[2])):
                 err("bundle-parity", line_no, "bundle takes parity E|PiE and a summand count")
                 continue
             bundle_parity = tokens[1]
@@ -202,7 +216,7 @@ def parse_model_text(text: str) -> ModelFile:
                 read, valid, what = _FIELDS[field]
                 field_lines[field] = line_no
                 try:
-                    value = read(tokens[2]) if read else tuple(map(Fraction, tokens[2:]))
+                    value = read(tokens[2]) if read else tuple(map(_rational, tokens[2:]))
                     if not valid(value):
                         raise ValueError(value)
                     fields[field] = value

@@ -28,7 +28,7 @@ coefficients are never multiplied.  An absent coefficient is None.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .scalars import SampleContext, binomial, linear, power_product, ratio_table
 from .series import (
@@ -50,17 +50,14 @@ Factors = Sequence[tuple[int, int]]
 
 
 def apply_gamma_ratio(series: NovikovSeries, data: ToricData, j: int, lam_value,
-                      ctx: SampleContext, pairings: dict | None = None) -> NovikovSeries:
+                      ctx: SampleContext, pairings: dict) -> NovikovSeries:
     """The ratio of Gamma-operator symbols attached to column j, in finite form.
 
     Acting on Q^d it multiplies by the finite ratio of lam at depth D_j(d),
     read from one ``ratio_table`` over the depths of the support; no infinite
     products are ever materialized.  ``pairings`` maps each support degree d
-    to this module's ``degree_pairing(data, d)``; it is computed here when
-    not given.
+    to this module's ``degree_pairing(data, d)``.
     """
-    if pairings is None:
-        pairings = {d: degree_pairing(data, d) for d in series.coeffs}
     depth = {d: pairings[d][j] for d in series.coeffs}
     table = ratio_table(lam_value, depth.values(), ctx.q)
     return series.map_with_degree(lambda d, c: c * table[depth[d]])
@@ -88,16 +85,6 @@ def gamma_reconstruction(data: ToricData, fp: FixedPoint, box: TruncationBox,
 # ---------------------------------------------------------------------------
 # The relation check.
 # ---------------------------------------------------------------------------
-
-
-class CheckResult(NamedTuple):
-    label: str
-    ok: bool
-    failures: list
-
-    def as_dict(self) -> dict:
-        failures = [{"degree": list(d), "lhs": str(a), "rhs": str(b)} for d, a, b in self.failures]
-        return {"label": self.label, "ok": self.ok, "failures": failures}
 
 
 def verify_dq_system(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
@@ -160,8 +147,8 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int],
         f"Q^{d0} relation", swap=True))
 
 
-def _report(checks: list[CheckResult]) -> dict:
-    return {"ok": all(c.ok for c in checks), "checks": [c.as_dict() for c in checks]}
+def _report(checks: list[dict]) -> dict:
+    return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
 def _relation_sides(steps: Sequence[int]) -> tuple[list, list]:
@@ -174,14 +161,14 @@ def _relation_sides(steps: Sequence[int]) -> tuple[list, list]:
 def _verify_shift(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
                   shift: Sequence[int], left: Factors, right: Factors,
                   kernels_at: Callable[[FixedPoint], list], name: str,
-                  swap: bool = False) -> list[CheckResult]:
+                  swap: bool = False) -> list[dict]:
     """Check c_d L(d) = c_{d - shift} R(d) at every box degree d, per fixed point.
 
     A side is a list of factors (j, s), each f_j(D_j(d) - s) with f_j the
     fixed point's kernel ``kernels_at(fp)[j]``.  The source d - shift is a
     box degree, an exact zero (off the effective cone), or beyond the bound,
-    where d is not checked.  A failure is (d, c_d L, c_{d - shift} R), the
-    two sides swapped when ``swap`` is set.
+    where d is not checked.  A failure reports d, c_d L and c_{d - shift} R,
+    the two sides swapped when ``swap`` is set.
     """
     box = next(iter(family.values())).box
     left_exponents, right_exponents = _exponents(data, left), _exponents(data, right)
@@ -208,11 +195,12 @@ def _verify_shift(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
             lhs = left_word[left_ks]
             rhs = (0, 1) if c_source is None else right_word[right_ks]
             if not _agree(c, lhs, c_source, rhs):
-                sides = [Fraction(*side) * (0 if coeff is None else coeff)
+                sides = [str(Fraction(*side) * (0 if coeff is None else coeff))
                          for coeff, side in ((c, lhs), (c_source, rhs))]
-                failures.append((d, *(sides[::-1] if swap else sides)))
-        checks.append(CheckResult(label=f"{name} at alpha={tuple(j + 1 for j in fp.J)}",
-                                  ok=not failures, failures=failures))
+                shown_lhs, shown_rhs = sides[::-1] if swap else sides
+                failures.append({"degree": list(d), "lhs": shown_lhs, "rhs": shown_rhs})
+        checks.append({"label": f"{name} at alpha={tuple(j + 1 for j in fp.J)}",
+                       "ok": not failures, "failures": failures})
     return checks
 
 

@@ -90,7 +90,7 @@ class TruncationBox(_BoxFields):
 
     def beyond(self, d: Sequence[int]) -> bool:
         """Whether the integral degree d is effective and pairs above the bound."""
-        return self.pairing(d) > self.bound and mori_cone_membership(self.data, d)[0]
+        return self.pairing(d) > self.bound and mori_cone_membership(self.data, d)
 
 
 def truncation_box(data: ToricData, bound, ample: Sequence | None = None) -> TruncationBox:
@@ -156,22 +156,11 @@ class NovikovSeries:
     def scale(self, a) -> "NovikovSeries":
         return self.map_with_degree(lambda d, c: c * a)
 
-    def __add__(self, other: "NovikovSeries") -> "NovikovSeries":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return NovikovSeries(self.box, out, self.mode)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, NovikovSeries)
                 and self.box == other.box
                 and self.mode == other.mode
                 and self.coeffs == other.coeffs)
-
-    def _check_compatible(self, other: "NovikovSeries") -> None:
-        if self.box != other.box or self.mode != other.mode:
-            raise ValueError("series live on different boxes or modes")
 
     def __repr__(self) -> str:
         terms = ", ".join(f"Q^{d}: {c}" for d, c in sorted(self.coeffs.items()))

@@ -215,10 +215,15 @@ def degree_pairing(data: ToricData, d: Sequence[int]) -> tuple[int, ...]:
 
     A non-integral degree is a ValueError (``integral_degree``), never truncated.
     """
+    d = _lattice_degree(data, d)
+    return tuple(_dot(column, d) for column in data.columns)
+
+
+def _lattice_degree(data: ToricData, d: Sequence) -> tuple[int, ...]:
+    """d as K ints; a d of the wrong length is an InvalidModelError."""
     if len(d) != data.K:
         raise InvalidModelError(f"degree must have {data.K} coordinates")
-    d = integral_degree(d)
-    return tuple(_dot(column, d) for column in data.columns)
+    return integral_degree(d)
 
 
 @lru_cache(maxsize=None)
@@ -300,20 +305,14 @@ def _dot(a: Sequence, b: Sequence):
     return sum(map(mul, a, b))
 
 
-def mori_cone_membership(
-    data: ToricData, d: Sequence[int]
-) -> tuple[bool, tuple[bool, ...]]:
-    """Overall membership in the effective-curve cone, plus per-fixed-point flags.
-
-    The flag at alpha is D_j(d) >= 0 for all j in J(alpha).  The overall flag
-    is <n, d> >= 0 for every facet normal n of the cone: exact, and true also
-    on sums of generators of different fixed points that no flag accepts.
+def mori_cone_membership(data: ToricData, d: Sequence[int]) -> bool:
+    """Membership in the effective-curve cone: <n, d> >= 0 for every facet
+    normal n of the cone.  Exact, and true also on sums of generators of
+    different fixed points that no single fixed point's dual cone holds.
+    A d of the wrong length or off the lattice is refused as by ``degree_pairing``.
     """
-    pairing = degree_pairing(data, d)
-    flags = tuple(
-        all(pairing[j] >= 0 for j in fp.J) for fp in enumerate_fixed_points(data)
-    )
-    return all(_dot(n, d) >= 0 for n in _mori_facets(data)), flags
+    d = _lattice_degree(data, d)
+    return all(_dot(n, d) >= 0 for n in _mori_facets(data))
 
 
 def mori_generators(data: ToricData) -> list[tuple[int, ...]]:

@@ -269,6 +269,48 @@ def test_model_diagnostics_cover_shapes():
         assert (code, line) in found, (text, info.value)
 
 
+# Spellings that ``int`` or ``Fraction`` read but model files refuse: digit
+# separators, exponents, and digits that are not ASCII (Arabic-Indic, superscript).
+NOT_ASCII_NUMBERS = ["1_0", "1/1_0", "1e3", "1E0", "\u0661", "\u00b9"]
+SPELLING_HEAD = "name x\nmatrix 1 2\n1 1\nomega 1\n"  # lines 1-4
+
+
+def spelling_cases(text):
+    """Model text -> (code, line) with ``text`` in each numeric position."""
+    return {
+        f"name x\nmatrix {text} 2\n1 1\nomega 1\n": ("directive-shape", 2),
+        f"name x\nmatrix 1 {text}\n1 1\nomega 1\n": ("directive-shape", 2),
+        SPELLING_HEAD + f"bundle E {text}\n1\n": ("bundle-parity", 5),
+        f"name x\nmatrix 1 2\n1 {text}\nomega 1\n": ("bad-number", 3),
+        SPELLING_HEAD + f"bundle E 2\n{text} 1\n": ("bad-number", 6),
+        f"name x\nmatrix 1 2\n1 1\nomega {text}\n": ("bad-number", 4),
+        SPELLING_HEAD + f"truncation bound {text}\n": ("bad-number", 5),
+        SPELLING_HEAD + f"truncation ample {text}\n": ("bad-number", 5),
+        SPELLING_HEAD + f"sampling seed {text}\n": ("bad-number", 5),
+        SPELLING_HEAD + f"sampling samples {text}\n": ("bad-number", 5),
+    }
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_NUMBERS)
+def test_model_numbers_are_ascii_in_every_position(text):
+    for model, (code, line) in spelling_cases(text).items():
+        with pytest.raises(ModelFormatError) as info:
+            parse_model_text(model)
+        # A refused block directive leaves its rows to be read as directives.
+        assert info.value.diagnostics[0][:2] == (code, line), model
+
+
+def test_model_numbers_keep_their_ascii_spellings():
+    model = parse_model_text("name x\nmatrix 02 2\n+1 2/1\n1.0 -0\nomega 3/2 2.50\n"
+                             "bundle E 01\n-2/1\n+1.0\ntruncation bound 5/2\n"
+                             "truncation ample 1.5 +1\nsampling seed -07\n")
+    assert model.data.m == ((1, 2), (1, 0))
+    assert model.data.omega == (Fraction(3, 2), Fraction(5, 2))
+    assert model.bundle.exponents == ((-2,), (1,))
+    assert model.bound == Fraction(5, 2) and model.ample == (Fraction(3, 2), 1)
+    assert model.seed == -7
+
+
 @pytest.mark.parametrize("gap", ["# second row\n", "\n", "  \t\n", "  # indented\n\n"])
 def test_block_rows_skip_blank_and_comment_lines(gap):
     text = ("name x\nmatrix 2 4\n1 1 0 -1\n" + gap + "0 0 1 1\nomega 1 1\n"
@@ -528,8 +570,10 @@ def test_cli_malformed_edge_names_the_expected_form(capsys):
                                    f"(1-based indices), got {edge!r}")
 
 
-# Spellings that ``int`` reads but model files refuse: a digit separator,
-# surrounding space, a digit of another script, and a decimal point.
+# Spellings that ``int`` reads but the integer flags refuse: a digit
+# separator, surrounding space, a digit of another script, and a decimal point.
+# So do a model file's integer fields (``sampling seed``, ``sampling samples``);
+# its matrix and bundle entries, rationals of integral value, read 1.0 as 1.
 NOT_INTEGERS = ["1_0", " 1", "1 ", "١", "1.0", ""]
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtoric.series
-from helpers import constant_series, fixed_point
+from helpers import add, constant_series, fixed_point
 from qtoric import cli
 from qtoric.models import bundled_model_names, load_bundled_model, parse_model_text
 from qtoric.qdiff import (
@@ -56,7 +56,12 @@ def u_word_factor(series, data, fp, j, r, ctx):
     for i in range(data.K):
         if data.m[i][j]:
             out = apply_p(out, i, fp, ctx, power=data.m[i][j])
-    return series + out.scale(-1 / ctx.Lambda[j]).scale(Fraction(ctx.q) ** (-r))
+    return add(series, out.scale(-1 / ctx.Lambda[j]).scale(Fraction(ctx.q) ** (-r)))
+
+
+def pairings(data, series):
+    """``degree_pairing`` at each support degree, as ``apply_gamma_ratio`` reads it."""
+    return {d: degree_pairing(data, d) for d in series.coeffs}
 
 
 def shift_by_lookup(series, d0):
@@ -143,7 +148,7 @@ def test_operators_never_enlarge_support(f1):
     for out in (apply_translation(s, 0, ctx.q),
                 apply_p(s, 0, fp, ctx),
                 apply_word_table(s, f1, fp, [(1, 0)], ctx),
-                apply_gamma_ratio(s, f1, 1, Fraction(2, 5), ctx)):
+                apply_gamma_ratio(s, f1, 1, Fraction(2, 5), ctx, pairings(f1, s))):
         assert set(out.coeffs) <= set(s.coeffs)
     shifted = shift_by_degree(s, (1, 0))
     assert set(shifted.coeffs) == {(2, 0), (1, 1)}
@@ -436,7 +441,7 @@ def test_gamma_ratio_single_degree(p1):
     ctx = sample_context(p1.N, 37)
     lam = Fraction(3, 7)
     s = NovikovSeries(box, {(2,): Fraction(1)})
-    out = apply_gamma_ratio(s, p1, 0, lam, ctx)  # D_1(d) = d = 2
+    out = apply_gamma_ratio(s, p1, 0, lam, ctx, pairings(p1, s))  # D_1(d) = d = 2
     q = ctx.q
     assert out.coefficient((2,)) == 1 / ((1 - lam * q) * (1 - lam * q ** 2))
     assert out.coefficient((2,)) == ratio_table(lam, (2,), q)[2]
@@ -447,7 +452,7 @@ def test_gamma_ratio_identity_when_depth_zero(f1):
     box = truncation_box(f1, 2)
     ctx = sample_context(f1.N, 41)
     s = NovikovSeries(box, {(0, 1): Fraction(5)})  # D_1((0,1)) = 0
-    assert apply_gamma_ratio(s, f1, 0, Fraction(2, 3), ctx) == s
+    assert apply_gamma_ratio(s, f1, 0, Fraction(2, 3), ctx, pairings(f1, s)) == s
 
 
 def test_gamma_reconstruction_all_alpha(p1, f1):
@@ -495,7 +500,7 @@ def test_verify_dq_checks_a_basis_row_off_the_effective_cone(tmp_path, capsys):
     # The source d - e_2 is a box degree or an exact zero, never beyond the
     # bound, so every degree is checked, and the relation holds.
     data = parse_model_text(F1_SKEW).data
-    assert not mori_cone_membership(data, (0, 1))[0]
+    assert not mori_cone_membership(data, (0, 1))
     path = tmp_path / "f1_skew.model"
     path.write_text(F1_SKEW)
     assert cli.main(["verify-dq", str(path), "--deg", "6", "--samples", "2"]) == 0

@@ -99,14 +99,23 @@ LINES6 = ToricData(m=tuple(tuple(int(j // 2 == i) for j in range(12)) for i in r
                                     for name in bundled_model_names()), LINES6],
                          ids=lambda data: data.name)
 def test_all_orbits_is_the_per_direction_search(data):
-    # The sweep gives what orbit_data gives direction by direction, in that
-    # order, and every edge satisfies the character power rule as
+    # The sweep gives, by fixed point and then direction, the edges a
+    # brute-force search finds: off alpha in direction j0 not in J(alpha), the
+    # one fixed point beta with j0 in J(beta) sharing K - 1 columns with alpha,
+    # which j0' leaves.  Every edge satisfies the character power rule as
     # exponent-vector arithmetic states it.
-    expected = [orbit for fp in enumerate_fixed_points(data) for j0 in range(data.N)
-                if j0 not in fp.J
-                for orbit in [orbit_data(data, fp, j0)] if orbit is not None]
+    fixed = enumerate_fixed_points(data)
+    expected = []
+    for alpha in fixed:
+        for j0 in range(data.N):
+            if j0 not in alpha.J:
+                betas = [beta for beta in fixed if j0 in beta.J
+                         and len(set(alpha.J) & set(beta.J)) == data.K - 1]
+                assert len(betas) == 1, (alpha.J, j0)
+                (j0_prime,) = set(alpha.J) - set(betas[0].J)
+                expected.append((alpha.J, betas[0].J, j0, j0_prime))
     orbits = all_orbits(data)
-    assert orbits == expected
+    assert [(o.alpha.J, o.beta.J, o.j0, o.j0_prime) for o in orbits] == expected
     assert len(orbits) == {"p1x6": 384, "p1": 2, "f1": 8, "p1xp1": 8}.get(data.name, 6)
     for orbit in orbits:
         pairing = degree_pairing(data, orbit.d_ab)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratio_oracle
-from helpers import constant_series, fixed_point, multiply
-from qtoric import qdiff, scalars
+from helpers import add, constant_series, fixed_point, multiply
+from qtoric import qdiff, scalars, toric
 from qtoric import series as series_module
 from qtoric.models import (
     bundled_model_names,
@@ -94,6 +94,23 @@ def test_in_bound_lookups_skip_the_cone_test(f1, monkeypatch):
     monkeypatch.undo()
     with pytest.raises(TruncationError):
         s.coefficient((4, 0))            # effective, pairing 4 > 3
+
+
+def test_off_box_reads_enumerate_no_fixed_points(f1, monkeypatch):
+    # Building the box keeps the cone's facet normals; the cone test of an
+    # off-box degree reads them alone, never the fixed points.
+    box = truncation_box(f1, 3)
+    s = constant_series(box)
+
+    def fail(data):
+        raise AssertionError("fixed points enumerated")
+
+    monkeypatch.setattr(toric, "enumerate_fixed_points", fail)
+    assert box.beyond((4, 0))
+    assert not box.beyond((-1, 5))       # pairing 4 > 3, not effective
+    with pytest.raises(TruncationError):
+        s.coefficient((4, 0))            # effective, pairing 4 > 3
+    assert s.coefficient((-1, 5)) == 0
 
 
 def test_point_series_chain_p1(p1):
@@ -636,7 +653,7 @@ def test_adams_rebuilds_exp_form(p1):
         if not term.coeffs:
             break
         term = term.scale(1 / (k * (1 - ctx.q ** k)))
-        arg = term if arg is None else arg + term
+        arg = term if arg is None else add(arg, term)
         k += 1
     assert k == 6
     assert series_exp(arg) == pair.exp_form == pair.sum_form
@@ -691,7 +708,7 @@ def exp_by_powers(s):
         power = multiply(power, s)
         if not power.coeffs:
             return out
-        out = out + power.scale(Fraction(1, factorial(n)))
+        out = add(out, power.scale(Fraction(1, factorial(n))))
 
 
 @st.composite
@@ -713,7 +730,7 @@ def sparse_arguments(draw):
 def test_series_exp_matches_the_power_sum(args):
     a, b = args
     assert series_exp(a) == exp_by_powers(a)
-    assert series_exp(a + b) == multiply(series_exp(a), series_exp(b))
+    assert series_exp(add(a, b)) == multiply(series_exp(a), series_exp(b))
 
 
 def test_gamma_reconstruction_builds_no_exponential(monkeypatch):

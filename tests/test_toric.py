@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import fixed_point
+from helpers import dual_cone_flags, fixed_point
 from linalg_oracle import determinant, solve_square
 from localization_oracle import map_space_model
 from qtoric.models import projective_space
@@ -188,19 +188,24 @@ def test_degree_reencoding_identity(all_models):
 
 
 def test_mori_membership_f1(f1):
-    overall, flags = mori_cone_membership(f1, (1, 0))
-    assert overall
-    labels = subsets(f1)
-    by_subset = dict(zip(labels, flags))
+    assert mori_cone_membership(f1, (1, 0)) is True
+    by_subset = dict(zip(subsets(f1), dual_cone_flags(f1, (1, 0))))
     assert by_subset[(0, 2)] is True
     assert by_subset[(1, 3)] is False  # D_4 = -1 there
-    assert mori_cone_membership(f1, (0, 0)) == (True, (True,) * 4)
+    assert mori_cone_membership(f1, (0, 0)) is True
+    assert dual_cone_flags(f1, (0, 0)) == (True,) * 4
 
 
 def test_mori_membership_negative(p1):
-    overall, flags = mori_cone_membership(p1, (-1,))
-    assert not overall
-    assert flags == (False, False)
+    assert mori_cone_membership(p1, (-1,)) is False
+    assert dual_cone_flags(p1, (-1,)) == (False, False)
+
+
+def test_mori_membership_refuses_what_degree_pairing_refuses(f1):
+    with pytest.raises(InvalidModelError, match="degree must have 2 coordinates"):
+        mori_cone_membership(f1, (1,))
+    with pytest.raises(ValueError, match=r"^degree \(1/2, 0\) is not integral$"):
+        mori_cone_membership(f1, (Fraction(1, 2), 0))
 
 
 def test_mori_overall_matches_flag_union(f1, p1xp1):
@@ -208,8 +213,8 @@ def test_mori_overall_matches_flag_union(f1, p1xp1):
     for data in (f1, p1xp1):
         for d1 in range(-2, 3):
             for d2 in range(-2, 3):
-                overall, flags = mori_cone_membership(data, (d1, d2))
-                assert overall == any(flags)
+                d = (d1, d2)
+                assert mori_cone_membership(data, d) == any(dual_cone_flags(data, d))
 
 
 def test_mori_generators(p1, f1):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from qtoric.qdiff import CheckResult, _binomials, _exponents, _Word
+from qtoric.qdiff import _binomials, _exponents, _Word
 from qtoric.scalars import SampleContext, TruncationError, power_product
 from qtoric.series import NovikovSeries
 from qtoric.toric import (
@@ -103,12 +103,10 @@ def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], Novik
         series = family[fp.J]
         lhs = apply_word(series, data, fp, lhs_factors, ctx)
         rhs = shift_by_degree(apply_word(series, data, fp, rhs_factors, ctx), e_i)
-        failures = [(d, lhs.coefficient(d), rhs.coefficient(d)) for d in series.box.degrees
-                    if lhs.coefficient(d) != rhs.coefficient(d)]
-        checks.append(CheckResult(
-            label=f"relation Q_{shift_i+1} at alpha={tuple(j + 1 for j in fp.J)}",
-            ok=not failures, failures=failures))
-    return {"ok": all(c.ok for c in checks), "checks": [c.as_dict() for c in checks]}
+        failures = [_failure(d, lhs.coefficient(d), rhs.coefficient(d))
+                    for d in series.box.degrees if lhs.coefficient(d) != rhs.coefficient(d)]
+        checks.append(_check(f"relation Q_{shift_i+1}", fp, failures))
+    return _report(checks)
 
 
 def verify_coh_relation(data: ToricData, d0: Sequence[int],
@@ -133,16 +131,28 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int],
             rhs = series.coefficient(d) * prod(b + s * ctx.z
                                                for b, step in zip(bases, steps) for s in range(step))
             if lhs != rhs:
-                failures.append((d, lhs, rhs))
-        checks.append(CheckResult(
-            label=f"Q^{d0} relation at alpha={tuple(j + 1 for j in fp.J)}",
-            ok=not failures, failures=failures))
-    return {"ok": all(c.ok for c in checks), "checks": [c.as_dict() for c in checks]}
+                failures.append(_failure(d, lhs, rhs))
+        checks.append(_check(f"Q^{d0} relation", fp, failures))
+    return _report(checks)
+
+
+def _failure(d: Sequence[int], lhs, rhs) -> dict:
+    """A failing degree as a report lists it: d and both sides as text."""
+    return {"degree": list(d), "lhs": str(lhs), "rhs": str(rhs)}
+
+
+def _check(name: str, fp: FixedPoint, failures: list[dict]) -> dict:
+    return {"label": f"{name} at alpha={tuple(j + 1 for j in fp.J)}",
+            "ok": not failures, "failures": failures}
+
+
+def _report(checks: list[dict]) -> dict:
+    return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
 def k_relation_failures(data: ToricData, d0: Sequence[int],
                         family: dict[tuple[int, ...], NovikovSeries],
-                        ctx: SampleContext) -> list[list]:
+                        ctx: SampleContext) -> list[list[dict]]:
     """Per fixed point, the degrees d where the K-theoretic relation of the
     shift d0 fails: the word of the factors (j, s), 0 <= s < D_j(d0), times
     the coefficient at d against the word of the factors (j, s),
@@ -164,7 +174,7 @@ def k_relation_failures(data: ToricData, d0: Sequence[int],
                 continue
             lhs = series.coefficient(d) * left_word(d)
             if lhs != rhs:
-                failures.append((d, lhs, rhs))
+                failures.append(_failure(d, lhs, rhs))
         out.append(failures)
     return out
 
