@@ -20,14 +20,16 @@ rationals.  A zero divisor (or base of a negative power) raises
 
 from __future__ import annotations
 
-import ast
 import operator
 import re
 import warnings
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .scalars import DegenerateSampleError
+
+if TYPE_CHECKING:
+    import ast
 
 
 class ExprError(ValueError):
@@ -46,16 +48,19 @@ class ZeroDivisorError(ZeroDivisionError, DegenerateSampleError):
     """A divisor of the class expression vanished at the sample point."""
 
 
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-           ast.Div: operator.truediv, ast.Pow: operator.pow}
+# By the name of the ast operator class: ``ast`` is imported by the functions
+# that read a tree, so a command that parses no expression never loads it.
+_BINARY = {"Add": operator.add, "Sub": operator.sub, "Mult": operator.mul,
+           "Div": operator.truediv, "Pow": operator.pow}
 
 
 def _check(node: ast.expr, source: str, where: Callable[[int], int]) -> None:
     """Raise ExprError unless the grammar derives the tree; where() maps offsets to the text."""
+    import ast
     start, end = node.col_offset, node.end_col_offset
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         _check(node.operand, source, where)
-    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+    elif isinstance(node, ast.BinOp) and type(node.op).__name__ in _BINARY:
         _check(node.left, source, where)
         if not isinstance(node.op, ast.Pow):
             _check(node.right, source, where)
@@ -71,12 +76,13 @@ def _check(node: ast.expr, source: str, where: Callable[[int], int]) -> None:
 def _compile(node: ast.expr) -> Callable[[Mapping[str, Fraction]], Fraction]:
     """The checked tree as nested closures: each constant is a ``Fraction`` and
     each exponent an int, made once; a symbol is read from the environment."""
+    import ast
     if isinstance(node, ast.BinOp):
         left = _compile(node.left)
         if isinstance(node.op, ast.Pow):
             k = int(_compile(node.right)({}))
             return lambda env: left(env) ** k
-        op, right = _BINARY[type(node.op)], _compile(node.right)
+        op, right = _BINARY[type(node.op).__name__], _compile(node.right)
         return lambda env: op(left(env), right(env))
     if isinstance(node, ast.UnaryOp):
         operand = _compile(node.operand)
@@ -114,6 +120,7 @@ class Expression:
 
 
 def parse_expression(text: str) -> Expression:
+    import ast
     if not text.strip():
         raise ExprError("empty expression", 0)
     if foreign := _FOREIGN.search(text):

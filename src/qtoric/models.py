@@ -17,7 +17,11 @@ The format is line oriented; ``#`` starts a comment.  A model needs ``name``,
 
 The matrix directive is followed by K rows of N integers; a bundle directive
 by K rows of L integers (the fiber exponents).  Blank and comment lines may
-sit between the rows.  ``truncation ample`` takes K
+sit between the rows.  A block directive owns the next K lines that are not
+blank or comment only, whatever they hold; when the directive or one of its
+rows is refused, the lines up to the next directive word are skipped too, so
+each fault is reported once, and a refused directive is never also reported
+missing.  ``truncation ample`` takes K
 rationals; ``truncation bound`` takes one nonnegative rational, ``sampling
 seed`` one integer and ``sampling samples`` one integer at least 1.  Numbers
 are ASCII: a count is [0-9]+, an integer [+-]?[0-9]+, and a rational an
@@ -97,164 +101,140 @@ _FIELDS = {
 }
 
 
+# The directive words: a refused block's rows are the entries up to the next one.
+_DIRECTIVES = ("name", "matrix", "omega", "bundle", "truncation", "sampling")
+
+
 def parse_model_text(text: str) -> ModelFile:
     errors: list[Diagnostic] = []
     lines = text.splitlines()
-    name: str | None = None
-    matrix: list[list[int]] | None = None
-    omega: tuple[int | Fraction, ...] | None = None  # ToricData makes each a Fraction
-    bundle_rows: list[list[int]] | None = None
-    bundle_parity: str | None = None
-    omega_line = 0
-    fields: dict = {}  # the run defaults by field name, as "sampling seed"
-    field_lines: dict[str, int] = {}  # the line each field was given on
+    # The lines that are not blank or comment only, as (line number, text).
+    entries = [(no, raw) for no, line in enumerate(lines, 1)
+               if (raw := line.split("#", 1)[0].strip())]
+    given: dict[str, int] = {}  # directive or field ("sampling seed") -> its first line
+    values: dict = {}  # directive or field -> its value, once accepted
 
     def err(code: str, line_no: int, message: str) -> None:
         errors.append(Diagnostic(code=code, line=line_no, message=message))
 
-    def int_row(tokens: list[str], line_no: int, expect: int, what: str) -> list[int] | None:
-        if len(tokens) != expect:
-            err("row-shape", line_no, f"{what} row needs {expect} entries, got {len(tokens)}")
-            return None
-        row = []
-        for tok in tokens:
-            if _INTEGER.fullmatch(tok):
-                row.append(int(tok))
-                continue
-            # Any other spelling of an integer (2/1, 1.0) is read as a rational.
-            try:
-                value = _rational(tok)
-            except (ValueError, ZeroDivisionError):
-                err("bad-number", line_no, f"cannot read {tok!r}")
-                return None
-            if value.denominator != 1:
-                err("non-integer-entry", line_no, f"non-integer matrix entry {tok!r}")
-                return None
-            row.append(int(value))
-        return row
-
-    def read_rows(count: int, width: int, what: str, line_no: int) -> list[list[int]] | None:
-        """The ``count`` rows of ``width`` integers after the block directive
-        on ``line_no``, past blank and comment lines; None after a diagnostic."""
+    def read_rows(count: int, width: int, what: str, line_no: int) -> tuple | None:
+        """The next ``count`` entries, all consumed, as the rows of ``width``
+        integers of the block directive on ``line_no``; None after a diagnostic."""
         nonlocal idx
+        block = entries[idx:idx + count]
+        idx += count
         rows = []
-        while len(rows) < count:
-            if idx >= len(lines):
-                err("matrix-shape", line_no, f"expected {count} {what} rows")
+        for row_no, raw in block:
+            tokens = raw.split()
+            if len(tokens) != width:
+                err("row-shape", row_no, f"{what} row needs {width} entries, got {len(tokens)}")
                 return None
-            row_no = idx + 1
-            tokens = lines[idx].split("#", 1)[0].split()
-            idx += 1
-            if not tokens:
-                continue
-            row = int_row(tokens, row_no, width, what)
-            if row is None:
-                return None
-            rows.append(row)
-        return rows
+            row = []
+            for tok in tokens:
+                if _INTEGER.fullmatch(tok):
+                    row.append(int(tok))
+                    continue
+                # Any other spelling of an integer (2/1, 1.0) is read as a rational.
+                try:
+                    value = _rational(tok)
+                except (ValueError, ZeroDivisionError):
+                    err("bad-number", row_no, f"cannot read {tok!r}")
+                    return None
+                if value.denominator != 1:
+                    err("non-integer-entry", row_no, f"non-integer matrix entry {tok!r}")
+                    return None
+                row.append(int(value))
+            rows.append(tuple(row))
+        if len(rows) < count:
+            err("matrix-shape", line_no, f"expected {count} {what} rows")
+            return None
+        return tuple(rows)
 
     idx = 0
-    while idx < len(lines):
-        line_no = idx + 1
-        raw = lines[idx].split("#", 1)[0].strip()
+    while idx < len(entries):
+        line_no, raw = entries[idx]
         idx += 1
-        if not raw:
-            continue
         tokens = raw.split()
-        head = tokens[0]
-        if head == "name":
-            if name is not None:
-                err("duplicate-directive", line_no, "name given twice")
-            elif len(tokens) != 2:
+        head = key = tokens[0]
+        value = None
+        if head in ("truncation", "sampling"):
+            key = " ".join(tokens[:2])
+            if key not in _FIELDS:
+                err("unknown-directive", line_no, f"unknown {head} field {raw!r}")
+                continue
+        elif head not in _DIRECTIVES:
+            err("unknown-directive", line_no, f"unknown directive {head!r}")
+            continue
+        if given.setdefault(key, line_no) != line_no:
+            err("duplicate-directive", line_no, f"{key} given twice")
+        elif head == "name":
+            if len(tokens) != 2:
                 err("directive-shape", line_no, "name takes one word")
             else:
-                name = tokens[1]
+                value = tokens[1]
         elif head == "matrix":
-            if matrix is not None:
-                err("duplicate-directive", line_no, "matrix given twice")
-                continue
             if len(tokens) != 3 or not all(map(_COUNT.fullmatch, tokens[1:])):
                 err("directive-shape", line_no, "matrix takes row and column counts")
-                continue
-            matrix = read_rows(int(tokens[1]), int(tokens[2]), "matrix", line_no)
+            else:
+                value = read_rows(int(tokens[1]), int(tokens[2]), "matrix", line_no)
         elif head == "omega":
-            if omega is not None:
-                err("duplicate-directive", line_no, "omega given twice")
-                continue
-            omega_line = line_no
-            try:
-                omega = tuple(int(tok) if _INTEGER.fullmatch(tok) else _rational(tok)
-                              for tok in tokens[1:])
-            except (ValueError, ZeroDivisionError):
-                err("bad-number", line_no, "omega entries must be rationals")
-                continue
-            if not omega:
+            if len(tokens) == 1:
                 err("directive-shape", line_no, "omega needs at least one coordinate")
-                omega = None
+            else:
+                try:
+                    value = tuple(map(_rational, tokens[1:]))
+                except (ValueError, ZeroDivisionError):
+                    err("bad-number", line_no, "omega entries must be rationals")
         elif head == "bundle":
-            if bundle_rows is not None:
-                err("duplicate-directive", line_no, "bundle given twice")
-                continue
-            if matrix is None:
+            if "matrix" not in given:
                 err("bundle-order", line_no, "bundle must come after matrix")
-                continue
-            if (len(tokens) != 3 or tokens[1] not in ("E", "PiE")
+            elif (len(tokens) != 3 or tokens[1] not in ("E", "PiE")
                     or not _COUNT.fullmatch(tokens[2])):
                 err("bundle-parity", line_no, "bundle takes parity E|PiE and a summand count")
-                continue
-            bundle_parity = tokens[1]
-            bundle_rows = read_rows(len(matrix), int(tokens[2]), "bundle", line_no)
-        elif head in ("truncation", "sampling"):
-            field = " ".join(tokens[:2])
-            if field not in _FIELDS:
-                err("unknown-directive", line_no, f"unknown {head} field {raw!r}")
-            elif field in field_lines:
-                err("duplicate-directive", line_no, f"{field} given twice")
-            elif _FIELDS[field][0] and len(tokens) != 3:
-                err("directive-shape", line_no, f"{field} takes one value")
-            else:
-                read, valid, what = _FIELDS[field]
-                field_lines[field] = line_no
-                try:
-                    value = read(tokens[2]) if read else tuple(map(_rational, tokens[2:]))
-                    if not valid(value):
-                        raise ValueError(value)
-                    fields[field] = value
-                except (ValueError, ZeroDivisionError):
-                    err("bad-number", line_no, f"{field} must be {what}")
+            elif "matrix" in values:  # past a refused matrix, the rows are skipped
+                rows = read_rows(len(values["matrix"]), int(tokens[2]), "bundle", line_no)
+                if rows is not None:
+                    value = BundleData(exponents=rows, parity=tokens[1])
         else:
-            err("unknown-directive", line_no, f"unknown directive {head!r}")
+            read, valid, what = _FIELDS[key]
+            if read and len(tokens) != 3:
+                err("directive-shape", line_no, f"{key} takes one value")
+            else:
+                try:
+                    field = read(tokens[2]) if read else tuple(map(_rational, tokens[2:]))
+                    if not valid(field):
+                        raise ValueError(field)
+                    value = field
+                except (ValueError, ZeroDivisionError):
+                    err("bad-number", line_no, f"{key} must be {what}")
+        if value is not None:
+            values[key] = value
+        elif head in ("matrix", "bundle"):  # refused: skip its rows
+            while idx < len(entries) and entries[idx][1].split()[0] not in _DIRECTIVES:
+                idx += 1
 
-    if name is None and matrix is None and omega is None and not errors:
+    if not entries:
         err("empty-model", 1, "the model file has no directives")
-    if name is None:
-        err("missing-directive", len(lines) or 1, "missing 'name'")
-    if matrix is None:
-        err("missing-directive", len(lines) or 1, "missing 'matrix'")
-    if omega is None:
-        err("missing-directive", len(lines) or 1, "missing 'omega'")
+    for key in ("name", "matrix", "omega"):
+        if key not in given:
+            err("missing-directive", len(lines) or 1, f"missing {key!r}")
     if errors:
         raise ModelFormatError(errors)
 
-    assert matrix is not None and omega is not None and name is not None
-    ample = fields.get("truncation ample")
+    matrix, omega, ample = values["matrix"], values["omega"], values.get("truncation ample")
     if len(omega) != len(matrix):
-        err("omega-shape", omega_line,
+        err("omega-shape", given["omega"],
             f"omega has {len(omega)} coordinates, matrix has {len(matrix)} rows")
     if ample is not None and len(ample) != len(matrix):
-        err("ample-shape", field_lines["truncation ample"],
+        err("ample-shape", given["truncation ample"],
             f"truncation ample has {len(ample)} coordinates, matrix has {len(matrix)} rows")
     if errors:
         raise ModelFormatError(errors)
-    data = ToricData(m=tuple(tuple(r) for r in matrix), omega=omega, name=name)
-    bundle = None
-    if bundle_rows is not None:
-        assert bundle_parity is not None
-        bundle = BundleData(exponents=tuple(tuple(r) for r in bundle_rows), parity=bundle_parity)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return ModelFile(data=data, bundle=bundle, bound=fields.get("truncation bound"),
-                     ample=ample, seed=fields.get("sampling seed"),
-                     samples=fields.get("sampling samples"), sha256=digest)
+    return ModelFile(data=ToricData(m=matrix, omega=omega, name=values["name"]),
+                     bundle=values.get("bundle"), bound=values.get("truncation bound"),
+                     ample=ample, seed=values.get("sampling seed"),
+                     samples=values.get("sampling samples"),
+                     sha256=hashlib.sha256(text.encode()).hexdigest())
 
 
 def parse_model(path: str | Path) -> ModelFile:

@@ -49,17 +49,17 @@ from .toric import (
 Factors = Sequence[tuple[int, int]]
 
 
-def apply_gamma_ratio(series: NovikovSeries, data: ToricData, j: int, lam_value,
-                      ctx: SampleContext, pairings: dict) -> NovikovSeries:
+def apply_gamma_ratio(series: NovikovSeries, j: int, lam_value, q,
+                      pairings: dict) -> NovikovSeries:
     """The ratio of Gamma-operator symbols attached to column j, in finite form.
 
     Acting on Q^d it multiplies by the finite ratio of lam at depth D_j(d),
     read from one ``ratio_table`` over the depths of the support; no infinite
     products are ever materialized.  ``pairings`` maps each support degree d
-    to this module's ``degree_pairing(data, d)``.
+    to the model's ``degree_pairing(data, d)``.
     """
     depth = {d: pairings[d][j] for d in series.coeffs}
-    table = ratio_table(lam_value, depth.values(), ctx.q)
+    table = ratio_table(lam_value, depth.values(), q)
     return series.map_with_degree(lambda d, c: c * table[depth[d]])
 
 
@@ -78,7 +78,7 @@ def gamma_reconstruction(data: ToricData, fp: FixedPoint, box: TruncationBox,
     uvals = fp.u_values(ctx.Lambda)
     for j in range(data.N):
         if j not in fp.J:
-            rebuilt = apply_gamma_ratio(rebuilt, data, j, uvals[j], ctx, pairings)
+            rebuilt = apply_gamma_ratio(rebuilt, j, uvals[j], ctx.q, pairings)
     return rebuilt, component_series(data, fp, box, ctx)
 
 

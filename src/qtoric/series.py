@@ -222,8 +222,10 @@ class BundleData(_BundleFields):
     def __new__(cls, exponents, parity="E"):
         if parity not in ("E", "PiE"):
             raise ValueError("parity must be 'E' or 'PiE'")
-        return super().__new__(cls, tuple(tuple(int(x) for x in row) for row in exponents),
-                               parity)
+        rows = tuple(tuple(int(x) for x in row) for row in exponents)
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise InvalidModelError("bundle rows have unequal lengths")
+        return super().__new__(cls, rows, parity)
 
     @property
     def L(self) -> int:

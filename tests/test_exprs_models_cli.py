@@ -296,8 +296,38 @@ def test_model_numbers_are_ascii_in_every_position(text):
     for model, (code, line) in spelling_cases(text).items():
         with pytest.raises(ModelFormatError) as info:
             parse_model_text(model)
-        # A refused block directive leaves its rows to be read as directives.
-        assert info.value.diagnostics[0][:2] == (code, line), model
+        # The refused number is the file's one fault: a refused block's rows are
+        # skipped, and a refused directive is not reported missing.
+        assert [d[:2] for d in info.value.diagnostics] == [(code, line)], model
+
+
+REFUSED_ROW = "name x\nmatrix 2 4\n1 1 1_0 0\n0 0 1 1\nomega 20 1\n"  # lines 1-5
+
+
+@pytest.mark.parametrize("text, code, line", [
+    (REFUSED_ROW, "bad-number", 3),
+    ("name x\nmatrix 2 x\n1 1 0 -1\n0 0 1 1\nomega 1 1\n", "directive-shape", 2),
+    ("name x\nmatrix 2 4\n1 1 0\n0 0 1 1\nomega 1 1\n", "row-shape", 3),
+    (REFUSED_ROW + "bundle E 1\n1\n# second row\n2\n", "bad-number", 3),
+])
+def test_a_refused_block_is_one_diagnostic(text, code, line):
+    # A block directive owns its next K rows: after a refused count or row, no
+    # row is read as a directive, and the matrix is neither missing nor absent
+    # for the bundle block after it.
+    with pytest.raises(ModelFormatError) as info:
+        parse_model_text(text)
+    assert [d[:2] for d in info.value.diagnostics] == [(code, line)]
+
+
+@pytest.mark.parametrize("first, fault", [("1 1 0 -1", ("row-shape", 4)),
+                                          ("1 1 1_0 0", ("bad-number", 3))])
+def test_a_block_owns_its_next_rows_whatever_they_hold(first, fault):
+    # The omega line is the second of two matrix rows, whether or not the first
+    # row is refused, so omega is missing either way.
+    with pytest.raises(ModelFormatError) as info:
+        parse_model_text(f"name x\nmatrix 2 4\n{first}\nomega 20 1\n")
+    assert [d[:2] for d in info.value.diagnostics] == [fault, ("missing-directive", 4)]
+    assert info.value.diagnostics[-1].message == "missing 'omega'"
 
 
 def test_model_numbers_keep_their_ascii_spellings():

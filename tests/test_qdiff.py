@@ -148,7 +148,7 @@ def test_operators_never_enlarge_support(f1):
     for out in (apply_translation(s, 0, ctx.q),
                 apply_p(s, 0, fp, ctx),
                 apply_word_table(s, f1, fp, [(1, 0)], ctx),
-                apply_gamma_ratio(s, f1, 1, Fraction(2, 5), ctx, pairings(f1, s))):
+                apply_gamma_ratio(s, 1, Fraction(2, 5), ctx.q, pairings(f1, s))):
         assert set(out.coeffs) <= set(s.coeffs)
     shifted = shift_by_degree(s, (1, 0))
     assert set(shifted.coeffs) == {(2, 0), (1, 1)}
@@ -441,7 +441,7 @@ def test_gamma_ratio_single_degree(p1):
     ctx = sample_context(p1.N, 37)
     lam = Fraction(3, 7)
     s = NovikovSeries(box, {(2,): Fraction(1)})
-    out = apply_gamma_ratio(s, p1, 0, lam, ctx, pairings(p1, s))  # D_1(d) = d = 2
+    out = apply_gamma_ratio(s, 0, lam, ctx.q, pairings(p1, s))  # D_1(d) = d = 2
     q = ctx.q
     assert out.coefficient((2,)) == 1 / ((1 - lam * q) * (1 - lam * q ** 2))
     assert out.coefficient((2,)) == ratio_table(lam, (2,), q)[2]
@@ -452,7 +452,7 @@ def test_gamma_ratio_identity_when_depth_zero(f1):
     box = truncation_box(f1, 2)
     ctx = sample_context(f1.N, 41)
     s = NovikovSeries(box, {(0, 1): Fraction(5)})  # D_1((0,1)) = 0
-    assert apply_gamma_ratio(s, f1, 0, Fraction(2, 3), ctx, pairings(f1, s)) == s
+    assert apply_gamma_ratio(s, 0, Fraction(2, 3), ctx.q, pairings(f1, s)) == s
 
 
 def test_gamma_reconstruction_all_alpha(p1, f1):

@@ -611,6 +611,12 @@ def test_a_bundle_with_too_many_rows_is_refused(f1):
         bundle.delta((1, 5))
 
 
+def test_a_bundle_with_ragged_rows_is_refused():
+    # As ToricData refuses its matrix: delta((1, 5)) would index past the short row.
+    with pytest.raises(InvalidModelError, match="^bundle rows have unequal lengths$"):
+        BundleData(((1, 2), (3,)))
+
+
 def test_a_non_integral_degree_is_refused_by_bundles_and_point_series(p1):
     # Q^{3/2} is not a Novikov monomial: it is not read as Q^1.
     bundle = BundleData(exponents=((1, 2),))
