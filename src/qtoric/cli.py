@@ -8,7 +8,8 @@ carry their ``sample``), and ``resamples`` lists each skipped context index
 with its reason and, in verify-recursion, its edge.  Exit codes: 0 all pass,
 1 an identity failed, 2 input error (also ``--samples`` or ``--m`` < 1, a negative
 bound, an ``--edge`` not ``a1,a2:j0``, an integer not spelled [+-]?[0-9]+,
-``--bundle`` without a bundle block, a class dividing by 0 at every context),
+``--bundle`` without a bundle block, a class dividing by 0 at every context,
+a quotient that is not compact or has an empty divisor),
 141 stdout closed before the report was written (128 + SIGPIPE, as when
 the output is piped into ``head``), with nothing on stderr.
 
@@ -39,6 +40,7 @@ from .scalars import sample_context, with_resampling
 from .series import TruncationBox, assemble_cohomological_series, assemble_series, truncation_box
 from .toric import (
     InvalidModelError,
+    check_compact_quotient,
     degree_pairing,
     enumerate_fixed_points,
     fixed_point_graph,
@@ -330,6 +332,7 @@ def run_command(command: str, model: ModelFile, flags: argparse.Namespace) -> di
     if getattr(flags, "m", 1) < 1:
         raise ValueError(f"--m must be at least 1, got {flags.m}")
     _parse_inputs(model, flags)
+    check_compact_quotient(model.data)
     with _unlimited_int_digits():
         return COMMANDS[command](model, seed, samples, flags)
 

@@ -24,12 +24,13 @@ each fault is reported once, and a refused directive is never also reported
 missing.  ``truncation ample`` takes K
 rationals; ``truncation bound`` takes one nonnegative rational, ``sampling
 seed`` one integer and ``sampling samples`` one integer at least 1.  Numbers
-are ASCII: a count is [0-9]+, an integer [+-]?[0-9]+, and a rational an
-integer, a fraction [+-]?[0-9]+/[0-9]+ or a decimal [+-]?[0-9]+.[0-9]+; a
-matrix or bundle entry may be any rational of integral value (2/1, 1.0).  Every
-directive and field may be given once.  Every diagnostic carries a stable code
-and the line of the offending directive (``duplicate-directive`` for a repeat,
-``directive-shape`` for a wrong count of values, ``bad-number``, ...).
+are ASCII: a count is [0-9]+ and at least 1 (02 is 2, 0 is refused), an
+integer [+-]?[0-9]+, and a rational an integer, a fraction [+-]?[0-9]+/[0-9]+
+or a decimal [+-]?[0-9]+.[0-9]+; a matrix or bundle entry may be any rational
+of integral value (2/1, 1.0).  Every directive and field may be given once.
+Every diagnostic carries a stable code and the line of the offending directive
+(``duplicate-directive`` for a repeat, ``directive-shape`` for a wrong count of
+values, ``bad-number``, ...).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class ModelFile(NamedTuple):
     sha256: str = ""
 
 
-_COUNT = re.compile(r"[0-9]+")
+_COUNT = re.compile(r"0*[1-9][0-9]*")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
@@ -174,7 +175,7 @@ def parse_model_text(text: str) -> ModelFile:
                 value = tokens[1]
         elif head == "matrix":
             if len(tokens) != 3 or not all(map(_COUNT.fullmatch, tokens[1:])):
-                err("directive-shape", line_no, "matrix takes row and column counts")
+                err("directive-shape", line_no, "matrix takes positive row and column counts")
             else:
                 value = read_rows(int(tokens[1]), int(tokens[2]), "matrix", line_no)
         elif head == "omega":
@@ -190,7 +191,8 @@ def parse_model_text(text: str) -> ModelFile:
                 err("bundle-order", line_no, "bundle must come after matrix")
             elif (len(tokens) != 3 or tokens[1] not in ("E", "PiE")
                     or not _COUNT.fullmatch(tokens[2])):
-                err("bundle-parity", line_no, "bundle takes parity E|PiE and a summand count")
+                err("bundle-parity", line_no,
+                    "bundle takes parity E|PiE and a positive summand count")
             elif "matrix" in values:  # past a refused matrix, the rows are skipped
                 rows = read_rows(len(values["matrix"]), int(tokens[2]), "bundle", line_no)
                 if rows is not None:

@@ -7,14 +7,16 @@ omega strictly; smoothness means every such minor has determinant +-1, and all
 downstream formulas assume it.  Fixed points that share a wall (K - 1 columns)
 are joined by an invariant sphere, an edge of ``fixed_point_graph``, which the
 curve classes and the orbits of ``recursion`` read.  The Mori cone is built by
-double description.
+double description.  The truncation box, its lattice points under a bound on
+an ample class, is enumerated coordinate by coordinate through the
+Fourier-Motzkin projections of that polytope, with no candidate grid.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -202,6 +204,30 @@ def _build_fixed_point(data: ToricData, subset: tuple[int, ...], det: int,
     )
 
 
+def check_compact_quotient(data: ToricData) -> None:
+    """Refuse a quotient that is not compact, or one with an empty toric divisor.
+
+    Column j0 off J(alpha) moves alpha along the edge x_{j0} = t of the
+    polytope {x >= 0 : m x = omega}, on which each x_j, j in J(alpha), falls
+    at the rate <g_j, m_{.j0}> for g_j the row of alpha's inverse minor; that
+    rate is U_{j0}'s exponent of Lambda_j, and its other exponents are -1 at
+    j0 and 0.  So the edge is unbounded when no exponent is positive.  A
+    column in every J(alpha) is a divisor that meets no fixed point.
+    """
+    fixed = enumerate_fixed_points(data)
+    for alpha in fixed:
+        for j0, exps in enumerate(alpha.u_monomials):
+            if max(exps) <= 0 and j0 not in alpha.J:
+                raise InvalidModelError(
+                    f"column {j0 + 1} leaves fixed point {tuple(j + 1 for j in alpha.J)} "
+                    "along an unbounded edge: the quotient is not compact")
+    empty = set(range(data.N)).intersection(*(alpha.J for alpha in fixed))
+    if empty:
+        j = min(empty) + 1
+        raise InvalidModelError(f"divisor D_{j} is empty: column {j} lies in every fixed point "
+                                "(omega is outside the moving cone)")
+
+
 def integral_degree(d: Sequence) -> tuple[int, ...]:
     """The degree d as a tuple of ints; a non-integral entry is a ValueError."""
     ints = tuple(map(int, d))
@@ -351,33 +377,46 @@ def box_degrees(
 ) -> list[tuple[int, ...]]:
     """All effective degrees with <ample, d> <= bound, enumerated exactly.
 
-    An effective d is sum_g c_g g with c_g >= 0 over the curve classes, so
-    d_i lies between bound * min(0, g_i / <ample, g>) and bound * max(0, ...).
-    Pairings are scaled to integers by the common denominator of ``ample``,
-    and the bound to the integer ``top`` below it, so each coordinate's range
-    runs between the integer ceil and floor of top * g_i / <ample, g>.
+    Pairings are scaled to integers by the common denominator of ``ample``, and
+    the bound to the integer ``top`` below it.  The box is then the set of
+    lattice points of the polytope cut out by the rows c + <a, d> >= 0: one
+    per Mori facet n (c = 0, a = n) and the bound row top - <w, d> >= 0.
+    Fourier-Motzkin elimination (Schrijver 1986, section 12.2) drops d_K, ...,
+    d_2 in turn, each new row divided by its gcd, so system k is the exact
+    projection onto d_1..d_k; d_k then runs over the integer interval that
+    system k leaves for each prefix d_1..d_{k-1}.
     """
     gens = _curve_classes(data)
     ample = [Fraction(a) for a in ample]
     scale = lcm(*(a.denominator for a in ample))
     weights = [a.numerator * (scale // a.denominator) for a in ample]
-    pairs = [_dot(weights, g) for g in gens]
-    if any(pair <= 0 for pair in pairs):
+    if any(_dot(weights, g) <= 0 for g in gens):
         raise InvalidModelError("ample class must pair positively with every Mori generator")
     bound = Fraction(bound)
     top = bound.numerator * scale // bound.denominator
     if top < 0:
         return []
-    ranges = []
-    for i in range(data.K):
-        ends = [top * g[i] for g in gens]
-        low = min(0, *(-(-end // pair) for end, pair in zip(ends, pairs)))
-        high = max(0, *(end // pair for end, pair in zip(ends, pairs)))
-        ranges.append(range(low, high + 1))
-    # A facet whose normal pairs >= 0 with every corner of the rectangle holds
-    # on all of it and is not tested.
-    facets = [n for n in _mori_facets(data)
-              if sum(min(x * r[0], x * r[-1]) for x, r in zip(n, ranges)) < 0]
-    kept = sorted((pair, d) for d in product(*ranges)
-                  if (pair := _dot(weights, d)) <= top and all(_dot(n, d) >= 0 for n in facets))
-    return [d for _, d in kept]
+    # A row is (c, a_1, ..., a_k); systems[k - 1] holds the rows in d_1..d_k.
+    # A combination with no coefficient left reads c >= 0, which d = 0 meets.
+    rows = {(0, *n) for n in _mori_facets(data)} | {(top, *(-w for w in weights))}
+    systems = [rows]
+    for k in range(data.K, 1, -1):
+        kept = {r[:k] for r in rows if not r[k]}
+        for p in rows:
+            for n in rows:
+                if p[k] > 0 > n[k]:
+                    combined = [p[k] * y - n[k] * x for x, y in zip(p[:k], n)]
+                    if any(combined[1:]):
+                        kept.add(_primitive(combined))
+        rows = kept
+        systems.insert(0, rows)
+    prefixes = [()]
+    for rows in systems:
+        grown = []
+        for prefix in prefixes:
+            rests = [(r[0] + _dot(r[1:], prefix), r[-1]) for r in rows if r[-1]]
+            low = max(-(rest // a) for rest, a in rests if a > 0)
+            high = min(rest // -a for rest, a in rests if a < 0)
+            grown += [(*prefix, x) for x in range(low, high + 1)]
+        prefixes = grown
+    return [d for _, d in sorted((_dot(weights, d), d) for d in prefixes)]

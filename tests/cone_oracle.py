@@ -14,16 +14,25 @@ fixed points on each wall to find the curve classes.  ``cofactor_facets``
 tries every (K - 1)-subset of the generators for a facet.
 ``dual_cone_union``, ``union_facets`` and ``union_extreme_rays`` take the
 cone of the union of every fixed point's dual-cone generators.
+``rectangle_box`` is the box enumeration that Fourier-Motzkin projection
+replaced: it filters a rectangle of candidates by the bound and the facets.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, lcm
 
-from qtoric.toric import InvalidModelError, enumerate_fixed_points
+from qtoric.toric import (
+    InvalidModelError,
+    _curve_classes,
+    _dot,
+    _mori_facets,
+    enumerate_fixed_points,
+)
 
 
 def _det(m) -> int:
@@ -175,3 +184,39 @@ def union_extreme_rays(data) -> list[tuple[int, ...]]:
         if g not in rays and any(_det([*rows, g]) for rows in combinations(tight, k - 1)):
             rays.append(g)
     return rays
+
+
+def rectangle_box(data, ample, bound) -> list[tuple[int, ...]]:
+    """All effective degrees with <ample, d> <= bound, from a filtered rectangle.
+
+    An effective d is sum_g c_g g with c_g >= 0 over the curve classes, so
+    d_i lies between bound * min(0, g_i / <ample, g>) and bound * max(0, ...).
+    Pairings are scaled to integers by the common denominator of ``ample``,
+    and the bound to the integer ``top`` below it, so each coordinate's range
+    runs between the integer ceil and floor of top * g_i / <ample, g>.  The
+    rectangle costs the product of the ranges, not the size of the box.
+    """
+    gens = _curve_classes(data)
+    ample = [Fraction(a) for a in ample]
+    scale = lcm(*(a.denominator for a in ample))
+    weights = [a.numerator * (scale // a.denominator) for a in ample]
+    pairs = [_dot(weights, g) for g in gens]
+    if any(pair <= 0 for pair in pairs):
+        raise InvalidModelError("ample class must pair positively with every Mori generator")
+    bound = Fraction(bound)
+    top = bound.numerator * scale // bound.denominator
+    if top < 0:
+        return []
+    ranges = []
+    for i in range(data.K):
+        ends = [top * g[i] for g in gens]
+        low = min(0, *(-(-end // pair) for end, pair in zip(ends, pairs)))
+        high = max(0, *(end // pair for end, pair in zip(ends, pairs)))
+        ranges.append(range(low, high + 1))
+    # A facet whose normal pairs >= 0 with every corner of the rectangle holds
+    # on all of it and is not tested.
+    facets = [n for n in _mori_facets(data)
+              if sum(min(x * r[0], x * r[-1]) for x, r in zip(n, ranges)) < 0]
+    kept = sorted((pair, d) for d in product(*ranges)
+                  if (pair := _dot(weights, d)) <= top and all(_dot(n, d) >= 0 for n in facets))
+    return [d for _, d in kept]

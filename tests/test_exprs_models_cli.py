@@ -309,6 +309,10 @@ REFUSED_ROW = "name x\nmatrix 2 4\n1 1 1_0 0\n0 0 1 1\nomega 20 1\n"  # lines 1-
     ("name x\nmatrix 2 x\n1 1 0 -1\n0 0 1 1\nomega 1 1\n", "directive-shape", 2),
     ("name x\nmatrix 2 4\n1 1 0\n0 0 1 1\nomega 1 1\n", "row-shape", 3),
     (REFUSED_ROW + "bundle E 1\n1\n# second row\n2\n", "bad-number", 3),
+    # Zero counts, refused on their own line.
+    ("name x\nmatrix 0 2\nomega 1\n", "directive-shape", 2),
+    ("name x\nmatrix 1 0\n1 1\nomega 1\n", "directive-shape", 2),
+    (SPELLING_HEAD + "bundle E 0\n1\n", "bundle-parity", 5),
 ])
 def test_a_refused_block_is_one_diagnostic(text, code, line):
     # A block directive owns its next K rows: after a refused count or row, no
@@ -644,6 +648,32 @@ def test_cli_signed_and_padded_integers_are_read(capsys):
 def test_cli_bundle_flag_needs_a_bundle_block(capsys):
     code, report = run(["ifunction", "p2", "--bundle", "--samples", "1"], capsys)
     assert (code, report) == (2, {"error": "--bundle: model 'p2' has no bundle block"})
+
+
+# O(-1) over P^1, and threefold7's matrix at an omega where columns 2 and 6
+# lie in all 6 fixed points.
+NOT_COMPACT = "name o_minus_1\nmatrix 1 3\n1 1 -1\nomega 1\n"
+EMPTY_DIVISOR = Path(THREEFOLD7_PATH).read_text().replace("omega 3 5 7 7",
+                                                          "omega 20 19 43 16")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@pytest.mark.parametrize("text, error", [
+    (NOT_COMPACT, "column 3 leaves fixed point (1,) along an unbounded edge: "
+                  "the quotient is not compact"),
+    (EMPTY_DIVISOR, "divisor D_2 is empty: column 2 lies in every fixed point "
+                    "(omega is outside the moving cone)"),
+], ids=["not-compact", "empty-divisor"])
+def test_cli_refuses_non_compact_models_and_empty_divisors(text, error, command, tmp_path,
+                                                           capsys):
+    path = tmp_path / "refused.model"
+    path.write_text(text)
+    data = resolve_model(str(path)).data
+    assert enumerate_fixed_points(data)  # the library still lists the fixed points
+    flags = {"trace": ["--phi", "1"],
+             "integrate-xd": ["--degree", ",".join("0" * data.K), "--phi", "1"]}
+    code, report = run([command, str(path), "--samples", "1", *flags.get(command, [])], capsys)
+    assert (code, report) == (2, {"error": error})
 
 
 def test_cli_bound_defaults_to_the_model_file(capsys):

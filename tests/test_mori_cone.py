@@ -12,8 +12,7 @@ generators.
 
 import time
 from fractions import Fraction
-from itertools import combinations, product
-from math import ceil, floor, lcm
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -27,6 +26,7 @@ from cone_oracle import (
     extreme_rays,
     in_cone,
     primitive,
+    rectangle_box,
     union_extreme_rays,
     union_facets,
 )
@@ -266,32 +266,6 @@ def sheared(rows, s):
     return (rows[0], tuple(s * x + y for x, y in zip(rows[0], rows[1])), *rows[2:])
 
 
-def candidate_rectangle(data, ample, bound):
-    """Each coordinate's range from the Fraction ends bound' * g_i / <ample, g>,
-    bound' the largest multiple of 1/scale at most ``bound`` (integral degrees
-    pair with ``ample`` in multiples of 1/scale, scale the lcm of its denominators)."""
-    scale = lcm(*(Fraction(a).denominator for a in ample))
-    reach = Fraction(floor(Fraction(bound) * scale), scale)
-    gens = raw_generators(data)
-    ranges = []
-    for i in range(data.K):
-        ends = [reach * g[i] / pairing(ample, g) for g in gens]
-        ranges.append(range(ceil(min(0, *ends)), floor(max(0, *ends)) + 1))
-    return ranges
-
-
-def recorded_box(data, ample, bound):
-    """``box_degrees`` and the candidate ranges it enumerated."""
-    seen = []
-
-    def recording(*ranges):
-        seen.append(ranges)
-        return product(*ranges)
-    with mock.patch.object(toric, "product", recording):
-        degrees = box_degrees(data, ample, bound)
-    return degrees, [list(r) for r in seen[0]] if seen else None
-
-
 weight = st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=3)
 
 
@@ -309,24 +283,38 @@ def test_fractional_ample_and_bound_match_oracle(rows, shear, weights, bound):
     data = ToricData(m=sheared(rows, shear), omega=omega)
     if k == 4:
         bound = min(bound, 1)
-    degrees, ranges = recorded_box(data, ample, bound)
-    assert degrees == oracle_box(data, ample, bound)
-    if ranges is not None:
-        assert ranges == [list(r) for r in candidate_rectangle(data, ample, bound)]
+    assert box_degrees(data, ample, bound) == oracle_box(data, ample, bound)
 
 
 def test_fractional_bound_on_a_sheared_surface():
     # F_2 with p_2 + p_1 as second class: generators with negative
-    # coordinates, so the lower end of a range is a ceil below 0, here of
+    # coordinates, so the lower end of an interval is a ceil below 0, here of
     # -21/2 at the bound 7/2.
     data = ToricData(m=sheared(hirzebruch_rows(2), 1), omega=(1, 2))
     ample = (Fraction(3, 2), Fraction(11, 6))
     assert any(min(g) < 0 for g in raw_generators(data))
     for bound in (Fraction(7, 2), Fraction(5, 3), 3, 0):
-        degrees, ranges = recorded_box(data, ample, bound)
-        assert degrees == oracle_box(data, ample, bound)
-        assert ranges == [list(r) for r in candidate_rectangle(data, ample, bound)]
-    assert recorded_box(data, ample, Fraction(7, 2))[1][0][0] == -10
+        assert box_degrees(data, ample, bound) == oracle_box(data, ample, bound)
+    assert min(d[0] for d in box_degrees(data, ample, Fraction(7, 2))) == -10
+
+
+@pytest.mark.parametrize("name, bounds", [("surface8", range(5)), ("threefold7x2", range(3))])
+def test_box_degrees_match_the_rectangle(name, bounds):
+    # The symmetric grid of ``oracle_box`` takes minutes at K = 6 and 8; the
+    # rectangle the projection replaced takes seconds, and sorts the same way.
+    data = resolve_model(str(DATA / f"{name}.model")).data
+    for bound in bounds:
+        assert box_degrees(data, data.omega, bound) == rectangle_box(data, data.omega, bound)
+
+
+def test_surface8_box_within_budget():
+    # The rectangle took 16-22 s for these 534 degrees.
+    data = resolve_model(str(DATA / "surface8.model")).data
+    start = time.perf_counter()
+    degrees = box_degrees(data, data.omega, 6)
+    elapsed = time.perf_counter() - start
+    assert len(degrees) == 534
+    assert elapsed < 0.5, f"the bound-6 box took {elapsed:.2f} s"
 
 
 # Smooth toric surfaces from their fans.
