@@ -4,7 +4,7 @@ One fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968)
 brings ``[a | I]`` to ``[d I | M]`` with every division exact, so the adjugate
 of an integer matrix comes out over the integers with no rational arithmetic.
-The matrices are K x K minors, with K up to 8 on the committed models.
+The matrices are K x K minors, with K up to 12 on the committed models.
 """
 
 from __future__ import annotations

@@ -2,21 +2,22 @@
 
 A model is a K x N integer matrix whose columns express the divisor classes
 u_j in the basis p_1..p_K of the quotient torus, together with a chamber point
-omega.  Torus-fixed points are the K-subsets J whose column cone contains
-omega strictly; smoothness means every such minor has determinant +-1, and all
-downstream formulas assume it.  Fixed points that share a wall (K - 1 columns)
-are joined by an invariant sphere, an edge of ``fixed_point_graph``, which the
-curve classes and the orbits of ``recursion`` read.  The Mori cone is built by
-double description.  The truncation box, its lattice points under a bound on
-an ample class, is enumerated coordinate by coordinate through the
-Fourier-Motzkin projections of that polytope, with no candidate grid.
+omega.  The torus-fixed points are the vertices of the moment polytope
+{x >= 0 : m x = omega}, each named by the K columns J of its support, and the
+invariant spheres are its bounded edges: one simplex walk finds both, and the
+curve classes and the orbits of ``recursion`` read ``fixed_point_graph``.
+Smoothness means every fixed point's minor has determinant +-1, and all
+downstream formulas assume it.  The Mori cone is built by double description.
+The truncation box, its lattice points under a bound on an ample class, is
+enumerated coordinate by coordinate through the Fourier-Motzkin projections
+of that polytope, with no candidate grid.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -62,7 +63,7 @@ class ToricData(_ToricFields):
     The constructor normalises the fields (int rows, ``Fraction`` omega,
     labels ``L1..LN`` by default) and validates their shapes; ``_replace``
     and ``_make`` skip it, so they must start from normalised fields.  A
-    subclass of the field tuple, it keeps an instance dict for ``columns``.
+    subclass of the field tuple, it keeps an instance dict for its cached properties.
     """
 
     def __new__(cls, m, omega, lambda_names=(), name=""):
@@ -95,6 +96,12 @@ class ToricData(_ToricFields):
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """The matrix columns, the divisor classes u_j in the basis p_1..p_K."""
         return tuple(zip(*self.m))
+
+    @cached_property
+    def _integral_omega(self) -> tuple[int, ...]:
+        """omega times the lcm of its denominators: its signs and ratios, in ints."""
+        scale = lcm(*(w.denominator for w in self.omega))
+        return tuple(w.numerator * (scale // w.denominator) for w in self.omega)
 
     def minor(self, subset: Sequence[int]) -> list[list[int]]:
         return [[self.m[i][j] for j in subset] for i in range(self.K)]
@@ -140,36 +147,72 @@ def format_monomial(exps: Sequence[int], names: Sequence[str]) -> str:
 
 @lru_cache(maxsize=None)
 def enumerate_fixed_points(data: ToricData) -> tuple[FixedPoint, ...]:
-    """All K-subsets whose column cone strictly contains omega.
+    """The K-subsets J whose column cone strictly contains omega, sorted.
 
-    Raises on boundary omega (non-regular) and on any non-unimodular fixed
-    minor (non-smooth quotient); both are hard errors since every formula in
-    the library assumes the smooth manifold case.  Each minor is eliminated
-    once: its chamber coefficients minor^-1 omega = adj omega / det have the
-    signs of ``scaled`` = det * (adj omega), read on omega times the lcm of
-    its denominators, an int vector; and det * adj is the inverse when
-    |det| = 1.
+    They are the vertices of the moment polytope {x >= 0 : m x = omega}, whose graph
+    is connected (Balinski 1961): the ratio test of ``_edges`` walks it from one vertex
+    (``_feasible_basis``), eliminating each vertex's minor once.  omega on a wall is
+    refused first, then the smallest J whose minor is not unimodular.
     """
-    scale = lcm(*(w.denominator for w in data.omega))
-    omega = [w.numerator * (scale // w.denominator) for w in data.omega]
-    out = []
-    for subset in combinations(range(data.N), data.K):
-        det, adj = adjugate(data.minor(subset))
-        if adj is None:
-            continue
-        scaled = [det * _dot(row, omega) for row in adj]
-        if min(scaled) == 0:
-            raise NonRegularChamberError(
-                f"omega lies on the wall of cone {tuple(j + 1 for j in subset)}"
-            )
-        if all(c > 0 for c in scaled):
-            if det not in (1, -1):
-                raise NonSmoothModelError(subset, det)
-            inv = [[det * x for x in row] for row in adj]
-            out.append(_build_fixed_point(data, subset, det, inv))
-    if not out:
+    todo, found = [_feasible_basis(data)], {}
+    while todo:
+        if (J := todo.pop()) not in found:
+            det, adj = adjugate(data.minor(J))
+            found[J] = fp = _build_fixed_point(data, J, det, [[det * a for a in r] for r in adj])
+            todo += [tuple(sorted({*J, j0} - {j0p}))
+                     for j0, j0p in _edges(data, fp).items() if j0p is not None]
+    bad = min((J for J, fp in found.items() if fp.det not in (1, -1)), default=None)
+    if bad is not None:
+        raise NonSmoothModelError(bad, found[bad].det)
+    return tuple(found[J] for J in sorted(found))
+
+
+def _feasible_basis(data: ToricData) -> tuple[int, ...]:
+    """A basis J with M_J^-1 omega >= 0: phase 1 of the simplex method, Bland's rule
+    (which cannot cycle) on [m | diag(sign omega)] from its K artificial columns, in
+    ints (inv = det * adj = det^2 M^-1), then the first basis holding x's support.
+    omega is outside the image if that holds an artificial column or rank m < K."""
+    k, n, omega = data.K, data.N, data._integral_omega
+    cols = data.columns + tuple(tuple((w >= 0) - (w < 0) if r == i else 0 for r in range(k))
+                                for i, w in enumerate(omega))
+    basis = list(range(n, n + k))
+    while True:
+        det, adj = adjugate([[cols[j][i] for j in basis] for i in range(k)])
+        inv = [[det * a for a in row] for row in adj]
+        x = [_dot(row, omega) for row in inv]
+        costs = [sum(row[i] for row, j in zip(inv, basis) if j >= n) for i in range(k)]
+        enter = next((j for j in range(n + k) if j not in basis
+                      and _dot(costs, cols[j]) > det * det * (j >= n)), None)
+        if enter is None:
+            break
+        basis = sorted({*basis, enter} - {_leaving(x, [_dot(r, cols[enter]) for r in inv], basis)})
+    J = _first_basis(cols, [*compress(basis, x), *range(n)])
+    if len(J) < k or J[-1] >= n:
         raise NonRegularChamberError("omega lies outside the image of the open orthant")
-    return tuple(out)
+    return J
+
+
+def _leaving(x: Sequence[int], c: Sequence[int], J: Sequence[int]) -> int | None:
+    """The J[i] with the least ratio x_i / c_i over c_i > 0, the first on a tie,
+    compared by cross-multiplying; None when no c_i is positive."""
+    best = None
+    for i, ci in enumerate(c):
+        if ci > 0 and (best is None or x[i] * c[best] < x[best] * ci):
+            best = i
+    return None if best is None else J[best]
+
+
+def _edges(data: ToricData, alpha: FixedPoint) -> dict[int, int | None]:
+    """The ratio test at alpha: each column j0 off J(alpha) -> the column j0' that
+    leaves as j0 enters, None on an unbounded edge.  The rows of ``q_monomials``,
+    a positive multiple of M^-1, give the chamber coefficients x, and U_{j0}'s
+    exponents on J the rates c = M^-1 m_{.j0}.  A zero in x is a wall: refused."""
+    x = [_dot(row, data._integral_omega) for row in alpha.q_monomials]
+    if 0 in x:
+        J = _first_basis(data.columns, [*compress(alpha.J, x), *range(data.N)])
+        raise NonRegularChamberError(f"omega lies on the wall of cone {tuple(j + 1 for j in J)}")
+    return {j0: _leaving(x, [exps[j] for j in alpha.J], alpha.J)
+            for j0, exps in enumerate(alpha.u_monomials) if j0 not in alpha.J}
 
 
 def _build_fixed_point(data: ToricData, subset: tuple[int, ...], det: int,
@@ -207,17 +250,14 @@ def _build_fixed_point(data: ToricData, subset: tuple[int, ...], det: int,
 def check_compact_quotient(data: ToricData) -> None:
     """Refuse a quotient that is not compact, or one with an empty toric divisor.
 
-    Column j0 off J(alpha) moves alpha along the edge x_{j0} = t of the
-    polytope {x >= 0 : m x = omega}, on which each x_j, j in J(alpha), falls
-    at the rate <g_j, m_{.j0}> for g_j the row of alpha's inverse minor; that
-    rate is U_{j0}'s exponent of Lambda_j, and its other exponents are -1 at
-    j0 and 0.  So the edge is unbounded when no exponent is positive.  A
-    column in every J(alpha) is a divisor that meets no fixed point.
+    A column j0 off J(alpha) with no entry (J(alpha), j0) in ``fixed_point_graph``
+    moves alpha along an unbounded edge of {x >= 0 : m x = omega}.  A column in
+    every J(alpha) is a divisor that meets no fixed point.
     """
-    fixed = enumerate_fixed_points(data)
+    fixed, graph = enumerate_fixed_points(data), fixed_point_graph(data)
     for alpha in fixed:
-        for j0, exps in enumerate(alpha.u_monomials):
-            if max(exps) <= 0 and j0 not in alpha.J:
+        for j0 in range(data.N):
+            if j0 not in alpha.J and (alpha.J, j0) not in graph:
                 raise InvalidModelError(
                     f"column {j0 + 1} leaves fixed point {tuple(j + 1 for j in alpha.J)} "
                     "along an unbounded edge: the quotient is not compact")
@@ -255,28 +295,15 @@ def _lattice_degree(data: ToricData, d: Sequence) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def fixed_point_graph(data: ToricData) -> dict:
     """The fixed-point graph: (J(alpha), j0) -> (alpha, beta, j0') for each
-    invariant sphere, where alpha and beta share the wall J(alpha) - j0' = J(beta) - j0.
-
-    The fixed points are grouped by their walls once; the entries run by alpha,
-    then by the position of j0' in J(alpha).  A direction that leaves alpha
-    through two walls is an OrbitInvariantError.  Callers share the table.
+    invariant sphere, where j0' leaves J(alpha) when j0 enters (``_edges``) and
+    J(beta) = J(alpha) - j0' + j0.  The entries run by alpha, then by j0', then
+    by j0; an unbounded edge has none.  Callers share the table.
     """
-    fixed = enumerate_fixed_points(data)
-    walls: dict[tuple[int, ...], list[tuple[FixedPoint, int]]] = {}
-    for fp in fixed:
-        for i, j in enumerate(fp.J):
-            walls.setdefault(fp.J[:i] + fp.J[i + 1:], []).append((fp, j))
-    graph = {}
-    for alpha in fixed:
-        for i, j0p in enumerate(alpha.J):
-            for beta, j0 in walls[alpha.J[:i] + alpha.J[i + 1:]]:
-                if j0 == j0p:
-                    continue
-                if (alpha.J, j0) in graph:
-                    raise OrbitInvariantError(
-                        f"direction {j0 + 1} off {alpha.J} matched several fixed points")
-                graph[alpha.J, j0] = (alpha, beta, j0p)
-    return graph
+    fixed = {alpha.J: alpha for alpha in enumerate_fixed_points(data)}
+    return {(J, j0): (alpha, fixed[tuple(sorted({*J, j0} - {j0p}))], j0p)
+            for J, alpha in fixed.items()
+            for j0p, j0 in sorted((j0p, j0) for j0, j0p in _edges(data, alpha).items()
+                                  if j0p is not None)}
 
 
 @lru_cache(maxsize=None)
@@ -302,12 +329,10 @@ def _mori_facets(data: ToricData) -> tuple[tuple[int, ...], ...]:
     <p, g> > 0 > <n, g> when no third ray is tight on every class both are tight on.
     """
     gens = _curve_classes(data)
-    for basis in combinations(range(len(gens)), data.K):
-        det, adj = adjugate([[gens[b][i] for b in basis] for i in range(data.K)])
-        if adj is not None:
-            break
-    else:
+    basis = _first_basis(gens, range(len(gens)))
+    if len(basis) < data.K:
         raise InvalidModelError("the Mori cone generators do not span the degree lattice")
+    det, adj = adjugate([[gens[b][i] for b in basis] for i in range(data.K)])
     rays = [(_primitive([det * x for x in row]), sum(1 << c for c in basis if c != b))
             for row, b in zip(adj, basis)]
     for t, g in enumerate(gens):
@@ -321,6 +346,21 @@ def _mori_facets(data: ToricData) -> tuple[tuple[int, ...], ...]:
                                  common | 1 << t))
         rays = kept
     return tuple(r for r, _ in rays)
+
+
+def _first_basis(vectors: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[int, ...]:
+    """The sorted indices, in ``order`` up to a full basis, of the vectors outside the span
+    of those before them: each is reduced to zero at the kept pivots, fraction-free."""
+    kept = []
+    for label in order:
+        v = vectors[label]
+        for _, r, p in kept:
+            v = [r[p] * a - v[p] * b for a, b in zip(v, r)]
+        if any(v):
+            kept.append((label, _primitive(v), next(p for p, a in enumerate(v) if a)))
+            if len(kept) == len(v):
+                break
+    return tuple(sorted(label for label, _, _ in kept))
 
 
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:

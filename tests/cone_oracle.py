@@ -16,6 +16,9 @@ tries every (K - 1)-subset of the generators for a facet.
 cone of the union of every fixed point's dual-cone generators.
 ``rectangle_box`` is the box enumeration that Fourier-Motzkin projection
 replaced: it filters a rectangle of candidates by the bound and the facets.
+``scan_fixed_points`` and ``wall_graph`` are the fixed points and their graph
+that the simplex walk replaced: every K-subset of the columns is eliminated,
+and the fixed points are grouped by the walls they share.
 """
 
 from __future__ import annotations
@@ -26,8 +29,13 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 
+from qtoric.linalg import adjugate
 from qtoric.toric import (
     InvalidModelError,
+    NonRegularChamberError,
+    NonSmoothModelError,
+    OrbitInvariantError,
+    _build_fixed_point,
     _curve_classes,
     _dot,
     _mori_facets,
@@ -220,3 +228,61 @@ def rectangle_box(data, ample, bound) -> list[tuple[int, ...]]:
     kept = sorted((pair, d) for d in product(*ranges)
                   if (pair := _dot(weights, d)) <= top and all(_dot(n, d) >= 0 for n in facets))
     return [d for _, d in kept]
+
+
+def scan_fixed_points(data):
+    """All K-subsets whose column cone strictly contains omega.
+
+    Raises on boundary omega (non-regular) and on any non-unimodular fixed
+    minor (non-smooth quotient), whichever subset comes first.  Each minor is
+    eliminated once: its chamber coefficients minor^-1 omega = adj omega / det
+    have the signs of ``scaled`` = det * (adj omega), read on omega times the
+    lcm of its denominators, an int vector; and det * adj is the inverse when
+    |det| = 1.
+    """
+    scale = lcm(*(w.denominator for w in data.omega))
+    omega = [w.numerator * (scale // w.denominator) for w in data.omega]
+    out = []
+    for subset in combinations(range(data.N), data.K):
+        det, adj = adjugate(data.minor(subset))
+        if adj is None:
+            continue
+        scaled = [det * _dot(row, omega) for row in adj]
+        if min(scaled) == 0:
+            raise NonRegularChamberError(
+                f"omega lies on the wall of cone {tuple(j + 1 for j in subset)}"
+            )
+        if all(c > 0 for c in scaled):
+            if det not in (1, -1):
+                raise NonSmoothModelError(subset, det)
+            inv = [[det * x for x in row] for row in adj]
+            out.append(_build_fixed_point(data, subset, det, inv))
+    if not out:
+        raise NonRegularChamberError("omega lies outside the image of the open orthant")
+    return tuple(out)
+
+
+def wall_graph(data) -> dict:
+    """The fixed-point graph by wall grouping: (J(alpha), j0) -> (alpha, beta,
+    j0'), where alpha and beta share the wall J(alpha) - j0' = J(beta) - j0.
+
+    The fixed points are grouped by their walls once; the entries run by alpha,
+    then by the position of j0' in J(alpha).  A direction that leaves alpha
+    through two walls is an OrbitInvariantError.
+    """
+    fixed = scan_fixed_points(data)
+    walls: dict[tuple[int, ...], list] = {}
+    for fp in fixed:
+        for i, j in enumerate(fp.J):
+            walls.setdefault(fp.J[:i] + fp.J[i + 1:], []).append((fp, j))
+    graph = {}
+    for alpha in fixed:
+        for i, j0p in enumerate(alpha.J):
+            for beta, j0 in walls[alpha.J[:i] + alpha.J[i + 1:]]:
+                if j0 == j0p:
+                    continue
+                if (alpha.J, j0) in graph:
+                    raise OrbitInvariantError(
+                        f"direction {j0 + 1} off {alpha.J} matched several fixed points")
+                graph[alpha.J, j0] = (alpha, beta, j0p)
+    return graph

@@ -1,29 +1,39 @@
 """The fixed-point graph: one edge per column off each fixed point, every
 edge with its reverse, the curve classes of the wall-counting route, and the
-residue recursion on every edge of the 8-ray surface and the 7-ray 3-fold."""
+residue recursion on every edge of the 8-ray surface and the 7-ray 3-fold.
 
-from fractions import Fraction
+The simplex walk's fixed points and graph against the subset scan and wall
+grouping it replaced (``cone_oracle``), entry for entry and in order, the
+errors it names, and a K = 12 model that the scan took minutes on."""
+
+import contextlib
+import io
+import json
+import re
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from cone_oracle import wall_counter_classes
-from qtoric import toric
+from cone_oracle import scan_fixed_points, wall_counter_classes, wall_graph
+from qtoric import cli, toric
 from qtoric.models import bundled_model_names, load_bundled_model, resolve_model
 from qtoric.recursion import all_orbits, verify_residue_recursion
 from qtoric.series import truncation_box
 from qtoric.toric import (
-    FixedPoint,
-    OrbitInvariantError,
+    NonRegularChamberError,
+    NonSmoothModelError,
     ToricData,
     enumerate_fixed_points,
     fixed_point_graph,
 )
+from test_mori_cone import blown_up_fans, fan_surface, product_rows
 
 DATA = Path(__file__).parent / "data"
 MODELS = [*(load_bundled_model(name).data for name in bundled_model_names()),
-          *(resolve_model(str(DATA / f"{name}.model")).data
-            for name in ("surface8", "threefold7", "threefold7x2"))]
+          *(resolve_model(str(path)).data for path in sorted(DATA.glob("*.model"))
+            if path.stem != "threefold7x3")]
 EDGES = {"surface8": 16, "threefold7": 30, "threefold7x2": 600}
 
 
@@ -52,17 +62,81 @@ def test_curve_classes_are_the_wall_counting_route(data):
     assert toric._curve_classes(data) == wall_counter_classes(data)
 
 
-def test_a_direction_through_two_walls_is_refused(monkeypatch):
-    # Three fixed points pairwise sharing a wall: the direction 3 leaves
-    # (1, 2) through both of its walls.  No chamber point of this matrix lies
-    # in all three cones, so the fixed points are stood in for.
-    data = ToricData(m=((1, 0, 1), (0, 1, 1)), omega=(Fraction(2), Fraction(1)),
-                     name="three-walls")
-    fake = tuple(FixedPoint(J, 1, (), (), ()) for J in ((0, 1), (0, 2), (1, 2)))
-    monkeypatch.setattr(toric, "enumerate_fixed_points", lambda data: fake)
-    with pytest.raises(OrbitInvariantError,
-                       match=r"direction 3 off \(0, 1\) matched several fixed points"):
-        fixed_point_graph(data)
+def product(first, second):
+    return ToricData(m=product_rows(first.m, second.m), omega=first.omega + second.omega,
+                     name=f"{first.name}x{second.name}")
+
+
+BY_NAME = {data.name: data for data in MODELS}
+PRODUCTS = [product(BY_NAME["surface8"], BY_NAME["threefold7"]),
+            product(BY_NAME["threefold7x2"], BY_NAME["p1"])]
+
+
+def assert_walk_is_the_scan(data):
+    assert enumerate_fixed_points(data) == scan_fixed_points(data)
+    # The order too: the curve classes, and so the Mori generators, follow it.
+    assert list(fixed_point_graph(data).items()) == list(wall_graph(data).items())
+
+
+@pytest.mark.parametrize("data", MODELS + PRODUCTS, ids=lambda data: data.name)
+def test_walk_is_the_subset_scan(data):
+    assert_walk_is_the_scan(data)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(fan=blown_up_fans(3, 8))
+def test_walk_is_the_subset_scan_on_generated_surfaces(fan):
+    assert_walk_is_the_scan(fan_surface(*fan))
+
+
+@pytest.mark.parametrize("row, subset, det", [((1, 2, 3), (1,), 2), ((3, 2, 1), (0,), 3)])
+def test_the_smallest_non_smooth_subset_is_named(row, subset, det):
+    # Every column is a fixed point.  On the first row the walk starts at
+    # column 1 and meets column 3 before column 2, so naming the first
+    # non-smooth vertex met fails here.
+    data = ToricData(m=(row,), omega=(1,))
+    for route in (enumerate_fixed_points, scan_fixed_points):
+        with pytest.raises(NonSmoothModelError) as info:
+            route(data)
+        assert (info.value.subset, info.value.det) == (subset, det)
+
+
+OUTSIDE = "outside the image of the open orthant"
+
+
+@pytest.mark.parametrize("m, omega, message", [
+    # omega = (0, 1) is column 4: it lies on the walls of (1, 4), (2, 4) and
+    # (3, 4), and both routes name the first.
+    (((1, 1, 1, 0), (0, 0, 1, 1)), (0, 1), "on the wall of cone (1, 4)"),
+    # F_1 with omega on column 3, the wall between its chambers, and on column
+    # 4, an edge of its effective cone: phase 1 ends at the named basis.
+    (((1, 1, 0, -1), (0, 0, 1, 1)), (0, 1), "on the wall of cone (1, 3)"),
+    (((1, 1, 0, -1), (0, 0, 1, 1)), (-1, 1), "on the wall of cone (1, 4)"),
+    # No x >= 0 solves m x = omega.
+    (((1, 1),), (-1,), OUTSIDE),
+    (((1, 0, 1), (0, 1, 1)), (1, -1), OUTSIDE),
+    # m has rank 1 < K: omega = (1, 1) is in the image of the closed orthant.
+    (((1, 1), (1, 1)), (1, 1), OUTSIDE),
+])
+def test_a_chamber_point_off_the_chamber_gets_the_scans_message(m, omega, message):
+    data = ToricData(m=m, omega=omega)
+    for route in (enumerate_fixed_points, scan_fixed_points):
+        with pytest.raises(NonRegularChamberError, match=f"^omega lies {re.escape(message)}$"):
+            route(data)
+
+
+def test_threefold7_cubed_inspects_in_seconds():
+    # K = 12, N = 21: 293,930 K-subsets, 1,000 fixed points.
+    path = str(DATA / "threefold7x3.model")
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["inspect", path]) == 0
+    assert time.perf_counter() - start < 5
+    result = json.loads(out.getvalue())["result"]
+    assert (len(result["fixed_points"]), len(result["kirwan_relations"]),
+            len(result["mori_generators"])) == (1000, 27, 15)
+    assert len(fixed_point_graph(resolve_model(path).data)) == 9000
 
 
 @pytest.mark.parametrize("name", ["surface8", "threefold7"])
