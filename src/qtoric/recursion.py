@@ -97,10 +97,9 @@ def _validate_orbit(data: ToricData, orbit: OrbitData) -> None:
 
 
 def all_orbits(data: ToricData) -> list[OrbitData]:
-    """Every edge of the fixed-point graph, by fixed point and then by j0."""
-    graph = fixed_point_graph(data)
+    """Every edge of the fixed-point graph, from each fixed point's bounded ``edges``."""
     return [orbit_data(data, fp, j0) for fp in enumerate_fixed_points(data)
-            for j0 in range(data.N) if (fp.J, j0) in graph]
+            for j0, j0p in fp.edges if j0p is not None]
 
 
 def root_context(data: ToricData, orbit: OrbitData, m: int, seed: int,

@@ -4,8 +4,8 @@ A model is a K x N integer matrix whose columns express the divisor classes
 u_j in the basis p_1..p_K of the quotient torus, together with a chamber point
 omega.  The torus-fixed points are the vertices of the moment polytope
 {x >= 0 : m x = omega}, each named by the K columns J of its support, and the
-invariant spheres are its bounded edges: one simplex walk finds both, and the
-curve classes and the orbits of ``recursion`` read ``fixed_point_graph``.
+invariant spheres are its bounded edges: one simplex walk finds both, and each
+fixed point keeps its ratio test as ``edges``, which ``fixed_point_graph`` indexes.
 Smoothness means every fixed point's minor has determinant +-1, and all
 downstream formulas assume it.  The Mori cone is built by double description.
 The truncation box, its lattice points under a bound on an ample class, is
@@ -115,7 +115,9 @@ class FixedPoint(NamedTuple):
     ``q_monomials`` (aligned with J) are exponent tuples over Q_1..Q_K that
     re-encode the degree lattice so the exponent identity
     Q^d = prod_{j in J} Q_j^{D_j(d)} holds; they generate the dual cone
-    Z_+^K at this fixed point.
+    Z_+^K at this fixed point.  ``edges`` is the ratio test at this vertex of
+    the moment polytope: each column j0 off J, in order, paired with the column
+    j0' of J that leaves as j0 enters, or with None on an unbounded edge.
     """
 
     J: tuple[int, ...]
@@ -123,6 +125,7 @@ class FixedPoint(NamedTuple):
     p_monomials: tuple[tuple[int, ...], ...]
     u_monomials: tuple[tuple[int, ...], ...]
     q_monomials: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, int | None], ...]
 
     def p_values(self, lambdas: Sequence[Fraction]) -> tuple[Fraction, ...]:
         return _evaluate_all(self.p_monomials, lambdas)
@@ -150,7 +153,7 @@ def enumerate_fixed_points(data: ToricData) -> tuple[FixedPoint, ...]:
     """The K-subsets J whose column cone strictly contains omega, sorted.
 
     They are the vertices of the moment polytope {x >= 0 : m x = omega}, whose graph
-    is connected (Balinski 1961): the ratio test of ``_edges`` walks it from one vertex
+    is connected (Balinski 1961): each vertex's ``edges`` walk it from one vertex
     (``_feasible_basis``), eliminating each vertex's minor once.  omega on a wall is
     refused first, then the smallest J whose minor is not unimodular.
     """
@@ -159,8 +162,7 @@ def enumerate_fixed_points(data: ToricData) -> tuple[FixedPoint, ...]:
         if (J := todo.pop()) not in found:
             det, adj = adjugate(data.minor(J))
             found[J] = fp = _build_fixed_point(data, J, det, [[det * a for a in r] for r in adj])
-            todo += [tuple(sorted({*J, j0} - {j0p}))
-                     for j0, j0p in _edges(data, fp).items() if j0p is not None]
+            todo += [_neighbour(J, j0, j0p) for j0, j0p in fp.edges if j0p is not None]
     bad = min((J for J, fp in found.items() if fp.det not in (1, -1)), default=None)
     if bad is not None:
         raise NonSmoothModelError(bad, found[bad].det)
@@ -202,22 +204,16 @@ def _leaving(x: Sequence[int], c: Sequence[int], J: Sequence[int]) -> int | None
     return None if best is None else J[best]
 
 
-def _edges(data: ToricData, alpha: FixedPoint) -> dict[int, int | None]:
-    """The ratio test at alpha: each column j0 off J(alpha) -> the column j0' that
-    leaves as j0 enters, None on an unbounded edge.  The rows of ``q_monomials``,
-    a positive multiple of M^-1, give the chamber coefficients x, and U_{j0}'s
-    exponents on J the rates c = M^-1 m_{.j0}.  A zero in x is a wall: refused."""
-    x = [_dot(row, data._integral_omega) for row in alpha.q_monomials]
-    if 0 in x:
-        J = _first_basis(data.columns, [*compress(alpha.J, x), *range(data.N)])
-        raise NonRegularChamberError(f"omega lies on the wall of cone {tuple(j + 1 for j in J)}")
-    return {j0: _leaving(x, [exps[j] for j in alpha.J], alpha.J)
-            for j0, exps in enumerate(alpha.u_monomials) if j0 not in alpha.J}
+def _neighbour(J: Sequence[int], j0: int, j0p: int) -> tuple[int, ...]:
+    """The basis that J becomes when j0 enters and j0' leaves."""
+    return tuple(sorted({*J, j0} - {j0p}))
 
 
 def _build_fixed_point(data: ToricData, subset: tuple[int, ...], det: int,
                        inv: list[list[int]]) -> FixedPoint:
-    """The monomial data at a fixed point from ``inv``, its minor's integer inverse."""
+    """The monomial data and ratio test at a fixed point from ``inv``, a positive multiple
+    of its minor's inverse M^-1: its rows give the chamber coefficients x, and U_{j0}'s
+    exponents on J the rates c = M^-1 m_{.j0}.  A zero in x is a wall: refused."""
     k, n = data.K, data.N
     # P_i = prod_{j' in J} Lambda_{j'}^{inv[j'][i]}: solves prod_i P_i^{m_ij} = Lambda_j, j in J.
     p_monomials = []
@@ -238,26 +234,32 @@ def _build_fixed_point(data: ToricData, subset: tuple[int, ...], det: int,
         u_monomials.append(tuple(exps))
     # Q_j = prod_i Q_i^{inv[j][i]} re-encodes degrees: D_{j'}(col of inv) = delta.
     q_monomials = [tuple(row) for row in inv]
+    x = [_dot(row, data._integral_omega) for row in inv]
+    if 0 in x:
+        J = _first_basis(data.columns, [*compress(subset, x), *range(n)])
+        raise NonRegularChamberError(f"omega lies on the wall of cone {tuple(j + 1 for j in J)}")
     return FixedPoint(
         J=tuple(subset),
         det=det,
         p_monomials=tuple(p_monomials),
         u_monomials=tuple(u_monomials),
         q_monomials=tuple(q_monomials),
+        edges=tuple((j0, _leaving(x, [exps[j] for j in subset], subset))
+                    for j0, exps in enumerate(u_monomials) if j0 not in subset),
     )
 
 
 def check_compact_quotient(data: ToricData) -> None:
     """Refuse a quotient that is not compact, or one with an empty toric divisor.
 
-    A column j0 off J(alpha) with no entry (J(alpha), j0) in ``fixed_point_graph``
-    moves alpha along an unbounded edge of {x >= 0 : m x = omega}.  A column in
-    every J(alpha) is a divisor that meets no fixed point.
+    A column j0 paired with None in ``alpha.edges`` moves alpha along an unbounded
+    edge of {x >= 0 : m x = omega}; the first, by alpha and then by j0, is named.
+    A column in every J(alpha) is a divisor that meets no fixed point.
     """
-    fixed, graph = enumerate_fixed_points(data), fixed_point_graph(data)
+    fixed = enumerate_fixed_points(data)
     for alpha in fixed:
-        for j0 in range(data.N):
-            if j0 not in alpha.J and (alpha.J, j0) not in graph:
+        for j0, j0p in alpha.edges:
+            if j0p is None:
                 raise InvalidModelError(
                     f"column {j0 + 1} leaves fixed point {tuple(j + 1 for j in alpha.J)} "
                     "along an unbounded edge: the quotient is not compact")
@@ -294,16 +296,15 @@ def _lattice_degree(data: ToricData, d: Sequence) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def fixed_point_graph(data: ToricData) -> dict:
-    """The fixed-point graph: (J(alpha), j0) -> (alpha, beta, j0') for each
-    invariant sphere, where j0' leaves J(alpha) when j0 enters (``_edges``) and
-    J(beta) = J(alpha) - j0' + j0.  The entries run by alpha, then by j0', then
-    by j0; an unbounded edge has none.  Callers share the table.
+    """The fixed-point graph, an index over each alpha's ``edges``: (J(alpha), j0)
+    -> (alpha, beta, j0') for each invariant sphere, where j0' leaves J(alpha) when
+    j0 enters and J(beta) = J(alpha) - j0' + j0.  The entries run by alpha, then
+    by j0', then by j0; an unbounded edge has none.  Callers share the table.
     """
     fixed = {alpha.J: alpha for alpha in enumerate_fixed_points(data)}
-    return {(J, j0): (alpha, fixed[tuple(sorted({*J, j0} - {j0p}))], j0p)
+    return {(J, j0): (alpha, fixed[_neighbour(J, j0, j0p)], j0p)
             for J, alpha in fixed.items()
-            for j0p, j0 in sorted((j0p, j0) for j0, j0p in _edges(data, alpha).items()
-                                  if j0p is not None)}
+            for j0p, j0 in sorted((j0p, j0) for j0, j0p in alpha.edges if j0p is not None)}
 
 
 @lru_cache(maxsize=None)

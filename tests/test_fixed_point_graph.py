@@ -2,11 +2,13 @@
 edge with its reverse, the curve classes of the wall-counting route, and the
 residue recursion on every edge of the 8-ray surface and the 7-ray 3-fold.
 
-The simplex walk's fixed points and graph against the subset scan and wall
-grouping it replaced (``cone_oracle``), entry for entry and in order, the
-errors it names, and a K = 12 model that the scan took minutes on."""
+The simplex walk's fixed points, their edges and the graph against the subset
+scan and wall grouping it replaced (``cone_oracle``), entry for entry and in
+order, the errors it names, and a K = 12 model that the scan took minutes on.
+No ratio test runs after the walk."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -25,8 +27,10 @@ from qtoric.toric import (
     NonRegularChamberError,
     NonSmoothModelError,
     ToricData,
+    check_compact_quotient,
     enumerate_fixed_points,
     fixed_point_graph,
+    mori_generators,
 )
 from test_mori_cone import blown_up_fans, fan_surface, product_rows
 
@@ -80,7 +84,57 @@ def assert_walk_is_the_scan(data):
 
 @pytest.mark.parametrize("data", MODELS + PRODUCTS, ids=lambda data: data.name)
 def test_walk_is_the_subset_scan(data):
+    # The scan builds its fixed points with the walk's ``_build_fixed_point``,
+    # so their ``edges`` agree by construction: this checks J and the monomials,
+    # and test_edges_are_the_wall_grouping checks ``edges``.
     assert_walk_is_the_scan(data)
+
+
+def walk_edges(data):
+    return {alpha.J: dict(alpha.edges) for alpha in enumerate_fixed_points(data)}
+
+
+def wall_edges(data):
+    """Each fixed point's edges by the wall grouping: J -> {j0: j0'}, with None
+    where no wall leads on from J."""
+    graph = wall_graph(data)
+    return {alpha.J: {j0: graph[alpha.J, j0][2] if (alpha.J, j0) in graph else None
+                      for j0 in range(data.N) if j0 not in alpha.J}
+            for alpha in scan_fixed_points(data)}
+
+
+@pytest.mark.parametrize("data", MODELS, ids=lambda data: data.name)
+def test_edges_are_the_wall_grouping(data):
+    edges = walk_edges(data)
+    assert edges == wall_edges(data)
+    assert all(None not in at_alpha.values() for at_alpha in edges.values())
+
+
+@pytest.mark.parametrize("m", [((1, 1, -1),), ((1, 0, 1),)], ids=["o_minus_1", "zero_column"])
+def test_unbounded_edges_are_the_directions_no_wall_has(m):
+    # O(-1) over P^1, and a column with zero image: both leave a fixed point
+    # along an unbounded edge, which the wall grouping has no entry for and
+    # the orbit list skips.
+    data = ToricData(m=m, omega=(1,))
+    edges = walk_edges(data)
+    assert edges == wall_edges(data)
+    assert any(None in at_alpha.values() for at_alpha in edges.values())
+    assert [(orbit.alpha.J, orbit.j0) for orbit in all_orbits(data)] == sorted(wall_graph(data))
+
+
+@pytest.mark.parametrize("data", [load_bundled_model("f1").data, BY_NAME["threefold7"]],
+                         ids=lambda data: data.name)
+def test_nothing_after_the_walk_runs_a_ratio_test(data, monkeypatch):
+    routes = (fixed_point_graph, check_compact_quotient, all_orbits, mori_generators)
+    expected = [route(data) for route in routes]
+    for cached in (fixed_point_graph, toric._curve_classes, toric._mori_facets):
+        cached.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("a ratio test after the walk")
+
+    monkeypatch.setattr(toric, "_leaving", refuse)
+    assert [route(data) for route in routes] == expected
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -133,6 +187,9 @@ def test_threefold7_cubed_inspects_in_seconds():
     with contextlib.redirect_stdout(out):
         assert cli.main(["inspect", path]) == 0
     assert time.perf_counter() - start < 5
+    # The report lists the Mori generators in the graph's order.
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "df269bacec253d8335335f9d82ab9dde082ca67489c97cf1ea9fa7eba274c228")
     result = json.loads(out.getvalue())["result"]
     assert (len(result["fixed_points"]), len(result["kirwan_relations"]),
             len(result["mori_generators"])) == (1000, 27, 15)

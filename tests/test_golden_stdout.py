@@ -6,6 +6,7 @@ of output, and say which and why.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +95,21 @@ RANK_3_BLOCKS = [
     (["verify-coh", "p1xp2xp2", "--deg", "3"], 0,
      "8a5ed031bb02019857687e54cea0fcee240b5c3e3496aea211d214e049e03b0b"),
 ]
+# The tests/data models, named by their stem.  Their Mori generators come in
+# the order of the fixed-point graph's entries, and verify-recursion walks all
+# 30 edges of the 7-ray 3-fold in it.  A report hashes the model file's text,
+# not its path.
+DATA = Path(__file__).parent / "data"
+DATA_MODELS = [
+    (["inspect", "surface8"], 0,
+     "9c61a3f444caf0a00db07961b5e48821fc4af1f34428c259ee139b84d2871026"),
+    (["inspect", "threefold7"], 0,
+     "d22635c5956b5d654dd5066916ab61f333177b11d938c34287c74c30cd7b57e8"),
+    (["inspect", "threefold7x2"], 0,
+     "a732d0cd86ba0230bcd0dc3efaeaa60b08c7fc9c15bdb46e2092c1179de8fe5c"),
+    (["verify-recursion", "threefold7", "--deg", "1", "--samples", "1"], 0,
+     "a7d57285c8f29c7dc26fc9ddfa286baeeb81cfa4328fca53b39e2764b28c491c"),
+]
 LINE, PLANE, F2 = [[1, 1]], [[1, 1, 1]], [[1, 1, 0, -2], [0, 0, 1, 1]]
 
 
@@ -156,3 +172,10 @@ def test_rank_3_blocks_stdout_is_byte_identical(argv, code, digest, tmp_path, ca
     path.write_text(MODEL_TEXTS[name])
     argv = [argv[0], str(path), *argv[2:]]
     test_stdout_is_byte_identical(argv, code, digest, capsys)
+
+
+@pytest.mark.parametrize("argv, code, digest", DATA_MODELS,
+                         ids=[" ".join(a) for a, _, _ in DATA_MODELS])
+def test_data_model_stdout_is_byte_identical(argv, code, digest, capsys):
+    assert cli.main([argv[0], str(DATA / f"{argv[1]}.model"), *argv[2:]]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
