@@ -1,29 +1,33 @@
 """Toric quotient data: fixed points and their graph, pairings, Mori cone, box degrees.
 
-A model is a K x N integer matrix whose columns express the divisor classes
-u_j in the basis p_1..p_K of the quotient torus, together with a chamber point
-omega.  The torus-fixed points are the vertices of the moment polytope
-{x >= 0 : m x = omega}, each named by the K columns J of its support, and the
-invariant spheres are its bounded edges: one simplex walk finds both, and each
-fixed point keeps its ratio test as ``edges``, which ``fixed_point_graph`` indexes.
-Smoothness means every fixed point's minor has determinant +-1, and all
-downstream formulas assume it.  The Mori cone is built by double description.
-The truncation box, its lattice points under a bound on an ample class, is
-enumerated coordinate by coordinate through the Fourier-Motzkin projections
-of that polytope, with no candidate grid.
+A model is a K x N integer matrix whose columns express the divisor classes u_j in
+the basis p_1..p_K of the quotient torus, together with a chamber point omega.  The
+torus-fixed points are the vertices of the moment polytope {x >= 0 : m x = omega},
+each named by the K columns J of its support, and the invariant spheres are its
+bounded edges: one simplex walk finds both, and each fixed point keeps its ratio test
+as ``edges``, which ``fixed_point_graph`` indexes.  A ``Basis`` is (J, det, adj), J
+sorted and adj M_J = det I, and every change of basis is one ``linalg.pivot``.
+Smoothness means every fixed point's minor has determinant +-1, and all downstream
+formulas assume it.  The Mori cone is built by double description.  The truncation
+box, its lattice points under a bound on an ample class, is enumerated coordinate by
+coordinate through the Fourier-Motzkin projections of that polytope, with no
+candidate grid.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import adjugate
+from .linalg import pivot
 from .scalars import common_denominator, power_product
+
+Basis = tuple[tuple[int, ...], int, list]
 
 
 class InvalidModelError(ValueError):
@@ -103,9 +107,6 @@ class ToricData(_ToricFields):
         scale = lcm(*(w.denominator for w in self.omega))
         return tuple(w.numerator * (scale // w.denominator) for w in self.omega)
 
-    def minor(self, subset: Sequence[int]) -> list[list[int]]:
-        return [[self.m[i][j] for j in subset] for i in range(self.K)]
-
 
 class FixedPoint(NamedTuple):
     """A fixed point: its index subset and the monomial data localized there.
@@ -152,46 +153,79 @@ def format_monomial(exps: Sequence[int], names: Sequence[str]) -> str:
 def enumerate_fixed_points(data: ToricData) -> tuple[FixedPoint, ...]:
     """The K-subsets J whose column cone strictly contains omega, sorted.
 
-    They are the vertices of the moment polytope {x >= 0 : m x = omega}, whose graph
-    is connected (Balinski 1961): each vertex's ``edges`` walk it from one vertex
-    (``_feasible_basis``), eliminating each vertex's minor once.  omega on a wall is
-    refused first, then the smallest J whose minor is not unimodular.
+    They are the vertices of the moment polytope {x >= 0 : m x = omega}, whose graph is
+    connected (Balinski 1961): each vertex's ``edges`` walk it from ``_feasible_basis``, one
+    pivot per new vertex, from its parent's basis.  omega on a wall is refused first, then
+    the smallest J whose minor is not unimodular.
     """
-    todo, found = [_feasible_basis(data)], {}
+    start = _feasible_basis(data)
+    todo, found = [(start[0], start, None, None)], {}
     while todo:
-        if (J := todo.pop()) not in found:
-            det, adj = adjugate(data.minor(J))
-            found[J] = fp = _build_fixed_point(data, J, det, [[det * a for a in r] for r in adj])
-            todo += [_neighbour(J, j0, j0p) for j0, j0p in fp.edges if j0p is not None]
+        J, basis, j0, r = todo.pop()
+        if J not in found:
+            if j0 is not None:
+                basis = _exchange(basis, j0, [_dot(row, data.columns[j0]) for row in basis[2]], r)
+            found[J] = fp = _build_fixed_point(data, *basis)
+            todo += [(_neighbour(J, j, out), basis, j, J.index(out))
+                     for j, out in fp.edges if out is not None]
     bad = min((J for J, fp in found.items() if fp.det not in (1, -1)), default=None)
     if bad is not None:
         raise NonSmoothModelError(bad, found[bad].det)
     return tuple(found[J] for J in sorted(found))
 
 
-def _feasible_basis(data: ToricData) -> tuple[int, ...]:
-    """A basis J with M_J^-1 omega >= 0: phase 1 of the simplex method, Bland's rule
-    (which cannot cycle) on [m | diag(sign omega)] from its K artificial columns, in
-    ints (inv = det * adj = det^2 M^-1), then the first basis holding x's support.
-    omega is outside the image if that holds an artificial column or rank m < K."""
+def _feasible_basis(data: ToricData) -> Basis:
+    """A basis with M_J^-1 omega >= 0: phase 1 of the simplex method, Bland's rule (which
+    cannot cycle) on [m | diag(sign omega)] from its K artificial columns (det = prod sign
+    omega, adj = det diag(sign omega)), in ints off det adj = det^2 M^-1; then ``_complete``
+    keeps x's support.  An artificial column left means rank m < K or omega is outside."""
     k, n, omega = data.K, data.N, data._integral_omega
     cols = data.columns + tuple(tuple((w >= 0) - (w < 0) if r == i else 0 for r in range(k))
                                 for i, w in enumerate(omega))
-    basis = list(range(n, n + k))
+    det = prod(cols[n + i][i] for i in range(k))
+    basis = tuple(range(n, n + k)), det, [[det * a for a in col] for col in cols[n:]]
     while True:
-        det, adj = adjugate([[cols[j][i] for j in basis] for i in range(k)])
-        inv = [[det * a for a in row] for row in adj]
-        x = [_dot(row, omega) for row in inv]
-        costs = [sum(row[i] for row, j in zip(inv, basis) if j >= n) for i in range(k)]
-        enter = next((j for j in range(n + k) if j not in basis
+        J, det, adj = basis
+        x = [det * _dot(row, omega) for row in adj]
+        costs = [det * sum(row[i] for row, j in zip(adj, J) if j >= n) for i in range(k)]
+        enter = next((j for j in range(n + k) if j not in J
                       and _dot(costs, cols[j]) > det * det * (j >= n)), None)
         if enter is None:
             break
-        basis = sorted({*basis, enter} - {_leaving(x, [_dot(r, cols[enter]) for r in inv], basis)})
-    J = _first_basis(cols, [*compress(basis, x), *range(n)])
-    if len(J) < k or J[-1] >= n:
+        c = [_dot(row, cols[enter]) for row in adj]
+        basis = _exchange(basis, enter, c, J.index(_leaving(x, [det * a for a in c], J)))
+    basis = _complete(cols, basis, compress(J, x), range(n))
+    if basis[0][-1] >= n:
         raise NonRegularChamberError("omega lies outside the image of the open orthant")
-    return J
+    return basis
+
+
+def _exchange(basis: Basis, j: int, c: Sequence[int], r: int) -> Basis:
+    """``basis`` with column j, or J[r] again, in place r by one ``pivot``, c = adj m_{.j}:
+    j moves on to its sorted place s with row r of adj, flipping det and adj if r - s is odd."""
+    J, det, adj = basis
+    det, adj = pivot(det, adj, c, r)
+    s = bisect_left(J, j) - (J[r] < j)
+    adj.insert(s, adj.pop(r))
+    if (r - s) % 2:
+        det, adj = -det, [[-a for a in row] for row in adj]
+    return _neighbour(J, j, J[r]), det, adj
+
+
+def _complete(vectors: Sequence, basis: Basis, kept: Iterable[int], order: Iterable[int]) -> Basis:
+    """``basis`` with its places that hold no ``kept`` label filled, in ``order``, by each
+    vector whose coordinates adj v are nonzero at such a place, until it is full: the
+    vectors taken are those outside the span of the kept ones and those before them."""
+    kept = set(kept)
+    for label in order:
+        J, _, adj = basis
+        if len(kept) == len(J):
+            break
+        c = [_dot(row, vectors[label]) for row in adj]
+        if (r := next((p for p, j in enumerate(J) if c[p] and j not in kept), None)) is not None:
+            basis = _exchange(basis, label, c, r)
+            kept.add(label)
+    return basis
 
 
 def _leaving(x: Sequence[int], c: Sequence[int], J: Sequence[int]) -> int | None:
@@ -206,14 +240,15 @@ def _leaving(x: Sequence[int], c: Sequence[int], J: Sequence[int]) -> int | None
 
 def _neighbour(J: Sequence[int], j0: int, j0p: int) -> tuple[int, ...]:
     """The basis that J becomes when j0 enters and j0' leaves."""
-    return tuple(sorted({*J, j0} - {j0p}))
+    return tuple(sorted({*J} - {j0p} | {j0}))
 
 
 def _build_fixed_point(data: ToricData, subset: tuple[int, ...], det: int,
-                       inv: list[list[int]]) -> FixedPoint:
-    """The monomial data and ratio test at a fixed point from ``inv``, a positive multiple
-    of its minor's inverse M^-1: its rows give the chamber coefficients x, and U_{j0}'s
-    exponents on J the rates c = M^-1 m_{.j0}.  A zero in x is a wall: refused."""
+                       adj: list[list[int]]) -> FixedPoint:
+    """The monomial data and ratio test at a fixed point from its basis: inv = det adj, M^-1
+    times det^2 (M^-1 when smooth), gives the chamber coefficients x in its rows, and
+    U_{j0}'s exponents on J the rates c = M^-1 m_{.j0}.  A zero in x is a wall: refused."""
+    inv = [[det * a for a in row] for row in adj]
     k, n = data.K, data.N
     # P_i = prod_{j' in J} Lambda_{j'}^{inv[j'][i]}: solves prod_i P_i^{m_ij} = Lambda_j, j in J.
     p_monomials = []
@@ -236,7 +271,7 @@ def _build_fixed_point(data: ToricData, subset: tuple[int, ...], det: int,
     q_monomials = [tuple(row) for row in inv]
     x = [_dot(row, data._integral_omega) for row in inv]
     if 0 in x:
-        J = _first_basis(data.columns, [*compress(subset, x), *range(n)])
+        J = _complete(data.columns, (subset, det, adj), compress(subset, x), range(n))[0]
         raise NonRegularChamberError(f"omega lies on the wall of cone {tuple(j + 1 for j in J)}")
     return FixedPoint(
         J=tuple(subset),
@@ -324,18 +359,20 @@ def _mori_facets(data: ToricData) -> tuple[tuple[int, ...], ...]:
     """Primitive inner facet normals of the effective-curve cone.
 
     The extreme rays of the dual cone {y : <y, g> >= 0 on every class g}, by double
-    description, each with the mask of the classes it is tight on.  K independent
-    classes start it: ray i is det times row i of their adjugate.  Each class g keeps
+    description, each with the mask of the classes it is tight on.  The first K
+    independent classes start it, each completing the identity basis by one pivot:
+    ray i is det times row i of their adjugate.  Each class g keeps
     the rays with <r, g> >= 0 and adds <p, g> n - <n, g> p for each pair with
     <p, g> > 0 > <n, g> when no third ray is tight on every class both are tight on.
     """
     gens = _curve_classes(data)
-    basis = _first_basis(gens, range(len(gens)))
-    if len(basis) < data.K:
+    size, k = len(gens), data.K
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
+    J, det, adj = _complete(gens, (tuple(range(size, size + k)), 1, identity), (), range(size))
+    if J[-1] >= size:
         raise InvalidModelError("the Mori cone generators do not span the degree lattice")
-    det, adj = adjugate([[gens[b][i] for b in basis] for i in range(data.K)])
-    rays = [(_primitive([det * x for x in row]), sum(1 << c for c in basis if c != b))
-            for row, b in zip(adj, basis)]
+    rays = [(_primitive([det * x for x in row]), sum(1 << c for c in J if c != b))
+            for row, b in zip(adj, J)]
     for t, g in enumerate(gens):
         pairings = [_dot(r, g) for r, _ in rays]
         kept = [(r, m | 1 << t if s == 0 else m) for (r, m), s in zip(rays, pairings) if s >= 0]
@@ -347,21 +384,6 @@ def _mori_facets(data: ToricData) -> tuple[tuple[int, ...], ...]:
                                  common | 1 << t))
         rays = kept
     return tuple(r for r, _ in rays)
-
-
-def _first_basis(vectors: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[int, ...]:
-    """The sorted indices, in ``order`` up to a full basis, of the vectors outside the span
-    of those before them: each is reduced to zero at the kept pivots, fraction-free."""
-    kept = []
-    for label in order:
-        v = vectors[label]
-        for _, r, p in kept:
-            v = [r[p] * a - v[p] * b for a, b in zip(v, r)]
-        if any(v):
-            kept.append((label, _primitive(v), next(p for p, a in enumerate(v) if a)))
-            if len(kept) == len(v):
-                break
-    return tuple(sorted(label for label, _, _ in kept))
 
 
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:

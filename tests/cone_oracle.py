@@ -17,8 +17,10 @@ cone of the union of every fixed point's dual-cone generators.
 ``rectangle_box`` is the box enumeration that Fourier-Motzkin projection
 replaced: it filters a rectangle of candidates by the bound and the facets.
 ``scan_fixed_points`` and ``wall_graph`` are the fixed points and their graph
-that the simplex walk replaced: every K-subset of the columns is eliminated,
-and the fixed points are grouped by the walls they share.
+that the simplex walk replaced: every K-subset of the columns is eliminated
+from scratch by the Bareiss adjugate of ``linalg_oracle`` (where the walk
+pivots from a neighbour's basis), and the fixed points are grouped by the
+walls they share.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 
-from qtoric.linalg import adjugate
+from linalg_oracle import adjugate, minor
 from qtoric.toric import (
     InvalidModelError,
     NonRegularChamberError,
@@ -244,7 +246,7 @@ def scan_fixed_points(data):
     omega = [w.numerator * (scale // w.denominator) for w in data.omega]
     out = []
     for subset in combinations(range(data.N), data.K):
-        det, adj = adjugate(data.minor(subset))
+        det, adj = adjugate(minor(data, subset))
         if adj is None:
             continue
         scaled = [det * _dot(row, omega) for row in adj]
@@ -255,8 +257,7 @@ def scan_fixed_points(data):
         if all(c > 0 for c in scaled):
             if det not in (1, -1):
                 raise NonSmoothModelError(subset, det)
-            inv = [[det * x for x in row] for row in adj]
-            out.append(_build_fixed_point(data, subset, det, inv))
+            out.append(_build_fixed_point(data, subset, det, adj))
     if not out:
         raise NonRegularChamberError("omega lies outside the image of the open orthant")
     return tuple(out)

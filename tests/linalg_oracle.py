@@ -1,14 +1,22 @@
-"""Rational Gaussian elimination for the tests: determinants and square solves.
+"""Reference eliminations for the tests: determinants, square solves, adjugates.
 
-``qtoric.linalg`` reads determinants and inverses off one fraction-free
-integer elimination; these are the ``Fraction`` routines it replaced, kept as
-an independent route that shares no code with it.
+``qtoric`` never eliminates a matrix from scratch: each basis change is one
+fraction-free pivot (``qtoric.linalg.pivot``) on the old determinant and
+adjugate.  ``determinant`` and ``solve_square`` are the ``Fraction`` routines
+that an integer elimination once replaced; ``adjugate`` is that elimination,
+Bareiss's fraction-free Gauss-Jordan, which the pivot in turn replaced.  They
+share no code with ``qtoric.linalg``.  ``minor`` reads a model's K x K minor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+
+def minor(data, subset: Sequence[int]) -> list[list[int]]:
+    """The columns ``subset`` of the model's matrix, in that order."""
+    return [[row[j] for j in subset] for row in data.m]
 
 
 def _rows(a: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -63,3 +71,35 @@ def solve_square(a: Sequence[Sequence], b: Sequence) -> list[Fraction] | None:
                 m[r][c] -= factor * m[col][c]
             rhs[r] -= factor * rhs[col]
     return [rhs[i] / m[i][i] for i in range(n)]
+
+
+def adjugate(a: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """``(det, adj)`` with ``adj a = det I``; ``adj`` is None when det = 0.
+
+    One fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968) brings ``[a | I]`` to ``[d I | M]``.  Each step divides by the
+    previous pivot, a leading minor of the row-swapped matrix, and by
+    Sylvester's identity every quotient is exact.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("adjugate needs a square matrix")
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign, prev = 1, 1
+    for k in range(n):
+        swap = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if swap is None:
+            return 0, None
+        if swap != k:
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top, pivot = m[k], m[k][k]
+        for i in range(n):
+            if i != k:
+                factor = m[i][k]
+                m[i] = [(pivot * x - factor * y) // prev for x, y in zip(m[i], top)]
+        prev = pivot
+    # The row operations multiplied [a | I] by M with M a = prev I, and prev is
+    # the determinant of the row-swapped matrix: sign * prev = det a.
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 
 from cone_oracle import scan_fixed_points, wall_counter_classes, wall_graph
-from qtoric import cli, toric
-from qtoric.models import bundled_model_names, load_bundled_model, resolve_model
+from qtoric import cli, linalg, toric
+from qtoric.models import bundled_model_names, load_bundled_model, parse_model_text, resolve_model
 from qtoric.recursion import all_orbits, verify_residue_recursion
 from qtoric.series import truncation_box
 from qtoric.toric import (
@@ -33,6 +33,7 @@ from qtoric.toric import (
     mori_generators,
 )
 from test_mori_cone import blown_up_fans, fan_surface, product_rows
+from test_qdiff import F1_SKEW
 
 DATA = Path(__file__).parent / "data"
 MODELS = [*(load_bundled_model(name).data for name in bundled_model_names()),
@@ -71,9 +72,22 @@ def product(first, second):
                      name=f"{first.name}x{second.name}")
 
 
+def shear(data, steps):
+    """The same quotient with row t minus f times row s, for each (t, f, s) in turn."""
+    m, omega = [list(row) for row in data.m], list(data.omega)
+    for t, f, s in steps:
+        m[t] = [a - f * b for a, b in zip(m[t], m[s])]
+        omega[t] -= f * omega[s]
+    return ToricData(m=m, omega=omega, name=f"{data.name}_sheared")
+
+
 BY_NAME = {data.name: data for data in MODELS}
 PRODUCTS = [product(BY_NAME["surface8"], BY_NAME["threefold7"]),
             product(BY_NAME["threefold7x2"], BY_NAME["p1"])]
+# Chamber points with negative coordinates: phase 1 starts from -1 artificial columns.
+NEGATIVE = [parse_model_text(F1_SKEW.replace("omega 2 1", "omega 2 -1")).data,
+            shear(BY_NAME["surface8"], [(1, 3, 0), (3, 1, 2), (5, 1, 4)])]
+assert [data.omega for data in NEGATIVE] == [(2, -1), (12, -11, 14, -9, 3, -1)]
 
 
 def assert_walk_is_the_scan(data):
@@ -82,7 +96,7 @@ def assert_walk_is_the_scan(data):
     assert list(fixed_point_graph(data).items()) == list(wall_graph(data).items())
 
 
-@pytest.mark.parametrize("data", MODELS + PRODUCTS, ids=lambda data: data.name)
+@pytest.mark.parametrize("data", MODELS + PRODUCTS + NEGATIVE, ids=lambda data: data.name)
 def test_walk_is_the_subset_scan(data):
     # The scan builds its fixed points with the walk's ``_build_fixed_point``,
     # so their ``edges`` agree by construction: this checks J and the monomials,
@@ -194,6 +208,38 @@ def test_threefold7_cubed_inspects_in_seconds():
     assert (len(result["fixed_points"]), len(result["kirwan_relations"]),
             len(result["mori_generators"])) == (1000, 27, 15)
     assert len(fixed_point_graph(resolve_model(path).data)) == 9000
+
+
+@pytest.mark.parametrize("name, vertices", [("threefold7x2", 100), ("threefold7x3", 1000)])
+def test_one_pivot_per_vertex(name, vertices, monkeypatch):
+    # After phase 1, the walk pivots once into each vertex but its start, and
+    # the Mori cone's start once per place of the identity it completes.
+    data = resolve_model(str(DATA / f"{name}.model")).data
+    toric._curve_classes(data)
+    calls = []
+    pivot, feasible_basis = toric.pivot, toric._feasible_basis
+
+    def counted(*args):
+        calls.append(None)
+        return pivot(*args)
+
+    def start(model):
+        basis = feasible_basis(model)
+        calls.clear()
+        return basis
+
+    monkeypatch.setattr(toric, "pivot", counted)
+    monkeypatch.setattr(toric, "_feasible_basis", start)
+    assert len(toric.enumerate_fixed_points.__wrapped__(data)) == vertices
+    assert len(calls) == vertices - 1
+    calls.clear()
+    toric._mori_facets.__wrapped__(data)
+    assert len(calls) == data.K
+
+
+def test_no_adjugate_or_minor_is_left_in_the_library():
+    names = [*vars(linalg), *vars(toric), *dir(toric.ToricData)]
+    assert [name for name in names if "adjugate" in name or "minor" in name] == []
 
 
 @pytest.mark.parametrize("name", ["surface8", "threefold7"])

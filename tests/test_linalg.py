@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from linalg_oracle import adjugate, solve_square
 from linalg_oracle import determinant as oracle_determinant
-from linalg_oracle import solve_square
-from qtoric.linalg import adjugate
+from qtoric import toric
+from qtoric.linalg import pivot
 
 
 def test_determinant_small():
@@ -66,3 +67,38 @@ def test_adjugate_matches_the_rational_oracle(a):
     product = [[sum(adj[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     assert product == [[det * int(i == j) for j in range(n)] for i in range(n)]
     assert [[Fraction(adj[i][j], det) for i in range(n)] for j in range(n)] == columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=integer_matrices(), data=st.data())
+def test_pivot_is_the_adjugate_of_the_exchanged_matrix(a, data):
+    det, adj = adjugate(a)
+    if det == 0:
+        return
+    n = len(a)
+    v = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    c = [sum(x * y for x, y in zip(row, v)) for row in adj]
+    places = [r for r in range(n) if c[r]]
+    if not places:
+        return
+    r = data.draw(st.sampled_from(places))
+    exchanged = [[v[i] if j == r else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+    assert pivot(det, adj, c, r) == adjugate(exchanged)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=integer_matrices())
+@example(a=[[0, 1], [1, 0]])
+@example(a=[[1, 2], [2, 4]])
+def test_completing_the_identity_is_the_reference_adjugate(a):
+    # Each column of a, in order, takes the first place still held by a column
+    # of the identity that its coordinates reach, and the places are re-sorted.
+    n = len(a)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    J, det, adj = toric._complete(list(zip(*a)), (tuple(range(n, 2 * n)), 1, identity),
+                                  (), range(n))
+    reference = adjugate(a)
+    if reference[0]:
+        assert (J, det, adj) == (tuple(range(n)), *reference)
+    else:
+        assert J[-1] >= n

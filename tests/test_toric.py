@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import dual_cone_flags, fixed_point
-from linalg_oracle import determinant, solve_square
+from linalg_oracle import determinant, minor, solve_square
 from localization_oracle import map_space_model
 from qtoric.models import projective_space
 from qtoric.scalars import sample_context
@@ -111,13 +111,13 @@ def chamber_oracle(data):
 
     A wall comes before a non-smooth minor: a chamber point on a wall has no
     quotient to be smooth."""
-    solved = [(subset, solve_square(data.minor(subset), data.omega))
+    solved = [(subset, solve_square(minor(data, subset), data.omega))
               for subset in combinations(range(data.N), data.K)]
     solved = [(subset, coefficients) for subset, coefficients in solved if coefficients is not None]
     if any(min(coefficients) == 0 for _, coefficients in solved):
         return NonRegularChamberError
     out = [subset for subset, coefficients in solved if min(coefficients) > 0]
-    if any(abs(determinant(data.minor(subset))) != 1 for subset in out):
+    if any(abs(determinant(minor(data, subset))) != 1 for subset in out):
         return NonSmoothModelError
     return out or NonRegularChamberError
 
