@@ -19,7 +19,6 @@ from qtoric import (
 from qtoric.models import hirzebruch
 
 data = hirzebruch()
-names = data.lambda_names
 
 print(f"model {data.name}: K={data.K}, N={data.N}, omega={data.omega}")
 print()
@@ -28,8 +27,8 @@ print("fixed points (column subsets whose cone contains omega):")
 # P_i and U_j are Laurent monomials in the parameters, stored as exponent tuples.
 for fp in enumerate_fixed_points(data):
     one_based = tuple(j + 1 for j in fp.J)
-    p_str = ", ".join(format_monomial(m, names) for m in fp.p_monomials)
-    u_str = ", ".join(format_monomial(m, names) for m in fp.u_monomials)
+    p_str = ", ".join(format_monomial(m) for m in fp.p_monomials)
+    u_str = ", ".join(format_monomial(m) for m in fp.u_monomials)
     print(f"  J = {one_based}  det = {fp.det:+d}   P = ({p_str})   U = ({u_str})")
 print()
 

@@ -98,7 +98,6 @@ def _parse_degree(text: str, k: int) -> tuple[int, ...]:
 def cmd_inspect(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
     fps = enumerate_fixed_points(data)
-    names = data.lambda_names
     result = {
         "K": data.K,
         "N": data.N,
@@ -106,8 +105,8 @@ def cmd_inspect(model: ModelFile, seed: int, samples: int, args) -> dict:
             {
                 "J": [j + 1 for j in fp.J],
                 "det": fp.det,
-                "P": [format_monomial(mon, names) for mon in fp.p_monomials],
-                "U": [format_monomial(mon, names) for mon in fp.u_monomials],
+                "P": [format_monomial(mon) for mon in fp.p_monomials],
+                "U": [format_monomial(mon) for mon in fp.u_monomials],
                 "degree_cone": [list(g) for g in fp.q_monomials],
             }
             for fp in fps

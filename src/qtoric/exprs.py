@@ -9,13 +9,14 @@ Integers are decimal digits (007 is 7) and symbols ASCII words that start
 with a letter; whitespace, newlines too, may separate tokens; the exponent is
 a signed integer right after '^'.  Nothing else is accepted: not '**', unary
 '+', 1.5, 1e3, 0x10, 1_000, calls, comparisons or keywords.  Python's parser
-reads the text with '^' as '**'; the tree is checked against the grammar and
-compiled once, at parse, into nested closures, with each constant made a
-``Fraction`` and each exponent an int once; it is evaluated, never executed.
-Symbols come from the environment (P1..PK / p1..pK, L1..LN / l1..lN, q, z),
-read at evaluation, so an unknown symbol fails there; values are exact
-rationals.  A zero divisor (or base of a negative power) raises
-``ZeroDivisorError``, a degenerate sample.
+reads the text with '^' as '**'; one pass over the tree, at parse, refuses a
+node the grammar does not derive or compiles it into nested closures, with each
+constant made a ``Fraction`` and each exponent an int once; it is evaluated,
+never executed.  Symbols come from the environment (P1..PK / p1..pK, L1..LN /
+l1..lN, q, z), read at evaluation, so an unknown symbol fails there; values
+are exact rationals.  A zero divisor (or base of a negative power) raises
+``ZeroDivisorError``, a degenerate sample.  ``toric.format_monomial`` spells
+a monomial in L1..LN, so ``inspect``'s P and U are expressions of this language.
 """
 
 from __future__ import annotations
@@ -54,42 +55,32 @@ _BINARY = {"Add": operator.add, "Sub": operator.sub, "Mult": operator.mul,
            "Div": operator.truediv, "Pow": operator.pow}
 
 
-def _check(node: ast.expr, source: str, where: Callable[[int], int]) -> None:
-    """Raise ExprError unless the grammar derives the tree; where() maps offsets to the text."""
+def _compile(node: ast.expr, source: str,
+             where: Callable[[int], int]) -> Callable[[Mapping[str, Fraction]], Fraction]:
+    """The tree as nested closures, or ExprError unless the grammar derives it; where() maps
+    offsets to the text.  Each constant is a ``Fraction`` and each exponent an int, made
+    once; a symbol is read from the environment."""
     import ast
-    start, end = node.col_offset, node.end_col_offset
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        _check(node.operand, source, where)
-    elif isinstance(node, ast.BinOp) and type(node.op).__name__ in _BINARY:
-        _check(node.left, source, where)
-        if not isinstance(node.op, ast.Pow):
-            _check(node.right, source, where)
-        elif not (source[:node.right.col_offset].rstrip().endswith("*")  # not '^('
-                  and _EXPONENT.fullmatch(source, node.right.col_offset,
-                                          node.right.end_col_offset)):
-            raise ExprError("exponent must be an integer", where(node.right.col_offset))
-    elif not (isinstance(node, ast.Constant) and source[start:end].isdigit()
-              or isinstance(node, ast.Name) and _SYMBOL.fullmatch(node.id)):
-        raise ExprError(f"not in the grammar: {source[start:end]!r}", where(start))
-
-
-def _compile(node: ast.expr) -> Callable[[Mapping[str, Fraction]], Fraction]:
-    """The checked tree as nested closures: each constant is a ``Fraction`` and
-    each exponent an int, made once; a symbol is read from the environment."""
-    import ast
-    if isinstance(node, ast.BinOp):
-        left = _compile(node.left)
-        if isinstance(node.op, ast.Pow):
-            k = int(_compile(node.right)({}))
-            return lambda env: left(env) ** k
-        op, right = _BINARY[type(node.op).__name__], _compile(node.right)
-        return lambda env: op(left(env), right(env))
-    if isinstance(node, ast.UnaryOp):
-        operand = _compile(node.operand)
+        operand = _compile(node.operand, source, where)
         return lambda env: -operand(env)
-    if isinstance(node, ast.Constant):
+    if isinstance(node, ast.BinOp) and type(node.op).__name__ in _BINARY:
+        left = _compile(node.left, source, where)
+        if not isinstance(node.op, ast.Pow):
+            op, right = _BINARY[type(node.op).__name__], _compile(node.right, source, where)
+            return lambda env: op(left(env), right(env))
+        start, end = node.right.col_offset, node.right.end_col_offset
+        if not (source[:start].rstrip().endswith("*")  # not '^('
+                and _EXPONENT.fullmatch(source, start, end)):
+            raise ExprError("exponent must be an integer", where(start))
+        k = int(source[start:end].replace(" ", ""))
+        return lambda env: left(env) ** k
+    text = source[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Constant) and text.isdigit():
         constant = Fraction(node.value)
         return lambda env: constant
+    if not (isinstance(node, ast.Name) and _SYMBOL.fullmatch(node.id)):
+        raise ExprError(f"not in the grammar: {text!r}", where(node.col_offset))
     name = node.id
 
     def symbol(env):
@@ -104,11 +95,11 @@ def _compile(node: ast.expr) -> Callable[[Mapping[str, Fraction]], Fraction]:
 class Expression:
     """A class expression the grammar derives; ``evaluate`` gives its exact value.
 
-    The tree is compiled once, at parse, into closures (``_compile``)."""
+    The tree is checked and compiled once, at parse, into closures (``_compile``)."""
 
-    def __init__(self, tree: ast.expr):
+    def __init__(self, tree: ast.expr, value: Callable[[Mapping[str, Fraction]], Fraction]):
         self.tree = tree
-        self._value = _compile(tree)
+        self._value = value
 
     def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
         try:
@@ -137,8 +128,7 @@ def parse_expression(text: str) -> Expression:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # "invalid decimal literal" for 1if, say
             tree = ast.parse(source, mode="eval").body
-        _check(tree, source, where)
-        return Expression(tree)
+        return Expression(tree, _compile(tree, source, where))
     except SyntaxError as exc:
         raise ExprError(exc.msg, where((exc.offset or 1) - 1)) from None
     except RecursionError:

@@ -17,8 +17,8 @@ probability), so the scalar layer provides
   caller normalises once, into one ``Fraction``,
 * the universal finite product ratio behind all the q-hypergeometric factors
   and its cohomological limit: its factors at a numeric q or z
-  (``ratio_factor``), and its values over depths by one running product
-  (``ratio_table``),
+  (``ratio_factor``), and its values over depths at a numeric q by one
+  running product (``ratio_table``),
 * the factors' leading terms at a root point q0 (``root_factor``): each is an
   order in eps = q/q0 - 1 and a lead (``LeadingTerm``), so a residue at q0
   needs no polynomial algebra.
@@ -187,13 +187,13 @@ def ratio_factor(u_value, q=None, z=None) -> Callable[[int], tuple[int, int]]:
     return factor
 
 
-def ratio_table(u_value, depths: Iterable[int], q=None, z=None) -> dict[int, Fraction]:
-    """The ratio of ``ratio_factor`` at every depth between the extremes of ``depths``.
+def ratio_table(u_value, depths: Iterable[int], q) -> dict[int, Fraction]:
+    """The ratio of ``ratio_factor`` at q at every depth between the extremes of ``depths``.
 
     One running product in each direction from r = 0 reads them all off; a
     pole raises when a depth reaches it.
     """
-    factor = ratio_factor(u_value, q, z)
+    factor = ratio_factor(u_value, q)
     depths = [0, *depths]
     table = {0: Fraction(1)}
     for r in range(1, max(depths) + 1):

@@ -38,6 +38,7 @@ from .toric import (
     FixedPoint,
     InvalidModelError,
     ToricData,
+    _lattice_degree,
     box_degrees,
     degree_pairing,
     divisor_values,
@@ -141,8 +142,7 @@ class NovikovSeries:
         key = self.box.keys.get(tuple(d))
         if key is not None:
             return self.coeffs.get(key, Fraction(0))
-        degree_pairing(self.box.data, d)  # refuses a d of the wrong length
-        d = integral_degree(d)
+        d = _lattice_degree(self.box.data, d)
         # The box holds every effective degree up to its bound.
         if self.box.beyond(d):
             raise TruncationError(

@@ -57,20 +57,20 @@ class NonSmoothModelError(InvalidModelError):
 class _ToricFields(NamedTuple):
     m: tuple[tuple[int, ...], ...]
     omega: tuple[Fraction, ...]
-    lambda_names: tuple[str, ...] = ()
     name: str = ""
 
 
 class ToricData(_ToricFields):
-    """The single source of truth for a model: the matrix, chamber point, labels.
+    """The single source of truth for a model: the matrix, chamber point and name.
 
-    The constructor normalises the fields (int rows, ``Fraction`` omega,
-    labels ``L1..LN`` by default) and validates their shapes; ``_replace``
-    and ``_make`` skip it, so they must start from normalised fields.  A
+    The constructor normalises the fields (int rows, ``Fraction`` omega) and
+    validates their shapes; ``_replace`` and ``_make`` skip it, so they must
+    start from normalised fields.  The equivariant parameters have no labels
+    here: ``format_monomial`` and the class expressions call them L1..LN.  A
     subclass of the field tuple, it keeps an instance dict for its cached properties.
     """
 
-    def __new__(cls, m, omega, lambda_names=(), name=""):
+    def __new__(cls, m, omega, name=""):
         rows = tuple(tuple(int(x) for x in row) for row in m)
         omega = tuple(Fraction(x) for x in omega)
         k = len(rows)
@@ -83,10 +83,7 @@ class ToricData(_ToricFields):
             raise InvalidModelError(f"need N >= K, got K={k}, N={n}")
         if len(omega) != k:
             raise InvalidModelError(f"omega must have {k} coordinates")
-        lambda_names = tuple(lambda_names) or tuple(f"L{j+1}" for j in range(n))
-        if len(lambda_names) != n:
-            raise InvalidModelError("need one parameter label per column")
-        return super().__new__(cls, rows, omega, lambda_names, name)
+        return super().__new__(cls, rows, omega, name)
 
     @property
     def K(self) -> int:
@@ -143,9 +140,9 @@ def _evaluate_all(monomials: Sequence[Sequence[int]],
     return tuple(power_product(lambdas, exps) for exps in monomials)
 
 
-def format_monomial(exps: Sequence[int], names: Sequence[str]) -> str:
-    """The Laurent monomial prod_i names[i]^exps[i] as text, ``1`` when trivial."""
-    parts = [name if e == 1 else f"{name}^{e}" for e, name in zip(exps, names) if e]
+def format_monomial(exps: Sequence[int]) -> str:
+    """The Laurent monomial prod_j L{j+1}^exps[j] as a class expression, ``1`` when trivial."""
+    parts = [f"L{j+1}" if e == 1 else f"L{j+1}^{e}" for j, e in enumerate(exps) if e]
     return "*".join(parts) if parts else "1"
 
 
@@ -249,36 +246,33 @@ def _build_fixed_point(data: ToricData, subset: tuple[int, ...], det: int,
     times det^2 (M^-1 when smooth), gives the chamber coefficients x in its rows, and
     U_{j0}'s exponents on J the rates c = M^-1 m_{.j0}.  A zero in x is a wall: refused."""
     inv = [[det * a for a in row] for row in adj]
-    k, n = data.K, data.N
-    # P_i = prod_{j' in J} Lambda_{j'}^{inv[j'][i]}: solves prod_i P_i^{m_ij} = Lambda_j, j in J.
-    p_monomials = []
-    for i in range(k):
-        exps = [0] * n
-        for pos, j in enumerate(subset):
-            exps[j] = inv[pos][i]
-        p_monomials.append(tuple(exps))
-    u_monomials = []
-    for j in range(n):
-        exps = [0] * n
-        for i in range(k):
-            mij = data.m[i][j]
-            if mij:
-                for jj, e in enumerate(p_monomials[i]):
-                    exps[jj] += mij * e
-        exps[j] -= 1
-        u_monomials.append(tuple(exps))
-    # Q_j = prod_i Q_i^{inv[j][i]} re-encodes degrees: D_{j'}(col of inv) = delta.
-    q_monomials = [tuple(row) for row in inv]
+    n = data.N
     x = [_dot(row, data._integral_omega) for row in inv]
     if 0 in x:
         J = _complete(data.columns, (subset, det, adj), compress(subset, x), range(n))[0]
         raise NonRegularChamberError(f"omega lies on the wall of cone {tuple(j + 1 for j in J)}")
+    # P_i = prod_{j' in J} Lambda_{j'}^{inv[j'][i]}: solves prod_i P_i^{m_ij} = Lambda_j, j in J.
+    p_monomials = [[0] * n for _ in inv]
+    for j, row in zip(subset, inv):
+        for exps, e in zip(p_monomials, row):
+            exps[j] = e
+    # U_j = prod_i P_i^{m_ij} / Lambda_j, so its exponent at j' in J is sum_i m_ij inv[j'][i].
+    u_monomials = []
+    for j, column in enumerate(data.columns):
+        exps = [0] * n
+        for i, mij in enumerate(column):
+            if mij:
+                for jj, row in zip(subset, inv):
+                    exps[jj] += mij * row[i]
+        exps[j] -= 1
+        u_monomials.append(tuple(exps))
     return FixedPoint(
         J=tuple(subset),
         det=det,
-        p_monomials=tuple(p_monomials),
+        p_monomials=tuple(map(tuple, p_monomials)),
         u_monomials=tuple(u_monomials),
-        q_monomials=tuple(q_monomials),
+        # Q_j = prod_i Q_i^{inv[j][i]} re-encodes degrees: D_{j'}(col of inv) = delta.
+        q_monomials=tuple(map(tuple, inv)),
         edges=tuple((j0, _leaving(x, [exps[j] for j in subset], subset))
                     for j0, exps in enumerate(u_monomials) if j0 not in subset),
     )

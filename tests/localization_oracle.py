@@ -86,8 +86,9 @@ def evaluate_tree(tree: ast.expr, env: Mapping[str, Fraction]) -> Fraction:
 class ExtendedModel:
     """Quotient data for a space of degree-d spheres.
 
-    Columns repeat each u_j once per copy in ``copies`` (pairs (j, r) with the
-    shifted parameter label); ``obstructions`` lists the (j, r) factors that a
+    Columns repeat each u_j once per copy in ``copies`` (pairs (j, r)), and
+    ``labels`` names each copy's parameter, L{j+1} shifted by r z;
+    ``obstructions`` lists the (j, r) factors that a
     negative intersection index moves into the numerator of the integration
     formula, where they represent the obstruction-bundle Euler class.
     """
@@ -95,6 +96,7 @@ class ExtendedModel:
     data: ToricData
     degree: tuple[int, ...]
     copies: tuple[tuple[int, int], ...]
+    labels: tuple[str, ...]
     obstructions: tuple[tuple[int, int], ...]
 
 
@@ -111,7 +113,7 @@ def map_space_model(data: ToricData, d: Sequence[int]) -> ExtendedModel:
     copies: list[tuple[int, int]] = []
     obstructions: list[tuple[int, int]] = []
     for j in range(data.N):
-        base = data.lambda_names[j]
+        base = f"L{j+1}"
         for r in range(max(pairing[j], 0) + 1):
             columns.append(data.columns[j])
             if r == 0:
@@ -125,13 +127,13 @@ def map_space_model(data: ToricData, d: Sequence[int]) -> ExtendedModel:
     extended = ToricData(
         m=tuple(tuple(col[i] for col in columns) for i in range(data.K)),
         omega=data.omega,
-        lambda_names=tuple(labels),
         name=f"{data.name}[d={d}]" if data.name else "",
     )
     return ExtendedModel(
         data=extended,
         degree=d,
         copies=tuple(copies),
+        labels=tuple(labels),
         obstructions=tuple(obstructions),
     )
 

@@ -1,9 +1,9 @@
 """Component coefficients as per-degree products of whole tables, for the tests.
 
 ``ratio_products`` tabulates every column's universal ratio over the depths
-the box needs (``ratio_table`` at a numeric q or z, ``root_table`` for the
-leading terms at a root point q0) and multiplies the N table entries of each
-degree.  It shares the factors with ``qtoric.series``'s walk over the box,
+the box needs (``ratio_table`` at a numeric q, ``linear_table`` at a numeric
+z, ``root_table`` for the leading terms at a root point q0) and multiplies
+the N table entries of each degree.  It shares the factors with ``qtoric.series``'s walk over the box,
 but none of the walk: no neighbours, no crossed depths, no zero test.
 ``bundle_factor`` is a bundle's fibre contribution at one degree, each
 summand's ratio rebuilt from r = 1 by a ``ratio_table`` of its own.
@@ -20,6 +20,7 @@ from qtoric.scalars import (
     LeadingTerm,
     PoleError,
     SampleContext,
+    linear,
     ratio_table,
     root_factor,
 )
@@ -52,6 +53,23 @@ def root_table(u_value, depths, q0) -> dict[int, LeadingTerm]:
     return table
 
 
+def linear_table(u_value, depths, z) -> dict[int, Fraction]:
+    """``ratio_table``'s running product on the factors u - r z of ``scalars.linear``:
+    the cohomological ratio at every depth between the extremes of ``depths``, with
+    a pole raised when a depth reaches one."""
+    factor = linear(u_value, z)
+    depths = [0, *depths]
+    table = {0: Fraction(1)}
+    for r in range(1, max(depths) + 1):
+        num, den = factor(r)
+        if not num:
+            raise PoleError(r, u_value)
+        table[r] = table[r - 1] * Fraction(den, num)
+    for r in range(0, min(depths), -1):
+        table[r - 1] = table[r] * Fraction(*factor(r))
+    return table
+
+
 def ratio_products(data, fp, box, table) -> dict:
     """prod_j table(j, depths)[D_j(d)] at every box degree d in alpha's dual cone.
 
@@ -76,7 +94,7 @@ def component_coefficients(data, fp, box, ctx) -> dict:
 def cohomological_coefficients(data, fp, box, ctx) -> dict:
     uvals = divisor_values(data, fp, ctx.Lambda)
     return ratio_products(data, fp, box,
-                          lambda j, depths: ratio_table(uvals[j], depths, z=ctx.z))
+                          lambda j, depths: linear_table(uvals[j], depths, ctx.z))
 
 
 def residues(data, fp, box, ctx, q0) -> dict:

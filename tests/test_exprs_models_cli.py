@@ -495,6 +495,25 @@ def test_cli_on_the_seven_ray_threefold(capsys):
     assert code == 0 and report["ok"]
 
 
+@pytest.mark.parametrize("model", [*bundled_model_names(), SURFACE8_PATH, THREEFOLD7_PATH],
+                         ids=lambda model: Path(model).stem)
+def test_inspect_monomials_are_class_expressions(model, capsys):
+    # inspect prints P and U in the L1..LN of --phi: each parses and, at
+    # L_j = Lambda_j, is the value the fixed point gives.
+    code, report = run(["inspect", model], capsys)
+    assert code == 0
+    data = resolve_model(model).data
+    ctx = sample_context(data.N, 5)
+    env = {f"L{j + 1}": value for j, value in enumerate(ctx.Lambda)}
+    printed = report["result"]["fixed_points"]
+    fixed = enumerate_fixed_points(data)
+    assert [p["J"] for p in printed] == [[j + 1 for j in fp.J] for fp in fixed]
+    for point, fp in zip(printed, fixed):
+        for key, values in (("P", fp.p_values), ("U", fp.u_values)):
+            assert [parse_expression(text).evaluate(env) for text in point[key]] == \
+                list(values(ctx.Lambda))
+
+
 def test_cli_ifunction_with_bundle(capsys):
     code, report = run(["ifunction", "p2_o1_o2", "--deg", "2", "--bundle"], capsys)
     assert code == 0

@@ -16,7 +16,7 @@ import pytest
 import qtoric
 from qtoric.models import parse_model_text
 from qtoric.series import BundleData
-from qtoric.toric import InvalidModelError, ToricData, enumerate_fixed_points, mori_generators
+from qtoric.toric import InvalidModelError, ToricData, enumerate_fixed_points
 
 FOOTPRINT = Path(__file__).resolve().parent / "import_footprint.py"
 
@@ -34,33 +34,26 @@ def test_toric_data_normalises_lists_and_ints():
     assert all(type(x) is int for row in data.m for x in row)
     assert data.omega == (Fraction(1), Fraction(3, 2))
     assert all(type(w) is Fraction for w in data.omega)
-    assert data.lambda_names == ("L1", "L2", "L3", "L4")
     assert data.name == ""
     assert (data.K, data.N) == (2, 4)
     assert data.columns == ((1, 0), (1, 0), (0, 1), (-1, 1))
-    assert ToricData(m=((1, 1),), omega=(1,), lambda_names=("a", "b")).lambda_names == ("a", "b")
 
 
-def test_list_labels_give_the_record_of_tuple_labels():
-    listed = ToricData(m=((1, 1),), omega=(1,), lambda_names=["a", "b"])
-    tupled = ToricData(m=((1, 1),), omega=(1,), lambda_names=("a", "b"))
-    assert listed.lambda_names == ("a", "b")
-    assert listed == tupled and hash(listed) == hash(tupled)
-    # The cached functions key on the record, so they run on it.
-    assert [fp.J for fp in enumerate_fixed_points(listed)] == [(0,), (1,)]
-    assert mori_generators(listed) == [(1,)]
+REFUSALS = [
+    ((), (), "need at least one matrix row"),
+    (((1, 1), (0, 1, 1)), (1, 1), "matrix rows have unequal lengths"),
+    (((1,), (0,)), (1, 1), r"need N >= K, got K=2, N=1"),
+    (((1, 1),), (1, 1), "omega must have 1 coordinates"),
+]
 
 
-@pytest.mark.parametrize("m, omega, names, message", [
-    ((), (), (), "need at least one matrix row"),
-    (((1, 1), (0, 1, 1)), (1, 1), (), "matrix rows have unequal lengths"),
-    (((1,), (0,)), (1, 1), (), r"need N >= K, got K=2, N=1"),
-    (((1, 1),), (1, 1), (), "omega must have 1 coordinates"),
-    (((1, 1),), (1,), ("a",), "need one parameter label per column"),
-])
-def test_toric_data_refuses_malformed_fields(m, omega, names, message):
+# The ids keep the names these cases are reported under.
+@pytest.mark.parametrize("m, omega, message", REFUSALS,
+                         ids=[f"m{i}-omega{i}-names{i}-{message}"
+                              for i, (_, _, message) in enumerate(REFUSALS)])
+def test_toric_data_refuses_malformed_fields(m, omega, message):
     with pytest.raises(InvalidModelError, match=f"^{message}$"):
-        ToricData(m=m, omega=omega, lambda_names=names)
+        ToricData(m=m, omega=omega)
 
 
 def test_bundle_data_normalises_exponents_and_checks_parity():

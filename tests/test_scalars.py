@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import Ratio, finite_ratio_sym, q_factor, residue_at
+from ratio_oracle import linear_table
 from qtoric.scalars import (
     DoublePoleError,
     PoleError,
@@ -165,23 +166,24 @@ def direct_ratio(factor, depth):
        additive=st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_ratio_table_matches_direct_product(u, x, depths, additive):
-    # x is q (factors 1 - q^r u) or z (factors u - r z); small fractions put
-    # u on a z-pole often, so both outcomes are exercised.
+    # x is q (factors 1 - q^r u, ``ratio_table``) or z (factors u - r z, the
+    # oracle's ``linear_table``); small fractions put u on a z-pole often, so
+    # both outcomes are exercised.
     if additive:
         def factor(r):
             return u - r * x
-        mode = {"z": x}
+        tabulate = linear_table
     else:
         def factor(r):
             return 1 - x ** r * u
-        mode = {"q": x}
+        tabulate = ratio_table
     poles = [r for r in range(1, max(depths) + 1) if factor(r) == 0]
     if poles:
         with pytest.raises(PoleError) as info:
-            ratio_table(u, depths, **mode)
+            tabulate(u, depths, x)
         assert (info.value.r, info.value.value) == (poles[0], u)
         return
-    table = ratio_table(u, depths, **mode)
+    table = tabulate(u, depths, x)
     assert depths <= set(table)
     for depth, value in table.items():
         assert value == direct_ratio(factor, depth)
@@ -195,7 +197,7 @@ def test_ratio_table_kill_rule():
     assert [table[d] for d in (-3, -2, -1)] == [0, 0, 0]
     assert table[0] == 1
     assert table[4] == 1 / prod(1 - q ** r for r in range(1, 5))   # 1/(q; q)_4
-    table = ratio_table(0, {-2, 3}, z=z)
+    table = linear_table(0, {-2, 3}, z)
     assert [table[d] for d in (-2, -1, 0)] == [0, 0, 1]
     assert table[3] == 1 / (factorial(3) * (-z) ** 3)
 
@@ -204,13 +206,13 @@ def test_ratio_table_pole_is_raised_when_reached():
     # u = q^{-3} puts the pole on the r = 3 denominator factor: depths below 3
     # are returned, any request that reaches 3 raises PoleError(3, u).
     q, z = Fraction(2, 3), Fraction(1, 4)
-    for u, mode, factor in ((q ** -3, {"q": q}, lambda r: 1 - q ** r * q ** -3),
-                            (3 * z, {"z": z}, lambda r: 3 * z - r * z)):
-        table = ratio_table(u, {-4, 2}, **mode)
+    for tabulate, u, x, factor in ((ratio_table, q ** -3, q, lambda r: 1 - q ** r * q ** -3),
+                                   (linear_table, 3 * z, z, lambda r: 3 * z - r * z)):
+        table = tabulate(u, {-4, 2}, x)
         assert all(table[d] == direct_ratio(factor, d) for d in range(-4, 3))
         for depths in ({3}, {0, 5}, {-1, 2, 3}):
             with pytest.raises(PoleError) as info:
-                ratio_table(u, depths, **mode)
+                tabulate(u, depths, x)
             assert (info.value.r, info.value.value) == (3, u)
 
 

@@ -228,14 +228,14 @@ def test_mori_generators(p1, f1):
 def test_map_space_p1_degree_one(p1):
     ext = map_space_model(p1, (1,))
     assert ext.data.N == 4  # N(d) = N + sum D_j = 4
-    assert ext.data.lambda_names == ("L1", "L1+z", "L2", "L2+z")
+    assert ext.labels == ("L1", "L1+z", "L2", "L2+z")
     assert ext.copies == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert ext.obstructions == ()
 
 
 def test_map_space_degree_zero_recovers_data(f1):
-    ext = map_space_model(f1, (0, 0)).data
-    assert (ext.m, ext.omega, ext.lambda_names) == (f1.m, f1.omega, f1.lambda_names)
+    ext = map_space_model(f1, (0, 0))
+    assert (ext.data.m, ext.data.omega, ext.labels) == (f1.m, f1.omega, ("L1", "L2", "L3", "L4"))
 
 
 def test_map_space_f1_doubles_columns(f1):
@@ -285,10 +285,9 @@ def test_fixed_point_values_need_one_lambda_per_column(f1):
 
 
 def test_format_monomial(f1):
-    names = f1.lambda_names
-    assert format_monomial((0, 0, 0, 0), names) == "1"
-    assert format_monomial((1, -1, 0, 0), names) == "L1*L2^-1"
-    assert format_monomial((-1, 0, 1, -2), names) == "L1^-1*L3*L4^-2"
+    assert format_monomial((0, 0, 0, 0)) == "1"
+    assert format_monomial((1, -1, 0, 0)) == "L1*L2^-1"
+    assert format_monomial((-1, 0, 1, -2)) == "L1^-1*L3*L4^-2"
     alpha = fixed_point(f1, (0, 2))
-    assert [format_monomial(u, names) for u in alpha.u_monomials] == \
+    assert [format_monomial(u) for u in alpha.u_monomials] == \
         ["1", "L1*L2^-1", "1", "L1^-1*L3*L4^-1"]
