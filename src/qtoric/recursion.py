@@ -31,16 +31,15 @@ from .scalars import (
     DegenerateSampleError,
     PoleError,
     SampleContext,
-    binomial,
     power_pair,
     random_fraction,
+    ratio_factor,
     sample_context,
     with_resampling,
 )
 from .series import TruncationBox, component_residues, component_series
 from .toric import (
     FixedPoint,
-    InvalidModelError,
     OrbitInvariantError,
     ToricData,
     degree_pairing,
@@ -106,29 +105,26 @@ def root_context(data: ToricData, orbit: OrbitData, m: int, seed: int,
                  index: int = 0) -> tuple[SampleContext, Fraction]:
     """A generic context in which the orbit character is the exact m-th power mu^m.
 
-    One parameter with unit exponent in the character monomial is solved for;
-    the remaining parameters and mu are random.  Only this rational branch of
-    the m-th root is exercised.
+    The first parameter with unit exponent in the character monomial is
+    solved for in the shared draw ``sample_context(N, seed, index)``; the
+    remaining parameters come from that draw and mu is drawn per edge.  One
+    exists, since j0 is not in J(alpha) and so U_{j0}(alpha) has exponent -1
+    at Lambda_{j0}.  Only this rational branch of the m-th root is exercised.
     """
     exps = orbit.lambda_char
-    solve_j = next((j for j, e in enumerate(exps) if abs(e) == 1), None)
-    if solve_j is None:
-        raise InvalidModelError(
-            "no unit exponent in the orbit character; cannot sample a rational root"
-        )
+    solve_j = next(j for j, e in enumerate(exps) if abs(e) == 1)
     base = sample_context(data.N, seed, index)
-    rng = random.Random(f"{seed}:{index}:root")
-    mu = random_fraction(rng)
-    # The other parameters' part of the character, x / y, and mu^m = a / b.
+    mu = random_fraction(random.Random(f"{seed}:{index}:root"))
+    # The other parameters' part of the character, x / y, and mu^m = a / b:
+    # nonzero ints, so the solved value is not 0.
     x, y = power_pair(base.Lambda, [0 if j == solve_j else e for j, e in enumerate(exps)])
     a, b = mu.numerator ** m, mu.denominator ** m
     value = Fraction(a * y, b * x) if exps[solve_j] == 1 else Fraction(b * x, a * y)
+    if value == 1:
+        raise DegenerateSampleError("solved parameter landed on a degenerate value")
     lambdas = list(base.Lambda)
     lambdas[solve_j] = value
-    if value == 0 or value == 1:
-        raise DegenerateSampleError("solved parameter landed on a degenerate value")
-    ctx = SampleContext(q=base.q, Lambda=tuple(lambdas), lam=base.lam, z=base.z)
-    return ctx, mu
+    return base._replace(Lambda=tuple(lambdas)), mu
 
 
 def edge_euler_class(data: ToricData, orbit: OrbitData, m: int, ctx: SampleContext,
@@ -149,10 +145,12 @@ def _coefficient_pairs(data: ToricData, orbit: OrbitData, m: int, ctx: SampleCon
                        mu: Fraction) -> tuple[tuple[int, int], tuple[int, int]]:
     """``edge_euler_class`` as two unnormalised int pairs: phi^alpha
     (``_cotangent_pair``) and C / phi^alpha.  For mu = a/b, 1 - mu^r is
-    (b^r - a^r) / b^r, and the bracket of column j is a product of
-    ``binomial`` pairs at q0 = 1/mu over r = 1..m D_j, or the inverse product
-    over r = m D_j + 1..0; a vanishing factor raises ``PoleError(r, U_j)``
-    for r > 0, and ``PoleError(0, U_j)`` for r <= 0."""
+    (b^r - a^r) / b^r, and the bracket of column j is the reciprocal of the
+    universal ratio at q0 = 1/mu, from ``ratio_factor``'s pairs: their product
+    over r = 1..m D_j, or the inverse product over r = m D_j + 1..0.  A
+    vanishing factor with r > 0 raises there, as ``PoleError(r, U_j)``; one
+    with r <= 0 is a zero of the ratio, a pole of its reciprocal, and raises
+    ``PoleError(0, U_j)``."""
     a, b = mu.numerator, mu.denominator
     x, y = power_pair(ctx.Lambda, orbit.lambda_char)
     if x * b ** m != y * a ** m:
@@ -168,22 +166,18 @@ def _coefficient_pairs(data: ToricData, orbit: OrbitData, m: int, ctx: SampleCon
     uvals = orbit.alpha.u_values(ctx.Lambda)
     pairing = degree_pairing(data, orbit.d_ab)
     for j, u in enumerate(uvals):
-        depth = m * pairing[j]
-        if j == orbit.j0 or not depth:
+        if j == orbit.j0:
             continue
-        factor = binomial(u, q0)
-        if depth > 0:
-            for r in range(1, depth + 1):
-                f, g = factor(r)
-                if not f:
-                    raise PoleError(r, u)
-                num, den = num * f, den * g
-        else:
-            for r in range(depth + 1, 1):
-                f, g = factor(r)
-                if not f:
-                    raise PoleError(0, u)
-                num, den = num * g, den * f
+        factor = ratio_factor(u, q0)
+        depth = m * pairing[j]
+        for r in range(1, depth + 1):
+            f, g = factor(r)
+            num, den = num * f, den * g
+        for r in range(depth + 1, 1):
+            f, g = factor(r)
+            if not f:
+                raise PoleError(0, u)
+            num, den = num * g, den * f
     return phi, (num, den)
 
 
@@ -248,7 +242,7 @@ def verify_residue_recursion(data: ToricData, orbit: OrbitData, m: int,
 def _check_recursion(data: ToricData, orbit: OrbitData, m: int,
                      box: TruncationBox, ctx: SampleContext, mu: Fraction) -> dict:
     q0 = 1 / mu
-    beta = component_series(data, orbit.beta, box, ctx.with_q(q0)).coeffs
+    beta = component_series(data, orbit.beta, box, ctx._replace(q=q0)).coeffs
     phi, rest = _coefficient_pairs(data, orbit, m, ctx, mu)
     c_residue = Fraction(phi[0] * rest[0], phi[1] * rest[1])
     c_forms = edge_euler_class_from_forms(data, orbit, m, ctx, mu)

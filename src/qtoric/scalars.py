@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -66,9 +67,6 @@ class SampleContext(NamedTuple):
     lam: Fraction
     z: Fraction
 
-    def with_q(self, q) -> "SampleContext":
-        return self._replace(q=Fraction(q))
-
 
 def random_fraction(rng: random.Random, *, signed: bool = False) -> Fraction:
     """A random rational avoiding 0 and +-1."""
@@ -82,8 +80,12 @@ def random_fraction(rng: random.Random, *, signed: bool = False) -> Fraction:
         return Fraction(num, den)
 
 
+@lru_cache(maxsize=256)
 def sample_context(n_lambda: int, seed: int, index: int = 0) -> SampleContext:
-    """Deterministic generic sample number ``index`` for the given seed."""
+    """Deterministic generic sample number ``index`` for the given seed.
+
+    The context is immutable, so it is drawn once per (N, seed, index) in a
+    process; the memo keeps the 256 latest, which bounds a many-seed process."""
     rng = random.Random(f"{seed}:{index}")
     lambdas: list[Fraction] = []
     while len(lambdas) < n_lambda:

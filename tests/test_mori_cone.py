@@ -163,7 +163,8 @@ DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("spec", [*bundled_model_names(), str(DATA / "surface8.model"),
-                                  str(DATA / "threefold7.model")])
+                                  str(DATA / "threefold7.model")],
+                         ids=lambda spec: Path(spec).stem)
 def test_facets_match_the_cofactor_route(spec):
     data = resolve_model(spec).data
     classes = toric._curve_classes(data)

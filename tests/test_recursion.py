@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from helpers import fixed_point
 from linalg_oracle import solve_square
 from test_extra_models import EXTRA
-from qtoric.models import bundled_model_names, load_bundled_model
+from test_mori_cone import DATA, blown_up_fans, fan_surface
+from qtoric import cli
+from qtoric.models import bundled_model_names, load_bundled_model, resolve_model
 from qtoric.recursion import (
     OrbitInvariantError,
     _coefficient_pairs,
@@ -243,3 +248,41 @@ def test_recursion_rejects_on_point_direction(p1):
     alpha = fixed_point(p1, (0,))
     with pytest.raises(ValueError):
         orbit_data(p1, alpha, 0)
+
+
+@pytest.mark.parametrize("spec", [*bundled_model_names(),
+                                  *(str(DATA / f"{name}.model")
+                                    for name in ("surface8", "threefold7", "threefold7x2"))],
+                         ids=lambda spec: Path(spec).stem)
+def test_every_orbit_character_has_exponent_minus_one_at_j0(spec):
+    # j0 is not in J(alpha), so U_{j0}(alpha) = Lambda_{j0}^-1 times
+    # parameters of J(alpha): root_context always finds a unit exponent.
+    data = resolve_model(spec).data
+    assert all(orbit.lambda_char[orbit.j0] == -1 for orbit in all_orbits(data))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(fan=blown_up_fans(3, 8))
+def test_generated_surface_orbit_characters_have_exponent_minus_one_at_j0(fan):
+    data = fan_surface(*fan)
+    assert all(orbit.lambda_char[orbit.j0] == -1 for orbit in all_orbits(data))
+
+
+def test_a_multi_edge_run_draws_its_base_sample_once(monkeypatch, capsys):
+    # All 8 edges of F_1 at m = 2 solve their root contexts from one base
+    # draw, seeded "S:0"; mu is still drawn per edge, seeded "S:0:root".  The
+    # seed is one no other test samples, so the draw is not memoised yet.
+    seeds = []
+
+    class Recording(random.Random):
+        def __init__(self, x=None):
+            seeds.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(random, "Random", Recording)
+    code = cli.main(["verify-recursion", "f1", "--m", "2", "--samples", "1",
+                     "--seed", "7000001"])
+    capsys.readouterr()
+    assert code == 0
+    assert seeds.count("7000001:0") == 1
+    assert seeds.count("7000001:0:root") == 8

@@ -74,7 +74,7 @@ def test_routes_match_the_fraction_oracle_at_root_contexts(edge, m, seed, index)
     assert report["euler_class"] == str(c_residue)
     assert report["euler_class_oracle"] == str(c_forms)
     # beta read by key against the series' own lookup, which raises beyond the bound.
-    beta = component_series(data, orbit.beta, box, ctx.with_q(1 / mu))
+    beta = component_series(data, orbit.beta, box, ctx._replace(q=1 / mu))
     prefactor = -Fraction(1, m) * oracle.cotangent_euler(data, orbit.alpha, ctx) / c_residue
     for d, row in zip(box.degrees, report["degrees"]):
         assert row["degree"] == list(d)
