@@ -35,8 +35,9 @@ print()
 p1 = projective_space(1)
 orbit = all_orbits(p1)[0]
 ctx, mu = root_context(p1, orbit, 2, seed=43)
-c_formula = edge_euler_class(p1, orbit, 2, ctx, mu)
-c_oracle = edge_euler_class_from_forms(p1, orbit, 2, ctx, mu)
+u = orbit.alpha.u_values(ctx.Lambda)  # the U values at the orbit's alpha end
+c_formula = edge_euler_class(p1, orbit, 2, u, mu)
+c_oracle = edge_euler_class_from_forms(p1, orbit, 2, u, mu)
 print(f"double cover of the line's orbit: mu = {mu}")
 print(f"  Euler class from the residue arrangement: {c_formula}")
 print(f"  Euler class from binary-form weights:     {c_oracle}")

@@ -9,7 +9,8 @@ component; the proportionality constant is the equivariant Euler class of the
 virtual cotangent space at the multiple cover, computed here along two
 independent routes that must agree: the residue arrangement and the weights
 of binary forms.  Each route is a product of int pairs normalised once, into
-one ``Fraction``.
+one ``Fraction``; both, and the residue walk, read alpha's U values, which
+each edge evaluates once at its root context.
 
 The residues of the alpha component are read from the leading terms of its
 coefficients at the root point (``series.component_residues``): a factor
@@ -24,14 +25,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
-from .localization import _cotangent_pair
 from .scalars import (
     DegenerateSampleError,
     PoleError,
     SampleContext,
-    power_pair,
+    power_product,
     random_fraction,
     ratio_factor,
     sample_context,
@@ -115,11 +116,8 @@ def root_context(data: ToricData, orbit: OrbitData, m: int, seed: int,
     solve_j = next(j for j, e in enumerate(exps) if abs(e) == 1)
     base = sample_context(data.N, seed, index)
     mu = random_fraction(random.Random(f"{seed}:{index}:root"))
-    # The other parameters' part of the character, x / y, and mu^m = a / b:
-    # nonzero ints, so the solved value is not 0.
-    x, y = power_pair(base.Lambda, [0 if j == solve_j else e for j, e in enumerate(exps)])
-    a, b = mu.numerator ** m, mu.denominator ** m
-    value = Fraction(a * y, b * x) if exps[solve_j] == 1 else Fraction(b * x, a * y)
+    # Lambda_s times t moves the character by t^{+-1}; a nonzero ratio, so value != 0.
+    value = base.Lambda[solve_j] * (mu ** m / power_product(base.Lambda, exps)) ** exps[solve_j]
     if value == 1:
         raise DegenerateSampleError("solved parameter landed on a degenerate value")
     lambdas = list(base.Lambda)
@@ -127,9 +125,9 @@ def root_context(data: ToricData, orbit: OrbitData, m: int, seed: int,
     return base._replace(Lambda=tuple(lambdas)), mu
 
 
-def edge_euler_class(data: ToricData, orbit: OrbitData, m: int, ctx: SampleContext,
+def edge_euler_class(data: ToricData, orbit: OrbitData, m: int, u: tuple[Fraction, ...],
                      mu: Fraction) -> Fraction:
-    """The recursion coefficient from the residue formula arrangement:
+    """The recursion coefficient at alpha's U values ``u``, from the residue formula arrangement:
 
         C = phi^alpha * prod_{r=1}^{m-1} (1 - mu^r)
               * prod_{j != j0} [prod_{r<=m D_j(d_ab)} / prod_{r<=0}] (1 - mu^{-r} U_j(alpha)).
@@ -137,25 +135,27 @@ def edge_euler_class(data: ToricData, orbit: OrbitData, m: int, ctx: SampleConte
     The bracket is the reciprocal of the universal finite ratio evaluated at
     the root point q0 = 1/mu.  Every factor is an int pair, normalised once.
     """
-    phi, rest = _coefficient_pairs(data, orbit, m, ctx, mu)
+    phi, rest = _coefficient_pairs(data, orbit, m, u, mu)
     return Fraction(phi[0] * rest[0], phi[1] * rest[1])
 
 
-def _coefficient_pairs(data: ToricData, orbit: OrbitData, m: int, ctx: SampleContext,
+def _coefficient_pairs(data: ToricData, orbit: OrbitData, m: int, u: tuple[Fraction, ...],
                        mu: Fraction) -> tuple[tuple[int, int], tuple[int, int]]:
-    """``edge_euler_class`` as two unnormalised int pairs: phi^alpha
-    (``_cotangent_pair``) and C / phi^alpha.  For mu = a/b, 1 - mu^r is
-    (b^r - a^r) / b^r, and the bracket of column j is the reciprocal of the
-    universal ratio at q0 = 1/mu, from ``ratio_factor``'s pairs: their product
-    over r = 1..m D_j, or the inverse product over r = m D_j + 1..0.  A
-    vanishing factor with r > 0 raises there, as ``PoleError(r, U_j)``; one
-    with r <= 0 is a zero of the ratio, a pole of its reciprocal, and raises
-    ``PoleError(0, U_j)``."""
+    """``edge_euler_class`` as two unnormalised int pairs: phi^alpha, whose
+    factors 1 - U_j(alpha) off J(alpha) raise ``PoleError(0, 1)`` at U_j = 1,
+    and C / phi^alpha.  For mu = a/b, 1 - mu^r is (b^r - a^r) / b^r, and the
+    bracket of column j is the reciprocal of the universal ratio at q0 = 1/mu,
+    from ``ratio_factor``'s pairs: their product over r = 1..m D_j, or the
+    inverse product over r = m D_j + 1..0.  A vanishing factor with r > 0
+    raises there, as ``PoleError(r, U_j)``; one with r <= 0 is a zero of the
+    ratio, a pole of its reciprocal, and raises ``PoleError(0, U_j)``."""
     a, b = mu.numerator, mu.denominator
-    x, y = power_pair(ctx.Lambda, orbit.lambda_char)
-    if x * b ** m != y * a ** m:
+    if u[orbit.j0] != mu ** m:
         raise ValueError("context does not realize the orbit character as mu^m")
-    phi = _cotangent_pair(data, orbit.alpha, ctx)
+    off = [x for j, x in enumerate(u) if j not in orbit.alpha.J]
+    if 1 in off:
+        raise PoleError(0, Fraction(1))
+    phi = prod(x.denominator - x.numerator for x in off), prod(x.denominator for x in off)
     num = den = 1
     for r in range(1, m):
         ar, br = a ** r, b ** r
@@ -163,12 +163,11 @@ def _coefficient_pairs(data: ToricData, orbit: OrbitData, m: int, ctx: SampleCon
             raise DegenerateSampleError("mu is a root of unity")
         num, den = num * (br - ar), den * br
     q0 = 1 / mu
-    uvals = orbit.alpha.u_values(ctx.Lambda)
     pairing = degree_pairing(data, orbit.d_ab)
-    for j, u in enumerate(uvals):
+    for j, x in enumerate(u):
         if j == orbit.j0:
             continue
-        factor = ratio_factor(u, q0)
+        factor = ratio_factor(x, q0)
         depth = m * pairing[j]
         for r in range(1, depth + 1):
             f, g = factor(r)
@@ -176,14 +175,14 @@ def _coefficient_pairs(data: ToricData, orbit: OrbitData, m: int, ctx: SampleCon
         for r in range(depth + 1, 1):
             f, g = factor(r)
             if not f:
-                raise PoleError(0, u)
+                raise PoleError(0, x)
             num, den = num * g, den * f
     return phi, (num, den)
 
 
 def edge_euler_class_from_forms(data: ToricData, orbit: OrbitData, m: int,
-                                ctx: SampleContext, mu: Fraction) -> Fraction:
-    """Independent first-principles route: weights of binary-form monomials.
+                                u: tuple[Fraction, ...], mu: Fraction) -> Fraction:
+    """Independent first-principles route at U values ``u``: weights of binary-form monomials.
 
     The pullback of each line U_j to the m-fold cover of the sphere has degree
     m D_j(d_ab); its section space contributes the weights U_j(alpha) mu^{-r},
@@ -199,8 +198,8 @@ def edge_euler_class_from_forms(data: ToricData, orbit: OrbitData, m: int,
     pairing = degree_pairing(data, orbit.d_ab)
     numerator: list[tuple[int, int]] = []
     denominator: list[tuple[int, int]] = []
-    for j, mon in enumerate(orbit.alpha.u_monomials):
-        a, b = power_pair(ctx.Lambda, mon)
+    for j, x in enumerate(u):
+        a, b = x.numerator, x.denominator
         top = m * pairing[j]
         if top >= 0:
             numerator += [(a * e ** r, b * c ** r) for r in range(top + 1)]
@@ -243,10 +242,11 @@ def _check_recursion(data: ToricData, orbit: OrbitData, m: int,
                      box: TruncationBox, ctx: SampleContext, mu: Fraction) -> dict:
     q0 = 1 / mu
     beta = component_series(data, orbit.beta, box, ctx._replace(q=q0)).coeffs
-    phi, rest = _coefficient_pairs(data, orbit, m, ctx, mu)
+    u = orbit.alpha.u_values(ctx.Lambda)
+    phi, rest = _coefficient_pairs(data, orbit, m, u, mu)
     c_residue = Fraction(phi[0] * rest[0], phi[1] * rest[1])
-    c_forms = edge_euler_class_from_forms(data, orbit, m, ctx, mu)
-    residues = component_residues(data, orbit.alpha, box, ctx, q0)
+    c_forms = edge_euler_class_from_forms(data, orbit, m, u, mu)
+    residues = component_residues(data, orbit.alpha, box, u, q0)
     # -(1/m) phi^alpha / C, with C = phi^alpha * rest.
     prefactor = Fraction(-rest[1], m * rest[0])
     shift = tuple(m * x for x in orbit.d_ab)

@@ -363,14 +363,14 @@ class _FibreColumn(dict):
 
 
 def component_residues(data: ToricData, fp: FixedPoint, box: TruncationBox,
-                       ctx: SampleContext, q0) -> dict[Degree, Fraction]:
+                       u: Sequence[Fraction], q0) -> dict[Degree, Fraction]:
     """Residue of each component coefficient's f(q) dq/q at q = q0, over alpha's dual cone.
 
-    Every other parameter is evaluated at ``ctx``; degrees off the dual cone
-    have the exact zero coefficient and are left out.  A pole of order 2 or
-    more raises ``DoublePoleError``.
+    Every other parameter enters through alpha's U values ``u``; degrees off
+    the dual cone have the exact zero coefficient and are left out.  A pole of
+    order 2 or more raises ``DoublePoleError``.
     """
-    factors = [root_factor(u, q0) for u in fp.u_values(ctx.Lambda)]
+    factors = [root_factor(x, q0) for x in u]
     terms = _ratio_products(data, fp, box, factors, _leading_term)
     return {d: Fraction(0) if term is None else term.residue() for d, term in terms.items()}
 

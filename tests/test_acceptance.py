@@ -166,8 +166,9 @@ def test_criterion_7_residue_recursion():
                     assert report["euler_oracle_agrees"]
                     # and the coefficient routes agree on an independent sample
                     ctx, mu = root_context(data, orbit, m, seed=601)
-                    assert edge_euler_class(data, orbit, m, ctx, mu) == \
-                        edge_euler_class_from_forms(data, orbit, m, ctx, mu)
+                    u = orbit.alpha.u_values(ctx.Lambda)
+                    assert edge_euler_class(data, orbit, m, u, mu) == \
+                        edge_euler_class_from_forms(data, orbit, m, u, mu)
 
 
 def test_criterion_8_orbit_invariants():

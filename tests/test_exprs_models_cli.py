@@ -24,7 +24,7 @@ from qtoric.models import (
     projective_space,
     resolve_model,
 )
-from qtoric.scalars import PoleError, sample_context
+from qtoric.scalars import RESAMPLE_TRIES, DegenerateSampleError, PoleError, sample_context
 from qtoric.toric import enumerate_fixed_points
 
 
@@ -243,6 +243,9 @@ def test_model_diagnostics_cover_shapes():
         head + "bundle Q 1\n1\n": ("bundle-parity", 5),
         "name x\nbundle E 1\nmatrix 1 2\n1 1\nomega 1\n": ("bundle-order", 2),
         head + "frobnicate 3\n": ("unknown-directive", 5),
+        head + "truncation depth 3\n": ("unknown-directive", 5),
+        "name x y\nmatrix 1 2\n1 1\nomega 1\n": ("directive-shape", 1),
+        "name x\nmatrix 1 2\n1 1\nomega\n": ("directive-shape", 4),
         "name x\nmatrix 1 2\n1 1\nomega 1 2\n": ("omega-shape", 4),
         "name x\nmatrix 1 2\n1 1\n\n# weights\nomega 1 2\n": ("omega-shape", 6),
         head + "truncation bound -3\n": ("bad-number", 5),
@@ -790,6 +793,22 @@ def test_cli_identity_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setitem(cli.COMMANDS, "inspect", fake)
     assert cli.main(["inspect", "p1"]) == 1
     capsys.readouterr()
+
+
+def test_cli_persistent_degeneracy_exits_one(monkeypatch, capsys):
+    # Every root context of the edge is degenerate: the sample's last error is
+    # the report, a model-level finding (exit 1), after RESAMPLE_TRIES indices.
+    tried = []
+
+    def degenerate(data, orbit, m, seed, index=0):
+        tried.append(index)
+        raise DegenerateSampleError("solved parameter landed on a degenerate value")
+
+    monkeypatch.setattr(recursion, "root_context", degenerate)
+    assert cli.main(["verify-recursion", "p1", "--samples", "1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "solved parameter landed on a degenerate value", "ok": False}
+    assert tried == list(range(RESAMPLE_TRIES))
 
 
 def test_cli_closed_stdout_exits_141_quietly():

@@ -29,6 +29,9 @@ GOLDEN = [
      "6f01eebe3041d3a80d3ca3eb599f29338ff61ff44801447d40dcb81d2de17782"),
     (["integrate-xd", "f1", "--degree", "1,1", "--phi", "p1^2+3/2"], 0,
      "25bc2edc0096f9c7c905b4f4c51623a832af4879d3cf551c61c729125566c27d"),
+    # The triple cover: the (1 - mu^r) product has two factors.
+    (["verify-recursion", "p2", "--m", "3", "--deg", "4"], 0,
+     "2318184de0f9a5a9d52e614db85a10b21a46d428647db30e87e96112685fb682"),
 ]
 # The localization sums, the Kirwan check and the fixed-point data: the trace,
 # the direct integral (degree 0) and a sphere space with an obstruction
@@ -97,8 +100,8 @@ RANK_3_BLOCKS = [
 ]
 # The tests/data models, named by their stem.  Their Mori generators come in
 # the order of the fixed-point graph's entries, and verify-recursion walks all
-# 30 edges of the 7-ray 3-fold in it.  A report hashes the model file's text,
-# not its path.
+# 30 edges of the 7-ray 3-fold in it, and all 600 of its square (K = 8).  A
+# report hashes the model file's text, not its path.
 DATA = Path(__file__).parent / "data"
 DATA_MODELS = [
     (["inspect", "surface8"], 0,
@@ -109,6 +112,8 @@ DATA_MODELS = [
      "a732d0cd86ba0230bcd0dc3efaeaa60b08c7fc9c15bdb46e2092c1179de8fe5c"),
     (["verify-recursion", "threefold7", "--deg", "1", "--samples", "1"], 0,
      "a7d57285c8f29c7dc26fc9ddfa286baeeb81cfa4328fca53b39e2764b28c491c"),
+    (["verify-recursion", "threefold7x2", "--deg", "1", "--samples", "1"], 0,
+     "f11d806a548f5264191ace2f86a00d3f53393623c0b5911155110001df700624"),
 ]
 LINE, PLANE, F2 = [[1, 1]], [[1, 1, 1]], [[1, 1, 0, -2], [0, 0, 1, 1]]
 

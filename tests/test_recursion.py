@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +26,7 @@ from qtoric.recursion import (
 from qtoric.scalars import power_product, sample_context
 from qtoric.series import truncation_box
 from qtoric.localization import _cotangent_pair
-from qtoric.toric import ToricData, degree_pairing, enumerate_fixed_points
+from qtoric.toric import FixedPoint, ToricData, degree_pairing, enumerate_fixed_points
 
 
 def test_orbit_p1(p1):
@@ -146,6 +147,15 @@ def test_swapped_u_monomials_are_an_orbit_invariant_error(name):
             _validate_orbit(data, orbit._replace(beta=swapped))
 
 
+def test_a_leaving_column_off_the_wall_is_an_orbit_invariant_error(f1):
+    # The other column of J(alpha) lies on the wall alpha and beta share, where
+    # d_ab pairs to 0, not 1.
+    for orbit in all_orbits(f1):
+        (other,) = set(orbit.alpha.J) - {orbit.j0_prime}
+        with pytest.raises(OrbitInvariantError, match="leaving column is 0, expected 1"):
+            _validate_orbit(f1, orbit._replace(j0_prime=other))
+
+
 def test_cotangent_euler_values(p1, f1):
     ctx = sample_context(p1.N, 3)
     alpha = fixed_point(p1, (0,))
@@ -183,12 +193,13 @@ def test_a_context_off_the_orbit_character_is_refused(f1):
     # of mu it is not, and the recursion coefficient refuses the pair.
     orbit = all_orbits(f1)[0]
     ctx, mu = root_context(f1, orbit, 2, seed=5)
+    u = orbit.alpha.u_values(ctx.Lambda)
     refusal = r"^context does not realize the orbit character as mu\^m$"
     for route in (_coefficient_pairs, edge_euler_class):
         with pytest.raises(ValueError, match=refusal):
-            route(f1, orbit, 2, ctx, mu + 1)
-    assert edge_euler_class(f1, orbit, 2, ctx, mu) == \
-        edge_euler_class_from_forms(f1, orbit, 2, ctx, mu)
+            route(f1, orbit, 2, u, mu + 1)
+    assert edge_euler_class(f1, orbit, 2, u, mu) == \
+        edge_euler_class_from_forms(f1, orbit, 2, u, mu)
 
 
 def test_euler_class_m1_p1_hand_value(p1):
@@ -197,7 +208,7 @@ def test_euler_class_m1_p1_hand_value(p1):
     orbit = orbit_data(p1, alpha, 1)
     ctx, mu = root_context(p1, orbit, 1, seed=11)
     lam = power_product(ctx.Lambda, orbit.lambda_char)
-    c = edge_euler_class(p1, orbit, 1, ctx, mu)
+    c = edge_euler_class(p1, orbit, 1, alpha.u_values(ctx.Lambda), mu)
     assert c == (1 - lam) * (1 - 1 / lam)
 
 
@@ -206,13 +217,15 @@ def test_euler_class_two_routes_agree(p1, f1):
     orbit = orbit_data(p1, alpha, 1)
     for m in (1, 2, 3):
         ctx, mu = root_context(p1, orbit, m, seed=13)
-        assert edge_euler_class(p1, orbit, m, ctx, mu) == \
-            edge_euler_class_from_forms(p1, orbit, m, ctx, mu)
+        u = alpha.u_values(ctx.Lambda)
+        assert edge_euler_class(p1, orbit, m, u, mu) == \
+            edge_euler_class_from_forms(p1, orbit, m, u, mu)
     for orbit in all_orbits(f1):
         for m in (1, 2):
             ctx, mu = root_context(f1, orbit, m, seed=17)
-            assert edge_euler_class(f1, orbit, m, ctx, mu) == \
-                edge_euler_class_from_forms(f1, orbit, m, ctx, mu)
+            u = orbit.alpha.u_values(ctx.Lambda)
+            assert edge_euler_class(f1, orbit, m, u, mu) == \
+                edge_euler_class_from_forms(f1, orbit, m, u, mu)
 
 
 def test_recursion_p1(p1):
@@ -286,3 +299,21 @@ def test_a_multi_edge_run_draws_its_base_sample_once(monkeypatch, capsys):
     assert code == 0
     assert seeds.count("7000001:0") == 1
     assert seeds.count("7000001:0:root") == 8
+
+
+def test_each_edge_evaluates_alpha_u_values_once(monkeypatch, capsys):
+    # All 8 edges of F_1 at m = 2, none resampled: beta's series evaluates
+    # beta's U values, and both Euler-class routes and the residue walk read
+    # alpha's from one evaluation, so two per edge.
+    calls = []
+    u_values = FixedPoint.u_values
+
+    def counted(self, lambdas):
+        calls.append(self.J)
+        return u_values(self, lambdas)
+
+    monkeypatch.setattr(FixedPoint, "u_values", counted)
+    assert cli.main(["verify-recursion", "f1", "--m", "2", "--samples", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["result"]["edges"]) == 8 and report["resamples"] == []
+    assert len(calls) == 16

@@ -47,9 +47,10 @@ def outcome(fn, *args):
 def assert_routes_match(data, orbit, m, ctx, mu) -> list:
     """Each route's outcome equals its oracle's; the oracle outcomes."""
     found = []
+    u = orbit.alpha.u_values(ctx.Lambda)
     for route, reference in ROUTES:
         expected = outcome(reference, data, orbit, m, ctx, mu)
-        assert outcome(route, data, orbit, m, ctx, mu) == expected
+        assert outcome(route, data, orbit, m, u, mu) == expected
         found.append(expected)
     return found
 

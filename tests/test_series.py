@@ -290,8 +290,10 @@ def test_walk_matches_per_degree_products(data):
     for orbit in all_orbits(data):
         for m in (1, 2):
             rctx, mu = root_context(data, orbit, m, seed=29)
-            got, expected = (_outcome(lambda: route(data, orbit.alpha, box, rctx, 1 / mu))
-                             for route in (component_residues, ratio_oracle.residues))
+            u = orbit.alpha.u_values(rctx.Lambda)
+            got = _outcome(lambda: component_residues(data, orbit.alpha, box, u, 1 / mu))
+            expected = _outcome(lambda: ratio_oracle.residues(data, orbit.alpha, box, rctx,
+                                                              1 / mu))
             assert got == expected, (orbit.alpha.J, orbit.j0, m)
 
 
@@ -312,7 +314,7 @@ def test_walk_matches_per_degree_products_beside_crafted_zeros_and_poles(rows):
                     lambda fp: {d: c for d, c in
                                 ratio_oracle.component_coefficients(data, fp, box, ctx).items()
                                 if c != 0}),
-        mu: (lambda fp: component_residues(data, fp, box, ctx, 1 / mu),
+        mu: (lambda fp: component_residues(data, fp, box, fp.u_values(ctx.Lambda), 1 / mu),
              lambda fp: ratio_oracle.residues(data, fp, box, ctx, 1 / mu)),
     }
     rng = random.Random(7)
