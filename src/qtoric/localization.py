@@ -9,7 +9,9 @@ once per sum, and each term updates only its p-symbols.
 Each residue term is a ratio of integers, normalised once: the additive sums
 read the sample's lambdas (and z) over their common denominator D, so every
 factor u_j and u_j -+ r z is an int over D and the term's power of D is fixed
-per sum; the trace's factors 1 - U_j are int pairs from integer powers.
+per sum; the trace's factors 1 - U_j are int pairs from integer powers,
+multiplied by ``scalars.cotangent_pair``, the kernel the residue recursion
+reads its phi^alpha from.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-from .scalars import PoleError, SampleContext, common_denominator, power_pair
+from .scalars import PoleError, SampleContext, common_denominator, cotangent_pair, power_pair
 from .toric import (
-    FixedPoint,
     ToricData,
     degree_pairing,
     enumerate_fixed_points,
@@ -45,20 +46,6 @@ def _class_env(data: ToricData, ctx: SampleContext, p: str,
     return env, names
 
 
-def _cotangent_pair(data: ToricData, fp: FixedPoint, ctx: SampleContext) -> tuple[int, int]:
-    """prod_{j not in J(alpha)} (1 - U_j(alpha)), the cotangent Euler class at
-    alpha, as an unnormalised pair (numerator, denominator) of ints."""
-    num = den = 1
-    for j in range(data.N):
-        if j in fp.J:
-            continue
-        a, b = power_pair(ctx.Lambda, fp.u_monomials[j])  # U_j(alpha) = a / b
-        if a == b:
-            raise PoleError(0, Fraction(1))
-        num, den = num * (b - a), den * b
-    return num, den
-
-
 def ktheory_trace(data: ToricData, phi, ctx: SampleContext) -> Fraction:
     """sum_alpha Phi(P(alpha)) / prod_{j not in J(alpha)} (1 - U_j(alpha)).
 
@@ -69,7 +56,8 @@ def ktheory_trace(data: ToricData, phi, ctx: SampleContext) -> Fraction:
     env, names = _class_env(data, ctx, "P", "L")
     total = Fraction(0)
     for fp in enumerate_fixed_points(data):
-        num, den = _cotangent_pair(data, fp, ctx)
+        num, den = cotangent_pair(power_pair(ctx.Lambda, fp.u_monomials[j])
+                                  for j in range(data.N) if j not in fp.J)
         env.update(zip(names, fp.p_values(ctx.Lambda)))
         value = _evaluate(phi, env)
         total += Fraction(value.numerator * den, value.denominator * num)

@@ -10,7 +10,9 @@ virtual cotangent space at the multiple cover, computed here along two
 independent routes that must agree: the residue arrangement and the weights
 of binary forms.  Each route is a product of int pairs normalised once, into
 one ``Fraction``; both, and the residue walk, read alpha's U values, which
-each edge evaluates once at its root context.
+each edge evaluates once at its root context.  The residue arrangement takes
+phi^alpha from ``scalars.cotangent_pair``, the kernel the K-theoretic trace
+divides by, so the forms route checks that kernel too.
 
 The residues of the alpha component are read from the leading terms of its
 coefficients at the root point (``series.component_residues``): a factor
@@ -25,13 +27,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
 from typing import NamedTuple
 
 from .scalars import (
     DegenerateSampleError,
     PoleError,
     SampleContext,
+    cotangent_pair,
     power_product,
     random_fraction,
     ratio_factor,
@@ -132,31 +134,20 @@ def edge_euler_class(data: ToricData, orbit: OrbitData, m: int, u: tuple[Fractio
         C = phi^alpha * prod_{r=1}^{m-1} (1 - mu^r)
               * prod_{j != j0} [prod_{r<=m D_j(d_ab)} / prod_{r<=0}] (1 - mu^{-r} U_j(alpha)).
 
-    The bracket is the reciprocal of the universal finite ratio evaluated at
-    the root point q0 = 1/mu.  Every factor is an int pair, normalised once.
+    phi^alpha is the trace's cotangent Euler class (``cotangent_pair``),
+    which raises ``PoleError(0, 1)`` at U_j = 1 off J(alpha).  For mu = a/b,
+    1 - mu^r is (b^r - a^r) / b^r, and the bracket of column j is the
+    reciprocal of the universal ratio at q0 = 1/mu, from ``ratio_factor``'s
+    pairs: their product over r = 1..m D_j, or the inverse product over
+    r = m D_j + 1..0.  A vanishing factor with r > 0 raises there, as
+    ``PoleError(r, U_j)``; one with r <= 0 is a zero of the ratio, a pole of
+    its reciprocal, and raises ``PoleError(0, U_j)``.  Every factor is an int
+    pair, normalised once.
     """
-    phi, rest = _coefficient_pairs(data, orbit, m, u, mu)
-    return Fraction(phi[0] * rest[0], phi[1] * rest[1])
-
-
-def _coefficient_pairs(data: ToricData, orbit: OrbitData, m: int, u: tuple[Fraction, ...],
-                       mu: Fraction) -> tuple[tuple[int, int], tuple[int, int]]:
-    """``edge_euler_class`` as two unnormalised int pairs: phi^alpha, whose
-    factors 1 - U_j(alpha) off J(alpha) raise ``PoleError(0, 1)`` at U_j = 1,
-    and C / phi^alpha.  For mu = a/b, 1 - mu^r is (b^r - a^r) / b^r, and the
-    bracket of column j is the reciprocal of the universal ratio at q0 = 1/mu,
-    from ``ratio_factor``'s pairs: their product over r = 1..m D_j, or the
-    inverse product over r = m D_j + 1..0.  A vanishing factor with r > 0
-    raises there, as ``PoleError(r, U_j)``; one with r <= 0 is a zero of the
-    ratio, a pole of its reciprocal, and raises ``PoleError(0, U_j)``."""
     a, b = mu.numerator, mu.denominator
     if u[orbit.j0] != mu ** m:
         raise ValueError("context does not realize the orbit character as mu^m")
-    off = [x for j, x in enumerate(u) if j not in orbit.alpha.J]
-    if 1 in off:
-        raise PoleError(0, Fraction(1))
-    phi = prod(x.denominator - x.numerator for x in off), prod(x.denominator for x in off)
-    num = den = 1
+    num, den = _phi_alpha(orbit, u)
     for r in range(1, m):
         ar, br = a ** r, b ** r
         if ar == br:
@@ -177,7 +168,13 @@ def _coefficient_pairs(data: ToricData, orbit: OrbitData, m: int, u: tuple[Fract
             if not f:
                 raise PoleError(0, x)
             num, den = num * g, den * f
-    return phi, (num, den)
+    return Fraction(num, den)
+
+
+def _phi_alpha(orbit: OrbitData, u: tuple[Fraction, ...]) -> tuple[int, int]:
+    """phi^alpha at alpha's U values ``u``: ``cotangent_pair`` on the entries off J(alpha)."""
+    return cotangent_pair((x.numerator, x.denominator)
+                          for j, x in enumerate(u) if j not in orbit.alpha.J)
 
 
 def edge_euler_class_from_forms(data: ToricData, orbit: OrbitData, m: int,
@@ -243,12 +240,12 @@ def _check_recursion(data: ToricData, orbit: OrbitData, m: int,
     q0 = 1 / mu
     beta = component_series(data, orbit.beta, box, ctx._replace(q=q0)).coeffs
     u = orbit.alpha.u_values(ctx.Lambda)
-    phi, rest = _coefficient_pairs(data, orbit, m, u, mu)
-    c_residue = Fraction(phi[0] * rest[0], phi[1] * rest[1])
+    c_residue = edge_euler_class(data, orbit, m, u, mu)
     c_forms = edge_euler_class_from_forms(data, orbit, m, u, mu)
     residues = component_residues(data, orbit.alpha, box, u, q0)
-    # -(1/m) phi^alpha / C, with C = phi^alpha * rest.
-    prefactor = Fraction(-rest[1], m * rest[0])
+    # -(1/m) phi^alpha / C, normalised once.
+    num, den = _phi_alpha(orbit, u)
+    prefactor = Fraction(-num * c_residue.denominator, m * den * c_residue.numerator)
     shift = tuple(m * x for x in orbit.d_ab)
     zero = Fraction(0)
     rows = []

@@ -15,6 +15,8 @@ probability), so the scalar layer provides
   (``linear``): each returns an unnormalised pair (numerator, denominator) of
   ints, so a product of small factors is a product of int pairs that its
   caller normalises once, into one ``Fraction``,
+* the cotangent Euler class prod (1 - U_j(alpha)), as one such pair
+  (``cotangent_pair``), for both the trace and the residue recursion,
 * the universal finite product ratio behind all the q-hypergeometric factors
   and its cohomological limit: its factors at a numeric q or z
   (``ratio_factor``), and its values over depths at a numeric q by one
@@ -139,6 +141,17 @@ def power_pair(values: Sequence, exponents: Sequence[int]) -> tuple[int, int]:
 def power_product(values: Sequence, exponents: Sequence[int]) -> Fraction:
     """``power_pair`` normalised once."""
     return Fraction(*power_pair(values, exponents))
+
+
+def cotangent_pair(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """prod (1 - a/b) over int pairs (a, b) as an unnormalised int pair; a
+    factor with a == b vanishes and raises ``PoleError(0, 1)``."""
+    num = den = 1
+    for a, b in pairs:
+        if a == b:
+            raise PoleError(0, Fraction(1))
+        num, den = num * (b - a), den * b
+    return num, den
 
 
 def common_denominator(values: Sequence) -> tuple[int, list[int]]:

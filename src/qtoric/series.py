@@ -296,16 +296,14 @@ def point_series(monomials: Iterable[Sequence[int]], box: TruncationBox,
     gens = [integral_degree(m) for m in monomials]
     sum_form = point_sum_form(gens, box, ctx)
     q = ctx.q
+    # The sum form's ratio table covered every k below, so 1 - q^k != 0 there.
     arg: dict[Degree, object] = {}
     for g in gens:
         w = box.pairing(g)
         k = 1
         while k * w <= box.bound:
-            factor = 1 - q ** k
-            if factor == 0:
-                raise PoleError(k, 1)
             kd = tuple(k * x for x in g)
-            arg[kd] = arg.get(kd, Fraction(0)) + 1 / (Fraction(k) * factor)
+            arg[kd] = arg.get(kd, Fraction(0)) + 1 / (Fraction(k) * (1 - q ** k))
             k += 1
     exp_form = series_exp(NovikovSeries(box, arg))
     return PointSeriesPair(sum_form=sum_form, exp_form=exp_form)

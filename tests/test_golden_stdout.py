@@ -114,6 +114,9 @@ DATA_MODELS = [
      "a7d57285c8f29c7dc26fc9ddfa286baeeb81cfa4328fca53b39e2764b28c491c"),
     (["verify-recursion", "threefold7x2", "--deg", "1", "--samples", "1"], 0,
      "f11d806a548f5264191ace2f86a00d3f53393623c0b5911155110001df700624"),
+    # The trace over its 100 fixed points, K = 8: a class in P, L and constants.
+    (["trace", "threefold7x2", "--phi", "3*P1^2*P8 - P5/L14 + 5/2", "--samples", "2"], 0,
+     "ae20d8c11f15871b9c2901911e3b37c4f15f0e2876c4cb492053f7ee253d8d92"),
 ]
 LINE, PLANE, F2 = [[1, 1]], [[1, 1, 1]], [[1, 1, 0, -2], [0, 0, 1, 1]]
 

@@ -46,7 +46,6 @@ KEPT = {
     "models.product_of_lines": "model constructor",
     "models.projective_space": "model constructor",
     "qdiff.verify_shifted_identity": "demo entry point: demos/04_q_difference_system.py",
-    "recursion.edge_euler_class": "demo entry point: demos/05_residue_recursion_and_bundles.py",
     "scalars.QRational.__init__": BENCH_TRACER,
     "series.NovikovSeries.coefficient": BENCH_TRACER,
     "series.NovikovSeries.scale": "demo entry point: demos/03_series_and_q_exponential.py",

@@ -10,11 +10,10 @@ from helpers import fixed_point
 from linalg_oracle import solve_square
 from test_extra_models import EXTRA
 from test_mori_cone import DATA, blown_up_fans, fan_surface
-from qtoric import cli
+from qtoric import cli, localization, recursion, scalars
 from qtoric.models import bundled_model_names, load_bundled_model, resolve_model
 from qtoric.recursion import (
     OrbitInvariantError,
-    _coefficient_pairs,
     _validate_orbit,
     all_orbits,
     edge_euler_class,
@@ -23,9 +22,14 @@ from qtoric.recursion import (
     root_context,
     verify_residue_recursion,
 )
-from qtoric.scalars import power_product, sample_context
+from qtoric.scalars import (
+    DegenerateSampleError,
+    cotangent_pair,
+    power_pair,
+    power_product,
+    sample_context,
+)
 from qtoric.series import truncation_box
-from qtoric.localization import _cotangent_pair
 from qtoric.toric import FixedPoint, ToricData, degree_pairing, enumerate_fixed_points
 
 
@@ -156,17 +160,23 @@ def test_a_leaving_column_off_the_wall_is_an_orbit_invariant_error(f1):
             _validate_orbit(f1, orbit._replace(j0_prime=other))
 
 
+def trace_phi(data, fp, ctx):
+    """phi^alpha as the trace builds it: the kernel on the off-J U-monomials' pairs."""
+    return Fraction(*cotangent_pair(power_pair(ctx.Lambda, fp.u_monomials[j])
+                                    for j in range(data.N) if j not in fp.J))
+
+
 def test_cotangent_euler_values(p1, f1):
     ctx = sample_context(p1.N, 3)
     alpha = fixed_point(p1, (0,))
     u = ctx.Lambda[0] / ctx.Lambda[1]
-    assert Fraction(*_cotangent_pair(p1, alpha, ctx)) == 1 - u
+    assert trace_phi(p1, alpha, ctx) == 1 - u
 
     ctx4 = sample_context(f1.N, 3)
     a13 = fixed_point(f1, (0, 2))
     L = ctx4.Lambda
     expected = (1 - L[0] / L[1]) * (1 - L[2] / (L[0] * L[3]))
-    assert Fraction(*_cotangent_pair(f1, a13, ctx4)) == expected
+    assert trace_phi(f1, a13, ctx4) == expected
 
 
 def test_cotangent_euler_point_is_one():
@@ -174,7 +184,24 @@ def test_cotangent_euler_point_is_one():
     data = ToricData(m=((1, 0), (0, 1)), omega=(Fraction(1), Fraction(1)))
     ctx = sample_context(2, 5)
     fp = enumerate_fixed_points(data)[0]
-    assert Fraction(*_cotangent_pair(data, fp, ctx)) == 1
+    assert trace_phi(data, fp, ctx) == 1
+
+
+def test_a_solved_parameter_at_one_is_resampled(p1, monkeypatch):
+    # On the edge from (1) with m = 1 the solved parameter is mu Lambda_2, so
+    # mu = 1 / Lambda_2 lands it on 1: index 0 is skipped, index 1 draws again.
+    orbit = orbit_data(p1, fixed_point(p1, (0,)), 1)
+    draws = [1 / sample_context(p1.N, 7, 0).Lambda[1]]
+    draw = recursion.random_fraction
+    monkeypatch.setattr(recursion, "random_fraction",
+                        lambda rng: draws.pop() if draws else draw(rng))
+    skipped = []
+    report = verify_residue_recursion(p1, orbit, 1, truncation_box(p1, 3), seed=7,
+                                      resamples=skipped)
+    [(index, exc)] = skipped
+    assert index == 0 and type(exc) is DegenerateSampleError
+    assert str(exc) == "solved parameter landed on a degenerate value"
+    assert report["ok"] and not draws
 
 
 def test_root_context_realizes_power(p1):
@@ -195,9 +222,8 @@ def test_a_context_off_the_orbit_character_is_refused(f1):
     ctx, mu = root_context(f1, orbit, 2, seed=5)
     u = orbit.alpha.u_values(ctx.Lambda)
     refusal = r"^context does not realize the orbit character as mu\^m$"
-    for route in (_coefficient_pairs, edge_euler_class):
-        with pytest.raises(ValueError, match=refusal):
-            route(f1, orbit, 2, u, mu + 1)
+    with pytest.raises(ValueError, match=refusal):
+        edge_euler_class(f1, orbit, 2, u, mu + 1)
     assert edge_euler_class(f1, orbit, 2, u, mu) == \
         edge_euler_class_from_forms(f1, orbit, 2, u, mu)
 
@@ -299,6 +325,25 @@ def test_a_multi_edge_run_draws_its_base_sample_once(monkeypatch, capsys):
     assert code == 0
     assert seeds.count("7000001:0") == 1
     assert seeds.count("7000001:0:root") == 8
+
+
+def test_the_trace_and_the_recursion_share_one_cotangent_kernel(monkeypatch, capsys):
+    # phi^alpha has one kernel: a copy that drops its last factor moves the
+    # trace's chi(O) off 1, and the residue route's Euler class off the forms route's.
+    assert recursion.cotangent_pair is localization.cotangent_pair is scalars.cotangent_pair
+
+    def dropped(pairs):
+        return scalars.cotangent_pair(list(pairs)[:-1])
+
+    for module in (localization, recursion):
+        monkeypatch.setattr(module, "cotangent_pair", dropped)
+    cli.main(["trace", "f1", "--phi", "1", "--samples", "1", "--seed", "11"])
+    [row] = json.loads(capsys.readouterr().out)["result"]["values"]
+    assert row["value"] != "1"
+    assert cli.main(["verify-recursion", "f1", "--m", "2", "--samples", "1",
+                     "--seed", "11"]) == 1
+    edges = json.loads(capsys.readouterr().out)["result"]["edges"]
+    assert not all(edge["euler_oracle_agrees"] for edge in edges)
 
 
 def test_each_edge_evaluates_alpha_u_values_once(monkeypatch, capsys):

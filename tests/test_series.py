@@ -30,6 +30,7 @@ from qtoric.series import (
     component_residues,
     component_series,
     point_series,
+    point_sum_form,
     series_exp,
     truncation_box,
 )
@@ -166,6 +167,26 @@ def test_point_series_dependent_monomials(p1):
     assert pair.sum_form == pair.exp_form
     # degree-1 coefficient is 2/(1-q): one copy from each summand
     assert pair.sum_form.coefficient((1,)) == 2 / (1 - q)
+
+
+def test_a_root_of_unity_q_is_a_pole_of_the_sum_form(p1):
+    # q = -1 makes 1 - q^2 vanish; the sum form's ratio table meets it first,
+    # in ratio_factor, before the exp form divides by it.
+    ctx = sample_context(p1.N, 5)._replace(q=Fraction(-1))
+    with pytest.raises(PoleError) as caught:
+        point_series([(1,)], truncation_box(p1, 3), ctx)
+    assert (caught.value.r, caught.value.value) == (2, 1)
+    assert caught.traceback[-1].frame.code.raw.co_name == "factor"
+
+
+def test_a_monomial_pairing_to_zero_is_refused_by_the_sum_form(p1):
+    with pytest.raises(InvalidModelError,
+                       match="^every point-series monomial must pair positively with ample$"):
+        point_sum_form([(0,)], truncation_box(p1, 3), sample_context(p1.N, 5))
+
+
+def test_a_negative_bound_keeps_no_degree(p1):
+    assert truncation_box(p1, -1).degrees == ()
 
 
 def test_component_p1_alpha1(p1):
