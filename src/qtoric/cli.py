@@ -408,9 +408,22 @@ def _emit(payload: dict, code: int) -> int:
     return code
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """``--phi -P1`` as ``--phi=-P1``, and so for ``--degree``: argparse reads a
+    token that starts with '-' and is not a plain negative number as an option."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in ("--phi", "--degree") and token.startswith("-")
+                and not token.startswith("--") and token != "-h"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         model = resolve_model(args.model)
         report = run_command(args.command, model, args)

@@ -178,10 +178,8 @@ def _verify_shift(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
     rows = []
     for d in box.degrees:
         source = tuple(x - y for x, y in zip(d, shift))
-        key = box.keys.get(source)
-        # An exact zero's key is None, which no series stores.
-        if key is not None or not (reaches_beyond and box.beyond(source)):
-            rows.append((d, key, left_exponents(d), right_exponents(d)))
+        if source in box.position or not (reaches_beyond and box.beyond(source)):
+            rows.append((d, source, left_exponents(d), right_exponents(d)))
     checks = []
     for fp in enumerate_fixed_points(data):
         get = family[fp.J].coeffs.get

@@ -60,18 +60,18 @@ class _BoxFields(NamedTuple):
 class TruncationBox(_BoxFields):
     """Keep a degree iff it is effective and pairs with ``ample`` below ``bound``.
 
-    What depends only on the box is computed on first use and kept: ``keys``
-    maps each box degree, in any tuple spelling that hashes alike, to its
-    canonical int tuple; ``pairings`` holds the pairing rows D(d), from this
-    module's ``degree_pairing``, that every component walk reads; and
-    ``predecessors``, aligned with ``degrees``, lists (position of d - e_i, i)
-    for each i with d - e_i in the box.  A subclass of the field tuple, it
-    keeps an instance dict for them.
+    What depends only on the box is computed on first use and kept:
+    ``position`` maps each box degree, in any tuple spelling that hashes
+    alike, to its place in ``degrees``; ``pairings`` holds the pairing rows
+    D(d), from this module's ``degree_pairing``, that every component walk
+    reads; and ``predecessors``, aligned with ``degrees``, lists (position of
+    d - e_i, i) for each i with d - e_i in the box.  A subclass of the field
+    tuple, it keeps an instance dict for them.
     """
 
     @cached_property
-    def keys(self) -> dict[Degree, Degree]:
-        return {d: d for d in self.degrees}
+    def position(self) -> dict[Degree, int]:
+        return {d: pos for pos, d in enumerate(self.degrees)}
 
     @cached_property
     def pairings(self) -> dict[Degree, tuple[int, ...]]:
@@ -79,7 +79,7 @@ class TruncationBox(_BoxFields):
 
     @cached_property
     def predecessors(self) -> list[tuple[tuple[int, int], ...]]:
-        position = {d: pos for pos, d in enumerate(self.degrees)}
+        position = self.position
         below = [[d[:i] + (d[i] - 1,) + d[i + 1:] for i in range(len(d))] for d in self.degrees]
         return [tuple((position[e], i) for i, e in enumerate(es) if e in position) for es in below]
 
@@ -87,7 +87,7 @@ class TruncationBox(_BoxFields):
         return sum(a * x for a, x in zip(self.ample, d))
 
     def contains(self, d: Sequence[int]) -> bool:
-        return tuple(d) in self.keys
+        return tuple(d) in self.position
 
     def beyond(self, d: Sequence[int]) -> bool:
         """Whether the integral degree d is effective and pairs above the bound."""
@@ -105,43 +105,39 @@ def truncation_box(data: ToricData, bound, ample: Sequence | None = None) -> Tru
 class NovikovSeries:
     """A truncated formal sum over effective degrees with exact coefficients.
 
-    ``coeffs`` maps canonical box degrees (int tuples) to nonzero
-    coefficients; a key outside the box is a ``TruncationError``.  ``mode``
-    ("k" or "coh") tells K-theoretic and cohomological series apart.
+    ``coeffs`` maps canonical box degrees (int tuples) to the nonzero
+    coefficients only, so a box degree it leaves out is an exact zero; a key
+    outside the box is a ``TruncationError``.
     """
 
-    __slots__ = ("box", "coeffs", "mode")
+    __slots__ = ("box", "coeffs")
 
-    def __init__(self, box: TruncationBox, coeffs: Mapping[Degree, object] | None = None,
-                 mode: str = "k"):
+    def __init__(self, box: TruncationBox, coeffs: Mapping[Degree, object] | None = None):
         clean = {}
         if coeffs:
-            keys = box.keys
+            position, degrees = box.position, box.degrees
             for d, c in coeffs.items():
-                key = keys.get(tuple(d))
-                if key is None:
+                pos = position.get(tuple(d))
+                if pos is None:
                     raise TruncationError(f"degree {tuple(d)} lies outside the truncation box")
                 if c != 0:
-                    clean[key] = c
+                    clean[degrees[pos]] = c
         self.box = box
         self.coeffs = clean
-        self.mode = mode
 
     @classmethod
-    def _from_walk(cls, box: TruncationBox, coeffs: dict[Degree, object],
-                   mode: str = "k") -> "NovikovSeries":
+    def _from_walk(cls, box: TruncationBox, coeffs: dict[Degree, object]) -> "NovikovSeries":
         """A series over ``coeffs`` as a walk returns them: keyed by canonical
         box degrees and free of zeros, so nothing is re-checked."""
         series = object.__new__(cls)
-        series.box, series.coeffs, series.mode = box, coeffs, mode
+        series.box, series.coeffs = box, coeffs
         return series
 
     def coefficient(self, d: Sequence[int]):
         """Exact coefficient at d; 0 outside the effective cone, error beyond the
         box or the lattice, or for a d of the wrong length."""
-        key = self.box.keys.get(tuple(d))
-        if key is not None:
-            return self.coeffs.get(key, Fraction(0))
+        if tuple(d) in self.box.position:
+            return self.coeffs.get(tuple(d), Fraction(0))
         d = _lattice_degree(self.box.data, d)
         # The box holds every effective degree up to its bound.
         if self.box.beyond(d):
@@ -151,7 +147,7 @@ class NovikovSeries:
         return Fraction(0)
 
     def map_with_degree(self, fn: Callable) -> "NovikovSeries":
-        return NovikovSeries(self.box, {d: fn(d, c) for d, c in self.coeffs.items()}, self.mode)
+        return NovikovSeries(self.box, {d: fn(d, c) for d, c in self.coeffs.items()})
 
     def scale(self, a) -> "NovikovSeries":
         return self.map_with_degree(lambda d, c: c * a)
@@ -159,7 +155,6 @@ class NovikovSeries:
     def __eq__(self, other) -> bool:
         return (isinstance(other, NovikovSeries)
                 and self.box == other.box
-                and self.mode == other.mode
                 and self.coeffs == other.coeffs)
 
     def __repr__(self) -> str:
@@ -185,7 +180,7 @@ def series_exp(s: NovikovSeries) -> NovikovSeries:
             total = sum(wc * out.get(tuple(x - y for x, y in zip(d, e)), 0)
                         for e, wc in weighted)
             out[d] = total / box.pairing(d)
-    return NovikovSeries(box, out, s.mode)
+    return NovikovSeries(box, out)
 
 
 def adams(series: NovikovSeries, k: int) -> NovikovSeries:
@@ -202,7 +197,7 @@ def adams(series: NovikovSeries, k: int) -> NovikovSeries:
         kd = tuple(k * x for x in d)
         if series.box.contains(kd):
             out[kd] = c
-    return NovikovSeries(series.box, out, series.mode)
+    return NovikovSeries(series.box, out)
 
 
 class _BundleFields(NamedTuple):
@@ -329,8 +324,8 @@ def component_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
             raise InvalidModelError(f"bundle has {len(bundle.exponents)} rows, K = {data.K}")
         fibres = bundle, [_FibreColumn(ctx.lam * v, ctx.q, bundle.parity == "PiE")
                           for v in bundle.fiber_values(fp.p_values(ctx.Lambda))]
-    return NovikovSeries._from_walk(box, _nonzero(_ratio_products(data, fp, box, factors,
-                                                                  _fraction, fibres)))
+    return NovikovSeries._from_walk(box, _ratio_products(data, fp, box, factors, _fraction,
+                                                         fibres))
 
 
 def _order_zero(factor):
@@ -364,13 +359,13 @@ def component_residues(data: ToricData, fp: FixedPoint, box: TruncationBox,
                        u: Sequence[Fraction], q0) -> dict[Degree, Fraction]:
     """Residue of each component coefficient's f(q) dq/q at q = q0, over alpha's dual cone.
 
-    Every other parameter enters through alpha's U values ``u``; degrees off
-    the dual cone have the exact zero coefficient and are left out.  A pole of
-    order 2 or more raises ``DoublePoleError``.
+    Every other parameter enters through alpha's U values ``u``; a degree left
+    out has an exact zero coefficient (off the dual cone, or a vanishing
+    factor inside it).  A pole of order 2 or more raises ``DoublePoleError``.
     """
     factors = [root_factor(x, q0) for x in u]
     terms = _ratio_products(data, fp, box, factors, _leading_term)
-    return {d: Fraction(0) if term is None else term.residue() for d, term in terms.items()}
+    return {d: term.residue() for d, term in terms.items()}
 
 
 def _leading_term(num, den, order):
@@ -383,7 +378,7 @@ def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
                     fibres=None) -> dict[Degree, object]:
     """prod_j prod_{r<=0} f_j(r) / prod_{r<=D_j(d)} f_j(r), f_j = ``factors[j]``, at
     every box degree d in alpha's dual cone (read from ``box.pairings``), by a walk in
-    box order; an exact zero is None.
+    box order; an exact zero is left out.
 
     Each f_j(r) is a triple (num, den, order) of ints, num/den eps^order
     (order 0 away from a root point).  A degree with a visited nonzero
@@ -440,13 +435,7 @@ def _ratio_products(data: ToricData, fp: FixedPoint, box: TruncationBox,
                 break
         else:
             out[pos] = _finish(finish, crossed, everything, (0,) * len(crossed), pairing)
-    return {d: value for d, value, pairing in zip(box.degrees, out, depths)
-            if pairing is not None}
-
-
-def _nonzero(values: dict[Degree, object]) -> dict[Degree, object]:
-    """A walk's values without its exact zeros."""
-    return {d: value for d, value in values.items() if value is not None}
+    return {d: value for d, value in zip(box.degrees, out) if value is not None}
 
 
 def _finish(finish, crossed, columns, start, end):
@@ -494,8 +483,7 @@ def cohomological_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
     """
     factors = [_order_zero(ratio_factor(u, z=ctx.z))
                for u in divisor_values(data, fp, ctx.Lambda)]
-    coeffs = _nonzero(_ratio_products(data, fp, box, factors, _fraction))
-    return NovikovSeries._from_walk(box, coeffs, mode="coh")
+    return NovikovSeries._from_walk(box, _ratio_products(data, fp, box, factors, _fraction))
 
 
 def assemble_cohomological_series(data: ToricData, box: TruncationBox,

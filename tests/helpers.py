@@ -29,21 +29,21 @@ def dual_cone_flags(data: ToricData, d: Sequence[int]) -> tuple[bool, ...]:
     return tuple(all(pairing[j] >= 0 for j in fp.J) for fp in enumerate_fixed_points(data))
 
 
-def constant_series(box: TruncationBox, value=1, mode: str = "k") -> NovikovSeries:
+def constant_series(box: TruncationBox, value=1) -> NovikovSeries:
     zero = tuple(0 for _ in range(box.data.K))
-    return NovikovSeries(box, {zero: Fraction(value)}, mode)
+    return NovikovSeries(box, {zero: Fraction(value)})
 
 
 def _same_box(a: NovikovSeries, b: NovikovSeries) -> None:
-    if a.box != b.box or a.mode != b.mode:
-        raise ValueError("series live on different boxes or modes")
+    if a.box != b.box:
+        raise ValueError("series live on different boxes")
 
 
 def add(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
     """The sum, a merge of the two coefficient dicts."""
     _same_box(a, b)
     return NovikovSeries(a.box, {d: a.coeffs.get(d, 0) + b.coeffs.get(d, 0)
-                                 for d in a.coeffs | b.coeffs}, a.mode)
+                                 for d in a.coeffs | b.coeffs})
 
 
 def multiply(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
@@ -55,4 +55,4 @@ def multiply(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
             d = tuple(x + y for x, y in zip(d1, d2))
             if a.box.contains(d):
                 out[d] = out.get(d, Fraction(0)) + c1 * c2
-    return NovikovSeries(a.box, out, a.mode)
+    return NovikovSeries(a.box, out)

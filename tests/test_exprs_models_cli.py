@@ -626,6 +626,34 @@ def test_cli_malformed_edge_names_the_expected_form(capsys):
                                    f"(1-based indices), got {edge!r}")
 
 
+@pytest.mark.parametrize("spaced, joined", [
+    ("trace p1 --phi -P1 --samples 1", "trace p1 --phi=-P1 --samples 1"),
+    ("trace p1 --phi -1/2 --samples 1", "trace p1 --phi=-1/2 --samples 1"),
+    ("integrate-xd f1 --degree -1,1 --phi 1 --samples 1",
+     "integrate-xd f1 --degree=-1,1 --phi 1 --samples 1"),
+    ("integrate-xd f1 --degree -1,1 --phi -P1*P2 --samples 1",
+     "integrate-xd f1 --degree=-1,1 --phi=-P1*P2 --samples 1"),
+])
+def test_a_phi_or_degree_value_may_start_with_a_minus(spaced, joined, capsys):
+    # The grammar's factor := '-' factor, and a degree in a skew basis, read
+    # the same whether the value follows its flag as a token or after '='.
+    assert cli.main(joined.split()) == 0
+    expected = capsys.readouterr().out
+    assert cli.main(spaced.split()) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_a_flag_without_its_value_is_still_refused(capsys):
+    # A flag that starts with '--', or -h, is not taken for the value.
+    for argv in (["trace", "p1", "--phi", "--samples", "1"],
+                 ["trace", "p1", "--phi", "-h"],
+                 ["integrate-xd", "f1", "--phi", "1", "--degree", "--samples", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 # Spellings that ``int`` reads but the integer flags refuse: a digit
 # separator, surrounding space, a digit of another script, and a decimal point.
 # So do a model file's integer fields (``sampling seed``, ``sampling samples``);

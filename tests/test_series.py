@@ -318,8 +318,30 @@ def test_walk_matches_per_degree_products(data):
             assert got == expected, (orbit.alpha.J, orbit.j0, m)
 
 
-@pytest.mark.parametrize("rows", [((-1, 1, 1, 0), (1, 0, 0, 1)), ((1, 0, 0, 1), (-1, 1, 1, 0))],
-                         ids=["f1-permuted", "f1-permuted-swapped"])
+def _dense(box, values):
+    """``values`` at every box degree, 0 where it has no entry."""
+    return {d: values.get(d, 0) for d in box.degrees}
+
+
+def _crafted_draws(xs):
+    """The crafted fixed points of the f1-permuted model: 60 draws of the two
+    off-point columns' U values, each a power x^k (k from -2 to 3) or a
+    generic rational, yielded per draw for each x of ``xs`` in turn."""
+    rng = random.Random(7)
+    for _ in range(60):
+        ks = [rng.randint(-2, 3) if rng.random() < 0.7 else None for _ in range(2)]
+        for x in xs:
+            u0, u2 = (Fraction(rng.randint(2, 9), 7) if k is None else x ** k for k in ks)
+            yield x, ks, SimpleNamespace(J=(1, 3),
+                                         u_values=lambda _, u=(u0, Fraction(1), u2, Fraction(1)): u)
+
+
+CRAFTED_ROWS = pytest.mark.parametrize(
+    "rows", [((-1, 1, 1, 0), (1, 0, 0, 1)), ((1, 0, 0, 1), (-1, 1, 1, 0))],
+    ids=["f1-permuted", "f1-permuted-swapped"])
+
+
+@CRAFTED_ROWS
 def test_walk_matches_per_degree_products_beside_crafted_zeros_and_poles(rows):
     # Off-point columns with U = x^k, where x = 1/q (numeric q) or x = mu (the
     # root point q0 = 1/mu), have the factor 1 - q^r U vanish at r = k: poles
@@ -335,20 +357,58 @@ def test_walk_matches_per_degree_products_beside_crafted_zeros_and_poles(rows):
                     lambda fp: {d: c for d, c in
                                 ratio_oracle.component_coefficients(data, fp, box, ctx).items()
                                 if c != 0}),
-        mu: (lambda fp: component_residues(data, fp, box, fp.u_values(ctx.Lambda), 1 / mu),
-             lambda fp: ratio_oracle.residues(data, fp, box, ctx, 1 / mu)),
+        # The oracle keeps an exact zero's residue as 0; the walk leaves it out.
+        mu: (lambda fp: _dense(box, component_residues(data, fp, box,
+                                                        fp.u_values(ctx.Lambda), 1 / mu)),
+             lambda fp: _dense(box, ratio_oracle.residues(data, fp, box, ctx, 1 / mu))),
     }
-    rng = random.Random(7)
     seen = set()
-    for _ in range(60):
-        ks = [rng.randint(-2, 3) if rng.random() < 0.7 else None for _ in range(2)]
-        for x, (walk, oracle) in routes.items():
-            u0, u2 = (Fraction(rng.randint(2, 9), 7) if k is None else x ** k for k in ks)
-            fp = SimpleNamespace(J=(1, 3), u_values=lambda _: (u0, Fraction(1), u2, Fraction(1)))
-            got, expected = _outcome(lambda: walk(fp)), _outcome(lambda: oracle(fp))
-            assert got == expected, (x, ks)
-            seen.add(type(got) if isinstance(got, dict) else got[0])
+    for x, ks, fp in _crafted_draws(routes):
+        walk, oracle = routes[x]
+        got, expected = _outcome(lambda: walk(fp)), _outcome(lambda: oracle(fp))
+        assert got == expected, (x, ks)
+        seen.add(type(got) if isinstance(got, dict) else got[0])
     assert seen == {dict, PoleError, DoublePoleError}
+
+
+@CRAFTED_ROWS
+def test_the_walk_leaves_exactly_the_exact_zeros_out(rows):
+    # Over the crafted draws above: the residues have an entry exactly where
+    # the oracle's leading term has a nonzero lead, and the series exactly
+    # where the oracle's coefficient is nonzero, so an in-cone exact zero
+    # (an off-point column with U = 1) is left out by both routes.
+    data = ToricData(m=rows, omega=(1, 1), name="f1-permuted")
+    box = truncation_box(data, 4)
+    ctx = sample_context(data.N, 47)
+    mu = Fraction(5, 3)
+
+    def nonzero_leads(fp):
+        # The oracle's residues raise where the walk's do: a pole of order 2 or more.
+        ratio_oracle.residues(data, fp, box, ctx, 1 / mu)
+        u = fp.u_values(ctx.Lambda)
+        terms = ratio_oracle.ratio_products(
+            data, fp, box, lambda j, depths: ratio_oracle.root_table(u[j], depths, 1 / mu))
+        return {d for d, term in terms.items() if term.lead != 0}
+
+    routes = {
+        1 / ctx.q: (lambda fp: set(component_series(data, fp, box, ctx).coeffs),
+                    lambda fp: {d for d, c in
+                                ratio_oracle.component_coefficients(data, fp, box, ctx).items()
+                                if c != 0}),
+        mu: (lambda fp: set(component_residues(data, fp, box, fp.u_values(ctx.Lambda), 1 / mu)),
+             nonzero_leads),
+    }
+    zeros = set()
+    for x, ks, fp in _crafted_draws(routes):
+        walk, oracle = routes[x]
+        got, expected = _outcome(lambda: walk(fp)), _outcome(lambda: oracle(fp))
+        assert got == expected, (x, ks)
+        if isinstance(got, set):
+            zeros |= {(x, d) for d in box.degrees
+                      if d not in got and all(D >= 0 for D in (degree_pairing(data, d)[j]
+                                                               for j in fp.J))}
+    # Both routes meet exact zeros inside alpha's dual cone.
+    assert {x for x, _ in zeros} == set(routes)
 
 
 def test_component_support_is_dual_cone(all_models):
@@ -698,7 +758,6 @@ def test_cohomological_series_matches_explicit_product_f1(f1, p1):
     for fp in enumerate_fixed_points(f1):
         series = cohomological_series(f1, fp, box, ctx)
         u = divisor_values(f1, fp, ctx.Lambda)
-        assert series.mode == "coh"
         for d in box.degrees:
             expected = Fraction(1)
             for j, depth in enumerate(degree_pairing(f1, d)):
@@ -730,7 +789,7 @@ def test_series_multiply_and_exp(p1):
 
 def exp_by_powers(s):
     """exp(s) as sum_n s^n / n!, each power one more ``multiply``, until a power is 0."""
-    out = power = constant_series(s.box, 1, s.mode)
+    out = power = constant_series(s.box, 1)
     n = 0
     while True:
         n += 1

@@ -19,7 +19,6 @@ from types import SimpleNamespace
 import pytest
 
 import word_oracle
-from helpers import add
 from qtoric.models import bundled_model_names, load_bundled_model
 from qtoric.qdiff import (
     _binomials,
@@ -72,12 +71,12 @@ def model(name):
     return load_bundled_model(name).data, 3
 
 
-def dense_series(box, seed, mode="k"):
+def dense_series(box, seed):
     """A nonzero coefficient at every box degree, so no product can hide."""
     rng = random.Random(seed)
     return NovikovSeries(box, {d: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
                                            rng.randint(1, 9))
-                               for d in box.degrees}, mode)
+                               for d in box.degrees})
 
 
 def words(data):
@@ -153,7 +152,7 @@ def test_coh_relation_products_match_the_per_degree_formula(name):
     data, bound = model(name)
     box = truncation_box(data, bound)
     ctx = sample_context(data.N, 67)
-    family = {fp.J: dense_series(box, 5 + k, "coh")
+    family = {fp.J: dense_series(box, 5 + k)
               for k, fp in enumerate(enumerate_fixed_points(data))}
     for d0 in shifts(data.K):
         report = verify_coh_relation(data, d0, family, ctx)
@@ -187,7 +186,7 @@ def test_the_shifts_reach_every_source_branch():
         for d0 in shifts(data.K):
             for d in box.degrees:
                 source = tuple(x - y for x, y in zip(d, d0))
-                kinds.add("key" if source in box.keys else
+                kinds.add("key" if source in box.position else
                           "beyond" if box.beyond(source) else "zero")
         assert kinds == {"key", "zero", "beyond"}, name
 
@@ -207,7 +206,7 @@ def test_box_pairing_rows_and_keys(name):
     assert list(box.pairings) == list(box.degrees)
     for d, predecessors in zip(box.degrees, box.predecessors):
         assert box.pairings[d] == degree_pairing(data, d)
-        assert box.keys[d] == d
+        assert box.degrees[box.position[d]] == d
         below = [tuple(x - (k == i) for k, x in enumerate(d)) for i in range(data.K)]
         assert predecessors == tuple((box.degrees.index(e), i) for i, e in enumerate(below)
                                      if e in box.degrees)
@@ -230,11 +229,3 @@ def test_constructor_keys(p1):
             NovikovSeries(box, pairs(key, Fraction(1)))
 
 
-def test_series_equality_respects_the_mode(p1):
-    box = truncation_box(p1, 2)
-    k = NovikovSeries(box, {(0,): Fraction(1), (1,): Fraction(2)})
-    coh = NovikovSeries(box, dict(k.coeffs), mode="coh")
-    assert k != coh
-    assert k == NovikovSeries(box, dict(k.coeffs))
-    with pytest.raises(ValueError):
-        add(k, coh)

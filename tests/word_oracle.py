@@ -90,7 +90,7 @@ def apply_word_table(series: NovikovSeries, data: ToricData, fp: FixedPoint,
     """
     word, exponents = _Word(_binomials(data, fp, ctx), factors), _exponents(data, factors)
     return NovikovSeries(series.box, {d: c * Fraction(*word[exponents(d)])
-                                      for d, c in series.coeffs.items()}, series.mode)
+                                      for d, c in series.coeffs.items()})
 
 
 def verify_shifted_identity(data: ToricData, family: dict[tuple[int, ...], NovikovSeries],
@@ -188,5 +188,4 @@ def shift_by_degree(series: NovikovSeries, d0: Sequence[int]) -> NovikovSeries:
     degree d is the input's at d - d0.
     """
     moved = ((tuple(x + y for x, y in zip(d, d0)), c) for d, c in series.coeffs.items())
-    return NovikovSeries(series.box, {d: c for d, c in moved if series.box.contains(d)},
-                         series.mode)
+    return NovikovSeries(series.box, {d: c for d, c in moved if series.box.contains(d)})
