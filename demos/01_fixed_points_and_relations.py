@@ -5,18 +5,16 @@ u_1 = u_2 = p_1, u_3 = p_2, u_4 = p_2 - p_1, together with a chamber point in
 the open first quadrant.  Everything below is exact.
 """
 
-from qtoric import (
+from qtoric.kirwan import kirwan_relations, spectrum_point_count, verify_relations_at_fixed_points
+from qtoric.models import hirzebruch
+from qtoric.scalars import sample_context
+from qtoric.toric import (
     degree_pairing,
     enumerate_fixed_points,
     format_monomial,
-    kirwan_relations,
     mori_cone_membership,
     mori_generators,
-    sample_context,
-    spectrum_point_count,
-    verify_relations_at_fixed_points,
 )
-from qtoric.models import hirzebruch
 
 data = hirzebruch()
 

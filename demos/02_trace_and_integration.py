@@ -9,14 +9,10 @@ map-space integral extends it to spaces of degree-d spheres.
 
 from fractions import Fraction
 
-from qtoric import (
-    cohomology_integral,
-    ktheory_trace,
-    map_space_integral,
-    sample_context,
-)
 from qtoric.exprs import parse_expression
+from qtoric.localization import cohomology_integral, ktheory_trace, map_space_integral
 from qtoric.models import hirzebruch, projective_space
+from qtoric.scalars import sample_context
 
 f1 = hirzebruch()
 ctx = sample_context(f1.N, seed=5)

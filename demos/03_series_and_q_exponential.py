@@ -6,16 +6,16 @@ point-target series, which satisfies an exact q-exponential identity: the
 plain sum over the cone equals the exponential of divided powers.
 """
 
-from qtoric import (
+from qtoric.models import hirzebruch
+from qtoric.scalars import sample_context
+from qtoric.series import (
+    NovikovSeries,
     adams,
     assemble_series,
     point_series,
-    sample_context,
     series_exp,
     truncation_box,
 )
-from qtoric.models import hirzebruch
-from qtoric.series import NovikovSeries
 from qtoric.toric import enumerate_fixed_points
 
 data = hirzebruch()

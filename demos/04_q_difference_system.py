@@ -6,17 +6,15 @@ with P_i(alpha); the series then satisfies, for each basis direction, an
 exact operator identity whose factors are 1 - q^{-r} U_j(shift word).
 """
 
-from qtoric import (
-    assemble_cohomological_series,
-    assemble_series,
+from qtoric.models import hirzebruch, projective_space
+from qtoric.qdiff import (
     gamma_reconstruction,
-    sample_context,
-    truncation_box,
     verify_coh_relation,
     verify_dq_system,
     verify_shifted_identity,
 )
-from qtoric.models import hirzebruch, projective_space
+from qtoric.scalars import sample_context
+from qtoric.series import assemble_cohomological_series, assemble_series, truncation_box
 from qtoric.toric import enumerate_fixed_points
 
 p1 = projective_space(1)

@@ -8,17 +8,16 @@ proportionality constant doubles as an equivariant Euler class computed
 independently from binary-form weights.
 """
 
-from qtoric import (
+from qtoric.models import hirzebruch, projective_space
+from qtoric.recursion import (
     all_orbits,
     edge_euler_class,
     edge_euler_class_from_forms,
     root_context,
-    sample_context,
-    truncation_box,
     verify_residue_recursion,
 )
-from qtoric.models import hirzebruch, projective_space
-from qtoric.series import BundleData, component_series
+from qtoric.scalars import sample_context
+from qtoric.series import BundleData, component_series, truncation_box
 from qtoric.toric import enumerate_fixed_points
 
 f1 = hirzebruch()

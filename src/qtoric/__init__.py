@@ -18,79 +18,11 @@ in exact rational arithmetic:
 
 Identities are machine-checked by exact evaluation at seeded random rational
 parameter values; nothing is ever compared approximately.
+
+Each name is imported from the module that defines it; the package itself
+binds only ``__version__`` and ``resolve_model``.
 """
 
 __version__ = "0.1.0"
 
-from .kirwan import (
-    kirwan_relations,
-    spectrum_point_count,
-    verify_relations_at_fixed_points,
-)
-from .localization import cohomology_integral, ktheory_trace, map_space_integral
-from .models import (
-    ModelFile,
-    ModelFormatError,
-    hirzebruch,
-    load_bundled_model,
-    parse_model,
-    parse_model_text,
-    product_of_lines,
-    projective_space,
-    resolve_model,
-)
-from .qdiff import (
-    apply_gamma_ratio,
-    gamma_reconstruction,
-    verify_coh_relation,
-    verify_dq_system,
-    verify_shifted_identity,
-)
-from .recursion import (
-    OrbitData,
-    all_orbits,
-    edge_euler_class,
-    edge_euler_class_from_forms,
-    orbit_data,
-    root_context,
-    verify_residue_recursion,
-)
-from .scalars import (
-    DegenerateSampleError,
-    DoublePoleError,
-    LeadingTerm,
-    PoleError,
-    SampleContext,
-    TruncationError,
-    ratio_table,
-    root_factor,
-    sample_context,
-    with_resampling,
-)
-from .series import (
-    BundleData,
-    NovikovSeries,
-    TruncationBox,
-    adams,
-    assemble_cohomological_series,
-    assemble_series,
-    cohomological_series,
-    component_residues,
-    component_series,
-    point_series,
-    series_exp,
-    truncation_box,
-)
-from .toric import (
-    FixedPoint,
-    InvalidModelError,
-    NonRegularChamberError,
-    NonSmoothModelError,
-    ToricData,
-    degree_pairing,
-    divisor_values,
-    enumerate_fixed_points,
-    format_monomial,
-    mori_cone_membership,
-    mori_generators,
-)
+from .models import resolve_model

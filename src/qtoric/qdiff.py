@@ -31,19 +31,14 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .scalars import SampleContext, binomial, linear, power_product, ratio_table
-from .series import (
-    NovikovSeries,
-    TruncationBox,
-    component_series,
-    integral_degree,
-    point_sum_form,
-)
+from .series import NovikovSeries, TruncationBox, component_series, point_sum_form
 from .toric import (
     FixedPoint,
     ToricData,
     degree_pairing,
     divisor_values,
     enumerate_fixed_points,
+    integral_degree,
 )
 
 Factors = Sequence[tuple[int, int]]

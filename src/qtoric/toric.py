@@ -441,7 +441,9 @@ def box_degrees(
     Fourier-Motzkin elimination (Schrijver 1986, section 12.2) drops d_K, ...,
     d_2 in turn, each new row divided by its gcd, so system k is the exact
     projection onto d_1..d_k; d_k then runs over the integer interval that
-    system k leaves for each prefix d_1..d_{k-1}.
+    system k leaves for each prefix d_1..d_{k-1}.  Each row carries the mask of
+    the starting rows it combines, and after s eliminations a row of more than
+    s + 1 of them is implied by the others and dropped (Chernikov 1965).
     """
     gens = _curve_classes(data)
     ample = [Fraction(a) for a in ample]
@@ -453,20 +455,27 @@ def box_degrees(
     top = bound.numerator * scale // bound.denominator
     if top < 0:
         return []
-    # A row is (c, a_1, ..., a_k); systems[k - 1] holds the rows in d_1..d_k.
-    # A combination with no coefficient left reads c >= 0, which d = 0 meets.
-    rows = {(0, *n) for n in _mori_facets(data)} | {(top, *(-w for w in weights))}
-    systems = [rows]
-    for k in range(data.K, 1, -1):
-        kept = {r[:k] for r in rows if not r[k]}
-        for p in rows:
-            for n in rows:
-                if p[k] > 0 > n[k]:
+    # A row (c, a_1, ..., a_k) is kept with the mask of the starting rows it
+    # combines, bit i for starting row i, and once per mask: two derivations of
+    # one row can grow apart in later unions.  systems[k - 1] holds the rows in
+    # d_1..d_k.  A combination with no coefficient left reads c >= 0, which d = 0
+    # meets.
+    starts = [(0, *n) for n in _mori_facets(data)] + [(top, *(-w for w in weights))]
+    rows = {(r, 1 << i) for i, r in enumerate(starts)}
+    systems = [starts]
+    for s, k in enumerate(range(data.K, 1, -1), 1):
+        kept = {(r[:k], mask) for r, mask in rows if not r[k]}
+        positive = [(p, mask) for p, mask in rows if p[k] > 0]
+        negative = [(n, mask) for n, mask in rows if n[k] < 0]
+        for p, p_mask in positive:
+            for n, n_mask in negative:
+                mask = p_mask | n_mask
+                if mask.bit_count() <= s + 1:
                     combined = [p[k] * y - n[k] * x for x, y in zip(p[:k], n)]
                     if any(combined[1:]):
-                        kept.add(_primitive(combined))
+                        kept.add((_primitive(combined), mask))
         rows = kept
-        systems.insert(0, rows)
+        systems.insert(0, {r for r, _ in rows})
     prefixes = [()]
     for rows in systems:
         grown = []

@@ -10,9 +10,13 @@ unit matrix entries.
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
+from test_mori_cone import SURFACE9, blown_up_fans, fan_surface, pairing
+from qtoric import toric
+from qtoric.exprs import parse_expression
 from qtoric.kirwan import kirwan_relations, verify_relations_at_fixed_points
-from qtoric.localization import cohomology_integral, ktheory_trace
+from qtoric.localization import cohomology_integral, ktheory_trace, map_space_integral
 from qtoric.qdiff import gamma_reconstruction, verify_coh_relation, verify_dq_system
 from qtoric.recursion import all_orbits, verify_residue_recursion
 from qtoric.scalars import sample_context, with_resampling
@@ -154,3 +158,30 @@ def test_euler_characteristic_from_codim_two_classes():
             return total
 
         assert cohomology_integral(data, c2, ctx) == chi
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(fan=blown_up_fans(3, 10))
+@example(fan=SURFACE9)
+def test_generated_surface_families(fan):
+    # The trace of 1, the d = 0 map-space integral, the q-difference system on
+    # the box at twice the least curve pairing, and the recursion on every edge.
+    data = fan_surface(*fan)
+    value, _ = with_resampling(lambda t: sample_context(data.N, 5, t),
+                               lambda c: ktheory_trace(data, lambda env: Fraction(1), c))
+    assert value == 1
+    phi = parse_expression("p1^2 - 3*l1*z + 5/2")
+    zero = (0,) * data.K
+    (moved, direct), _ = with_resampling(
+        lambda t: sample_context(data.N, 7, t),
+        lambda c: (map_space_integral(data, zero, phi, c), cohomology_integral(data, phi, c)))
+    assert moved == direct
+    bound = 2 * min(pairing(data.omega, g) for g in toric._curve_classes(data))
+    box = truncation_box(data, bound)
+    report, _ = with_resampling(lambda t: sample_context(data.N, 11, t),
+                                lambda c: verify_dq_system(data, assemble_series(data, box, c), c))
+    assert report["ok"], report
+    for orbit in all_orbits(data):
+        for m in (1, 2):
+            report = verify_residue_recursion(data, orbit, m, box, seed=19)
+            assert report["ok"], (fan, m, report)

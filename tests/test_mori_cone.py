@@ -299,7 +299,8 @@ def test_fractional_bound_on_a_sheared_surface():
     assert min(d[0] for d in box_degrees(data, ample, Fraction(7, 2))) == -10
 
 
-@pytest.mark.parametrize("name, bounds", [("surface8", range(5)), ("threefold7x2", range(3))])
+@pytest.mark.parametrize("name, bounds", [("surface8", range(5)), ("threefold7x2", range(3)),
+                                          ("surface9", range(7))])
 def test_box_degrees_match_the_rectangle(name, bounds):
     # The symmetric grid of ``oracle_box`` takes minutes at K = 6 and 8; the
     # rectangle the projection replaced takes seconds, and sorts the same way.
@@ -315,6 +316,19 @@ def test_surface8_box_within_budget():
     degrees = box_degrees(data, data.omega, 6)
     elapsed = time.perf_counter() - start
     assert len(degrees) == 534
+    assert elapsed < 0.5, f"the bound-6 box took {elapsed:.2f} s"
+
+
+def test_surface9_box_within_budget():
+    # Combining every pair of rows ran past 90 s on the bound-2 box of this
+    # 9-ray surface; Chernikov's rule keeps it to milliseconds.
+    data = resolve_model(str(DATA / "surface9.model")).data
+    fan = fan_surface(*SURFACE9)
+    assert (data.m, data.omega) == (fan.m, fan.omega)
+    start = time.perf_counter()
+    degrees = box_degrees(data, data.omega, 6)
+    elapsed = time.perf_counter() - start
+    assert len(degrees) == 23
     assert elapsed < 0.5, f"the bound-6 box took {elapsed:.2f} s"
 
 
@@ -414,6 +428,8 @@ def test_fan_surface_rebuilds_the_bundled_charge_matrices(p2, f1):
 
 SURFACE8 = ([(1, 0), (0, 1), (-1, -1), (-2, -3), (-1, -2), (0, -1), (1, -1), (2, -1)],
             [0, 0, 12, 25, 14, 5, 3, 2])
+SURFACE9 = ([(1, 0), (0, 1), (-1, 2), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -2), (1, -1)],
+            [32, 0, -18, -16, 0, 24, 32, 91, 60])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -439,9 +455,13 @@ def test_generated_surfaces_match_the_union_oracle(fan, bound):
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
-@given(fan=blown_up_fans(7, 8))
+@given(fan=blown_up_fans(7, 10))
+@example(fan=([(1, 0), (2, 1), (1, 1), (0, 1), (-1, 4), (-1, 3), (-1, 2), (0, -1)],
+              [16, 23, 8, 0, -2, 0, 12, 16]))
 def test_generated_surfaces_with_seven_and_eight_rays(fan):
-    # The oracle's facets take seconds to minutes here: independent checks.
+    # The oracle's facets take seconds to minutes here: independent checks,
+    # and the box against the rectangle at twice the least curve pairing.  On
+    # the example, a projection that keeps one mask per row loses d_1 <= 0.
     rays, h = fan
     data = fan_surface(rays, h)
     classes = toric._curve_classes(data)
@@ -453,6 +473,8 @@ def test_generated_surfaces_with_seven_and_eight_rays(fan):
     for n in facets:
         tight = [g for g in classes if sum(x * y for x, y in zip(n, g)) == 0]
         assert rank(tight) == data.K - 1
+    bound = 2 * min(pairing(data.omega, g) for g in classes)
+    assert box_degrees(data, data.omega, bound) == rectangle_box(data, data.omega, bound)
 
 
 def test_surface8_cone():

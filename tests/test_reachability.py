@@ -17,14 +17,24 @@ file is missing or no longer mentions the name.  ``scalars.QRational`` is a
 stub with no arithmetic, kept only because the benchmark's tracer patches its
 constructor; its role is keyed to the class name, so when the tracer stops
 naming ``QRational`` the stub is due to leave ``src``.
+
+Each name has one import path, its defining module: a ``from`` import of
+``qtoric.<module>`` (or ``.<module>`` inside the package) names something
+that module defines at top level, and the package itself binds only its
+submodules, ``__version__`` and ``resolve_model``, which the benchmark's
+worker calls as ``qtoric.resolve_model``.
 """
 
+import ast
 import contextlib
 import importlib
 import inspect
 import io
+import json
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -167,3 +177,54 @@ def test_every_kept_role_is_a_named_file_that_still_uses_the_name():
             text = (root / path).read_text()
             assert re.search(rf"\b{re.escape(mention(name))}\b", text), \
                 f"{name}: {path} no longer mentions {mention(name)}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qtoric"
+PACKAGE_NAMES = {"__version__", "resolve_model"}
+
+
+def top_level_names(path):
+    """The names a module's own top-level statements define; imports are not definitions."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_import_names_the_module_that_defines_it():
+    submodules = {info.name for info in pkgutil.iter_modules([str(SRC)])}
+    defined = {name: top_level_names(SRC / f"{name}.py") for name in submodules}
+    wrong = []
+    for top in ("src/qtoric", "tests", "demos", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                module = node.module
+                if node.level:  # only the package's own modules import relatively
+                    module = "qtoric" if module is None else f"qtoric.{module}"
+                if module == "qtoric":
+                    allowed = submodules | PACKAGE_NAMES
+                elif module.startswith("qtoric."):
+                    allowed = defined.get(module.removeprefix("qtoric."), set())
+                else:
+                    continue
+                wrong += [f"{path.relative_to(ROOT)}:{node.lineno} {module}.{alias.name}"
+                          for alias in node.names if alias.name not in allowed]
+    assert wrong == []
+
+
+def test_the_package_binds_only_resolve_model_and_its_loaded_submodules():
+    code = ("import json, sys, qtoric\n"
+            "print(json.dumps([sorted(n for n in vars(qtoric) if not n.startswith('_')),\n"
+            "                  sorted(n for n in sys.modules if n.startswith('qtoric.'))]))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    public, loaded = json.loads(proc.stdout)
+    assert public == sorted(["resolve_model", *(n.removeprefix("qtoric.") for n in loaded)])

@@ -13,7 +13,6 @@ from test_mori_cone import DATA, blown_up_fans, fan_surface
 from qtoric import cli, localization, recursion, scalars
 from qtoric.models import bundled_model_names, load_bundled_model, resolve_model
 from qtoric.recursion import (
-    OrbitInvariantError,
     _validate_orbit,
     all_orbits,
     edge_euler_class,
@@ -30,7 +29,13 @@ from qtoric.scalars import (
     sample_context,
 )
 from qtoric.series import truncation_box
-from qtoric.toric import FixedPoint, ToricData, degree_pairing, enumerate_fixed_points
+from qtoric.toric import (
+    FixedPoint,
+    OrbitInvariantError,
+    ToricData,
+    degree_pairing,
+    enumerate_fixed_points,
+)
 
 
 def test_orbit_p1(p1):
