@@ -410,11 +410,17 @@ def _emit(payload: dict, code: int) -> int:
 
 def _attach_values(argv: list[str]) -> list[str]:
     """``--phi -P1`` as ``--phi=-P1``, and so for ``--degree``: argparse reads a
-    token that starts with '-' and is not a plain negative number as an option."""
+    token that starts with '-' and is not a plain negative number as an option.
+    A token stays an option, so that a missing value stays an error, when its
+    text before any '=' is one of the command's option strings (-h and --help
+    among them) or a prefix of one, which argparse expands (``--sam``)."""
+    sub = next(action for action in build_parser()._actions if action.dest == "command")
+    parser = sub.choices.get(argv[0]) if argv else None
+    options = [] if parser is None else [s for a in parser._actions for s in a.option_strings]
     out: list[str] = []
     for token in argv:
         if (out and out[-1] in ("--phi", "--degree") and token.startswith("-")
-                and not token.startswith("--") and token != "-h"):
+                and not any(s.startswith(token.partition("=")[0]) for s in options)):
             out[-1] += "=" + token
         else:
             out.append(token)

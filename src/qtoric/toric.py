@@ -10,8 +10,9 @@ sorted and adj M_J = det I, and every change of basis is one ``linalg.pivot``.
 Smoothness means every fixed point's minor has determinant +-1, and all downstream
 formulas assume it.  The Mori cone is built by double description.  The truncation
 box, its lattice points under a bound on an ample class, is enumerated coordinate by
-coordinate through the Fourier-Motzkin projections of that polytope, with no
-candidate grid.
+coordinate through the projections of that polytope, with no candidate grid: each
+projection is the hull of the projected vertices, by the same double description,
+and the bound scales it.
 """
 
 from __future__ import annotations
@@ -350,17 +351,21 @@ def _curve_classes(data: ToricData) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _mori_facets(data: ToricData) -> tuple[tuple[int, ...], ...]:
-    """Primitive inner facet normals of the effective-curve cone.
+    """Primitive inner facet normals of the effective-curve cone."""
+    return _facets(_curve_classes(data), data.K)
 
-    The extreme rays of the dual cone {y : <y, g> >= 0 on every class g}, by double
-    description, each with the mask of the classes it is tight on.  The first K
-    independent classes start it, each completing the identity basis by one pivot:
-    ray i is det times row i of their adjugate.  Each class g keeps
-    the rays with <r, g> >= 0 and adds <p, g> n - <n, g> p for each pair with
-    <p, g> > 0 > <n, g> when no third ray is tight on every class both are tight on.
+
+def _facets(gens: Sequence[Sequence[int]], k: int) -> tuple[tuple[int, ...], ...]:
+    """Primitive inner facet normals of cone(gens) in Z^k, which gens must span.
+
+    The extreme rays of the dual cone {y : <y, g> >= 0 on every g}, by double
+    description, each with the mask of the gens it is tight on.  The first k
+    independent gens start it, each completing the identity basis by one pivot:
+    ray i is det times row i of their adjugate.  Each g keeps the rays with
+    <r, g> >= 0 and adds <p, g> n - <n, g> p for each pair with
+    <p, g> > 0 > <n, g> when no third ray is tight on every g both are tight on.
     """
-    gens = _curve_classes(data)
-    size, k = len(gens), data.K
+    size = len(gens)
     identity = [[int(i == j) for j in range(k)] for i in range(k)]
     J, det, adj = _complete(gens, (tuple(range(size, size + k)), 1, identity), (), range(size))
     if J[-1] >= size:
@@ -436,53 +441,41 @@ def box_degrees(
 
     Pairings are scaled to integers by the common denominator of ``ample``, and
     the bound to the integer ``top`` below it.  The box is then the set of
-    lattice points of the polytope cut out by the rows c + <a, d> >= 0: one
-    per Mori facet n (c = 0, a = n) and the bound row top - <w, d> >= 0.
-    Fourier-Motzkin elimination (Schrijver 1986, section 12.2) drops d_K, ...,
-    d_2 in turn, each new row divided by its gcd, so system k is the exact
-    projection onto d_1..d_k; d_k then runs over the integer interval that
-    system k leaves for each prefix d_1..d_{k-1}.  Each row carries the mask of
-    the starting rows it combines, and after s eliminations a row of more than
-    s + 1 of them is implied by the others and dropped (Chernikov 1965).
+    lattice points of top P_1, where P_1 = {d in the Mori cone : <w, d> <= 1}
+    is the hull of 0 and g / <w, g> for the curve classes g.  Its projection
+    onto d_1..d_k is the hull of the projected vertices, cut out by rows
+    c + <a, d> >= 0 (``_box_hulls``), so top P_1's is cut out by
+    c top + <a, d> >= 0; d_k then runs over the integer interval that
+    projection k leaves for each prefix d_1..d_{k-1}.
     """
     gens = _curve_classes(data)
     ample = [Fraction(a) for a in ample]
     scale = lcm(*(a.denominator for a in ample))
-    weights = [a.numerator * (scale // a.denominator) for a in ample]
+    weights = tuple(a.numerator * (scale // a.denominator) for a in ample)
     if any(_dot(weights, g) <= 0 for g in gens):
         raise InvalidModelError("ample class must pair positively with every Mori generator")
     bound = Fraction(bound)
     top = bound.numerator * scale // bound.denominator
     if top < 0:
         return []
-    # A row (c, a_1, ..., a_k) is kept with the mask of the starting rows it
-    # combines, bit i for starting row i, and once per mask: two derivations of
-    # one row can grow apart in later unions.  systems[k - 1] holds the rows in
-    # d_1..d_k.  A combination with no coefficient left reads c >= 0, which d = 0
-    # meets.
-    starts = [(0, *n) for n in _mori_facets(data)] + [(top, *(-w for w in weights))]
-    rows = {(r, 1 << i) for i, r in enumerate(starts)}
-    systems = [starts]
-    for s, k in enumerate(range(data.K, 1, -1), 1):
-        kept = {(r[:k], mask) for r, mask in rows if not r[k]}
-        positive = [(p, mask) for p, mask in rows if p[k] > 0]
-        negative = [(n, mask) for n, mask in rows if n[k] < 0]
-        for p, p_mask in positive:
-            for n, n_mask in negative:
-                mask = p_mask | n_mask
-                if mask.bit_count() <= s + 1:
-                    combined = [p[k] * y - n[k] * x for x, y in zip(p[:k], n)]
-                    if any(combined[1:]):
-                        kept.add((_primitive(combined), mask))
-        rows = kept
-        systems.insert(0, {r for r, _ in rows})
     prefixes = [()]
-    for rows in systems:
+    for rows in _box_hulls(data, weights):
         grown = []
         for prefix in prefixes:
-            rests = [(r[0] + _dot(r[1:], prefix), r[-1]) for r in rows if r[-1]]
+            rests = [(top * r[0] + _dot(r[1:], prefix), r[-1]) for r in rows if r[-1]]
             low = max(-(rest // a) for rest, a in rests if a > 0)
             high = min(rest // -a for rest, a in rests if a < 0)
             grown += [(*prefix, x) for x in range(low, high + 1)]
         prefixes = grown
     return [d for _, d in sorted((_dot(weights, d), d) for d in prefixes)]
+
+
+@lru_cache(maxsize=None)
+def _box_hulls(data: ToricData,
+               weights: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For k = 1..K, the rows (c, a) of the projection of P_1 onto d_1..d_k:
+    the facets of the cone over (1, 0) and (<w, g>, g) for the curve classes g,
+    cut to their first k + 1 coordinates.  The point of a class that is not
+    extreme lies on the face <w, d> = 1 and adds no vertex."""
+    points = [(1,) + (0,) * data.K] + [(_dot(weights, g), *g) for g in _curve_classes(data)]
+    return tuple(_facets([p[:k + 1] for p in points], k + 1) for k in range(1, data.K + 1))

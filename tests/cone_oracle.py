@@ -14,8 +14,8 @@ fixed points on each wall to find the curve classes.  ``cofactor_facets``
 tries every (K - 1)-subset of the generators for a facet.
 ``dual_cone_union``, ``union_facets`` and ``union_extreme_rays`` take the
 cone of the union of every fixed point's dual-cone generators.
-``rectangle_box`` is the box enumeration that Fourier-Motzkin projection
-replaced: it filters a rectangle of candidates by the bound and the facets.
+``rectangle_box`` is the box enumeration that projecting the box replaced:
+it filters a rectangle of candidates by the bound and the facets.
 ``scan_fixed_points`` and ``wall_graph`` are the fixed points and their graph
 that the simplex walk replaced: every K-subset of the columns is eliminated
 from scratch by the Bareiss adjugate of ``linalg_oracle`` (where the walk

@@ -633,6 +633,8 @@ def test_cli_malformed_edge_names_the_expected_form(capsys):
      "integrate-xd f1 --degree=-1,1 --phi 1 --samples 1"),
     ("integrate-xd f1 --degree -1,1 --phi -P1*P2 --samples 1",
      "integrate-xd f1 --degree=-1,1 --phi=-P1*P2 --samples 1"),
+    ("trace p1 --phi --P1 --samples 1", "trace p1 --phi=--P1 --samples 1"),
+    ("integrate-xd f1 --degree 0,0 --phi --p1", "integrate-xd f1 --degree 0,0 --phi=--p1"),
 ])
 def test_a_phi_or_degree_value_may_start_with_a_minus(spaced, joined, capsys):
     # The grammar's factor := '-' factor, and a degree in a skew basis, read
@@ -644,9 +646,11 @@ def test_a_phi_or_degree_value_may_start_with_a_minus(spaced, joined, capsys):
 
 
 def test_a_flag_without_its_value_is_still_refused(capsys):
-    # A flag that starts with '--', or -h, is not taken for the value.
+    # An option string of the command, or a prefix of one that argparse
+    # expands, is not taken for the value.
     for argv in (["trace", "p1", "--phi", "--samples", "1"],
                  ["trace", "p1", "--phi", "-h"],
+                 ["trace", "p1", "--phi", "--sam", "1"],
                  ["integrate-xd", "f1", "--phi", "1", "--degree", "--samples", "1"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -300,7 +300,7 @@ def test_fractional_bound_on_a_sheared_surface():
 
 
 @pytest.mark.parametrize("name, bounds", [("surface8", range(5)), ("threefold7x2", range(3)),
-                                          ("surface9", range(7))])
+                                          ("surface9", range(7)), ("surface10", range(5))])
 def test_box_degrees_match_the_rectangle(name, bounds):
     # The symmetric grid of ``oracle_box`` takes minutes at K = 6 and 8; the
     # rectangle the projection replaced takes seconds, and sorts the same way.
@@ -309,9 +309,16 @@ def test_box_degrees_match_the_rectangle(name, bounds):
         assert box_degrees(data, data.omega, bound) == rectangle_box(data, data.omega, bound)
 
 
+def clear_box_caches():
+    """Forget the classes, facets and hulls that a box reads, so that it is timed cold."""
+    for cached in (toric._curve_classes, toric._mori_facets, toric._box_hulls):
+        cached.cache_clear()
+
+
 def test_surface8_box_within_budget():
     # The rectangle took 16-22 s for these 534 degrees.
     data = resolve_model(str(DATA / "surface8.model")).data
+    clear_box_caches()
     start = time.perf_counter()
     degrees = box_degrees(data, data.omega, 6)
     elapsed = time.perf_counter() - start
@@ -320,16 +327,31 @@ def test_surface8_box_within_budget():
 
 
 def test_surface9_box_within_budget():
-    # Combining every pair of rows ran past 90 s on the bound-2 box of this
-    # 9-ray surface; Chernikov's rule keeps it to milliseconds.
+    # Eliminating the facets with every pair of rows combined ran past 90 s on
+    # the bound-2 box of this 9-ray surface.
     data = resolve_model(str(DATA / "surface9.model")).data
     fan = fan_surface(*SURFACE9)
     assert (data.m, data.omega) == (fan.m, fan.omega)
+    clear_box_caches()
     start = time.perf_counter()
     degrees = box_degrees(data, data.omega, 6)
     elapsed = time.perf_counter() - start
     assert len(degrees) == 23
     assert elapsed < 0.5, f"the bound-6 box took {elapsed:.2f} s"
+
+
+def test_surface10_box_within_budget():
+    # Elimination pruned by Chernikov's rule still kept 7,614 row-mask pairs
+    # after the sixth step here and took about 0.4 s; the hulls take milliseconds.
+    data = resolve_model(str(DATA / "surface10.model")).data
+    fan = fan_surface(*SURFACE10)
+    assert (data.m, data.omega) == (fan.m, fan.omega)
+    clear_box_caches()
+    start = time.perf_counter()
+    degrees = box_degrees(data, data.omega, 2)
+    elapsed = time.perf_counter() - start
+    assert len(degrees) == 4
+    assert elapsed < 0.05, f"the bound-2 box took {elapsed:.3f} s"
 
 
 # Smooth toric surfaces from their fans.
@@ -430,6 +452,9 @@ SURFACE8 = ([(1, 0), (0, 1), (-1, -1), (-2, -3), (-1, -2), (0, -1), (1, -1), (2,
             [0, 0, 12, 25, 14, 5, 3, 2])
 SURFACE9 = ([(1, 0), (0, 1), (-1, 2), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -2), (1, -1)],
             [32, 0, -18, -16, 0, 24, 32, 91, 60])
+SURFACE10 = ([(1, 0), (1, 1), (1, 2), (0, 1), (-1, 0), (-2, -1), (-1, -1), (0, -1), (1, -1),
+              (2, -1)],
+             [128, 112, 108, 0, -8, -10, 0, 64, 160, 287])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -475,6 +500,17 @@ def test_generated_surfaces_with_seven_and_eight_rays(fan):
         assert rank(tight) == data.K - 1
     bound = 2 * min(pairing(data.omega, g) for g in classes)
     assert box_degrees(data, data.omega, bound) == rectangle_box(data, data.omega, bound)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(fan=blown_up_fans(4, 9))
+def test_surface_times_line_boxes_match_the_rectangle(fan):
+    # The bound couples the factors, so the box is no product of boxes.
+    surface = fan_surface(*fan)
+    data = ToricData(m=product_rows(surface.m, ((1, 1),)), omega=(*surface.omega, 1))
+    least = min(pairing(data.omega, g) for g in toric._curve_classes(data))
+    for bound in (least, 2 * least):
+        assert box_degrees(data, data.omega, bound) == rectangle_box(data, data.omega, bound)
 
 
 def test_surface8_cone():
