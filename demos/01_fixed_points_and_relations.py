@@ -5,7 +5,7 @@ u_1 = u_2 = p_1, u_3 = p_2, u_4 = p_2 - p_1, together with a chamber point in
 the open first quadrant.  Everything below is exact.
 """
 
-from qtoric.kirwan import kirwan_relations, spectrum_point_count, verify_relations_at_fixed_points
+from qtoric.kirwan import kirwan_relations, verify_relations_at_fixed_points
 from qtoric.models import hirzebruch
 from qtoric.scalars import sample_context
 from qtoric.toric import (
@@ -52,5 +52,3 @@ for rel in kirwan_relations(data):
 ctx = sample_context(data.N, seed=7)
 report = verify_relations_at_fixed_points(data, ctx)
 print(f"relations vanish on every fixed point: {report['ok']}")
-count = spectrum_point_count(data, ctx)
-print(f"isolated solutions of the relation equations at a generic sample: {count}")

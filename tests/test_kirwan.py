@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -9,13 +10,9 @@ from kirwan_oracle import has_empty_intersection, minimal_transversals, scan_rel
 from test_mori_cone import blown_up_fans, fan_surface
 
 from qtoric import cli, kirwan
-from qtoric.kirwan import (
-    kirwan_relations,
-    spectrum_point_count,
-    verify_relations_at_fixed_points,
-)
+from qtoric.kirwan import kirwan_relations, verify_relations_at_fixed_points
 from qtoric.models import resolve_model
-from qtoric.scalars import DegenerateSampleError, sample_context, with_resampling
+from qtoric.scalars import DegenerateSampleError, sample_context
 from qtoric.toric import ToricData, divisor_values, enumerate_fixed_points
 
 DATA = Path(__file__).parent / "data"
@@ -115,26 +112,31 @@ def test_f1_nonequivariant_presentation(f1):
     assert multiply([linear_form(j) for j in rel2]) == {(0, 2): 1, (1, 1): -1}
 
 
-def test_spectrum_count_matches_fixed_points(all_models):
-    for data in all_models:
-        expected = len(enumerate_fixed_points(data))
-        for i in range(20):
-            count, _ = with_resampling(
-                lambda t, i=i: sample_context(data.N, 23, i * 50 + t),
-                lambda c: spectrum_point_count(data, c),
-            )
-            assert count == expected
+def collided_context(data, seed):
+    """The seed's first context with every parameter set to 2, so that on P^1
+    both fixed points' P values meet."""
+    ctx = sample_context(data.N, seed)
+    return ctx._replace(Lambda=(Fraction(2),) * data.N)
 
 
 def test_spectrum_count_degenerate_sample(p1):
-    ctx = sample_context(p1.N, 1)
-    collided = ctx.__class__(q=ctx.q, Lambda=(Fraction(2), Fraction(2)),
-                             lam=ctx.lam, z=ctx.z)
-    try:
-        spectrum_point_count(p1, collided)
-    except DegenerateSampleError:
-        return
-    raise AssertionError("expected a degenerate-sample error")
+    # Two branches meeting at one point make the sample degenerate: the
+    # relation check raises before it checks anything.
+    with pytest.raises(DegenerateSampleError, match="two branches met at the same solution"):
+        verify_relations_at_fixed_points(p1, collided_context(p1, 1))
+
+
+def test_kirwan_resamples_a_collided_first_context(p1, monkeypatch, capsys):
+    # The command skips the collided context, says why, and checks the next one.
+    def contexts(n, seed, index=0):
+        return collided_context(p1, seed) if index == 0 else sample_context(n, seed, index)
+
+    monkeypatch.setattr(cli, "sample_context", contexts)
+    assert cli.main(["kirwan", "p1", "--samples", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["resamples"] == [
+        {"index": 0, "reason": "DegenerateSampleError: two branches met at the same solution"}]
+    assert report["result"]["spectrum_points"] == report["result"]["fixed_points"] == 2
 
 
 def test_relations_are_computed_once_per_model():

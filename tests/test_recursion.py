@@ -335,6 +335,7 @@ def test_a_multi_edge_run_draws_its_base_sample_once(monkeypatch, capsys):
 def test_the_trace_and_the_recursion_share_one_cotangent_kernel(monkeypatch, capsys):
     # phi^alpha has one kernel: a copy that drops its last factor moves the
     # trace's chi(O) off 1, and the residue route's Euler class off the forms route's.
+    # trace's ok is chi(O) = 1, so it fails whatever class it sums.
     assert recursion.cotangent_pair is localization.cotangent_pair is scalars.cotangent_pair
 
     def dropped(pairs):
@@ -342,9 +343,13 @@ def test_the_trace_and_the_recursion_share_one_cotangent_kernel(monkeypatch, cap
 
     for module in (localization, recursion):
         monkeypatch.setattr(module, "cotangent_pair", dropped)
-    cli.main(["trace", "f1", "--phi", "1", "--samples", "1", "--seed", "11"])
-    [row] = json.loads(capsys.readouterr().out)["result"]["values"]
-    assert row["value"] != "1"
+    assert cli.main(["trace", "f1", "--phi", "1", "--samples", "1", "--seed", "11"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    [row] = report["result"]["values"]
+    assert row["value"] != "1" and report["ok"] is False
+    assert cli.main(["trace", "f1", "--phi", "3*P1^2*P2 - P1 + 5/2", "--samples", "1",
+                     "--seed", "11"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
     assert cli.main(["verify-recursion", "f1", "--m", "2", "--samples", "1",
                      "--seed", "11"]) == 1
     edges = json.loads(capsys.readouterr().out)["result"]["edges"]

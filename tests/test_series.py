@@ -20,10 +20,17 @@ from qtoric.models import (
     projective_space,
 )
 from qtoric.recursion import all_orbits, root_context
-from qtoric.scalars import DoublePoleError, PoleError, TruncationError, sample_context
+from qtoric.scalars import (
+    DoublePoleError,
+    PoleError,
+    TruncationError,
+    sample_context,
+    with_resampling,
+)
 from qtoric.series import (
     BundleData,
     NovikovSeries,
+    TruncationBox,
     adams,
     assemble_series,
     cohomological_series,
@@ -529,6 +536,49 @@ def test_bundle_reciprocity_through_the_walk(base, exponents):
                             (None, BundleData(exponents, "E"), BundleData(exponents, "PiE")))
         for d in box.degrees:
             assert even.coefficient(d) * odd.coefficient(d) == plain.coefficient(d) ** 2, d
+
+
+# Split bundles read as toric columns: (base, fibre exponents, K rows by L summands).
+COLUMN_BUNDLES = [
+    ("p2", ((1, 2),)),                 # O(1) + O(2) over P^2
+    ("p2", ((-3,),)),                  # O(-3), the total space K_{P^2}
+    ("p2", ((-1, 2),)),                # O(-1) + O(2)
+    ("p1", ((-1, -1),)),               # O(-1) + O(-1), the resolved conifold
+    ("p1", ((-2, 1),)),                # O(-2) + O(1)
+    ("f1", ((1, -1), (0, 2))),         # F_1, a 2-row block with a negative entry
+    ("p1xp1", ((1,), (1,))),           # O(1, 1) over P^1 x P^1
+    ("p1xp1", ((-1, 2), (1, -1))),     # O(-1, 1) + O(2, -1)
+]
+
+
+@pytest.mark.parametrize("seed", [11, 23])
+@pytest.mark.parametrize("base, exponents", COLUMN_BUNDLES, ids=str)
+def test_a_bundle_summand_is_one_more_toric_column(base, exponents, seed):
+    # Summand a, with exponents l_{.a}, is the column l_{.a} of the total space,
+    # and its fibre weight lam V_a(alpha) is that column's U value at
+    # Lambda_{N+a} = 1/lam. The total space may not be compact, so it is not
+    # walked: each base fixed point is extended from its own basis. The column
+    # route equals the E twist, and times the PiE twist gives the untwisted
+    # series squared, at every box degree.
+    data = BUNDLE_BASES[base]
+    ext = ToricData([row + l for row, l in zip(data.m, exponents)], data.omega)
+    box = truncation_box(data, 4)
+    ext_box = TruncationBox(data=ext, ample=box.ample, bound=box.bound, degrees=box.degrees)
+
+    def check(ctx):
+        ext_ctx = ctx._replace(Lambda=ctx.Lambda + (1 / ctx.lam,) * len(exponents[0]))
+        for fp in enumerate_fixed_points(data):
+            ext_fp = toric._build_fixed_point(ext, fp.J, fp.det,
+                                              [[fp.det * x for x in r] for r in fp.q_monomials])
+            columns = component_series(ext, ext_fp, ext_box, ext_ctx)
+            plain, even, odd = (component_series(data, fp, box, ctx, bundle=bundle) for bundle in
+                                (None, BundleData(exponents, "E"), BundleData(exponents, "PiE")))
+            assert columns.coeffs == even.coeffs, fp.J
+            for d in box.degrees:
+                assert odd.coefficient(d) * columns.coefficient(d) == \
+                    plain.coefficient(d) ** 2, (fp.J, d)
+
+    with_resampling(lambda t: sample_context(data.N, seed, t), check)
 
 
 def _crafted_fibres(p2, toric, s, t):
