@@ -44,29 +44,23 @@ def kirwan_relations(data: ToricData) -> tuple[tuple[int, ...], ...]:
 def verify_relations_at_fixed_points(data: ToricData, ctx: SampleContext) -> dict:
     """Every relation must vanish identically on every fixed-point branch.
 
-    K-theoretically some factor 1 - U_j(alpha) with j in J cap J(alpha) is
-    exactly zero; cohomologically some u_j(p(alpha)) vanishes.  A product of
-    rationals is 0 exactly when a factor is, so each side looks for a
-    vanishing factor.  A violation is a data inconsistency and is reported,
-    not raised.  Two fixed points whose P values meet at the sample make it
-    degenerate: ``DegenerateSampleError``, before any check.
+    K-theoretically some factor 1 - U_j(alpha) with j in the relation is
+    exactly zero; cohomologically some u_j(p(alpha)) is.  A product of
+    rationals is 0 exactly when a factor is, so each fixed point's vanishing
+    columns, on each side, are read once, and a relation vanishes there when
+    it meets both sets.  Every relation meets J(alpha) (``kirwan_relations``),
+    so a failing row is inconsistent fixed-point data: reported, not raised.
+    Two fixed points whose P values meet at the sample make it degenerate:
+    ``DegenerateSampleError``, before any check.
     """
     fps = enumerate_fixed_points(data)
     points = {fp.p_values(ctx.Lambda) for fp in fps}
     if len(points) != len(fps):
         raise DegenerateSampleError("two branches met at the same solution")
-    report = {"ok": True, "checks": []}
-    values = [(fp, fp.u_values(ctx.Lambda), divisor_values(data, fp, ctx.Lambda)) for fp in fps]
-    for relation in kirwan_relations(data):
-        for fp, uvals, dvals in values:
-            k_vanishes = any(uvals[j] == 1 for j in relation)
-            coh_vanishes = any(dvals[j] == 0 for j in relation)
-            structural = bool(set(relation) & set(fp.J))
-            ok = structural and k_vanishes and coh_vanishes
-            report["checks"].append({
-                "relation": [j + 1 for j in relation],
-                "alpha": [j + 1 for j in fp.J],
-                "ok": ok,
-            })
-            report["ok"] = report["ok"] and ok
-    return report
+    zeros = [(fp.J, {j for j, u in enumerate(fp.u_values(ctx.Lambda)) if u == 1},
+              {j for j, u in enumerate(divisor_values(data, fp, ctx.Lambda)) if u == 0})
+             for fp in fps]
+    checks = [{"relation": [j + 1 for j in relation], "alpha": [j + 1 for j in J],
+               "ok": not (k_zeros.isdisjoint(relation) or coh_zeros.isdisjoint(relation))}
+              for relation in kirwan_relations(data) for J, k_zeros, coh_zeros in zeros]
+    return {"ok": all(row["ok"] for row in checks), "checks": checks}

@@ -177,8 +177,8 @@ def series_exp(s: NovikovSeries) -> NovikovSeries:
     out = {zero: Fraction(1)}
     for d in box.degrees:
         if d != zero:
-            total = sum(wc * out.get(tuple(x - y for x, y in zip(d, e)), 0)
-                        for e, wc in weighted)
+            total = sum(wc * out[source] for e, wc in weighted
+                        if (source := tuple(x - y for x, y in zip(d, e))) in out)
             out[d] = total / box.pairing(d)
     return NovikovSeries(box, out)
 
@@ -255,26 +255,20 @@ def point_sum_form(monomials: Iterable[Sequence[int]], box: TruncationBox,
     weights = [box.pairing(g) for g in gens]
     if any(w <= 0 for w in weights):
         raise InvalidModelError("every point-series monomial must pair positively with ample")
-    # Enumerate exponent tuples k with bounded ample pairing; the value
-    # carried along is prod_j 1/(q; q)_{k_j}, the finite ratio at u = 1.
+    # Spread the sum one generator at a time: a degree d reached so far goes
+    # to d + k g while the pairing stays within the bound, times 1/(q; q)_k,
+    # the finite ratio at u = 1.
     inverse_pochhammer = ratio_table(1, (box.bound // w for w in weights), ctx.q)
-    coeffs: dict[Degree, object] = {}
-    zero = tuple(0 for _ in range(box.data.K))
-
-    def enumerate_tuples(pos: int, degree: Degree, budget: Fraction, value):
-        coeffs[degree] = coeffs.get(degree, Fraction(0)) + value
-        for p in range(pos, len(gens)):
-            if weights[p] <= budget:
-                d2 = degree
-                b2 = budget
-                count = 0
-                while weights[p] <= b2:
-                    count += 1
-                    d2 = tuple(x + y for x, y in zip(d2, gens[p]))
-                    b2 -= weights[p]
-                    enumerate_tuples(p + 1, d2, b2, value * inverse_pochhammer[count])
-
-    enumerate_tuples(0, zero, box.bound, Fraction(1))
+    coeffs: dict[Degree, object] = {tuple(0 for _ in range(box.data.K)): Fraction(1)}
+    for g, w in zip(gens, weights):
+        spread: dict[Degree, object] = {}
+        for d, value in coeffs.items():
+            budget, k = box.bound - box.pairing(d), 0
+            while k * w <= budget:
+                dk = tuple(x + k * y for x, y in zip(d, g))
+                spread[dk] = spread.get(dk, 0) + value * inverse_pochhammer[k]
+                k += 1
+        coeffs = spread
     return NovikovSeries(box, coeffs)
 
 

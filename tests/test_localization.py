@@ -15,8 +15,9 @@ from test_mori_cone import models as family_rows
 from test_word_tables import MODELS, model
 from qtoric.exprs import ZeroDivisorError, parse_expression
 from qtoric.kirwan import kirwan_relations
-from qtoric.models import bundled_model_names
+from qtoric.models import bundled_model_names, resolve_model
 from qtoric.localization import (
+    _class_env,
     cohomology_integral,
     ktheory_trace,
     map_space_integral,
@@ -29,6 +30,7 @@ from qtoric.scalars import (
     sample_context,
     with_resampling,
 )
+from qtoric.series import cohomological_series, truncation_box
 from qtoric.toric import (
     ToricData,
     _weighted_sums,
@@ -103,6 +105,53 @@ def test_trace_expression_tree(f1):
     assert ktheory_trace(f1, expr, ctx) == ktheory_trace(f1, phi, ctx)
 
 
+def cox_sections(data, a, grading):
+    """The Cox-ring monomials x^k of degree m k = a, as exponent tuples k >= 0,
+    by a knapsack over the columns' positive degrees <grading, m_j>."""
+    weights = [sum(y * mij for y, mij in zip(grading, column)) for column in data.columns]
+    assert min(weights) > 0
+    budget = sum(y * x for y, x in zip(grading, a))
+    found = []
+
+    def extend(k, left):
+        if len(k) == data.N:
+            if tuple(sum(mij * kj for mij, kj in zip(row, k)) for row in data.m) == tuple(a):
+                found.append(k)
+            return
+        for kj in range(left // weights[len(k)] + 1):
+            extend(k + (kj,), left - kj * weights[len(k)])
+
+    extend((), budget)
+    return found
+
+
+# Per model: a grading positive on every column, and nef degrees a.
+SECTION_CASES = {
+    "p1": ((1,), [(0,), (1,), (2,), (5,)]),
+    "p2": ((1,), [(1,), (2,), (3,)]),
+    "p1xp1": ((1, 1), [(1, 0), (1, 2), (2, 1), (0, 3)]),
+    "f1": ((1, 2), [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2)]),
+    "p2_o1_o2": ((1,), [(2,)]),
+}
+
+
+@pytest.mark.parametrize("seed", [11, 23])
+@pytest.mark.parametrize("name", SECTION_CASES)
+def test_trace_of_a_nef_line_bundle_is_its_sections(name, seed):
+    # For nef a, the higher cohomology of the line bundle of P^-a vanishes
+    # (Demazure), so its trace is the character of its sections, the Cox-ring
+    # monomials of degree a: sum over k >= 0 with m k = a of prod_j L_j^-k_j.
+    grading, degrees = SECTION_CASES[name]
+    data = resolve_model(name).data
+    ctx = sample_context(data.N, seed)
+    for a in degrees:
+        assert all(sum(x * y for x, y in zip(a, g)) >= 0 for g in mori_generators(data))
+        phi = parse_expression("*".join(f"P{i + 1}^-{x}" for i, x in enumerate(a)))
+        sections = sum(prod(lam ** -kj for lam, kj in zip(ctx.Lambda, k))
+                       for k in cox_sections(data, a, grading))
+        assert ktheory_trace(data, phi, ctx) == sections, a
+
+
 def test_integral_dimension_axiom(p1, f1):
     ctx = sample_context(p1.N, 23)
     assert cohomology_integral(p1, lambda env: Fraction(1), ctx) == 0
@@ -165,6 +214,53 @@ def test_map_space_f1_with_obstruction(f1):
         ctx = sample_context(f1.N, seed)
         values.add(map_space_integral(f1, (1, 0), top, ctx))
     assert len(values) == 1
+
+
+def loop_pairing(data, d, phi, ctx):
+    """sum_alpha (1/e_alpha) sum_{d' + d'' = d} phi(p(alpha) + d' z) I^alpha_d'(-z) I^alpha_d''(z),
+    with I^alpha the cohomological series on the box to <omega, d> and e_alpha
+    the product of u_j(alpha) over j off J(alpha)."""
+    box = truncation_box(data, sum(w * x for w, x in zip(data.omega, d)))
+    env, names = _class_env(data, ctx, "p", "l")
+    total = Fraction(0)
+    for fp in enumerate_fixed_points(data):
+        at_minus_z = cohomological_series(data, fp, box, ctx._replace(z=-ctx.z))
+        at_z = cohomological_series(data, fp, box, ctx)
+        euler = prod(u for j, u in enumerate(divisor_values(data, fp, ctx.Lambda))
+                     if j not in fp.J)
+        p = _weighted_sums(fp.p_monomials, ctx.Lambda)
+        for d1, c1 in at_minus_z.coeffs.items():
+            c2 = at_z.coefficient(tuple(x - y for x, y in zip(d, d1)))
+            env.update(zip(names, (pi + di * ctx.z for pi, di in zip(p, d1))))
+            total += phi.evaluate(env) * c1 * c2 / euler
+    return total
+
+
+LOOP_CASES = [("p1", (1,)), ("p1", (2,)), ("p2", (1,)), ("p2", (2,)),
+              ("p1xp1", (1, 0)), ("p1xp1", (1, 1)), ("p1xp1", (2, 1)),
+              ("f1", (0, 1)), ("f1", (1, 1)), ("f1", (1, 2))]
+
+
+@pytest.mark.parametrize("name, d", LOOP_CASES)
+def test_map_space_integral_is_the_loop_pairing(name, d):
+    # Localizing on X_d splits d = d' + d'' between the sphere's two poles:
+    # the integral is the pairing of the I-function at -z with itself at z.
+    # Where some D_j(d) < 0 (f1 at (1, 0) and (2, 1)) the obstruction
+    # factors are not this pairing, so those degrees are left out.  Classes
+    # below dim X_d = sum_j (D_j(d) + 1) - K integrate to 0 on both sides.
+    data = resolve_model(name).data
+    pairing = degree_pairing(data, d)
+    assert min(pairing) >= 0
+    dim = sum(x + 1 for x in pairing) - data.K
+    forms = (" + ".join(f"{i + 2}*p{i + 1}" for i in range(data.K)) + " + l1 - z",
+             "p1 - 3*l2 + 2*z")
+    for form in forms:
+        for power in (dim, dim + 1):
+            phi = parse_expression(f"({form})^{power}")
+            for seed in (11, 23):
+                ctx = sample_context(data.N, seed)
+                assert map_space_integral(data, d, phi, ctx) == loop_pairing(data, d, phi, ctx), \
+                    (form, power, seed)
 
 
 def test_map_space_refuses_a_non_integral_degree(p1, f1):

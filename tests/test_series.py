@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +19,7 @@ from qtoric.models import (
     load_bundled_model,
     product_of_lines,
     projective_space,
+    resolve_model,
 )
 from qtoric.recursion import all_orbits, root_context
 from qtoric.scalars import (
@@ -429,6 +431,46 @@ def test_component_support_is_dual_cone(all_models):
                 if all(degree_pairing(data, d)[j] >= 0 for j in fp.J)
             }
             assert set(series.coeffs) == expected
+
+
+def cone_points(box, gens):
+    """Sum_j k_j g_j over k >= 0 with ample pairing within the box's bound, by a
+    knapsack over the generators g_j."""
+    weights = [box.pairing(g) for g in gens]
+    points = set()
+
+    def extend(j, d, left):
+        if j == len(gens):
+            points.add(d)
+            return
+        k = 0
+        while k * weights[j] <= left:
+            extend(j + 1, tuple(x + k * y for x, y in zip(d, gens[j])), left - k * weights[j])
+            k += 1
+
+    extend(0, tuple(0 for _ in range(box.data.K)), box.bound)
+    return points
+
+
+SUPPORT_CASES = [
+    *((name, bound) for name in bundled_model_names() for bound in (0, 3, 6)),
+    ("surface8", 6), ("surface9", 3), ("surface10", 3), ("threefold7", 4), ("threefold7x2", 2),
+]
+
+
+@pytest.mark.parametrize("name, bound", SUPPORT_CASES)
+def test_component_support_is_the_cone_lattice_points(name, bound):
+    # Component alpha vanishes off its unimodular cone, whose generators are
+    # its q_monomials, and nowhere on it at a generic sample: the walk's keys
+    # are the cone's lattice points under the bound, in both modes.
+    path = Path(__file__).parent / "data" / f"{name}.model"
+    data = resolve_model(str(path) if path.is_file() else name).data
+    box = truncation_box(data, bound)
+    ctx = sample_context(data.N, 11)
+    for fp in enumerate_fixed_points(data):
+        expected = cone_points(box, fp.q_monomials)
+        assert set(component_series(data, fp, box, ctx).coeffs) == expected, fp.J
+        assert set(cohomological_series(data, fp, box, ctx).coeffs) == expected, fp.J
 
 
 def test_component_matches_displayed_split(f1):
