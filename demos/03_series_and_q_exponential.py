@@ -8,14 +8,7 @@ plain sum over the cone equals the exponential of divided powers.
 
 from qtoric.models import hirzebruch
 from qtoric.scalars import sample_context
-from qtoric.series import (
-    NovikovSeries,
-    adams,
-    assemble_series,
-    point_series,
-    series_exp,
-    truncation_box,
-)
+from qtoric.series import assemble_series, point_series, truncation_box
 from qtoric.toric import enumerate_fixed_points
 
 data = hirzebruch()
@@ -42,19 +35,9 @@ for fp in enumerate_fixed_points(data):
 print()
 
 print("the same identity rebuilt through Adams operations (sampled q):")
-# tau has q-free coefficients, so Psi^k only moves degrees (Q^g -> Q^{kg});
-# the q -> q^k coupling is the weight 1/k(1-q^k).
-fp = enumerate_fixed_points(data)[0]
-pair = point_series(fp.q_monomials, box, ctx)
-tau = NovikovSeries(box, {g: 1 for g in fp.q_monomials})
-arg = {}
-k = 1
-while True:
-    term = adams(tau, k)
-    if not term.coeffs:
-        break
-    for d, c in term.scale(1 / (k * (1 - ctx.q ** k))).coeffs.items():
-        arg[d] = arg.get(d, 0) + c
-    k += 1
+# point_series builds its exp form as exp(sum_k Psi^k(tau)/k(1-q^k)) with
+# tau = sum_j Q_j: tau has q-free coefficients, so Psi^k only moves degrees
+# (Q^g -> Q^{kg}), and the q -> q^k coupling is the weight 1/k(1-q^k).
+pair = point_series(enumerate_fixed_points(data)[0].q_monomials, box, ctx)
 print(f"  exp(sum_k Psi^k(tau)/k(1-q^k)) == both forms: "
-      f"{series_exp(NovikovSeries(box, arg)) == pair.exp_form == pair.sum_form}")
+      f"{pair.exp_form == pair.sum_form}")

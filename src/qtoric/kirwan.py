@@ -58,7 +58,7 @@ def verify_relations_at_fixed_points(data: ToricData, ctx: SampleContext) -> dic
     if len(points) != len(fps):
         raise DegenerateSampleError("two branches met at the same solution")
     zeros = [(fp.J, {j for j, u in enumerate(fp.u_values(ctx.Lambda)) if u == 1},
-              {j for j, u in enumerate(divisor_values(data, fp, ctx.Lambda)) if u == 0})
+              {j for j, u in enumerate(divisor_values(fp, ctx.Lambda)) if u == 0})
              for fp in fps]
     checks = [{"relation": [j + 1 for j in relation], "alpha": [j + 1 for j in J],
                "ok": not (k_zeros.isdisjoint(relation) or coh_zeros.isdisjoint(relation))}

@@ -28,6 +28,7 @@ coefficients are never multiplied.  An absent coefficient is None.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Callable, Sequence
 
 from .scalars import SampleContext, binomial, linear, power_product, ratio_table
@@ -44,37 +45,27 @@ from .toric import (
 Factors = Sequence[tuple[int, int]]
 
 
-def apply_gamma_ratio(series: NovikovSeries, j: int, lam_value, q,
-                      pairings: dict) -> NovikovSeries:
-    """The ratio of Gamma-operator symbols attached to column j, in finite form.
-
-    Acting on Q^d it multiplies by the finite ratio of lam at depth D_j(d),
-    read from one ``ratio_table`` over the depths of the support; no infinite
-    products are ever materialized.  ``pairings`` maps each support degree d
-    to the model's ``degree_pairing(data, d)``.
-    """
-    depth = {d: pairings[d][j] for d in series.coeffs}
-    table = ratio_table(lam_value, depth.values(), q)
-    return series.map_with_degree(lambda d, c: c * table[depth[d]])
-
-
 def gamma_reconstruction(data: ToricData, fp: FixedPoint, box: TruncationBox,
                          ctx: SampleContext) -> tuple[NovikovSeries, NovikovSeries]:
     """Rebuild the fixed-point component from the point series.
 
-    Applying, for every column off the fixed point, the Gamma-ratio operator
+    Applying, for every column j off the fixed point, the Gamma-ratio operator
     with weight U_j(alpha) to the point-series sum form must reproduce the
-    component series exactly.  Only the sum form is built: its agreement with
-    the q-exponential is ``point_series``'s own check.  Each support degree's
-    ``degree_pairing`` is computed once, for every column.
+    component series exactly.  On Q^d that operator multiplies by the finite
+    ratio of U_j(alpha) at depth D_j(d), read from one ``ratio_table`` per
+    column over the depths of the sum form's support (``box.pairings``), so no
+    infinite product is materialized; each coefficient then takes all of its
+    ratios in one pass.  Only the sum form is built: its agreement with the
+    q-exponential is ``point_series``'s own check.
     """
-    rebuilt = point_sum_form(fp.q_monomials, box, ctx)
-    pairings = {d: degree_pairing(data, d) for d in rebuilt.coeffs}
+    sum_form = point_sum_form(fp.q_monomials, box, ctx)
+    depths = [box.pairings[d] for d in sum_form.coeffs]
     uvals = fp.u_values(ctx.Lambda)
-    for j in range(data.N):
-        if j not in fp.J:
-            rebuilt = apply_gamma_ratio(rebuilt, j, uvals[j], ctx.q, pairings)
-    return rebuilt, component_series(data, fp, box, ctx)
+    tables = [(j, ratio_table(uvals[j], (depth[j] for depth in depths), ctx.q))
+              for j in range(data.N) if j not in fp.J]
+    rebuilt = {d: prod((table[depth[j]] for j, table in tables), start=c)
+               for (d, c), depth in zip(sum_form.coeffs.items(), depths)}
+    return NovikovSeries(box, rebuilt), component_series(data, fp, box, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +129,7 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int],
     d0 = integral_degree(d0)
     return _report(_verify_shift(
         data, family, d0, *_relation_sides(degree_pairing(data, d0)),
-        lambda fp: [linear(u, ctx.z) for u in divisor_values(data, fp, ctx.Lambda)],
+        lambda fp: [linear(u, ctx.z) for u in divisor_values(fp, ctx.Lambda)],
         f"Q^{d0} relation", swap=True))
 
 

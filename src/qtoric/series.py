@@ -146,11 +146,8 @@ class NovikovSeries:
             )
         return Fraction(0)
 
-    def map_with_degree(self, fn: Callable) -> "NovikovSeries":
-        return NovikovSeries(self.box, {d: fn(d, c) for d, c in self.coeffs.items()})
-
     def scale(self, a) -> "NovikovSeries":
-        return self.map_with_degree(lambda d, c: c * a)
+        return NovikovSeries(self.box, {d: c * a for d, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, NovikovSeries)
@@ -280,20 +277,20 @@ def point_series(monomials: Iterable[Sequence[int]], box: TruncationBox,
     ``q_monomials``; a non-integral entry is a ValueError (``integral_degree``).
 
     sum form:  ``point_sum_form``,
-    exp form:  exp( sum_{k>0} sum_j Q_j^k / k(1 - q^k) ), by ``series_exp``.
+    exp form:  exp( sum_{k>0} Psi^k(tau) / k(1 - q^k) ), tau = sum_j Q_j cut to the
+               box, by ``adams``, ``scale`` and ``series_exp``, until Psi^k(tau) is 0.
     """
     gens = [integral_degree(m) for m in monomials]
     sum_form = point_sum_form(gens, box, ctx)
-    q = ctx.q
-    # The sum form's ratio table covered every k below, so 1 - q^k != 0 there.
+    # tau is q-free, so Psi^k moves degrees and its q -> q^k half is the weight
+    # 1/k(1 - q^k); the sum form's ratio table covered every k below, so 1 - q^k != 0.
+    tau = NovikovSeries(box, {g: gens.count(g) for g in gens if box.contains(g)})
     arg: dict[Degree, object] = {}
-    for g in gens:
-        w = box.pairing(g)
-        k = 1
-        while k * w <= box.bound:
-            kd = tuple(k * x for x in g)
-            arg[kd] = arg.get(kd, Fraction(0)) + 1 / (Fraction(k) * (1 - q ** k))
-            k += 1
+    k = 1
+    while (term := adams(tau, k)).coeffs:
+        for d, c in term.scale(1 / (k * (1 - ctx.q ** k))).coeffs.items():
+            arg[d] = arg.get(d, 0) + c
+        k += 1
     exp_form = series_exp(NovikovSeries(box, arg))
     return PointSeriesPair(sum_form=sum_form, exp_form=exp_form)
 
@@ -476,7 +473,7 @@ def cohomological_series(data: ToricData, fp: FixedPoint, box: TruncationBox,
     u_j(p(alpha)) = 0 on J(alpha), so the r = 0 factor is the same kill rule.
     """
     factors = [_order_zero(ratio_factor(u, z=ctx.z))
-               for u in divisor_values(data, fp, ctx.Lambda)]
+               for u in divisor_values(fp, ctx.Lambda)]
     return NovikovSeries._from_walk(box, _ratio_products(data, fp, box, factors, _fraction))
 
 

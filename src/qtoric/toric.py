@@ -21,7 +21,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -101,9 +101,9 @@ class ToricData(_ToricFields):
 
     @cached_property
     def _integral_omega(self) -> tuple[int, ...]:
-        """omega times the lcm of its denominators: its signs and ratios, in ints."""
-        scale = lcm(*(w.denominator for w in self.omega))
-        return tuple(w.numerator * (scale // w.denominator) for w in self.omega)
+        """omega times the lcm of its denominators (``common_denominator``): its
+        signs and ratios, in ints."""
+        return tuple(common_denominator(self.omega)[1])
 
 
 class FixedPoint(NamedTuple):
@@ -414,9 +414,7 @@ def mori_generators(data: ToricData) -> list[tuple[int, ...]]:
     return [g for g, t in zip(classes, tight) if sum(s & t == t for s in tight) == 1]
 
 
-def divisor_values(
-    data: ToricData, fp: FixedPoint, lambdas: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
+def divisor_values(fp: FixedPoint, lambdas: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """u_j(p(alpha)) = sum_i p_i m_ij - lambda_j, read off U_j's exponents; zero on J(alpha)."""
     return _weighted_sums(fp.u_monomials, lambdas)
 
@@ -449,9 +447,8 @@ def box_degrees(
     projection k leaves for each prefix d_1..d_{k-1}.
     """
     gens = _curve_classes(data)
-    ample = [Fraction(a) for a in ample]
-    scale = lcm(*(a.denominator for a in ample))
-    weights = tuple(a.numerator * (scale // a.denominator) for a in ample)
+    scale, weights = common_denominator([Fraction(a) for a in ample])
+    weights = tuple(weights)
     if any(_dot(weights, g) <= 0 for g in gens):
         raise InvalidModelError("ample class must pair positively with every Mori generator")
     bound = Fraction(bound)

@@ -10,6 +10,12 @@ expression is read by walking its tree.  The integrals divide each term by
 the tangent Euler class alone, as the library does.  ``map_space_model``
 builds the extended model whose obstructions this ``map_space_integral``
 reads; the library reads them off the degree pairing.
+
+Two routes read other things than the library's integrals, so that each
+integral meets a second computation: ``cox_sections`` counts the sections of
+a nef line bundle, which its trace must equal, and ``loop_pairing`` pairs the
+cohomological I-function at -z with itself at z, which the integral over a
+sphere space must equal.
 """
 
 from __future__ import annotations
@@ -19,10 +25,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Mapping, Sequence
 
 from qtoric.exprs import ExprError, ZeroDivisorError
 from qtoric.scalars import PoleError, SampleContext
+from qtoric.series import cohomological_series, truncation_box
 from qtoric.toric import (
     FixedPoint,
     ToricData,
@@ -45,8 +53,7 @@ def equivariant_p_values(data: ToricData, fp: FixedPoint,
     return _weighted_sums(fp.p_monomials, lambdas)
 
 
-def divisor_values(data: ToricData, fp: FixedPoint,
-                   lambdas: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def divisor_values(fp: FixedPoint, lambdas: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return _weighted_sums(fp.u_monomials, lambdas)
 
 
@@ -191,7 +198,7 @@ def cohomology_integral(data: ToricData, phi, ctx: SampleContext) -> Fraction:
     total = Fraction(0)
     for fp in enumerate_fixed_points(data):
         pvals = equivariant_p_values(data, fp, ctx.Lambda)
-        dvals = divisor_values(data, fp, ctx.Lambda)
+        dvals = divisor_values(fp, ctx.Lambda)
         denom = Fraction(1)
         for j in range(data.N):
             if j in fp.J:
@@ -225,7 +232,7 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
         # lambda_j + r_j z on J moves p(alpha) by z times the integer shift
         # s_i = sum_j e_ij r_j, with the weights e_ij that read p off the lambdas.
         pvals = equivariant_p_values(data, fp, ctx.Lambda)
-        dvals = divisor_values(data, fp, ctx.Lambda)
+        dvals = divisor_values(fp, ctx.Lambda)
         ranges = [range(pairing[j] + 1) for j in fp.J]
         for shifts in product(*ranges):
             chosen = set(zip(fp.J, shifts))
@@ -246,3 +253,61 @@ def map_space_integral(data: ToricData, d: Sequence[int], phi,
                 denom *= factor
             total += numerator / denom
     return total
+
+
+# -- second routes: the sections of a line bundle, and the loop pairing -------
+
+
+def cox_sections(data: ToricData, a: Sequence[int],
+                 grading: Sequence[int]) -> list[tuple[int, ...]]:
+    """The Cox-ring monomials x^k of degree m k = a, as exponent tuples k >= 0.
+
+    ``grading`` must pair positively with every column, so sum_j k_j <grading,
+    m_j> = <grading, a> bounds each k_j.  Off the columns J of the first fixed
+    point the k_j run by a knapsack over those degrees; on J they are solved
+    for, as that fixed point's dual-cone generators g_t have <m_{J[s]}, g_t> =
+    delta_st: k_{J[t]} = <a - sum_{j off J} k_j m_j, g_t>, an int, kept if >= 0.
+    """
+    weights = [sum(y * mij for y, mij in zip(grading, column)) for column in data.columns]
+    assert min(weights) > 0
+    fp = enumerate_fixed_points(data)[0]
+    off = [j for j in range(data.N) if j not in fp.J]
+    found = []
+
+    def extend(k_off, left):
+        if len(k_off) < len(off):
+            j = off[len(k_off)]
+            for kj in range(left // weights[j] + 1):
+                extend(k_off + (kj,), left - kj * weights[j])
+            return
+        rest = [x - sum(kj * data.m[i][j] for j, kj in zip(off, k_off)) for i, x in enumerate(a)]
+        k_on = [sum(g_i * r_i for g_i, r_i in zip(g, rest)) for g in fp.q_monomials]
+        if min(k_on) >= 0:
+            k = dict(zip(off, k_off)) | dict(zip(fp.J, k_on))
+            found.append(tuple(k[j] for j in range(data.N)))
+
+    extend((), sum(y * x for y, x in zip(grading, a)))
+    return found
+
+
+def loop_pairing(data: ToricData, d: Sequence[int], phis: Sequence, ctx: SampleContext,
+                 ample: Sequence[Fraction] | None = None) -> list[Fraction]:
+    """Per class phi of ``phis``, sum_alpha (1/e_alpha) sum_{d' + d'' = d}
+    phi(p(alpha) + d' z) I^alpha_d'(-z) I^alpha_d''(z), with I^alpha the
+    library's cohomological series and e_alpha the product of u_j(alpha) over
+    j off J(alpha).  The series run once, on the box of the ample class
+    ``ample`` (omega by default) up to <ample, d>, which holds every d' with d'
+    and d - d' effective."""
+    ample = data.omega if ample is None else ample
+    box = truncation_box(data, sum(w * x for w, x in zip(ample, d)), ample)
+    totals = [Fraction(0)] * len(phis)
+    for fp in enumerate_fixed_points(data):
+        at_minus_z = cohomological_series(data, fp, box, ctx._replace(z=-ctx.z))
+        at_z = cohomological_series(data, fp, box, ctx)
+        euler = prod(u for j, u in enumerate(divisor_values(fp, ctx.Lambda)) if j not in fp.J)
+        p = equivariant_p_values(data, fp, ctx.Lambda)
+        for d1, c1 in at_minus_z.coeffs.items():
+            c2 = at_z.coefficient(tuple(x - y for x, y in zip(d, d1)))
+            env = _class_env(data, ctx, [pi + di * ctx.z for pi, di in zip(p, d1)], "p", "l")
+            totals = [t + _evaluate(phi, env) * c1 * c2 / euler for t, phi in zip(totals, phis)]
+    return totals

@@ -92,7 +92,7 @@ def component_coefficients(data, fp, box, ctx) -> dict:
 
 
 def cohomological_coefficients(data, fp, box, ctx) -> dict:
-    uvals = divisor_values(data, fp, ctx.Lambda)
+    uvals = divisor_values(fp, ctx.Lambda)
     return ratio_products(data, fp, box,
                           lambda j, depths: linear_table(uvals[j], depths, ctx.z))
 

@@ -8,11 +8,13 @@ unit matrix entries.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
 
+import localization_oracle as oracle
 from test_mori_cone import SURFACE9, blown_up_fans, fan_surface, pairing
 from qtoric import toric
 from qtoric.exprs import parse_expression
@@ -27,7 +29,7 @@ from qtoric.series import (
     point_series,
     truncation_box,
 )
-from qtoric.toric import ToricData, degree_pairing, enumerate_fixed_points
+from qtoric.toric import ToricData, degree_pairing, enumerate_fixed_points, mori_generators
 
 SWAPPED_QUADRIC = ToricData(m=((0, 0, 1, 1), (1, 1, 0, 0)),
                             omega=(Fraction(1), Fraction(1)), name="quadric-swapped")
@@ -173,8 +175,9 @@ def c2(data):
 @example(fan=SURFACE9)
 def test_generated_surface_families(fan):
     # The trace of 1, the Chern numbers, the d = 0 map-space integral, the
-    # q-difference system on the box at twice the least curve pairing, and the
-    # recursion on every edge.
+    # q-difference system on the box at twice the least curve pairing, the
+    # recursion on every edge, the traces of three nef line bundles and one
+    # loop pairing.
     data = fan_surface(*fan)
     value, _ = with_resampling(lambda t: sample_context(data.N, 5, t),
                                lambda c: ktheory_trace(data, lambda env: Fraction(1), c))
@@ -198,3 +201,38 @@ def test_generated_surface_families(fan):
         for m in (1, 2):
             report = verify_residue_recursion(data, orbit, m, box, seed=19)
             assert report["ok"], (fan, m, report)
+    # The trace of P^-a for the three nef a in {0,1,2}^K \ {0} of least grading
+    # is the character of its sections, the Cox monomials of degree a (Demazure
+    # vanishing).  The grading, the sum of the facets of the columns' cone, is
+    # positive on every column of a compact quotient.
+    grading = tuple(map(sum, zip(*toric._facets(data.columns, data.K))))
+    classes = [a for a in product(range(3), repeat=data.K) if any(a)]
+    generators = mori_generators(data)
+    nef = sorted((toric._dot(grading, a), a) for a in classes
+                 if all(toric._dot(a, g) >= 0 for g in generators))
+    for _, a in nef[:3]:
+        phi = parse_expression("*".join(f"P{i + 1}^-{x}" for i, x in enumerate(a)))
+        sections = oracle.cox_sections(data, a, grading)
+        for seed in (11, 23):
+            ctx = sample_context(data.N, seed)
+            assert ktheory_trace(data, phi, ctx) == sum(
+                prod(lam ** -kj for lam, kj in zip(ctx.Lambda, k)) for k in sections), (a, seed)
+    # The integral over the degree-d spheres, at the least nonzero effective d
+    # in {0,1,2}^K with every D_j(d) >= 0, is the loop pairing of I(-z) with
+    # I(z).  Its box is that of the ample class sum_n c_n n over the Mori
+    # facets n: c_n = L / <n, d> on those d leaves, L the lcm of the <n, d>,
+    # so <ample, d> = L times their count, and c_n = <ample, d> + 1 on those
+    # through d, so the box keeps to d's face of the cone.
+    d = min((a for a in classes if min(degree_pairing(data, a)) >= 0
+             and toric.mori_cone_membership(data, a)), key=lambda a: (sum(a), a))
+    dim = sum(x + 1 for x in degree_pairing(data, d)) - data.K
+    facets = toric._mori_facets(data)
+    steps = [toric._dot(n, d) for n in facets]
+    scale = lcm(*filter(None, steps))
+    top = scale * sum(map(bool, steps)) + 1
+    ample = [sum((scale // step if step else top) * n[i] for step, n in zip(steps, facets))
+             for i in range(data.K)]
+    ctx = sample_context(data.N, 11)
+    phis = [parse_expression(f"(p1 - 3*l2 + 2*z)^{power}") for power in (dim, dim + 1)]
+    assert [map_space_integral(data, d, phi, ctx) for phi in phis] == \
+        oracle.loop_pairing(data, d, phis, ctx, ample), d

@@ -159,7 +159,7 @@ def product_verdicts(data, ctx, relations):
     for relation in relations:
         for fp in enumerate_fixed_points(data):
             uvals = fp.u_values(ctx.Lambda)
-            dvals = divisor_values(data, fp, ctx.Lambda)
+            dvals = divisor_values(fp, ctx.Lambda)
             out.append(bool(set(relation) & set(fp.J))
                        and prod(1 - uvals[j] for j in relation) == 0
                        and prod(dvals[j] for j in relation) == 0)

@@ -17,7 +17,6 @@ from qtoric.exprs import ZeroDivisorError, parse_expression
 from qtoric.kirwan import kirwan_relations
 from qtoric.models import bundled_model_names, resolve_model
 from qtoric.localization import (
-    _class_env,
     cohomology_integral,
     ktheory_trace,
     map_space_integral,
@@ -30,7 +29,6 @@ from qtoric.scalars import (
     sample_context,
     with_resampling,
 )
-from qtoric.series import cohomological_series, truncation_box
 from qtoric.toric import (
     ToricData,
     _weighted_sums,
@@ -105,26 +103,6 @@ def test_trace_expression_tree(f1):
     assert ktheory_trace(f1, expr, ctx) == ktheory_trace(f1, phi, ctx)
 
 
-def cox_sections(data, a, grading):
-    """The Cox-ring monomials x^k of degree m k = a, as exponent tuples k >= 0,
-    by a knapsack over the columns' positive degrees <grading, m_j>."""
-    weights = [sum(y * mij for y, mij in zip(grading, column)) for column in data.columns]
-    assert min(weights) > 0
-    budget = sum(y * x for y, x in zip(grading, a))
-    found = []
-
-    def extend(k, left):
-        if len(k) == data.N:
-            if tuple(sum(mij * kj for mij, kj in zip(row, k)) for row in data.m) == tuple(a):
-                found.append(k)
-            return
-        for kj in range(left // weights[len(k)] + 1):
-            extend(k + (kj,), left - kj * weights[len(k)])
-
-    extend((), budget)
-    return found
-
-
 # Per model: a grading positive on every column, and nef degrees a.
 SECTION_CASES = {
     "p1": ((1,), [(0,), (1,), (2,), (5,)]),
@@ -148,7 +126,7 @@ def test_trace_of_a_nef_line_bundle_is_its_sections(name, seed):
         assert all(sum(x * y for x, y in zip(a, g)) >= 0 for g in mori_generators(data))
         phi = parse_expression("*".join(f"P{i + 1}^-{x}" for i, x in enumerate(a)))
         sections = sum(prod(lam ** -kj for lam, kj in zip(ctx.Lambda, k))
-                       for k in cox_sections(data, a, grading))
+                       for k in oracle.cox_sections(data, a, grading))
         assert ktheory_trace(data, phi, ctx) == sections, a
 
 
@@ -216,26 +194,6 @@ def test_map_space_f1_with_obstruction(f1):
     assert len(values) == 1
 
 
-def loop_pairing(data, d, phi, ctx):
-    """sum_alpha (1/e_alpha) sum_{d' + d'' = d} phi(p(alpha) + d' z) I^alpha_d'(-z) I^alpha_d''(z),
-    with I^alpha the cohomological series on the box to <omega, d> and e_alpha
-    the product of u_j(alpha) over j off J(alpha)."""
-    box = truncation_box(data, sum(w * x for w, x in zip(data.omega, d)))
-    env, names = _class_env(data, ctx, "p", "l")
-    total = Fraction(0)
-    for fp in enumerate_fixed_points(data):
-        at_minus_z = cohomological_series(data, fp, box, ctx._replace(z=-ctx.z))
-        at_z = cohomological_series(data, fp, box, ctx)
-        euler = prod(u for j, u in enumerate(divisor_values(data, fp, ctx.Lambda))
-                     if j not in fp.J)
-        p = _weighted_sums(fp.p_monomials, ctx.Lambda)
-        for d1, c1 in at_minus_z.coeffs.items():
-            c2 = at_z.coefficient(tuple(x - y for x, y in zip(d, d1)))
-            env.update(zip(names, (pi + di * ctx.z for pi, di in zip(p, d1))))
-            total += phi.evaluate(env) * c1 * c2 / euler
-    return total
-
-
 LOOP_CASES = [("p1", (1,)), ("p1", (2,)), ("p2", (1,)), ("p2", (2,)),
               ("p1xp1", (1, 0)), ("p1xp1", (1, 1)), ("p1xp1", (2, 1)),
               ("f1", (0, 1)), ("f1", (1, 1)), ("f1", (1, 2))]
@@ -254,13 +212,11 @@ def test_map_space_integral_is_the_loop_pairing(name, d):
     dim = sum(x + 1 for x in pairing) - data.K
     forms = (" + ".join(f"{i + 2}*p{i + 1}" for i in range(data.K)) + " + l1 - z",
              "p1 - 3*l2 + 2*z")
-    for form in forms:
-        for power in (dim, dim + 1):
-            phi = parse_expression(f"({form})^{power}")
-            for seed in (11, 23):
-                ctx = sample_context(data.N, seed)
-                assert map_space_integral(data, d, phi, ctx) == loop_pairing(data, d, phi, ctx), \
-                    (form, power, seed)
+    phis = [parse_expression(f"({form})^{power}") for form in forms for power in (dim, dim + 1)]
+    for seed in (11, 23):
+        ctx = sample_context(data.N, seed)
+        assert [map_space_integral(data, d, phi, ctx) for phi in phis] == \
+            oracle.loop_pairing(data, d, phis, ctx), seed
 
 
 def test_map_space_refuses_a_non_integral_degree(p1, f1):
@@ -312,7 +268,7 @@ def test_additive_values_match_the_solved_system(name):
         for fp in enumerate_fixed_points(data):
             p = solved_p_values(data, fp, ctx.Lambda)
             assert _weighted_sums(fp.p_monomials, ctx.Lambda) == p
-            assert divisor_values(data, fp, ctx.Lambda) == solved_divisor_values(data, p, ctx.Lambda)
+            assert divisor_values(fp, ctx.Lambda) == solved_divisor_values(data, p, ctx.Lambda)
 
 
 def solved_map_space_integral(data, d, phi, ctx):
@@ -447,7 +403,7 @@ def test_integer_routes_match_the_fraction_oracle(draw):
             outcome(oracle.cotangent_euler, data, fp, ctx)
         assert _weighted_sums(fp.p_monomials, ctx.Lambda) == \
             oracle.equivariant_p_values(data, fp, ctx.Lambda)
-        assert divisor_values(data, fp, ctx.Lambda) == oracle.divisor_values(data, fp, ctx.Lambda)
+        assert divisor_values(fp, ctx.Lambda) == oracle.divisor_values(fp, ctx.Lambda)
 
 
 @pytest.mark.parametrize("name", [name for name, data in sorted(NAMED.items())

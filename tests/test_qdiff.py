@@ -14,13 +14,12 @@ from qtoric import cli
 from qtoric.models import bundled_model_names, load_bundled_model, parse_model_text
 from qtoric.qdiff import (
     _agree,
-    apply_gamma_ratio,
     gamma_reconstruction,
     verify_coh_relation,
     verify_dq_system,
     verify_shifted_identity,
 )
-from qtoric.scalars import TruncationError, ratio_table, sample_context
+from qtoric.scalars import TruncationError, sample_context
 from qtoric.series import (
     NovikovSeries,
     assemble_cohomological_series,
@@ -57,11 +56,6 @@ def u_word_factor(series, data, fp, j, r, ctx):
         if data.m[i][j]:
             out = apply_p(out, i, fp, ctx, power=data.m[i][j])
     return add(series, out.scale(-1 / ctx.Lambda[j]).scale(Fraction(ctx.q) ** (-r)))
-
-
-def pairings(data, series):
-    """``degree_pairing`` at each support degree, as ``apply_gamma_ratio`` reads it."""
-    return {d: degree_pairing(data, d) for d in series.coeffs}
 
 
 def shift_by_lookup(series, d0):
@@ -147,8 +141,7 @@ def test_operators_never_enlarge_support(f1):
     s = NovikovSeries(box, {(1, 0): Fraction(2), (0, 1): Fraction(3)})
     for out in (apply_translation(s, 0, ctx.q),
                 apply_p(s, 0, fp, ctx),
-                apply_word_table(s, f1, fp, [(1, 0)], ctx),
-                apply_gamma_ratio(s, 1, Fraction(2, 5), ctx.q, pairings(f1, s))):
+                apply_word_table(s, f1, fp, [(1, 0)], ctx)):
         assert set(out.coeffs) <= set(s.coeffs)
     shifted = shift_by_degree(s, (1, 0))
     assert set(shifted.coeffs) == {(2, 0), (1, 1)}
@@ -350,7 +343,7 @@ def _fails_exactly_at_the_mutated_degree(name, mutate):
 
         coh = assemble_cohomological_series(data, box, ctx)
         coh[fp.J], d = _mutated_top(coh[fp.J], mutate)
-        uvals = divisor_values(data, fp, ctx.Lambda)
+        uvals = divisor_values(fp, ctx.Lambda)
         caught = False
         for i in range(data.K):
             d0 = tuple(int(k == i) for k in range(data.K))
@@ -435,25 +428,6 @@ def test_factor_commutes_through_the_shift(f1):
                     assert after == before, (fp.J, i, j, r)
 
 
-def test_gamma_ratio_single_degree(p1):
-    box = truncation_box(p1, 3)
-    ctx = sample_context(p1.N, 37)
-    lam = Fraction(3, 7)
-    s = NovikovSeries(box, {(2,): Fraction(1)})
-    out = apply_gamma_ratio(s, 0, lam, ctx.q, pairings(p1, s))  # D_1(d) = d = 2
-    q = ctx.q
-    assert out.coefficient((2,)) == 1 / ((1 - lam * q) * (1 - lam * q ** 2))
-    assert out.coefficient((2,)) == ratio_table(lam, (2,), q)[2]
-
-
-def test_gamma_ratio_identity_when_depth_zero(f1):
-    # Degrees pairing to zero with the chosen column are untouched.
-    box = truncation_box(f1, 2)
-    ctx = sample_context(f1.N, 41)
-    s = NovikovSeries(box, {(0, 1): Fraction(5)})  # D_1((0,1)) = 0
-    assert apply_gamma_ratio(s, 0, Fraction(2, 3), ctx.q, pairings(f1, s)) == s
-
-
 def test_gamma_reconstruction_all_alpha(p1, f1):
     for data in (p1, f1):
         box = truncation_box(data, 4)
@@ -527,7 +501,7 @@ def test_a_scaled_coefficient_fails_the_row_off_the_effective_cone(mode):
     family = assemble(data, box, ctx)
     checked = caught = 0
     for fp in enumerate_fixed_points(data):
-        uvals = divisor_values(data, fp, ctx.Lambda)
+        uvals = divisor_values(fp, ctx.Lambda)
         for d, c in family[fp.J].coeffs.items():
             scaled = {**family, fp.J: NovikovSeries(
                 box, {**family[fp.J].coeffs, d: c * Fraction(102, 101)})}

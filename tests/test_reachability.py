@@ -58,9 +58,6 @@ KEPT = {
     "qdiff.verify_shifted_identity": "demo entry point: demos/04_q_difference_system.py",
     "scalars.QRational.__init__": BENCH_TRACER,
     "series.NovikovSeries.coefficient": BENCH_TRACER,
-    "series.NovikovSeries.scale": "demo entry point: demos/03_series_and_q_exponential.py",
-    "series.TruncationBox.contains": BENCH_TRACER,
-    "series.adams": "demo entry point: demos/03_series_and_q_exponential.py",
 }
 
 # The roles a kept name may have: a file role names a demo or a bench file.

@@ -849,7 +849,7 @@ def test_cohomological_series_matches_explicit_product_f1(f1, p1):
     z = ctx.z
     for fp in enumerate_fixed_points(f1):
         series = cohomological_series(f1, fp, box, ctx)
-        u = divisor_values(f1, fp, ctx.Lambda)
+        u = divisor_values(fp, ctx.Lambda)
         for d in box.degrees:
             expected = Fraction(1)
             for j, depth in enumerate(degree_pairing(f1, d)):

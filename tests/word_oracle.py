@@ -54,12 +54,12 @@ def word_multiplier(data: ToricData, fp: FixedPoint, factors: Sequence[tuple[int
 def apply_word(series: NovikovSeries, data: ToricData, fp: FixedPoint,
                factors: Sequence[tuple[int, int]], ctx: SampleContext) -> NovikovSeries:
     multiplier = word_multiplier(data, fp, factors, ctx)
-    return series.map_with_degree(lambda d, c: c * multiplier(d))
+    return NovikovSeries(series.box, {d: c * multiplier(d) for d, c in series.coeffs.items()})
 
 
 def apply_translation(series: NovikovSeries, i: int, q) -> NovikovSeries:
     """Q_i -> q Q_i: the coefficient at d picks up q^{d_i}."""
-    return series.map_with_degree(lambda d, c: c * q ** d[i])
+    return NovikovSeries(series.box, {d: c * q ** d[i] for d, c in series.coeffs.items()})
 
 
 def apply_p(series: NovikovSeries, i: int, fp: FixedPoint, ctx: SampleContext,
@@ -119,7 +119,7 @@ def verify_coh_relation(data: ToricData, d0: Sequence[int],
     box = next(iter(family.values())).box
     for fp in enumerate_fixed_points(data):
         series = family[fp.J]
-        uvals = divisor_values(data, fp, ctx.Lambda)
+        uvals = divisor_values(fp, ctx.Lambda)
         failures = []
         for d in box.degrees:
             try:
